@@ -1,7 +1,7 @@
 //! Concurrent-serving throughput: end-to-end batches through the sharded
 //! thread pool, plus the isolated per-frame serving cost.
 //!
-//! The full sweep (with the ChannelTransport baseline and JSON output)
+//! The full sweep (with the per-query baseline and JSON output)
 //! lives in the `throughput` binary; this bench gives criterion-grade
 //! timings for the pieces: one batch frame served end-to-end at each
 //! worker count, and the raw `handle_bytes_into` hot path.

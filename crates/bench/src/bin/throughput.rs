@@ -5,8 +5,8 @@
 //! throughput [--out PATH] [--seed N] [--clients K] [--queries M]
 //! ```
 //!
-//! Sweeps worker count {1, 2, 4} × batch size {1, 16, 64} against the
-//! single-thread `ChannelTransport` per-query baseline. The JSON records
+//! Sweeps worker count {1, 2, 4} × batch size {1, 16, 64} against a
+//! one-worker per-query baseline (one `Query` frame per tuple). The JSON records
 //! the measuring host's core count: on a single core the speedup comes
 //! from batch frames amortizing round-trip overhead, not from parallelism.
 

@@ -15,7 +15,7 @@ use enviro_data::{LausanneSim, QueryTuple, WindowSpec};
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod, QueryOutcome};
 use enviro_net::{
     BinaryCodec, ChaosStats, ChaosWire, Clock, EnviroClient, EnviroServer, FaultPlan, LinkProfile,
-    LoopbackWire, ResilienceStats, SimulatedLink, VirtualClock,
+    LoopbackWire, Request, ResilienceStats, Response, SimulatedLink, VirtualClock, WireCodec,
 };
 use std::fmt::Write as _;
 
@@ -182,23 +182,26 @@ fn build_server(seed: u64) -> EnviroServer<BinaryCodec> {
     EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
 }
 
-/// The fault-free ground truth through the same client and codec stack.
+/// The fault-free ground truth: the server's own answer to one
+/// `QueryBatch` frame per `batch` tuples, through the same codec but not
+/// through the client loop under test. A frame that fails reads as
+/// misses.
 fn oracle(
     server: &EnviroServer<BinaryCodec>,
     traj: &[QueryTuple],
     batch: usize,
 ) -> Vec<Option<f64>> {
-    let mut client = EnviroClient::new(
-        BinaryCodec,
-        server.platform().engine().dataset().pollutant(),
-    )
-    .with_batch(batch);
-    let mut link = SimulatedLink::new(LinkProfile::IDEAL);
-    let mut wire = LoopbackWire::new(server, &mut link);
-    let mut values = Vec::new();
-    client
-        .query_batch(&mut wire, traj, &mut values)
-        .unwrap_or_default();
+    let mut values = Vec::with_capacity(traj.len());
+    for chunk in traj.chunks(batch) {
+        let request = BinaryCodec.encode_request(&Request::QueryBatch {
+            seq: 1,
+            queries: chunk.to_vec(),
+        });
+        match BinaryCodec.decode_response(&server.handle_bytes(&request)) {
+            Ok(Response::ValueBatch { values: chunk, .. }) => values.extend(chunk),
+            _ => values.resize(values.len() + chunk.len(), None),
+        }
+    }
     values
 }
 

@@ -1,6 +1,6 @@
 //! Throughput of the concurrent serving layer: queries/second over a
-//! worker-count × batch-size sweep, against the single-thread
-//! [`ChannelTransport`](enviro_net::ChannelTransport) baseline.
+//! worker-count × batch-size sweep, against a one-worker, one-`Query`-frame
+//! per-tuple baseline.
 //!
 //! The sweep answers the two deployment questions the tentpole makes:
 //! how much does the sharded thread pool + pipelined sessions raise
@@ -15,8 +15,8 @@ use crate::workload::{Scale, RADIUS_M};
 use enviro_data::{Pollutant, QueryTuple, WindowSpec};
 use enviro_meter::{default_parallelism, AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
-    BinaryCodec, ChannelTransport, ConcurrentTransport, EnviroClient, EnviroServer, Request,
-    Response, Wire, WireCodec,
+    BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, Request, Response, Wire,
+    WireCodec,
 };
 use enviro_schedule::sync::Arc;
 use std::fmt::Write as _;
@@ -72,7 +72,7 @@ pub struct ThroughputRow {
 /// The full sweep result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputReport {
-    /// The single-thread `ChannelTransport` per-query baseline.
+    /// The one-worker per-query baseline.
     pub baseline: ThroughputRow,
     /// The concurrent-transport sweep, in `workers`-major order.
     pub rows: Vec<ThroughputRow>,
@@ -192,10 +192,10 @@ fn trajectory(seed: u64, k: usize, len: usize) -> Vec<QueryTuple> {
     sim.continuous_trajectory(len, 60, seed ^ (k as u64 + 1))
 }
 
-/// Measures the `ChannelTransport` baseline: one server thread, one
-/// `Query` frame (and round-trip) per tuple, `clients` concurrent callers.
+/// Measures the baseline: one worker thread, one `Query` frame (and
+/// round-trip) per tuple, `clients` concurrent callers.
 fn run_baseline(cfg: &ThroughputConfig) -> ThroughputRow {
-    let transport = match ChannelTransport::spawn(build_server(cfg.seed)) {
+    let transport = match ConcurrentTransport::spawn(build_server(cfg.seed), 1) {
         Ok(t) => t,
         Err(e) => return failed_row(1, 1, &e.to_string()),
     };

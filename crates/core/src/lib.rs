@@ -77,7 +77,6 @@ pub mod cluster;
 pub mod cover;
 pub mod eval;
 pub mod heatmap;
-pub mod live;
 pub mod model;
 pub mod platform;
 pub mod publish;
@@ -88,7 +87,6 @@ pub use cluster::{AdKmn, AdKmnConfig, ClusterMembers, KMeans, KMeansConfig, Spli
 pub use cover::{CoverBuilder, CoverRegion, ModelCover};
 pub use eval::{nrmse_percent, AccuracyReport};
 pub use heatmap::{Heatmap, HeatmapBuilder};
-pub use live::{LiveConfig, LiveEngine, LiveStats};
 pub use model::{ApproximationError, FitConfig, LinearModel, RegionModel};
 pub use platform::EnviroMeter;
 pub use publish::{CoverRegistry, CoverSet, PublishedCover};

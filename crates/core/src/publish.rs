@@ -7,10 +7,12 @@
 //! either sees the complete old set or the complete new one — never a
 //! half-updated mixture, and never a lock held across a model rebuild.
 //!
-//! Each publication bumps a monotone **generation** number. The server
-//! stamps it into every `ValueBatch` reply, which lets a cover-caching
-//! client detect that the models it holds predate the latest publication
-//! and refetch instead of serving stale interpolations.
+//! Each publication bumps a monotone **generation** number, stored in the
+//! set it labels. The server answers a request from one snapshot and
+//! stamps that snapshot's generation into the `ValueBatch` reply, which
+//! lets a cover-caching client detect that the models it holds predate
+//! the latest publication and refetch instead of serving stale
+//! interpolations.
 //!
 //! Query routing mirrors the batch engine: a query at time `t` is answered
 //! by the newest window whose **first tuple** is at or before `t` (not the
@@ -19,9 +21,8 @@
 //! identical is what makes streamed answers bit-equal to batch answers.
 
 use crate::cover::ModelCover;
-use enviro_data::Timestamp;
+use enviro_data::{QueryTuple, Timestamp};
 use enviro_memsize::DeepSize;
-use enviro_schedule::sync::atomic::{AtomicU64, Ordering};
 use enviro_schedule::sync::{Arc, RwLock};
 
 /// One published cover: a window's models plus the routing key.
@@ -36,10 +37,12 @@ pub struct PublishedCover {
     pub cover: Arc<ModelCover>,
 }
 
-/// An immutable, atomically-published set of covers, sorted by window id.
+/// An immutable, atomically-published set of covers, sorted by window id,
+/// labelled with the generation that published it.
 #[derive(Debug, Clone, Default)]
 pub struct CoverSet {
     entries: Vec<PublishedCover>,
+    generation: u64,
 }
 
 impl CoverSet {
@@ -56,6 +59,12 @@ impl CoverSet {
     /// `true` when nothing has been published.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The publication that produced this set (0 = none yet): every
+    /// answer read from the set belongs to this generation.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The published covers, oldest window first.
@@ -84,6 +93,13 @@ impl CoverSet {
             .partition_point(|e| e.first_time <= t)
             .saturating_sub(1);
         Some(&self.entries[idx])
+    }
+
+    /// Answers `q` from the cover responsible for its time, or `None` when
+    /// the set is empty (the caller then falls back to the batch platform).
+    pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
+        self.cover_for_time(q.time)
+            .map(|e| e.cover.interpolate(q.time, &q.pos))
     }
 
     /// Verifies the set's ordering invariants.
@@ -139,13 +155,12 @@ impl DeepSize for CoverSet {
 /// The registry queries read from and the maintenance worker publishes to.
 ///
 /// Readers call [`CoverRegistry::snapshot`] (one `RwLock` read + `Arc`
-/// clone, never blocked by a rebuild) and keep using the snapshot for the
-/// whole request; writers assemble the next [`CoverSet`] off to the side
-/// and swap it in with [`CoverRegistry::publish`].
+/// clone, never blocked by a rebuild) and keep using the snapshot, and its
+/// generation, for the whole request; writers assemble the next
+/// [`CoverSet`] and swap it in with [`CoverRegistry::publish`].
 #[derive(Debug, Default)]
 pub struct CoverRegistry {
     current: RwLock<Arc<CoverSet>>,
-    generation: AtomicU64,
 }
 
 impl CoverRegistry {
@@ -164,10 +179,7 @@ impl CoverRegistry {
 
     /// The generation of the latest publication (0 = none yet). Monotone.
     pub fn generation(&self) -> u64 {
-        // ordering: Acquire pairs with the AcqRel bump in `publish` — a
-        // reader that observes generation N also observes every write the
-        // publisher made before bumping to N (the swapped cover set).
-        self.generation.load(Ordering::Acquire)
+        self.snapshot().generation
     }
 
     /// Publishes `updates`: each entry replaces the current cover for its
@@ -183,19 +195,20 @@ impl CoverRegistry {
                 Err(i) => entries.insert(i, update),
             }
         }
-        *guard = Arc::new(CoverSet { entries });
-        // Bumped while still holding the write lock, so generations observed
-        // through a fresh snapshot are never ahead of the set's contents.
-        // ordering: AcqRel — Release publishes the swapped set to Acquire
-        // loads in `generation`; Acquire keeps the bump from being hoisted
-        // above the swap on this side.
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
+        // Numbered under the write lock: generations are dense, and a set
+        // and its number are published in one swap.
+        let generation = guard.generation + 1;
+        *guard = Arc::new(CoverSet {
+            entries,
+            generation,
+        });
+        generation
     }
 
     /// Verifies the registry and its current set.
     pub fn check_invariants(&self) -> Result<(), String> {
         let snap = self.snapshot();
-        if self.generation() == 0 && !snap.is_empty() {
+        if snap.generation == 0 && !snap.is_empty() {
             return Err("covers present at generation 0".into());
         }
         snap.check_invariants()

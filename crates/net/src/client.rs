@@ -10,11 +10,11 @@
 use crate::buffers;
 use crate::clock::{Clock, SystemClock};
 use crate::codec::WireCodec;
+use crate::concurrent::TransportError;
 use crate::fault::XorShiftRng;
 use crate::link::{LinkUsage, SimulatedLink};
 use crate::protocol::{Request, Response, MAX_BATCH};
 use crate::server::EnviroServer;
-use crate::transport::TransportError;
 use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
 use enviro_meter::{ModelCover, QueryOutcome};
 
@@ -38,10 +38,11 @@ pub struct SessionStats {
 /// An error that ends a client session.
 ///
 /// Note what is *not* here: a server-side [`Response::Error`] reply does
-/// not end the session — it is counted in
-/// [`SessionStats::protocol_errors`] and the session continues, because a
-/// mobile client must survive a flaky server. Only a reply the client
-/// cannot even decode is fatal.
+/// not end the session — the paper clients count it in
+/// [`SessionStats::protocol_errors`] and [`EnviroClient`] retries it,
+/// because a mobile client must survive a flaky server. The paper clients
+/// fail on a reply they cannot even decode; [`EnviroClient::query_batch`]
+/// fails only once a request has spent its whole retry budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
     /// The server's reply bytes failed to decode.
@@ -67,8 +68,7 @@ impl From<TransportError> for ClientError {
     }
 }
 
-/// Retry/deadline/backoff knobs for the resilient query path
-/// ([`EnviroClient::query_resilient`]).
+/// Retry/deadline/backoff knobs for every [`EnviroClient`] exchange.
 ///
 /// The backoff before retry *k* is `min(backoff_base_ms << (k-1),
 /// backoff_max_ms)` with uniform jitter in the upper half of that value,
@@ -101,7 +101,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Counters describing how hard the resilient path had to work.
+/// Counters describing how hard the retrying exchanges had to work.
 ///
 /// Deterministic for a fixed seed, clock and fault schedule — the chaos
 /// suite asserts that two identical runs produce identical stats.
@@ -206,7 +206,7 @@ pub struct ModelCacheClient<C: WireCodec> {
     codec: C,
     cached: Option<ModelCover>,
     /// Set when the last refresh proved the server has no fresher cover.
-    server_exhausted: bool,
+    nothing_fresher: bool,
 }
 
 impl<C: WireCodec> ModelCacheClient<C> {
@@ -215,7 +215,7 @@ impl<C: WireCodec> ModelCacheClient<C> {
         Self {
             codec,
             cached: None,
-            server_exhausted: false,
+            nothing_fresher: false,
         }
     }
 
@@ -239,7 +239,7 @@ impl<C: WireCodec> ModelCacheClient<C> {
         for q in trajectory {
             // The §2.3 check: is the cached cover still valid at t_l?
             let valid = self.cached.as_ref().is_some_and(|c| c.is_valid_at(q.time));
-            if !valid && !self.server_exhausted {
+            if !valid && !self.nothing_fresher {
                 let req = self
                     .codec
                     .encode_request(&Request::ModelRequest { time: q.time });
@@ -255,18 +255,18 @@ impl<C: WireCodec> ModelCacheClient<C> {
                         let cover = wire.into_cover(pollutant);
                         // A cover already expired for t_l means the server
                         // has nothing fresher: serve stale, stop refreshing.
-                        self.server_exhausted = !cover.is_valid_at(q.time);
+                        self.nothing_fresher = !cover.is_valid_at(q.time);
                         self.cached = Some(cover);
                     }
                     Response::Error(_) => {
                         // Counted, but the cache (possibly stale) is kept:
                         // an error reply says nothing about our cover.
                         protocol_errors += 1;
-                        self.server_exhausted = true;
+                        self.nothing_fresher = true;
                     }
                     _ => {
                         self.cached = None;
-                        self.server_exhausted = true;
+                        self.nothing_fresher = true;
                     }
                 }
             }
@@ -345,6 +345,11 @@ impl<C: WireCodec> Wire for LoopbackWire<'_, C> {
 ///   expiry (with the stale-serve refinement of [`ModelCacheClient`]).
 ///   Tuples the cover cannot answer are *not* sent upstream; like the
 ///   paper's client, a missing cover reads as a miss.
+///
+/// Every request kind — a `QueryBatch` chunk, a cover refresh, an
+/// `IngestBatch` chunk — goes through one retrying exchange loop under the
+/// [`RetryPolicy`]; [`Self::query_batch`] and [`Self::query_resilient`]
+/// are two views of the same answers.
 #[derive(Debug)]
 pub struct EnviroClient<C: WireCodec> {
     codec: C,
@@ -352,9 +357,10 @@ pub struct EnviroClient<C: WireCodec> {
     batch: usize,
     model_cache: bool,
     cached: Option<ModelCover>,
-    server_exhausted: bool,
     exchanges: usize,
     protocol_errors: usize,
+    /// The encoded request of the exchange in progress, reused across
+    /// requests so a steady-state query allocates nothing.
     scratch: Vec<u8>,
     policy: RetryPolicy,
     clock: Box<dyn Clock>,
@@ -362,7 +368,8 @@ pub struct EnviroClient<C: WireCodec> {
     next_seq: u32,
     resilience: ResilienceStats,
     /// While the injected clock reads below this, the model-cache path
-    /// serves stale answers without re-probing an unreachable server.
+    /// serves from the cover it holds without re-probing the server: it
+    /// was unreachable, or had nothing fresher.
     degraded_until: u64,
     /// Highest cover generation seen in any reply (0 until a generation-
     /// stamping server answers). An increase invalidates the cached cover.
@@ -382,7 +389,6 @@ impl<C: WireCodec> EnviroClient<C> {
             batch: Self::DEFAULT_BATCH,
             model_cache: false,
             cached: None,
-            server_exhausted: false,
             exchanges: 0,
             protocol_errors: 0,
             scratch: Vec::new(),
@@ -408,7 +414,7 @@ impl<C: WireCodec> EnviroClient<C> {
         self
     }
 
-    /// Sets the retry/deadline policy for [`Self::query_resilient`].
+    /// Sets the retry/deadline policy every exchange runs under.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
         self
@@ -434,7 +440,7 @@ impl<C: WireCodec> EnviroClient<C> {
         self.exchanges
     }
 
-    /// [`Response::Error`] replies seen so far; the session keeps going.
+    /// [`Response::Error`] replies seen so far; each one is retried.
     pub fn protocol_errors(&self) -> usize {
         self.protocol_errors
     }
@@ -444,7 +450,7 @@ impl<C: WireCodec> EnviroClient<C> {
         self.cached.as_ref()
     }
 
-    /// Counters from the resilient path (zero until it runs).
+    /// Counters from the retrying exchanges (zero on a clean wire).
     pub fn resilience_stats(&self) -> ResilienceStats {
         self.resilience
     }
@@ -460,24 +466,23 @@ impl<C: WireCodec> EnviroClient<C> {
     /// The first nonzero generation is the baseline — the client learned
     /// what epoch the server is in, nothing to invalidate. Any *increase*
     /// after that means the maintenance worker published fresher covers:
-    /// the cached cover is dropped and the "server has nothing fresher"
-    /// latch and degraded-mode cool-off are cleared, so the next miss
-    /// refreshes instead of serving a cover the server has superseded.
+    /// the cached cover is dropped and the degraded-mode cool-off is
+    /// cleared, so the next miss refreshes instead of serving a cover the
+    /// server has superseded.
     fn observe_generation(&mut self, generation: u64) {
         if generation <= self.last_generation {
             return; // same epoch, or a duplicated older reply
         }
         if self.last_generation != 0 {
             self.cached = None;
-            self.server_exhausted = false;
             self.degraded_until = 0;
             self.resilience.invalidated_covers += 1;
         }
         self.last_generation = generation;
     }
 
-    /// Per-chunk sequence numbers start at 1 and wrap around 0 — v1 frames
-    /// decode with sequence 0, so 0 never matches a live chunk.
+    /// Per-chunk sequence numbers start at 1 and wrap around 0, so a
+    /// zeroed frame never matches a live chunk.
     fn take_seq(&mut self) -> u32 {
         self.next_seq = self.next_seq.wrapping_add(1);
         if self.next_seq == 0 {
@@ -489,9 +494,11 @@ impl<C: WireCodec> EnviroClient<C> {
     /// Answers `queries` over `wire`, appending one value per tuple to
     /// `out` (cleared first).
     ///
-    /// Only an undecodable reply or a transport failure is an `Err`; a
-    /// server-side [`Response::Error`] is counted and the affected tuples
-    /// read as misses, because a mobile client must survive a flaky server.
+    /// The `Option<f64>` view of [`Self::query_resilient`]: `Fresh` and
+    /// `Stale` answers read as their value, a miss as `None`. The only
+    /// `Err` is a chunk (or, in model-cache mode, a cover refresh with no
+    /// cover to fall back on) that spent its whole retry budget; `out`
+    /// then holds the answers of the chunks before it.
     pub fn query_batch(
         &mut self,
         wire: &mut dyn Wire,
@@ -502,97 +509,30 @@ impl<C: WireCodec> EnviroClient<C> {
         out.reserve(queries.len());
         if self.model_cache {
             for q in queries {
-                let valid = self.cached.as_ref().is_some_and(|c| c.is_valid_at(q.time));
-                if !valid && !self.server_exhausted {
-                    self.refresh_cover(wire, q.time)?;
-                }
-                out.push(
-                    self.cached
-                        .as_ref()
-                        .and_then(|c| c.interpolate(q.time, &q.pos)),
-                );
+                out.push(self.model_answer(wire, q)?.value());
             }
             return Ok(());
         }
         for chunk in queries.chunks(self.batch) {
-            self.exchange_chunk(wire, chunk, out)?;
+            let values = self.query_chunk(wire, chunk)?;
+            out.extend_from_slice(&values);
+            buffers::recycle_values(values);
         }
         Ok(())
-    }
-
-    /// Sends one `QueryBatch` frame and appends its answers to `out`.
-    fn exchange_chunk(
-        &mut self,
-        wire: &mut dyn Wire,
-        chunk: &[QueryTuple],
-        out: &mut Vec<Option<f64>>,
-    ) -> Result<(), ClientError> {
-        let seq = self.encode_chunk_request(chunk);
-        let reply = wire.exchange(&self.scratch)?;
-        self.exchanges += 1;
-        match self
-            .codec
-            .decode_response(reply)
-            .map_err(|e| ClientError::BadReply(e.to_string()))?
-        {
-            Response::ValueBatch {
-                seq: reply_seq,
-                generation,
-                values,
-            } => {
-                self.observe_generation(generation);
-                if reply_seq != seq {
-                    return Err(ClientError::BadReply(format!(
-                        "reply sequence {reply_seq} does not match request {seq}"
-                    )));
-                }
-                if values.len() != chunk.len() {
-                    return Err(ClientError::BadReply(format!(
-                        "batch of {} answered with {} values",
-                        chunk.len(),
-                        values.len()
-                    )));
-                }
-                out.extend_from_slice(&values);
-                buffers::recycle_values(values);
-            }
-            Response::Error(_) => {
-                self.protocol_errors += 1;
-                out.resize(out.len() + chunk.len(), None);
-            }
-            // NoData or protocol misuse: the whole chunk reads as misses.
-            _ => out.resize(out.len() + chunk.len(), None),
-        }
-        Ok(())
-    }
-
-    /// Encodes one `QueryBatch` frame for `chunk` into `self.scratch` and
-    /// returns the sequence number it was stamped with.
-    fn encode_chunk_request(&mut self, chunk: &[QueryTuple]) -> u32 {
-        let seq = self.take_seq();
-        let mut queries = buffers::take_queries();
-        queries.extend_from_slice(chunk);
-        let request = Request::QueryBatch { seq, queries };
-        self.scratch.clear();
-        self.codec.encode_request_into(&request, &mut self.scratch);
-        if let Request::QueryBatch { queries, .. } = request {
-            buffers::recycle_queries(queries);
-        }
-        seq
     }
 
     /// Answers `queries` over a lossy `wire`, appending one
     /// [`QueryOutcome`] per tuple to `out` (cleared first).
     ///
-    /// The fault-tolerant sibling of [`Self::query_batch`]: every chunk is
-    /// retried under the [`RetryPolicy`] (exponential backoff with jitter,
-    /// clamped to the per-chunk deadline), replies are matched by sequence
-    /// number so a duplicated or reordered frame can never answer the
-    /// wrong chunk, and [`Response::Busy`] sheds back off by the server's
-    /// hint. It never fails: a chunk whose retry budget is exhausted reads
-    /// as [`QueryOutcome::Unavailable`], and in model-cache mode an
-    /// unreachable server degrades to [`QueryOutcome::Stale`] answers from
-    /// the last cover until a later refresh reconnects.
+    /// Every chunk is retried under the [`RetryPolicy`] (exponential
+    /// backoff with jitter, clamped to the per-chunk deadline), replies
+    /// are matched by sequence number so a duplicated or reordered frame
+    /// can never answer the wrong chunk, and [`Response::Busy`] sheds back
+    /// off by the server's hint. It never fails: a chunk whose retry
+    /// budget is exhausted reads as [`QueryOutcome::Unavailable`], and in
+    /// model-cache mode an unreachable server degrades to
+    /// [`QueryOutcome::Stale`] answers from the last cover until a later
+    /// refresh reconnects.
     pub fn query_resilient(
         &mut self,
         wire: &mut dyn Wire,
@@ -603,133 +543,86 @@ impl<C: WireCodec> EnviroClient<C> {
         out.reserve(queries.len());
         if self.model_cache {
             for q in queries {
-                let outcome = self.resilient_model_answer(wire, q);
+                let outcome = self.model_answer(wire, q).unwrap_or_else(|_| {
+                    self.resilience.unavailable += 1;
+                    QueryOutcome::Unavailable
+                });
                 out.push(outcome);
             }
             return;
         }
         for chunk in queries.chunks(self.batch) {
-            self.exchange_chunk_resilient(wire, chunk, out);
+            match self.query_chunk(wire, chunk) {
+                Ok(values) => {
+                    out.extend(values.iter().map(|v| QueryOutcome::Fresh(*v)));
+                    buffers::recycle_values(values);
+                }
+                Err(_) => {
+                    self.resilience.unavailable += chunk.len() as u64;
+                    out.resize(out.len() + chunk.len(), QueryOutcome::Unavailable);
+                }
+            }
         }
     }
 
-    /// Sends one `QueryBatch` frame with retries, appending one outcome
-    /// per tuple. Exhaustion reads as `Unavailable` — never an error.
-    fn exchange_chunk_resilient(
+    /// Sends one `QueryBatch` frame for `chunk` and returns its answers
+    /// (a buffer from the thread's pool, for the caller to recycle).
+    fn query_chunk(
         &mut self,
         wire: &mut dyn Wire,
         chunk: &[QueryTuple],
-        out: &mut Vec<QueryOutcome>,
-    ) {
-        let seq = self.encode_chunk_request(chunk);
-        let deadline = self.clock.now_ms() + self.policy.deadline_ms;
-        let mut attempt: u32 = 0;
-        loop {
-            if attempt > self.policy.max_retries || self.clock.now_ms() >= deadline {
-                self.resilience.unavailable += chunk.len() as u64;
-                out.resize(out.len() + chunk.len(), QueryOutcome::Unavailable);
-                return;
-            }
-            if attempt > 0 {
-                self.resilience.retries += 1;
-            }
-            attempt += 1;
-            match self.attempt_chunk(wire, seq, chunk.len()) {
-                AttemptOutcome::Answered(values) => {
-                    out.extend(values.iter().map(|v| QueryOutcome::Fresh(*v)));
-                    buffers::recycle_values(values);
-                    return;
-                }
-                AttemptOutcome::RetryAfter(ms) => {
-                    let remaining = deadline.saturating_sub(self.clock.now_ms());
-                    self.clock.sleep_ms(ms.min(remaining));
-                }
-                AttemptOutcome::Backoff => self.backoff_sleep(attempt, deadline),
-                AttemptOutcome::RetryNow => {}
-            }
+    ) -> Result<Vec<Option<f64>>, ClientError> {
+        let seq = self.take_seq();
+        let mut queries = buffers::take_queries();
+        queries.extend_from_slice(chunk);
+        let request = Request::QueryBatch { seq, queries };
+        self.scratch.clear();
+        self.codec.encode_request_into(&request, &mut self.scratch);
+        if let Request::QueryBatch { queries, .. } = request {
+            buffers::recycle_queries(queries);
         }
-    }
-
-    /// One send/receive attempt for the frame already in `self.scratch`.
-    fn attempt_chunk(&mut self, wire: &mut dyn Wire, seq: u32, expected: usize) -> AttemptOutcome {
-        self.exchanges += 1;
-        let reply = match wire.exchange(&self.scratch) {
-            Ok(r) => r,
-            Err(_) => {
-                self.resilience.timeouts += 1;
-                return AttemptOutcome::Backoff;
-            }
-        };
-        match self.codec.decode_response(reply) {
-            Ok(Response::ValueBatch {
+        self.exchange(wire, |client, response| match response {
+            Response::ValueBatch {
                 seq: reply_seq,
                 generation,
                 values,
-            }) => {
-                self.observe_generation(generation);
-                if reply_seq == seq && values.len() == expected {
-                    AttemptOutcome::Answered(values)
+            } => {
+                client.observe_generation(generation);
+                if reply_seq == seq && values.len() == chunk.len() {
+                    Some(values)
                 } else {
-                    // A duplicate or reordered leftover from an earlier
-                    // chunk: reject and listen again, no backoff needed.
-                    self.resilience.stale_replies += 1;
                     buffers::recycle_values(values);
-                    AttemptOutcome::RetryNow
+                    None
                 }
             }
-            Ok(Response::Busy { retry_after_ms }) => {
-                self.resilience.busy_replies += 1;
-                AttemptOutcome::RetryAfter(u64::from(retry_after_ms))
-            }
-            Ok(Response::Error(_)) => {
-                // Typically our request arrived corrupted and failed the
-                // server-side CRC; the frame we hold is fine — re-send it.
-                self.protocol_errors += 1;
-                AttemptOutcome::Backoff
-            }
-            Ok(_) => {
-                // A well-formed reply of the wrong kind: a displaced frame
-                // from some other request. Reject like a stale sequence.
-                self.resilience.stale_replies += 1;
-                AttemptOutcome::RetryNow
-            }
-            Err(_) => {
-                self.resilience.corrupt_replies += 1;
-                AttemptOutcome::Backoff
-            }
-        }
+            _ => None,
+        })
     }
 
-    /// Sleeps `min(base << (attempt-1), max)` with uniform jitter in the
-    /// upper half, clamped to what remains of the deadline.
-    fn backoff_sleep(&mut self, attempt: u32, deadline: u64) {
-        let exp = attempt.saturating_sub(1).min(10);
-        let cap = self
-            .policy
-            .backoff_base_ms
-            .saturating_mul(1u64 << exp)
-            .min(self.policy.backoff_max_ms);
-        if cap == 0 {
-            return;
-        }
-        let ms = self.rng.next_in_range(cap / 2, cap);
-        let remaining = deadline.saturating_sub(self.clock.now_ms());
-        self.clock.sleep_ms(ms.min(remaining));
-    }
-
-    /// Answers one tuple in model-cache mode, degrading to stale answers
-    /// while the server is unreachable and reconciling once it returns.
-    fn resilient_model_answer(&mut self, wire: &mut dyn Wire, q: &QueryTuple) -> QueryOutcome {
+    /// Answers one tuple in model-cache mode: from the cached cover while
+    /// it is valid, refreshing it on expiry. While the server is
+    /// unreachable or has nothing fresher, the expired cover serves
+    /// `Stale` answers and the server is not re-probed before the
+    /// cool-off ends. `Err` only when a refresh spent its whole retry
+    /// budget and no cover is held at all.
+    fn model_answer(
+        &mut self,
+        wire: &mut dyn Wire,
+        q: &QueryTuple,
+    ) -> Result<QueryOutcome, ClientError> {
         let valid = self.cached.as_ref().is_some_and(|c| c.is_valid_at(q.time));
-        if !valid
-            && self.clock.now_ms() >= self.degraded_until
-            && !self.refresh_cover_resilient(wire, q.time)
-        {
-            // Unreachable or nothing fresher: cool off before probing
-            // again instead of paying the full retry budget per tuple.
-            self.degraded_until = self.clock.now_ms() + self.policy.backoff_max_ms;
+        if !valid && self.clock.now_ms() >= self.degraded_until {
+            let refreshed = self.fetch_cover(wire, q.time);
+            if !matches!(refreshed, Ok(true)) {
+                // Unreachable or nothing fresher: cool off before probing
+                // again instead of paying the full retry budget per tuple.
+                self.degraded_until = self.clock.now_ms() + self.policy.backoff_max_ms;
+            }
+            if self.cached.is_none() {
+                refreshed?;
+            }
         }
-        match &self.cached {
+        Ok(match &self.cached {
             Some(c) if c.is_valid_at(q.time) => QueryOutcome::Fresh(c.interpolate(q.time, &q.pos)),
             Some(c) => {
                 self.resilience.stale_answers += 1;
@@ -739,75 +632,38 @@ impl<C: WireCodec> EnviroClient<C> {
                 self.resilience.unavailable += 1;
                 QueryOutcome::Unavailable
             }
-        }
+        })
     }
 
-    /// Fetches a cover with retries. Returns `true` only when the fetched
-    /// cover is live at `time`; an expired cover (the server has nothing
-    /// fresher) and an unreachable server both leave the client degraded,
-    /// to be re-probed after the cool-off.
-    fn refresh_cover_resilient(&mut self, wire: &mut dyn Wire, time: Timestamp) -> bool {
+    /// Fetches the cover responsible for `time`. `Ok(true)` only when the
+    /// fetched cover is live at `time`; an expired cover (the server has
+    /// nothing fresher) is kept but reads `Ok(false)`, and so does a
+    /// `NoData` reply, which drops the cached cover.
+    fn fetch_cover(&mut self, wire: &mut dyn Wire, time: Timestamp) -> Result<bool, ClientError> {
         self.scratch.clear();
         self.codec
             .encode_request_into(&Request::ModelRequest { time }, &mut self.scratch);
-        let deadline = self.clock.now_ms() + self.policy.deadline_ms;
-        let mut attempt: u32 = 0;
-        loop {
-            if attempt > self.policy.max_retries || self.clock.now_ms() >= deadline {
-                return false;
-            }
-            if attempt > 0 {
-                self.resilience.retries += 1;
-            }
-            attempt += 1;
-            self.exchanges += 1;
-            let reply = match wire.exchange(&self.scratch) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.resilience.timeouts += 1;
-                    self.backoff_sleep(attempt, deadline);
-                    continue;
-                }
-            };
-            match self.codec.decode_response(reply) {
-                Ok(Response::Cover(wire_cover)) => {
-                    let cover = wire_cover.into_cover(self.pollutant);
-                    let live = cover.is_valid_at(time);
-                    // Keep the freshest cover we have: a duplicated reply
-                    // carrying an old cover must not clobber a newer one.
-                    if self
-                        .cached
-                        .as_ref()
-                        .is_none_or(|c| cover.valid_until >= c.valid_until)
-                    {
-                        self.cached = Some(cover);
-                    }
-                    return live;
-                }
-                Ok(Response::NoData) => {
-                    // The server answered: it has no cover at all.
-                    self.cached = None;
-                    return false;
-                }
-                Ok(Response::Busy { retry_after_ms }) => {
-                    self.resilience.busy_replies += 1;
-                    let remaining = deadline.saturating_sub(self.clock.now_ms());
-                    self.clock
-                        .sleep_ms(u64::from(retry_after_ms).min(remaining));
-                }
-                Ok(Response::Error(_)) => {
-                    self.protocol_errors += 1;
-                    self.backoff_sleep(attempt, deadline);
-                }
-                Ok(_) => {
-                    self.resilience.stale_replies += 1;
-                }
-                Err(_) => {
-                    self.resilience.corrupt_replies += 1;
-                    self.backoff_sleep(attempt, deadline);
-                }
-            }
+        let pollutant = self.pollutant;
+        let fetched = self.exchange(wire, |_, response| match response {
+            Response::Cover(wire_cover) => Some(Some(wire_cover.into_cover(pollutant))),
+            Response::NoData => Some(None),
+            _ => None,
+        })?;
+        let Some(cover) = fetched else {
+            self.cached = None;
+            return Ok(false);
+        };
+        let live = cover.is_valid_at(time);
+        // Keep the freshest cover we have: a duplicated reply carrying an
+        // old cover must not clobber a newer one.
+        if self
+            .cached
+            .as_ref()
+            .is_none_or(|c| cover.valid_until >= c.valid_until)
+        {
+            self.cached = Some(cover);
         }
+        Ok(live)
     }
 
     /// Streams `tuples` to the server as `IngestBatch` frames of up to
@@ -838,113 +694,102 @@ impl<C: WireCodec> EnviroClient<C> {
                 tuples: chunk.to_vec(),
             };
             self.codec.encode_request_into(&request, &mut self.scratch);
-            let deadline = self.clock.now_ms() + self.policy.deadline_ms;
-            let mut attempt: u32 = 0;
-            let mut acked = false;
-            while !acked {
-                if attempt > self.policy.max_retries || self.clock.now_ms() >= deadline {
-                    break;
+            let acked = self.exchange(wire, |_, response| match response {
+                Response::IngestAck {
+                    seq: reply_seq,
+                    durable_upto,
+                } if reply_seq == seq => Some(durable_upto),
+                _ => None,
+            });
+            match acked {
+                Ok(durable_upto) => {
+                    report.durable_upto = report.durable_upto.max(durable_upto);
+                    report.acked_tuples += chunk.len() as u64;
                 }
-                if attempt > 0 {
-                    self.resilience.retries += 1;
-                }
-                attempt += 1;
-                match self.attempt_ingest(wire, seq) {
-                    IngestAttempt::Acked(durable_upto) => {
-                        report.durable_upto = report.durable_upto.max(durable_upto);
-                        acked = true;
-                    }
-                    IngestAttempt::RetryAfter(ms) => {
-                        let remaining = deadline.saturating_sub(self.clock.now_ms());
-                        self.clock.sleep_ms(ms.min(remaining));
-                    }
-                    IngestAttempt::Backoff => self.backoff_sleep(attempt, deadline),
-                    IngestAttempt::RetryNow => {}
-                }
+                Err(_) => report.failed_tuples += chunk.len() as u64,
             }
-            if acked {
-                report.acked_tuples += chunk.len() as u64;
-            } else {
-                report.failed_tuples += chunk.len() as u64;
-            }
-            report.chunk_acked.push(acked);
+            report.chunk_acked.push(acked.is_ok());
         }
         report
     }
 
-    /// One send/receive attempt for the ingest frame in `self.scratch`.
-    fn attempt_ingest(&mut self, wire: &mut dyn Wire, seq: u32) -> IngestAttempt {
-        self.exchanges += 1;
-        let reply = match wire.exchange(&self.scratch) {
-            Ok(r) => r,
-            Err(_) => {
-                self.resilience.timeouts += 1;
-                return IngestAttempt::Backoff;
+    /// The one retrying exchange loop: sends the request in `self.scratch`
+    /// until `accept` takes a reply, under the [`RetryPolicy`].
+    ///
+    /// `accept` sees every well-formed reply other than `Busy` and
+    /// `Error`; `None` rejects it as a leftover of another request (a
+    /// duplicate or reordered frame), which is consumed and re-sent
+    /// without backoff. A transport failure, an undecodable reply or an
+    /// `Error` reply (typically our request arrived corrupted and failed
+    /// the server-side CRC; the frame we hold is fine) backs off
+    /// exponentially; `Busy` backs off by the server's hint. Once the
+    /// budget is spent the `Err` is the last transport failure or
+    /// undecodable reply, or [`TransportError::TimedOut`] when there was
+    /// none.
+    fn exchange<T>(
+        &mut self,
+        wire: &mut dyn Wire,
+        mut accept: impl FnMut(&mut Self, Response) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        let deadline = self.clock.now_ms() + self.policy.deadline_ms;
+        let mut failure = ClientError::Transport(TransportError::TimedOut);
+        for attempt in 1..=self.policy.max_retries.saturating_add(1) {
+            if self.clock.now_ms() >= deadline {
+                break;
             }
-        };
-        match self.codec.decode_response(reply) {
-            Ok(Response::IngestAck {
-                seq: reply_seq,
-                durable_upto,
-            }) => {
-                if reply_seq == seq {
-                    IngestAttempt::Acked(durable_upto)
-                } else {
-                    // A duplicated ack for an earlier chunk: consume it and
-                    // listen again for ours.
-                    self.resilience.stale_replies += 1;
-                    IngestAttempt::RetryNow
+            if attempt > 1 {
+                self.resilience.retries += 1;
+            }
+            self.exchanges += 1;
+            let reply = match wire.exchange(&self.scratch) {
+                Ok(reply) => reply,
+                Err(e) => {
+                    self.resilience.timeouts += 1;
+                    failure = ClientError::Transport(e);
+                    self.backoff_sleep(attempt, deadline);
+                    continue;
+                }
+            };
+            match self.codec.decode_response(reply) {
+                Ok(Response::Busy { retry_after_ms }) => {
+                    self.resilience.busy_replies += 1;
+                    let remaining = deadline.saturating_sub(self.clock.now_ms());
+                    self.clock
+                        .sleep_ms(u64::from(retry_after_ms).min(remaining));
+                }
+                Ok(Response::Error(_)) => {
+                    self.protocol_errors += 1;
+                    self.backoff_sleep(attempt, deadline);
+                }
+                Ok(response) => match accept(self, response) {
+                    Some(answer) => return Ok(answer),
+                    None => self.resilience.stale_replies += 1,
+                },
+                Err(e) => {
+                    self.resilience.corrupt_replies += 1;
+                    failure = ClientError::BadReply(e.to_string());
+                    self.backoff_sleep(attempt, deadline);
                 }
             }
-            Ok(Response::Busy { retry_after_ms }) => {
-                self.resilience.busy_replies += 1;
-                IngestAttempt::RetryAfter(u64::from(retry_after_ms))
-            }
-            Ok(Response::Error(_)) => {
-                // Request corrupted in flight (server CRC) or a transient
-                // server-side failure: the frame we hold is fine — re-send.
-                self.protocol_errors += 1;
-                IngestAttempt::Backoff
-            }
-            Ok(_) => {
-                self.resilience.stale_replies += 1;
-                IngestAttempt::RetryNow
-            }
-            Err(_) => {
-                self.resilience.corrupt_replies += 1;
-                IngestAttempt::Backoff
-            }
         }
+        Err(failure)
     }
 
-    /// Fetches the cover responsible for `time`, mirroring
-    /// [`ModelCacheClient`]'s refresh-and-stale-serve policy.
-    fn refresh_cover(&mut self, wire: &mut dyn Wire, time: Timestamp) -> Result<(), ClientError> {
-        self.scratch.clear();
-        self.codec
-            .encode_request_into(&Request::ModelRequest { time }, &mut self.scratch);
-        let reply = wire.exchange(&self.scratch)?;
-        self.exchanges += 1;
-        match self
-            .codec
-            .decode_response(reply)
-            .map_err(|e| ClientError::BadReply(e.to_string()))?
-        {
-            Response::Cover(wire_cover) => {
-                let cover = wire_cover.into_cover(self.pollutant);
-                self.server_exhausted = !cover.is_valid_at(time);
-                self.cached = Some(cover);
-            }
-            Response::Error(_) => {
-                self.protocol_errors += 1;
-                self.server_exhausted = true;
-            }
-            _ => {
-                self.cached = None;
-                self.server_exhausted = true;
-            }
+    /// Sleeps `min(base << (attempt-1), max)` with uniform jitter in the
+    /// upper half, clamped to what remains of the deadline.
+    fn backoff_sleep(&mut self, attempt: u32, deadline: u64) {
+        let exp = attempt.saturating_sub(1).min(10);
+        let cap = self
+            .policy
+            .backoff_base_ms
+            .saturating_mul(1u64 << exp)
+            .min(self.policy.backoff_max_ms);
+        if cap == 0 {
+            return;
         }
-        Ok(())
+        let ms = self.rng.next_in_range(cap / 2, cap);
+        let remaining = deadline.saturating_sub(self.clock.now_ms());
+        self.clock.sleep_ms(ms.min(remaining));
     }
 }
 
@@ -965,30 +810,6 @@ pub struct IngestReport {
     /// Per-chunk ack flags, in send order — chunk `i` covered tuples
     /// `[i * batch, (i + 1) * batch)` of the input slice.
     pub chunk_acked: Vec<bool>,
-}
-
-/// What one resilient ingest attempt produced.
-enum IngestAttempt {
-    /// A matching `IngestAck`: the chunk is durable server-side.
-    Acked(u64),
-    /// The server shed the request; retry after its hint (ms).
-    RetryAfter(u64),
-    /// Transport failure or corruption; retry with exponential backoff.
-    Backoff,
-    /// A stale reply was consumed; re-send immediately, no backoff.
-    RetryNow,
-}
-
-/// What one resilient send/receive attempt produced.
-enum AttemptOutcome {
-    /// A matching `ValueBatch`: the chunk is answered.
-    Answered(Vec<Option<f64>>),
-    /// The server shed the request; retry after its hint (ms).
-    RetryAfter(u64),
-    /// Transport failure or corruption; retry with exponential backoff.
-    Backoff,
-    /// A stale reply was consumed; re-send immediately, no backoff.
-    RetryNow,
 }
 
 #[cfg(test)]
@@ -1202,8 +1023,11 @@ mod tests {
         let mut reference = ModelCacheClient::new(BinaryCodec);
         let expected = reference.run(&server, &traj, &mut cache_link).unwrap();
 
-        let mut client =
-            EnviroClient::new(BinaryCodec, pollutant_of(&server)).with_model_cache(true);
+        // A clock that never moves: the cool-off after "nothing fresher"
+        // never ends, like the reference client's latch.
+        let mut client = EnviroClient::new(BinaryCodec, pollutant_of(&server))
+            .with_model_cache(true)
+            .with_clock(VirtualClock::new());
         let mut link = SimulatedLink::new(LinkProfile::IDEAL);
         let mut wire = LoopbackWire::new(&server, &mut link);
         let mut values = Vec::new();
@@ -1538,7 +1362,7 @@ mod tests {
             .clone();
         let mut client = EnviroClient::new(BinaryCodec, pollutant_of(&server)).with_batch(4);
         client.cached = Some(cover);
-        client.server_exhausted = true;
+        client.degraded_until = u64::MAX;
 
         let reply = |seq: u32, generation: u64| {
             BinaryCodec.encode_response(&Response::ValueBatch {
@@ -1572,7 +1396,7 @@ mod tests {
         client.query_batch(&mut wire, &q, &mut out).unwrap();
         assert_eq!(client.last_generation(), 9);
         assert!(client.cached_cover().is_none());
-        assert!(!client.server_exhausted);
+        assert_eq!(client.degraded_until, 0, "the cool-off must be cleared");
         assert_eq!(client.resilience_stats().invalidated_covers, 1);
     }
 }

@@ -14,7 +14,7 @@
 use crate::buffers;
 use crate::protocol::{
     ErrorCode, ProtocolError, Request, Response, WireCover, WireModel, WireRegion, BATCH_VERSION,
-    BATCH_VERSION_V1, BATCH_VERSION_V2, MAX_BATCH,
+    MAX_BATCH,
 };
 use bytes::{Buf, BufMut};
 use enviro_data::{QueryTuple, RawTuple, Timestamp};
@@ -117,15 +117,20 @@ fn check_batch_count(count: usize) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// The error every decoder raises for a batch version it does not speak.
-/// Checked *before* the CRC so a peer speaking a future layout gets a
-/// version diagnostic, not a checksum mismatch.
-fn bad_batch_version(version: u8) -> CodecError {
-    CodecError::Malformed(format!("unsupported batch version {version}"))
+/// Rejects every batch version but [`BATCH_VERSION`]. Checked *before*
+/// the CRC so a peer speaking another layout gets a version diagnostic,
+/// not a checksum mismatch.
+fn check_batch_version(version: i64) -> Result<(), CodecError> {
+    if version != i64::from(BATCH_VERSION) {
+        return Err(CodecError::Malformed(format!(
+            "unsupported batch version {version}"
+        )));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), the v2 batch-frame integrity check
+// CRC-32 (IEEE), the batch-frame integrity check
 // ---------------------------------------------------------------------------
 
 /// CRC-32 lookup table (IEEE 802.3 reflected polynomial), built at compile
@@ -186,12 +191,15 @@ fn crc_mismatch(declared: u32, computed: u32) -> CodecError {
     ))
 }
 
-/// Verifies the trailing CRC-32 of a v2/v3 binary batch frame.
+/// Takes the version byte of a binary batch frame and verifies its
+/// trailing CRC-32.
 ///
-/// `frame` is the whole message; `rest` is the still-unparsed suffix (past
-/// tag and version). Returns `rest` with the 4-byte trailer stripped so the
-/// caller's `ensure_empty` sees a clean end-of-frame.
-fn split_crc_trailer<'a>(frame: &[u8], rest: &'a [u8]) -> Result<&'a [u8], CodecError> {
+/// `frame` is the whole message; `rest` is the still-unparsed suffix past
+/// the tag. On return `rest` starts after the version byte and ends before
+/// the 4-byte trailer, so the caller's `ensure_empty` sees a clean
+/// end-of-frame.
+fn take_batch_envelope(frame: &[u8], rest: &mut &[u8]) -> Result<(), CodecError> {
+    check_batch_version(i64::from(take_u8(rest)?))?;
     if rest.len() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -201,7 +209,8 @@ fn split_crc_trailer<'a>(frame: &[u8], rest: &'a [u8]) -> Result<&'a [u8], Codec
     if declared != computed {
         return Err(crc_mismatch(declared, computed));
     }
-    Ok(body)
+    *rest = body;
+    Ok(())
 }
 
 impl WireCodec for BinaryCodec {
@@ -278,15 +287,8 @@ impl WireCodec for BinaryCodec {
                 Ok(Request::ModelRequest { time })
             }
             TAG_QUERY_BATCH => {
-                let version = take_u8(&mut bytes)?;
-                let seq = match version {
-                    BATCH_VERSION_V1 => 0,
-                    BATCH_VERSION_V2 | BATCH_VERSION => {
-                        bytes = split_crc_trailer(frame, bytes)?;
-                        take_u32(&mut bytes)?
-                    }
-                    other => return Err(bad_batch_version(other)),
-                };
+                take_batch_envelope(frame, &mut bytes)?;
+                let seq = take_u32(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
                 check_batch_count(n)?;
                 // The cheap structural check before touching the pool: each
@@ -306,12 +308,7 @@ impl WireCodec for BinaryCodec {
                 Ok(Request::QueryBatch { seq, queries })
             }
             TAG_INGEST => {
-                // New in v3; no older layout to accept.
-                let version = take_u8(&mut bytes)?;
-                if version != BATCH_VERSION {
-                    return Err(bad_batch_version(version));
-                }
-                bytes = split_crc_trailer(frame, bytes)?;
+                take_batch_envelope(frame, &mut bytes)?;
                 let source = take_u64(&mut bytes)?;
                 let seq = take_u32(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
@@ -432,21 +429,9 @@ impl WireCodec for BinaryCodec {
                 Ok(Response::NoData)
             }
             TAG_VALUE_BATCH => {
-                let version = take_u8(&mut bytes)?;
-                let (seq, generation) = match version {
-                    BATCH_VERSION_V1 => (0, 0),
-                    BATCH_VERSION_V2 => {
-                        bytes = split_crc_trailer(frame, bytes)?;
-                        (take_u32(&mut bytes)?, 0)
-                    }
-                    BATCH_VERSION => {
-                        bytes = split_crc_trailer(frame, bytes)?;
-                        let seq = take_u32(&mut bytes)?;
-                        let generation = take_u64(&mut bytes)?;
-                        (seq, generation)
-                    }
-                    other => return Err(bad_batch_version(other)),
-                };
+                take_batch_envelope(frame, &mut bytes)?;
+                let seq = take_u32(&mut bytes)?;
+                let generation = take_u64(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
                 check_batch_count(n)?;
                 let mut values = buffers::take_values();
@@ -471,11 +456,7 @@ impl WireCodec for BinaryCodec {
                 Ok(Response::Busy { retry_after_ms })
             }
             TAG_INGEST_ACK => {
-                let version = take_u8(&mut bytes)?;
-                if version != BATCH_VERSION {
-                    return Err(bad_batch_version(version));
-                }
-                bytes = split_crc_trailer(frame, bytes)?;
+                take_batch_envelope(frame, &mut bytes)?;
                 let seq = take_u32(&mut bytes)?;
                 let durable_upto = take_u64(&mut bytes)?;
                 ensure_empty(bytes)?;
@@ -682,114 +663,29 @@ impl WireCodec for TextCodec {
                 Ok(Request::ModelRequest { time })
             }
             Some("query-batch") => {
-                let version = kv_i64(&mut parts, "v")?;
-                if !(0..=u8::MAX as i64).contains(&version) {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                let seq = match version as u8 {
-                    BATCH_VERSION_V1 => 0,
-                    BATCH_VERSION_V2 | BATCH_VERSION => {
-                        let seq = kv_i64(&mut parts, "seq")?;
-                        if !(0..=u32::MAX as i64).contains(&seq) {
-                            return Err(CodecError::Malformed("bad batch header".into()));
-                        }
-                        seq as u32
-                    }
-                    other => return Err(bad_batch_version(other)),
-                };
-                let n = kv_i64(&mut parts, "n")?;
-                if n < 0 {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                check_batch_count(n as usize)?;
-                // v2+ frames carry a trailing `crc=` line hashing every
-                // preceding line (newlines included); v1 frames have none.
-                let mut hasher = Crc32::new();
-                hasher.update(header.as_bytes());
-                hasher.update(b"\n");
-                let mut trailer = None;
+                check_batch_version(kv_i64(&mut parts, "v")?)?;
+                let seq = kv_u32(&mut parts, "seq")?;
+                let n = kv_count(&mut parts)?;
                 let mut queries = buffers::take_queries();
-                queries.reserve(n as usize);
-                for line in lines {
-                    if trailer.is_some() {
-                        return Err(CodecError::Malformed("lines after crc trailer".into()));
-                    }
-                    if let Some(hex) = line.strip_prefix("crc=") {
-                        let declared = u32::from_str_radix(hex, 16)
-                            .map_err(|_| CodecError::Malformed(format!("bad crc {hex:?}")))?;
-                        trailer = Some(declared);
-                        continue;
-                    }
-                    if queries.len() == n as usize {
-                        return Err(CodecError::Malformed("extra batch lines".into()));
-                    }
-                    hasher.update(line.as_bytes());
-                    hasher.update(b"\n");
+                queries.reserve(n);
+                text_batch_body(header, lines, n, |line| {
                     let mut p = line.split_whitespace();
                     expect_token(&mut p, "q")?;
                     let time = Timestamp::from_secs(kv_i64(&mut p, "time")?);
                     let x = kv_f64(&mut p, "x")?;
                     let y = kv_f64(&mut p, "y")?;
                     queries.push(QueryTuple::new(time, Point::new(x, y)));
-                }
-                if version as u8 != BATCH_VERSION_V1 {
-                    let declared = trailer
-                        .ok_or_else(|| CodecError::Malformed("missing crc trailer".into()))?;
-                    let computed = hasher.finish();
-                    if declared != computed {
-                        return Err(crc_mismatch(declared, computed));
-                    }
-                } else if trailer.is_some() {
-                    return Err(CodecError::Malformed("crc trailer on a v1 frame".into()));
-                }
-                if queries.len() != n as usize {
-                    return Err(CodecError::Malformed(format!(
-                        "declared {n} tuples, got {}",
-                        queries.len()
-                    )));
-                }
+                    Ok(())
+                })?;
                 Ok(Request::QueryBatch { seq, queries })
             }
             Some("ingest-batch") => {
-                let version = kv_i64(&mut parts, "v")?;
-                if !(0..=u8::MAX as i64).contains(&version) {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                // Ingest frames are a v3 addition: no older layout exists.
-                if version as u8 != BATCH_VERSION {
-                    return Err(bad_batch_version(version as u8));
-                }
+                check_batch_version(kv_i64(&mut parts, "v")?)?;
                 let source = kv_u64(&mut parts, "source")?;
-                let seq = kv_i64(&mut parts, "seq")?;
-                if !(0..=u32::MAX as i64).contains(&seq) {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                let seq = seq as u32;
-                let n = kv_i64(&mut parts, "n")?;
-                if n < 0 {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                check_batch_count(n as usize)?;
-                let mut hasher = Crc32::new();
-                hasher.update(header.as_bytes());
-                hasher.update(b"\n");
-                let mut trailer = None;
-                let mut tuples = Vec::with_capacity(n as usize);
-                for line in lines {
-                    if trailer.is_some() {
-                        return Err(CodecError::Malformed("lines after crc trailer".into()));
-                    }
-                    if let Some(hex) = line.strip_prefix("crc=") {
-                        let declared = u32::from_str_radix(hex, 16)
-                            .map_err(|_| CodecError::Malformed(format!("bad crc {hex:?}")))?;
-                        trailer = Some(declared);
-                        continue;
-                    }
-                    if tuples.len() == n as usize {
-                        return Err(CodecError::Malformed("extra batch lines".into()));
-                    }
-                    hasher.update(line.as_bytes());
-                    hasher.update(b"\n");
+                let seq = kv_u32(&mut parts, "seq")?;
+                let n = kv_count(&mut parts)?;
+                let mut tuples = Vec::with_capacity(n);
+                text_batch_body(header, lines, n, |line| {
                     let mut p = line.split_whitespace();
                     expect_token(&mut p, "b")?;
                     let time = Timestamp::from_secs(kv_i64(&mut p, "time")?);
@@ -801,19 +697,8 @@ impl WireCodec for TextCodec {
                         return Err(CodecError::Malformed("non-finite ingest tuple".into()));
                     }
                     tuples.push(tuple);
-                }
-                let declared =
-                    trailer.ok_or_else(|| CodecError::Malformed("missing crc trailer".into()))?;
-                let computed = hasher.finish();
-                if declared != computed {
-                    return Err(crc_mismatch(declared, computed));
-                }
-                if tuples.len() != n as usize {
-                    return Err(CodecError::Malformed(format!(
-                        "declared {n} tuples, got {}",
-                        tuples.len()
-                    )));
-                }
+                    Ok(())
+                })?;
                 Ok(Request::IngestBatch {
                     source,
                     seq,
@@ -925,52 +810,13 @@ impl WireCodec for TextCodec {
             }
             Some("no-data") => Ok(Response::NoData),
             Some("value-batch") => {
-                let version = kv_i64(&mut parts, "v")?;
-                if !(0..=u8::MAX as i64).contains(&version) {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                let (seq, generation) = match version as u8 {
-                    BATCH_VERSION_V1 => (0, 0),
-                    v @ (BATCH_VERSION_V2 | BATCH_VERSION) => {
-                        let seq = kv_i64(&mut parts, "seq")?;
-                        if !(0..=u32::MAX as i64).contains(&seq) {
-                            return Err(CodecError::Malformed("bad batch header".into()));
-                        }
-                        let generation = if v == BATCH_VERSION {
-                            kv_u64(&mut parts, "gen")?
-                        } else {
-                            0
-                        };
-                        (seq as u32, generation)
-                    }
-                    other => return Err(bad_batch_version(other)),
-                };
-                let n = kv_i64(&mut parts, "n")?;
-                if n < 0 {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                check_batch_count(n as usize)?;
-                let mut hasher = Crc32::new();
-                hasher.update(header.as_bytes());
-                hasher.update(b"\n");
-                let mut trailer = None;
+                check_batch_version(kv_i64(&mut parts, "v")?)?;
+                let seq = kv_u32(&mut parts, "seq")?;
+                let generation = kv_u64(&mut parts, "gen")?;
+                let n = kv_count(&mut parts)?;
                 let mut values = buffers::take_values();
-                values.reserve(n as usize);
-                for line in lines {
-                    if trailer.is_some() {
-                        return Err(CodecError::Malformed("lines after crc trailer".into()));
-                    }
-                    if let Some(hex) = line.strip_prefix("crc=") {
-                        let declared = u32::from_str_radix(hex, 16)
-                            .map_err(|_| CodecError::Malformed(format!("bad crc {hex:?}")))?;
-                        trailer = Some(declared);
-                        continue;
-                    }
-                    if values.len() == n as usize {
-                        return Err(CodecError::Malformed("extra batch lines".into()));
-                    }
-                    hasher.update(line.as_bytes());
-                    hasher.update(b"\n");
+                values.reserve(n);
+                text_batch_body(header, lines, n, |line| {
                     let mut p = line.split_whitespace();
                     expect_token(&mut p, "v")?;
                     let s = kv_str(&mut p, "s")?;
@@ -982,23 +828,8 @@ impl WireCodec for TextCodec {
                             .map_err(|_| CodecError::Malformed(format!("bad value {s:?}")))?;
                         values.push(Some(value));
                     }
-                }
-                if version as u8 != BATCH_VERSION_V1 {
-                    let declared = trailer
-                        .ok_or_else(|| CodecError::Malformed("missing crc trailer".into()))?;
-                    let computed = hasher.finish();
-                    if declared != computed {
-                        return Err(crc_mismatch(declared, computed));
-                    }
-                } else if trailer.is_some() {
-                    return Err(CodecError::Malformed("crc trailer on a v1 frame".into()));
-                }
-                if values.len() != n as usize {
-                    return Err(CodecError::Malformed(format!(
-                        "declared {n} values, got {}",
-                        values.len()
-                    )));
-                }
+                    Ok(())
+                })?;
                 Ok(Response::ValueBatch {
                     seq,
                     generation,
@@ -1015,38 +846,11 @@ impl WireCodec for TextCodec {
                 })
             }
             Some("ingest-ack") => {
-                let version = kv_i64(&mut parts, "v")?;
-                if !(0..=u8::MAX as i64).contains(&version) {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
-                if version as u8 != BATCH_VERSION {
-                    return Err(bad_batch_version(version as u8));
-                }
-                let seq = kv_i64(&mut parts, "seq")?;
-                if !(0..=u32::MAX as i64).contains(&seq) {
-                    return Err(CodecError::Malformed("bad batch header".into()));
-                }
+                check_batch_version(kv_i64(&mut parts, "v")?)?;
+                let seq = kv_u32(&mut parts, "seq")?;
                 let durable_upto = kv_u64(&mut parts, "durable")?;
-                let mut hasher = Crc32::new();
-                hasher.update(header.as_bytes());
-                hasher.update(b"\n");
-                let trailer = lines
-                    .next()
-                    .and_then(|line| line.strip_prefix("crc="))
-                    .ok_or_else(|| CodecError::Malformed("missing crc trailer".into()))?;
-                let declared = u32::from_str_radix(trailer, 16)
-                    .map_err(|_| CodecError::Malformed(format!("bad crc {trailer:?}")))?;
-                let computed = hasher.finish();
-                if declared != computed {
-                    return Err(crc_mismatch(declared, computed));
-                }
-                if lines.next().is_some() {
-                    return Err(CodecError::Malformed("lines after crc trailer".into()));
-                }
-                Ok(Response::IngestAck {
-                    seq: seq as u32,
-                    durable_upto,
-                })
+                text_batch_body(header, lines, 0, |_| Ok(()))?;
+                Ok(Response::IngestAck { seq, durable_upto })
             }
             Some("cover") => {
                 let valid_until = Timestamp::from_secs(kv_i64(&mut parts, "valid-until")?);
@@ -1194,6 +998,66 @@ fn kv_u64<'a>(parts: &mut impl Iterator<Item = &'a str>, key: &str) -> Result<u6
     kv_str(parts, key)?
         .parse()
         .map_err(|_| CodecError::Malformed(format!("bad int for {key}")))
+}
+
+fn kv_u32<'a>(parts: &mut impl Iterator<Item = &'a str>, key: &str) -> Result<u32, CodecError> {
+    kv_str(parts, key)?
+        .parse()
+        .map_err(|_| CodecError::Malformed(format!("bad int for {key}")))
+}
+
+/// The `n=` tuple count of a text batch header, capped at [`MAX_BATCH`].
+fn kv_count<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<usize, CodecError> {
+    let n = kv_str(parts, "n")?
+        .parse()
+        .map_err(|_| CodecError::Malformed("bad batch header".into()))?;
+    check_batch_count(n)?;
+    Ok(n)
+}
+
+/// Walks the body of a text batch frame: each of the `n` lines before the
+/// `crc=` trailer goes to `parse`, and the trailer must hold the CRC-32 of
+/// the header and those lines (newlines included).
+fn text_batch_body<'a>(
+    header: &str,
+    lines: impl Iterator<Item = &'a str>,
+    n: usize,
+    mut parse: impl FnMut(&'a str) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    let mut hasher = Crc32::new();
+    hasher.update(header.as_bytes());
+    hasher.update(b"\n");
+    let mut trailer = None;
+    let mut count = 0;
+    for line in lines {
+        if trailer.is_some() {
+            return Err(CodecError::Malformed("lines after crc trailer".into()));
+        }
+        if let Some(hex) = line.strip_prefix("crc=") {
+            let declared = u32::from_str_radix(hex, 16)
+                .map_err(|_| CodecError::Malformed(format!("bad crc {hex:?}")))?;
+            trailer = Some(declared);
+            continue;
+        }
+        if count == n {
+            return Err(CodecError::Malformed("extra batch lines".into()));
+        }
+        hasher.update(line.as_bytes());
+        hasher.update(b"\n");
+        parse(line)?;
+        count += 1;
+    }
+    let declared = trailer.ok_or_else(|| CodecError::Malformed("missing crc trailer".into()))?;
+    let computed = hasher.finish();
+    if declared != computed {
+        return Err(crc_mismatch(declared, computed));
+    }
+    if count != n {
+        return Err(CodecError::Malformed(format!(
+            "declared {n} lines, got {count}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1476,11 +1340,31 @@ mod tests {
         }
     }
 
+    /// A binary batch frame: `tag`, `version`, `body`, then a CRC-32 over
+    /// all of it when `with_crc`.
+    fn binary_frame(tag: u8, version: u8, body: &[u8], with_crc: bool) -> Vec<u8> {
+        let mut bytes = vec![tag, version];
+        bytes.extend_from_slice(body);
+        if with_crc {
+            let crc = crc32(&bytes);
+            bytes.put_u32_le(crc);
+        }
+        bytes
+    }
+
+    /// A text batch frame with its `crc=` trailer.
+    fn text_frame(body: &str) -> Vec<u8> {
+        format!("{body}crc={:08X}\n", crc32(body.as_bytes())).into_bytes()
+    }
+
     #[test]
     fn batch_rejects_wrong_version() {
+        let mut requests: Vec<(&str, Vec<u8>)> = Vec::new();
+        let mut responses: Vec<(&str, Vec<u8>)> = Vec::new();
+        // A future version: the current frame with its version bumped
+        // (binary: offset 1; text: "v=3").
         for codec in codecs() {
             let mut bytes = codec.encode_request(&sample_batch(2));
-            // Corrupt the version byte (binary: offset 1; text: "v=3").
             match codec.name() {
                 "binary" => bytes[1] = BATCH_VERSION + 1,
                 _ => {
@@ -1488,11 +1372,68 @@ mod tests {
                     bytes = s.replace("v=3", "v=9").into_bytes();
                 }
             }
-            match codec.decode_request(&bytes) {
+            requests.push((codec.name(), bytes));
+        }
+        // The retired layouts: v1 (no seq, no CRC) and v2 (seq + CRC, no
+        // generation).
+        let mut tuple = Vec::new();
+        tuple.put_i64_le(60);
+        tuple.put_f64_le(1.5);
+        tuple.put_f64_le(-0.25);
+        let mut v1 = Vec::new();
+        v1.put_u32_le(1);
+        v1.extend_from_slice(&tuple);
+        let mut v2 = Vec::new();
+        v2.put_u32_le(7);
+        v2.extend_from_slice(&v1);
+        requests.push(("binary", binary_frame(0x03, 1, &v1, false)));
+        requests.push(("binary", binary_frame(0x03, 2, &v2, true)));
+        let mut v1 = Vec::new();
+        v1.put_u32_le(1);
+        v1.put_u8(0x01);
+        v1.put_f64_le(1.5);
+        let mut v2 = Vec::new();
+        v2.put_u32_le(9);
+        v2.extend_from_slice(&v1);
+        responses.push(("binary", binary_frame(0x85, 1, &v1, false)));
+        responses.push(("binary", binary_frame(0x85, 2, &v2, true)));
+        requests.push((
+            "text",
+            b"REQUEST query-batch v=1 n=1\nq time=60 x=1.500000 y=-0.250000\n".to_vec(),
+        ));
+        requests.push((
+            "text",
+            text_frame("REQUEST query-batch v=2 seq=7 n=1\nq time=60 x=1.500000 y=-0.250000\n"),
+        ));
+        responses.push((
+            "text",
+            b"RESPONSE value-batch v=1 n=2\nv s=1.500000000\nv s=miss\n".to_vec(),
+        ));
+        responses.push((
+            "text",
+            text_frame("RESPONSE value-batch v=2 seq=9 n=1\nv s=1.500000000\n"),
+        ));
+
+        let codec = |name: &str| -> Box<dyn WireCodec> {
+            match name {
+                "binary" => Box::new(BinaryCodec),
+                _ => Box::new(TextCodec),
+            }
+        };
+        let decoded = requests
+            .iter()
+            .map(|(name, bytes)| (name, codec(name).decode_request(bytes).map(|_| ())))
+            .chain(
+                responses
+                    .iter()
+                    .map(|(name, bytes)| (name, codec(name).decode_response(bytes).map(|_| ()))),
+            );
+        for (name, result) in decoded {
+            match result {
                 Err(CodecError::Malformed(m)) => {
-                    assert!(m.contains("version"), "{}: {m}", codec.name())
+                    assert!(m.contains("version"), "{name}: {m}")
                 }
-                other => panic!("{}: {other:?}", codec.name()),
+                other => panic!("{name}: {other:?}"),
             }
         }
     }
@@ -1529,163 +1470,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode_with_seq_zero() {
-        // A phone that never upgraded sends CRC-less v1 frames; they must
-        // keep decoding (with sequence number 0) after the v2 bump.
-        let Request::QueryBatch { queries, .. } = sample_batch(2) else {
-            unreachable!()
-        };
-        let mut bytes = Vec::new();
-        bytes.put_u8(0x03);
-        bytes.put_u8(BATCH_VERSION_V1);
-        bytes.put_u32_le(2);
-        for q in &queries {
-            bytes.put_i64_le(q.time.as_secs());
-            bytes.put_f64_le(q.pos.x);
-            bytes.put_f64_le(q.pos.y);
-        }
-        match BinaryCodec.decode_request(&bytes).unwrap() {
-            Request::QueryBatch { seq, queries: q } => {
-                assert_eq!(seq, 0);
-                assert_eq!(*q, queries[..]);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Text v1: header without seq, no crc trailer.
-        let text = "REQUEST query-batch v=1 n=1\nq time=60 x=1.500000 y=-0.250000\n";
-        match TextCodec.decode_request(text.as_bytes()).unwrap() {
-            Request::QueryBatch { seq, queries: q } => {
-                assert_eq!(seq, 0);
-                assert_eq!(q.len(), 1);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Text v1 value batch.
-        let text = "RESPONSE value-batch v=1 n=2\nv s=1.500000000\nv s=miss\n";
-        match TextCodec.decode_response(text.as_bytes()).unwrap() {
-            Response::ValueBatch {
-                seq,
-                generation,
-                values,
-            } => {
-                assert_eq!(seq, 0);
-                assert_eq!(generation, 0);
-                assert_eq!(*values, [Some(1.5), None]);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn v2_frames_still_decode_with_generation_zero() {
-        // A v2 peer sends seq + crc but no generation; both codecs must
-        // keep accepting those frames after the v3 bump.
-        let Request::QueryBatch { queries, .. } = sample_batch(2) else {
-            unreachable!()
-        };
-        let mut bytes = Vec::new();
-        bytes.put_u8(0x03);
-        bytes.put_u8(BATCH_VERSION_V2);
-        bytes.put_u32_le(7);
-        bytes.put_u32_le(2);
-        for q in &queries {
-            bytes.put_i64_le(q.time.as_secs());
-            bytes.put_f64_le(q.pos.x);
-            bytes.put_f64_le(q.pos.y);
-        }
-        let crc = crc32(&bytes);
-        bytes.put_u32_le(crc);
-        match BinaryCodec.decode_request(&bytes).unwrap() {
-            Request::QueryBatch { seq, queries: q } => {
-                assert_eq!(seq, 7);
-                assert_eq!(*q, queries[..]);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Binary v2 value batch: seq but no generation before the count.
-        let mut resp = Vec::new();
-        resp.put_u8(0x85);
-        resp.put_u8(BATCH_VERSION_V2);
-        resp.put_u32_le(9);
-        resp.put_u32_le(1);
-        resp.put_u8(0x01);
-        resp.put_f64_le(1.5);
-        let crc = crc32(&resp);
-        resp.put_u32_le(crc);
-        match BinaryCodec.decode_response(&resp).unwrap() {
-            Response::ValueBatch {
-                seq,
-                generation,
-                values,
-            } => {
-                assert_eq!((seq, generation), (9, 0));
-                assert_eq!(*values, [Some(1.5)]);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Text v2: header carries seq but no gen, trailer still required.
-        let body = "RESPONSE value-batch v=2 seq=9 n=1\nv s=1.500000000\n";
-        let crc = crc32(body.as_bytes());
-        let text = format!("{body}crc={crc:08X}\n");
-        match TextCodec.decode_response(text.as_bytes()).unwrap() {
-            Response::ValueBatch {
-                seq,
-                generation,
-                values,
-            } => {
-                assert_eq!((seq, generation), (9, 0));
-                assert_eq!(*values, [Some(1.5)]);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Text v2 query batch.
-        let body = "REQUEST query-batch v=2 seq=7 n=1\nq time=60 x=1.500000 y=-0.250000\n";
-        let crc = crc32(body.as_bytes());
-        let text = format!("{body}crc={crc:08X}\n");
-        match TextCodec.decode_request(text.as_bytes()).unwrap() {
-            Request::QueryBatch { seq, queries: q } => {
-                assert_eq!(seq, 7);
-                assert_eq!(q.len(), 1);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn batch_rejects_oversized_count() {
-        // Crafted as v1 so the count guard is reached directly (a v2 frame
-        // with a hostile count dies at the CRC check first unless the
-        // attacker also computes a valid checksum — covered below).
-        let mut bytes = Vec::new();
-        bytes.put_u8(0x03);
-        bytes.put_u8(BATCH_VERSION_V1);
-        bytes.put_u32_le(u32::MAX);
-        assert!(matches!(
-            BinaryCodec.decode_request(&bytes),
-            Err(CodecError::Malformed(_))
-        ));
-        let text = format!("REQUEST query-batch v=1 n={}\n", MAX_BATCH + 1);
+        // A *valid* CRC over a hostile count: still rejected before any
+        // allocation.
+        let mut body = Vec::new();
+        body.put_u32_le(0);
+        body.put_u32_le(u32::MAX);
+        match BinaryCodec.decode_request(&binary_frame(0x03, BATCH_VERSION, &body, true)) {
+            Err(CodecError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        let text = format!("REQUEST query-batch v=3 seq=0 n={}\n", MAX_BATCH + 1);
         assert!(matches!(
             TextCodec.decode_request(text.as_bytes()),
             Err(CodecError::Malformed(_))
         ));
-        // v2 with a *valid* CRC over a hostile count: still rejected before
-        // any allocation.
-        let mut v2 = Vec::new();
-        v2.put_u8(0x03);
-        v2.put_u8(BATCH_VERSION);
-        v2.put_u32_le(0);
-        v2.put_u32_le(u32::MAX);
-        let crc = {
-            let mut c = Crc32::new();
-            c.update(&v2);
-            c.finish()
-        };
-        v2.put_u32_le(crc);
-        match BinaryCodec.decode_request(&v2) {
-            Err(CodecError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
@@ -1700,13 +1499,14 @@ mod tests {
         let mut padded = bytes;
         padded.push(0xEE);
         assert!(BinaryCodec.decode_request(&padded).is_err());
-        // Text: declared count mismatching the line count, both ways (v1
-        // frames, which have no CRC to catch it first).
-        let short = "REQUEST query-batch v=1 n=2\nq time=0 x=0 y=0\n";
-        assert!(TextCodec.decode_request(short.as_bytes()).is_err());
-        let long = "REQUEST query-batch v=1 n=1\nq time=0 x=0 y=0\nq time=1 x=0 y=0\n";
-        assert!(TextCodec.decode_request(long.as_bytes()).is_err());
-        // Text v2: dropping the crc trailer is a decode error.
+        // Text: declared count mismatching the line count, both ways, under
+        // a valid CRC.
+        let short = text_frame("REQUEST query-batch v=3 seq=0 n=2\nq time=0 x=0 y=0\n");
+        assert!(TextCodec.decode_request(&short).is_err());
+        let long =
+            text_frame("REQUEST query-batch v=3 seq=0 n=1\nq time=0 x=0 y=0\nq time=1 x=0 y=0\n");
+        assert!(TextCodec.decode_request(&long).is_err());
+        // Text: dropping the crc trailer is a decode error.
         let encoded = String::from_utf8(TextCodec.encode_request(&sample_batch(2))).unwrap();
         let without_trailer =
             encoded
@@ -1724,14 +1524,13 @@ mod tests {
 
     #[test]
     fn value_batch_rejects_bad_flag() {
-        // v1 frame so the flag check is reached without a matching CRC.
-        let mut bytes = Vec::new();
-        bytes.put_u8(0x85);
-        bytes.put_u8(BATCH_VERSION_V1);
-        bytes.put_u32_le(1);
-        bytes.put_u8(0x7F); // neither miss nor present
+        let mut body = Vec::new();
+        body.put_u32_le(1); // seq
+        body.put_u64_le(0); // generation
+        body.put_u32_le(1);
+        body.put_u8(0x7F); // neither miss nor present
         assert_eq!(
-            BinaryCodec.decode_response(&bytes),
+            BinaryCodec.decode_response(&binary_frame(0x85, BATCH_VERSION, &body, true)),
             Err(CodecError::BadTag(0x7F))
         );
     }
@@ -1885,7 +1684,7 @@ mod tests {
         for codec in codecs() {
             let mut bytes = codec.encode_request(&sample_ingest(1));
             match codec.name() {
-                "binary" => bytes[1] = BATCH_VERSION_V2,
+                "binary" => bytes[1] = 2,
                 _ => {
                     let s = String::from_utf8(bytes).unwrap();
                     bytes = s.replace("v=3", "v=2").into_bytes();

@@ -1,12 +1,10 @@
 //! The concurrent serving layer: N worker threads over one shared server.
 //!
-//! [`ChannelTransport`](crate::transport::ChannelTransport) runs exactly one
-//! request at a time on one background thread — fine for the Figure 7
-//! bandwidth baselines, nowhere near a deployment that absorbs "heavy
-//! traffic from millions of users". [`ConcurrentTransport`] is the
-//! deployment shape: it spawns `workers` threads over one
-//! `Arc<EnviroServer>`, shards requests across per-worker queues, and gives
-//! each connection a pipelined [`Session`].
+//! [`ConcurrentTransport`] is the one in-process transport, from the
+//! single-worker shape of the Figure 7 bandwidth demos to a deployment that
+//! absorbs "heavy traffic from millions of users": it spawns `workers`
+//! threads over one `Arc<EnviroServer>`, shards requests across per-worker
+//! queues, and gives each connection a pipelined [`Session`].
 //!
 //! Sharing one server across threads is sound because the entire query
 //! path is `&self`: the engine's per-window structures live behind
@@ -23,7 +21,6 @@
 use crate::codec::WireCodec;
 use crate::protocol::Response;
 use crate::server::EnviroServer;
-use crate::transport::TransportError;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use enviro_schedule::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -39,6 +36,38 @@ pub const PIPELINE_MAX: usize = 64;
 
 /// Default per-worker request queue depth.
 const SHARD_QUEUE: usize = 256;
+
+/// Errors crossing the transport (not the protocol: a malformed request
+/// comes back as `Ok` bytes encoding a [`Response::Error`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TransportError {
+    /// The worker threads are gone (shut down or panicked).
+    Disconnected,
+    /// A session has [`PIPELINE_MAX`] requests in flight; receive replies
+    /// before sending more.
+    PipelineFull,
+    /// `recv` was called on a session with no request in flight (it would
+    /// block forever).
+    NoPendingReply,
+    /// The exchange did not complete within the caller's deadline. Raised
+    /// by fault-injecting wires ([`crate::fault::ChaosWire`]) when a frame
+    /// is dropped or stalled past its timeout; a resilient client treats it
+    /// as a retryable loss.
+    TimedOut,
+}
+
+impl std::fmt::Display for TransportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TransportError::Disconnected => f.write_str("server thread terminated"),
+            TransportError::PipelineFull => f.write_str("session pipeline is full"),
+            TransportError::NoPendingReply => f.write_str("no reply pending on this session"),
+            TransportError::TimedOut => f.write_str("exchange timed out"),
+        }
+    }
+}
+
+impl std::error::Error for TransportError {}
 
 /// Tuning knobs for [`ConcurrentTransport::spawn_shared_with`].
 #[derive(Debug, Clone)]
@@ -215,9 +244,7 @@ impl ConcurrentTransport {
     }
 
     /// Performs one request/response exchange (a fresh reply channel per
-    /// call). Sessions amortize that setup; this mirrors
-    /// [`ChannelTransport::call`](crate::transport::ChannelTransport::call)
-    /// for drop-in use.
+    /// call). Sessions amortize that setup.
     ///
     /// When the chosen shard's queue is full the request is shed and the
     /// reply is a pre-encoded [`Response::Busy`] frame.

@@ -12,7 +12,7 @@
 
 use crate::client::Wire;
 use crate::clock::Clock;
-use crate::transport::TransportError;
+use crate::concurrent::TransportError;
 use std::collections::VecDeque;
 
 /// A small, fast, seedable PRNG (xorshift64*), implemented locally so the

@@ -22,10 +22,7 @@
 use crate::concurrent::Gate;
 use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, Window};
 use enviro_memsize::DeepSize;
-use enviro_meter::{
-    AdKmnConfig, CoverBuilder, CoverProcessor, CoverRegistry, ModelCover, PointQueryProcessor,
-    PublishedCover,
-};
+use enviro_meter::{AdKmnConfig, CoverBuilder, CoverRegistry, ModelCover, PublishedCover};
 use enviro_schedule::sync::atomic::{AtomicBool, Ordering};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
@@ -319,21 +316,13 @@ impl IngestState {
     /// has been published yet (the server then falls back to its batch
     /// platform).
     pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
-        let snapshot = self.registry.snapshot();
-        let entry = snapshot.cover_for_time(q.time)?;
-        Some(CoverProcessor::new(&entry.cover).interpolate(q))
+        self.registry.snapshot().query(q)
     }
 
     /// The published cover responsible for `t`, if any.
     pub fn cover_at(&self, t: Timestamp) -> Option<Arc<ModelCover>> {
         let snapshot = self.registry.snapshot();
         snapshot.cover_for_time(t).map(|e| Arc::clone(&e.cover))
-    }
-
-    /// `true` once any cover has been published (queries are then served
-    /// from the registry).
-    pub fn can_answer_queries(&self) -> bool {
-        !self.registry.snapshot().is_empty()
     }
 
     /// Parks the maintenance worker before its next rebuild pass (test
@@ -550,7 +539,7 @@ mod tests {
         let published = state.rebuild_dirty_now().unwrap();
         assert_eq!(published, 1);
         assert_eq!(state.generation(), 1);
-        assert!(state.can_answer_queries());
+        assert!(!state.registry().snapshot().is_empty());
         let q = QueryTuple::new(Timestamp::from_secs(10), Point::new(50.0, 0.0));
         let answer = state.query(&q).expect("registry answers");
         assert!(answer.is_some());
@@ -559,6 +548,63 @@ mod tests {
         assert_eq!(state.rebuild_dirty_now().unwrap(), 0);
         assert_eq!(state.generation(), 1);
         assert_eq!(state.check_invariants(), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn nothing_published_answers_nothing() {
+        let dir = temp_dir("empty");
+        let state = open_state(&dir);
+        let q = QueryTuple::new(Timestamp::from_secs(50), Point::origin());
+        assert_eq!(state.query(&q), None);
+        assert!(state.cover_at(Timestamp::ZERO).is_none());
+        // Acked but not yet published: still nothing to answer from.
+        state.ingest(1, 1, &window_tuples(0, 10)).unwrap();
+        assert_eq!(state.query(&q), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn windows_are_routed_by_query_time() {
+        let dir = temp_dir("route");
+        let state = open_state(&dir);
+        // Window 0 at level 100, window 1 at level 900.
+        let w0: Vec<RawTuple> = (0..30).map(|i| tuple(i, i as f64, 100.0)).collect();
+        let w1: Vec<RawTuple> = (100..130)
+            .map(|i| tuple(i, (i - 100) as f64, 900.0))
+            .collect();
+        state.ingest(1, 1, &w0).unwrap();
+        state.ingest(1, 2, &w1).unwrap();
+        state.rebuild_dirty_now().unwrap();
+        let at = |secs| {
+            let q = QueryTuple::new(Timestamp::from_secs(secs), Point::origin());
+            state.query(&q).flatten().expect("published covers answer")
+        };
+        assert!(at(50) < 300.0, "{}", at(50));
+        assert!(at(150) > 700.0, "{}", at(150));
+        // Past the newest window, the freshest cover answers.
+        assert!(at(10_000) > 700.0, "{}", at(10_000));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn late_arrivals_republish_their_window() {
+        let dir = temp_dir("late");
+        let state = open_state(&dir);
+        let early: Vec<RawTuple> = (0..10).map(|i| tuple(i, 0.0, 100.0)).collect();
+        state.ingest(1, 1, &early).unwrap();
+        state.rebuild_dirty_now().unwrap();
+        let q = QueryTuple::new(Timestamp::from_secs(5), Point::origin());
+        let before = state.query(&q).flatten().unwrap();
+        assert!((before - 100.0).abs() < 5.0, "{before}");
+        // A burst of late tuples with a very different level lands in the
+        // same, still open, window.
+        let late: Vec<RawTuple> = (10..40).map(|i| tuple(i, 0.0, 900.0)).collect();
+        state.ingest(1, 2, &late).unwrap();
+        state.rebuild_dirty_now().unwrap();
+        let after = state.query(&q).flatten().unwrap();
+        assert!(after > before + 100.0, "{after} vs {before}");
+        assert_eq!(state.generation(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -594,7 +640,7 @@ mod tests {
         assert_eq!(state.generation(), 0, "registry starts empty");
         let published = state.rebuild_dirty_now().unwrap();
         assert_eq!(published, 2);
-        assert!(state.can_answer_queries());
+        assert!(!state.registry().snapshot().is_empty());
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -614,7 +660,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert!(state.can_answer_queries());
+        assert!(!state.registry().snapshot().is_empty());
         drop(maintenance); // shuts down and joins
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);

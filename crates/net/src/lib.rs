@@ -21,11 +21,10 @@
 //!   with [`client::SessionStats`] capturing bytes sent/received and elapsed
 //!   (virtual) time; plus [`client::EnviroClient`], the production client
 //!   speaking batched `QueryBatch` frames over any [`client::Wire`].
-//! * [`transport`] — an in-process channel transport
-//!   (server on its own thread) demonstrating the full deployment shape.
-//! * [`concurrent`] — the sharded thread-pool server:
-//!   [`concurrent::ConcurrentTransport`] runs N workers over one shared
-//!   platform, with pipelined per-connection [`concurrent::Session`]s.
+//! * [`concurrent`] — the in-process transport:
+//!   [`concurrent::ConcurrentTransport`] runs N workers (one for the
+//!   demos) over one shared server, with pipelined per-connection
+//!   [`concurrent::Session`]s.
 //! * [`buffers`] — per-thread buffer pools backing the allocation-free
 //!   steady-state serving path.
 //! * [`clock`] — injectable time ([`clock::SystemClock`] /
@@ -53,7 +52,6 @@ pub mod ingest;
 pub mod link;
 pub mod protocol;
 pub mod server;
-pub mod transport;
 
 pub use client::{
     BaselineClient, ClientError, EnviroClient, IngestReport, LoopbackWire, ModelCacheClient,
@@ -61,13 +59,11 @@ pub use client::{
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use codec::{BinaryCodec, TextCodec, WireCodec};
-pub use concurrent::{ConcurrentTransport, Session, TransportConfig, PIPELINE_MAX};
+pub use concurrent::{ConcurrentTransport, Session, TransportConfig, TransportError, PIPELINE_MAX};
 pub use fault::{ChaosStats, ChaosWire, FaultPlan, Outage, XorShiftRng};
 pub use ingest::{IngestConfig, IngestOutcome, IngestState, IngestStats, ModelMaintenance};
 pub use link::{LinkProfile, SimulatedLink};
 pub use protocol::{
-    ErrorCode, ProtocolError, Request, Response, WireCover, WireRegion, BATCH_VERSION,
-    BATCH_VERSION_V1, MAX_BATCH,
+    ErrorCode, ProtocolError, Request, Response, WireCover, WireRegion, BATCH_VERSION, MAX_BATCH,
 };
 pub use server::EnviroServer;
-pub use transport::{ChannelTransport, TransportError};

@@ -4,31 +4,21 @@ use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
 use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
 
-/// Version byte carried by the batch frames (`QueryBatch` / `ValueBatch`),
-/// so the layout can evolve without re-tagging.
+/// Version byte carried by the batch frames (`QueryBatch` / `ValueBatch` /
+/// `IngestBatch` / `IngestAck`), so the layout can evolve without
+/// re-tagging.
 ///
-/// * **v1** — tuples only, no integrity protection (PR 2 layout).
-/// * **v2** — adds a request/reply sequence number (so a resilient client
-///   can discard duplicated or stale replies after a retry) and a trailing
-///   CRC-32 over the frame (so a bit-corrupted batch is *detected* instead
-///   of silently mis-answering).
-/// * **v3** — adds the ingestion frames (`IngestBatch` / `IngestAck`) and a
-///   cover **generation** number to `ValueBatch`, so a caching client can
-///   tell its cover was rebuilt behind its back and refresh instead of
-///   serving answers past `t_n`.
+/// Every batch frame carries a request/reply sequence number (so a
+/// resilient client can discard duplicated or stale replies after a
+/// retry) and a trailing CRC-32 over the frame (so a bit-corrupted batch
+/// is *detected* instead of silently mis-answering); `ValueBatch` also
+/// carries the cover **generation**, so a caching client can tell its
+/// cover was rebuilt behind its back and refresh instead of serving
+/// answers past `t_n`.
 ///
-/// Encoders always emit v3; decoders accept v1–v3 frames and reject any
-/// other version with a `Malformed` error. A v1 frame decodes with
-/// sequence number 0; v1/v2 frames decode with generation 0. The ingest
-/// frames are new in v3 and are rejected at any other version.
+/// Encoders emit this version and decoders accept only this version:
+/// any other version byte is a `Malformed` error.
 pub const BATCH_VERSION: u8 = 3;
-
-/// The v2 layout (seq + CRC, no generation), still accepted by decoders.
-pub const BATCH_VERSION_V2: u8 = 2;
-
-/// The original, CRC-less batch layout, still accepted by decoders so
-/// already-deployed phones keep working across the upgrade.
-pub const BATCH_VERSION_V1: u8 = 1;
 
 /// Upper bound on the tuples one batch frame may carry.
 ///
@@ -64,7 +54,6 @@ pub enum Request {
         /// Client-chosen sequence number, echoed verbatim in the matching
         /// [`Response::ValueBatch`]. Lets a retrying client pair replies
         /// with requests and drop duplicates the wire re-delivered.
-        /// Always 0 when decoded from a v1 frame.
         seq: u32,
         /// The query tuples, in trajectory order.
         queries: Vec<QueryTuple>,
@@ -101,13 +90,13 @@ pub enum Response {
     /// [`Request::QueryBatch`], in request order.
     ValueBatch {
         /// The sequence number of the [`Request::QueryBatch`] this answers,
-        /// echoed verbatim. Always 0 when decoded from a v1 frame.
+        /// echoed verbatim.
         seq: u32,
         /// The server's cover **generation** at answer time: a counter that
         /// the model-maintenance worker bumps on every atomic cover
         /// publication. A client holding a cached cover from an older
         /// generation knows to invalidate it. 0 when the server does not
-        /// ingest (static covers never change) and in v1/v2 frames.
+        /// ingest (static covers never change).
         generation: u64,
         /// `Some(ŝ_l)` per answerable tuple, `None` per miss.
         values: Vec<Option<f64>>,

@@ -5,7 +5,7 @@ use crate::codec::WireCodec;
 use crate::ingest::IngestState;
 use crate::protocol::{ErrorCode, ProtocolError, Request, Response, WireCover};
 use enviro_data::QueryTuple;
-use enviro_meter::{EnviroMeter, QueryMethod};
+use enviro_meter::{CoverSet, EnviroMeter, QueryMethod};
 use enviro_schedule::sync::Arc;
 
 /// The server side of Figure 3: decodes a request, consults the platform,
@@ -20,8 +20,8 @@ use enviro_schedule::sync::Arc;
 /// `IngestBatch` frames on the durable write path, and serves value/model
 /// queries from the ingest state's published covers once any exist (the
 /// static platform remains the fallback for times the stream has not
-/// covered yet). Every `ValueBatch` reply then carries the current cover
-/// generation so caching clients can invalidate.
+/// covered yet). Every `ValueBatch` reply then carries the generation of
+/// the covers that answered it, so caching clients can invalidate.
 pub struct EnviroServer<C: WireCodec> {
     platform: EnviroMeter,
     codec: C,
@@ -62,10 +62,10 @@ impl<C: WireCodec> EnviroServer<C> {
         &self.codec
     }
 
-    /// The cover generation stamped into `ValueBatch` replies (0 when the
-    /// server does not ingest).
-    fn generation(&self) -> u64 {
-        self.ingest.as_ref().map_or(0, |i| i.generation())
+    /// The published covers, one snapshot per request, so a reply never
+    /// mixes two publications (`None` when the server does not ingest).
+    fn covers(&self) -> Option<Arc<CoverSet>> {
+        self.ingest.as_ref().map(|i| i.registry().snapshot())
     }
 
     /// Handles one decoded request.
@@ -103,12 +103,12 @@ impl<C: WireCodec> EnviroServer<C> {
                 // back to it in `handle_bytes_into` after encoding, so a
                 // steady-state worker serves batches without allocating.
                 // The request's sequence number is echoed so the client can
-                // pair this reply with its chunk even after retries.
+                // pair this reply with its chunk even after retries, and the
+                // generation stamped is that of the snapshot that answered.
                 let mut values = buffers::take_values();
-                match self.ingest.as_ref().filter(|i| i.can_answer_queries()) {
-                    Some(ingest) => {
-                        values.extend(queries.iter().map(|q| ingest.query(q).flatten()));
-                    }
+                let covers = self.covers();
+                match covers.as_deref().filter(|c| !c.is_empty()) {
+                    Some(set) => values.extend(queries.iter().map(|q| set.query(q).flatten())),
                     None => {
                         self.platform
                             .point_query_batch_into(queries, self.method, &mut values);
@@ -116,7 +116,7 @@ impl<C: WireCodec> EnviroServer<C> {
                 }
                 Response::ValueBatch {
                     seq: *seq,
-                    generation: self.generation(),
+                    generation: covers.map_or(0, |c| c.generation()),
                     values,
                 }
             }
@@ -149,8 +149,8 @@ impl<C: WireCodec> EnviroServer<C> {
     /// Answers one point query: published covers first (once any exist),
     /// the batch platform otherwise.
     fn answer_query(&self, q: &QueryTuple) -> Option<f64> {
-        match self.ingest.as_ref().filter(|i| i.can_answer_queries()) {
-            Some(ingest) => ingest.query(q).flatten(),
+        match self.covers().and_then(|c| c.query(q)) {
+            Some(answer) => answer,
             None => self.platform.point_query(q, self.method),
         }
     }

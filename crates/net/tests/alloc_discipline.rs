@@ -5,8 +5,13 @@
 //! warm-up pass (engine caches built, buffer pools primed, vector
 //! capacities grown), a steady-state loop of `handle_bytes_into` calls —
 //! single queries and batches, over the binary codec — must report zero
-//! allocations. This pins the tentpole perf claim as a test instead of a
-//! comment: regressions that sneak an allocation into the hot path fail CI.
+//! allocations, and so must the client's warmed `query_batch` calls. This
+//! pins the tentpole perf claim as a test instead of a comment:
+//! regressions that sneak an allocation into the hot path fail CI.
+//!
+//! Both paths run on the measuring thread, so the count is per thread: the
+//! test harness starting other tests' threads meanwhile cannot leak into a
+//! measurement.
 //!
 //! (`unsafe` is required to implement `GlobalAlloc`; the library crates all
 //! `forbid(unsafe_code)` — this harness is deliberately outside them.)
@@ -15,22 +20,33 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{LausanneSim, QueryTuple, SimConfig, Timestamp, WindowSpec};
+use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
-use enviro_net::{BinaryCodec, EnviroServer, Request, WireCodec};
+use enviro_net::{
+    BinaryCodec, EnviroClient, EnviroServer, LinkProfile, LoopbackWire, Request, SimulatedLink,
+    WireCodec,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation (frees are irrelevant to the
 /// claim: a path that frees without allocating cannot exist in safe Rust).
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,10 +63,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations this thread makes while running `f`.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ALLOC_CALLS.with(Cell::get);
     let result = f();
-    (ALLOC_CALLS.load(Ordering::Relaxed) - before, result)
+    (ALLOC_CALLS.with(Cell::get) - before, result)
 }
 
 fn server(method: QueryMethod) -> EnviroServer<BinaryCodec> {
@@ -82,10 +99,6 @@ fn tuple(i: i64) -> QueryTuple {
 /// recycling the request and reply buffers like a worker loop does, and
 /// returns the allocation count of the steady-state portion.
 fn steady_state_allocs(method: QueryMethod) -> usize {
-    // The counter is process-global: serialize tests so a concurrently
-    // running test's allocations cannot leak into this measurement.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = SERIAL.lock().unwrap();
     let server = server(method);
     let mut request = Vec::new();
     let mut reply = Vec::new();
@@ -157,4 +170,32 @@ fn grid_indexed_serving_path_is_allocation_free() {
 #[test]
 fn naive_serving_path_is_allocation_free() {
     assert_eq!(steady_state_allocs(QueryMethod::Naive), 0);
+}
+
+/// The client half: a warmed `EnviroClient::query_batch` encodes into the
+/// client's own scratch buffer and takes every batch `Vec` from the
+/// per-thread pool, so a steady-state call allocates nothing (the
+/// in-process wire and server included).
+#[test]
+fn client_query_batch_is_allocation_free() {
+    let server = server(QueryMethod::ModelCover);
+    let mut link = SimulatedLink::new(LinkProfile::IDEAL);
+    let mut wire = LoopbackWire::new(&server, &mut link);
+    let mut client = EnviroClient::new(BinaryCodec, Pollutant::Co2);
+    let trajectory: Vec<QueryTuple> = (0..256).map(tuple).collect();
+    let mut values = Vec::with_capacity(trajectory.len());
+    for _ in 0..4 {
+        client
+            .query_batch(&mut wire, &trajectory, &mut values)
+            .unwrap();
+    }
+    let (allocs, ()) = allocations(|| {
+        for _ in 0..8 {
+            client
+                .query_batch(&mut wire, &trajectory, &mut values)
+                .unwrap();
+        }
+    });
+    assert_eq!(allocs, 0);
+    assert_eq!(values.len(), trajectory.len());
 }

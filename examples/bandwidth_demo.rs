@@ -1,7 +1,7 @@
 //! The §2.3 bandwidth story, end to end: a phone runs the same continuous
 //! query as a baseline client and as a model-cache client, over simulated
-//! GPRS and 3G bearers — and once across a real thread boundary via the
-//! channel transport.
+//! GPRS and 3G bearers — and once across a real thread boundary via a
+//! one-worker concurrent transport.
 //!
 //! ```text
 //! cargo run -p enviro-net --example bandwidth_demo
@@ -15,7 +15,7 @@ use enviro_data::{LausanneSim, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
-    BaselineClient, BinaryCodec, ChannelTransport, EnviroServer, LinkProfile, ModelCacheClient,
+    BaselineClient, BinaryCodec, ConcurrentTransport, EnviroServer, LinkProfile, ModelCacheClient,
     Request, Response, SimulatedLink, WireCodec,
 };
 
@@ -60,8 +60,8 @@ fn main() {
 
     // The same protocol across a real thread boundary: the server runs on
     // its own thread; the phone talks to it in raw bytes.
-    println!("--- channel transport (server on its own thread) ---");
-    let transport = ChannelTransport::spawn(server).expect("spawn server thread");
+    println!("--- concurrent transport (one worker thread) ---");
+    let transport = ConcurrentTransport::spawn(server, 1).expect("spawn server thread");
     let req = BinaryCodec.encode_request(&Request::Query {
         time: Timestamp::from_hours(8),
         pos: Point::new(0.0, -200.0),

@@ -27,7 +27,8 @@ use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod, QueryOutcome};
 use enviro_net::{
     BinaryCodec, ChaosWire, ConcurrentTransport, EnviroClient, EnviroServer, FaultPlan,
     IngestConfig, IngestReport, IngestState, LinkProfile, LoopbackWire, ModelMaintenance, Outage,
-    ResilienceStats, RetryPolicy, SimulatedLink, TextCodec, VirtualClock, WireCodec,
+    Request, ResilienceStats, Response, RetryPolicy, SimulatedLink, TextCodec, VirtualClock,
+    WireCodec,
 };
 use enviro_storage::{WalConfig, WalStore};
 use std::sync::Arc;
@@ -80,21 +81,28 @@ fn trajectory(n: usize, step_secs: i64, seed: u64) -> Vec<QueryTuple> {
     sim.continuous_trajectory(n, step_secs, seed)
 }
 
-/// The oracle: the same client stack and codec over a fault-free wire.
-/// (The text codec is deliberately lossy in its decimal formatting, so the
-/// ground truth must pass through the same codec as the chaos run.)
+/// The oracle: the server's own answer to one `QueryBatch` frame per
+/// `batch` tuples, straight through `handle_bytes` — independent of the
+/// client loop under test. (The text codec is deliberately lossy in its
+/// decimal formatting, so the ground truth must pass through the same
+/// codec as the chaos run.)
 fn oracle_values<C: WireCodec + Copy>(
     server: &EnviroServer<C>,
     codec: C,
     traj: &[QueryTuple],
     batch: usize,
 ) -> Vec<Option<f64>> {
-    let mut client = EnviroClient::new(codec, server.platform().engine().dataset().pollutant())
-        .with_batch(batch);
-    let mut link = SimulatedLink::new(LinkProfile::IDEAL);
-    let mut wire = LoopbackWire::new(server, &mut link);
-    let mut values = Vec::new();
-    client.query_batch(&mut wire, traj, &mut values).unwrap();
+    let mut values = Vec::with_capacity(traj.len());
+    for chunk in traj.chunks(batch) {
+        let request = codec.encode_request(&Request::QueryBatch {
+            seq: 1,
+            queries: chunk.to_vec(),
+        });
+        match codec.decode_response(&server.handle_bytes(&request)) {
+            Ok(Response::ValueBatch { values: chunk, .. }) => values.extend(chunk),
+            other => panic!("oracle query failed: {other:?}"),
+        }
+    }
     values
 }
 
@@ -347,18 +355,7 @@ fn model_cache_rides_through_an_outage() {
         .enumerate()
         .map(|(i, q)| QueryTuple::new(Timestamp::from_secs(i as i64 * 120), q.pos))
         .collect();
-    let oracle = {
-        let mut client = EnviroClient::new(
-            BinaryCodec,
-            server.platform().engine().dataset().pollutant(),
-        )
-        .with_model_cache(true);
-        let mut link = SimulatedLink::new(LinkProfile::IDEAL);
-        let mut wire = LoopbackWire::new(&server, &mut link);
-        let mut values = Vec::new();
-        client.query_batch(&mut wire, &traj, &mut values).unwrap();
-        values
-    };
+    let oracle = oracle_values(&server, BinaryCodec, &traj, 64);
 
     let clock = VirtualClock::new();
     let plan = FaultPlan {

@@ -1,5 +1,5 @@
 //! Cross-crate integration: the full mobile protocol — codec, link,
-//! server, clients, thread transport — against a live platform.
+//! server, clients, concurrent transport — against a live platform.
 
 // Harness code, exempt from the library panic policy: an unwrap here
 // fails the run loudly, which is the desired behavior.
@@ -9,7 +9,7 @@ use enviro_data::{LausanneSim, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
-    BaselineClient, BinaryCodec, ChannelTransport, EnviroServer, LinkProfile, ModelCacheClient,
+    BaselineClient, BinaryCodec, ConcurrentTransport, EnviroServer, LinkProfile, ModelCacheClient,
     Request, Response, SimulatedLink, TextCodec, WireCodec,
 };
 
@@ -111,7 +111,7 @@ fn model_cache_bandwidth_savings_hold_over_3g_too() {
 #[test]
 fn thread_transport_serves_both_request_kinds() {
     let (srv, _) = server(BinaryCodec, 7);
-    let transport = ChannelTransport::spawn(srv).unwrap();
+    let transport = ConcurrentTransport::spawn(srv, 1).unwrap();
 
     let q = BinaryCodec.encode_request(&Request::Query {
         time: Timestamp::from_hours(8),

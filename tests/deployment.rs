@@ -105,9 +105,10 @@ fn sensing_to_phone_through_storage_and_crash() {
 }
 
 #[test]
-fn live_engine_over_store_replay_matches_batch_platform() {
+fn ingest_state_over_store_replay_matches_batch_platform() {
     use enviro_data::QueryTuple;
-    use enviro_meter::{LiveConfig, LiveEngine};
+    use enviro_net::{IngestConfig, IngestState};
+    use enviro_storage::WalConfig;
 
     let dir = tempdir("replay");
     let sim = LausanneSim::lausanne(SimConfig {
@@ -124,14 +125,22 @@ fn live_engine_over_store_replay_matches_batch_platform() {
     let store = TupleStore::open(&dir).unwrap();
     let recovered = store.load_dataset(Pollutant::Co2).unwrap();
 
-    // Live engine fed by replay (cold path, no warm start so results match
-    // the batch engine exactly).
-    let mut live = LiveEngine::new(LiveConfig {
-        window_secs: 2 * 3_600,
-        warm_start: false,
-        ..LiveConfig::default()
-    });
-    live.ingest_batch(recovered.tuples());
+    // The durable write path fed by replay: one ingest batch per 500
+    // recovered tuples, then one maintenance pass publishes every window.
+    let wal_dir = tempdir("replay-wal");
+    let live = IngestState::open(
+        &wal_dir,
+        WalConfig {
+            window_secs: 2 * 3_600,
+            ..WalConfig::default()
+        },
+        IngestConfig::default(),
+    )
+    .unwrap();
+    for (seq, chunk) in (1..).zip(recovered.tuples().chunks(500)) {
+        live.ingest(1, seq, chunk).unwrap();
+    }
+    live.rebuild_dirty_now().unwrap();
 
     // Batch platform over the same data and windowing.
     let platform = EnviroMeter::new(
@@ -143,7 +152,7 @@ fn live_engine_over_store_replay_matches_batch_platform() {
 
     for (i, q) in sim.query_workload(60, 200.0, 13).into_iter().enumerate() {
         let batch = platform.point_query(&q, QueryMethod::ModelCover);
-        let streaming = live.query(&QueryTuple::new(q.time, q.pos));
+        let streaming = live.query(&QueryTuple::new(q.time, q.pos)).flatten();
         match (batch, streaming) {
             (Some(a), Some(b)) => {
                 assert!((a - b).abs() < 1e-9, "query {i}: batch {a} vs live {b}")
@@ -152,4 +161,5 @@ fn live_engine_over_store_replay_matches_batch_platform() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&wal_dir).unwrap();
 }
