@@ -343,10 +343,12 @@ fn run_latency_cell(cfg: &IngestBenchConfig, with_ingest: bool) -> QueryLatencyR
     let writer_tuples = synthetic_tuples(cfg.tuples, cfg.seed ^ 0x0077_1217);
 
     let stop = enviro_schedule::sync::atomic::AtomicBool::new(false);
+    let writing = enviro_schedule::sync::atomic::AtomicBool::new(false);
     let (latencies_us, elapsed, ingested) = std::thread::scope(|scope| {
         let writer = with_ingest.then(|| {
             let transport = &transport;
             let stop = &stop;
+            let writing = &writing;
             let tuples = &writer_tuples;
             scope.spawn(move || {
                 let mut wire = transport.session();
@@ -360,10 +362,24 @@ fn run_latency_cell(cfg: &IngestBenchConfig, with_ingest: bool) -> QueryLatencyR
                     landed += client
                         .ingest_resilient(&mut wire, 0xADD, tuples)
                         .acked_tuples;
+                    // ordering: Relaxed — a start signal polled by the query
+                    // side below; the scope join synchronizes the counters.
+                    writing.store(true, enviro_schedule::sync::atomic::Ordering::Relaxed);
                 }
                 landed
             })
         });
+        // The busy cell measures queries *under* ingest: hold the query loop
+        // until the writer has landed its first batch (or exited), so a
+        // slow-to-schedule writer cannot leave the whole cell unloaded.
+        if let Some(w) = &writer {
+            // ordering: Relaxed — see the writer's store above.
+            while !writing.load(enviro_schedule::sync::atomic::Ordering::Relaxed)
+                && !w.is_finished()
+            {
+                std::thread::yield_now();
+            }
+        }
 
         let mut wire = transport.session();
         let mut client = EnviroClient::new(BinaryCodec, Pollutant::Co2).with_batch(cfg.query_batch);

@@ -565,10 +565,24 @@ mod tests {
     }
 
     #[test]
-    fn windows_are_routed_by_query_time() {
-        let dir = temp_dir("route");
+    fn ingest_and_query_current_window() {
+        let dir = temp_dir("current");
         let state = open_state(&dir);
-        // Window 0 at level 100, window 1 at level 900.
+        let batch: Vec<RawTuple> = (0..20)
+            .map(|i| tuple(i, i as f64 * 10.0, 400.0 + i as f64))
+            .collect();
+        state.ingest(1, 1, &batch).unwrap();
+        state.rebuild_dirty_now().unwrap();
+        let q = QueryTuple::new(Timestamp::from_secs(10), Point::new(100.0, 0.0));
+        let v = state.query(&q).flatten().expect("published cover answers");
+        assert!((350.0..500.0).contains(&v), "{v}");
+        assert_eq!(state.registry().snapshot().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Publishes window 0 at level 100 and window 1 at level 900.
+    fn two_level_state(dir: &Path) -> IngestState {
+        let state = open_state(dir);
         let w0: Vec<RawTuple> = (0..30).map(|i| tuple(i, i as f64, 100.0)).collect();
         let w1: Vec<RawTuple> = (100..130)
             .map(|i| tuple(i, (i - 100) as f64, 900.0))
@@ -576,14 +590,30 @@ mod tests {
         state.ingest(1, 1, &w0).unwrap();
         state.ingest(1, 2, &w1).unwrap();
         state.rebuild_dirty_now().unwrap();
-        let at = |secs| {
-            let q = QueryTuple::new(Timestamp::from_secs(secs), Point::origin());
-            state.query(&q).flatten().expect("published covers answer")
-        };
-        assert!(at(50) < 300.0, "{}", at(50));
-        assert!(at(150) > 700.0, "{}", at(150));
-        // Past the newest window, the freshest cover answers.
-        assert!(at(10_000) > 700.0, "{}", at(10_000));
+        state
+    }
+
+    fn value_at(state: &IngestState, secs: i64) -> f64 {
+        let q = QueryTuple::new(Timestamp::from_secs(secs), Point::origin());
+        state.query(&q).flatten().expect("published covers answer")
+    }
+
+    #[test]
+    fn multiple_windows_routed_correctly() {
+        let dir = temp_dir("route");
+        let state = two_level_state(&dir);
+        let (v0, v1) = (value_at(&state, 50), value_at(&state, 150));
+        assert!(v0 < 300.0, "{v0}");
+        assert!(v1 > 700.0, "{v1}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queries_after_last_window_use_freshest() {
+        let dir = temp_dir("freshest");
+        let state = two_level_state(&dir);
+        let v = value_at(&state, 10_000);
+        assert!(v > 700.0, "{v}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
