@@ -20,6 +20,8 @@ use bytes::{Buf, BufMut};
 use enviro_data::{QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
 use enviro_meter::LinearModel;
+use enviro_storage::crc::{crc32, Crc32};
+use enviro_storage::record::{decode_record, encode_records, RECORD_SIZE};
 use std::io::Write;
 
 /// Errors produced while decoding a message.
@@ -130,58 +132,46 @@ fn check_batch_version(version: i64) -> Result<(), CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), the batch-frame integrity check
+// Batch frames: CRC envelope and fixed-width records
 // ---------------------------------------------------------------------------
 
-/// CRC-32 lookup table (IEEE 802.3 reflected polynomial), built at compile
-/// time — the same checksum Ethernet and zip use, implemented locally
-/// because the workspace vendors no hashing crate.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
+/// Bytes per `QueryBatch` tuple: `i64 time + f64 x + f64 y`.
+const QUERY_SIZE: usize = 24;
+/// Bytes of a present `ValueBatch` slot: flag + `f64`.
+const VALUE_SLOT_SIZE: usize = 9;
 
-/// Incremental CRC-32, used by the text codec to hash line by line.
-struct Crc32 {
-    state: u32,
+fn encode_query(q: &QueryTuple) -> [u8; QUERY_SIZE] {
+    let mut rec = [0; QUERY_SIZE];
+    rec[..8].copy_from_slice(&q.time.as_secs().to_le_bytes());
+    rec[8..16].copy_from_slice(&q.pos.x.to_le_bytes());
+    rec[16..].copy_from_slice(&q.pos.y.to_le_bytes());
+    rec
 }
 
-impl Crc32 {
-    fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = CRC32_TABLE[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-    }
-
-    fn finish(&self) -> u32 {
-        !self.state
-    }
+fn decode_query(rec: &[u8; QUERY_SIZE]) -> QueryTuple {
+    let word = |i: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&rec[i * 8..i * 8 + 8]);
+        w
+    };
+    QueryTuple::new(
+        Timestamp::from_secs(i64::from_le_bytes(word(0))),
+        Point::new(f64::from_le_bytes(word(1)), f64::from_le_bytes(word(2))),
+    )
 }
 
-/// One-shot CRC-32 of a byte slice.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
+/// Splits `n` fixed-width records of `N` bytes off the front of `bytes`.
+fn take_records<'a, const N: usize>(
+    bytes: &mut &'a [u8],
+    n: usize,
+) -> Result<&'a [[u8; N]], CodecError> {
+    // The cheap structural check before touching any pool or allocator.
+    if bytes.len() < n * N {
+        return Err(CodecError::Truncated);
+    }
+    let (records, rest) = bytes.split_at(n * N);
+    *bytes = rest;
+    Ok(records.as_chunks::<N>().0)
 }
 
 /// Builds the CRC-mismatch error shared by both codecs.
@@ -231,15 +221,15 @@ impl WireCodec for BinaryCodec {
                 out.put_i64_le(time.as_secs());
             }
             Request::QueryBatch { seq, queries } => {
+                // tag, version, seq, count, the tuples, crc.
+                out.reserve(14 + queries.len() * QUERY_SIZE);
                 let start = out.len();
                 out.put_u8(TAG_QUERY_BATCH);
                 out.put_u8(BATCH_VERSION);
                 out.put_u32_le(*seq);
                 out.put_u32_le(queries.len() as u32);
                 for q in queries {
-                    out.put_i64_le(q.time.as_secs());
-                    out.put_f64_le(q.pos.x);
-                    out.put_f64_le(q.pos.y);
+                    out.extend_from_slice(&encode_query(q));
                 }
                 let crc = crc32(&out[start..]);
                 out.put_u32_le(crc);
@@ -249,18 +239,15 @@ impl WireCodec for BinaryCodec {
                 seq,
                 tuples,
             } => {
+                // tag, version, source, seq, count, the records, crc.
+                out.reserve(22 + tuples.len() * RECORD_SIZE);
                 let start = out.len();
                 out.put_u8(TAG_INGEST);
                 out.put_u8(BATCH_VERSION);
                 out.put_u64_le(*source);
                 out.put_u32_le(*seq);
                 out.put_u32_le(tuples.len() as u32);
-                for t in tuples {
-                    out.put_i64_le(t.time.as_secs());
-                    out.put_f64_le(t.pos.x);
-                    out.put_f64_le(t.pos.y);
-                    out.put_f64_le(t.value);
-                }
+                encode_records(tuples, out);
                 let crc = crc32(&out[start..]);
                 out.put_u32_le(crc);
             }
@@ -291,20 +278,10 @@ impl WireCodec for BinaryCodec {
                 let seq = take_u32(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
                 check_batch_count(n)?;
-                // The cheap structural check before touching the pool: each
-                // tuple is exactly 24 bytes.
-                if bytes.remaining() < n * 24 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut queries = buffers::take_queries();
-                queries.reserve(n);
-                for _ in 0..n {
-                    let time = Timestamp::from_secs(take_i64(&mut bytes)?);
-                    let x = take_f64(&mut bytes)?;
-                    let y = take_f64(&mut bytes)?;
-                    queries.push(QueryTuple::new(time, Point::new(x, y)));
-                }
+                let records = take_records::<QUERY_SIZE>(&mut bytes, n)?;
                 ensure_empty(bytes)?;
+                let mut queries = buffers::take_queries();
+                queries.extend(records.iter().map(decode_query));
                 Ok(Request::QueryBatch { seq, queries })
             }
             TAG_INGEST => {
@@ -313,18 +290,10 @@ impl WireCodec for BinaryCodec {
                 let seq = take_u32(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
                 check_batch_count(n)?;
-                // Each raw tuple is exactly 32 bytes; check before
-                // allocating.
-                if bytes.remaining() < n * 32 {
-                    return Err(CodecError::Truncated);
-                }
+                let records = take_records::<RECORD_SIZE>(&mut bytes, n)?;
                 let mut tuples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let time = Timestamp::from_secs(take_i64(&mut bytes)?);
-                    let x = take_f64(&mut bytes)?;
-                    let y = take_f64(&mut bytes)?;
-                    let s = take_f64(&mut bytes)?;
-                    let t = RawTuple::new(time, Point::new(x, y), s);
+                for rec in records {
+                    let t = decode_record(rec);
                     if !t.is_finite() {
                         return Err(CodecError::Malformed("non-finite ingest tuple".into()));
                     }
@@ -353,6 +322,9 @@ impl WireCodec for BinaryCodec {
                 generation,
                 values,
             } => {
+                // tag, version, seq, generation, count, the slots (at most
+                // 9 bytes each), crc.
+                out.reserve(22 + values.len() * VALUE_SLOT_SIZE);
                 let start = out.len();
                 out.put_u8(TAG_VALUE_BATCH);
                 out.put_u8(BATCH_VERSION);
@@ -360,13 +332,16 @@ impl WireCodec for BinaryCodec {
                 out.put_u64_le(*generation);
                 out.put_u32_le(values.len() as u32);
                 for v in values {
-                    match v {
+                    let mut slot = [VALUE_MISS; VALUE_SLOT_SIZE];
+                    let len = match v {
                         Some(value) => {
-                            out.put_u8(VALUE_PRESENT);
-                            out.put_f64_le(*value);
+                            slot[0] = VALUE_PRESENT;
+                            slot[1..].copy_from_slice(&value.to_le_bytes());
+                            VALUE_SLOT_SIZE
                         }
-                        None => out.put_u8(VALUE_MISS),
-                    }
+                        None => 1,
+                    };
+                    out.extend_from_slice(&slot[..len]);
                 }
                 let crc = crc32(&out[start..]);
                 out.put_u32_le(crc);
@@ -437,11 +412,21 @@ impl WireCodec for BinaryCodec {
                 let mut values = buffers::take_values();
                 values.reserve(n);
                 for _ in 0..n {
-                    match take_u8(&mut bytes)? {
-                        VALUE_MISS => values.push(None),
-                        VALUE_PRESENT => values.push(Some(take_f64(&mut bytes)?)),
-                        other => return Err(CodecError::BadTag(other)),
-                    }
+                    let value = match bytes.split_first() {
+                        Some((&VALUE_MISS, rest)) => {
+                            bytes = rest;
+                            None
+                        }
+                        Some((&VALUE_PRESENT, rest)) => {
+                            let (value, rest) =
+                                rest.split_first_chunk::<8>().ok_or(CodecError::Truncated)?;
+                            bytes = rest;
+                            Some(f64::from_le_bytes(*value))
+                        }
+                        Some((&other, _)) => return Err(CodecError::BadTag(other)),
+                        None => return Err(CodecError::Truncated),
+                    };
+                    values.push(value);
                 }
                 ensure_empty(bytes)?;
                 Ok(Response::ValueBatch {

@@ -1,6 +1,9 @@
 //! Fixed-size on-disk record encoding.
+//!
+//! This is the one owner of the 32-byte tuple layout: segment batches on
+//! disk and the wire codec's `IngestBatch` tuples are both runs of these
+//! records.
 
-use bytes::{Buf, BufMut};
 use enviro_data::{RawTuple, Timestamp};
 use enviro_geo::Point;
 
@@ -9,34 +12,34 @@ pub const RECORD_SIZE: usize = 32;
 
 /// Appends a tuple's 32-byte record to `out`.
 pub fn encode_record(t: &RawTuple, out: &mut Vec<u8>) {
-    out.put_i64_le(t.time.as_secs());
-    out.put_f64_le(t.pos.x);
-    out.put_f64_le(t.pos.y);
-    out.put_f64_le(t.value);
+    let mut rec = [0u8; RECORD_SIZE];
+    rec[..8].copy_from_slice(&t.time.as_secs().to_le_bytes());
+    rec[8..16].copy_from_slice(&t.pos.x.to_le_bytes());
+    rec[16..24].copy_from_slice(&t.pos.y.to_le_bytes());
+    rec[24..].copy_from_slice(&t.value.to_le_bytes());
+    out.extend_from_slice(&rec);
 }
 
-/// Decodes one record from exactly [`RECORD_SIZE`] bytes.
-///
-/// # Panics
-/// Panics if `buf` is shorter than [`RECORD_SIZE`]; callers frame records
-/// inside CRC-checked batches whose length is a multiple of the record
-/// size, so a short slice is a logic error, not a data error.
-pub fn decode_record(mut buf: &[u8]) -> RawTuple {
-    assert!(buf.len() >= RECORD_SIZE, "record buffer too short");
-    let time = Timestamp::from_secs(buf.get_i64_le());
-    let x = buf.get_f64_le();
-    let y = buf.get_f64_le();
-    let value = buf.get_f64_le();
-    RawTuple::new(time, Point::new(x, y), value)
+/// Decodes one record.
+pub fn decode_record(rec: &[u8; RECORD_SIZE]) -> RawTuple {
+    let word = |i: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&rec[i * 8..i * 8 + 8]);
+        w
+    };
+    RawTuple::new(
+        Timestamp::from_secs(i64::from_le_bytes(word(0))),
+        Point::new(f64::from_le_bytes(word(1)), f64::from_le_bytes(word(2))),
+        f64::from_le_bytes(word(3)),
+    )
 }
 
-/// Encodes a batch payload: the concatenated records of `tuples`.
-pub fn encode_batch(tuples: &[RawTuple]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(tuples.len() * RECORD_SIZE);
+/// Appends the concatenated records of `tuples` to `out`, reserving once.
+pub fn encode_records(tuples: &[RawTuple], out: &mut Vec<u8>) {
+    out.reserve(tuples.len() * RECORD_SIZE);
     for t in tuples {
-        encode_record(t, &mut out);
+        encode_record(t, out);
     }
-    out
 }
 
 /// Decodes a batch payload back into tuples.
@@ -44,15 +47,11 @@ pub fn encode_batch(tuples: &[RawTuple]) -> Vec<u8> {
 /// Returns `None` when the payload length is not a multiple of the record
 /// size (framing corruption that slipped past the CRC is still rejected).
 pub fn decode_batch(payload: &[u8]) -> Option<Vec<RawTuple>> {
-    if !payload.len().is_multiple_of(RECORD_SIZE) {
+    let (records, rest) = payload.as_chunks::<RECORD_SIZE>();
+    if !rest.is_empty() {
         return None;
     }
-    Some(
-        payload
-            .chunks_exact(RECORD_SIZE)
-            .map(decode_record)
-            .collect(),
-    )
+    Some(records.iter().map(decode_record).collect())
 }
 
 #[cfg(test)]
@@ -73,7 +72,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(&t, &mut buf);
         assert_eq!(buf.len(), RECORD_SIZE);
-        assert_eq!(decode_record(&buf), t);
+        assert_eq!(decode_record(buf.as_slice().try_into().unwrap()), t);
     }
 
     #[test]
@@ -85,7 +84,13 @@ mod tests {
         );
         let mut buf = Vec::new();
         encode_record(&t, &mut buf);
-        assert_eq!(decode_record(&buf), t);
+        assert_eq!(decode_record(buf.as_slice().try_into().unwrap()), t);
+    }
+
+    fn encode_batch(tuples: &[RawTuple]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_records(tuples, &mut out);
+        out
     }
 
     #[test]

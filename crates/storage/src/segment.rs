@@ -7,7 +7,7 @@
 //! recovery.
 
 use crate::crc::crc32;
-use crate::record::{decode_batch, encode_batch};
+use crate::record::{decode_batch, encode_records, RECORD_SIZE};
 use bytes::BufMut;
 use enviro_data::RawTuple;
 use std::fs::{File, OpenOptions};
@@ -20,6 +20,8 @@ pub const MAGIC: [u8; 8] = *b"ENVIROS1";
 pub const VERSION: u32 = 1;
 /// Header length in bytes.
 pub const HEADER_SIZE: usize = MAGIC.len() + 4 + 4;
+/// Batch frame header length in bytes: `u32 len ++ u32 crc32(payload)`.
+const FRAME_HEADER_SIZE: usize = 8;
 
 /// File name of segment `seq`.
 pub fn segment_file_name(seq: u32) -> String {
@@ -108,11 +110,15 @@ impl SegmentWriter {
         if tuples.is_empty() {
             return Ok(());
         }
-        let payload = encode_batch(tuples);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(&payload));
-        frame.extend_from_slice(&payload);
+        // One buffer: a placeholder frame header, the records, then the
+        // header patched in place once the payload's length and CRC are
+        // known.
+        let mut frame = Vec::with_capacity(FRAME_HEADER_SIZE + tuples.len() * RECORD_SIZE);
+        frame.extend_from_slice(&[0; FRAME_HEADER_SIZE]);
+        encode_records(tuples, &mut frame);
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_SIZE);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;
         Ok(())
@@ -166,14 +172,14 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
     let mut offset = HEADER_SIZE;
     let mut truncated_tail = false;
     while offset < data.len() {
-        // Need a complete 8-byte frame header.
-        if offset + 8 > data.len() {
+        // Need a complete frame header.
+        if offset + FRAME_HEADER_SIZE > data.len() {
             truncated_tail = true;
             break;
         }
         let len = u32_at(&data, offset) as usize;
         let crc = u32_at(&data, offset + 4);
-        let start = offset + 8;
+        let start = offset + FRAME_HEADER_SIZE;
         let end = match start.checked_add(len) {
             Some(e) if e <= data.len() => e,
             _ => {
