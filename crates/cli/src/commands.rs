@@ -11,8 +11,12 @@ use enviro_net::{
     ModelMaintenance, RetryPolicy, SystemClock, TransportConfig, VirtualClock, Wire, WireCodec,
 };
 use enviro_schedule::sync::Arc;
-use enviro_storage::{TupleStore, WalConfig};
+use enviro_storage::{WalConfig, WalStore};
 use std::io::Write;
+
+/// `enviro ingest`'s default window length, also the one `enviro store`
+/// opens a store with.
+const DEFAULT_INGEST_WINDOW_SECS: i64 = 3_600;
 
 /// Routes a raw argument list to its subcommand.
 pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -570,7 +574,7 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let dir = args.require("dir")?;
     let rate: f64 = args.get_or("rate", 1_000.0)?;
     let batch: usize = args.get_or("batch", 64)?;
-    let window_secs: i64 = args.get_or("window-secs", 3_600)?;
+    let window_secs: i64 = args.get_or("window-secs", DEFAULT_INGEST_WINDOW_SECS)?;
     let source: u64 = args.get_or("source", 1)?;
     if !rate.is_finite() || rate <= 0.0 || batch == 0 || window_secs <= 0 {
         return Err(CliError::usage(
@@ -655,6 +659,17 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Opens the store in `dir` with `enviro ingest`'s default window, so
+/// `store` reads what `ingest` wrote; a store created with another window
+/// length is refused with an error naming both.
+fn open_store(dir: &str) -> Result<WalStore, CliError> {
+    let config = WalConfig {
+        window_secs: DEFAULT_INGEST_WINDOW_SECS,
+        ..WalConfig::default()
+    };
+    WalStore::open(dir, config).map_err(|e| CliError::runtime(format!("{dir}: {e}")))
+}
+
 fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let sub = args
         .positional
@@ -672,19 +687,22 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 .map_err(|e| CliError::runtime(format!("cannot open {csv_path}: {e}")))?;
             let dataset = read_csv(Pollutant::Co2, file)
                 .map_err(|e| CliError::runtime(format!("{csv_path}: {e}")))?;
-            let mut store = TupleStore::open(dir).map_err(|e| CliError::runtime(e.to_string()))?;
+            let mut store = open_store(dir)?;
+            let before = store.durable_upto();
             store
-                .append(dataset.tuples())
-                .and_then(|()| store.sync())
+                .append_batch(dataset.tuples())
                 .map_err(|e| CliError::runtime(e.to_string()))?;
-            let stats = store.stats();
+            // Late and rejected counts start at zero on every open, so they
+            // are this command's alone.
+            let s = store.stats();
             writeln!(
                 out,
-                "ingested {} tuples; store now holds {} tuples in {} segments ({} bytes)",
-                dataset.len(),
-                stats.tuples,
-                stats.segments,
-                stats.bytes
+                "ingested {} tuples ({} late, {} rejected); store now holds {} tuples in {} windows",
+                s.durable_tuples - before,
+                s.late_tuples,
+                s.rejected_tuples,
+                s.durable_tuples,
+                s.memtable_windows + s.sealed_windows
             )
             .map_err(io_err)?;
             Ok(())
@@ -692,10 +710,9 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "export" => {
             let dir = args.require("dir")?;
             let out_path = args.require("out")?;
-            let store = TupleStore::open(dir).map_err(|e| CliError::runtime(e.to_string()))?;
-            let dataset = store
-                .load_dataset(Pollutant::Co2)
-                .map_err(|e| CliError::runtime(e.to_string()))?;
+            let store = open_store(dir)?;
+            let dataset =
+                Dataset::from_tuples(Pollutant::Co2, store.tuples()).map_err(CliError::runtime)?;
             let mut file = std::io::BufWriter::new(
                 std::fs::File::create(out_path)
                     .map_err(|e| CliError::runtime(format!("cannot create {out_path}: {e}")))?,
@@ -705,29 +722,45 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         "stats" => {
-            let dir = args.require("dir")?;
-            let store = TupleStore::open(dir).map_err(|e| CliError::runtime(e.to_string()))?;
-            let s = store.stats();
+            let s = open_store(args.require("dir")?)?.stats();
             writeln!(
                 out,
-                "segments: {}  tuples: {}  bytes: {}  recovered-torn-tail: {}",
-                s.segments, s.tuples, s.bytes, s.recovered_torn_tail
+                "durable tuples: {}  open windows: {} ({} tuples)  sealed windows: {} ({} tuples)  \
+                 wal: {} segments, {} bytes  recovered-torn-tail: {}",
+                s.durable_tuples,
+                s.memtable_windows,
+                s.memtable_tuples,
+                s.sealed_windows,
+                s.sealed_tuples,
+                s.wal_segments,
+                s.wal_bytes,
+                s.recovered_torn_tail
             )
             .map_err(io_err)?;
             Ok(())
         }
         "compact" => {
-            let dir = args.require("dir")?;
-            let mut store = TupleStore::open(dir).map_err(|e| CliError::runtime(e.to_string()))?;
+            let mut store = open_store(args.require("dir")?)?;
             let before = store.stats();
-            store
-                .compact()
-                .map_err(|e| CliError::runtime(e.to_string()))?;
+            // Sealing every window leaves a store with no open windows: the
+            // WAL shrinks to two empty segments.
+            if let Some(max) = store.max_window_id() {
+                store
+                    .seal_windows_before(max.saturating_add(1))
+                    .map_err(|e| CliError::runtime(e.to_string()))?;
+            }
             let after = store.stats();
             writeln!(
                 out,
-                "compacted {} segments ({} bytes) into {} ({} bytes); {} tuples",
-                before.segments, before.bytes, after.segments, after.bytes, after.tuples
+                "sealed {} windows; WAL {} segments ({} bytes) -> {} ({} bytes); \
+                 {} tuples in {} sealed windows",
+                after.sealed_windows - before.sealed_windows,
+                before.wal_segments,
+                before.wal_bytes,
+                after.wal_segments,
+                after.wal_bytes,
+                after.durable_tuples,
+                after.sealed_windows
             )
             .map_err(io_err)?;
             Ok(())
@@ -880,9 +913,61 @@ mod tests {
         let (code, out) = run_cmd(&["store", "compact", "--dir", dir.to_str().unwrap()]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("240 tuples"), "{out}");
+        // Every window is sealed now, so re-ingesting the same readings
+        // drops them all as late, and says so.
+        let (code, out) = run_cmd(&[
+            "store",
+            "ingest",
+            csv.to_str().unwrap(),
+            "--dir",
+            dir.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains("ingested 0 tuples (240 late, 0 rejected)"),
+            "{out}"
+        );
         std::fs::remove_file(&csv).ok();
         std::fs::remove_file(&back).ok();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_stats_reads_an_ingest_directory() {
+        let csv = temp_path("store-ingest-src.csv");
+        let dir = temp_path("store-ingest-wal");
+        let other = temp_path("store-ingest-wal-2h");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other);
+        run_cmd(&["simulate", "--hours", "2", "--out", csv.to_str().unwrap()]);
+        let ingest = |dir: &std::path::Path, extra: &[&str]| {
+            let (csv, dir) = (csv.to_str().unwrap(), dir.to_str().unwrap());
+            let mut argv = vec![
+                "ingest",
+                csv,
+                "--dir",
+                dir,
+                "--rate",
+                "1000",
+                "--virtual-clock",
+            ];
+            argv.extend_from_slice(extra);
+            run_cmd(&argv)
+        };
+        let (code, out) = ingest(&dir, &[]);
+        assert_eq!(code, 0, "{out}");
+        let (code, out) = run_cmd(&["store", "stats", "--dir", dir.to_str().unwrap()]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("durable tuples: 240"), "{out}");
+        // A directory written with another window length is refused, not
+        // misread.
+        let (code, out) = ingest(&other, &["--window-secs", "7200"]);
+        assert_eq!(code, 0, "{out}");
+        let (code, _) = run_cmd(&["store", "stats", "--dir", other.to_str().unwrap()]);
+        assert_eq!(code, 1);
+        std::fs::remove_file(&csv).ok();
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&other).ok();
     }
 
     #[test]

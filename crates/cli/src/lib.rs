@@ -11,7 +11,8 @@
 //! enviro route day.csv --start 7h --points "x,y;…"  # app's route summary
 //! enviro serve day.csv --workers 4 --batch 64       # concurrent load drive
 //! enviro ingest day.csv --dir ./wal --rate 500      # durable write path
-//! enviro store ingest day.csv --dir ./store         # durable segment store
+//! enviro store ingest day.csv --dir ./store         # durable raw-tuple store
+//! enviro store stats --dir ./wal                    # inspect any store dir
 //! enviro store export --dir ./store --out back.csv
 //! ```
 //!
@@ -86,6 +87,6 @@ commands:
   route      evaluate a route and print the OSHA summary
   serve      run the concurrent server and drive it with in-process clients
   ingest     replay a dataset through the WAL-backed durable write path
-  store      durable segment-store operations (ingest | export | stats)
+  store      raw-tuple store operations (ingest | export | stats | compact)
 
 run `enviro <command> --help` for the command's flags";

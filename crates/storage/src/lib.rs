@@ -1,37 +1,41 @@
 //! Persistent raw-tuple storage for EnviroMeter.
 //!
 //! Figure 1 of the paper: "The sensed data is stored in a database in the
-//! form of raw tuples." This crate is that database — deliberately shaped
-//! like the write path of an LCSN ingestion node:
+//! form of raw tuples." This crate is that database — one store,
+//! [`WalStore`], deliberately shaped like the write path of an LCSN
+//! ingestion node:
 //!
 //! * tuples arrive mostly in time order and are **append-only** (a sensor
 //!   reading is a fact; there are no updates or deletes),
-//! * reads are **time-range scans** (the window decomposition `W_c` and
-//!   model building consume contiguous time slices),
+//! * they are grouped into epoch-aligned **windows** `W_c` (the unit that
+//!   model building consumes), which are sealed once the stream has moved
+//!   past them; the offline store is simply one with no open windows,
 //! * the process can die at any moment, so every batch is CRC-framed and
 //!   recovery truncates at the first torn or corrupt batch.
 //!
-//! Layout: a store is a directory of segment files
-//! (`seg-00000000.log`, `seg-00000001.log`, …). Each segment starts with a
-//! 16-byte header and holds a sequence of *batches*:
+//! Segment files (`seg-00000000.log`, `seg-00000001.log`, …) hold the
+//! write-ahead log and the sealed windows. Each starts with a 16-byte
+//! header and holds a sequence of *batches*:
 //! `[u32 payload_len][u32 crc32(payload)][payload]`, where the payload is a
 //! packed run of fixed 32-byte records `(i64 time, f64 x, f64 y, f64 s)`.
 //!
 //! ```
-//! use enviro_data::{RawTuple, Timestamp};
+//! use enviro_data::{Dataset, Pollutant, RawTuple, Timestamp};
 //! use enviro_geo::Point;
-//! use enviro_storage::TupleStore;
+//! use enviro_storage::{WalConfig, WalStore};
 //!
 //! let dir = std::env::temp_dir().join("enviro-doc-store");
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let mut store = TupleStore::open(&dir).unwrap();
-//! store.append(&[RawTuple::new(Timestamp::from_secs(60), Point::new(1.0, 2.0), 420.0)]).unwrap();
-//! store.sync().unwrap();
+//! let config = WalConfig { window_secs: 3_600, ..WalConfig::default() };
+//! let mut store = WalStore::open(&dir, config).unwrap();
+//! let reading = RawTuple::new(Timestamp::from_secs(60), Point::new(1.0, 2.0), 420.0);
+//! assert_eq!(store.append_batch(&[reading]).unwrap(), 1); // durable on return
+//! store.seal_windows_before(1).unwrap(); // window 0 leaves the log
 //!
-//! // Reopen (e.g. after a restart) and scan.
-//! let store = TupleStore::open(&dir).unwrap();
-//! let tuples = store.scan_range(Timestamp::ZERO, Timestamp::from_secs(3600)).unwrap();
-//! assert_eq!(tuples.len(), 1);
+//! // Reopen (e.g. after a restart) and hand everything to the engine.
+//! let store = WalStore::open(&dir, config).unwrap();
+//! let dataset = Dataset::from_tuples(Pollutant::Co2, store.tuples()).unwrap();
+//! assert_eq!(dataset.tuples(), &[reading]);
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -42,8 +46,6 @@
 pub mod crc;
 pub mod record;
 pub mod segment;
-pub mod store;
 pub mod wal;
 
-pub use store::{StorageError, StoreStats, TupleStore};
-pub use wal::{Memtable, WalConfig, WalStats, WalStore};
+pub use wal::{StorageError, WalConfig, WalStats, WalStore};

@@ -1,11 +1,10 @@
-//! The WAL store: the durable write path behind network ingestion.
+//! The raw-tuple store, shaped like the write path of an LSM-style
+//! ingestion node. There is one store: the durable ingest store and the
+//! offline raw-tuple database are the same [`WalStore`], the offline one
+//! simply having no open windows.
 //!
-//! [`TupleStore`](crate::TupleStore) is the offline raw-tuple file; this
-//! module is its streaming sibling, shaped like the write path of an
-//! LSM-style ingestion node:
-//!
-//! * every accepted batch is appended to a **write-ahead log** (the same
-//!   CRC-framed segment format as [`crate::segment`]) and fsynced *before*
+//! * every accepted batch is appended to a **write-ahead log** (the
+//!   CRC-framed segment format of [`crate::segment`]) and fsynced *before*
 //!   it is acknowledged — the ack carries `durable_upto`, the count of
 //!   tuples that survive any crash;
 //! * accepted tuples also land in an in-memory **memtable per epoch-aligned
@@ -23,9 +22,15 @@
 //! watermark semantics: they are acknowledged, counted, and dropped, so a
 //! sealed window's model cover is immutable once published.
 //!
+//! The window length is fixed when the store is created and recorded in
+//! `WINDOW_SECS`: replaying the WAL under another length would file tuples
+//! under the wrong windows, so reopening with a different one is a
+//! [`StorageError::WindowMismatch`].
+//!
 //! Directory layout:
 //!
 //! ```text
+//! <dir>/WINDOW_SECS               window length, written on creation
 //! <dir>/wal/seg-00000000.log      append-only log + MANIFEST
 //! <dir>/windows/seg-00000007.log  sealed window 7 + MANIFEST
 //! ```
@@ -33,12 +38,67 @@
 use crate::segment::{
     parse_segment_file_name, read_segment, segment_file_name, SegmentWriter, HEADER_SIZE,
 };
-use crate::store::{read_manifest, write_manifest, StorageError, DEFAULT_MAX_SEGMENT_BYTES};
 use enviro_data::{RawTuple, Timestamp};
 use enviro_memsize::DeepSize;
 use std::collections::BTreeMap;
-use std::io;
+use std::fmt;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+
+/// Default WAL segment rotation threshold: ~1 MiB of records.
+pub const DEFAULT_MAX_SEGMENT_BYTES: u64 = 1 << 20;
+
+/// Storage failures.
+#[derive(Debug)]
+pub enum StorageError {
+    /// An underlying I/O failure.
+    Io(io::Error),
+    /// A file in the store directory is not a valid segment.
+    InvalidSegment {
+        /// The offending path.
+        path: PathBuf,
+        /// Why it was rejected.
+        reason: String,
+    },
+    /// The store was created with another window length than the one it
+    /// is being opened with.
+    WindowMismatch {
+        /// The window length the store was created with.
+        stored: i64,
+        /// The window length asked for on open.
+        requested: i64,
+    },
+}
+
+impl fmt::Display for StorageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StorageError::Io(e) => write!(f, "I/O error: {e}"),
+            StorageError::InvalidSegment { path, reason } => {
+                write!(f, "invalid segment {}: {reason}", path.display())
+            }
+            StorageError::WindowMismatch { stored, requested } => write!(
+                f,
+                "store was created with window_secs {stored}, opened with {requested}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StorageError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StorageError::Io(e) => Some(e),
+            StorageError::InvalidSegment { .. } | StorageError::WindowMismatch { .. } => None,
+        }
+    }
+}
+
+impl From<io::Error> for StorageError {
+    fn from(e: io::Error) -> Self {
+        StorageError::Io(e)
+    }
+}
 
 /// Configuration of a [`WalStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,35 +117,6 @@ impl Default for WalConfig {
             window_secs: 7_200,
             max_wal_segment_bytes: DEFAULT_MAX_SEGMENT_BYTES,
         }
-    }
-}
-
-/// One open (not yet sealed) window's buffered tuples, in arrival order.
-#[derive(Debug, Default, Clone)]
-pub struct Memtable {
-    tuples: Vec<RawTuple>,
-}
-
-impl Memtable {
-    /// The buffered tuples, in arrival order.
-    pub fn tuples(&self) -> &[RawTuple] {
-        &self.tuples
-    }
-
-    /// Number of buffered tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// `true` when no tuple has arrived for the window yet.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-}
-
-impl DeepSize for Memtable {
-    fn heap_size(&self) -> usize {
-        self.tuples.heap_size()
     }
 }
 
@@ -115,14 +146,7 @@ pub struct WalStats {
     pub recovered_torn_tail: bool,
 }
 
-/// A sealed window resident in memory (its durable copy lives under
-/// `windows/`).
-#[derive(Debug, Clone)]
-struct SealedWindow {
-    tuples: Vec<RawTuple>,
-}
-
-/// A durable, crash-recoverable ingestion store: WAL + per-window memtables
+/// A durable, crash-recoverable raw-tuple store: WAL + per-window memtables
 /// + sealed window segments. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct WalStore {
@@ -133,8 +157,11 @@ pub struct WalStore {
     writer: SegmentWriter,
     /// `(seq, clean bytes)` of every live WAL segment, active one last.
     wal_segments: Vec<(u32, u64)>,
-    memtables: BTreeMap<u64, Memtable>,
-    sealed: BTreeMap<u64, SealedWindow>,
+    /// Open windows: id → tuples in arrival order.
+    memtables: BTreeMap<u64, Vec<RawTuple>>,
+    /// Sealed windows, resident in memory (the durable copy lives under
+    /// `windows/`).
+    sealed: BTreeMap<u64, Vec<RawTuple>>,
     durable_tuples: u64,
     late_tuples: u64,
     rejected_tuples: u64,
@@ -149,6 +176,8 @@ impl WalStore {
     /// Sealed window segments must be fully intact (they are synced before
     /// the manifest lists them, so a torn one is real corruption); a torn
     /// tail is tolerated — and truncated — on the *final* WAL segment only.
+    /// A store created with another `window_secs` is refused with
+    /// [`StorageError::WindowMismatch`].
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self, StorageError> {
         if config.window_secs <= 0 {
             return Err(StorageError::Io(io::Error::new(
@@ -159,6 +188,8 @@ impl WalStore {
         let dir = dir.as_ref().to_path_buf();
         let wal_dir = dir.join("wal");
         let windows_dir = dir.join("windows");
+        std::fs::create_dir_all(&dir)?;
+        check_window_record(&dir, config.window_secs)?;
         std::fs::create_dir_all(&wal_dir)?;
         std::fs::create_dir_all(&windows_dir)?;
 
@@ -167,12 +198,12 @@ impl WalStore {
         //    atomic manifest switch; its tuples are still in the WAL, so
         //    the orphan is deleted, not recovered.
         let sealed_live = read_manifest(&windows_dir)?.unwrap_or_default();
+        remove_unlisted(
+            &windows_dir,
+            &discover_segments(&windows_dir)?,
+            &sealed_live,
+        );
         let mut sealed = BTreeMap::new();
-        for seq in discover_segments(&windows_dir)? {
-            if !sealed_live.contains(&seq) {
-                let _ = std::fs::remove_file(windows_dir.join(segment_file_name(seq)));
-            }
-        }
         for &seq in &sealed_live {
             let path = windows_dir.join(segment_file_name(seq));
             let contents = read_segment(&path).map_err(|e| StorageError::InvalidSegment {
@@ -185,26 +216,17 @@ impl WalStore {
                     reason: "sealed window segment has a torn tail".into(),
                 });
             }
-            sealed.insert(
-                u64::from(seq),
-                SealedWindow {
-                    tuples: contents.tuples,
-                },
-            );
+            sealed.insert(u64::from(seq), contents.tuples);
         }
 
         // 2. WAL replay. No manifest = every discovered segment is live.
         let mut wal_seqs = discover_segments(&wal_dir)?;
         if let Some(live) = read_manifest(&wal_dir)? {
-            for &seq in &wal_seqs {
-                if !live.contains(&seq) {
-                    let _ = std::fs::remove_file(wal_dir.join(segment_file_name(seq)));
-                }
-            }
+            remove_unlisted(&wal_dir, &wal_seqs, &live);
             wal_seqs.retain(|s| live.contains(s));
         }
         let mut wal_segments = Vec::with_capacity(wal_seqs.len());
-        let mut memtables: BTreeMap<u64, Memtable> = BTreeMap::new();
+        let mut memtables: BTreeMap<u64, Vec<RawTuple>> = BTreeMap::new();
         let mut recovered_torn_tail = false;
         let last_idx = wal_seqs.len().checked_sub(1);
         for (i, &seq) in wal_seqs.iter().enumerate() {
@@ -214,8 +236,7 @@ impl WalStore {
             // so nothing in it was ever acknowledged. Recreate it empty.
             if Some(i) == last_idx && std::fs::metadata(&path)?.len() < HEADER_SIZE as u64 {
                 std::fs::remove_file(&path)?;
-                let w = SegmentWriter::create(&wal_dir, seq)?;
-                drop(w);
+                SegmentWriter::create(&wal_dir, seq)?;
                 recovered_torn_tail = true;
                 wal_segments.push((seq, HEADER_SIZE as u64));
                 continue;
@@ -239,7 +260,7 @@ impl WalStore {
                 // persisted under windows/; replaying them would double
                 // count.
                 if !sealed.contains_key(&id) {
-                    memtables.entry(id).or_default().tuples.push(t);
+                    memtables.entry(id).or_default().push(t);
                 }
             }
             wal_segments.push((seq, contents.clean_len));
@@ -258,11 +279,11 @@ impl WalStore {
         let seqs: Vec<u32> = wal_segments.iter().map(|&(s, _)| s).collect();
         write_manifest(&wal_dir, &seqs)?;
 
-        let durable_tuples = sealed.values().map(|w| w.tuples.len() as u64).sum::<u64>()
-            + memtables
-                .values()
-                .map(|m| m.tuples.len() as u64)
-                .sum::<u64>();
+        let durable_tuples = sealed
+            .values()
+            .chain(memtables.values())
+            .map(|w| w.len() as u64)
+            .sum();
         let store = Self {
             dir,
             wal_dir,
@@ -343,7 +364,7 @@ impl WalStore {
         }
         for &t in &scratch {
             let id = window_id_of(self.config.window_secs, t.time);
-            self.memtables.entry(id).or_default().tuples.push(t);
+            self.memtables.entry(id).or_default().push(t);
         }
         self.durable_tuples += scratch.len() as u64;
         self.scratch = scratch;
@@ -351,9 +372,23 @@ impl WalStore {
         Ok(self.durable_tuples)
     }
 
-    /// The open windows, lowest id first.
-    pub fn memtables(&self) -> impl Iterator<Item = (u64, &Memtable)> {
-        self.memtables.iter().map(|(&id, m)| (id, m))
+    /// The open windows, lowest id first, each in arrival order.
+    pub fn memtables(&self) -> impl Iterator<Item = (u64, &[RawTuple])> {
+        self.memtables.iter().map(|(&id, m)| (id, m.as_slice()))
+    }
+
+    /// Every retained tuple, window by window in id order (open and sealed
+    /// windows alike), each window in arrival order — the whole raw-tuple
+    /// database in one read. `Dataset::from_tuples` sorts it stably by
+    /// time, so equal timestamps keep their arrival order.
+    pub fn tuples(&self) -> Vec<RawTuple> {
+        let mut windows: Vec<(&u64, &Vec<RawTuple>)> =
+            self.memtables.iter().chain(&self.sealed).collect();
+        windows.sort_unstable_by_key(|&(&id, _)| id);
+        windows
+            .into_iter()
+            .flat_map(|(_, tuples)| tuples.iter().copied())
+            .collect()
     }
 
     /// Ids of sealed windows, lowest first.
@@ -370,8 +405,8 @@ impl WalStore {
     pub fn window_tuples(&self, id: u64) -> Option<&[RawTuple]> {
         self.memtables
             .get(&id)
-            .map(|m| m.tuples.as_slice())
-            .or_else(|| self.sealed.get(&id).map(|w| w.tuples.as_slice()))
+            .or_else(|| self.sealed.get(&id))
+            .map(Vec::as_slice)
     }
 
     /// The highest window id with any data, open or sealed.
@@ -403,26 +438,14 @@ impl WalStore {
         Ok(ids)
     }
 
-    /// Seals one open window (no-op returning `false` if it has no
-    /// memtable), then compacts the WAL.
-    pub fn seal_window(&mut self, id: u64) -> Result<bool, StorageError> {
-        if !self.memtables.contains_key(&id) {
-            return Ok(false);
-        }
-        self.seal_one(id)?;
-        self.compact_wal()?;
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        Ok(true)
-    }
-
     /// Store statistics.
     pub fn stats(&self) -> WalStats {
         WalStats {
             durable_tuples: self.durable_tuples,
             memtable_windows: self.memtables.len(),
-            memtable_tuples: self.memtables.values().map(|m| m.tuples.len()).sum(),
+            memtable_tuples: self.memtables.values().map(Vec::len).sum(),
             sealed_windows: self.sealed.len(),
-            sealed_tuples: self.sealed.values().map(|w| w.tuples.len()).sum(),
+            sealed_tuples: self.sealed.values().map(Vec::len).sum(),
             wal_segments: self.wal_segments.len(),
             wal_bytes: self.wal_segments.iter().map(|&(_, b)| b).sum(),
             late_tuples: self.late_tuples,
@@ -464,11 +487,11 @@ impl WalStore {
                 self.writer.len()
             ));
         }
-        for (&id, m) in &self.memtables {
+        for (&id, tuples) in &self.memtables {
             if self.sealed.contains_key(&id) {
                 return Err(format!("window {id} is both open and sealed"));
             }
-            for t in &m.tuples {
+            for t in tuples {
                 if !t.is_finite() {
                     return Err(format!("non-finite tuple in memtable {id}"));
                 }
@@ -480,16 +503,12 @@ impl WalStore {
                 }
             }
         }
-        let retained = self
+        let retained: u64 = self
             .sealed
             .values()
-            .map(|w| w.tuples.len() as u64)
-            .sum::<u64>()
-            + self
-                .memtables
-                .values()
-                .map(|m| m.tuples.len() as u64)
-                .sum::<u64>();
+            .chain(self.memtables.values())
+            .map(|w| w.len() as u64)
+            .sum();
         if retained != self.durable_tuples {
             return Err(format!(
                 "durable_upto {} but {retained} tuples retained",
@@ -511,28 +530,30 @@ impl WalStore {
             return Ok(());
         };
         let mut w = SegmentWriter::create(&self.windows_dir, seq)?;
-        w.append_batch(&mem.tuples)?;
+        w.append_batch(mem)?;
         w.sync()?;
-        let mut live: Vec<u32> = Vec::with_capacity(self.sealed.len() + 1);
-        for &sid in self.sealed.keys() {
-            // Sealed keys always fit u32 (they were sealed through this
-            // same path), but stay total rather than assert.
-            if let Ok(s) = u32::try_from(sid) {
-                live.push(s);
-            }
-        }
+        // Sealed keys always fit u32 (they were sealed through this same
+        // path), but stay total rather than assert.
+        let mut live: Vec<u32> = self
+            .sealed
+            .keys()
+            .filter_map(|&id| u32::try_from(id).ok())
+            .collect();
         live.push(seq);
         live.sort_unstable();
         write_manifest(&self.windows_dir, &live)?;
         if let Some(mem) = self.memtables.remove(&id) {
-            self.sealed.insert(id, SealedWindow { tuples: mem.tuples });
+            self.sealed.insert(id, mem);
         }
         Ok(())
     }
 
     /// Rewrites the WAL down to the still-open memtables: one compacted
-    /// segment plus a fresh active one, switched over atomically via the
-    /// WAL manifest (the same crash-safe dance as `TupleStore::compact`).
+    /// segment plus a fresh active one. Crash safety: the new segments are
+    /// written and fsynced first and the switch is an atomic manifest
+    /// rename, so a crash before it leaves the old log intact (the
+    /// unlisted new segments are deleted on the next open) and a crash
+    /// after it leaves the new one (the old segments are deleted).
     fn compact_wal(&mut self) -> Result<(), StorageError> {
         self.writer.sync()?;
         let old_seqs: Vec<u32> = self.wal_segments.iter().map(|&(s, _)| s).collect();
@@ -540,15 +561,14 @@ impl WalStore {
         let active_seq = compacted_seq + 1;
         let mut compacted = SegmentWriter::create(&self.wal_dir, compacted_seq)?;
         for mem in self.memtables.values() {
-            compacted.append_batch(&mem.tuples)?;
+            compacted.append_batch(mem)?;
         }
         compacted.sync()?;
         let compacted_bytes = compacted.len();
         let active = SegmentWriter::create(&self.wal_dir, active_seq)?;
-        write_manifest(&self.wal_dir, &[compacted_seq, active_seq])?;
-        for seq in old_seqs {
-            let _ = std::fs::remove_file(self.wal_dir.join(segment_file_name(seq)));
-        }
+        let live = [compacted_seq, active_seq];
+        write_manifest(&self.wal_dir, &live)?;
+        remove_unlisted(&self.wal_dir, &old_seqs, &live);
         self.wal_segments = vec![
             (compacted_seq, compacted_bytes),
             (active_seq, HEADER_SIZE as u64),
@@ -573,18 +593,13 @@ impl DeepSize for WalStore {
     fn heap_size(&self) -> usize {
         // BTreeMap node overhead is approximated by the entry payloads;
         // what matters for capacity planning is the tuple buffers.
-        let memtables: usize = self
+        let windows: usize = self
             .memtables
             .values()
-            .map(|m| std::mem::size_of::<(u64, Memtable)>() + m.heap_size())
+            .chain(self.sealed.values())
+            .map(|w| std::mem::size_of::<(u64, Vec<RawTuple>)>() + w.heap_size())
             .sum();
-        let sealed: usize = self
-            .sealed
-            .values()
-            .map(|w| std::mem::size_of::<(u64, SealedWindow)>() + w.tuples.heap_size())
-            .sum();
-        memtables
-            + sealed
+        windows
             + self.scratch.heap_size()
             + self.wal_segments.capacity() * std::mem::size_of::<(u32, u64)>()
             + self.dir.as_os_str().len()
@@ -606,6 +621,88 @@ fn discover_segments(dir: &Path) -> Result<Vec<u32>, StorageError> {
         .collect();
     seqs.sort_unstable();
     Ok(seqs)
+}
+
+/// Deletes the segments `seqs` of `dir` that the manifest `live` does not
+/// name: the residue of a crash before a manifest switch, or of one after
+/// it (best-effort — the next open deletes them too).
+fn remove_unlisted(dir: &Path, seqs: &[u32], live: &[u32]) {
+    for seq in seqs.iter().filter(|s| !live.contains(s)) {
+        let _ = std::fs::remove_file(dir.join(segment_file_name(*seq)));
+    }
+}
+
+/// Manifest file name (one per segment directory).
+const MANIFEST: &str = "MANIFEST";
+
+/// Window-length record file name (in the store's root directory).
+const WINDOW_RECORD: &str = "WINDOW_SECS";
+
+/// Reads `path` as text; `None` if it does not exist.
+fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Writes `dir/name` atomically (temp file + fsync + rename).
+fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<(), StorageError> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(text.as_bytes())?;
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, dir.join(name))?;
+    Ok(())
+}
+
+/// Reads the manifest: one decimal segment seq per line. `None` if absent.
+fn read_manifest(dir: &Path) -> Result<Option<Vec<u32>>, StorageError> {
+    let path = dir.join(MANIFEST);
+    let Some(text) = read_optional(&path)? else {
+        return Ok(None);
+    };
+    let parse = |line: &str| {
+        line.parse().map_err(|_| StorageError::InvalidSegment {
+            path: path.clone(),
+            reason: format!("bad manifest line {line:?}"),
+        })
+    };
+    let lines = text.lines().map(str::trim).filter(|line| !line.is_empty());
+    lines.map(parse).collect::<Result<_, _>>().map(Some)
+}
+
+/// Writes the manifest atomically.
+fn write_manifest(dir: &Path, seqs: &[u32]) -> Result<(), StorageError> {
+    let text: String = seqs.iter().map(|seq| format!("{seq}\n")).collect();
+    write_atomic(dir, MANIFEST, &text)
+}
+
+/// Records `window_secs` in a new store, or checks it against the length
+/// an existing store was created with. A store written before the record
+/// existed adopts the length it is first opened with.
+fn check_window_record(dir: &Path, window_secs: i64) -> Result<(), StorageError> {
+    let path = dir.join(WINDOW_RECORD);
+    let Some(text) = read_optional(&path)? else {
+        return write_atomic(dir, WINDOW_RECORD, &format!("{window_secs}\n"));
+    };
+    let stored: i64 = text
+        .trim()
+        .parse()
+        .map_err(|_| StorageError::InvalidSegment {
+            path,
+            reason: format!("bad window record {text:?}"),
+        })?;
+    if stored != window_secs {
+        return Err(StorageError::WindowMismatch {
+            stored,
+            requested: window_secs,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -632,6 +729,36 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("enviro-wal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A config rotating the WAL after `bytes`: 80 holds two one-tuple
+    /// frames, 60 one.
+    fn small(bytes: u64) -> WalConfig {
+        WalConfig {
+            max_wal_segment_bytes: bytes,
+            ..cfg()
+        }
+    }
+
+    fn wal_segment(dir: &Path, seq: u32) -> PathBuf {
+        dir.join("wal").join(segment_file_name(seq))
+    }
+
+    /// Cuts `path` down to `len` bytes, as a crash mid-write would.
+    fn truncate(path: &Path, len: u64) {
+        let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        f.set_len(len).unwrap();
+    }
+
+    fn times(w: &WalStore) -> Vec<i64> {
+        w.tuples().iter().map(|t| t.time.as_secs()).collect()
+    }
+
+    fn invalid_segment_reason(result: Result<WalStore, StorageError>) -> String {
+        match result {
+            Err(StorageError::InvalidSegment { reason, .. }) => reason,
+            other => panic!("expected InvalidSegment, got {other:?}"),
+        }
     }
 
     #[test]
@@ -714,7 +841,7 @@ mod tests {
         let dir = tempdir("late");
         let mut w = WalStore::open(&dir, cfg()).unwrap();
         w.append_batch(&[tuple(10, 1.0)]).unwrap();
-        w.seal_window(0).unwrap();
+        w.seal_windows_before(1).unwrap();
         let durable = w
             .append_batch(&[tuple(20, 2.0), tuple(H + 5, 3.0)])
             .unwrap();
@@ -747,10 +874,7 @@ mod tests {
         drop(w);
         // Chop into the last batch.
         let path = dir.join("wal").join(segment_file_name(0));
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
+        truncate(&path, std::fs::metadata(&path).unwrap().len() - 3);
         let w = WalStore::open(&dir, cfg()).unwrap();
         assert!(w.stats().recovered_torn_tail);
         assert_eq!(w.durable_upto(), 1);
@@ -782,27 +906,13 @@ mod tests {
     #[test]
     fn wal_rotates_at_size_threshold() {
         let dir = tempdir("rotate");
-        let mut w = WalStore::open(
-            &dir,
-            WalConfig {
-                window_secs: H,
-                max_wal_segment_bytes: 256,
-            },
-        )
-        .unwrap();
+        let mut w = WalStore::open(&dir, small(256)).unwrap();
         for i in 0..40 {
             w.append_batch(&[tuple(i, i as f64)]).unwrap();
         }
         assert!(w.stats().wal_segments > 1);
         drop(w);
-        let w = WalStore::open(
-            &dir,
-            WalConfig {
-                window_secs: H,
-                max_wal_segment_bytes: 256,
-            },
-        )
-        .unwrap();
+        let w = WalStore::open(&dir, small(256)).unwrap();
         assert_eq!(w.durable_upto(), 40);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -821,7 +931,7 @@ mod tests {
         let dir = tempdir("badwin");
         let bad = WalConfig {
             window_secs: 0,
-            max_wal_segment_bytes: 1 << 20,
+            ..cfg()
         };
         assert!(WalStore::open(&dir, bad).is_err());
         let _ = std::fs::remove_dir_all(&dir);
@@ -863,8 +973,295 @@ mod tests {
         w.append_batch(&[tuple(10, 1.0), tuple(3 * H + 1, 2.0)])
             .unwrap();
         assert_eq!(w.max_window_id(), Some(3));
-        w.seal_window(3).unwrap();
+        w.seal_windows_before(4).unwrap();
         assert_eq!(w.max_window_id(), Some(3));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_with_another_window_length_is_refused() {
+        let dir = tempdir("window-mismatch");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0), tuple(2 * H + 50, 2.0)])
+            .unwrap();
+        w.seal_windows_before(1).unwrap();
+        assert_eq!(w.durable_upto(), 2);
+        drop(w);
+        // Under H' = 3H the open tuple at t=250 would replay into window 0,
+        // which is sealed, and be skipped: an acked tuple silently gone.
+        let other = WalConfig {
+            window_secs: 3 * H,
+            ..cfg()
+        };
+        match WalStore::open(&dir, other) {
+            Err(e @ StorageError::WindowMismatch { .. }) => {
+                let msg = e.to_string();
+                assert!(msg.contains("100") && msg.contains("300"), "{msg}");
+            }
+            Err(e) => panic!("expected WindowMismatch, got {e}"),
+            Ok(w) => panic!("reopened with durable_upto {} of 2", w.durable_upto()),
+        }
+        assert_eq!(WalStore::open(&dir, cfg()).unwrap().durable_upto(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_append_reopen_scan() {
+        let dir = tempdir("basic");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0), tuple(20, 1.0)]).unwrap();
+        w.append_batch(&[tuple(30, 1.0)]).unwrap();
+        drop(w);
+        let w = WalStore::open(&dir, cfg()).unwrap();
+        assert_eq!(times(&w), vec![10, 20, 30]);
+        assert!(!w.stats().recovered_torn_tail);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rotation_by_size() {
+        let dir = tempdir("size");
+        let mut w = WalStore::open(&dir, small(80)).unwrap();
+        for i in 0..10 {
+            w.append_batch(&[tuple(i, 1.0)]).unwrap();
+        }
+        let stats = w.stats();
+        assert!(stats.wal_segments >= 3, "expected rotation, got {stats:?}");
+        assert_eq!(stats.durable_tuples, 10);
+        drop(w);
+        assert_eq!(WalStore::open(&dir, small(80)).unwrap().durable_upto(), 10);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_truncates_torn_tail_and_keeps_appending() {
+        let dir = tempdir("recover");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(1, 1.0)]).unwrap();
+        w.append_batch(&[tuple(2, 1.0)]).unwrap();
+        drop(w);
+        let seg = wal_segment(&dir, 0);
+        truncate(&seg, std::fs::metadata(&seg).unwrap().len() - 5);
+        // Recovery drops the torn batch, keeps the clean one, and appends
+        // continue from the truncation point.
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        assert_eq!(w.durable_upto(), 1);
+        assert!(w.stats().recovered_torn_tail);
+        w.append_batch(&[tuple(3, 1.0)]).unwrap();
+        drop(w);
+        assert_eq!(times(&WalStore::open(&dir, cfg()).unwrap()), vec![1, 3]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_middle_segment_is_an_error() {
+        let dir = tempdir("midcorrupt");
+        let mut w = WalStore::open(&dir, small(60)).unwrap();
+        for i in 0..6 {
+            w.append_batch(&[tuple(i, 1.0)]).unwrap();
+        }
+        assert!(w.stats().wal_segments >= 2);
+        drop(w);
+        // Corrupt the FIRST segment (acknowledged data).
+        let seg = wal_segment(&dir, 0);
+        let mut data = std::fs::read(&seg).unwrap();
+        let idx = data.len() - 3;
+        data[idx] ^= 0xFF;
+        std::fs::write(&seg, &data).unwrap();
+        let reason = invalid_segment_reason(WalStore::open(&dir, small(60)));
+        assert!(reason.contains("non-final"), "{reason}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bad_magic_segment_fails_open_with_typed_error() {
+        let dir = tempdir("badmagic");
+        std::fs::create_dir_all(dir.join("wal")).unwrap();
+        std::fs::write(
+            wal_segment(&dir, 0),
+            b"NOTASEGM\x01\x00\x00\x00\x00\x00\x00\x00",
+        )
+        .unwrap();
+        match WalStore::open(&dir, cfg()) {
+            Err(StorageError::InvalidSegment { path, reason }) => {
+                assert!(path.ends_with(segment_file_name(0)));
+                assert!(reason.contains("not a segment"), "{reason}");
+            }
+            other => panic!("expected InvalidSegment, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unsupported_version_fails_open_with_typed_error() {
+        let dir = tempdir("badversion");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(1, 1.0)]).unwrap();
+        drop(w);
+        let seg = wal_segment(&dir, 0);
+        let mut data = std::fs::read(&seg).unwrap();
+        data[8] = 0xEE; // version field
+        std::fs::write(&seg, &data).unwrap();
+        let reason = invalid_segment_reason(WalStore::open(&dir, cfg()));
+        assert!(reason.contains("version"), "{reason}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn header_only_truncation_fails_open_with_typed_error() {
+        let dir = tempdir("shortheader");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(1, 1.0)]).unwrap();
+        w.seal_windows_before(1).unwrap();
+        drop(w);
+        // Chop into a sealed window's 16-byte header: a sealed segment was
+        // synced before the manifest named it, so this is corruption, not a
+        // torn tail.
+        truncate(&dir.join("windows").join(segment_file_name(0)), 9);
+        invalid_segment_reason(WalStore::open(&dir, cfg()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn invariants_hold_through_append_rotate_compact_recover() {
+        let dir = tempdir("invariants-rotate");
+        let mut w = WalStore::open(&dir, small(80)).unwrap();
+        assert_eq!(w.check_invariants(), Ok(()));
+        for i in 0..10 {
+            w.append_batch(&[tuple(i * 20, 1.0)]).unwrap();
+            assert_eq!(w.check_invariants(), Ok(()));
+        }
+        w.seal_windows_before(1).unwrap();
+        assert_eq!(w.check_invariants(), Ok(()));
+        drop(w);
+        let w = WalStore::open(&dir, small(80)).unwrap();
+        assert_eq!(w.check_invariants(), Ok(()));
+        assert_eq!(w.durable_upto(), 10);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_dataset_sorted_for_engine() {
+        use enviro_data::{Dataset, Pollutant};
+        let dir = tempdir("dataset");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[
+            tuple(150, 1.0),
+            tuple(50, 2.0),
+            tuple(10, 3.0),
+            tuple(30, 4.0),
+        ])
+        .unwrap();
+        w.seal_windows_before(1).unwrap();
+        let ds = Dataset::from_tuples(Pollutant::Co2, w.tuples()).unwrap();
+        assert_eq!(ds.len(), 4);
+        assert!(ds.tuples().windows(2).all(|p| p[0].time <= p[1].time));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn empty_store_behaviour() {
+        let dir = tempdir("empty");
+        let w = WalStore::open(&dir, cfg()).unwrap();
+        let stats = w.stats();
+        assert_eq!(stats.durable_tuples, 0);
+        assert_eq!(stats.wal_segments, 1); // the active segment
+        assert_eq!(stats.memtable_windows + stats.sealed_windows, 0);
+        assert!(w.tuples().is_empty());
+        assert_eq!(w.max_window_id(), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn foreign_files_are_ignored() {
+        let dir = tempdir("foreign");
+        for sub in ["wal", "windows"] {
+            std::fs::create_dir_all(dir.join(sub)).unwrap();
+            std::fs::write(dir.join(sub).join("README.txt"), b"not a segment").unwrap();
+        }
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(1, 1.0)]).unwrap();
+        drop(w);
+        assert_eq!(WalStore::open(&dir, cfg()).unwrap().durable_upto(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_merges_segments_and_preserves_data() {
+        let dir = tempdir("compact");
+        let mut w = WalStore::open(&dir, small(80)).unwrap();
+        for i in 0..12 {
+            w.append_batch(&[tuple((11 - i) * 30, 1.0)]).unwrap(); // reverse time order
+        }
+        assert!(w.stats().wal_segments >= 3);
+        let max = w.max_window_id().unwrap();
+        assert_eq!(w.seal_windows_before(max + 1).unwrap(), vec![0, 1, 2, 3]);
+        let stats = w.stats();
+        assert_eq!(stats.wal_segments, 2); // compacted + fresh active
+        assert_eq!(stats.memtable_windows, 0);
+        assert_eq!(stats.sealed_tuples, 12);
+        // Appends keep working after compaction, and survive reopen.
+        w.append_batch(&[tuple(1_000, 1.0)]).unwrap();
+        drop(w);
+        let w = WalStore::open(&dir, small(80)).unwrap();
+        assert_eq!(w.durable_upto(), 13);
+        let tuples = w.tuples();
+        assert!(tuples
+            .windows(2)
+            .all(|p| p[0].time.as_secs() / H <= p[1].time.as_secs() / H));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interrupted_compaction_cleans_up_on_open() {
+        let dir = tempdir("compact-crash");
+        let mut w = WalStore::open(&dir, small(80)).unwrap();
+        for i in 0..8 {
+            w.append_batch(&[tuple(i * 20, 1.0)]).unwrap();
+        }
+        w.seal_windows_before(1).unwrap();
+        w.append_batch(&[tuple(150, 1.0)]).unwrap();
+        drop(w);
+        // A crash mid-compaction leaves a WAL segment the manifest does not
+        // name.
+        let mut orphan = SegmentWriter::create(&dir.join("wal"), 999).unwrap();
+        orphan.append_batch(&[tuple(170, 99.0)]).unwrap();
+        orphan.sync().unwrap();
+        drop(orphan);
+        let w = WalStore::open(&dir, small(80)).unwrap();
+        // The orphan's tuple must NOT appear, and its file must be gone.
+        assert_eq!(w.durable_upto(), 9);
+        assert!(w.tuples().iter().all(|t| t.value != 99.0));
+        assert!(!wal_segment(&dir, 999).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rotation_after_compaction_keeps_manifest_live() {
+        let dir = tempdir("compact-rotate");
+        let mut w = WalStore::open(&dir, small(80)).unwrap();
+        for i in 0..6 {
+            w.append_batch(&[tuple(i, 1.0)]).unwrap();
+        }
+        w.seal_windows_before(1).unwrap();
+        // Force several post-compaction rotations.
+        for i in 6..14 {
+            w.append_batch(&[tuple(H + i, 1.0)]).unwrap();
+        }
+        assert!(w.stats().wal_segments > 2);
+        drop(w);
+        assert_eq!(WalStore::open(&dir, small(80)).unwrap().durable_upto(), 14);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_empty_batch_is_noop() {
+        let dir = tempdir("noop");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(1, 1.0)]).unwrap();
+        let before = w.stats();
+        assert_eq!(w.append_batch(&[]).unwrap(), 1);
+        assert_eq!(w.stats(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

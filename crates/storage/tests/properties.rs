@@ -7,7 +7,7 @@
 
 use enviro_data::{RawTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_storage::TupleStore;
+use enviro_storage::{WalConfig, WalStore};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,6 +22,20 @@ fn unique_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// One-hour windows over the generated 0–100 000 s span, and a WAL that
+/// rotates every few batches.
+fn config() -> WalConfig {
+    WalConfig {
+        window_secs: 3_600,
+        max_wal_segment_bytes: 256,
+    }
+}
+
+/// The single WAL segment of a store that never rotated or sealed.
+fn first_wal_segment(dir: &std::path::Path) -> PathBuf {
+    dir.join("wal").join("seg-00000000.log")
 }
 
 fn arb_batches() -> impl Strategy<Value = Vec<Vec<RawTuple>>> {
@@ -54,17 +68,14 @@ proptest! {
         let mut expected: Vec<RawTuple> = Vec::new();
         {
             // Small segments force rotation mid-run.
-            let mut store = TupleStore::open_with_segment_size(&dir, 256).unwrap();
+            let mut store = WalStore::open(&dir, config()).unwrap();
             for batch in &batches {
-                store.append(batch).unwrap();
+                store.append_batch(batch).unwrap();
                 expected.extend_from_slice(batch);
             }
-            store.sync().unwrap();
         }
-        let store = TupleStore::open_with_segment_size(&dir, 256).unwrap();
-        let mut got = store
-            .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(1_000_000))
-            .unwrap();
+        let store = WalStore::open(&dir, config()).unwrap();
+        let mut got = store.tuples();
         expected.sort_by_key(|t| t.time);
         got.sort_by_key(|t| t.time);
         prop_assert_eq!(got.len(), expected.len());
@@ -85,16 +96,16 @@ proptest! {
     ) {
         let dir = unique_dir("chop");
         let total: usize = batches.iter().map(Vec::len).sum();
+        let unrotated = WalConfig::default();
         {
-            let mut store = TupleStore::open(&dir).unwrap();
+            let mut store = WalStore::open(&dir, unrotated).unwrap();
             for batch in &batches {
-                store.append(batch).unwrap();
+                store.append_batch(batch).unwrap();
             }
-            store.sync().unwrap();
         }
-        // Damage the (single) segment by chopping `chop` bytes off the end,
-        // but never into the header.
-        let seg = dir.join("seg-00000000.log");
+        // Damage the (single) WAL segment by chopping `chop` bytes off the
+        // end, but never into the header.
+        let seg = first_wal_segment(&dir);
         let len = std::fs::metadata(&seg).unwrap().len();
         let new_len = len.saturating_sub(chop as u64).max(16);
         std::fs::OpenOptions::new()
@@ -105,11 +116,8 @@ proptest! {
             .unwrap();
         // Recovery must not panic and must return a prefix of the appended
         // tuples (batch-granular).
-        let store = TupleStore::open(&dir).unwrap();
-        let got = store
-            .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(1_000_000))
-            .unwrap();
-        prop_assert!(got.len() <= total);
+        let store = WalStore::open(&dir, unrotated).unwrap();
+        prop_assert!(store.tuples().len() <= total);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -124,12 +132,12 @@ proptest! {
             .iter()
             .map(|&(t, v)| RawTuple::new(Timestamp::from_secs(t), Point::new(v, v), v))
             .collect();
+        let unrotated = WalConfig::default();
         {
-            let mut store = TupleStore::open(&dir).unwrap();
-            store.append(&tuples).unwrap();
-            store.sync().unwrap();
+            let mut store = WalStore::open(&dir, unrotated).unwrap();
+            store.append_batch(&tuples).unwrap();
         }
-        let seg = dir.join("seg-00000000.log");
+        let seg = first_wal_segment(&dir);
         let mut data = std::fs::read(&seg).unwrap();
         if flip_at < data.len() {
             data[flip_at] ^= 1 << flip_bit;
@@ -138,11 +146,8 @@ proptest! {
         // Flips inside the header are hard errors; flips in the body are
         // recovered as truncation. Either way: no panic, no garbage tuples
         // beyond the original count.
-        if let Ok(store) = TupleStore::open(&dir) {
-            let got = store
-                .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(10_000))
-                .unwrap();
-            prop_assert!(got.len() <= tuples.len());
+        if let Ok(store) = WalStore::open(&dir, unrotated) {
+            prop_assert!(store.tuples().len() <= tuples.len());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -336,10 +336,8 @@ fn recovery_is_deterministic() {
     drop(store);
 
     let snapshot = |s: &WalStore| -> Vec<(u64, Vec<RawTuple>)> {
-        let mut all: Vec<(u64, Vec<RawTuple>)> = s
-            .memtables()
-            .map(|(id, m)| (id, m.tuples().to_vec()))
-            .collect();
+        let mut all: Vec<(u64, Vec<RawTuple>)> =
+            s.memtables().map(|(id, m)| (id, m.to_vec())).collect();
         for id in s.sealed_window_ids() {
             all.push((id, s.window_tuples(id).unwrap().to_vec()));
         }

@@ -1,7 +1,7 @@
 //! The invariant-hook audit.
 //!
 //! Several core data structures expose a `check_invariants()` method (the
-//! trees in `enviro-index`, `TupleStore`, `ModelCover`, `AdKmnResult`,
+//! trees in `enviro-index`, `WalStore`, `ModelCover`, `AdKmnResult`,
 //! `LinearModel`). Defining one is only half the contract — it must also be
 //! *called* on mutation paths, gated behind `debug_assertions`, or it rots.
 //! This audit enforces the calling half:

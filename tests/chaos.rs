@@ -619,7 +619,7 @@ fn acceptance_10k_ingested_tuples_under_faults_lose_nothing() {
     .unwrap();
     let stored: std::collections::HashSet<_> = wal
         .memtables()
-        .flat_map(|(_, mem)| mem.tuples().iter().map(tuple_key))
+        .flat_map(|(_, mem)| mem.iter().map(tuple_key))
         .collect();
     assert_eq!(
         stored.len() as u64,

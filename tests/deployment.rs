@@ -6,12 +6,12 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{LausanneSim, Pollutant, SimConfig, WindowSpec};
+use enviro_data::{Dataset, LausanneSim, Pollutant, SimConfig, WindowSpec};
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
     BaselineClient, BinaryCodec, EnviroServer, LinkProfile, ModelCacheClient, SimulatedLink,
 };
-use enviro_storage::TupleStore;
+use enviro_storage::{WalConfig, WalStore};
 use std::path::PathBuf;
 
 fn tempdir(name: &str) -> PathBuf {
@@ -31,24 +31,31 @@ fn sensing_to_phone_through_storage_and_crash() {
     let dataset = sim.generate();
 
     // Ingestion node: stream the day into the store in hourly batches, with
-    // small segments to force rotation.
+    // small WAL segments to force rotation.
+    let config = WalConfig {
+        max_wal_segment_bytes: 8_192,
+        ..WalConfig::default()
+    };
     {
-        let mut store = TupleStore::open_with_segment_size(&dir, 8_192).unwrap();
+        let mut store = WalStore::open(&dir, config).unwrap();
         let tuples = dataset.tuples();
         let mut offset = 0;
         while offset < tuples.len() {
             let end = (offset + 120).min(tuples.len());
-            store.append(&tuples[offset..end]).unwrap();
+            store.append_batch(&tuples[offset..end]).unwrap();
             offset = end;
         }
-        store.sync().unwrap();
-        assert!(store.stats().segments > 1, "rotation must have happened");
+        assert!(
+            store.stats().wal_segments > 1,
+            "rotation must have happened"
+        );
     }
 
-    // "Crash": tear the active segment's tail.
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(&dir)
+    // "Crash": tear the active WAL segment's tail.
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("wal"))
         .unwrap()
         .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "log"))
         .collect();
     segs.sort();
     let last = segs.last().unwrap();
@@ -61,14 +68,14 @@ fn sensing_to_phone_through_storage_and_crash() {
         .unwrap();
 
     // Recovery: reopen, losing at most the torn batch.
-    let store = TupleStore::open_with_segment_size(&dir, 8_192).unwrap();
+    let store = WalStore::open(&dir, config).unwrap();
     let stats = store.stats();
     assert!(stats.recovered_torn_tail);
     assert!(
-        stats.tuples > dataset.len() - 240,
+        stats.durable_tuples as usize > dataset.len() - 240,
         "lost too much: {stats:?}"
     );
-    let recovered = store.load_dataset(Pollutant::Co2).unwrap();
+    let recovered = Dataset::from_tuples(Pollutant::Co2, store.tuples()).unwrap();
 
     // Server over the recovered data; phone session over a lossy GPRS cell.
     let platform = EnviroMeter::new(
@@ -108,7 +115,6 @@ fn sensing_to_phone_through_storage_and_crash() {
 fn ingest_state_over_store_replay_matches_batch_platform() {
     use enviro_data::QueryTuple;
     use enviro_net::{IngestConfig, IngestState};
-    use enviro_storage::WalConfig;
 
     let dir = tempdir("replay");
     let sim = LausanneSim::lausanne(SimConfig {
@@ -118,12 +124,11 @@ fn ingest_state_over_store_replay_matches_batch_platform() {
     });
     let dataset = sim.generate();
     {
-        let mut store = TupleStore::open(&dir).unwrap();
-        store.append(dataset.tuples()).unwrap();
-        store.sync().unwrap();
+        let mut store = WalStore::open(&dir, WalConfig::default()).unwrap();
+        store.append_batch(dataset.tuples()).unwrap();
     }
-    let store = TupleStore::open(&dir).unwrap();
-    let recovered = store.load_dataset(Pollutant::Co2).unwrap();
+    let store = WalStore::open(&dir, WalConfig::default()).unwrap();
+    let recovered = Dataset::from_tuples(Pollutant::Co2, store.tuples()).unwrap();
 
     // The durable write path fed by replay: one ingest batch per 500
     // recovered tuples, then one maintenance pass publishes every window.
