@@ -197,12 +197,16 @@ impl KMeans {
     }
 }
 
-/// Index of the centroid nearest to `p` (ties: lowest index).
-pub fn nearest_centroid(centroids: &[Point], p: &Point) -> usize {
-    debug_assert!(!centroids.is_empty());
+/// Index of the centroid nearest to `p` (ties: lowest index; 0 when there
+/// are no centroids).
+///
+/// The crate's one nearest-centroid scan: k-means assignment runs it over
+/// a centroid slice, and [`crate::ModelCover::nearest_region`] over a
+/// cover's region centroids.
+pub fn nearest_centroid<'a>(centroids: impl IntoIterator<Item = &'a Point>, p: &Point) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
+    for (i, c) in centroids.into_iter().enumerate() {
         let d = c.distance_sq(p);
         if d < best_d {
             best_d = d;

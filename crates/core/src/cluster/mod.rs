@@ -10,4 +10,5 @@ mod adkmn;
 mod kmeans;
 
 pub use adkmn::{AdKmn, AdKmnConfig, AdKmnResult, SplitStrategy};
+pub(crate) use kmeans::nearest_centroid;
 pub use kmeans::{ClusterMembers, Clustering, KMeans, KMeansConfig};

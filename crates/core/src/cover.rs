@@ -7,7 +7,7 @@
 //! model. A cover carries the validity horizon `t_n` so clients can cache it
 //! (§2.3).
 
-use crate::cluster::{AdKmn, AdKmnConfig};
+use crate::cluster::{nearest_centroid, AdKmn, AdKmnConfig};
 use crate::model::RegionModel;
 use enviro_data::{Pollutant, Timestamp, Window};
 use enviro_geo::Point;
@@ -68,14 +68,8 @@ impl ModelCover {
     /// The index and region of the centroid nearest to `p` (ties: lowest
     /// index), or `None` for an empty cover.
     pub fn nearest_region(&self, p: &Point) -> Option<(usize, &CoverRegion)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, r) in self.regions.iter().enumerate() {
-            let d = r.centroid.distance_sq(p);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        best.map(|(i, _)| (i, &self.regions[i]))
+        let i = nearest_centroid(self.regions.iter().map(|r| &r.centroid), p);
+        self.regions.get(i).map(|r| (i, r))
     }
 
     /// Interpolates the sensor value at `(t, p)`: nearest centroid `µ*`,

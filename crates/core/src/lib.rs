@@ -82,6 +82,7 @@ pub mod platform;
 pub mod publish;
 pub mod query;
 pub mod route;
+mod routing;
 
 pub use cluster::{AdKmn, AdKmnConfig, ClusterMembers, KMeans, KMeansConfig, SplitStrategy};
 pub use cover::{CoverBuilder, CoverRegion, ModelCover};

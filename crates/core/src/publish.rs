@@ -14,13 +14,17 @@
 //! the latest publication and refetch instead of serving stale
 //! interpolations.
 //!
-//! Query routing mirrors the batch engine: a query at time `t` is answered
-//! by the newest window whose **first tuple** is at or before `t` (not the
+//! Query routing is the batch engine's: a query at time `t` is answered by
+//! the newest window whose **first tuple** is at or before `t` (not the
 //! window's epoch boundary — an empty leading stretch of a window belongs
-//! to its predecessor until data actually arrives). Keeping that rule
-//! identical is what makes streamed answers bit-equal to batch answers.
+//! to its predecessor until data actually arrives). [`CoverSet`] and
+//! [`crate::QueryEngine`] both route through one helper (the crate's
+//! `routing` module), one window search per run of same-window queries;
+//! sharing that rule is what makes streamed answers bit-equal to batch
+//! answers.
 
 use crate::cover::ModelCover;
+use crate::routing;
 use enviro_data::{QueryTuple, Timestamp};
 use enviro_memsize::DeepSize;
 use enviro_schedule::sync::{Arc, RwLock};
@@ -85,14 +89,7 @@ impl CoverSet {
     /// for queries that predate all data — exactly the batch
     /// [`crate::QueryEngine`]'s routing rule.
     pub fn cover_for_time(&self, t: Timestamp) -> Option<&PublishedCover> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let idx = self
-            .entries
-            .partition_point(|e| e.first_time <= t)
-            .saturating_sub(1);
-        Some(&self.entries[idx])
+        routing::window_index(&self.entries, |e| e.first_time, t).map(|i| &self.entries[i])
     }
 
     /// Answers `q` from the cover responsible for its time, or `None` when
@@ -100,6 +97,32 @@ impl CoverSet {
     pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
         self.cover_for_time(q.time)
             .map(|e| e.cover.interpolate(q.time, &q.pos))
+    }
+
+    /// Answers a batch of queries, appending one answer per query to `out`
+    /// (which is cleared first): `out[i]` is `query(&queries[i]).flatten()`,
+    /// so an empty set answers every query `None`.
+    ///
+    /// Routed like [`crate::QueryEngine::query_batch_into`]: one window
+    /// search per run of consecutive queries in the same window, not one
+    /// per query. Appends into the caller's buffer, so a warmed-up server
+    /// serves streamed batches without allocating.
+    pub fn query_batch_into(&self, queries: &[QueryTuple], out: &mut Vec<Option<f64>>) {
+        out.clear();
+        out.reserve(queries.len());
+        if self.entries.is_empty() {
+            out.resize(queries.len(), None);
+            return;
+        }
+        routing::for_each_window_run(
+            &self.entries,
+            |e| e.first_time,
+            queries,
+            |idx, run| {
+                let cover = &self.entries[idx].cover;
+                out.extend(run.iter().map(|q| cover.interpolate(q.time, &q.pos)));
+            },
+        );
     }
 
     /// Verifies the set's ordering invariants.

@@ -6,6 +6,7 @@ use crate::query::{
     CoverProcessor, IdwConfig, IdwProcessor, IndexKind, IndexedProcessor, NaiveProcessor,
     PointQueryProcessor, QueryMethod,
 };
+use crate::routing;
 use enviro_data::{Dataset, QueryTuple, RawTuple, Timestamp, WindowSpec, Windows};
 use enviro_schedule::sync::OnceLock;
 
@@ -115,14 +116,10 @@ impl QueryEngine {
     /// Queries before the first window are served by the first; queries
     /// after the last by the last (the freshest available data) — a query
     /// must always be answerable from *some* window. `None` only for an
-    /// empty dataset.
+    /// empty dataset. The rule is the crate's one routing rule, shared with
+    /// [`crate::CoverSet::cover_for_time`].
     pub fn window_index_for(&self, t: Timestamp) -> Option<usize> {
-        if self.windows.is_empty() {
-            return None;
-        }
-        // partition_point: first window whose first_time > t.
-        let idx = self.windows.partition_point(|w| w.first_time <= t);
-        Some(idx.saturating_sub(1))
+        routing::window_index(&self.windows, |w| w.first_time, t)
     }
 
     /// The tuples of window `idx`.
@@ -250,9 +247,11 @@ impl QueryEngine {
     ///
     /// This is the serving path behind `Request::QueryBatch`: the caller
     /// owns and reuses `out` across frames, so a warmed-up server does no
-    /// per-query allocation here. Consecutive queries that fall in the same
-    /// window share one processor binding instead of re-dispatching per
-    /// tuple — trajectory chunks are strongly time-sorted, so runs are long.
+    /// per-query allocation here. The batch is routed once per run of
+    /// consecutive queries in the same window (one window search per run,
+    /// then a range check per tuple), and each run shares one processor
+    /// binding — trajectory chunks are strongly time-sorted, so runs are
+    /// long.
     pub fn query_batch_into(
         &self,
         queries: &[QueryTuple],
@@ -261,19 +260,16 @@ impl QueryEngine {
     ) {
         out.clear();
         out.reserve(queries.len());
-        let mut start = 0usize;
-        while start < queries.len() {
-            let Some(idx) = self.window_index_for(queries[start].time) else {
-                // Empty dataset: nothing can answer any query.
-                out.resize(queries.len(), None);
-                return;
-            };
-            let mut end = start + 1;
-            while end < queries.len() && self.window_index_for(queries[end].time) == Some(idx) {
-                end += 1;
-            }
-            let run = &queries[start..end];
-            match method {
+        if self.windows.is_empty() {
+            // Empty dataset: nothing can answer any query.
+            out.resize(queries.len(), None);
+            return;
+        }
+        routing::for_each_window_run(
+            &self.windows,
+            |w| w.first_time,
+            queries,
+            |idx, run| match method {
                 QueryMethod::Naive => NaiveProcessor::new(self.window_tuples(idx), self.radius)
                     .interpolate_batch(run, out),
                 QueryMethod::RTree => self
@@ -292,9 +288,8 @@ impl QueryEngine {
                 QueryMethod::ModelCover => {
                     CoverProcessor::new(self.cover(idx)).interpolate_batch(run, out)
                 }
-            }
-            start = end;
-        }
+            },
+        );
     }
 
     /// Answers a continuous query (a whole trajectory) with one method.

@@ -6,12 +6,13 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, Window};
+use enviro_data::{Dataset, Pollutant, QueryTuple, RawTuple, Timestamp, Window, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{
-    AdKmn, AdKmnConfig, CoverBuilder, FitConfig, KMeans, KMeansConfig, NaiveProcessor,
-    PointQueryProcessor, RegionModel,
+    AdKmn, AdKmnConfig, CoverBuilder, CoverRegistry, CoverSet, FitConfig, KMeans, KMeansConfig,
+    NaiveProcessor, PointQueryProcessor, PublishedCover, QueryEngine, QueryMethod, RegionModel,
 };
+use enviro_schedule::sync::Arc;
 use proptest::prelude::*;
 
 fn arb_tuples(max: usize) -> impl Strategy<Value = Vec<RawTuple>> {
@@ -164,4 +165,185 @@ proptest! {
         prop_assert!(r.model_count() <= 6);
         prop_assert_eq!(r.assignment.len(), tuples.len());
     }
+}
+
+/// Seconds between ticks of the coarse data clock: many readings share a
+/// timestamp, so count-based windows split runs of equal times.
+const TICK_SECS: i64 = 60;
+/// Ticks the data spans.
+const TICKS: i64 = 40;
+
+/// Readings on the coarse clock, time-sorted by `Dataset::from_tuples`.
+fn arb_clocked_tuples(max: usize) -> impl Strategy<Value = Vec<RawTuple>> {
+    prop::collection::vec(
+        (
+            0..TICKS,
+            -2_000.0..2_000.0f64,
+            -2_000.0..2_000.0f64,
+            300.0..900.0f64,
+        ),
+        0..max,
+    )
+    .prop_map(|v| {
+        v.into_iter()
+            .map(|(tick, x, y, s)| {
+                RawTuple::new(Timestamp::from_secs(tick * TICK_SECS), Point::new(x, y), s)
+            })
+            .collect()
+    })
+}
+
+/// The published set a streaming server would hold for `engine`'s windows:
+/// each window's cover keyed by its first tuple's time.
+fn published_set(engine: &QueryEngine) -> Arc<CoverSet> {
+    let registry = CoverRegistry::new();
+    let entries: Vec<PublishedCover> = (0..engine.window_count())
+        .map(|idx| PublishedCover {
+            window_id: idx as u64,
+            first_time: engine.window_tuples(idx)[0].time,
+            cover: Arc::new(engine.cover(idx).clone()),
+        })
+        .collect();
+    if !entries.is_empty() {
+        registry.publish(entries);
+    }
+    registry.snapshot()
+}
+
+/// Query times that probe the routing rule: every window's first time and
+/// the second before it, times before the first window and after the last,
+/// random times, repeats, and a time-sorted prefix (long runs) ahead of an
+/// unsorted tail.
+fn probe_queries(
+    engine: &QueryEngine,
+    picks: &[(usize, u8)],
+    sorted_prefix: usize,
+) -> Vec<QueryTuple> {
+    let starts: Vec<i64> = (0..engine.window_count())
+        .map(|idx| engine.window_tuples(idx)[0].time.as_secs())
+        .collect();
+    let span = TICKS * TICK_SECS;
+    let mut times: Vec<i64> = Vec::with_capacity(picks.len());
+    for &(pick, kind) in picks {
+        let t = match (kind, starts.len()) {
+            (0, n) if n > 0 => starts[pick % n],
+            (1, n) if n > 0 => starts[pick % n] - 1,
+            (2, _) => [-1_000_000_000, -1, span + 1, 1_000_000_000][pick % 4],
+            (3, _) if !times.is_empty() => times[pick % times.len()],
+            _ => (pick as i64 * 7) % (span + 2 * TICK_SECS) - TICK_SECS,
+        };
+        times.push(t);
+    }
+    let sorted = sorted_prefix.min(times.len());
+    times[..sorted].sort_unstable();
+    times
+        .iter()
+        .zip(picks)
+        .map(|(&t, &(pick, _))| {
+            let x = (pick % 41) as f64 * 100.0 - 2_000.0;
+            let y = (pick % 29) as f64 * 140.0 - 2_000.0;
+            QueryTuple::new(Timestamp::from_secs(t), Point::new(x, y))
+        })
+        .collect()
+}
+
+fn bits(answers: impl IntoIterator<Item = Option<f64>>) -> Vec<Option<u64>> {
+    answers.into_iter().map(|v| v.map(f64::to_bits)).collect()
+}
+
+/// Batch routing equals per-tuple routing on both read paths, bit for bit,
+/// and streamed answers equal batch model-cover answers.
+fn assert_batch_routing_matches_per_tuple(
+    engine: &QueryEngine,
+    queries: &[QueryTuple],
+) -> Result<(), TestCaseError> {
+    let mut out = vec![Some(f64::NAN); 3];
+    for method in QueryMethod::ALL {
+        engine.query_batch_into(queries, method, &mut out);
+        let single = bits(queries.iter().map(|q| engine.query(q, method)));
+        prop_assert_eq!(bits(out.iter().copied()), single, "{}", method);
+    }
+    let set = published_set(engine);
+    let mut streamed = vec![Some(f64::NAN); 3];
+    set.query_batch_into(queries, &mut streamed);
+    let single = bits(queries.iter().map(|q| set.query(q).flatten()));
+    prop_assert_eq!(bits(streamed.iter().copied()), single.clone());
+    engine.query_batch_into(queries, QueryMethod::ModelCover, &mut out);
+    prop_assert_eq!(bits(out.iter().copied()), single);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn batch_routing_equals_per_tuple_routing(
+        tuples in arb_clocked_tuples(150),
+        shape in 0u8..6,
+        per_window in 1usize..40,
+        window_secs in 1i64..900,
+        picks in prop::collection::vec((0usize..10_000, 0u8..5), 0..96),
+        sorted_prefix in 0usize..96,
+    ) {
+        let (tuples, spec) = match shape {
+            // Empty engine and empty published set.
+            0 => (Vec::new(), WindowSpec::ByCount(per_window)),
+            // One window.
+            1 => (tuples, WindowSpec::ByCount(usize::MAX)),
+            2 | 3 => (tuples, WindowSpec::ByCount(per_window)),
+            _ => (tuples, WindowSpec::ByDuration(window_secs)),
+        };
+        let dataset = Dataset::from_tuples(Pollutant::Co2, tuples).unwrap();
+        let engine = QueryEngine::new(dataset, spec, AdKmnConfig::default(), 500.0);
+        if shape == 1 {
+            prop_assert!(engine.window_count() <= 1);
+        }
+        let queries = probe_queries(&engine, &picks, sorted_prefix);
+        assert_batch_routing_matches_per_tuple(&engine, &queries)?;
+    }
+}
+
+/// Count windows whose boundaries split runs of equal timestamps: two
+/// windows share a first time, and only the newer of them is routed to.
+#[test]
+fn count_windows_splitting_equal_times_route_like_single_queries() {
+    // Six readings at tick 1, six at tick 2, four per window: window 0 is
+    // all tick 1, window 1 starts at tick 1 and ends in tick 2, window 2
+    // is the rest of tick 2.
+    let tuples: Vec<RawTuple> = (0..12)
+        .map(|i| {
+            RawTuple::new(
+                Timestamp::from_secs((1 + i / 6) * TICK_SECS),
+                Point::new(i as f64 * 150.0, (i % 3) as f64 * 90.0),
+                400.0 + 10.0 * i as f64,
+            )
+        })
+        .collect();
+    let dataset = Dataset::from_tuples(Pollutant::Co2, tuples).unwrap();
+    let engine = QueryEngine::new(
+        dataset,
+        WindowSpec::ByCount(4),
+        AdKmnConfig::default(),
+        500.0,
+    );
+    let first_secs: Vec<i64> = (0..engine.window_count())
+        .map(|idx| engine.window_tuples(idx)[0].time.as_secs())
+        .collect();
+    assert_eq!(first_secs, vec![TICK_SECS, TICK_SECS, 2 * TICK_SECS]);
+    let route = |secs: i64| engine.window_index_for(Timestamp::from_secs(secs));
+    assert_eq!(route(TICK_SECS - 1), Some(0));
+    assert_eq!(route(TICK_SECS), Some(1));
+    assert_eq!(route(2 * TICK_SECS - 1), Some(1));
+    assert_eq!(route(2 * TICK_SECS), Some(2));
+    let queries: Vec<QueryTuple> = [0, 59, 60, 60, 119, 120, 120, 600, 60, 0]
+        .iter()
+        .enumerate()
+        .map(|(i, &secs)| {
+            QueryTuple::new(
+                Timestamp::from_secs(secs),
+                Point::new(i as f64 * 300.0, 0.0),
+            )
+        })
+        .collect();
+    assert_batch_routing_matches_per_tuple(&engine, &queries).unwrap();
 }

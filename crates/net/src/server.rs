@@ -108,7 +108,7 @@ impl<C: WireCodec> EnviroServer<C> {
                 let mut values = buffers::take_values();
                 let covers = self.covers();
                 match covers.as_deref().filter(|c| !c.is_empty()) {
-                    Some(set) => values.extend(queries.iter().map(|q| set.query(q).flatten())),
+                    Some(set) => set.query_batch_into(queries, &mut values),
                     None => {
                         self.platform
                             .point_query_batch_into(queries, self.method, &mut values);

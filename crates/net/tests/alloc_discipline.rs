@@ -7,7 +7,9 @@
 //! single queries and batches, over the binary codec — must report zero
 //! allocations, and so must the client's warmed `query_batch` calls. This
 //! pins the tentpole perf claim as a test instead of a comment:
-//! regressions that sneak an allocation into the hot path fail CI.
+//! regressions that sneak an allocation into the hot path fail CI. Both
+//! read paths are covered: the static platform, and a streaming server
+//! answering from the published covers of its ingest state.
 //!
 //! Both paths run on the measuring thread, so the count is per thread: the
 //! test harness starting other tests' threads meanwhile cannot leak into a
@@ -22,13 +24,16 @@
 
 use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
-use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
+use enviro_meter::{AdKmnConfig, EnviroMeter, PublishedCover, QueryMethod};
 use enviro_net::{
-    BinaryCodec, EnviroClient, EnviroServer, LinkProfile, LoopbackWire, Request, SimulatedLink,
-    WireCodec,
+    BinaryCodec, EnviroClient, EnviroServer, IngestConfig, IngestState, LinkProfile, LoopbackWire,
+    Request, Response, SimulatedLink, WireCodec,
 };
+use enviro_storage::WalConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Counts every allocation and reallocation (frees are irrelevant to the
 /// claim: a path that frees without allocating cannot exist in safe Rust).
@@ -95,11 +100,39 @@ fn tuple(i: i64) -> QueryTuple {
     )
 }
 
+/// A model-cover server with an ingest state whose registry holds a
+/// published cover for every window of the platform, so value queries are
+/// answered from the stream's covers; returns the state's directory too,
+/// for the caller to remove.
+fn streaming_server() -> (EnviroServer<BinaryCodec>, PathBuf) {
+    let server = server(QueryMethod::ModelCover);
+    let dir = std::env::temp_dir().join(format!("enviro-alloc-streamed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let state = IngestState::open(&dir, WalConfig::default(), IngestConfig::default()).unwrap();
+    let engine = server.platform().engine();
+    let covers: Vec<PublishedCover> = (0..engine.window_count())
+        .map(|idx| {
+            let cover = engine.cover(idx);
+            PublishedCover {
+                window_id: cover.window_id,
+                first_time: engine.window_tuples(idx)[0].time,
+                cover: Arc::new(cover.clone()),
+            }
+        })
+        .collect();
+    assert!(covers.len() > 1, "the streamed batch must cross windows");
+    state.registry().publish(covers);
+    (server.with_ingest(Arc::new(state)), dir)
+}
+
 /// Runs `rounds` of single + batch frames through `handle_bytes_into`,
 /// recycling the request and reply buffers like a worker loop does, and
 /// returns the allocation count of the steady-state portion.
 fn steady_state_allocs(method: QueryMethod) -> usize {
-    let server = server(method);
+    steady_state_allocs_on(&server(method))
+}
+
+fn steady_state_allocs_on(server: &EnviroServer<BinaryCodec>) -> usize {
     let mut request = Vec::new();
     let mut reply = Vec::new();
 
@@ -116,8 +149,9 @@ fn steady_state_allocs(method: QueryMethod) -> usize {
     };
     // Batch frames are encoded from a pre-built query list so the test's
     // own allocation (building the Vec) stays outside the measured region;
-    // the server-side decode draws from the per-thread pool.
-    let batch: Vec<QueryTuple> = (0..64).map(tuple).collect();
+    // the server-side decode draws from the per-thread pool. The batch
+    // spans both hourly windows, so it is served as two window runs.
+    let batch: Vec<QueryTuple> = (0..64).map(|i| tuple(3 * i)).collect();
     let frame_batch = |out: &mut Vec<u8>| {
         out.clear();
         BinaryCodec.encode_request_into(
@@ -170,6 +204,25 @@ fn grid_indexed_serving_path_is_allocation_free() {
 #[test]
 fn naive_serving_path_is_allocation_free() {
     assert_eq!(steady_state_allocs(QueryMethod::Naive), 0);
+}
+
+/// The streamed read path: `QueryBatch` frames answered from one snapshot
+/// of the published covers, routed once per window run.
+#[test]
+fn published_cover_serving_path_is_allocation_free() {
+    let (server, dir) = streaming_server();
+    let reply = server.handle(&Request::QueryBatch {
+        seq: 1,
+        queries: (0..64).map(tuple).collect(),
+    });
+    assert!(
+        matches!(reply, Response::ValueBatch { generation: 1, .. }),
+        "answered from the published covers: {reply:?}"
+    );
+    let allocs = steady_state_allocs_on(&server);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(allocs, 0);
 }
 
 /// The client half: a warmed `EnviroClient::query_batch` encodes into the
