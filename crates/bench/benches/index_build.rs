@@ -22,15 +22,6 @@ fn bench_index_builds(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("rtree_bulk", h), &h, |b, _| {
             b.iter(|| black_box(RTree::bulk_load(black_box(entries.clone()))));
         });
-        group.bench_with_input(BenchmarkId::new("rtree_insert", h), &h, |b, _| {
-            b.iter(|| {
-                let mut t = RTree::default();
-                for e in &entries {
-                    t.insert(*e);
-                }
-                black_box(t)
-            });
-        });
         group.bench_with_input(BenchmarkId::new("vptree", h), &h, |b, _| {
             b.iter(|| black_box(VpTree::build(black_box(entries.clone()))));
         });

@@ -27,6 +27,7 @@ use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
     ModelMaintenance,
 };
+use enviro_schedule::sync::atomic::{AtomicU64, Ordering};
 use enviro_schedule::sync::Arc;
 use enviro_storage::WalConfig;
 use std::fmt::Write as _;
@@ -210,8 +211,15 @@ pub fn synthetic_tuples(n: usize, seed: u64) -> Vec<RawTuple> {
         .collect()
 }
 
+/// A fresh directory per call: the unit tests run the bench concurrently in
+/// one process, and two cells sharing a directory delete each other's WAL.
 fn bench_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("enviro-bench-ingest-{tag}-{}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // ordering: Relaxed — a unique-name counter; nothing is published
+    // through it.
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let pid = std::process::id();
+    std::env::temp_dir().join(format!("enviro-bench-ingest-{tag}-{pid}-{n}"))
 }
 
 fn open_state(dir: &PathBuf) -> Option<Arc<IngestState>> {

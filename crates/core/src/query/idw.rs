@@ -9,7 +9,7 @@
 
 use crate::query::{PointQueryProcessor, QueryMethod};
 use enviro_data::{QueryTuple, RawTuple};
-use enviro_index::{Entry, RTree, SpatialIndex};
+use enviro_index::{Entry, RTree};
 
 /// IDW parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

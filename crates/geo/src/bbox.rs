@@ -33,11 +33,6 @@ impl BoundingBox {
         }
     }
 
-    /// A degenerate box containing exactly one point.
-    pub const fn from_point(p: Point) -> Self {
-        Self { min: p, max: p }
-    }
-
     /// The smallest box containing every point of the iterator.
     ///
     /// Returns [`BoundingBox::empty`] for an empty iterator.
@@ -69,12 +64,6 @@ impl BoundingBox {
     #[inline]
     pub fn area(&self) -> f64 {
         self.width() * self.height()
-    }
-
-    /// Half-perimeter (margin); used by some R-tree split heuristics.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
     }
 
     /// Center of the box. Meaningless for empty boxes.
@@ -135,16 +124,6 @@ impl BoundingBox {
             min: Point::new(self.min.x - pad, self.min.y - pad),
             max: Point::new(self.max.x + pad, self.max.y + pad),
         }
-    }
-
-    /// How much the area grows if `p` were added; the classic R-tree
-    /// insertion heuristic ("least enlargement").
-    #[inline]
-    pub fn enlargement(&self, p: Point) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.expanded(p).area() - self.area()
     }
 
     /// Minimum Euclidean distance from `p` to the box (0 if inside).
@@ -268,13 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn enlargement_zero_when_inside() {
-        let b = unit();
-        assert_eq!(b.enlargement(Point::new(0.5, 0.5)), 0.0);
-        assert!(b.enlargement(Point::new(2.0, 0.5)) > 0.0);
-    }
-
-    #[test]
     fn min_distance_inside_is_zero() {
         let b = unit();
         assert_eq!(b.min_distance(&Point::new(0.5, 0.5)), 0.0);
@@ -303,12 +275,6 @@ mod tests {
         assert_eq!(b.min, Point::new(-2.0, -2.0));
         assert_eq!(b.max, Point::new(3.0, 3.0));
         assert_eq!(b.area(), 25.0);
-    }
-
-    #[test]
-    fn margin_is_half_perimeter() {
-        let b = BoundingBox::new(Point::new(0.0, 0.0), Point::new(3.0, 4.0));
-        assert_eq!(b.margin(), 7.0);
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl Grid {
         false
     }
 
-    /// Width × height of one cell, in meters.
-    #[inline]
-    pub fn cell_size(&self) -> (f64, f64) {
-        (self.cell_w, self.cell_h)
-    }
-
     /// Maps a point to its cell, or `None` if outside the extent.
     pub fn cell_of(&self, p: &Point) -> Option<CellId> {
         if !self.extent.contains(p) {

@@ -6,7 +6,7 @@
 //! build, cheap to store, and competitive when data density is uniform —
 //! which LCSN data is decidedly *not*, making it a useful ablation.
 
-use crate::{brute_force_nearest, Entry, Neighbor, SpatialIndex};
+use crate::{Entry, SpatialIndex};
 use enviro_geo::{BoundingBox, Grid, Point};
 
 /// A uniform grid over the data extent, with per-cell entry buckets.
@@ -80,43 +80,6 @@ impl SpatialIndex for GridIndex {
             }
         });
     }
-
-    fn nearest(&self, center: &Point, k: usize) -> Vec<Neighbor> {
-        let Some(grid) = &self.grid else {
-            return Vec::new();
-        };
-        if k == 0 {
-            return Vec::new();
-        }
-        // Expanding-ring search: scan rings of cells outward until the k-th
-        // best distance is closed by the ring's guaranteed minimum distance.
-        let (cw, ch) = grid.cell_size();
-        let ring_step = cw.min(ch);
-        let mut radius = ring_step;
-        let max_radius = {
-            let e = grid.extent();
-            // Far enough to cover the whole extent from any query point.
-            let dx = (center.x - e.min.x).abs().max((center.x - e.max.x).abs());
-            let dy = (center.y - e.min.y).abs().max((center.y - e.max.y).abs());
-            (dx * dx + dy * dy).sqrt() + ring_step
-        };
-        loop {
-            let hits = self.within_radius(center, radius);
-            if hits.len() >= k || radius >= max_radius {
-                let mut nn = brute_force_nearest(&hits, center, k);
-                // A hit set of >= k within `radius` is definitive only if
-                // the k-th distance is <= radius; otherwise widen once more.
-                if nn.len() >= k && nn.last().expect("len >= k >= 1").distance <= radius {
-                    nn.truncate(k);
-                    return nn;
-                }
-                if radius >= max_radius {
-                    return nn; // the whole extent was covered
-                }
-            }
-            radius *= 2.0;
-        }
-    }
 }
 
 impl enviro_memsize::DeepSize for GridIndex {
@@ -160,7 +123,6 @@ mod tests {
         let idx = GridIndex::build(&[], 10.0);
         assert!(idx.is_empty());
         assert!(idx.within_radius(&Point::origin(), 100.0).is_empty());
-        assert!(idx.nearest(&Point::origin(), 3).is_empty());
     }
 
     #[test]
@@ -187,39 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let entries = random_entries(300, 23);
-        let idx = GridIndex::build(&entries, 30.0);
-        for k in [1, 4, 25, 300, 350] {
-            let center = Point::new(12.0, -200.0);
-            let got = idx.nearest(&center, k);
-            let want = brute_force_nearest(&entries, &center, k);
-            assert_eq!(got.len(), want.len(), "k={k}");
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.distance - w.distance).abs() < 1e-9, "k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn knn_from_far_outside() {
-        let entries = random_entries(50, 24);
-        let idx = GridIndex::build(&entries, 40.0);
-        let far = Point::new(5_000.0, -5_000.0);
-        let got = idx.nearest(&far, 5);
-        let want = brute_force_nearest(&entries, &far, 5);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.distance - w.distance).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn single_point_and_boundary() {
         let entries = vec![Entry::new(Point::new(1.0, 1.0), 0)];
         let idx = GridIndex::build(&entries, 10.0);
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.within_radius(&Point::new(1.0, 1.0), 0.0).len(), 1);
-        assert_eq!(idx.nearest(&Point::origin(), 1).len(), 1);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! descent conditions are inclusive on both sides — conservative descent is
 //! always correct because leaves check true distances.
 
-use crate::{Entry, Neighbor, SpatialIndex};
+use crate::{Entry, SpatialIndex};
 use enviro_geo::Point;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A balanced, implicitly laid-out k-d tree over point [`Entry`]s.
 ///
@@ -123,99 +121,6 @@ impl SpatialIndex for KdTree {
         }
         rec(&self.entries, 0, center, radius, radius * radius, visit);
     }
-
-    fn nearest(&self, center: &Point, k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.entries.is_empty() {
-            return Vec::new();
-        }
-        // Max-heap of the best k (worst on top), as in the VP-tree.
-        struct Cand {
-            distance: f64,
-            entry: Entry,
-        }
-        impl PartialEq for Cand {
-            fn eq(&self, other: &Self) -> bool {
-                self.distance == other.distance && self.entry.id == other.entry.id
-            }
-        }
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.distance
-                    .partial_cmp(&other.distance)
-                    .expect("finite distances")
-                    .then(self.entry.id.cmp(&other.entry.id))
-            }
-        }
-
-        fn rec(
-            entries: &[Entry],
-            depth: usize,
-            center: &Point,
-            k: usize,
-            heap: &mut BinaryHeap<Cand>,
-        ) {
-            if entries.is_empty() {
-                return;
-            }
-            let axis = depth % 2;
-            let mid = entries.len() / 2;
-            let node = &entries[mid];
-            let d = node.pos.distance(center);
-            if heap.len() < k {
-                heap.push(Cand {
-                    distance: d,
-                    entry: *node,
-                });
-            } else if let Some(top) = heap.peek() {
-                if d < top.distance {
-                    heap.pop();
-                    heap.push(Cand {
-                        distance: d,
-                        entry: *node,
-                    });
-                }
-            }
-            let split = coord(&node.pos, axis);
-            let c = coord(center, axis);
-            let (near, far): (&[Entry], &[Entry]) = if c < split {
-                (&entries[..mid], &entries[mid + 1..])
-            } else {
-                (&entries[mid + 1..], &entries[..mid])
-            };
-            rec(near, depth + 1, center, k, heap);
-            let tau = if heap.len() < k {
-                f64::INFINITY
-            } else {
-                heap.peek().expect("non-empty").distance
-            };
-            if (c - split).abs() <= tau {
-                rec(far, depth + 1, center, k, heap);
-            }
-        }
-
-        let mut heap = BinaryHeap::with_capacity(k + 1);
-        rec(&self.entries, 0, center, k, &mut heap);
-        let mut out: Vec<Neighbor> = heap
-            .into_iter()
-            .map(|c| Neighbor {
-                entry: c.entry,
-                distance: c.distance,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("finite")
-                .then(a.entry.id.cmp(&b.entry.id))
-        });
-        out
-    }
 }
 
 impl enviro_memsize::DeepSize for KdTree {
@@ -245,7 +150,7 @@ fn build_rec(items: &mut [Entry], depth: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{brute_force_nearest, brute_force_within};
+    use crate::brute_force_within;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -273,7 +178,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert!(t.within_radius(&Point::origin(), 100.0).is_empty());
-        assert!(t.nearest(&Point::origin(), 3).is_empty());
         t.check_invariants().unwrap();
     }
 
@@ -297,21 +201,6 @@ mod tests {
                 sorted_ids(&brute_force_within(&entries, &center, r)),
                 "radius {r}"
             );
-        }
-    }
-
-    #[test]
-    fn knn_matches_brute_force() {
-        let entries = random_entries(350, 42);
-        let t = KdTree::build(entries.clone());
-        let center = Point::new(99.0, 11.0);
-        for k in [1, 5, 40, 350, 400] {
-            let got = t.nearest(&center, k);
-            let want = brute_force_nearest(&entries, &center, k);
-            assert_eq!(got.len(), want.len(), "k={k}");
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.distance - w.distance).abs() < 1e-9, "k={k}");
-            }
         }
     }
 

@@ -3,16 +3,16 @@
 //! The paper's *metric space indexing* method answers radius queries over the
 //! raw tuples of a window through an index instead of an exhaustive scan
 //! (§2.2). It evaluates two indexes — an R-tree and a VP-tree — which this
-//! crate implements from scratch, plus a uniform grid index as an additional
-//! baseline:
+//! crate implements from scratch, plus a k-d tree and a uniform grid index as
+//! additional baselines. Each is built once per window and answers radius
+//! queries:
 //!
-//! * [`RTree`] — classic Guttman R-tree with quadratic split and an STR
-//!   (sort-tile-recursive) bulk loader; range, radius and best-first k-NN
-//!   queries.
-//! * [`VpTree`] — vantage-point tree with median splits; radius and k-NN
-//!   queries. Deliberately built with one heap allocation per node — the
-//!   textbook layout — which is also what makes its memory footprint the
-//!   largest in Figure 7(a).
+//! * [`RTree`] — an R-tree built by STR (sort-tile-recursive) bulk loading.
+//!   It also answers best-first k-NN queries ([`RTree::nearest`]), which the
+//!   IDW interpolation baseline uses.
+//! * [`VpTree`] — vantage-point tree with median splits. Deliberately built
+//!   with one heap allocation per node — the textbook layout — which is also
+//!   what makes its memory footprint the largest in Figure 7(a).
 //! * [`KdTree`] — balanced k-d tree in a flat arena: the most compact of
 //!   the three trees, with median splits on alternating axes.
 //! * [`GridIndex`] — uniform-cell bucketing, the simplest spatial hash.
@@ -66,7 +66,7 @@ impl Entry {
     }
 }
 
-/// A neighbour returned by a k-NN query.
+/// A neighbour returned by [`RTree::nearest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// The matching entry.
@@ -97,9 +97,6 @@ pub trait SpatialIndex {
         self.for_each_within(center, radius, &mut |e| out.push(*e));
         out
     }
-
-    /// The `k` nearest entries to `center`, closest first; ties broken by id.
-    fn nearest(&self, center: &Point, k: usize) -> Vec<Neighbor>;
 }
 
 /// Reference implementation used by tests and the paper's naïve method:

@@ -1,18 +1,19 @@
-//! A Guttman R-tree with quadratic split and STR bulk loading.
+//! An R-tree built by STR (sort-tile-recursive) bulk loading.
 //!
 //! This is the `pyrtree` stand-in for the paper's *metric space indexing*
-//! baseline. Points are stored in leaves; every node keeps the tight
-//! bounding box of its subtree. Radius queries descend only into nodes whose
-//! box intersects the query disk; k-NN uses best-first search with the
-//! `mindist` lower bound.
+//! baseline. Every window's tree is built once, from all its tuples, so STR
+//! packing is the only way to build one. Points are stored in leaves; every
+//! node keeps the tight bounding box of its subtree. Radius queries descend
+//! only into nodes whose box intersects the query disk; k-NN uses
+//! best-first search with the `mindist` lower bound.
 
 use crate::{Entry, Neighbor, SpatialIndex};
 use enviro_geo::{BoundingBox, Point};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Default maximum number of entries/children per node.
-pub const DEFAULT_MAX_ENTRIES: usize = 8;
+/// Maximum number of entries/children per node.
+pub const NODE_CAPACITY: usize = 8;
 
 /// An R-tree over point [`Entry`]s.
 ///
@@ -31,8 +32,6 @@ pub const DEFAULT_MAX_ENTRIES: usize = 8;
 pub struct RTree {
     root: Option<Node>,
     len: usize,
-    max_entries: usize,
-    min_entries: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -54,19 +53,6 @@ impl Node {
         }
     }
 
-    fn recompute_bbox(&mut self) {
-        match self {
-            Node::Leaf { bbox, entries } => {
-                *bbox = BoundingBox::from_points(entries.iter().map(|e| e.pos));
-            }
-            Node::Inner { bbox, children } => {
-                *bbox = children
-                    .iter()
-                    .fold(BoundingBox::empty(), |b, c| b.union(c.bbox()));
-            }
-        }
-    }
-
     fn depth(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
@@ -75,53 +61,29 @@ impl Node {
     }
 }
 
-impl Default for RTree {
-    fn default() -> Self {
-        Self::new(DEFAULT_MAX_ENTRIES)
-    }
-}
-
 impl RTree {
-    /// Creates an empty tree with the given node capacity (`max_entries ≥ 4`;
-    /// `min_entries = max_entries / 2`).
-    pub fn new(max_entries: usize) -> Self {
-        assert!(max_entries >= 4, "R-tree needs max_entries >= 4");
-        Self {
-            root: None,
-            len: 0,
-            max_entries,
-            min_entries: max_entries / 2,
-        }
-    }
-
-    /// Bulk loads a tree using sort-tile-recursive (STR) packing — the fast
-    /// path for the per-window index builds of the evaluation.
+    /// Bulk loads a tree using sort-tile-recursive (STR) packing.
     pub fn bulk_load(mut entries: Vec<Entry>) -> Self {
-        Self::bulk_load_with_capacity(DEFAULT_MAX_ENTRIES, &mut entries)
-    }
-
-    /// STR bulk load with an explicit node capacity.
-    pub fn bulk_load_with_capacity(max_entries: usize, entries: &mut [Entry]) -> Self {
-        assert!(max_entries >= 4, "R-tree needs max_entries >= 4");
-        let mut tree = Self::new(max_entries);
-        if entries.is_empty() {
-            return tree;
-        }
-        tree.len = entries.len();
-        // Build leaf level with STR tiling.
-        let mut leaves = str_pack_leaves(entries, max_entries);
+        assert!(
+            entries.iter().all(|e| e.pos.is_finite()),
+            "cannot index non-finite positions"
+        );
+        let len = entries.len();
+        let mut level = if len == 0 {
+            Vec::new()
+        } else {
+            str_pack_leaves(&mut entries)
+        };
         // Pack upper levels until a single root remains.
-        while leaves.len() > 1 {
-            leaves = str_pack_inner(leaves, max_entries);
+        while level.len() > 1 {
+            level = str_pack_inner(level);
         }
-        tree.root = leaves.pop();
+        let tree = Self {
+            root: level.pop(),
+            len,
+        };
         debug_assert_eq!(tree.check_invariants(), Ok(()));
         tree
-    }
-
-    /// The node capacity this tree was built with.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
     }
 
     /// The bounding box of all indexed points.
@@ -136,51 +98,13 @@ impl RTree {
         self.root.as_ref().map_or(0, Node::depth)
     }
 
-    /// Inserts one entry (Guttman insert with quadratic split).
-    pub fn insert(&mut self, entry: Entry) {
-        assert!(entry.pos.is_finite(), "cannot index a non-finite position");
-        self.len += 1;
-        match self.root.take() {
-            None => {
-                self.root = Some(Node::Leaf {
-                    bbox: BoundingBox::from_point(entry.pos),
-                    entries: vec![entry],
-                });
-            }
-            Some(mut root) => {
-                if let Some(sibling) =
-                    insert_rec(&mut root, entry, self.max_entries, self.min_entries)
-                {
-                    // Root split: grow the tree by one level.
-                    let bbox = root.bbox().union(sibling.bbox());
-                    self.root = Some(Node::Inner {
-                        bbox,
-                        children: vec![root, sibling],
-                    });
-                } else {
-                    self.root = Some(root);
-                }
-            }
-        }
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-    }
-
-    /// Collects every entry whose position lies inside `query` (inclusive).
-    pub fn range(&self, query: &BoundingBox) -> Vec<Entry> {
-        let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            range_rec(root, query, &mut out);
-        }
-        out
-    }
-
     /// Checks the R-tree structural invariants; used by tests.
     ///
     /// Verifies (a) every node's box tightly bounds its subtree, (b) no node
-    /// exceeds the capacity and none is empty (STR packing legitimately
-    /// leaves the rightmost path under the minimum fill, so only the upper
-    /// bound is enforced), and (c) all leaves sit at the same depth. Returns
-    /// a description of the first violation.
+    /// exceeds [`NODE_CAPACITY`] and none is empty (STR packing leaves the
+    /// last node of a level partly filled, so there is no lower bound), and
+    /// (c) all leaves sit at the same depth. Returns a description of the
+    /// first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         let Some(root) = &self.root else {
             return if self.len == 0 {
@@ -190,7 +114,7 @@ impl RTree {
             };
         };
         let mut leaf_depths = Vec::new();
-        let counted = check_rec(root, 1, self.max_entries, &mut leaf_depths)?;
+        let counted = check_rec(root, 1, &mut leaf_depths)?;
         if counted != self.len {
             return Err(format!("len {} but counted {counted}", self.len));
         }
@@ -199,20 +123,9 @@ impl RTree {
         }
         Ok(())
     }
-}
 
-impl SpatialIndex for RTree {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn for_each_within(&self, center: &Point, radius: f64, visit: &mut dyn FnMut(&Entry)) {
-        let Some(root) = &self.root else { return };
-        let r2 = radius * radius;
-        radius_rec(root, center, radius, r2, visit);
-    }
-
-    fn nearest(&self, center: &Point, k: usize) -> Vec<Neighbor> {
+    /// The `k` nearest entries to `center`, closest first; ties broken by id.
+    pub fn nearest(&self, center: &Point, k: usize) -> Vec<Neighbor> {
         let Some(root) = &self.root else {
             return Vec::new();
         };
@@ -295,19 +208,15 @@ impl SpatialIndex for RTree {
     }
 }
 
-fn range_rec(node: &Node, query: &BoundingBox, out: &mut Vec<Entry>) {
-    if !node.bbox().intersects(query) {
-        return;
+impl SpatialIndex for RTree {
+    fn len(&self) -> usize {
+        self.len
     }
-    match node {
-        Node::Leaf { entries, .. } => {
-            out.extend(entries.iter().filter(|e| query.contains(&e.pos)));
-        }
-        Node::Inner { children, .. } => {
-            for c in children {
-                range_rec(c, query, out);
-            }
-        }
+
+    fn for_each_within(&self, center: &Point, radius: f64, visit: &mut dyn FnMut(&Entry)) {
+        let Some(root) = &self.root else { return };
+        let r2 = radius * radius;
+        radius_rec(root, center, radius, r2, visit);
     }
 }
 
@@ -331,220 +240,64 @@ fn radius_rec(node: &Node, center: &Point, radius: f64, r2: f64, visit: &mut dyn
     }
 }
 
-/// Recursive insert; returns a split-off sibling when the child overflowed.
-fn insert_rec(node: &mut Node, entry: Entry, max: usize, min: usize) -> Option<Node> {
-    match node {
-        Node::Leaf { bbox, entries } => {
-            entries.push(entry);
-            *bbox = bbox.expanded(entry.pos);
-            if entries.len() <= max {
-                None
-            } else {
-                let (a, b) = quadratic_split_entries(std::mem::take(entries), min);
-                let (bb_a, ents_a) = a;
-                let (bb_b, ents_b) = b;
-                *bbox = bb_a;
-                *entries = ents_a;
-                Some(Node::Leaf {
-                    bbox: bb_b,
-                    entries: ents_b,
-                })
-            }
-        }
-        Node::Inner { bbox, children } => {
-            // Choose the child needing least enlargement (ties: smaller area).
-            let idx = children
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    let ea = a.bbox().enlargement(entry.pos);
-                    let eb = b.bbox().enlargement(entry.pos);
-                    ea.partial_cmp(&eb).expect("finite").then(
-                        a.bbox()
-                            .area()
-                            .partial_cmp(&b.bbox().area())
-                            .expect("finite"),
-                    )
-                })
-                .map(|(i, _)| i)
-                .expect("inner nodes are never empty");
-            let split = insert_rec(&mut children[idx], entry, max, min);
-            *bbox = bbox.expanded(entry.pos);
-            if let Some(sibling) = split {
-                children.push(sibling);
-                if children.len() > max {
-                    let (a, b) = quadratic_split_children(std::mem::take(children), min);
-                    let (bb_a, ch_a) = a;
-                    let (bb_b, ch_b) = b;
-                    *bbox = bb_a;
-                    *children = ch_a;
-                    return Some(Node::Inner {
-                        bbox: bb_b,
-                        children: ch_b,
-                    });
-                }
-            }
-            None
-        }
-    }
-}
-
-/// Guttman's quadratic split over leaf entries.
-fn quadratic_split_entries(
-    entries: Vec<Entry>,
-    min: usize,
-) -> ((BoundingBox, Vec<Entry>), (BoundingBox, Vec<Entry>)) {
-    split_generic(entries, min, |e| BoundingBox::from_point(e.pos))
-}
-
-/// Guttman's quadratic split over inner-node children.
-fn quadratic_split_children(
-    children: Vec<Node>,
-    min: usize,
-) -> ((BoundingBox, Vec<Node>), (BoundingBox, Vec<Node>)) {
-    split_generic(children, min, |c| *c.bbox())
-}
-
-/// Shared quadratic-split machinery: pick the pair of items wasting the most
-/// area as seeds, then greedily assign the rest by least enlargement,
-/// honouring the minimum-fill constraint.
-fn split_generic<T>(
-    mut items: Vec<T>,
-    min: usize,
-    bbox_of: impl Fn(&T) -> BoundingBox,
-) -> ((BoundingBox, Vec<T>), (BoundingBox, Vec<T>)) {
-    debug_assert!(items.len() >= 2);
-    // Seed selection: the pair whose combined box wastes the most area.
-    let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            let bi = bbox_of(&items[i]);
-            let bj = bbox_of(&items[j]);
-            let waste = bi.union(&bj).area() - bi.area() - bj.area();
-            if waste > worst {
-                worst = waste;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-    // Remove seeds (larger index first to keep the smaller valid).
-    let item_b = items.swap_remove(seed_b);
-    let item_a = items.swap_remove(seed_a);
-    let mut bb_a = bbox_of(&item_a);
-    let mut bb_b = bbox_of(&item_b);
-    let mut group_a = vec![item_a];
-    let mut group_b = vec![item_b];
-    let total = items.len() + 2;
-    while let Some(next) = items.pop() {
-        // Minimum-fill: if one group must take all remaining items, do so.
-        let remaining = items.len() + 1;
-        if group_a.len() + remaining <= min {
-            bb_a = bb_a.union(&bbox_of(&next));
-            group_a.push(next);
-            continue;
-        }
-        if group_b.len() + remaining <= min {
-            bb_b = bb_b.union(&bbox_of(&next));
-            group_b.push(next);
-            continue;
-        }
-        let nb = bbox_of(&next);
-        let grow_a = bb_a.union(&nb).area() - bb_a.area();
-        let grow_b = bb_b.union(&nb).area() - bb_b.area();
-        if grow_a < grow_b || (grow_a == grow_b && group_a.len() <= group_b.len()) {
-            bb_a = bb_a.union(&nb);
-            group_a.push(next);
-        } else {
-            bb_b = bb_b.union(&nb);
-            group_b.push(next);
-        }
-    }
-    debug_assert_eq!(group_a.len() + group_b.len(), total);
-    ((bb_a, group_a), (bb_b, group_b))
-}
-
 /// STR leaf packing: sort by x, tile into vertical slabs (a multiple of
-/// `cap` wide, so leaves never straddle slabs), sort each slab by y, chop
-/// into leaves of `cap` entries.
-fn str_pack_leaves(entries: &mut [Entry], cap: usize) -> Vec<Node> {
-    let n = entries.len();
-    let leaf_count = n.div_ceil(cap);
-    let slab_count = (leaf_count as f64).sqrt().ceil() as usize;
-    let slab_size = slab_count * cap;
-    entries.sort_by(|a, b| a.pos.x.partial_cmp(&b.pos.x).expect("finite"));
+/// [`NODE_CAPACITY`] wide, so leaves never straddle slabs), sort each slab
+/// by y, chop into full leaves.
+fn str_pack_leaves(entries: &mut [Entry]) -> Vec<Node> {
+    let slab_size = slab_size(entries.len());
+    entries.sort_by(|a, b| a.pos.x.total_cmp(&b.pos.x));
     for slab in entries.chunks_mut(slab_size) {
-        slab.sort_by(|a, b| a.pos.y.partial_cmp(&b.pos.y).expect("finite"));
+        slab.sort_by(|a, b| a.pos.y.total_cmp(&b.pos.y));
     }
     entries
-        .chunks(cap)
-        .map(|chunk| {
-            let mut leaf = Node::Leaf {
-                bbox: BoundingBox::empty(),
-                entries: chunk.to_vec(),
-            };
-            leaf.recompute_bbox();
-            leaf
+        .chunks(NODE_CAPACITY)
+        .map(|chunk| Node::Leaf {
+            bbox: BoundingBox::from_points(chunk.iter().map(|e| e.pos)),
+            entries: chunk.to_vec(),
         })
         .collect()
 }
 
 /// STR packing of one upper level: the same tiling over child-box centers.
-fn str_pack_inner(mut nodes: Vec<Node>, cap: usize) -> Vec<Node> {
+fn str_pack_inner(mut nodes: Vec<Node>) -> Vec<Node> {
     let n = nodes.len();
-    let parent_count = n.div_ceil(cap);
-    let slab_count = (parent_count as f64).sqrt().ceil() as usize;
-    let slab_size = slab_count * cap;
-    nodes.sort_by(|a, b| {
-        a.bbox()
-            .center()
-            .x
-            .partial_cmp(&b.bbox().center().x)
-            .expect("finite")
-    });
-    let mut start = 0;
-    while start < n {
-        let end = (start + slab_size).min(n);
-        nodes[start..end].sort_by(|a, b| {
-            a.bbox()
-                .center()
-                .y
-                .partial_cmp(&b.bbox().center().y)
-                .expect("finite")
-        });
-        start = end;
+    let slab_size = slab_size(n);
+    nodes.sort_by(|a, b| a.bbox().center().x.total_cmp(&b.bbox().center().x));
+    for slab in nodes.chunks_mut(slab_size) {
+        slab.sort_by(|a, b| a.bbox().center().y.total_cmp(&b.bbox().center().y));
     }
-    // Slab width is a multiple of cap, so cap-sized chunks never straddle a
-    // slab boundary; consume the nodes without cloning subtrees.
-    let mut parents = Vec::with_capacity(parent_count);
+    // Slab width is a multiple of the capacity, so full chunks never
+    // straddle a slab boundary; consume the nodes without cloning subtrees.
+    let mut parents = Vec::with_capacity(n.div_ceil(NODE_CAPACITY));
     let mut iter = nodes.into_iter();
     loop {
-        let children: Vec<Node> = iter.by_ref().take(cap).collect();
+        let children: Vec<Node> = iter.by_ref().take(NODE_CAPACITY).collect();
         if children.is_empty() {
             break;
         }
-        let mut parent = Node::Inner {
-            bbox: BoundingBox::empty(),
+        parents.push(Node::Inner {
+            bbox: children
+                .iter()
+                .fold(BoundingBox::empty(), |b, c| b.union(c.bbox())),
             children,
-        };
-        parent.recompute_bbox();
-        parents.push(parent);
+        });
     }
     parents
 }
 
-fn check_rec(
-    node: &Node,
-    depth: usize,
-    max: usize,
-    leaf_depths: &mut Vec<usize>,
-) -> Result<usize, String> {
+/// Items per STR slab when packing `n` items: √(node count) nodes' worth.
+fn slab_size(n: usize) -> usize {
+    let node_count = n.div_ceil(NODE_CAPACITY);
+    (node_count as f64).sqrt().ceil() as usize * NODE_CAPACITY
+}
+
+fn check_rec(node: &Node, depth: usize, leaf_depths: &mut Vec<usize>) -> Result<usize, String> {
     match node {
         Node::Leaf { bbox, entries } => {
             if entries.is_empty() {
                 return Err("empty leaf".into());
             }
-            if entries.len() > max {
+            if entries.len() > NODE_CAPACITY {
                 return Err(format!("leaf occupancy {} over capacity", entries.len()));
             }
             let tight = BoundingBox::from_points(entries.iter().map(|e| e.pos));
@@ -558,7 +311,7 @@ fn check_rec(
             if children.is_empty() {
                 return Err("empty inner node".into());
             }
-            if children.len() > max {
+            if children.len() > NODE_CAPACITY {
                 return Err(format!("inner occupancy {} over capacity", children.len()));
             }
             let tight = children
@@ -569,7 +322,7 @@ fn check_rec(
             }
             let mut count = 0;
             for c in children {
-                count += check_rec(c, depth + 1, max, leaf_depths)?;
+                count += check_rec(c, depth + 1, leaf_depths)?;
             }
             Ok(count)
         }
@@ -623,38 +376,12 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        let t = RTree::default();
+        let t = RTree::bulk_load(Vec::new());
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert!(t.within_radius(&Point::origin(), 100.0).is_empty());
         assert!(t.nearest(&Point::origin(), 3).is_empty());
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_and_len() {
-        let mut t = RTree::default();
-        for e in random_entries(100, 1) {
-            t.insert(e);
-        }
-        assert_eq!(t.len(), 100);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_radius_matches_brute_force() {
-        let entries = random_entries(300, 2);
-        let mut t = RTree::new(5);
-        for e in &entries {
-            t.insert(*e);
-        }
-        t.check_invariants().unwrap();
-        for (i, r) in [(0, 50.0), (1, 200.0), (2, 700.0), (3, 0.0)] {
-            let center = Point::new(i as f64 * 100.0 - 150.0, 50.0);
-            let got = t.within_radius(&center, r);
-            let want = brute_force_within(&entries, &center, r);
-            assert_eq!(sorted_ids(&got), sorted_ids(&want), "radius {r}");
-        }
     }
 
     #[test]
@@ -685,20 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn range_query_matches_filter() {
-        let entries = random_entries(200, 4);
-        let t = RTree::bulk_load(entries.clone());
-        let q = BoundingBox::new(Point::new(-200.0, -300.0), Point::new(250.0, 100.0));
-        let got = t.range(&q);
-        let want: Vec<Entry> = entries
-            .iter()
-            .filter(|e| q.contains(&e.pos))
-            .copied()
-            .collect();
-        assert_eq!(sorted_ids(&got), sorted_ids(&want));
-    }
-
-    #[test]
     fn knn_matches_brute_force() {
         let entries = random_entries(400, 5);
         let t = RTree::bulk_load(entries.clone());
@@ -715,26 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn knn_on_inserted_tree() {
-        let entries = random_entries(150, 6);
-        let mut t = RTree::new(4);
-        for e in &entries {
-            t.insert(*e);
-        }
-        let got = t.nearest(&Point::origin(), 10);
-        let want = brute_force_nearest(&entries, &Point::origin(), 10);
-        let got_ids: Vec<u32> = got.iter().map(|n| n.entry.id).collect();
-        let want_ids: Vec<u32> = want.iter().map(|n| n.entry.id).collect();
-        assert_eq!(got_ids, want_ids);
-    }
-
-    #[test]
     fn duplicate_positions_are_kept() {
         let p = Point::new(5.0, 5.0);
-        let mut t = RTree::new(4);
-        for id in 0..20 {
-            t.insert(Entry::new(p, id));
-        }
+        let t = RTree::bulk_load((0..20).map(|id| Entry::new(p, id)).collect());
         assert_eq!(t.len(), 20);
         t.check_invariants().unwrap();
         assert_eq!(t.within_radius(&p, 0.0).len(), 20);
@@ -758,9 +454,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-finite")]
-    fn insert_rejects_nan() {
-        let mut t = RTree::default();
-        t.insert(Entry::new(Point::new(f64::NAN, 0.0), 0));
+    #[should_panic(expected = "cannot index non-finite positions")]
+    fn bulk_load_rejects_non_finite() {
+        RTree::bulk_load(vec![Entry::new(Point::new(f64::NAN, 0.0), 0)]);
     }
 }

@@ -2,18 +2,16 @@
 //!
 //! The VP-tree partitions entries by distance to a *vantage point*: the
 //! median distance µ splits the remaining items into an inner ball
-//! (`d < µ`) and an outer shell (`d ≥ µ`). Radius and k-NN searches prune a
-//! side whenever the triangle inequality proves it cannot contain a match.
+//! (`d < µ`) and an outer shell (`d ≥ µ`). Radius searches prune a side
+//! whenever the triangle inequality proves it cannot contain a match.
 //!
 //! The layout is the textbook one — one heap-allocated node per entry —
 //! which is exactly why the paper's Figure 7(a) finds the VP-tree to be the
 //! most memory-hungry representation. We keep that layout deliberately (see
 //! DESIGN.md) rather than flattening it into an arena.
 
-use crate::{Entry, Neighbor, SpatialIndex};
+use crate::{Entry, SpatialIndex};
 use enviro_geo::Point;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A static vantage-point tree over point [`Entry`]s.
 ///
@@ -150,94 +148,6 @@ impl SpatialIndex for VpTree {
         }
         rec(&self.root, center, radius, visit);
     }
-
-    fn nearest(&self, center: &Point, k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.root.is_none() {
-            return Vec::new();
-        }
-        // Max-heap of the best k seen so far, keyed by distance (ties: id).
-        struct Cand {
-            distance: f64,
-            entry: Entry,
-        }
-        impl PartialEq for Cand {
-            fn eq(&self, other: &Self) -> bool {
-                self.distance == other.distance && self.entry.id == other.entry.id
-            }
-        }
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.distance
-                    .partial_cmp(&other.distance)
-                    .expect("finite distances")
-                    .then(self.entry.id.cmp(&other.entry.id))
-            }
-        }
-
-        fn rec(n: &Option<Box<VpNode>>, center: &Point, k: usize, heap: &mut BinaryHeap<Cand>) {
-            let Some(node) = n else { return };
-            let d = node.vantage.pos.distance(center);
-            if heap.len() < k {
-                heap.push(Cand {
-                    distance: d,
-                    entry: node.vantage,
-                });
-            } else if let Some(top) = heap.peek() {
-                if d < top.distance || (d == top.distance && node.vantage.id < top.entry.id) {
-                    heap.pop();
-                    heap.push(Cand {
-                        distance: d,
-                        entry: node.vantage,
-                    });
-                }
-            }
-            // Pruning radius: the worst of the best k (∞ until the heap is
-            // full). Recomputed after the first recursive call because that
-            // call may have tightened it.
-            let tau = |heap: &BinaryHeap<Cand>| {
-                if heap.len() < k {
-                    f64::INFINITY
-                } else {
-                    heap.peek().expect("non-empty").distance
-                }
-            };
-            // Visit the more promising side first to shrink tau early.
-            if d < node.mu {
-                rec(&node.inner, center, k, heap);
-                if d + tau(heap) >= node.mu {
-                    rec(&node.outer, center, k, heap);
-                }
-            } else {
-                rec(&node.outer, center, k, heap);
-                if d - tau(heap) < node.mu {
-                    rec(&node.inner, center, k, heap);
-                }
-            }
-        }
-
-        let mut heap = BinaryHeap::with_capacity(k + 1);
-        rec(&self.root, center, k, &mut heap);
-        let mut out: Vec<Neighbor> = heap
-            .into_iter()
-            .map(|c| Neighbor {
-                entry: c.entry,
-                distance: c.distance,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("finite")
-                .then(a.entry.id.cmp(&b.entry.id))
-        });
-        out
-    }
 }
 
 /// Recursive build: first entry is the vantage; the rest are partitioned
@@ -298,7 +208,7 @@ impl enviro_memsize::DeepSize for VpTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{brute_force_nearest, brute_force_within};
+    use crate::brute_force_within;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -326,7 +236,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert!(t.within_radius(&Point::origin(), 10.0).is_empty());
-        assert!(t.nearest(&Point::origin(), 5).is_empty());
         t.check_invariants().unwrap();
     }
 
@@ -371,26 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let entries = random_entries(350, 12);
-        let t = VpTree::build(entries.clone());
-        let center = Point::new(-123.0, 88.0);
-        for k in [1, 3, 10, 50, 350, 400] {
-            let got = t.nearest(&center, k);
-            let want = brute_force_nearest(&entries, &center, k);
-            assert_eq!(got.len(), want.len(), "k={k}");
-            for (g, w) in got.iter().zip(&want) {
-                assert!(
-                    (g.distance - w.distance).abs() < 1e-9,
-                    "k={k}: {} vs {}",
-                    g.distance,
-                    w.distance
-                );
-            }
-        }
-    }
-
-    #[test]
     fn duplicate_positions_kept() {
         let p = Point::new(7.0, -7.0);
         let entries: Vec<Entry> = (0..25).map(|i| Entry::new(p, i)).collect();
@@ -413,11 +302,11 @@ mod tests {
         let entries = random_entries(100, 14);
         let a = VpTree::build(entries.clone());
         let b = VpTree::build(entries);
-        let qa = a.nearest(&Point::origin(), 10);
-        let qb = b.nearest(&Point::origin(), 10);
+        let qa = a.within_radius(&Point::origin(), 200.0);
+        let qb = b.within_radius(&Point::origin(), 200.0);
         assert_eq!(qa.len(), qb.len());
         for (x, y) in qa.iter().zip(&qb) {
-            assert_eq!(x.entry.id, y.entry.id);
+            assert_eq!(x.id, y.id);
         }
     }
 

@@ -98,35 +98,29 @@ impl Default for TransportConfig {
     }
 }
 
-/// The pause gate workers park at between envelopes (also used by the
-/// ingest maintenance worker, so tests can pin deterministic publication
-/// points).
+/// The pause gate workers park at between envelopes.
 #[derive(Debug, Default)]
-pub(crate) struct Gate {
+struct Gate {
     paused: Mutex<bool>,
     resumed: Condvar,
 }
 
 impl Gate {
-    pub(crate) fn new(paused: bool) -> Self {
+    fn new(paused: bool) -> Self {
         Self {
             paused: Mutex::new(paused),
             resumed: Condvar::new(),
         }
     }
 
-    pub(crate) fn pause(&self) {
-        *self.paused.lock().unwrap_or_else(PoisonError::into_inner) = true;
-    }
-
-    pub(crate) fn resume(&self) {
+    fn resume(&self) {
         // A poisoned lock only means a worker panicked mid-serve; the gate
         // state itself (a bool) cannot be torn, so continue with it.
         *self.paused.lock().unwrap_or_else(PoisonError::into_inner) = false;
         self.resumed.notify_all();
     }
 
-    pub(crate) fn wait_until_resumed(&self) {
+    fn wait_until_resumed(&self) {
         let mut paused = self.paused.lock().unwrap_or_else(PoisonError::into_inner);
         while *paused {
             paused = self

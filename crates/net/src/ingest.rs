@@ -19,11 +19,9 @@
 //! appending it twice. (A client is stop-and-wait per chunk, so one
 //! remembered sequence number per source suffices.)
 
-use crate::concurrent::Gate;
 use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, Window};
 use enviro_memsize::DeepSize;
 use enviro_meter::{AdKmnConfig, CoverBuilder, CoverRegistry, ModelCover, PublishedCover};
-use enviro_schedule::sync::atomic::{AtomicBool, Ordering};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
 use enviro_storage::{StorageError, WalConfig, WalStore};
@@ -86,6 +84,11 @@ pub struct IngestOutcome {
 }
 
 /// Everything guarded by the ingest lock (the ack path's only lock).
+///
+/// The maintenance worker's wait predicate reads `dirty`, `paused` and
+/// `shutdown`, so each is written only under this lock: a write outside it
+/// could land between the worker's check and its park on
+/// `IngestState::work`, and the notify that follows would be lost.
 #[derive(Debug)]
 struct Inner {
     wal: WalStore,
@@ -94,6 +97,11 @@ struct Inner {
     /// Windows with data not yet reflected in the published covers.
     dirty: BTreeSet<u64>,
     stats: IngestStats,
+    /// Test hook: while set, the worker starts no rebuild pass, letting a
+    /// test pin "queries are served mid-rebuild" without racing the worker.
+    paused: bool,
+    /// Set once when the owning [`ModelMaintenance`] is dropped.
+    shutdown: bool,
 }
 
 /// Shared state of an ingesting server: WAL + dedup on the hot path, cover
@@ -101,13 +109,9 @@ struct Inner {
 #[derive(Debug)]
 pub struct IngestState {
     inner: Mutex<Inner>,
-    /// Signalled when the dirty set grows or shutdown is requested.
+    /// Signalled when the dirty set grows, rebuilds resume, or shutdown is
+    /// requested.
     work: Condvar,
-    shutdown: AtomicBool,
-    /// Test hook: while paused, the worker parks *before* each rebuild
-    /// pass, letting a test pin "queries are served mid-rebuild" without
-    /// racing the worker.
-    rebuild_gate: Gate,
     registry: CoverRegistry,
     config: IngestConfig,
     builder: CoverBuilder,
@@ -138,10 +142,10 @@ impl IngestState {
                 dedup: HashMap::new(),
                 dirty,
                 stats,
+                paused: false,
+                shutdown: false,
             }),
             work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            rebuild_gate: Gate::new(false),
             registry: CoverRegistry::new(),
             config,
             builder,
@@ -328,12 +332,13 @@ impl IngestState {
     /// Parks the maintenance worker before its next rebuild pass (test
     /// hook; queries and ingest acks are unaffected).
     pub fn pause_rebuilds(&self) {
-        self.rebuild_gate.pause();
+        self.lock().paused = true;
     }
 
     /// Releases a paused maintenance worker.
     pub fn resume_rebuilds(&self) {
-        self.rebuild_gate.resume();
+        self.lock().paused = false;
+        self.work.notify_all();
     }
 
     /// `true` while there are dirty windows awaiting a maintenance pass.
@@ -362,25 +367,9 @@ impl IngestState {
         self.registry.check_invariants()
     }
 
-    /// Wakes the worker and tells it to exit. Idempotent.
+    /// Wakes the worker and tells it to exit, paused or not. Idempotent.
     fn request_shutdown(&self) {
-        {
-            // The store MUST happen under the ingest lock: the worker
-            // evaluates its wait predicate (dirty-set + this flag) while
-            // holding it, so an unlocked store can land between that check
-            // and the park on `work` — the notify below is then lost and
-            // the worker sleeps through its own shutdown. Found by the
-            // `maintenance-pause-resume` model harness (schedule #40,
-            // bound 2); see DESIGN.md "Concurrency model".
-            let _inner = self.lock();
-            // ordering: Release pairs with the Acquire loads in
-            // `maintenance_loop` — a worker that observes the flag also
-            // observes everything the dropping thread did before
-            // requesting shutdown. (The flag is re-checked outside the
-            // lock after the gate, so the pairing is kept explicit.)
-            self.shutdown.store(true, Ordering::Release);
-        }
-        self.rebuild_gate.resume();
+        self.lock().shutdown = true;
         self.work.notify_all();
     }
 
@@ -389,24 +378,15 @@ impl IngestState {
         loop {
             {
                 let mut inner = self.lock();
-                // ordering: Acquire pairs with the Release store in
-                // `request_shutdown` (see there).
-                while inner.dirty.is_empty() && !self.shutdown.load(Ordering::Acquire) {
+                while !inner.shutdown && (inner.paused || inner.dirty.is_empty()) {
                     inner = self
                         .work
                         .wait(inner)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
-            }
-            // ordering: Acquire — same pairing as the loop condition above.
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            self.rebuild_gate.wait_until_resumed();
-            // ordering: Acquire — re-checked after the gate so a shutdown
-            // that raced the pause/resume window still exits promptly.
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
+                if inner.shutdown {
+                    return;
+                }
             }
             if self.rebuild_dirty_now().is_err() {
                 // Counted in stats; the windows stay dirty only if new data

@@ -37,6 +37,12 @@ pub fn parse_segment_file_name(name: &str) -> Option<u32> {
     rest.parse().ok()
 }
 
+/// Fsyncs directory `dir`. POSIX makes a created or renamed name durable
+/// only once its directory is synced; a file's own fsync does not.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// An open segment accepting appended batches.
 #[derive(Debug)]
 pub struct SegmentWriter {
@@ -48,7 +54,8 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Creates a new segment file (fails if it already exists).
+    /// Creates a new segment file (fails if it already exists) and syncs
+    /// `dir`, so the new name survives a power cut.
     pub fn create(dir: &Path, seq: u32) -> io::Result<Self> {
         let path = dir.join(segment_file_name(seq));
         let mut file = OpenOptions::new()
@@ -60,6 +67,7 @@ impl SegmentWriter {
         header.put_u32_le(VERSION);
         header.put_u32_le(seq);
         file.write_all(&header)?;
+        sync_dir(dir)?;
         Ok(Self {
             file,
             path,

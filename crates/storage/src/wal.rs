@@ -36,7 +36,7 @@
 //! ```
 
 use crate::segment::{
-    parse_segment_file_name, read_segment, segment_file_name, SegmentWriter, HEADER_SIZE,
+    parse_segment_file_name, read_segment, segment_file_name, sync_dir, SegmentWriter, HEADER_SIZE,
 };
 use enviro_data::{RawTuple, Timestamp};
 use enviro_memsize::DeepSize;
@@ -151,8 +151,6 @@ pub struct WalStats {
 #[derive(Debug)]
 pub struct WalStore {
     dir: PathBuf,
-    wal_dir: PathBuf,
-    windows_dir: PathBuf,
     config: WalConfig,
     writer: SegmentWriter,
     /// `(seq, clean bytes)` of every live WAL segment, active one last.
@@ -186,12 +184,14 @@ impl WalStore {
             )));
         }
         let dir = dir.as_ref().to_path_buf();
-        let wal_dir = dir.join("wal");
-        let windows_dir = dir.join("windows");
-        std::fs::create_dir_all(&dir)?;
-        check_window_record(&dir, config.window_secs)?;
+        let wal_dir = dir.join(WAL_DIR);
+        let windows_dir = dir.join(WINDOWS_DIR);
+        // The subdirectories come first: a new store's window record is
+        // renamed into `dir` and `dir` synced, which makes their names
+        // durable too.
         std::fs::create_dir_all(&wal_dir)?;
         std::fs::create_dir_all(&windows_dir)?;
+        check_window_record(&dir, config.window_secs)?;
 
         // 1. Sealed windows. A segment file not named by the manifest is
         //    the residue of a crash between writing the segment and the
@@ -221,8 +221,9 @@ impl WalStore {
 
         // 2. WAL replay. No manifest = every discovered segment is live.
         let mut wal_seqs = discover_segments(&wal_dir)?;
-        if let Some(live) = read_manifest(&wal_dir)? {
-            remove_unlisted(&wal_dir, &wal_seqs, &live);
+        let listed = read_manifest(&wal_dir)?;
+        if let Some(live) = &listed {
+            remove_unlisted(&wal_dir, &wal_seqs, live);
             wal_seqs.retain(|s| live.contains(s));
         }
         let mut wal_segments = Vec::with_capacity(wal_seqs.len());
@@ -277,7 +278,11 @@ impl WalStore {
             }
         };
         let seqs: Vec<u32> = wal_segments.iter().map(|&(s, _)| s).collect();
-        write_manifest(&wal_dir, &seqs)?;
+        // An unchanged manifest is kept: rewriting it costs a file and a
+        // directory fsync on every open.
+        if listed.as_deref() != Some(seqs.as_slice()) {
+            write_manifest(&wal_dir, &seqs)?;
+        }
 
         let durable_tuples = sealed
             .values()
@@ -286,8 +291,6 @@ impl WalStore {
             .sum();
         let store = Self {
             dir,
-            wal_dir,
-            windows_dir,
             config,
             writer,
             wal_segments,
@@ -523,13 +526,14 @@ impl WalStore {
     /// map. The WAL still holds the tuples until [`Self::compact_wal`].
     fn seal_one(&mut self, id: u64) -> Result<(), StorageError> {
         let seq = u32::try_from(id).map_err(|_| StorageError::InvalidSegment {
-            path: self.windows_dir.clone(),
+            path: self.dir.join(WINDOWS_DIR),
             reason: format!("window id {id} exceeds the segment naming range"),
         })?;
         let Some(mem) = self.memtables.get(&id) else {
             return Ok(());
         };
-        let mut w = SegmentWriter::create(&self.windows_dir, seq)?;
+        let windows_dir = self.dir.join(WINDOWS_DIR);
+        let mut w = SegmentWriter::create(&windows_dir, seq)?;
         w.append_batch(mem)?;
         w.sync()?;
         // Sealed keys always fit u32 (they were sealed through this same
@@ -541,7 +545,7 @@ impl WalStore {
             .collect();
         live.push(seq);
         live.sort_unstable();
-        write_manifest(&self.windows_dir, &live)?;
+        write_manifest(&windows_dir, &live)?;
         if let Some(mem) = self.memtables.remove(&id) {
             self.sealed.insert(id, mem);
         }
@@ -559,16 +563,17 @@ impl WalStore {
         let old_seqs: Vec<u32> = self.wal_segments.iter().map(|&(s, _)| s).collect();
         let compacted_seq = self.writer.seq() + 1;
         let active_seq = compacted_seq + 1;
-        let mut compacted = SegmentWriter::create(&self.wal_dir, compacted_seq)?;
+        let wal_dir = self.dir.join(WAL_DIR);
+        let mut compacted = SegmentWriter::create(&wal_dir, compacted_seq)?;
         for mem in self.memtables.values() {
             compacted.append_batch(mem)?;
         }
         compacted.sync()?;
         let compacted_bytes = compacted.len();
-        let active = SegmentWriter::create(&self.wal_dir, active_seq)?;
+        let active = SegmentWriter::create(&wal_dir, active_seq)?;
         let live = [compacted_seq, active_seq];
-        write_manifest(&self.wal_dir, &live)?;
-        remove_unlisted(&self.wal_dir, &old_seqs, &live);
+        write_manifest(&wal_dir, &live)?;
+        remove_unlisted(&wal_dir, &old_seqs, &live);
         self.wal_segments = vec![
             (compacted_seq, compacted_bytes),
             (active_seq, HEADER_SIZE as u64),
@@ -581,10 +586,11 @@ impl WalStore {
     fn rotate_wal(&mut self) -> Result<(), StorageError> {
         self.writer.sync()?;
         let next_seq = self.writer.seq() + 1;
-        self.writer = SegmentWriter::create(&self.wal_dir, next_seq)?;
+        let wal_dir = self.dir.join(WAL_DIR);
+        self.writer = SegmentWriter::create(&wal_dir, next_seq)?;
         self.wal_segments.push((next_seq, HEADER_SIZE as u64));
         let seqs: Vec<u32> = self.wal_segments.iter().map(|&(s, _)| s).collect();
-        write_manifest(&self.wal_dir, &seqs)?;
+        write_manifest(&wal_dir, &seqs)?;
         Ok(())
     }
 }
@@ -592,7 +598,9 @@ impl WalStore {
 impl DeepSize for WalStore {
     fn heap_size(&self) -> usize {
         // BTreeMap node overhead is approximated by the entry payloads;
-        // what matters for capacity planning is the tuple buffers.
+        // what matters for capacity planning is the tuple buffers. The
+        // store's path is not counted: it is deployment configuration, and
+        // counting it would make the figure depend on where the store lives.
         let windows: usize = self
             .memtables
             .values()
@@ -602,9 +610,6 @@ impl DeepSize for WalStore {
         windows
             + self.scratch.heap_size()
             + self.wal_segments.capacity() * std::mem::size_of::<(u32, u64)>()
-            + self.dir.as_os_str().len()
-            + self.wal_dir.as_os_str().len()
-            + self.windows_dir.as_os_str().len()
     }
 }
 
@@ -632,6 +637,12 @@ fn remove_unlisted(dir: &Path, seqs: &[u32], live: &[u32]) {
     }
 }
 
+/// The WAL segments' subdirectory of a store.
+const WAL_DIR: &str = "wal";
+
+/// The sealed window segments' subdirectory of a store.
+const WINDOWS_DIR: &str = "windows";
+
 /// Manifest file name (one per segment directory).
 const MANIFEST: &str = "MANIFEST";
 
@@ -647,7 +658,8 @@ fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
     }
 }
 
-/// Writes `dir/name` atomically (temp file + fsync + rename).
+/// Writes `dir/name` atomically (temp file + fsync + rename + directory
+/// fsync).
 fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<(), StorageError> {
     let tmp = dir.join(format!("{name}.tmp"));
     {
@@ -656,6 +668,7 @@ fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<(), StorageError> 
         f.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(name))?;
+    sync_dir(dir)?;
     Ok(())
 }
 
@@ -950,6 +963,25 @@ mod tests {
             "{after} vs {before}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn deep_size_does_not_depend_on_the_store_path() {
+        let dirs = [tempdir("path"), tempdir("path-with-a-much-longer-name")];
+        let sizes: Vec<usize> = dirs
+            .iter()
+            .map(|dir| {
+                let mut w = WalStore::open(dir, small(80)).unwrap();
+                for i in 0..4 {
+                    w.append_batch(&[tuple(i * 60, 1.0)]).unwrap();
+                }
+                w.seal_windows_before(1).unwrap();
+                let size = w.deep_size_of();
+                std::fs::remove_dir_all(dir).unwrap();
+                size
+            })
+            .collect();
+        assert_eq!(sizes[0], sizes[1]);
     }
 
     #[test]
