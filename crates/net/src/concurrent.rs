@@ -12,26 +12,35 @@
 //! platform and window metadata are immutable after construction. Workers
 //! therefore need no locks on the hot path.
 //!
+//! The hand-off is two purpose-built structures, each one mutex plus one
+//! condvar. A `Shard` is one worker's request queue, with the pause flag
+//! folded into the same lock; a `Mailbox` is one session's reply queue.
+//! Each side records under its lock whether its owner is parked, and the
+//! peer notifies only a parked owner, so a frame served to a busy peer
+//! costs no wake-up syscall. Every queued request carries a `ReplyTo`
+//! guard that answers "lost" if it is dropped unanswered; a worker that
+//! exits, by shutdown or by panic, closes its shard and drops what is still
+//! queued, so no session waits on a worker that is gone.
+//!
 //! Buffers circulate instead of being allocated: a worker swaps each
 //! request buffer into service as the next reply buffer, and a [`Session`]
-//! pools the reply buffers it gets back for its next request. In steady
-//! state a session ↔ worker pair recycles the same two or three `Vec`s
-//! forever (the channel internals are the only allocator traffic).
+//! pools the reply buffers it gets back for its next request. Queue and
+//! mailbox capacity is reserved up front, so in steady state a session ↔
+//! worker pair recycles the same two or three `Vec`s forever and the
+//! hand-off allocates nothing.
 
 use crate::codec::WireCodec;
 use crate::protocol::Response;
 use crate::server::EnviroServer;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use enviro_schedule::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use enviro_schedule::sync::{Arc, Condvar, Mutex, PoisonError};
+use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
 use std::collections::VecDeque;
 
 /// Maximum unacknowledged requests a [`Session`] may pipeline.
 ///
-/// This equals the session's reply-queue capacity, so a worker can always
-/// deposit every outstanding reply without blocking — which is what makes
-/// the design deadlock-free by construction.
+/// This is the capacity reserved in the session's reply mailbox, so a
+/// worker posts every outstanding reply without blocking or allocating.
 pub const PIPELINE_MAX: usize = 64;
 
 /// Default per-worker request queue depth.
@@ -81,7 +90,7 @@ pub struct TransportConfig {
     pub max_queue: usize,
     /// The backoff hint carried by shed [`Response::Busy`] frames, ms.
     pub retry_after_ms: u32,
-    /// Spawn with every worker parked at a gate until
+    /// Spawn with every worker paused until
     /// [`ConcurrentTransport::resume_workers`] — lets tests fill queues to
     /// a deterministic depth before anything drains.
     pub start_paused: bool,
@@ -98,57 +107,216 @@ impl Default for TransportConfig {
     }
 }
 
-/// The pause gate workers park at between envelopes.
-#[derive(Debug, Default)]
-struct Gate {
-    paused: Mutex<bool>,
-    resumed: Condvar,
+/// One worker's request queue. Producers are the sessions and one-shot
+/// calls routed to it; the consumer is its worker alone.
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Signalled, only while `parked`, when the worker has cause to look
+    /// again: a request arrived, or the shard was resumed or closed.
+    wake: Condvar,
 }
 
-impl Gate {
-    fn new(paused: bool) -> Self {
+struct ShardState {
+    queue: VecDeque<Envelope>,
+    cap: usize,
+    /// Held by [`TransportConfig::start_paused`] until resumed: queued
+    /// envelopes wait.
+    paused: bool,
+    /// No more envelopes are accepted; the worker drains and exits.
+    closed: bool,
+    /// The worker is waiting on `wake`.
+    parked: bool,
+}
+
+/// Why [`Shard::push`] refused a request.
+enum Rejected {
+    /// The queue is at capacity; the request buffer comes back for reuse.
+    Full(Vec<u8>),
+    /// The worker is gone.
+    Closed,
+}
+
+impl Shard {
+    fn new(cap: usize, paused: bool) -> Self {
         Self {
-            paused: Mutex::new(paused),
-            resumed: Condvar::new(),
+            state: Mutex::new(ShardState {
+                queue: VecDeque::with_capacity(cap),
+                cap,
+                paused,
+                closed: false,
+                parked: false,
+            }),
+            wake: Condvar::new(),
         }
     }
 
-    fn resume(&self) {
-        // A poisoned lock only means a worker panicked mid-serve; the gate
-        // state itself (a bool) cannot be torn, so continue with it.
-        *self.paused.lock().unwrap_or_else(PoisonError::into_inner) = false;
-        self.resumed.notify_all();
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        // Every update under this lock is a single field write or queue
+        // push/pop, and no other code runs while it is held, so the state
+        // is valid even if a holder panicked.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wait_until_resumed(&self) {
-        let mut paused = self.paused.lock().unwrap_or_else(PoisonError::into_inner);
-        while *paused {
-            paused = self
-                .resumed
-                .wait(paused)
-                .unwrap_or_else(PoisonError::into_inner);
+    /// Applies `change` under the lock, then wakes the worker if it is
+    /// parked. Clearing `parked` here makes a burst of changes cost one
+    /// notify.
+    fn update<R>(&self, change: impl FnOnce(&mut ShardState) -> R) -> R {
+        let mut st = self.lock();
+        let out = change(&mut st);
+        let wake = std::mem::take(&mut st.parked);
+        drop(st);
+        if wake {
+            self.wake.notify_one();
+        }
+        out
+    }
+
+    /// Queues `request` for the worker, to be answered into `mailbox`.
+    fn push(&self, request: Vec<u8>, mailbox: &Arc<Mailbox>) -> Result<(), Rejected> {
+        self.update(|st| {
+            if st.closed {
+                return Err(Rejected::Closed);
+            }
+            if st.queue.len() >= st.cap {
+                return Err(Rejected::Full(request));
+            }
+            st.queue.push_back(Envelope {
+                request,
+                reply_to: ReplyTo(Some(Arc::clone(mailbox))),
+            });
+            Ok(())
+        })
+    }
+
+    /// The worker's next envelope, parking while the queue is empty or
+    /// paused; `None` once the shard is closed and drained.
+    fn next(&self) -> Option<Envelope> {
+        let mut st = self.lock();
+        loop {
+            if !st.paused {
+                if let Some(envelope) = st.queue.pop_front() {
+                    return Some(envelope);
+                }
+                if st.closed {
+                    return None;
+                }
+            }
+            st.parked = true;
+            st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.parked = false;
         }
     }
 }
 
-/// A request envelope: opaque bytes plus the reply channel of the issuing
-/// session.
+/// Retires its shard when the worker exits, however it exits: closes it
+/// for good and drops every envelope still queued, so each one's mailbox
+/// is told its request was lost.
+struct RetireOnExit<'a>(&'a Shard);
+
+impl Drop for RetireOnExit<'_> {
+    fn drop(&mut self) {
+        let orphans = {
+            let mut st = self.0.lock();
+            st.closed = true;
+            std::mem::take(&mut st.queue)
+        };
+        // Dropped outside the shard lock: each drop posts to a mailbox,
+        // and the two locks are never nested.
+        drop(orphans);
+    }
+}
+
+/// One session's (or one call's) replies, in send order: `Some(buffer)`
+/// for an answer, `None` for a request lost with its worker.
+struct Mailbox {
+    state: Mutex<MailboxState>,
+    /// Signalled, only while `parked`, when a reply is posted.
+    posted: Condvar,
+}
+
+struct MailboxState {
+    replies: VecDeque<Option<Vec<u8>>>,
+    /// The owning session is waiting on `posted`.
+    parked: bool,
+}
+
+impl Mailbox {
+    fn new(capacity: usize) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::new(MailboxState {
+                replies: VecDeque::with_capacity(capacity),
+                parked: false,
+            }),
+            posted: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MailboxState> {
+        // As with the shard lock: single-step updates, no foreign code
+        // under the lock.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn post(&self, reply: Option<Vec<u8>>) {
+        let mut st = self.lock();
+        st.replies.push_back(reply);
+        let wake = std::mem::take(&mut st.parked);
+        drop(st);
+        if wake {
+            self.posted.notify_one();
+        }
+    }
+
+    /// The next reply, parking until one is posted.
+    fn take(&self) -> Option<Vec<u8>> {
+        let mut st = self.lock();
+        loop {
+            if let Some(reply) = st.replies.pop_front() {
+                return reply;
+            }
+            st.parked = true;
+            st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.parked = false;
+        }
+    }
+}
+
+/// A worker's duty to answer one request. [`ReplyTo::deliver`] posts the
+/// reply; dropped undelivered (its worker panicked, or exited with the
+/// envelope still queued) it posts "lost", so the waiter never hangs.
+struct ReplyTo(Option<Arc<Mailbox>>);
+
+impl ReplyTo {
+    fn deliver(mut self, reply: Vec<u8>) {
+        if let Some(mailbox) = self.0.take() {
+            mailbox.post(Some(reply));
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if let Some(mailbox) = self.0.take() {
+            mailbox.post(None);
+        }
+    }
+}
+
+/// A request envelope: opaque bytes plus the duty to answer them.
 struct Envelope {
     request: Vec<u8>,
-    reply_to: Sender<Vec<u8>>,
+    reply_to: ReplyTo,
 }
 
 /// A pool of worker threads serving one shared [`EnviroServer`].
 ///
-/// Each worker owns its request queue (the vendored channel receiver is
-/// single-consumer); sessions and one-shot calls are assigned to shards
-/// round-robin. Dropping the transport closes every queue, lets the workers
-/// drain, and joins them.
+/// Each worker owns one shard; sessions and one-shot calls are assigned
+/// to shards round-robin. Dropping the transport closes every shard, lets
+/// the workers drain, and joins them.
 pub struct ConcurrentTransport {
-    shards: Vec<Sender<Envelope>>,
+    shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<()>>,
     next_shard: AtomicUsize,
-    gate: Arc<Gate>,
     /// The pre-encoded [`Response::Busy`] frame shed requests answer with
     /// (encoded once at spawn, in the server's codec).
     busy_frame: Vec<u8>,
@@ -192,30 +360,38 @@ impl ConcurrentTransport {
     {
         let workers = config.workers.max(1);
         let max_queue = config.max_queue.max(1);
-        let busy_frame = server.codec().encode_response(&Response::Busy {
-            retry_after_ms: config.retry_after_ms,
-        });
-        let gate = Arc::new(Gate::new(config.start_paused));
-        let mut shards = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
+        let mut transport = Self {
+            shards: Vec::with_capacity(workers),
+            workers: Vec::with_capacity(workers),
+            next_shard: AtomicUsize::new(0),
+            busy_frame: server.codec().encode_response(&Response::Busy {
+                retry_after_ms: config.retry_after_ms,
+            }),
+            shed: AtomicU64::new(0),
+        };
         for i in 0..workers {
-            let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = bounded(max_queue);
+            let shard = Arc::new(Shard::new(max_queue, config.start_paused));
             let server = Arc::clone(&server);
-            let gate = Arc::clone(&gate);
+            let worker_shard = Arc::clone(&shard);
+            // On `Err` the partial transport drops, closing and joining
+            // the workers already started.
             let handle = enviro_schedule::thread::Builder::new()
                 .name(format!("enviro-worker-{i}"))
-                .spawn(move || worker_loop(&server, &rx, &gate))?;
-            shards.push(tx);
-            handles.push(handle);
+                .spawn(move || {
+                    // A panic while serving ends this worker only. By the
+                    // time the unwind gets here `RetireOnExit` has closed
+                    // the shard and answered every envelope "lost", and
+                    // the panic hook has reported it; catching it makes
+                    // the exit as orderly as a shutdown, for `join` and
+                    // for the schedule checker alike.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        worker_loop(&server, &worker_shard);
+                    }));
+                })?;
+            transport.shards.push(shard);
+            transport.workers.push(handle);
         }
-        Ok(Self {
-            shards,
-            workers: handles,
-            next_shard: AtomicUsize::new(0),
-            gate,
-            busy_frame,
-            shed: AtomicU64::new(0),
-        })
+        Ok(transport)
     }
 
     /// Number of worker threads.
@@ -232,43 +408,37 @@ impl ConcurrentTransport {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Releases workers parked by [`TransportConfig::start_paused`].
+    /// Releases workers held by [`TransportConfig::start_paused`].
     pub fn resume_workers(&self) {
-        self.gate.resume();
+        for shard in &self.shards {
+            shard.update(|st| st.paused = false);
+        }
     }
 
-    /// Performs one request/response exchange (a fresh reply channel per
+    /// Performs one request/response exchange (a fresh reply mailbox per
     /// call). Sessions amortize that setup.
     ///
     /// When the chosen shard's queue is full the request is shed and the
     /// reply is a pre-encoded [`Response::Busy`] frame.
     pub fn call(&self, request: Vec<u8>) -> Result<Vec<u8>, TransportError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        let shard = self.pick_shard();
-        match self.shards[shard].try_send(Envelope {
-            request,
-            reply_to: reply_tx,
-        }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
+        let mailbox = Mailbox::new(1);
+        match self.shards[self.pick_shard()].push(request, &mailbox) {
+            Ok(()) => mailbox.take().ok_or(TransportError::Disconnected),
+            Err(Rejected::Full(_)) => {
                 // ordering: Relaxed — statistics only; see `shed_total`.
                 self.shed.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.busy_frame.clone());
+                Ok(self.busy_frame.clone())
             }
-            Err(TrySendError::Disconnected(_)) => return Err(TransportError::Disconnected),
+            Err(Rejected::Closed) => Err(TransportError::Disconnected),
         }
-        reply_rx.recv().map_err(|_| TransportError::Disconnected)
     }
 
     /// Opens a connection-like [`Session`] pinned to one worker shard.
     pub fn session(&self) -> Session<'_> {
-        let shard = self.pick_shard();
-        let (reply_tx, reply_rx) = bounded(PIPELINE_MAX);
         Session {
             transport: self,
-            shard,
-            reply_tx,
-            reply_rx,
+            shard: &self.shards[self.pick_shard()],
+            mailbox: Mailbox::new(PIPELINE_MAX),
             sources: VecDeque::new(),
             pool: Vec::new(),
             last: Vec::new(),
@@ -285,46 +455,44 @@ impl ConcurrentTransport {
 
 impl Drop for ConcurrentTransport {
     fn drop(&mut self) {
-        // Wake any workers parked at the pause gate so they can observe
-        // the closed queues, then close every request queue and join.
-        // Sessions borrow the transport, so none can be alive here.
-        self.gate.resume();
-        self.shards.clear();
+        // Close every shard (which also lifts a pause), let the workers
+        // drain what is queued, and join them. Sessions borrow the
+        // transport, so none can be alive here.
+        for shard in &self.shards {
+            shard.update(|st| {
+                st.paused = false;
+                st.closed = true;
+            });
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// One worker: serve envelopes until the queue closes, reusing one reply
-/// buffer by swapping it with each served request's buffer. The gate check
-/// runs before each receive so a paused transport accumulates queue depth
-/// deterministically.
-fn worker_loop<C: WireCodec>(server: &EnviroServer<C>, rx: &Receiver<Envelope>, gate: &Gate) {
+/// One worker: serve envelopes until the shard closes and drains, reusing
+/// one reply buffer by swapping it with each served request's buffer.
+fn worker_loop<C: WireCodec>(server: &EnviroServer<C>, shard: &Shard) {
+    let _retire = RetireOnExit(shard);
     let mut reply = Vec::new();
-    loop {
-        gate.wait_until_resumed();
-        let Ok(envelope) = rx.recv() else {
-            break;
-        };
-        let Envelope {
-            mut request,
-            reply_to,
-        } = envelope;
+    while let Some(Envelope {
+        mut request,
+        reply_to,
+    }) = shard.next()
+    {
         server.handle_bytes_into(&request, &mut reply);
         // Ship the reply in the request's allocation-slot and keep the
         // other buffer as the next reply scratch (`handle_bytes_into`
         // clears it before use).
         std::mem::swap(&mut request, &mut reply);
-        // A dropped reply channel just means the client gave up.
-        let _ = reply_to.send(request);
+        reply_to.deliver(request);
     }
 }
 
 /// Where the next in-order reply for a session comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReplySource {
-    /// A worker owes the session a reply over its queue.
+    /// A worker owes the session a reply through its mailbox.
     Wire,
     /// The request was shed; the reply is the transport's pre-encoded
     /// `Busy` frame.
@@ -332,7 +500,7 @@ enum ReplySource {
 }
 
 /// A per-connection handle: requests go to one pinned worker shard, replies
-/// come back in order over a private queue.
+/// come back in order through a private mailbox.
 ///
 /// Sessions support **pipelining**: up to [`PIPELINE_MAX`] requests may be
 /// sent before receiving their replies, which batch-oriented clients use to
@@ -341,9 +509,8 @@ enum ReplySource {
 /// slotted into that order via a per-session source ledger.
 pub struct Session<'t> {
     transport: &'t ConcurrentTransport,
-    shard: usize,
-    reply_tx: Sender<Vec<u8>>,
-    reply_rx: Receiver<Vec<u8>>,
+    shard: &'t Shard,
+    mailbox: Arc<Mailbox>,
     /// One entry per in-flight request, in send order.
     sources: VecDeque<ReplySource>,
     /// Reply buffers returned by [`Session::recv`], reused for requests.
@@ -367,36 +534,33 @@ impl Session<'_> {
         let mut request = self.pool.pop().unwrap_or_default();
         request.clear();
         encode(&mut request);
-        match self.transport.shards[self.shard].try_send(Envelope {
-            request,
-            reply_to: self.reply_tx.clone(),
-        }) {
+        match self.shard.push(request, &self.mailbox) {
             Ok(()) => self.sources.push_back(ReplySource::Wire),
-            Err(TrySendError::Full(envelope)) => {
+            Err(Rejected::Full(request)) => {
                 // ordering: Relaxed — statistics only; see `shed_total`.
                 self.transport.shed.fetch_add(1, Ordering::Relaxed);
                 if self.pool.len() < 4 {
-                    self.pool.push(envelope.request);
+                    self.pool.push(request);
                 }
                 self.sources.push_back(ReplySource::Shed);
             }
-            Err(TrySendError::Disconnected(_)) => return Err(TransportError::Disconnected),
+            Err(Rejected::Closed) => return Err(TransportError::Disconnected),
         }
         Ok(())
     }
 
     /// Receives the next pending reply, in send order. The returned slice
     /// is valid until the next `recv`/`call` on this session.
+    ///
+    /// A request whose worker died before answering it yields
+    /// [`TransportError::Disconnected`].
     pub fn recv(&mut self) -> Result<&[u8], TransportError> {
         let Some(source) = self.sources.pop_front() else {
             return Err(TransportError::NoPendingReply);
         };
         match source {
             ReplySource::Wire => {
-                let reply = self
-                    .reply_rx
-                    .recv()
-                    .map_err(|_| TransportError::Disconnected)?;
+                let reply = self.mailbox.take().ok_or(TransportError::Disconnected)?;
                 let prev = std::mem::replace(&mut self.last, reply);
                 if self.pool.len() < 4 {
                     self.pool.push(prev);
@@ -434,19 +598,81 @@ mod tests {
     use enviro_geo::Point;
     use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 
-    fn server() -> EnviroServer<BinaryCodec> {
+    fn platform() -> EnviroMeter {
         let sim = LausanneSim::lausanne(SimConfig {
             duration_secs: 3_600,
             seed: 3,
             ..SimConfig::default()
         });
-        let platform = EnviroMeter::new(
+        EnviroMeter::new(
             sim.generate(),
             WindowSpec::ByDuration(3_600),
             AdKmnConfig::default(),
             1_000.0,
+        )
+    }
+
+    fn server() -> EnviroServer<BinaryCodec> {
+        EnviroServer::new(platform(), BinaryCodec, QueryMethod::ModelCover)
+    }
+
+    /// A frame whose decoding panics under [`ProbeCodec`].
+    const POISON: &[u8] = b"poison";
+
+    /// The binary codec, except that it counts the requests it decodes and
+    /// panics on [`POISON`] — a stand-in for any bug that kills a worker
+    /// mid-request.
+    struct ProbeCodec {
+        decoded: Arc<AtomicUsize>,
+    }
+
+    impl WireCodec for ProbeCodec {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn encode_request_into(&self, req: &Request, out: &mut Vec<u8>) {
+            BinaryCodec.encode_request_into(req, out);
+        }
+
+        fn decode_request(&self, bytes: &[u8]) -> Result<Request, crate::codec::CodecError> {
+            assert_ne!(bytes, POISON, "poison frame");
+            // ordering: Relaxed — a test tally, read after the workers
+            // are joined.
+            self.decoded.fetch_add(1, Ordering::Relaxed);
+            BinaryCodec.decode_request(bytes)
+        }
+
+        fn encode_response_into(&self, resp: &Response, out: &mut Vec<u8>) {
+            BinaryCodec.encode_response_into(resp, out);
+        }
+
+        fn decode_response(&self, bytes: &[u8]) -> Result<Response, crate::codec::CodecError> {
+            BinaryCodec.decode_response(bytes)
+        }
+    }
+
+    /// One paused worker over a [`ProbeCodec`] server, and the codec's
+    /// decode tally.
+    fn paused_probe_transport() -> (ConcurrentTransport, Arc<AtomicUsize>) {
+        let decoded = Arc::new(AtomicUsize::new(0));
+        let server = EnviroServer::new(
+            platform(),
+            ProbeCodec {
+                decoded: Arc::clone(&decoded),
+            },
+            QueryMethod::ModelCover,
         );
-        EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
+        let transport = ConcurrentTransport::spawn_shared_with(
+            Arc::new(server),
+            TransportConfig {
+                workers: 1,
+                start_paused: true,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
+        (transport, decoded)
     }
 
     fn query_bytes(i: i64) -> Vec<u8> {
@@ -567,6 +793,71 @@ mod tests {
             BinaryCodec.decode_response(reply).unwrap(),
             Response::Value { .. }
         ));
+    }
+
+    /// A worker that panics mid-request takes its shard down with it, but
+    /// no waiter hangs: the request it was serving, the requests queued
+    /// behind it (from a session or a one-shot call) and anything sent to
+    /// the shard afterwards all fail with `Disconnected`. The exchange runs
+    /// on its own thread behind a watchdog, so a hang fails the test.
+    #[test]
+    fn worker_death_disconnects_every_waiter() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (t, _) = paused_probe_transport();
+            let mut first = t.session();
+            let mut second = t.session();
+            first
+                .send_with(|out| out.extend_from_slice(POISON))
+                .unwrap();
+            second
+                .send_with(|out| out.extend_from_slice(&query_bytes(1)))
+                .unwrap();
+            let outcome = std::thread::scope(|scope| {
+                // The call queues behind the poison frame or, if the worker
+                // is already gone, finds its shard closed: either way it
+                // must come back `Disconnected`.
+                let caller = scope.spawn(|| t.call(query_bytes(2)));
+                t.resume_workers();
+                let first = first.recv().map(<[u8]>::to_vec);
+                let second = second.recv().map(<[u8]>::to_vec);
+                (first, second, caller.join().unwrap())
+            });
+            let after = t.call(query_bytes(3));
+            let resend = first.send_with(|out| out.extend_from_slice(&query_bytes(4)));
+            let _ = done.send((outcome, after, resend));
+        });
+        let ((first, second, call), after, resend) = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a waiter hung on a dead worker");
+        for (waiter, outcome) in [
+            ("the poisoned request", first),
+            ("a request queued behind it", second),
+            ("a one-shot call", call),
+            ("a call after the death", after),
+        ] {
+            assert_eq!(outcome, Err(TransportError::Disconnected), "{waiter}");
+        }
+        assert_eq!(resend, Err(TransportError::Disconnected), "a send after it");
+    }
+
+    /// Drop closes the shards but lets each worker drain its queue first,
+    /// even when the transport was never resumed.
+    #[test]
+    fn drop_drains_a_paused_queue_then_joins() {
+        let (t, decoded) = paused_probe_transport();
+        let mut session = t.session();
+        for i in 0..3 {
+            session
+                .send_with(|out| out.extend_from_slice(&query_bytes(i)))
+                .unwrap();
+        }
+        drop(session);
+        // ordering: Relaxed — test tally; nothing runs while paused.
+        assert_eq!(decoded.load(Ordering::Relaxed), 0, "paused");
+        drop(t);
+        // ordering: Relaxed — the workers are joined, so the tally is final.
+        assert_eq!(decoded.load(Ordering::Relaxed), 3, "all queued served");
     }
 
     #[test]

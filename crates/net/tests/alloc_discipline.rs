@@ -26,8 +26,8 @@ use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, Timestamp, Wind
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, PublishedCover, QueryMethod};
 use enviro_net::{
-    BinaryCodec, EnviroClient, EnviroServer, IngestConfig, IngestState, LinkProfile, LoopbackWire,
-    Request, Response, SimulatedLink, WireCodec,
+    BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
+    LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec,
 };
 use enviro_storage::WalConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -251,4 +251,49 @@ fn client_query_batch_is_allocation_free() {
     });
     assert_eq!(allocs, 0);
     assert_eq!(values.len(), trajectory.len());
+}
+
+/// The thread hand-off: a warmed `Session::call_with` round trip through a
+/// `ConcurrentTransport` allocates nothing on the session thread. The
+/// request buffer comes from the session's pool, the shard queue and the
+/// reply mailbox have their capacity reserved, and each reply buffer
+/// circulates back into the pool.
+#[test]
+fn session_round_trip_is_allocation_free() {
+    let transport = ConcurrentTransport::spawn(server(QueryMethod::ModelCover), 1).unwrap();
+    let mut session = transport.session();
+    let t = tuple(5);
+    let frames = [
+        BinaryCodec.encode_request(&Request::Query {
+            time: t.time,
+            pos: t.pos,
+        }),
+        BinaryCodec.encode_request(&Request::QueryBatch {
+            seq: 1,
+            queries: (0..64).map(tuple).collect(),
+        }),
+    ];
+    // Warm-up: grow the circulating buffers, and check the replies are
+    // answers (decoding allocates, so it stays out of the measurement).
+    for _ in 0..32 {
+        for frame in &frames {
+            let reply = session
+                .call_with(|out| out.extend_from_slice(frame))
+                .unwrap();
+            assert!(!matches!(
+                BinaryCodec.decode_response(reply).unwrap(),
+                Response::Error(_) | Response::Busy { .. }
+            ));
+        }
+    }
+    let (allocs, ()) = allocations(|| {
+        for _ in 0..8 {
+            for frame in &frames {
+                session
+                    .call_with(|out| out.extend_from_slice(frame))
+                    .unwrap();
+            }
+        }
+    });
+    assert_eq!(allocs, 0);
 }

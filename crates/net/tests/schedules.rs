@@ -15,9 +15,10 @@ use enviro_data::{
 };
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, CoverBuilder, EnviroMeter, PublishedCover, QueryMethod};
+use enviro_net::codec::CodecError;
 use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroServer, IngestConfig, IngestState, ModelMaintenance,
-    Request, Response, TransportConfig, WireCodec,
+    Request, Response, TransportConfig, TransportError, WireCodec,
 };
 use enviro_schedule::sync::Arc;
 use enviro_storage::WalConfig;
@@ -96,7 +97,7 @@ fn retransmitted_batch_is_appended_exactly_once() {
     assert!(report.schedules > 1);
 }
 
-fn query_server() -> EnviroServer<BinaryCodec> {
+fn query_server<C: WireCodec>(codec: C) -> EnviroServer<C> {
     let sim = LausanneSim::lausanne(SimConfig {
         duration_secs: 600,
         seed: 3,
@@ -108,34 +109,199 @@ fn query_server() -> EnviroServer<BinaryCodec> {
         AdKmnConfig::default(),
         1_000.0,
     );
-    EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
+    EnviroServer::new(platform, codec, QueryMethod::ModelCover)
+}
+
+fn one_worker<C>(
+    server: &Arc<EnviroServer<C>>,
+    start_paused: bool,
+) -> std::io::Result<ConcurrentTransport>
+where
+    C: WireCodec + Send + Sync + 'static,
+{
+    ConcurrentTransport::spawn_shared_with(
+        Arc::clone(server),
+        TransportConfig {
+            workers: 1,
+            max_queue: 4,
+            retry_after_ms: 1,
+            start_paused,
+        },
+    )
+}
+
+fn query(i: i64) -> Vec<u8> {
+    BinaryCodec.encode_request(&Request::Query {
+        time: Timestamp::from_secs(60 * i),
+        pos: Point::new(0.0, -200.0),
+    })
 }
 
 /// Transport shutdown: dropping a [`ConcurrentTransport`] with a request in
 /// flight must always join its workers — no schedule may leave a worker
-/// parked on the pause gate or the request channel (the model checker
-/// reports that as a deadlock).
+/// parked on its shard (the model checker reports that as a deadlock).
 #[test]
 fn transport_drop_joins_workers_on_every_schedule() {
-    let server = Arc::new(query_server());
-    let request = BinaryCodec.encode_request(&Request::Query {
-        time: Timestamp::from_secs(60),
-        pos: Point::new(0.0, -200.0),
-    });
+    let server = Arc::new(query_server(BinaryCodec));
     let report = enviro_schedule::explore("transport-drop-join", move || {
-        let transport = ConcurrentTransport::spawn_shared_with(
-            Arc::clone(&server),
-            TransportConfig {
-                workers: 1,
-                max_queue: 2,
-                retry_after_ms: 1,
-                start_paused: false,
-            },
-        )
-        .expect("spawn");
-        let reply = transport.call(request.clone()).expect("served");
+        let transport = one_worker(&server, false).expect("spawn");
+        let reply = transport.call(query(1)).expect("served");
         assert!(!reply.is_empty());
         drop(transport); // must join, never hang, on every interleaving
+    });
+    println!("{report}");
+    assert!(report.schedules > 1);
+}
+
+/// A frame whose decoding panics under [`ProbeCodec`].
+const POISON: &[u8] = b"poison";
+
+/// The binary codec, except that it counts the requests it decodes and
+/// panics on [`POISON`], killing the worker that serves it.
+struct ProbeCodec {
+    decoded: Arc<AtomicU64>,
+}
+
+impl WireCodec for ProbeCodec {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn encode_request_into(&self, req: &Request, out: &mut Vec<u8>) {
+        BinaryCodec.encode_request_into(req, out);
+    }
+
+    fn decode_request(&self, bytes: &[u8]) -> Result<Request, CodecError> {
+        assert_ne!(bytes, POISON, "poison frame");
+        self.decoded.fetch_add(1, Ordering::Relaxed);
+        BinaryCodec.decode_request(bytes)
+    }
+
+    fn encode_response_into(&self, resp: &Response, out: &mut Vec<u8>) {
+        BinaryCodec.encode_response_into(resp, out);
+    }
+
+    fn decode_response(&self, bytes: &[u8]) -> Result<Response, CodecError> {
+        BinaryCodec.decode_response(bytes)
+    }
+}
+
+/// A probe server (built once: the platform is the expensive part) and its
+/// decode tally, which harnesses read as a difference per schedule.
+fn probe_server() -> (Arc<EnviroServer<ProbeCodec>>, Arc<AtomicU64>) {
+    // Each schedule of the worker-exit harness panics a worker on purpose;
+    // keep those expected panics out of the log.
+    static QUIET: std::sync::Once = std::sync::Once::new();
+    QUIET.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let poison = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|msg| msg.contains("poison frame"));
+            if !poison {
+                report(info);
+            }
+        }));
+    });
+    let decoded = Arc::new(AtomicU64::new(0));
+    let codec = ProbeCodec {
+        decoded: Arc::clone(&decoded),
+    };
+    (Arc::new(query_server(codec)), decoded)
+}
+
+/// The hand-off's wake protocol: a session pipelines two requests to one
+/// worker and then waits for both replies. Either side may park at any
+/// point; each must be woken when its peer posts, so no schedule loses a
+/// wakeup (the model checker reports that as a deadlock), and the replies
+/// arrive in send order.
+#[test]
+fn pipelined_session_never_loses_a_wakeup() {
+    let server = Arc::new(query_server(BinaryCodec));
+    let expected: Vec<Vec<u8>> = (1..=2)
+        .map(|i| {
+            let mut reply = Vec::new();
+            server.handle_bytes_into(&query(i), &mut reply);
+            reply
+        })
+        .collect();
+    let report = enviro_schedule::explore("transport-pipelined-wakeup", move || {
+        let transport = one_worker(&server, false).expect("spawn");
+        let mut session = transport.session();
+        for i in 1..=2 {
+            session
+                .send_with(|out| out.extend_from_slice(&query(i)))
+                .expect("queued");
+        }
+        for want in &expected {
+            assert_eq!(session.recv().expect("answered"), &want[..], "send order");
+        }
+        drop(session);
+        drop(transport);
+    });
+    println!("{report}");
+    assert!(report.schedules > 1);
+}
+
+/// Drain-then-join: a transport started paused, with requests queued and
+/// never resumed, is dropped. Drop must lift the pause, let the worker
+/// serve everything queued, and join it on every schedule.
+#[test]
+fn paused_transport_drains_and_joins_on_drop() {
+    let (server, decoded) = probe_server();
+    let report = enviro_schedule::explore("transport-paused-drain", move || {
+        let before = decoded.load(Ordering::Relaxed);
+        let transport = one_worker(&server, true).expect("spawn");
+        let mut session = transport.session();
+        for i in 1..=2 {
+            session
+                .send_with(|out| out.extend_from_slice(&query(i)))
+                .expect("queued");
+        }
+        drop(session);
+        drop(transport);
+        assert_eq!(
+            decoded.load(Ordering::Relaxed) - before,
+            2,
+            "every queued request served before the join"
+        );
+    });
+    println!("{report}");
+    assert!(report.schedules > 1);
+}
+
+/// A worker exits (here: it panics on a poison frame) while envelopes are
+/// still queued behind the one it was serving. Every waiter must see
+/// `Disconnected`, never a hang: the poisoned request, a session request
+/// queued behind it, and a one-shot call from another thread, whether that
+/// call queued before the worker died or found its shard already closed.
+#[test]
+fn worker_exit_disconnects_every_waiter() {
+    let (server, _) = probe_server();
+    let report = enviro_schedule::explore("transport-worker-exit", move || {
+        let transport = Arc::new(one_worker(&server, true).expect("spawn"));
+        let mut session = transport.session();
+        session
+            .send_with(|out| out.extend_from_slice(POISON))
+            .expect("queued");
+        session
+            .send_with(|out| out.extend_from_slice(&query(1)))
+            .expect("queued");
+        let caller = {
+            let transport = Arc::clone(&transport);
+            enviro_schedule::thread::spawn(move || transport.call(query(2)))
+        };
+        transport.resume_workers();
+        assert_eq!(session.recv(), Err(TransportError::Disconnected));
+        assert_eq!(session.recv(), Err(TransportError::Disconnected));
+        let call = caller.join().expect("caller returns");
+        assert!(
+            matches!(call, Err(TransportError::Disconnected)),
+            "call: {call:?}"
+        );
+        drop(session);
+        drop(transport);
     });
     println!("{report}");
     assert!(report.schedules > 1);

@@ -288,13 +288,17 @@ fn pick_next(state: &mut SchedState, current: Tid) -> Option<Tid> {
 }
 
 /// Parks the calling model thread until the scheduler hands it the baton.
-/// Panics with [`Abort`] if the execution is being torn down.
+/// Panics with [`Abort`] if the execution is being torn down — unless the
+/// thread is already unwinding, see [`teardown`].
 fn wait_turn<'a>(
     shared: &'a Shared,
     mut g: std::sync::MutexGuard<'a, SchedState>,
     me: Tid,
 ) -> std::sync::MutexGuard<'a, SchedState> {
     loop {
+        if teardown(&g) {
+            return g;
+        }
         if g.abort {
             drop(g);
             std::panic::panic_any(Abort);
@@ -307,6 +311,15 @@ fn wait_turn<'a>(
             .wait(g)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
+}
+
+/// True once the execution is aborting and the calling thread is already
+/// unwinding. Its destructors then run unscheduled, straight on the `std`
+/// primitives beneath the facade: raising [`Abort`] again from a destructor
+/// would abort the whole process and lose the failure report. Every other
+/// thread is unwinding too, so the real locks it meets are released.
+fn teardown(g: &SchedState) -> bool {
+    g.abort && std::thread::panicking()
 }
 
 fn lock_state(shared: &Shared) -> std::sync::MutexGuard<'_, SchedState> {
@@ -322,6 +335,9 @@ impl Ctx {
     pub(crate) fn sched_point(&self) {
         let shared = &*self.shared;
         let mut g = lock_state(shared);
+        if teardown(&g) {
+            return;
+        }
         if g.abort {
             drop(g);
             std::panic::panic_any(Abort);
@@ -335,6 +351,9 @@ impl Ctx {
             }
             None => {
                 shared.cv.notify_all();
+                if teardown(&g) {
+                    return;
+                }
                 drop(g);
                 std::panic::panic_any(Abort);
             }
@@ -356,6 +375,9 @@ impl Ctx {
             }
             None => {
                 self.shared.cv.notify_all();
+                if teardown(&g) {
+                    return g;
+                }
                 drop(g);
                 std::panic::panic_any(Abort);
             }
@@ -392,6 +414,9 @@ impl Ctx {
         }
         let mut g = lock_state(&self.shared);
         loop {
+            if teardown(&g) {
+                return;
+            }
             Self::ensure_lock(&mut g, id, site);
             let l = g.locks.get_mut(&id).expect("just ensured");
             if l.owner.is_none() {
@@ -418,6 +443,9 @@ impl Ctx {
         self.sched_point();
         let mut g = lock_state(&self.shared);
         loop {
+            if teardown(&g) {
+                return;
+            }
             Self::ensure_lock(&mut g, id, site);
             let l = g.locks.get_mut(&id).expect("just ensured");
             if write {
@@ -522,7 +550,7 @@ impl Ctx {
     pub(crate) fn join(&self, target: Tid) {
         self.sched_point();
         let g = lock_state(&self.shared);
-        if g.threads[target].status == Status::Finished {
+        if g.threads[target].status == Status::Finished || teardown(&g) {
             return;
         }
         let g = self.block_on(g, Status::BlockedJoin(target));

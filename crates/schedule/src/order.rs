@@ -8,12 +8,13 @@
 //! acquisition order fails loudly instead of deadlocking flakily under the
 //! right interleaving.
 //!
-//! Edges between two locks of the *same* class (e.g. two channel mutexes
-//! constructed by the same `bounded()` line) are not recorded: instance
-//! ordering within a class is invisible to a site-keyed graph, and in this
-//! workspace no protocol nests two locks of one class. The declared
-//! workspace-wide order lives in `crates/xtask/lock-order.toml`; this module
-//! is the belt to that suspender — it observes what actually happens.
+//! Edges between two locks of the *same* class (e.g. the mailbox mutexes
+//! of two transport sessions, constructed by one line) are not recorded:
+//! instance ordering within a class is invisible to a site-keyed graph,
+//! and in this workspace no protocol nests two locks of one class. The
+//! declared workspace-wide order lives in `crates/xtask/lock-order.toml`;
+//! this module is the belt to that suspender — it observes what actually
+//! happens.
 //!
 //! In release builds every entry point compiles to nothing.
 

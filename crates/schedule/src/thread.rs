@@ -32,10 +32,13 @@ impl<T> JoinHandle<T> {
                     panic!("joining a model thread from outside its schedule run")
                 });
                 ctx.join(tid);
+                // No result means the target was unwound by an aborting
+                // execution (or, joined during that teardown, has not
+                // finished): report it like a panic rather than raising one.
                 slot.lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .take()
-                    .unwrap_or_else(|| panic!("model thread finished without a result"))
+                    .unwrap_or_else(|| Err(Box::new("model execution aborted")))
             }
         }
     }
