@@ -56,7 +56,7 @@ fn bench_throughput(c: &mut Criterion) {
         });
     }
 
-    // End-to-end through the thread pool: one pipelined session, batch 64.
+    // End-to-end through the thread pool: one session, batch 64.
     for workers in [1usize, 2, 4] {
         let transport = ConcurrentTransport::spawn_shared(Arc::clone(&server), workers).unwrap();
         let frame = batch_frame(&sim, 64);

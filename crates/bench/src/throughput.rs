@@ -3,8 +3,8 @@
 //! per-tuple baseline.
 //!
 //! The sweep answers the two deployment questions the tentpole makes:
-//! how much does the sharded thread pool + pipelined sessions raise
-//! sustained queries/second over the one-request-at-a-time baseline, and
+//! how much do the sharded thread pool and batch frames raise sustained
+//! queries/second over the one-tuple-per-round-trip baseline, and
 //! how much does batching shrink wire bytes per query. On a single-core
 //! host the speedup comes almost entirely from batch frames amortizing the
 //! per-round-trip cost (channel hops, thread wakeups, framing) over many
@@ -195,7 +195,7 @@ fn trajectory(seed: u64, k: usize, len: usize) -> Vec<QueryTuple> {
 /// Measures the baseline: one worker thread, one `Query` frame (and
 /// round-trip) per tuple, `clients` concurrent callers.
 fn run_baseline(cfg: &ThroughputConfig) -> ThroughputRow {
-    let transport = match ConcurrentTransport::spawn(build_server(cfg.seed), 1) {
+    let transport = match ConcurrentTransport::spawn_shared(Arc::new(build_server(cfg.seed)), 1) {
         Ok(t) => t,
         Err(e) => return failed_row(1, 1, &e.to_string()),
     };
@@ -210,14 +210,20 @@ fn run_baseline(cfg: &ThroughputConfig) -> ThroughputRow {
             .map(|traj| {
                 let transport = &transport;
                 scope.spawn(move || {
+                    let mut session = transport.session();
                     let mut bytes = 0u64;
                     for q in traj {
-                        let req = BinaryCodec.encode_request(&Request::Query {
+                        let request = Request::Query {
                             time: q.time,
                             pos: q.pos,
+                        };
+                        let mut sent = 0;
+                        let reply = session.call_with(|out| {
+                            BinaryCodec.encode_request_into(&request, out);
+                            sent = out.len();
                         });
-                        bytes += req.len() as u64;
-                        if let Ok(reply) = transport.call(req) {
+                        bytes += sent as u64;
+                        if let Ok(reply) = reply {
                             bytes += reply.len() as u64;
                         }
                     }

@@ -398,15 +398,9 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         server = server.with_ingest(Arc::clone(state));
     }
     let server = Arc::new(server);
-    let transport = ConcurrentTransport::spawn_shared_with(
-        server,
-        TransportConfig {
-            workers,
-            max_queue,
-            ..TransportConfig::default()
-        },
-    )
-    .map_err(|e| CliError::runtime(format!("cannot spawn workers: {e}")))?;
+    let transport =
+        ConcurrentTransport::spawn_shared_with(server, TransportConfig { workers, max_queue })
+            .map_err(|e| CliError::runtime(format!("cannot spawn workers: {e}")))?;
 
     // Each client walks its own diagonal of the dataset's extent over its
     // full time span: deterministic, allocation-cheap, and distinct per
@@ -516,9 +510,11 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         transport.shed_total()
     )
     .map_err(io_err)?;
-    if let Some((state, _maintenance)) = &ingest {
+    if let Some((state, maintenance)) = ingest {
         // Publish whatever is still pending so the summary reflects the
-        // whole run, not the maintenance worker's race with shutdown.
+        // whole run. The worker is shut down first: a pass of its own
+        // racing this one could publish an older cover over a newer one.
+        drop(maintenance);
         state
             .rebuild_dirty_now()
             .map_err(|e| CliError::runtime(format!("cover rebuild failed: {e}")))?;
@@ -1008,8 +1004,9 @@ mod tests {
     fn serve_with_tiny_queue_sheds_but_still_answers_everything() {
         let csv = temp_path("serve-shed.csv");
         run_cmd(&["simulate", "--hours", "2", "--out", csv.to_str().unwrap()]);
-        // A one-slot queue under two pipelining clients forces shedding;
-        // the resilient clients must absorb every Busy via retries.
+        // A one-slot queue under two clients can shed a request whenever
+        // one client's next frame lands before the worker has taken the
+        // other's; the resilient clients must absorb every Busy via retries.
         let (code, out) = run_cmd(&[
             "serve",
             csv.to_str().unwrap(),

@@ -1003,7 +1003,9 @@ mod tests {
             .run(&server, &traj, &mut base_link)
             .unwrap();
 
-        let transport = crate::concurrent::ConcurrentTransport::spawn(server, 2).unwrap();
+        let transport =
+            crate::concurrent::ConcurrentTransport::spawn_shared(std::sync::Arc::new(server), 2)
+                .unwrap();
         let mut session = transport.session();
         let mut client = EnviroClient::new(BinaryCodec, Pollutant::Co2).with_batch(25);
         let mut values = Vec::new();

@@ -16,7 +16,6 @@ use crate::protocol::{
     ErrorCode, ProtocolError, Request, Response, WireCover, WireModel, WireRegion, BATCH_VERSION,
     MAX_BATCH,
 };
-use bytes::{Buf, BufMut};
 use enviro_data::{QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
 use enviro_meter::LinearModel;
@@ -211,28 +210,28 @@ impl WireCodec for BinaryCodec {
     fn encode_request_into(&self, req: &Request, out: &mut Vec<u8>) {
         match req {
             Request::Query { time, pos } => {
-                out.put_u8(TAG_QUERY);
-                out.put_i64_le(time.as_secs());
-                out.put_f64_le(pos.x);
-                out.put_f64_le(pos.y);
+                out.push(TAG_QUERY);
+                out.extend_from_slice(&time.as_secs().to_le_bytes());
+                out.extend_from_slice(&pos.x.to_le_bytes());
+                out.extend_from_slice(&pos.y.to_le_bytes());
             }
             Request::ModelRequest { time } => {
-                out.put_u8(TAG_MODEL_REQUEST);
-                out.put_i64_le(time.as_secs());
+                out.push(TAG_MODEL_REQUEST);
+                out.extend_from_slice(&time.as_secs().to_le_bytes());
             }
             Request::QueryBatch { seq, queries } => {
                 // tag, version, seq, count, the tuples, crc.
                 out.reserve(14 + queries.len() * QUERY_SIZE);
                 let start = out.len();
-                out.put_u8(TAG_QUERY_BATCH);
-                out.put_u8(BATCH_VERSION);
-                out.put_u32_le(*seq);
-                out.put_u32_le(queries.len() as u32);
+                out.push(TAG_QUERY_BATCH);
+                out.push(BATCH_VERSION);
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
                 for q in queries {
                     out.extend_from_slice(&encode_query(q));
                 }
                 let crc = crc32(&out[start..]);
-                out.put_u32_le(crc);
+                out.extend_from_slice(&crc.to_le_bytes());
             }
             Request::IngestBatch {
                 source,
@@ -242,14 +241,14 @@ impl WireCodec for BinaryCodec {
                 // tag, version, source, seq, count, the records, crc.
                 out.reserve(22 + tuples.len() * RECORD_SIZE);
                 let start = out.len();
-                out.put_u8(TAG_INGEST);
-                out.put_u8(BATCH_VERSION);
-                out.put_u64_le(*source);
-                out.put_u32_le(*seq);
-                out.put_u32_le(tuples.len() as u32);
+                out.push(TAG_INGEST);
+                out.push(BATCH_VERSION);
+                out.extend_from_slice(&source.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
                 encode_records(tuples, out);
                 let crc = crc32(&out[start..]);
-                out.put_u32_le(crc);
+                out.extend_from_slice(&crc.to_le_bytes());
             }
         }
     }
@@ -313,10 +312,10 @@ impl WireCodec for BinaryCodec {
     fn encode_response_into(&self, resp: &Response, out: &mut Vec<u8>) {
         match resp {
             Response::Value { value } => {
-                out.put_u8(TAG_VALUE);
-                out.put_f64_le(*value);
+                out.push(TAG_VALUE);
+                out.extend_from_slice(&value.to_le_bytes());
             }
-            Response::NoData => out.put_u8(TAG_NO_DATA),
+            Response::NoData => out.push(TAG_NO_DATA),
             Response::ValueBatch {
                 seq,
                 generation,
@@ -326,11 +325,11 @@ impl WireCodec for BinaryCodec {
                 // 9 bytes each), crc.
                 out.reserve(22 + values.len() * VALUE_SLOT_SIZE);
                 let start = out.len();
-                out.put_u8(TAG_VALUE_BATCH);
-                out.put_u8(BATCH_VERSION);
-                out.put_u32_le(*seq);
-                out.put_u64_le(*generation);
-                out.put_u32_le(values.len() as u32);
+                out.push(TAG_VALUE_BATCH);
+                out.push(BATCH_VERSION);
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&generation.to_le_bytes());
+                out.extend_from_slice(&(values.len() as u32).to_le_bytes());
                 for v in values {
                     let mut slot = [VALUE_MISS; VALUE_SLOT_SIZE];
                     let len = match v {
@@ -344,47 +343,47 @@ impl WireCodec for BinaryCodec {
                     out.extend_from_slice(&slot[..len]);
                 }
                 let crc = crc32(&out[start..]);
-                out.put_u32_le(crc);
+                out.extend_from_slice(&crc.to_le_bytes());
             }
             Response::Busy { retry_after_ms } => {
-                out.put_u8(TAG_BUSY);
-                out.put_u32_le(*retry_after_ms);
+                out.push(TAG_BUSY);
+                out.extend_from_slice(&retry_after_ms.to_le_bytes());
             }
             Response::IngestAck { seq, durable_upto } => {
                 let start = out.len();
-                out.put_u8(TAG_INGEST_ACK);
-                out.put_u8(BATCH_VERSION);
-                out.put_u32_le(*seq);
-                out.put_u64_le(*durable_upto);
+                out.push(TAG_INGEST_ACK);
+                out.push(BATCH_VERSION);
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&durable_upto.to_le_bytes());
                 let crc = crc32(&out[start..]);
-                out.put_u32_le(crc);
+                out.extend_from_slice(&crc.to_le_bytes());
             }
             Response::Cover(cover) => {
-                out.put_u8(TAG_COVER);
-                out.put_i64_le(cover.valid_until.as_secs());
-                out.put_u32_le(cover.regions.len() as u32);
+                out.push(TAG_COVER);
+                out.extend_from_slice(&cover.valid_until.as_secs().to_le_bytes());
+                out.extend_from_slice(&(cover.regions.len() as u32).to_le_bytes());
                 for r in &cover.regions {
-                    out.put_f64_le(r.centroid.x);
-                    out.put_f64_le(r.centroid.y);
+                    out.extend_from_slice(&r.centroid.x.to_le_bytes());
+                    out.extend_from_slice(&r.centroid.y.to_le_bytes());
                     match &r.model {
                         WireModel::Mean(v) => {
-                            out.put_u8(MODEL_MEAN);
-                            out.put_f64_le(*v);
+                            out.push(MODEL_MEAN);
+                            out.extend_from_slice(&v.to_le_bytes());
                         }
                         WireModel::Linear(coeffs) => {
-                            out.put_u8(MODEL_LINEAR);
+                            out.push(MODEL_LINEAR);
                             for c in coeffs {
-                                out.put_f64_le(*c);
+                                out.extend_from_slice(&c.to_le_bytes());
                             }
                         }
                     }
                 }
             }
             Response::Error(err) => {
-                out.put_u8(TAG_ERROR);
-                out.put_u8(err.code.as_u8());
+                out.push(TAG_ERROR);
+                out.push(err.code.as_u8());
                 let msg = err.wire_message().as_bytes();
-                out.put_u32_le(msg.len() as u32);
+                out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
                 out.extend_from_slice(msg);
             }
         }
@@ -489,14 +488,11 @@ impl WireCodec for BinaryCodec {
                         "error message of {len} bytes"
                     )));
                 }
-                if bytes.remaining() < len {
-                    return Err(CodecError::Truncated);
-                }
-                let message = std::str::from_utf8(&bytes[..len])
+                let (message, rest) = bytes.split_at_checked(len).ok_or(CodecError::Truncated)?;
+                let message = std::str::from_utf8(message)
                     .map_err(|e| CodecError::Malformed(e.to_string()))?
                     .to_string();
-                bytes.advance(len);
-                ensure_empty(bytes)?;
+                ensure_empty(rest)?;
                 Ok(Response::Error(ProtocolError { code, message }))
             }
             other => Err(CodecError::BadTag(other)),
@@ -504,39 +500,33 @@ impl WireCodec for BinaryCodec {
     }
 }
 
+/// Reads the next `N` bytes off the front of `bytes`.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = bytes
+        .split_first_chunk::<N>()
+        .ok_or(CodecError::Truncated)?;
+    *bytes = rest;
+    Ok(*head)
+}
+
 fn take_u8(bytes: &mut &[u8]) -> Result<u8, CodecError> {
-    if bytes.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(bytes.get_u8())
+    take(bytes).map(|[b]| b)
 }
 
 fn take_u32(bytes: &mut &[u8]) -> Result<u32, CodecError> {
-    if bytes.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(bytes.get_u32_le())
+    take(bytes).map(u32::from_le_bytes)
 }
 
 fn take_i64(bytes: &mut &[u8]) -> Result<i64, CodecError> {
-    if bytes.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(bytes.get_i64_le())
+    take(bytes).map(i64::from_le_bytes)
 }
 
 fn take_u64(bytes: &mut &[u8]) -> Result<u64, CodecError> {
-    if bytes.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(bytes.get_u64_le())
+    take(bytes).map(u64::from_le_bytes)
 }
 
 fn take_f64(bytes: &mut &[u8]) -> Result<f64, CodecError> {
-    if bytes.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(bytes.get_f64_le())
+    take(bytes).map(f64::from_le_bytes)
 }
 
 fn ensure_empty(bytes: &[u8]) -> Result<(), CodecError> {
@@ -1212,9 +1202,9 @@ mod tests {
     #[test]
     fn binary_rejects_oversized_error_length() {
         let mut bytes = Vec::new();
-        bytes.put_u8(TAG_ERROR);
-        bytes.put_u8(1);
-        bytes.put_u32_le(u32::MAX);
+        bytes.push(TAG_ERROR);
+        bytes.push(1);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             BinaryCodec.decode_response(&bytes),
             Err(CodecError::Malformed(_))
@@ -1224,9 +1214,9 @@ mod tests {
     #[test]
     fn binary_rejects_absurd_region_count() {
         let mut bytes = Vec::new();
-        bytes.put_u8(0x83);
-        bytes.put_i64_le(0);
-        bytes.put_u32_le(u32::MAX);
+        bytes.push(0x83);
+        bytes.extend_from_slice(&0i64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(BinaryCodec.decode_response(&bytes).is_err());
     }
 
@@ -1332,7 +1322,7 @@ mod tests {
         bytes.extend_from_slice(body);
         if with_crc {
             let crc = crc32(&bytes);
-            bytes.put_u32_le(crc);
+            bytes.extend_from_slice(&crc.to_le_bytes());
         }
         bytes
     }
@@ -1362,23 +1352,23 @@ mod tests {
         // The retired layouts: v1 (no seq, no CRC) and v2 (seq + CRC, no
         // generation).
         let mut tuple = Vec::new();
-        tuple.put_i64_le(60);
-        tuple.put_f64_le(1.5);
-        tuple.put_f64_le(-0.25);
+        tuple.extend_from_slice(&60i64.to_le_bytes());
+        tuple.extend_from_slice(&1.5f64.to_le_bytes());
+        tuple.extend_from_slice(&(-0.25f64).to_le_bytes());
         let mut v1 = Vec::new();
-        v1.put_u32_le(1);
+        v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&tuple);
         let mut v2 = Vec::new();
-        v2.put_u32_le(7);
+        v2.extend_from_slice(&7u32.to_le_bytes());
         v2.extend_from_slice(&v1);
         requests.push(("binary", binary_frame(0x03, 1, &v1, false)));
         requests.push(("binary", binary_frame(0x03, 2, &v2, true)));
         let mut v1 = Vec::new();
-        v1.put_u32_le(1);
-        v1.put_u8(0x01);
-        v1.put_f64_le(1.5);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.push(0x01);
+        v1.extend_from_slice(&1.5f64.to_le_bytes());
         let mut v2 = Vec::new();
-        v2.put_u32_le(9);
+        v2.extend_from_slice(&9u32.to_le_bytes());
         v2.extend_from_slice(&v1);
         responses.push(("binary", binary_frame(0x85, 1, &v1, false)));
         responses.push(("binary", binary_frame(0x85, 2, &v2, true)));
@@ -1459,8 +1449,8 @@ mod tests {
         // A *valid* CRC over a hostile count: still rejected before any
         // allocation.
         let mut body = Vec::new();
-        body.put_u32_le(0);
-        body.put_u32_le(u32::MAX);
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
         match BinaryCodec.decode_request(&binary_frame(0x03, BATCH_VERSION, &body, true)) {
             Err(CodecError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
             other => panic!("{other:?}"),
@@ -1510,10 +1500,10 @@ mod tests {
     #[test]
     fn value_batch_rejects_bad_flag() {
         let mut body = Vec::new();
-        body.put_u32_le(1); // seq
-        body.put_u64_le(0); // generation
-        body.put_u32_le(1);
-        body.put_u8(0x7F); // neither miss nor present
+        body.extend_from_slice(&1u32.to_le_bytes()); // seq
+        body.extend_from_slice(&0u64.to_le_bytes()); // generation
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(0x7F); // neither miss nor present
         assert_eq!(
             BinaryCodec.decode_response(&binary_frame(0x85, BATCH_VERSION, &body, true)),
             Err(CodecError::BadTag(0x7F))
@@ -1617,13 +1607,13 @@ mod tests {
         // Hostile count with a valid CRC: rejected at the cap, before any
         // allocation.
         let mut frame = Vec::new();
-        frame.put_u8(TAG_INGEST);
-        frame.put_u8(BATCH_VERSION);
-        frame.put_u64_le(1);
-        frame.put_u32_le(0);
-        frame.put_u32_le(u32::MAX);
+        frame.push(TAG_INGEST);
+        frame.push(BATCH_VERSION);
+        frame.extend_from_slice(&1u64.to_le_bytes());
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
         let crc = crc32(&frame);
-        frame.put_u32_le(crc);
+        frame.extend_from_slice(&crc.to_le_bytes());
         match BinaryCodec.decode_request(&frame) {
             Err(CodecError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
             other => panic!("{other:?}"),
@@ -1657,7 +1647,7 @@ mod tests {
         bytes.truncate(bytes.len() - 4); // drop the old crc
         bytes[value_at + 24..value_at + 32].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         let crc = crc32(&bytes);
-        bytes.put_u32_le(crc);
+        bytes.extend_from_slice(&crc.to_le_bytes());
         match BinaryCodec.decode_request(&bytes) {
             Err(CodecError::Malformed(m)) => assert!(m.contains("non-finite"), "{m}"),
             other => panic!("{other:?}"),

@@ -4,7 +4,9 @@
 //! single-worker shape of the Figure 7 bandwidth demos to a deployment that
 //! absorbs "heavy traffic from millions of users": it spawns `workers`
 //! threads over one `Arc<EnviroServer>`, shards requests across per-worker
-//! queues, and gives each connection a pipelined [`Session`].
+//! queues, and gives each connection a [`Session`] that carries one request
+//! at a time, as every client of the protocol waits for each reply before
+//! it sends the next request.
 //!
 //! Sharing one server across threads is sound because the entire query
 //! path is `&self`: the engine's per-window structures live behind
@@ -13,21 +15,20 @@
 //! therefore need no locks on the hot path.
 //!
 //! The hand-off is two purpose-built structures, each one mutex plus one
-//! condvar. A `Shard` is one worker's request queue, with the pause flag
-//! folded into the same lock; a `Mailbox` is one session's reply queue.
-//! Each side records under its lock whether its owner is parked, and the
-//! peer notifies only a parked owner, so a frame served to a busy peer
-//! costs no wake-up syscall. Every queued request carries a `ReplyTo`
-//! guard that answers "lost" if it is dropped unanswered; a worker that
-//! exits, by shutdown or by panic, closes its shard and drops what is still
-//! queued, so no session waits on a worker that is gone.
+//! condvar. A `Shard` is one worker's request queue; a `Mailbox` is one
+//! session's one-slot reply box. Each side records under its lock whether
+//! its owner is parked, and the peer notifies only a parked owner, so a
+//! frame served to a busy peer costs no wake-up syscall. Every queued
+//! request carries a `ReplyTo` guard that answers "lost" if it is dropped
+//! unanswered; a worker that exits, by shutdown or by panic, closes its
+//! shard and drops what is still queued, so no session waits on a worker
+//! that is gone.
 //!
-//! Buffers circulate instead of being allocated: a worker swaps each
-//! request buffer into service as the next reply buffer, and a [`Session`]
-//! pools the reply buffers it gets back for its next request. Queue and
-//! mailbox capacity is reserved up front, so in steady state a session ↔
-//! worker pair recycles the same two or three `Vec`s forever and the
-//! hand-off allocates nothing.
+//! Buffers circulate instead of being allocated: a session encodes into
+//! the buffer its last reply came back in, and a worker swaps each request
+//! buffer into service as its next reply buffer. Queue capacity is reserved
+//! up front, so in steady state a session ↔ worker pair trades the same two
+//! `Vec`s forever and the hand-off allocates nothing.
 
 use crate::codec::WireCodec;
 use crate::protocol::Response;
@@ -37,14 +38,11 @@ use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
 use std::collections::VecDeque;
 
-/// Maximum unacknowledged requests a [`Session`] may pipeline.
-///
-/// This is the capacity reserved in the session's reply mailbox, so a
-/// worker posts every outstanding reply without blocking or allocating.
-pub const PIPELINE_MAX: usize = 64;
-
 /// Default per-worker request queue depth.
 const SHARD_QUEUE: usize = 256;
+
+/// The backoff hint carried by shed [`Response::Busy`] frames, ms.
+const RETRY_AFTER_MS: u32 = 25;
 
 /// Errors crossing the transport (not the protocol: a malformed request
 /// comes back as `Ok` bytes encoding a [`Response::Error`]).
@@ -52,12 +50,6 @@ const SHARD_QUEUE: usize = 256;
 pub enum TransportError {
     /// The worker threads are gone (shut down or panicked).
     Disconnected,
-    /// A session has [`PIPELINE_MAX`] requests in flight; receive replies
-    /// before sending more.
-    PipelineFull,
-    /// `recv` was called on a session with no request in flight (it would
-    /// block forever).
-    NoPendingReply,
     /// The exchange did not complete within the caller's deadline. Raised
     /// by fault-injecting wires ([`crate::fault::ChaosWire`]) when a frame
     /// is dropped or stalled past its timeout; a resilient client treats it
@@ -69,8 +61,6 @@ impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::Disconnected => f.write_str("server thread terminated"),
-            TransportError::PipelineFull => f.write_str("session pipeline is full"),
-            TransportError::NoPendingReply => f.write_str("no reply pending on this session"),
             TransportError::TimedOut => f.write_str("exchange timed out"),
         }
     }
@@ -78,7 +68,7 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Tuning knobs for [`ConcurrentTransport::spawn_shared_with`].
+/// Sizing for [`ConcurrentTransport::spawn_shared_with`].
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Worker threads (clamped to at least 1).
@@ -88,12 +78,6 @@ pub struct TransportConfig {
     /// [`Response::Busy`] frame instead of blocking, so server memory stays
     /// bounded no matter how hard the fleet pushes.
     pub max_queue: usize,
-    /// The backoff hint carried by shed [`Response::Busy`] frames, ms.
-    pub retry_after_ms: u32,
-    /// Spawn with every worker paused until
-    /// [`ConcurrentTransport::resume_workers`] — lets tests fill queues to
-    /// a deterministic depth before anything drains.
-    pub start_paused: bool,
 }
 
 impl Default for TransportConfig {
@@ -101,28 +85,24 @@ impl Default for TransportConfig {
         Self {
             workers: 1,
             max_queue: SHARD_QUEUE,
-            retry_after_ms: 25,
-            start_paused: false,
         }
     }
 }
 
-/// One worker's request queue. Producers are the sessions and one-shot
-/// calls routed to it; the consumer is its worker alone.
+/// One worker's request queue. Producers are the sessions routed to it;
+/// the consumer is its worker alone.
 struct Shard {
     state: Mutex<ShardState>,
     /// Signalled, only while `parked`, when the worker has cause to look
-    /// again: a request arrived, or the shard was resumed or closed.
+    /// again: a request arrived, or the shard was closed.
     wake: Condvar,
 }
 
 struct ShardState {
     queue: VecDeque<Envelope>,
     cap: usize,
-    /// Held by [`TransportConfig::start_paused`] until resumed: queued
-    /// envelopes wait.
-    paused: bool,
-    /// No more envelopes are accepted; the worker drains and exits.
+    /// No more envelopes are accepted; the worker exits once the queue is
+    /// empty.
     closed: bool,
     /// The worker is waiting on `wake`.
     parked: bool,
@@ -137,12 +117,11 @@ enum Rejected {
 }
 
 impl Shard {
-    fn new(cap: usize, paused: bool) -> Self {
+    fn new(cap: usize) -> Self {
         Self {
             state: Mutex::new(ShardState {
                 queue: VecDeque::with_capacity(cap),
                 cap,
-                paused,
                 closed: false,
                 parked: false,
             }),
@@ -188,18 +167,16 @@ impl Shard {
         })
     }
 
-    /// The worker's next envelope, parking while the queue is empty or
-    /// paused; `None` once the shard is closed and drained.
+    /// The worker's next envelope, parking while the queue is empty; `None`
+    /// once the shard is closed and empty.
     fn next(&self) -> Option<Envelope> {
         let mut st = self.lock();
         loop {
-            if !st.paused {
-                if let Some(envelope) = st.queue.pop_front() {
-                    return Some(envelope);
-                }
-                if st.closed {
-                    return None;
-                }
+            if let Some(envelope) = st.queue.pop_front() {
+                return Some(envelope);
+            }
+            if st.closed {
+                return None;
             }
             st.parked = true;
             st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -226,8 +203,7 @@ impl Drop for RetireOnExit<'_> {
     }
 }
 
-/// One session's (or one call's) replies, in send order: `Some(buffer)`
-/// for an answer, `None` for a request lost with its worker.
+/// One session's reply slot.
 struct Mailbox {
     state: Mutex<MailboxState>,
     /// Signalled, only while `parked`, when a reply is posted.
@@ -235,16 +211,18 @@ struct Mailbox {
 }
 
 struct MailboxState {
-    replies: VecDeque<Option<Vec<u8>>>,
+    /// The posted reply: `Some(buffer)` for an answer, `None` for a request
+    /// lost with its worker.
+    reply: Option<Option<Vec<u8>>>,
     /// The owning session is waiting on `posted`.
     parked: bool,
 }
 
 impl Mailbox {
-    fn new(capacity: usize) -> Arc<Self> {
+    fn new() -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(MailboxState {
-                replies: VecDeque::with_capacity(capacity),
+                reply: None,
                 parked: false,
             }),
             posted: Condvar::new(),
@@ -259,7 +237,7 @@ impl Mailbox {
 
     fn post(&self, reply: Option<Vec<u8>>) {
         let mut st = self.lock();
-        st.replies.push_back(reply);
+        st.reply = Some(reply);
         let wake = std::mem::take(&mut st.parked);
         drop(st);
         if wake {
@@ -267,11 +245,11 @@ impl Mailbox {
         }
     }
 
-    /// The next reply, parking until one is posted.
+    /// The reply, parking until it is posted.
     fn take(&self) -> Option<Vec<u8>> {
         let mut st = self.lock();
         loop {
-            if let Some(reply) = st.replies.pop_front() {
+            if let Some(reply) = st.reply.take() {
                 return reply;
             }
             st.parked = true;
@@ -310,9 +288,9 @@ struct Envelope {
 
 /// A pool of worker threads serving one shared [`EnviroServer`].
 ///
-/// Each worker owns one shard; sessions and one-shot calls are assigned
-/// to shards round-robin. Dropping the transport closes every shard, lets
-/// the workers drain, and joins them.
+/// Each worker owns one shard; sessions are assigned to shards
+/// round-robin. Dropping the transport closes every shard and joins the
+/// workers.
 pub struct ConcurrentTransport {
     shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<()>>,
@@ -320,23 +298,15 @@ pub struct ConcurrentTransport {
     /// The pre-encoded [`Response::Busy`] frame shed requests answer with
     /// (encoded once at spawn, in the server's codec).
     busy_frame: Vec<u8>,
-    /// Requests shed across all sessions and one-shot calls.
+    /// Requests shed across all sessions.
     shed: AtomicU64,
 }
 
 impl ConcurrentTransport {
-    /// Spawns `workers` threads (at least 1) serving `server`. `Err` means
-    /// the OS refused to create a thread.
-    pub fn spawn<C>(server: EnviroServer<C>, workers: usize) -> std::io::Result<Self>
-    where
-        C: WireCodec + Send + Sync + 'static,
-    {
-        Self::spawn_shared(Arc::new(server), workers)
-    }
-
-    /// Like [`ConcurrentTransport::spawn`], but over a server the caller
-    /// keeps a handle to (e.g. for direct in-process queries alongside the
-    /// served traffic).
+    /// Spawns `workers` threads (at least 1) serving `server`, a server the
+    /// caller may keep a handle to (e.g. for direct in-process queries
+    /// alongside the served traffic). `Err` means the OS refused to create
+    /// a thread.
     pub fn spawn_shared<C>(server: Arc<EnviroServer<C>>, workers: usize) -> std::io::Result<Self>
     where
         C: WireCodec + Send + Sync + 'static,
@@ -350,7 +320,7 @@ impl ConcurrentTransport {
         )
     }
 
-    /// Spawns with explicit queue-depth / shedding configuration.
+    /// Spawns with an explicit queue depth.
     pub fn spawn_shared_with<C>(
         server: Arc<EnviroServer<C>>,
         config: TransportConfig,
@@ -365,12 +335,12 @@ impl ConcurrentTransport {
             workers: Vec::with_capacity(workers),
             next_shard: AtomicUsize::new(0),
             busy_frame: server.codec().encode_response(&Response::Busy {
-                retry_after_ms: config.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             }),
             shed: AtomicU64::new(0),
         };
         for i in 0..workers {
-            let shard = Arc::new(Shard::new(max_queue, config.start_paused));
+            let shard = Arc::new(Shard::new(max_queue));
             let server = Arc::clone(&server);
             let worker_shard = Arc::clone(&shard);
             // On `Err` the partial transport drops, closing and joining
@@ -404,65 +374,32 @@ impl ConcurrentTransport {
         // ordering: Relaxed — `shed` is a statistics counter; nothing is
         // published through it and no control flow gates on a fresh value,
         // so only the count's atomicity matters. (Tests that assert exact
-        // totals read it from the thread that did the shedding.)
+        // totals read it after the shedding calls have returned.)
         self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Releases workers held by [`TransportConfig::start_paused`].
-    pub fn resume_workers(&self) {
-        for shard in &self.shards {
-            shard.update(|st| st.paused = false);
-        }
-    }
-
-    /// Performs one request/response exchange (a fresh reply mailbox per
-    /// call). Sessions amortize that setup.
-    ///
-    /// When the chosen shard's queue is full the request is shed and the
-    /// reply is a pre-encoded [`Response::Busy`] frame.
-    pub fn call(&self, request: Vec<u8>) -> Result<Vec<u8>, TransportError> {
-        let mailbox = Mailbox::new(1);
-        match self.shards[self.pick_shard()].push(request, &mailbox) {
-            Ok(()) => mailbox.take().ok_or(TransportError::Disconnected),
-            Err(Rejected::Full(_)) => {
-                // ordering: Relaxed — statistics only; see `shed_total`.
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                Ok(self.busy_frame.clone())
-            }
-            Err(Rejected::Closed) => Err(TransportError::Disconnected),
-        }
     }
 
     /// Opens a connection-like [`Session`] pinned to one worker shard.
     pub fn session(&self) -> Session<'_> {
-        Session {
-            transport: self,
-            shard: &self.shards[self.pick_shard()],
-            mailbox: Mailbox::new(PIPELINE_MAX),
-            sources: VecDeque::new(),
-            pool: Vec::new(),
-            last: Vec::new(),
-        }
-    }
-
-    fn pick_shard(&self) -> usize {
         // ordering: Relaxed — a round-robin distribution counter. Fairness
         // is best-effort by design; correctness never depends on which
-        // shard a request lands on, so no ordering is required.
-        self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len()
+        // shard a session lands on, so no ordering is required.
+        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        Session {
+            transport: self,
+            shard: &self.shards[shard],
+            mailbox: Mailbox::new(),
+            buf: Vec::new(),
+        }
     }
 }
 
 impl Drop for ConcurrentTransport {
     fn drop(&mut self) {
-        // Close every shard (which also lifts a pause), let the workers
-        // drain what is queued, and join them. Sessions borrow the
-        // transport, so none can be alive here.
+        // Sessions borrow the transport and wait out every request they
+        // queue, so no request is still queued here: closing a shard lets
+        // its parked worker exit, and the join cannot hang.
         for shard in &self.shards {
-            shard.update(|st| {
-                st.paused = false;
-                st.closed = true;
-            });
+            shard.update(|st| st.closed = true);
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -470,8 +407,8 @@ impl Drop for ConcurrentTransport {
     }
 }
 
-/// One worker: serve envelopes until the shard closes and drains, reusing
-/// one reply buffer by swapping it with each served request's buffer.
+/// One worker: serve envelopes until the shard closes, reusing one reply
+/// buffer by swapping it with each served request's buffer.
 fn worker_loop<C: WireCodec>(server: &EnviroServer<C>, shard: &Shard) {
     let _retire = RetireOnExit(shard);
     let mut reply = Vec::new();
@@ -489,103 +426,46 @@ fn worker_loop<C: WireCodec>(server: &EnviroServer<C>, shard: &Shard) {
     }
 }
 
-/// Where the next in-order reply for a session comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplySource {
-    /// A worker owes the session a reply through its mailbox.
-    Wire,
-    /// The request was shed; the reply is the transport's pre-encoded
-    /// `Busy` frame.
-    Shed,
-}
-
-/// A per-connection handle: requests go to one pinned worker shard, replies
-/// come back in order through a private mailbox.
-///
-/// Sessions support **pipelining**: up to [`PIPELINE_MAX`] requests may be
-/// sent before receiving their replies, which batch-oriented clients use to
-/// keep the wire full. Replies arrive in send order (the shard serves one
-/// session's envelopes FIFO); a shed request's synthetic `Busy` reply is
-/// slotted into that order via a per-session source ledger.
+/// A per-connection handle: one request at a time goes to one pinned
+/// worker shard, and its reply comes back through a private one-slot
+/// mailbox.
 pub struct Session<'t> {
     transport: &'t ConcurrentTransport,
     shard: &'t Shard,
     mailbox: Arc<Mailbox>,
-    /// One entry per in-flight request, in send order.
-    sources: VecDeque<ReplySource>,
-    /// Reply buffers returned by [`Session::recv`], reused for requests.
-    pool: Vec<Vec<u8>>,
-    /// The most recent reply, borrowed out by [`Session::recv`].
-    last: Vec<u8>,
+    /// The buffer the last reply came back in, reused for the next request.
+    buf: Vec<u8>,
 }
 
 impl Session<'_> {
-    /// Sends one request frame without waiting for its reply. The frame is
-    /// encoded by `encode` into a recycled buffer.
+    /// One full exchange: encodes a request with `encode`, hands it to the
+    /// worker and waits for the reply. The returned slice is valid until
+    /// the next call on this session.
     ///
-    /// Fails with [`TransportError::PipelineFull`] when [`PIPELINE_MAX`]
-    /// replies are outstanding — receive some first. If the worker queue is
-    /// full the request is shed: the send still "succeeds", and the
-    /// matching [`Session::recv`] yields a [`Response::Busy`] frame.
-    pub fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), TransportError> {
-        if self.sources.len() >= PIPELINE_MAX {
-            return Err(TransportError::PipelineFull);
-        }
-        let mut request = self.pool.pop().unwrap_or_default();
-        request.clear();
-        encode(&mut request);
-        match self.shard.push(request, &self.mailbox) {
-            Ok(()) => self.sources.push_back(ReplySource::Wire),
-            Err(Rejected::Full(request)) => {
-                // ordering: Relaxed — statistics only; see `shed_total`.
-                self.transport.shed.fetch_add(1, Ordering::Relaxed);
-                if self.pool.len() < 4 {
-                    self.pool.push(request);
-                }
-                self.sources.push_back(ReplySource::Shed);
-            }
-            Err(Rejected::Closed) => return Err(TransportError::Disconnected),
-        }
-        Ok(())
-    }
-
-    /// Receives the next pending reply, in send order. The returned slice
-    /// is valid until the next `recv`/`call` on this session.
-    ///
-    /// A request whose worker died before answering it yields
+    /// If the worker queue is full the request is shed: the reply is a
+    /// [`Response::Busy`] frame, returned at once. A request whose worker
+    /// is gone, or died before answering it, yields
     /// [`TransportError::Disconnected`].
-    pub fn recv(&mut self) -> Result<&[u8], TransportError> {
-        let Some(source) = self.sources.pop_front() else {
-            return Err(TransportError::NoPendingReply);
-        };
-        match source {
-            ReplySource::Wire => {
-                let reply = self.mailbox.take().ok_or(TransportError::Disconnected)?;
-                let prev = std::mem::replace(&mut self.last, reply);
-                if self.pool.len() < 4 {
-                    self.pool.push(prev);
-                }
-            }
-            ReplySource::Shed => {
-                self.last.clear();
-                self.last.extend_from_slice(&self.transport.busy_frame);
-            }
-        }
-        Ok(&self.last)
-    }
-
-    /// One full exchange: [`Session::send_with`] then [`Session::recv`].
     pub fn call_with(
         &mut self,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<&[u8], TransportError> {
-        self.send_with(encode)?;
-        self.recv()
-    }
-
-    /// Number of requests sent but not yet received.
-    pub fn inflight(&self) -> usize {
-        self.sources.len()
+        let mut request = std::mem::take(&mut self.buf);
+        request.clear();
+        encode(&mut request);
+        match self.shard.push(request, &self.mailbox) {
+            Ok(()) => {
+                self.buf = self.mailbox.take().ok_or(TransportError::Disconnected)?;
+                Ok(&self.buf)
+            }
+            Err(Rejected::Full(request)) => {
+                self.buf = request;
+                // ordering: Relaxed — statistics only; see `shed_total`.
+                self.transport.shed.fetch_add(1, Ordering::Relaxed);
+                Ok(&self.transport.busy_frame)
+            }
+            Err(Rejected::Closed) => Err(TransportError::Disconnected),
+        }
     }
 }
 
@@ -597,6 +477,7 @@ mod tests {
     use enviro_data::{LausanneSim, SimConfig, Timestamp, WindowSpec};
     use enviro_geo::Point;
     use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
+    use std::time::{Duration, Instant};
 
     fn platform() -> EnviroMeter {
         let sim = LausanneSim::lausanne(SimConfig {
@@ -616,19 +497,95 @@ mod tests {
         EnviroServer::new(platform(), BinaryCodec, QueryMethod::ModelCover)
     }
 
-    /// A frame whose decoding panics under [`ProbeCodec`].
-    const POISON: &[u8] = b"poison";
-
-    /// The binary codec, except that it counts the requests it decodes and
-    /// panics on [`POISON`] — a stand-in for any bug that kills a worker
-    /// mid-request.
-    struct ProbeCodec {
-        decoded: Arc<AtomicUsize>,
+    fn spawn(workers: usize) -> ConcurrentTransport {
+        ConcurrentTransport::spawn_shared(Arc::new(server()), workers).unwrap()
     }
 
-    impl WireCodec for ProbeCodec {
+    /// One exchange on a fresh session, with the reply copied out.
+    fn call(t: &ConcurrentTransport, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        t.session()
+            .call_with(|out| out.extend_from_slice(request))
+            .map(<[u8]>::to_vec)
+    }
+
+    fn query_bytes(i: i64) -> Vec<u8> {
+        BinaryCodec.encode_request(&Request::Query {
+            time: Timestamp::from_secs(i * 60),
+            pos: Point::new(0.0, -200.0),
+        })
+    }
+
+    fn decode(reply: &[u8]) -> Response {
+        BinaryCodec.decode_response(reply).unwrap()
+    }
+
+    /// Polls `done` until it holds; a hang fails the test after 30 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Requests queued on a transport's first shard.
+    fn queued(t: &ConcurrentTransport) -> usize {
+        t.shards[0].lock().queue.len()
+    }
+
+    /// Holds every request decoded under a [`GatedCodec`] until the test
+    /// opens it, so a test can keep a worker busy and fill its queue to an
+    /// exact depth.
+    struct Gate {
+        /// Requests that reached the gate, and whether it is open.
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn pass(&self) {
+            let mut st = self.lock();
+            st.0 += 1;
+            self.changed.notify_all();
+            while !st.1 {
+                st = self
+                    .changed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+
+        fn wait_entered(&self, n: usize) {
+            let mut st = self.lock();
+            while st.0 < n {
+                st = self
+                    .changed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+
+        fn open(&self) {
+            self.lock().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// A frame whose decoding panics under [`GatedCodec`].
+    const POISON: &[u8] = b"poison";
+
+    /// The binary codec, except that every decode first waits at the gate,
+    /// and a [`POISON`] frame then panics — a stand-in for any bug that
+    /// kills a worker mid-request.
+    struct GatedCodec(Arc<Gate>);
+
+    impl WireCodec for GatedCodec {
         fn name(&self) -> &'static str {
-            "probe"
+            "gated"
         }
 
         fn encode_request_into(&self, req: &Request, out: &mut Vec<u8>) {
@@ -636,10 +593,8 @@ mod tests {
         }
 
         fn decode_request(&self, bytes: &[u8]) -> Result<Request, crate::codec::CodecError> {
+            self.0.pass();
             assert_ne!(bytes, POISON, "poison frame");
-            // ordering: Relaxed — a test tally, read after the workers
-            // are joined.
-            self.decoded.fetch_add(1, Ordering::Relaxed);
             BinaryCodec.decode_request(bytes)
         }
 
@@ -652,348 +607,236 @@ mod tests {
         }
     }
 
-    /// One paused worker over a [`ProbeCodec`] server, and the codec's
-    /// decode tally.
-    fn paused_probe_transport() -> (ConcurrentTransport, Arc<AtomicUsize>) {
-        let decoded = Arc::new(AtomicUsize::new(0));
+    /// One worker with a `max_queue`-deep queue over a [`GatedCodec`]
+    /// server, and its gate, shut.
+    fn gated_transport(max_queue: usize) -> (ConcurrentTransport, Arc<Gate>) {
+        let gate = Arc::new(Gate {
+            state: Mutex::new((0, false)),
+            changed: Condvar::new(),
+        });
         let server = EnviroServer::new(
             platform(),
-            ProbeCodec {
-                decoded: Arc::clone(&decoded),
-            },
+            GatedCodec(Arc::clone(&gate)),
             QueryMethod::ModelCover,
         );
-        let transport = ConcurrentTransport::spawn_shared_with(
-            Arc::new(server),
-            TransportConfig {
-                workers: 1,
-                start_paused: true,
-                ..TransportConfig::default()
-            },
-        )
-        .unwrap();
-        (transport, decoded)
-    }
-
-    fn query_bytes(i: i64) -> Vec<u8> {
-        BinaryCodec.encode_request(&Request::Query {
-            time: Timestamp::from_secs(i * 60),
-            pos: Point::new(0.0, -200.0),
-        })
+        let config = TransportConfig {
+            workers: 1,
+            max_queue,
+        };
+        let transport = ConcurrentTransport::spawn_shared_with(Arc::new(server), config).unwrap();
+        (transport, gate)
     }
 
     #[test]
     fn call_round_trips_on_every_worker_count() {
         for workers in [1, 2, 4] {
-            let t = ConcurrentTransport::spawn(server(), workers).unwrap();
+            let t = spawn(workers);
             assert_eq!(t.workers(), workers);
             for i in 0..8 {
-                let reply = t.call(query_bytes(i)).unwrap();
-                assert!(matches!(
-                    BinaryCodec.decode_response(&reply).unwrap(),
-                    Response::Value { .. }
-                ));
+                let reply = call(&t, &query_bytes(i)).unwrap();
+                assert!(matches!(decode(&reply), Response::Value { .. }));
             }
         }
     }
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let t = ConcurrentTransport::spawn(server(), 0).unwrap();
-        assert_eq!(t.workers(), 1);
+        assert_eq!(spawn(0).workers(), 1);
     }
 
     #[test]
-    fn session_pipelines_in_order() {
-        let t = ConcurrentTransport::spawn(server(), 2).unwrap();
+    fn session_calls_match_direct_handling() {
+        let t = spawn(2);
         let mut session = t.session();
-        let codec = BinaryCodec;
-        for i in 0..10 {
-            session
-                .send_with(|out| {
-                    codec.encode_request_into(
-                        &Request::Query {
-                            time: Timestamp::from_secs(i * 60),
-                            pos: Point::new(i as f64, 0.0),
-                        },
-                        out,
-                    )
-                })
-                .unwrap();
-        }
-        assert_eq!(session.inflight(), 10);
-        let mut values = Vec::new();
-        for _ in 0..10 {
-            let reply = session.recv().unwrap();
-            match codec.decode_response(reply).unwrap() {
-                Response::Value { value } => values.push(value),
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(session.inflight(), 0);
-        // In-order delivery: each reply matches its direct-handled twin.
         let s = server();
-        for (i, v) in values.iter().enumerate() {
-            let direct = s.handle(&Request::Query {
-                time: Timestamp::from_secs(i as i64 * 60),
+        for i in 0..10 {
+            let request = Request::Query {
+                time: Timestamp::from_secs(i * 60),
                 pos: Point::new(i as f64, 0.0),
-            });
-            assert_eq!(direct, Response::Value { value: *v }, "reply {i}");
-        }
-    }
-
-    #[test]
-    fn pipeline_cap_is_enforced() {
-        let t = ConcurrentTransport::spawn(server(), 1).unwrap();
-        let mut session = t.session();
-        for _ in 0..PIPELINE_MAX {
-            session
-                .send_with(|out| out.extend_from_slice(b"junk"))
+            };
+            let reply = session
+                .call_with(|out| BinaryCodec.encode_request_into(&request, out))
                 .unwrap();
+            assert_eq!(decode(reply), s.handle(&request), "reply {i}");
         }
-        assert_eq!(
-            session.send_with(|out| out.extend_from_slice(b"junk")),
-            Err(TransportError::PipelineFull)
-        );
-        while session.inflight() > 0 {
-            session.recv().unwrap();
-        }
-    }
-
-    #[test]
-    fn recv_without_send_is_an_error_not_a_hang() {
-        let t = ConcurrentTransport::spawn(server(), 1).unwrap();
-        let mut session = t.session();
-        assert_eq!(session.recv(), Err(TransportError::NoPendingReply));
     }
 
     #[test]
     fn garbage_frames_get_error_replies_and_session_survives() {
-        let t = ConcurrentTransport::spawn(server(), 2).unwrap();
+        let t = spawn(2);
         let mut session = t.session();
         let reply = session
             .call_with(|out| out.extend_from_slice(&[0xDE, 0xAD]))
             .unwrap();
-        assert!(matches!(
-            BinaryCodec.decode_response(reply).unwrap(),
-            Response::Error(_)
-        ));
+        assert!(matches!(decode(reply), Response::Error(_)));
         let reply = session
-            .call_with(|out| {
-                BinaryCodec.encode_request_into(
-                    &Request::Query {
-                        time: Timestamp::from_secs(60),
-                        pos: Point::new(0.0, -200.0),
-                    },
-                    out,
-                )
-            })
+            .call_with(|out| out.extend_from_slice(&query_bytes(1)))
             .unwrap();
-        assert!(matches!(
-            BinaryCodec.decode_response(reply).unwrap(),
-            Response::Value { .. }
-        ));
+        assert!(matches!(decode(reply), Response::Value { .. }));
     }
 
     /// A worker that panics mid-request takes its shard down with it, but
-    /// no waiter hangs: the request it was serving, the requests queued
-    /// behind it (from a session or a one-shot call) and anything sent to
-    /// the shard afterwards all fail with `Disconnected`. The exchange runs
-    /// on its own thread behind a watchdog, so a hang fails the test.
+    /// no waiter hangs: the request it was serving, a request queued behind
+    /// it, and anything sent to the shard afterwards all fail with
+    /// `Disconnected`. Each waiter runs on its own thread, and the whole
+    /// exchange behind a watchdog, so a hang fails the test.
     #[test]
     fn worker_death_disconnects_every_waiter() {
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let (t, _) = paused_probe_transport();
-            let mut first = t.session();
-            let mut second = t.session();
-            first
-                .send_with(|out| out.extend_from_slice(POISON))
-                .unwrap();
-            second
-                .send_with(|out| out.extend_from_slice(&query_bytes(1)))
-                .unwrap();
+            let (t, gate) = gated_transport(4);
             let outcome = std::thread::scope(|scope| {
-                // The call queues behind the poison frame or, if the worker
-                // is already gone, finds its shard closed: either way it
-                // must come back `Disconnected`.
-                let caller = scope.spawn(|| t.call(query_bytes(2)));
-                t.resume_workers();
-                let first = first.recv().map(<[u8]>::to_vec);
-                let second = second.recv().map(<[u8]>::to_vec);
-                (first, second, caller.join().unwrap())
+                let poisoned = scope.spawn(|| {
+                    let mut session = t.session();
+                    let first = session
+                        .call_with(|out| out.extend_from_slice(POISON))
+                        .map(<[u8]>::to_vec);
+                    let again = session
+                        .call_with(|out| out.extend_from_slice(&query_bytes(4)))
+                        .map(<[u8]>::to_vec);
+                    (first, again)
+                });
+                gate.wait_entered(1);
+                let queued_behind = scope.spawn(|| call(&t, &query_bytes(1)));
+                wait_until("the second request to queue", || queued(&t) == 1);
+                gate.open();
+                let (first, again) = poisoned.join().unwrap();
+                (first, queued_behind.join().unwrap(), again)
             });
-            let after = t.call(query_bytes(3));
-            let resend = first.send_with(|out| out.extend_from_slice(&query_bytes(4)));
-            let _ = done.send((outcome, after, resend));
+            let after = call(&t, &query_bytes(3));
+            let _ = done.send((outcome, after));
         });
-        let ((first, second, call), after, resend) = finished
-            .recv_timeout(std::time::Duration::from_secs(30))
+        let ((first, second, again), after) = finished
+            .recv_timeout(Duration::from_secs(30))
             .expect("a waiter hung on a dead worker");
         for (waiter, outcome) in [
             ("the poisoned request", first),
             ("a request queued behind it", second),
-            ("a one-shot call", call),
+            ("the next call on the poisoned session", again),
             ("a call after the death", after),
         ] {
             assert_eq!(outcome, Err(TransportError::Disconnected), "{waiter}");
         }
-        assert_eq!(resend, Err(TransportError::Disconnected), "a send after it");
-    }
-
-    /// Drop closes the shards but lets each worker drain its queue first,
-    /// even when the transport was never resumed.
-    #[test]
-    fn drop_drains_a_paused_queue_then_joins() {
-        let (t, decoded) = paused_probe_transport();
-        let mut session = t.session();
-        for i in 0..3 {
-            session
-                .send_with(|out| out.extend_from_slice(&query_bytes(i)))
-                .unwrap();
-        }
-        drop(session);
-        // ordering: Relaxed — test tally; nothing runs while paused.
-        assert_eq!(decoded.load(Ordering::Relaxed), 0, "paused");
-        drop(t);
-        // ordering: Relaxed — the workers are joined, so the tally is final.
-        assert_eq!(decoded.load(Ordering::Relaxed), 3, "all queued served");
     }
 
     #[test]
     fn drop_with_no_traffic_shuts_down_cleanly() {
-        let t = ConcurrentTransport::spawn(server(), 4).unwrap();
-        drop(t);
+        drop(spawn(4));
     }
 
+    /// One worker held in decode, queue depth 2: the next two requests
+    /// queue and the one after that is shed with an immediate `Busy`; once
+    /// the worker is released every queued request is answered.
     #[test]
     fn full_queue_sheds_with_busy_replies_in_order() {
-        // One paused worker, queue depth 2: the first two sends queue, the
-        // next two shed — deterministically, because nothing drains until
-        // resume_workers().
-        let t = ConcurrentTransport::spawn_shared_with(
-            Arc::new(server()),
-            TransportConfig {
-                workers: 1,
-                max_queue: 2,
-                retry_after_ms: 7,
-                start_paused: true,
-            },
-        )
-        .unwrap();
-        let mut session = t.session();
-        for i in 0..4 {
-            session
-                .send_with(|out| {
-                    BinaryCodec.encode_request_into(
-                        &Request::Query {
-                            time: Timestamp::from_secs(i * 60),
-                            pos: Point::new(0.0, -200.0),
-                        },
-                        out,
-                    )
+        let (t, gate) = gated_transport(2);
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..3)
+                .map(|i| {
+                    let waiter = scope.spawn({
+                        let t = &t;
+                        move || call(t, &query_bytes(i)).unwrap()
+                    });
+                    if i == 0 {
+                        gate.wait_entered(1);
+                    }
+                    waiter
                 })
+                .collect();
+            wait_until("two requests to queue", || queued(&t) == 2);
+            // The caller is answered at once, on its own thread, while the
+            // worker is still held.
+            let mut session = t.session();
+            for _ in 0..2 {
+                let reply = session
+                    .call_with(|out| out.extend_from_slice(&query_bytes(9)))
+                    .unwrap();
+                assert_eq!(
+                    decode(reply),
+                    Response::Busy {
+                        retry_after_ms: RETRY_AFTER_MS
+                    }
+                );
+            }
+            assert_eq!(t.shed_total(), 2);
+            gate.open();
+            for waiter in waiters {
+                assert!(matches!(
+                    decode(&waiter.join().unwrap()),
+                    Response::Value { .. }
+                ));
+            }
+            // Once the queue drains, the same session is served again.
+            let reply = session
+                .call_with(|out| out.extend_from_slice(&query_bytes(9)))
                 .unwrap();
-        }
+            assert!(matches!(decode(reply), Response::Value { .. }));
+        });
         assert_eq!(t.shed_total(), 2);
-        assert_eq!(session.inflight(), 4);
-        t.resume_workers();
-        let mut got = Vec::new();
-        for _ in 0..4 {
-            let reply = session.recv().unwrap();
-            got.push(match BinaryCodec.decode_response(reply).unwrap() {
-                Response::Value { .. } => "value",
-                Response::Busy { retry_after_ms } => {
-                    assert_eq!(retry_after_ms, 7);
-                    "busy"
-                }
-                other => panic!("{other:?}"),
-            });
-        }
-        // Send order is preserved: queued requests answer first, shed ones
-        // get their synthetic Busy in their original slots.
-        assert_eq!(got, ["value", "value", "busy", "busy"]);
-        assert_eq!(session.inflight(), 0);
     }
 
     #[test]
     fn one_shot_call_sheds_when_full() {
-        let t = ConcurrentTransport::spawn_shared_with(
-            Arc::new(server()),
-            TransportConfig {
-                workers: 1,
-                max_queue: 1,
-                retry_after_ms: 25,
-                start_paused: true,
-            },
-        )
-        .unwrap();
-        // First call would block on its reply; use a session to occupy the
-        // queue without waiting.
-        let mut session = t.session();
-        session
-            .send_with(|out| out.extend_from_slice(b"junk"))
-            .unwrap();
-        let reply = t.call(query_bytes(1)).unwrap();
-        assert!(matches!(
-            BinaryCodec.decode_response(&reply).unwrap(),
-            Response::Busy { retry_after_ms: 25 }
-        ));
-        assert_eq!(t.shed_total(), 1);
-        t.resume_workers();
-        session.recv().unwrap();
+        let (t, gate) = gated_transport(1);
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| call(&t, &query_bytes(0)));
+            gate.wait_entered(1);
+            let queued_behind = scope.spawn(|| call(&t, &query_bytes(1)));
+            wait_until("the second request to queue", || queued(&t) == 1);
+            let reply = call(&t, &query_bytes(2)).unwrap();
+            assert_eq!(
+                decode(&reply),
+                Response::Busy {
+                    retry_after_ms: RETRY_AFTER_MS
+                }
+            );
+            assert_eq!(t.shed_total(), 1);
+            gate.open();
+            for waiter in [held, queued_behind] {
+                assert!(matches!(
+                    decode(&waiter.join().unwrap().unwrap()),
+                    Response::Value { .. }
+                ));
+            }
+        });
     }
 
+    /// A flood far past a tiny queue, with the worker held: exactly the
+    /// queue's depth waits and every other caller is shed at once instead
+    /// of blocking, so the queue never grows past its cap. After release,
+    /// each reply is a real answer or `Busy`, and the Busy count is the
+    /// transport's shed count.
     #[test]
     fn shedding_keeps_memory_bounded_under_flood() {
-        // Hammer a tiny queue far past its capacity: every send must
-        // complete immediately (no blocking), every reply must be either a
-        // real answer or Busy, and the transport must shut down cleanly.
-        let t = ConcurrentTransport::spawn_shared_with(
-            Arc::new(server()),
-            TransportConfig {
-                workers: 1,
-                max_queue: 4,
-                retry_after_ms: 1,
-                start_paused: false,
-            },
-        )
-        .unwrap();
-        let mut session = t.session();
-        let mut busy = 0u32;
-        let mut answered = 0u32;
-        for round in 0..50 {
-            for i in 0..PIPELINE_MAX {
-                session
-                    .send_with(|out| {
-                        BinaryCodec.encode_request_into(
-                            &Request::Query {
-                                time: Timestamp::from_secs(((round * 7 + i) % 60) as i64 * 60),
-                                pos: Point::new(i as f64, 0.0),
-                            },
-                            out,
-                        )
-                    })
-                    .unwrap();
+        const CALLERS: i64 = 16;
+        let (t, gate) = gated_transport(4);
+        let (busy, answered) = std::thread::scope(|scope| {
+            let mut waiters = vec![scope.spawn(|| call(&t, &query_bytes(0)))];
+            gate.wait_entered(1);
+            for i in 1..=CALLERS {
+                let t = &t;
+                waiters.push(scope.spawn(move || call(t, &query_bytes(i))));
             }
-            while session.inflight() > 0 {
-                match BinaryCodec
-                    .decode_response(session.recv().unwrap())
-                    .unwrap()
-                {
+            wait_until("the flood to shed", || t.shed_total() == CALLERS as u64 - 4);
+            assert_eq!(queued(&t), 4, "the queue stays at its cap");
+            gate.open();
+            let (mut busy, mut answered) = (0u64, 0u64);
+            for waiter in waiters {
+                match decode(&waiter.join().unwrap().unwrap()) {
                     Response::Busy { .. } => busy += 1,
                     Response::Value { .. } | Response::NoData => answered += 1,
                     other => panic!("{other:?}"),
                 }
             }
-        }
-        assert_eq!(u64::from(busy), t.shed_total());
-        assert!(answered > 0, "some queries must get through");
+            (busy, answered)
+        });
+        assert_eq!(busy, t.shed_total());
+        assert_eq!(answered, 5, "the held request and the four queued");
     }
 
     #[test]
     fn concurrent_sessions_from_many_threads() {
-        let t = ConcurrentTransport::spawn(server(), 4).unwrap();
+        let t = spawn(4);
         std::thread::scope(|scope| {
             for k in 0..4 {
                 let t = &t;
@@ -1011,7 +854,7 @@ mod tests {
                                 )
                             })
                             .unwrap();
-                        BinaryCodec.decode_response(reply).unwrap();
+                        decode(reply);
                     }
                 });
             }
@@ -1021,35 +864,31 @@ mod tests {
     // The single-worker transport is the serial baseline (one server thread
     // behind a queue); these pin its request/response contract.
 
-    fn one_worker() -> ConcurrentTransport {
-        ConcurrentTransport::spawn(server(), 1).unwrap()
-    }
-
     #[test]
     fn query_across_thread_boundary() {
-        let t = one_worker();
+        let t = spawn(1);
         let req = BinaryCodec.encode_request(&Request::Query {
             time: Timestamp::from_secs(100),
             pos: Point::new(0.0, -200.0),
         });
-        let reply = t.call(req).unwrap();
-        assert!(matches!(
-            BinaryCodec.decode_response(&reply).unwrap(),
-            Response::Value { .. }
-        ));
+        let reply = call(&t, &req).unwrap();
+        assert!(matches!(decode(&reply), Response::Value { .. }));
     }
 
     #[test]
     fn many_sequential_calls() {
-        let t = one_worker();
+        let t = spawn(1);
+        let mut session = t.session();
         for i in 0..50 {
-            let req = BinaryCodec.encode_request(&Request::Query {
+            let req = Request::Query {
                 time: Timestamp::from_secs(i * 60),
                 pos: Point::new(i as f64 * 10.0, 0.0),
-            });
-            let reply = t.call(req).unwrap();
+            };
+            let reply = session
+                .call_with(|out| BinaryCodec.encode_request_into(&req, out))
+                .unwrap();
             assert!(!matches!(
-                BinaryCodec.decode_response(&reply).unwrap(),
+                decode(reply),
                 Response::Busy { .. } | Response::Error(_)
             ));
         }
@@ -1057,20 +896,17 @@ mod tests {
 
     #[test]
     fn garbage_request_returns_error_reply_not_panic() {
-        let t = one_worker();
+        let t = spawn(1);
         // The transport succeeds; the *protocol* reports the error, so the
         // worker stays usable for the next request.
-        let reply = t.call(vec![0xDE, 0xAD]).unwrap();
-        assert!(matches!(
-            BinaryCodec.decode_response(&reply).unwrap(),
-            Response::Error(_)
-        ));
-        assert!(t.call(query_bytes(1)).is_ok());
+        let reply = call(&t, &[0xDE, 0xAD]).unwrap();
+        assert!(matches!(decode(&reply), Response::Error(_)));
+        assert!(call(&t, &query_bytes(1)).is_ok());
     }
 
     #[test]
     fn concurrent_clients() {
-        let t = one_worker();
+        let t = spawn(1);
         std::thread::scope(|scope| {
             for k in 0..4 {
                 let t = &t;
@@ -1080,7 +916,7 @@ mod tests {
                             time: Timestamp::from_secs((k * 100 + i) * 30),
                             pos: Point::new(i as f64 * 20.0, k as f64 * 50.0),
                         });
-                        t.call(req).unwrap();
+                        call(t, &req).unwrap();
                     }
                 });
             }
@@ -1090,8 +926,8 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let t = one_worker();
-        t.call(query_bytes(1)).unwrap();
+        let t = spawn(1);
+        call(&t, &query_bytes(1)).unwrap();
         drop(t); // must not hang or panic after serving traffic
     }
 }

@@ -85,10 +85,10 @@ pub struct IngestOutcome {
 
 /// Everything guarded by the ingest lock (the ack path's only lock).
 ///
-/// The maintenance worker's wait predicate reads `dirty`, `paused` and
-/// `shutdown`, so each is written only under this lock: a write outside it
-/// could land between the worker's check and its park on
-/// `IngestState::work`, and the notify that follows would be lost.
+/// The maintenance worker's wait predicate reads `dirty` and `shutdown`,
+/// so both are written only under this lock: a write outside it could land
+/// between the worker's check and its park on `IngestState::work`, and the
+/// notify that follows would be lost.
 #[derive(Debug)]
 struct Inner {
     wal: WalStore,
@@ -97,9 +97,6 @@ struct Inner {
     /// Windows with data not yet reflected in the published covers.
     dirty: BTreeSet<u64>,
     stats: IngestStats,
-    /// Test hook: while set, the worker starts no rebuild pass, letting a
-    /// test pin "queries are served mid-rebuild" without racing the worker.
-    paused: bool,
     /// Set once when the owning [`ModelMaintenance`] is dropped.
     shutdown: bool,
 }
@@ -109,8 +106,7 @@ struct Inner {
 #[derive(Debug)]
 pub struct IngestState {
     inner: Mutex<Inner>,
-    /// Signalled when the dirty set grows, rebuilds resume, or shutdown is
-    /// requested.
+    /// Signalled when the dirty set grows or shutdown is requested.
     work: Condvar,
     registry: CoverRegistry,
     config: IngestConfig,
@@ -142,7 +138,6 @@ impl IngestState {
                 dedup: HashMap::new(),
                 dirty,
                 stats,
-                paused: false,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -233,7 +228,10 @@ impl IngestState {
     /// published.
     ///
     /// This is what the [`ModelMaintenance`] worker runs; tests call it
-    /// directly for deterministic publication points.
+    /// directly for deterministic publication points. It must not run
+    /// beside a live worker over the same state: two passes can publish
+    /// one window's covers out of order, leaving the older one in place
+    /// with nothing left dirty to replace it.
     pub fn rebuild_dirty_now(&self) -> Result<usize, StorageError> {
         // Snapshot the dirty windows' tuples under the lock…
         let (snapshots, window_secs): (Vec<(u64, Vec<RawTuple>)>, i64) = {
@@ -329,18 +327,6 @@ impl IngestState {
         snapshot.cover_for_time(t).map(|e| Arc::clone(&e.cover))
     }
 
-    /// Parks the maintenance worker before its next rebuild pass (test
-    /// hook; queries and ingest acks are unaffected).
-    pub fn pause_rebuilds(&self) {
-        self.lock().paused = true;
-    }
-
-    /// Releases a paused maintenance worker.
-    pub fn resume_rebuilds(&self) {
-        self.lock().paused = false;
-        self.work.notify_all();
-    }
-
     /// `true` while there are dirty windows awaiting a maintenance pass.
     pub fn has_dirty_windows(&self) -> bool {
         !self.lock().dirty.is_empty()
@@ -367,7 +353,7 @@ impl IngestState {
         self.registry.check_invariants()
     }
 
-    /// Wakes the worker and tells it to exit, paused or not. Idempotent.
+    /// Wakes the worker and tells it to exit. Idempotent.
     fn request_shutdown(&self) {
         self.lock().shutdown = true;
         self.work.notify_all();
@@ -378,7 +364,7 @@ impl IngestState {
         loop {
             {
                 let mut inner = self.lock();
-                while !inner.shutdown && (inner.paused || inner.dirty.is_empty()) {
+                while !inner.shutdown && inner.dirty.is_empty() {
                     inner = self
                         .work
                         .wait(inner)
@@ -673,26 +659,6 @@ mod tests {
         assert!(!state.registry().snapshot().is_empty());
         drop(maintenance); // shuts down and joins
         assert_eq!(state.check_invariants(), Ok(()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn paused_worker_defers_publication_until_resume() {
-        let dir = temp_dir("gate");
-        let state = Arc::new(open_state(&dir));
-        state.pause_rebuilds();
-        let maintenance = ModelMaintenance::spawn(Arc::clone(&state)).unwrap();
-        state.ingest(1, 1, &window_tuples(0, 10)).unwrap();
-        // The worker is parked at the gate: no publication happens.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(state.generation(), 0);
-        state.resume_rebuilds();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while state.generation() == 0 {
-            assert!(std::time::Instant::now() < deadline, "resume never took");
-            std::thread::yield_now();
-        }
-        drop(maintenance);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

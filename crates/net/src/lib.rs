@@ -23,8 +23,8 @@
 //!   speaking batched `QueryBatch` frames over any [`client::Wire`].
 //! * [`concurrent`] — the in-process transport:
 //!   [`concurrent::ConcurrentTransport`] runs N workers (one for the
-//!   demos) over one shared server, with pipelined per-connection
-//!   [`concurrent::Session`]s.
+//!   demos) over one shared server, with per-connection
+//!   [`concurrent::Session`]s that carry one request at a time.
 //! * [`buffers`] — per-thread buffer pools backing the allocation-free
 //!   steady-state serving path.
 //! * [`clock`] — injectable time ([`clock::SystemClock`] /
@@ -59,7 +59,7 @@ pub use client::{
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use codec::{BinaryCodec, TextCodec, WireCodec};
-pub use concurrent::{ConcurrentTransport, Session, TransportConfig, TransportError, PIPELINE_MAX};
+pub use concurrent::{ConcurrentTransport, Session, TransportConfig, TransportError};
 pub use fault::{ChaosStats, ChaosWire, FaultPlan, Outage, XorShiftRng};
 pub use ingest::{IngestConfig, IngestOutcome, IngestState, IngestStats, ModelMaintenance};
 pub use link::{LinkProfile, SimulatedLink};

@@ -255,12 +255,12 @@ fn client_query_batch_is_allocation_free() {
 
 /// The thread hand-off: a warmed `Session::call_with` round trip through a
 /// `ConcurrentTransport` allocates nothing on the session thread. The
-/// request buffer comes from the session's pool, the shard queue and the
-/// reply mailbox have their capacity reserved, and each reply buffer
-/// circulates back into the pool.
+/// session encodes into the buffer its last reply came back in, the shard
+/// queue has its capacity reserved, and the reply mailbox is one slot.
 #[test]
 fn session_round_trip_is_allocation_free() {
-    let transport = ConcurrentTransport::spawn(server(QueryMethod::ModelCover), 1).unwrap();
+    let transport =
+        ConcurrentTransport::spawn_shared(Arc::new(server(QueryMethod::ModelCover)), 1).unwrap();
     let mut session = transport.session();
     let t = tuple(5);
     let frames = [

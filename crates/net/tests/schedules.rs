@@ -112,10 +112,7 @@ fn query_server<C: WireCodec>(codec: C) -> EnviroServer<C> {
     EnviroServer::new(platform, codec, QueryMethod::ModelCover)
 }
 
-fn one_worker<C>(
-    server: &Arc<EnviroServer<C>>,
-    start_paused: bool,
-) -> std::io::Result<ConcurrentTransport>
+fn one_worker<C>(server: &Arc<EnviroServer<C>>) -> std::io::Result<ConcurrentTransport>
 where
     C: WireCodec + Send + Sync + 'static,
 {
@@ -124,10 +121,23 @@ where
         TransportConfig {
             workers: 1,
             max_queue: 4,
-            retry_after_ms: 1,
-            start_paused,
         },
     )
+}
+
+/// One exchange on a fresh session, with the reply copied out.
+fn call(transport: &ConcurrentTransport, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+    transport
+        .session()
+        .call_with(|out| out.extend_from_slice(request))
+        .map(<[u8]>::to_vec)
+}
+
+/// `query(i)` as the server answers it.
+fn answer<C: WireCodec>(server: &EnviroServer<C>, i: i64) -> Vec<u8> {
+    let mut reply = Vec::new();
+    server.handle_bytes_into(&query(i), &mut reply);
+    reply
 }
 
 fn query(i: i64) -> Vec<u8> {
@@ -144,8 +154,8 @@ fn query(i: i64) -> Vec<u8> {
 fn transport_drop_joins_workers_on_every_schedule() {
     let server = Arc::new(query_server(BinaryCodec));
     let report = enviro_schedule::explore("transport-drop-join", move || {
-        let transport = one_worker(&server, false).expect("spawn");
-        let reply = transport.call(query(1)).expect("served");
+        let transport = one_worker(&server).expect("spawn");
+        let reply = call(&transport, &query(1)).expect("served");
         assert!(!reply.is_empty());
         drop(transport); // must join, never hang, on every interleaving
     });
@@ -156,11 +166,9 @@ fn transport_drop_joins_workers_on_every_schedule() {
 /// A frame whose decoding panics under [`ProbeCodec`].
 const POISON: &[u8] = b"poison";
 
-/// The binary codec, except that it counts the requests it decodes and
-/// panics on [`POISON`], killing the worker that serves it.
-struct ProbeCodec {
-    decoded: Arc<AtomicU64>,
-}
+/// The binary codec, except that it panics on [`POISON`], killing the
+/// worker that serves it.
+struct ProbeCodec;
 
 impl WireCodec for ProbeCodec {
     fn name(&self) -> &'static str {
@@ -173,7 +181,6 @@ impl WireCodec for ProbeCodec {
 
     fn decode_request(&self, bytes: &[u8]) -> Result<Request, CodecError> {
         assert_ne!(bytes, POISON, "poison frame");
-        self.decoded.fetch_add(1, Ordering::Relaxed);
         BinaryCodec.decode_request(bytes)
     }
 
@@ -186,9 +193,8 @@ impl WireCodec for ProbeCodec {
     }
 }
 
-/// A probe server (built once: the platform is the expensive part) and its
-/// decode tally, which harnesses read as a difference per schedule.
-fn probe_server() -> (Arc<EnviroServer<ProbeCodec>>, Arc<AtomicU64>) {
+/// A probe server, built once: the platform is the expensive part.
+fn probe_server() -> Arc<EnviroServer<ProbeCodec>> {
     // Each schedule of the worker-exit harness panics a worker on purpose;
     // keep those expected panics out of the log.
     static QUIET: std::sync::Once = std::sync::Once::new();
@@ -204,128 +210,76 @@ fn probe_server() -> (Arc<EnviroServer<ProbeCodec>>, Arc<AtomicU64>) {
             }
         }));
     });
-    let decoded = Arc::new(AtomicU64::new(0));
-    let codec = ProbeCodec {
-        decoded: Arc::clone(&decoded),
-    };
-    (Arc::new(query_server(codec)), decoded)
+    Arc::new(query_server(ProbeCodec))
 }
 
-/// The hand-off's wake protocol: a session pipelines two requests to one
-/// worker and then waits for both replies. Either side may park at any
-/// point; each must be woken when its peer posts, so no schedule loses a
-/// wakeup (the model checker reports that as a deadlock), and the replies
-/// arrive in send order.
+/// The hand-off's wake protocol: two sessions on two threads call one
+/// worker. Any of the three may park at any point; each must be woken when
+/// its peer posts, so no schedule loses a wakeup (the model checker
+/// reports that as a deadlock), and each session gets its own answer.
 #[test]
-fn pipelined_session_never_loses_a_wakeup() {
+fn two_sessions_never_lose_a_wakeup() {
     let server = Arc::new(query_server(BinaryCodec));
-    let expected: Vec<Vec<u8>> = (1..=2)
-        .map(|i| {
-            let mut reply = Vec::new();
-            server.handle_bytes_into(&query(i), &mut reply);
-            reply
-        })
-        .collect();
-    let report = enviro_schedule::explore("transport-pipelined-wakeup", move || {
-        let transport = one_worker(&server, false).expect("spawn");
-        let mut session = transport.session();
-        for i in 1..=2 {
-            session
-                .send_with(|out| out.extend_from_slice(&query(i)))
-                .expect("queued");
-        }
-        for want in &expected {
-            assert_eq!(session.recv().expect("answered"), &want[..], "send order");
-        }
-        drop(session);
+    let expected: Vec<Vec<u8>> = (1..=2).map(|i| answer(&server, i)).collect();
+    let report = enviro_schedule::explore("transport-wakeup", move || {
+        let transport = Arc::new(one_worker(&server).expect("spawn"));
+        let other = {
+            let transport = Arc::clone(&transport);
+            enviro_schedule::thread::spawn(move || call(&transport, &query(2)))
+        };
+        assert_eq!(call(&transport, &query(1)).expect("answered"), expected[0]);
+        let reply = other.join().expect("second caller returns");
+        assert_eq!(reply.expect("answered"), expected[1]);
         drop(transport);
     });
     println!("{report}");
     assert!(report.schedules > 1);
 }
 
-/// Drain-then-join: a transport started paused, with requests queued and
-/// never resumed, is dropped. Drop must lift the pause, let the worker
-/// serve everything queued, and join it on every schedule.
-#[test]
-fn paused_transport_drains_and_joins_on_drop() {
-    let (server, decoded) = probe_server();
-    let report = enviro_schedule::explore("transport-paused-drain", move || {
-        let before = decoded.load(Ordering::Relaxed);
-        let transport = one_worker(&server, true).expect("spawn");
-        let mut session = transport.session();
-        for i in 1..=2 {
-            session
-                .send_with(|out| out.extend_from_slice(&query(i)))
-                .expect("queued");
-        }
-        drop(session);
-        drop(transport);
-        assert_eq!(
-            decoded.load(Ordering::Relaxed) - before,
-            2,
-            "every queued request served before the join"
-        );
-    });
-    println!("{report}");
-    assert!(report.schedules > 1);
-}
-
-/// A worker exits (here: it panics on a poison frame) while envelopes are
-/// still queued behind the one it was serving. Every waiter must see
-/// `Disconnected`, never a hang: the poisoned request, a session request
-/// queued behind it, and a one-shot call from another thread, whether that
-/// call queued before the worker died or found its shard already closed.
+/// A worker exits (here: it panics on a poison frame) while another
+/// session's request may be queued behind the one it was serving. No
+/// waiter hangs: the poisoned request gets `Disconnected`, and the other
+/// gets its correct reply (served first) or `Disconnected` (queued behind
+/// the poison, or sent after the worker died).
 #[test]
 fn worker_exit_disconnects_every_waiter() {
-    let (server, _) = probe_server();
+    let server = probe_server();
+    let expected = answer(&server, 1);
     let report = enviro_schedule::explore("transport-worker-exit", move || {
-        let transport = Arc::new(one_worker(&server, true).expect("spawn"));
-        let mut session = transport.session();
-        session
-            .send_with(|out| out.extend_from_slice(POISON))
-            .expect("queued");
-        session
-            .send_with(|out| out.extend_from_slice(&query(1)))
-            .expect("queued");
-        let caller = {
+        let transport = Arc::new(one_worker(&server).expect("spawn"));
+        let other = {
             let transport = Arc::clone(&transport);
-            enviro_schedule::thread::spawn(move || transport.call(query(2)))
+            enviro_schedule::thread::spawn(move || call(&transport, &query(1)))
         };
-        transport.resume_workers();
-        assert_eq!(session.recv(), Err(TransportError::Disconnected));
-        assert_eq!(session.recv(), Err(TransportError::Disconnected));
-        let call = caller.join().expect("caller returns");
-        assert!(
-            matches!(call, Err(TransportError::Disconnected)),
-            "call: {call:?}"
+        assert_eq!(
+            call(&transport, POISON),
+            Err(TransportError::Disconnected),
+            "the poisoned request"
         );
-        drop(session);
+        match other.join().expect("second caller returns") {
+            Ok(reply) => assert_eq!(reply, expected, "served before the poison"),
+            Err(e) => assert_eq!(e, TransportError::Disconnected),
+        }
         drop(transport);
     });
     println!("{report}");
     assert!(report.schedules > 1);
 }
 
-/// The maintenance pause gate: while paused, no schedule lets the worker
-/// publish; after resume + shutdown the worker always exits and the state
-/// stays consistent — including the shutdown-races-resume window.
+/// Maintenance shutdown: an ingest leaves a window dirty, and dropping the
+/// [`ModelMaintenance`] races the worker's pass. The worker either rebuilt
+/// before it saw the shutdown or exited first; both are legal, but no
+/// schedule may hang the join (a shutdown notify lost between the worker's
+/// check and its park) or leave a torn registry.
 #[test]
-fn paused_maintenance_never_publishes_and_always_shuts_down() {
+fn maintenance_always_shuts_down() {
     let round = AtomicU64::new(0);
-    let report = enviro_schedule::explore("maintenance-pause-resume", move || {
-        let dir = fresh_dir("gate", round.fetch_add(1, Ordering::Relaxed));
+    let report = enviro_schedule::explore("maintenance-shutdown", move || {
+        let dir = fresh_dir("shutdown", round.fetch_add(1, Ordering::Relaxed));
         let state = Arc::new(open_state(&dir));
-        state.pause_rebuilds();
         let maintenance = ModelMaintenance::spawn(Arc::clone(&state)).expect("spawn");
         state.ingest(1, 1, &batch(6)).expect("ingest succeeds");
-        // The gate is checked before every rebuild pass: no interleaving
-        // may publish while paused.
-        assert_eq!(state.generation(), 0, "published while paused");
-        state.resume_rebuilds();
-        drop(maintenance); // request_shutdown + join, racing the resume
-                           // The worker either rebuilt before seeing shutdown or exited
-                           // first; both are legal, a hang or a torn registry is not.
+        drop(maintenance); // request_shutdown + join, racing the pass
         assert!(state.generation() <= 1);
         state.check_invariants().expect("state is consistent");
         let _ = std::fs::remove_dir_all(&dir);

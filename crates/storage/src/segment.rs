@@ -8,7 +8,6 @@
 
 use crate::crc::crc32;
 use crate::record::{decode_batch, encode_records, RECORD_SIZE};
-use bytes::BufMut;
 use enviro_data::RawTuple;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -64,8 +63,8 @@ impl SegmentWriter {
             .open(&path)?;
         let mut header = Vec::with_capacity(HEADER_SIZE);
         header.extend_from_slice(&MAGIC);
-        header.put_u32_le(VERSION);
-        header.put_u32_le(seq);
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&seq.to_le_bytes());
         file.write_all(&header)?;
         sync_dir(dir)?;
         Ok(Self {

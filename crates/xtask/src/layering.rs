@@ -5,7 +5,7 @@
 //! a new crate, a new edge — fails the lint until the table is updated,
 //! which makes architectural drift a reviewed decision instead of an
 //! accident. Only `enviro-*` edges are checked; vendored shim crates
-//! (`rand`, `bytes`, …) are infrastructure, not layers.
+//! (`rand`, `proptest`, …) are infrastructure, not layers.
 
 use crate::manifest::Manifest;
 

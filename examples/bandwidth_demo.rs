@@ -18,6 +18,7 @@ use enviro_net::{
     BaselineClient, BinaryCodec, ConcurrentTransport, EnviroServer, LinkProfile, ModelCacheClient,
     Request, Response, SimulatedLink, WireCodec,
 };
+use std::sync::Arc;
 
 fn main() {
     let sim = LausanneSim::lausanne(SimConfig {
@@ -61,14 +62,18 @@ fn main() {
     // The same protocol across a real thread boundary: the server runs on
     // its own thread; the phone talks to it in raw bytes.
     println!("--- concurrent transport (one worker thread) ---");
-    let transport = ConcurrentTransport::spawn(server, 1).expect("spawn server thread");
-    let req = BinaryCodec.encode_request(&Request::Query {
+    let transport =
+        ConcurrentTransport::spawn_shared(Arc::new(server), 1).expect("spawn server thread");
+    let req = Request::Query {
         time: Timestamp::from_hours(8),
         pos: Point::new(0.0, -200.0),
-    });
-    let resp_bytes = transport.call(req).expect("server thread alive");
+    };
+    let mut session = transport.session();
+    let resp_bytes = session
+        .call_with(|out| BinaryCodec.encode_request_into(&req, out))
+        .expect("server thread alive");
     match BinaryCodec
-        .decode_response(&resp_bytes)
+        .decode_response(resp_bytes)
         .expect("well-formed")
     {
         Response::Value { value } => {

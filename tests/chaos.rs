@@ -416,6 +416,76 @@ fn model_cache_rides_through_an_outage() {
     );
 }
 
+/// Holds every request decoded under a [`GatedCodec`] until opened, so a
+/// test can keep a worker busy and its queue full for as long as it needs.
+#[derive(Default)]
+struct Gate {
+    /// Requests that reached the gate, and whether it is open.
+    state: std::sync::Mutex<(usize, bool)>,
+    changed: std::sync::Condvar,
+}
+
+impl Gate {
+    fn pass(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.0 += 1;
+        self.changed.notify_all();
+        while !st.1 {
+            st = self.changed.wait(st).unwrap();
+        }
+    }
+
+    fn wait_entered(&self, n: usize) {
+        let mut st = self.state.lock().unwrap();
+        while st.0 < n {
+            st = self.changed.wait(st).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// The binary codec, except that every request decode waits at the gate.
+struct GatedCodec(Arc<Gate>);
+
+impl WireCodec for GatedCodec {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+
+    fn encode_request_into(&self, req: &Request, out: &mut Vec<u8>) {
+        BinaryCodec.encode_request_into(req, out);
+    }
+
+    fn decode_request(&self, bytes: &[u8]) -> Result<Request, enviro_net::codec::CodecError> {
+        self.0.pass();
+        BinaryCodec.decode_request(bytes)
+    }
+
+    fn encode_response_into(&self, resp: &Response, out: &mut Vec<u8>) {
+        BinaryCodec.encode_response_into(resp, out);
+    }
+
+    fn decode_response(&self, bytes: &[u8]) -> Result<Response, enviro_net::codec::CodecError> {
+        BinaryCodec.decode_response(bytes)
+    }
+}
+
+/// Polls `done` until it holds; a hang fails the test after 30 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting: {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 /// A server whose queue is saturated sheds with `Busy`, and the resilient
 /// client absorbs the sheds: it backs off by the server's hint, retries,
 /// and once capacity returns still gets every answer right.
@@ -424,41 +494,43 @@ fn client_rides_through_server_shedding() {
     use enviro_net::TransportConfig;
     const TUPLES: usize = 500;
     let seed = chaos_seed();
-    let server = Arc::new(build_server(BinaryCodec));
     let traj = trajectory(TUPLES, 4, 5);
-    let oracle = oracle_values(&server, BinaryCodec, &traj, 16);
+    let oracle = oracle_values(&build_server(BinaryCodec), BinaryCodec, &traj, 16);
 
-    // One paused worker with a one-slot queue: a pre-loaded request keeps
-    // the slot occupied, so the client's first sends are all shed. The
-    // client's Busy backoff really sleeps (system clock); a timer thread
-    // resumes the worker 25 ms in, well inside the retry budget.
+    // One worker with a one-slot queue, held in decode by the gate: a
+    // first request occupies the worker, and of two more, one fills the
+    // slot and the other is shed, which proves the queue full. Every send
+    // of the client's is then shed until the gate opens, which happens
+    // only after the client has been shed at least once. The client's
+    // Busy backoff really sleeps (system clock), well inside its budget.
+    let gate = Arc::new(Gate::default());
     let transport = ConcurrentTransport::spawn_shared_with(
-        Arc::clone(&server),
+        Arc::new(build_server(GatedCodec(Arc::clone(&gate)))),
         TransportConfig {
             workers: 1,
             max_queue: 1,
-            retry_after_ms: 5,
-            start_paused: true,
         },
     )
     .unwrap();
-    let mut blocker = transport.session();
-    blocker
-        .send_with(|out| {
-            BinaryCodec.encode_request_into(
-                &enviro_net::Request::ModelRequest {
-                    time: Timestamp::from_secs(60),
-                },
-                out,
-            )
-        })
-        .unwrap();
+    let model_request = BinaryCodec.encode_request(&Request::ModelRequest {
+        time: Timestamp::from_secs(60),
+    });
 
     std::thread::scope(|scope| {
-        let transport_ref = &transport;
-        scope.spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(25));
-            transport_ref.resume_workers();
+        let blocker = || {
+            let reply = transport
+                .session()
+                .call_with(|out| out.extend_from_slice(&model_request))
+                .map(|reply| BinaryCodec.decode_response(reply).unwrap());
+            reply.unwrap()
+        };
+        let mut blockers = vec![scope.spawn(blocker)];
+        gate.wait_entered(1);
+        blockers.extend([scope.spawn(blocker), scope.spawn(blocker)]);
+        wait_until("the queue to fill", || transport.shed_total() == 1);
+        scope.spawn(|| {
+            wait_until("the client to be shed", || transport.shed_total() >= 2);
+            gate.open();
         });
 
         let mut session = transport.session();
@@ -488,9 +560,15 @@ fn client_rides_through_server_shedding() {
             "seed {seed}: the saturated queue never shed: {stats:?}"
         );
         assert_eq!(stats.busy_replies, stats.retries, "{stats:?}");
+        // The two requests that got in are answered; the third was shed.
+        let replies: Vec<Response> = blockers.into_iter().map(|b| b.join().unwrap()).collect();
+        let shed = replies
+            .iter()
+            .filter(|r| matches!(r, Response::Busy { .. }))
+            .count();
+        assert_eq!(shed, 1, "{replies:?}");
     });
-    assert!(transport.shed_total() > 0);
-    let _ = blocker.recv(); // drain the pre-loaded request's reply
+    assert!(transport.shed_total() > 1);
 }
 
 // ------------------------------------------------ durable write path chaos
@@ -725,10 +803,11 @@ fn queries_under_ingest_match_the_batch_platform_bit_for_bit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Queries never block on a rebuild: while the maintenance worker is
-/// paused mid-“rebuild” with a dirty window queued, the server keeps
-/// answering from the previously published covers; resuming publishes the
-/// new window in the background with no query-thread involvement.
+/// Queries never block on a rebuild: while a dirty window waits for its
+/// cover (here: before any maintenance worker exists), the server keeps
+/// answering from the previously published covers; the worker, once
+/// spawned, publishes the new window in the background with no
+/// query-thread involvement.
 #[test]
 fn queries_keep_serving_while_a_rebuild_is_pending() {
     let dir = chaos_temp_dir("pending-rebuild");
@@ -766,10 +845,8 @@ fn queries_keep_serving_while_a_rebuild_is_pending() {
     let gen1 = state.generation();
     assert!(gen1 > 0);
 
-    // Hold the worker's rebuild gate (an arbitrarily long Ad-KMN rebuild),
-    // then hand it a dirty window.
-    state.pause_rebuilds();
-    let maintenance = ModelMaintenance::spawn(Arc::clone(&state)).unwrap();
+    // A dirty window with no worker to rebuild it yet (an arbitrarily long
+    // wait for Ad-KMN).
     let w1 = ingest_tuples(200, INGEST_WINDOW_SECS);
     assert_eq!(client.ingest_resilient(&mut wire, 1, &w1).failed_tuples, 0);
 
@@ -792,8 +869,8 @@ fn queries_keep_serving_while_a_rebuild_is_pending() {
     );
     assert_eq!(state.generation(), gen1, "publication must be deferred");
 
-    // Release the gate: the background worker publishes on its own.
-    state.resume_rebuilds();
+    // Spawn the worker: it publishes on its own.
+    let maintenance = ModelMaintenance::spawn(Arc::clone(&state)).unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while state.generation() == gen1 {
         assert!(

@@ -12,6 +12,7 @@ use enviro_net::{
     BaselineClient, BinaryCodec, ConcurrentTransport, EnviroServer, LinkProfile, ModelCacheClient,
     Request, Response, SimulatedLink, TextCodec, WireCodec,
 };
+use std::sync::Arc;
 
 fn server<C: WireCodec>(codec: C, seed: u64) -> (EnviroServer<C>, LausanneSim) {
     let sim = LausanneSim::lausanne(SimConfig {
@@ -111,23 +112,24 @@ fn model_cache_bandwidth_savings_hold_over_3g_too() {
 #[test]
 fn thread_transport_serves_both_request_kinds() {
     let (srv, _) = server(BinaryCodec, 7);
-    let transport = ConcurrentTransport::spawn(srv, 1).unwrap();
+    let transport = ConcurrentTransport::spawn_shared(Arc::new(srv), 1).unwrap();
+    let mut session = transport.session();
+    let mut call = |req: Request| {
+        let reply = session
+            .call_with(|out| BinaryCodec.encode_request_into(&req, out))
+            .unwrap();
+        BinaryCodec.decode_response(reply).unwrap()
+    };
 
-    let q = BinaryCodec.encode_request(&Request::Query {
+    let resp = call(Request::Query {
         time: Timestamp::from_hours(8),
         pos: Point::new(0.0, -200.0),
     });
-    let resp = BinaryCodec
-        .decode_response(&transport.call(q).unwrap())
-        .unwrap();
     assert!(matches!(resp, Response::Value { .. }));
 
-    let m = BinaryCodec.encode_request(&Request::ModelRequest {
+    let resp = call(Request::ModelRequest {
         time: Timestamp::from_hours(8),
     });
-    let resp = BinaryCodec
-        .decode_response(&transport.call(m).unwrap())
-        .unwrap();
     match resp {
         Response::Cover(cover) => assert!(!cover.is_empty()),
         other => panic!("expected cover, got {other:?}"),

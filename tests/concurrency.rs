@@ -181,6 +181,9 @@ fn garbage_frames_mid_stream_do_not_poison_other_sessions() {
     });
 }
 
+/// A stream of batch frames on one session, one at a time over a
+/// four-worker pool: reply N answers request N (its `seq`), bit-identical
+/// to sequential `handle()` calls.
 #[test]
 fn pipelined_batches_round_trip_under_contention() {
     let server = shared_server();
@@ -188,13 +191,11 @@ fn pipelined_batches_round_trip_under_contention() {
     let traj = trajectory(2);
     let expected = sequential_answers(&server, &traj);
 
-    // Pipeline all batch frames first, then drain replies in order —
-    // exercising the queue depth rather than lock-step call/reply.
     let mut session = transport.session();
-    let chunks: Vec<&[QueryTuple]> = traj.chunks(25).collect();
-    for (i, chunk) in chunks.iter().enumerate() {
-        session
-            .send_with(|out| {
+    let mut got = Vec::with_capacity(traj.len());
+    for (i, chunk) in traj.chunks(25).enumerate() {
+        let reply = session
+            .call_with(|out| {
                 BinaryCodec.encode_request_into(
                     &Request::QueryBatch {
                         seq: i as u32 + 1,
@@ -204,13 +205,8 @@ fn pipelined_batches_round_trip_under_contention() {
                 )
             })
             .unwrap();
-    }
-    let mut got = Vec::with_capacity(traj.len());
-    for (i, chunk) in chunks.iter().enumerate() {
-        let reply = session.recv().unwrap();
         match BinaryCodec.decode_response(reply).unwrap() {
             Response::ValueBatch { seq, values, .. } => {
-                // In-order pipelining: reply N carries request N's seq.
                 assert_eq!(seq, i as u32 + 1);
                 assert_eq!(values.len(), chunk.len());
                 got.extend_from_slice(&values);
@@ -218,7 +214,7 @@ fn pipelined_batches_round_trip_under_contention() {
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert_bit_identical(&expected, &got, "pipelined batches");
+    assert_bit_identical(&expected, &got, "sequential batches");
 }
 
 #[test]
@@ -228,15 +224,17 @@ fn corrupt_frame_mid_pipeline_is_isolated_to_its_own_reply() {
     let traj = trajectory(1);
     let expected = sequential_answers(&server, &traj);
 
-    // Three pipelined batch frames; the middle one gets a bit flipped after
-    // encoding, so its CRC check must fail server-side. The corruption must
-    // produce exactly one Error reply, in order, with both neighbors served.
+    // Three batch frames on one session; the middle one gets a bit flipped
+    // after encoding, so its CRC check must fail server-side. The
+    // corruption must produce exactly one Error reply, to that frame, with
+    // both neighbors served.
     let mut session = transport.session();
     let chunks: Vec<&[QueryTuple]> = traj.chunks(traj.len().div_ceil(3)).collect();
     assert_eq!(chunks.len(), 3);
+    let mut got: Vec<Option<f64>> = Vec::new();
     for (i, chunk) in chunks.iter().enumerate() {
-        session
-            .send_with(|out| {
+        let reply = session
+            .call_with(|out| {
                 BinaryCodec.encode_request_into(
                     &Request::QueryBatch {
                         seq: i as u32 + 1,
@@ -250,10 +248,6 @@ fn corrupt_frame_mid_pipeline_is_isolated_to_its_own_reply() {
                 }
             })
             .unwrap();
-    }
-    let mut got: Vec<Option<f64>> = Vec::new();
-    for (i, chunk) in chunks.iter().enumerate() {
-        let reply = session.recv().unwrap();
         match BinaryCodec.decode_response(reply).unwrap() {
             Response::ValueBatch { seq, values, .. } => {
                 assert_ne!(i, 1, "corrupted frame must not be answered");
