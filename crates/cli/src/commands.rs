@@ -8,7 +8,8 @@ use enviro_geo::{Point, Polyline};
 use enviro_meter::{default_parallelism, AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
     BinaryCodec, Clock, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
-    ModelMaintenance, RetryPolicy, SystemClock, TransportConfig, VirtualClock, Wire, WireCodec,
+    LinkProfile, LoopbackWire, ModelMaintenance, RetryPolicy, SimulatedLink, SystemClock,
+    TransportConfig, VirtualClock, Wire,
 };
 use enviro_schedule::sync::Arc;
 use enviro_storage::{WalConfig, WalStore};
@@ -63,19 +64,45 @@ fn load_dataset(args: &Args) -> Result<Dataset, CliError> {
     read_csv(pollutant, file).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
-fn platform_from(args: &Args, dataset: Dataset) -> Result<EnviroMeter, CliError> {
+/// The most cells `enviro heatmap` renders (2048 × 2048); larger grids are
+/// refused as usage errors rather than attempted.
+const MAX_HEATMAP_CELLS: u64 = 1 << 22;
+
+/// The most fixes `enviro route` records; a slower or longer walk is refused
+/// as a usage error rather than allocated.
+const MAX_ROUTE_FIXES: usize = 1_000_000;
+
+/// Parses the platform flags (`--window` | `--window-secs`, `--tau`,
+/// `--radius`), then loads the dataset and stands the platform up. A bad
+/// flag value is a usage error before any library call sees it.
+fn load_platform(args: &Args) -> Result<EnviroMeter, CliError> {
     let spec = match (args.get("window"), args.get("window-secs")) {
         (Some(_), Some(_)) => return Err(CliError::usage("give either --window or --window-secs")),
         (Some(_), None) => WindowSpec::ByCount(args.require_parsed("window")?),
         (None, Some(_)) => WindowSpec::ByDuration(args.require_parsed("window-secs")?),
         (None, None) => WindowSpec::ByDuration(4 * 3_600),
     };
+    let positive = match spec {
+        WindowSpec::ByCount(n) => n > 0,
+        WindowSpec::ByDuration(secs) => secs > 0,
+    };
+    if !positive {
+        return Err(CliError::usage(
+            "--window and --window-secs must be positive",
+        ));
+    }
+    let tau_percent: f64 = args.get_or("tau", 2.0)?;
+    let radius: f64 = args.get_or("radius", 1_000.0)?;
+    if !(tau_percent.is_finite() && tau_percent >= 0.0 && radius.is_finite() && radius >= 0.0) {
+        return Err(CliError::usage(
+            "--tau and --radius must be finite and non-negative",
+        ));
+    }
     let adkmn = AdKmnConfig {
-        tau_percent: args.get_or("tau", 2.0)?,
+        tau_percent,
         ..AdKmnConfig::default()
     };
-    let radius = args.get_or("radius", 1_000.0)?;
-    Ok(EnviroMeter::new(dataset, spec, adkmn, radius))
+    Ok(EnviroMeter::new(load_dataset(args)?, spec, adkmn, radius))
 }
 
 fn parse_method(args: &Args) -> Result<QueryMethod, CliError> {
@@ -185,15 +212,14 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(io_err)?;
         return Ok(());
     }
-    let dataset = load_dataset(args)?;
-    let pollutant = dataset.pollutant();
-    let platform = platform_from(args, dataset)?;
     let time = args
         .time("time")?
         .ok_or_else(|| CliError::usage("missing required flag --time"))?;
     let x: f64 = args.require_parsed("x")?;
     let y: f64 = args.require_parsed("y")?;
     let method = parse_method(args)?;
+    let platform = load_platform(args)?;
+    let pollutant = platform.engine().dataset().pollutant();
     let q = QueryTuple::new(time, Point::new(x, y));
     match platform.point_query(&q, method) {
         Some(v) => {
@@ -220,13 +246,17 @@ fn cmd_heatmap(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(io_err)?;
         return Ok(());
     }
-    let dataset = load_dataset(args)?;
-    let platform = platform_from(args, dataset)?;
     let time = args
         .time("time")?
         .ok_or_else(|| CliError::usage("missing required flag --time"))?;
     let cols = args.get_or("cols", 96u32)?;
     let rows = args.get_or("rows", 64u32)?;
+    if cols == 0 || rows == 0 || u64::from(cols) * u64::from(rows) > MAX_HEATMAP_CELLS {
+        return Err(CliError::usage(format!(
+            "--cols and --rows must be positive, with at most {MAX_HEATMAP_CELLS} cells"
+        )));
+    }
+    let platform = load_platform(args)?;
     let hm = platform
         .heatmap(time, cols, rows)
         .ok_or_else(|| CliError::runtime("no data to render".to_string()))?;
@@ -259,22 +289,30 @@ fn cmd_route(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(io_err)?;
         return Ok(());
     }
-    let dataset = load_dataset(args)?;
-    let platform = platform_from(args, dataset)?;
     let start = args
         .time("start")?
         .ok_or_else(|| CliError::usage("missing required flag --start"))?;
     let speed: f64 = args.get_or("speed", 1.4)?;
     let interval: i64 = args.get_or("interval", 60)?;
-    if speed <= 0.0 || interval <= 0 {
-        return Err(CliError::usage("--speed and --interval must be positive"));
+    if !(speed.is_finite() && speed > 0.0) || interval <= 0 {
+        return Err(CliError::usage(
+            "--speed and --interval must be finite and positive",
+        ));
     }
     let vertices = parse_points(args.require("points")?)?;
     if vertices.len() < 2 {
         return Err(CliError::usage("--points needs at least two x,y pairs"));
     }
+    let method = parse_method(args)?;
     let walk = Polyline::new(vertices);
-    let fixes = (walk.length() / (speed * interval as f64)).ceil() as usize + 1;
+    let steps = (walk.length() / (speed * interval as f64)).ceil();
+    if steps.is_nan() || steps >= MAX_ROUTE_FIXES as f64 {
+        return Err(CliError::usage(format!(
+            "the route needs more than {MAX_ROUTE_FIXES} fixes; raise --speed or --interval"
+        )));
+    }
+    let fixes = steps as usize + 1;
+    let platform = load_platform(args)?;
     let trajectory: Vec<QueryTuple> = (0..fixes)
         .map(|i| {
             QueryTuple::new(
@@ -283,7 +321,6 @@ fn cmd_route(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             )
         })
         .collect();
-    let method = parse_method(args)?;
     let route = platform.record_route(&trajectory, method);
     let summary = route.summary();
     writeln!(out, "{}", summary.advisory).map_err(io_err)?;
@@ -334,22 +371,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(io_err)?;
         return Ok(());
     }
-    let dataset = load_dataset(args)?;
-    let pollutant = dataset.pollutant();
-    let (from, to) = dataset
-        .time_span()
-        .ok_or_else(|| CliError::runtime("dataset is empty".to_string()))?;
-    let bounds = dataset.bounds();
-    // With --ingest the same tuples are streamed through the durable write
-    // path while the query clients run; keep a copy before the platform
-    // consumes the dataset.
-    let ingest_dir = args.get("ingest").map(str::to_string);
-    let stream: Vec<enviro_data::RawTuple> = if ingest_dir.is_some() {
-        dataset.tuples().to_vec()
-    } else {
-        Vec::new()
-    };
-    let platform = platform_from(args, dataset)?;
     let method = parse_method(args)?;
     let workers: usize = args.get_or("workers", default_parallelism())?;
     let batch: usize = args.get_or("batch", 64)?;
@@ -366,6 +387,21 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "--workers, --batch, --clients, --requests and --max-queue must be positive",
         ));
     }
+    let platform = load_platform(args)?;
+    let dataset = platform.engine().dataset();
+    let pollutant = dataset.pollutant();
+    let (from, to) = dataset
+        .time_span()
+        .ok_or_else(|| CliError::runtime("dataset is empty".to_string()))?;
+    let bounds = platform.extent();
+    // With --ingest the same tuples are streamed through the durable write
+    // path while the query clients run.
+    let ingest_dir = args.get("ingest").map(str::to_string);
+    let stream: Vec<enviro_data::RawTuple> = if ingest_dir.is_some() {
+        dataset.tuples().to_vec()
+    } else {
+        Vec::new()
+    };
 
     // Build every per-window structure up front (in parallel across the
     // worker count) so the measured load sees steady-state serving.
@@ -535,20 +571,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A [`Wire`] that calls the server in-process with no simulated link —
-/// the `enviro ingest` replayer's transport.
-struct DirectWire<'a, C: WireCodec> {
-    server: &'a EnviroServer<C>,
-    reply: Vec<u8>,
-}
-
-impl<C: WireCodec> Wire for DirectWire<'_, C> {
-    fn exchange(&mut self, request: &[u8]) -> Result<&[u8], enviro_net::TransportError> {
-        self.server.handle_bytes_into(request, &mut self.reply);
-        Ok(&self.reply)
-    }
-}
-
 fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if args.has("help") {
         writeln!(
@@ -613,10 +635,8 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         Box::new(SystemClock::new())
     };
-    let mut wire = DirectWire {
-        server: &server,
-        reply: Vec::new(),
-    };
+    let mut link = SimulatedLink::new(LinkProfile::IDEAL);
+    let mut wire = LoopbackWire::new(&server, &mut link);
     let mut client = EnviroClient::new(BinaryCodec, pollutant).with_batch(batch);
 
     let start_ms = clock.now_ms();
@@ -786,7 +806,7 @@ fn parse_points(raw: &str) -> Result<Vec<Point>, CliError> {
                 .next()
                 .and_then(|v| v.trim().parse::<f64>().ok())
                 .ok_or_else(|| CliError::usage(format!("bad point {pair:?}")))?;
-            if it.next().is_some() {
+            if it.next().is_some() || !(x.is_finite() && y.is_finite()) {
                 return Err(CliError::usage(format!("bad point {pair:?}")));
             }
             Ok(Point::new(x, y))
@@ -1001,6 +1021,43 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_numeric_flags_are_usage_errors() {
+        let csv = temp_path("bad-flags.csv");
+        let csv_str = csv.to_str().unwrap();
+        run_cmd(&["simulate", "--hours", "2", "--out", csv_str]);
+        let query = ["query", csv_str, "--time", "1h", "--x", "0", "--y", "0"];
+        let route = ["route", csv_str, "--start", "1h", "--points", "0,0;100,0"];
+        let heatmap = ["heatmap", csv_str, "--time", "1h", "--ascii"];
+        let cases: [(&[&str], &[&str]); 14] = [
+            (&query, &["--radius", "-1"]),
+            (&query, &["--radius", "NaN"]),
+            (&query, &["--window", "0"]),
+            (&query, &["--window-secs", "0"]),
+            (&query, &["--window-secs", "-5"]),
+            (&query, &["--tau", "-1"]),
+            (&query, &["--tau", "NaN"]),
+            (&route, &["--speed", "NaN"]),
+            (&route, &["--speed", "inf"]),
+            (&route, &["--speed", "1e-12"]),
+            (&route, &["--speed", "1e-300"]),
+            (&heatmap, &["--cols", "0"]),
+            (&heatmap, &["--rows", "0"]),
+            (&heatmap, &["--cols", "100000", "--rows", "100000"]),
+        ];
+        for (command, flags) in cases {
+            let argv: Vec<&str> = command.iter().chain(flags).copied().collect();
+            let (code, out) = run_cmd(&argv);
+            assert_eq!(code, 2, "{flags:?}: {out}");
+        }
+        // The defaults those flags replace are accepted.
+        for command in [&query[..], &route, &heatmap] {
+            let (code, out) = run_cmd(command);
+            assert_eq!(code, 0, "{command:?}: {out}");
+        }
+        std::fs::remove_file(&csv).ok();
+    }
+
+    #[test]
     fn serve_with_tiny_queue_sheds_but_still_answers_everything() {
         let csv = temp_path("serve-shed.csv");
         run_cmd(&["simulate", "--hours", "2", "--out", csv.to_str().unwrap()]);
@@ -1157,6 +1214,7 @@ mod tests {
         assert!(parse_points("1,2;3,4").is_ok());
         assert!(parse_points("1,2;nope").is_err());
         assert!(parse_points("1,2,3").is_err());
+        assert!(parse_points("0,0;NaN,0").is_err());
         assert_eq!(parse_points("").unwrap().len(), 0);
     }
 

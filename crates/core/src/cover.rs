@@ -174,29 +174,6 @@ impl CoverBuilder {
     /// behind its model and must not answer queries.
     pub fn build(&self, window: &Window<'_>, pollutant: Pollutant) -> ModelCover {
         let result = self.adkmn.run(window.tuples, pollutant);
-        self.assemble(window, pollutant, result)
-    }
-
-    /// Learns the cover for one window, warm-starting the clustering from
-    /// a previous cover's centroids (cross-window adaptivity; see
-    /// [`crate::cluster::AdKmn::run_seeded`]).
-    pub fn build_seeded(
-        &self,
-        window: &Window<'_>,
-        pollutant: Pollutant,
-        previous: &ModelCover,
-    ) -> ModelCover {
-        let seeds: Vec<enviro_geo::Point> = previous.regions.iter().map(|r| r.centroid).collect();
-        let result = self.adkmn.run_seeded(window.tuples, pollutant, &seeds);
-        self.assemble(window, pollutant, result)
-    }
-
-    fn assemble(
-        &self,
-        window: &Window<'_>,
-        pollutant: Pollutant,
-        result: crate::cluster::AdKmnResult,
-    ) -> ModelCover {
         let mut population = vec![0usize; result.centroids.len()];
         for &a in &result.assignment {
             population[a] += 1;

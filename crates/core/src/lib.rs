@@ -22,9 +22,9 @@
 //!   pollutant-normalized approximation-error metric.
 //! * [`cover`] — the [`ModelCover`]: centroids + models + validity horizon,
 //!   the unit cached by clients and shipped by the server.
-//! * [`query`] — the three query-processing methods of §2.2 (naïve /
-//!   metric-space index / model cover) behind one trait, plus the windowed
-//!   [`query::QueryEngine`].
+//! * [`query`] — the windowed [`query::QueryEngine`], which answers with
+//!   each of the seven [`QueryMethod`]s: the naïve scan, the four
+//!   metric-space indexes and the model cover of §2.2, plus IDW.
 //! * [`eval`] — NRMSE and coverage metrics for the accuracy experiments.
 //! * [`heatmap`] — the web UI's heatmap mode: model-cover evaluation over a
 //!   grid, with PPM/ASCII rendering.
@@ -91,8 +91,5 @@ pub use heatmap::{Heatmap, HeatmapBuilder};
 pub use model::{ApproximationError, FitConfig, LinearModel, RegionModel};
 pub use platform::EnviroMeter;
 pub use publish::{CoverRegistry, CoverSet, PublishedCover};
-pub use query::{
-    default_parallelism, CoverProcessor, IdwConfig, IdwProcessor, IndexKind, IndexedProcessor,
-    NaiveProcessor, PointQueryProcessor, QueryEngine, QueryMethod, QueryOutcome,
-};
+pub use query::{default_parallelism, QueryEngine, QueryMethod, QueryOutcome};
 pub use route::{Route, RouteSummary};

@@ -2,12 +2,13 @@
 
 use crate::cluster::AdKmnConfig;
 use crate::cover::{CoverBuilder, ModelCover};
-use crate::query::{
-    CoverProcessor, IdwConfig, IdwProcessor, IndexKind, IndexedProcessor, NaiveProcessor,
-    PointQueryProcessor, QueryMethod,
-};
+use crate::query::idw::idw;
+use crate::query::indexed::{entries, indexed_mean};
+use crate::query::naive::naive_mean;
+use crate::query::QueryMethod;
 use crate::routing;
 use enviro_data::{Dataset, QueryTuple, RawTuple, Timestamp, WindowSpec, Windows};
+use enviro_index::{GridIndex, KdTree, RTree, SpatialIndex, VpTree};
 use enviro_schedule::sync::OnceLock;
 
 /// Precomputed placement of one window inside the dataset's tuple vector.
@@ -20,10 +21,59 @@ struct WindowMeta {
     valid_until: Timestamp,
 }
 
+/// One window's lazily built structures, one slot per structure a
+/// [`QueryMethod`] needs. Each slot is an independent `OnceLock`, which
+/// keeps the hot query path lock-free after the first build. The R-tree
+/// serves both [`QueryMethod::RTree`]'s radius search and
+/// [`QueryMethod::Idw`]'s k-NN; the naïve scan needs no structure.
+#[derive(Debug, Default)]
+struct WindowSlots {
+    cover: OnceLock<ModelCover>,
+    rtree: OnceLock<RTree>,
+    vptree: OnceLock<VpTree>,
+    kdtree: OnceLock<KdTree>,
+    grid: OnceLock<GridIndex>,
+}
+
+/// One method bound to one window: what answers each query of a window
+/// run.
+#[derive(Clone, Copy)]
+enum Bound<'a> {
+    Cover(&'a ModelCover),
+    Naive {
+        tuples: &'a [RawTuple],
+        radius: f64,
+    },
+    Indexed {
+        index: &'a dyn SpatialIndex,
+        tuples: &'a [RawTuple],
+        radius: f64,
+    },
+    Idw {
+        tree: &'a RTree,
+        tuples: &'a [RawTuple],
+    },
+}
+
+impl Bound<'_> {
+    fn answer(self, q: &QueryTuple) -> Option<f64> {
+        match self {
+            Bound::Cover(cover) => cover.interpolate(q.time, &q.pos),
+            Bound::Naive { tuples, radius } => naive_mean(tuples, radius, q),
+            Bound::Indexed {
+                index,
+                tuples,
+                radius,
+            } => indexed_mean(index, tuples, radius, q),
+            Bound::Idw { tree, tuples } => idw(tree, tuples, q),
+        }
+    }
+}
+
 /// The EnviroMeter server's query engine (Figure 3): owns the raw tuples,
 /// decomposes them into windows, lazily materializes the per-window
-/// structure each method needs (model cover, R-tree, VP-tree, grid) and
-/// caches it — the `model_cover` table of Figure 1.
+/// structure each method needs (model cover, R-tree, VP-tree, kd-tree,
+/// grid) and caches it — the `model_cover` table of Figure 1.
 #[derive(Debug)]
 pub struct QueryEngine {
     dataset: Dataset,
@@ -31,23 +81,8 @@ pub struct QueryEngine {
     builder: CoverBuilder,
     radius: f64,
     windows: Vec<WindowMeta>,
-    /// Per-window lazily built covers; `OnceLock` keeps the hot query path
-    /// lock-free after the first build.
-    covers: Vec<OnceLock<ModelCover>>,
-    /// Per-window, per-kind lazily built indexes
-    /// (order: R-tree, VP-tree, kd-tree, grid).
-    indexes: Vec<[OnceLock<IndexedProcessor>; 4]>,
-    /// Per-window lazily built IDW processors (extension method).
-    idw: Vec<OnceLock<IdwProcessor>>,
-}
-
-fn kind_slot(kind: IndexKind) -> usize {
-    match kind {
-        IndexKind::RTree => 0,
-        IndexKind::VpTree => 1,
-        IndexKind::KdTree => 2,
-        IndexKind::Grid => 3,
-    }
+    /// Per-window structure slots, parallel to `windows`.
+    slots: Vec<WindowSlots>,
 }
 
 impl QueryEngine {
@@ -67,27 +102,14 @@ impl QueryEngine {
             });
             offset += w.len();
         }
-        let covers = (0..windows.len()).map(|_| OnceLock::new()).collect();
-        let indexes = (0..windows.len())
-            .map(|_| {
-                [
-                    OnceLock::new(),
-                    OnceLock::new(),
-                    OnceLock::new(),
-                    OnceLock::new(),
-                ]
-            })
-            .collect();
-        let idw = (0..windows.len()).map(|_| OnceLock::new()).collect();
+        let slots = (0..windows.len()).map(|_| WindowSlots::default()).collect();
         Self {
             dataset,
             spec,
             builder: CoverBuilder::new(adkmn),
             radius,
             windows,
-            covers,
-            indexes,
-            idw,
+            slots,
         }
     }
 
@@ -134,7 +156,7 @@ impl QueryEngine {
     /// The model cover of window `idx`, building and caching it on first
     /// use (the paper's lazy model creation).
     pub fn cover(&self, idx: usize) -> &ModelCover {
-        self.covers[idx].get_or_init(|| {
+        self.slots[idx].cover.get_or_init(|| {
             let meta = self.windows[idx];
             let window = enviro_data::Window {
                 id: meta.id,
@@ -150,41 +172,43 @@ impl QueryEngine {
         self.window_index_for(t).map(|i| self.cover(i))
     }
 
-    /// The indexed processor of `kind` for window `idx`, cached.
-    pub fn indexed(&self, idx: usize, kind: IndexKind) -> &IndexedProcessor {
-        self.indexes[idx][kind_slot(kind)]
-            .get_or_init(|| IndexedProcessor::build(kind, self.window_tuples(idx), self.radius))
-    }
-
-    /// The IDW processor for window `idx`, cached.
-    pub fn idw(&self, idx: usize) -> &IdwProcessor {
-        self.idw[idx]
-            .get_or_init(|| IdwProcessor::build(self.window_tuples(idx), IdwConfig::default()))
-    }
-
-    /// Builds the structure `method` needs for window `idx` (no-op for the
-    /// scan-based naive method).
-    fn build_window(&self, idx: usize, method: QueryMethod) {
+    /// Binds `method` to window `idx`, building and caching the structure
+    /// it needs on first use — the one dispatch over [`QueryMethod`].
+    fn bind<'a>(&'a self, idx: usize, method: QueryMethod) -> Bound<'a> {
+        let tuples = self.window_tuples(idx);
+        let slots = &self.slots[idx];
+        let radius = self.radius;
+        let rtree = || {
+            slots
+                .rtree
+                .get_or_init(|| RTree::bulk_load(entries(tuples)))
+        };
+        let indexed = |index: &'a dyn SpatialIndex| Bound::Indexed {
+            index,
+            tuples,
+            radius,
+        };
         match method {
-            QueryMethod::Naive => {}
-            QueryMethod::ModelCover => {
-                let _ = self.cover(idx);
-            }
-            QueryMethod::RTree => {
-                let _ = self.indexed(idx, IndexKind::RTree);
-            }
+            QueryMethod::ModelCover => Bound::Cover(self.cover(idx)),
+            QueryMethod::Naive => Bound::Naive { tuples, radius },
+            QueryMethod::Idw => Bound::Idw {
+                tree: rtree(),
+                tuples,
+            },
+            QueryMethod::RTree => indexed(rtree()),
             QueryMethod::VpTree => {
-                let _ = self.indexed(idx, IndexKind::VpTree);
+                indexed(slots.vptree.get_or_init(|| VpTree::build(entries(tuples))))
             }
             QueryMethod::KdTree => {
-                let _ = self.indexed(idx, IndexKind::KdTree);
+                indexed(slots.kdtree.get_or_init(|| KdTree::build(entries(tuples))))
             }
-            QueryMethod::Grid => {
-                let _ = self.indexed(idx, IndexKind::Grid);
-            }
-            QueryMethod::Idw => {
-                let _ = self.idw(idx);
-            }
+            // Cell size on the order of the query radius keeps the
+            // per-query cell count constant.
+            QueryMethod::Grid => indexed(
+                slots
+                    .grid
+                    .get_or_init(|| GridIndex::build(&entries(tuples), radius.max(1.0))),
+            ),
         }
     }
 
@@ -193,7 +217,7 @@ impl QueryEngine {
     /// regime of Figure 6a).
     pub fn prepare(&self, method: QueryMethod) {
         for idx in 0..self.windows.len() {
-            self.build_window(idx, method);
+            self.bind(idx, method);
         }
     }
 
@@ -214,7 +238,7 @@ impl QueryEngine {
                     if idx >= self.windows.len() {
                         break;
                     }
-                    self.build_window(idx, method);
+                    self.bind(idx, method);
                 });
             }
         });
@@ -229,17 +253,7 @@ impl QueryEngine {
     /// Answers one point query with the chosen method.
     pub fn query(&self, q: &QueryTuple, method: QueryMethod) -> Option<f64> {
         let idx = self.window_index_for(q.time)?;
-        match method {
-            QueryMethod::Naive => {
-                NaiveProcessor::new(self.window_tuples(idx), self.radius).interpolate(q)
-            }
-            QueryMethod::RTree => self.indexed(idx, IndexKind::RTree).interpolate(q),
-            QueryMethod::VpTree => self.indexed(idx, IndexKind::VpTree).interpolate(q),
-            QueryMethod::KdTree => self.indexed(idx, IndexKind::KdTree).interpolate(q),
-            QueryMethod::Grid => self.indexed(idx, IndexKind::Grid).interpolate(q),
-            QueryMethod::Idw => self.idw(idx).interpolate(q),
-            QueryMethod::ModelCover => CoverProcessor::new(self.cover(idx)).interpolate(q),
-        }
+        self.bind(idx, method).answer(q)
     }
 
     /// Answers a batch of point queries, appending one answer per query to
@@ -249,9 +263,9 @@ impl QueryEngine {
     /// owns and reuses `out` across frames, so a warmed-up server does no
     /// per-query allocation here. The batch is routed once per run of
     /// consecutive queries in the same window (one window search per run,
-    /// then a range check per tuple), and each run shares one processor
-    /// binding — trajectory chunks are strongly time-sorted, so runs are
-    /// long.
+    /// then a range check per tuple), and each run binds the method to its
+    /// window once — trajectory chunks are strongly time-sorted, so runs
+    /// are long.
     pub fn query_batch_into(
         &self,
         queries: &[QueryTuple],
@@ -269,25 +283,13 @@ impl QueryEngine {
             &self.windows,
             |w| w.first_time,
             queries,
-            |idx, run| match method {
-                QueryMethod::Naive => NaiveProcessor::new(self.window_tuples(idx), self.radius)
-                    .interpolate_batch(run, out),
-                QueryMethod::RTree => self
-                    .indexed(idx, IndexKind::RTree)
-                    .interpolate_batch(run, out),
-                QueryMethod::VpTree => self
-                    .indexed(idx, IndexKind::VpTree)
-                    .interpolate_batch(run, out),
-                QueryMethod::KdTree => self
-                    .indexed(idx, IndexKind::KdTree)
-                    .interpolate_batch(run, out),
-                QueryMethod::Grid => self
-                    .indexed(idx, IndexKind::Grid)
-                    .interpolate_batch(run, out),
-                QueryMethod::Idw => self.idw(idx).interpolate_batch(run, out),
-                QueryMethod::ModelCover => {
-                    CoverProcessor::new(self.cover(idx)).interpolate_batch(run, out)
+            |idx, run| match self.bind(idx, method) {
+                // The serving path: a direct cover loop, no per-query
+                // dispatch.
+                Bound::Cover(cover) => {
+                    out.extend(run.iter().map(|q| cover.interpolate(q.time, &q.pos)))
                 }
+                bound => out.extend(run.iter().map(|q| bound.answer(q))),
             },
         );
     }
@@ -393,11 +395,33 @@ mod tests {
     #[test]
     fn indexes_are_cached_per_kind() {
         let (engine, _) = small_engine();
-        let a = engine.indexed(1, IndexKind::RTree) as *const _;
-        let b = engine.indexed(1, IndexKind::RTree) as *const _;
-        let c = engine.indexed(1, IndexKind::VpTree);
-        assert_eq!(a, b);
-        assert_eq!(c.kind(), IndexKind::VpTree);
+        engine.prepare(QueryMethod::RTree);
+        let slots = &engine.slots[1];
+        let rtree = slots.rtree.get().unwrap() as *const RTree;
+        assert!(slots.vptree.get().is_none() && slots.kdtree.get().is_none());
+        engine.prepare(QueryMethod::RTree);
+        engine.prepare(QueryMethod::VpTree);
+        assert_eq!(slots.rtree.get().unwrap() as *const RTree, rtree);
+        assert!(slots.vptree.get().is_some());
+        assert!(slots.grid.get().is_none() && slots.cover.get().is_none());
+    }
+
+    #[test]
+    fn rtree_serves_both_radius_search_and_idw() {
+        let (engine, sim) = small_engine();
+        engine.prepare(QueryMethod::Idw);
+        let rtrees: Vec<*const RTree> = engine
+            .slots
+            .iter()
+            .map(|s| s.rtree.get().unwrap() as *const RTree)
+            .collect();
+        for q in sim.query_workload(20, 300.0, 5) {
+            engine.query(&q, QueryMethod::RTree);
+        }
+        engine.prepare(QueryMethod::RTree);
+        for (slots, rtree) in engine.slots.iter().zip(rtrees) {
+            assert_eq!(slots.rtree.get().unwrap() as *const RTree, rtree);
+        }
     }
 
     #[test]
@@ -405,7 +429,12 @@ mod tests {
         let (engine, sim) = small_engine();
         for q in sim.query_workload(60, 300.0, 7) {
             let naive = engine.query(&q, QueryMethod::Naive);
-            for m in [QueryMethod::RTree, QueryMethod::VpTree, QueryMethod::Grid] {
+            for m in [
+                QueryMethod::RTree,
+                QueryMethod::VpTree,
+                QueryMethod::KdTree,
+                QueryMethod::Grid,
+            ] {
                 let got = engine.query(&q, m);
                 match (naive, got) {
                     (None, None) => {}
@@ -429,6 +458,47 @@ mod tests {
             }
         }
         assert_eq!(answered, queries.len(), "cover answers every query");
+    }
+
+    /// One window over a sampled plane `500 + 0.1·x − 0.05·y`.
+    fn plane_engine() -> QueryEngine {
+        let tuples: Vec<RawTuple> = (0..80)
+            .map(|i| {
+                let x = (i % 8) as f64 * 50.0;
+                let y = (i / 8) as f64 * 50.0;
+                RawTuple::new(
+                    Timestamp::from_secs(i),
+                    Point::new(x, y),
+                    500.0 + 0.1 * x - 0.05 * y,
+                )
+            })
+            .collect();
+        let dataset = Dataset::from_tuples(Pollutant::Co2, tuples).unwrap();
+        QueryEngine::new(
+            dataset,
+            WindowSpec::ByCount(80),
+            AdKmnConfig::default(),
+            100.0,
+        )
+    }
+
+    #[test]
+    fn model_cover_answers_from_models() {
+        let engine = plane_engine();
+        let q = QueryTuple::new(Timestamp::from_secs(40), Point::new(175.0, 225.0));
+        let got = engine.query(&q, QueryMethod::ModelCover).unwrap();
+        let truth = 500.0 + 0.1 * 175.0 - 0.05 * 225.0;
+        assert!((got - truth).abs() < 5.0, "{got} vs {truth}");
+    }
+
+    #[test]
+    fn model_cover_answers_even_far_from_data() {
+        // Unlike the radius methods, the cover extrapolates: a query far
+        // from any sample still gets the nearest region's model value.
+        let engine = plane_engine();
+        let q = QueryTuple::new(Timestamp::from_secs(0), Point::new(1.0e5, 1.0e5));
+        assert!(engine.query(&q, QueryMethod::ModelCover).is_some());
+        assert_eq!(engine.query(&q, QueryMethod::Naive), None);
     }
 
     #[test]
@@ -498,7 +568,7 @@ mod tests {
     fn prepare_parallel_auto_populates_caches() {
         let (engine, _) = small_engine();
         engine.prepare_parallel_auto(QueryMethod::ModelCover);
-        assert!(engine.covers.iter().all(|c| c.get().is_some()));
+        assert!(engine.slots.iter().all(|s| s.cover.get().is_some()));
     }
 
     #[test]
@@ -524,11 +594,8 @@ mod tests {
     fn prepare_populates_caches() {
         let (engine, _) = small_engine();
         engine.prepare(QueryMethod::ModelCover);
-        assert!(engine.covers.iter().all(|c| c.get().is_some()));
+        assert!(engine.slots.iter().all(|s| s.cover.get().is_some()));
         engine.prepare(QueryMethod::VpTree);
-        assert!(engine
-            .indexes
-            .iter()
-            .all(|slots| slots[kind_slot(IndexKind::VpTree)].get().is_some()));
+        assert!(engine.slots.iter().all(|s| s.vptree.get().is_some()));
     }
 }

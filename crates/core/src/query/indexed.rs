@@ -1,132 +1,45 @@
-//! The metric-space-indexing query method (R-tree / VP-tree / grid).
+//! The metric-space-indexing query method (R-tree / VP-tree / kd-tree /
+//! grid).
 
-use crate::query::{PointQueryProcessor, QueryMethod};
 use enviro_data::{QueryTuple, RawTuple};
-use enviro_index::{Entry, GridIndex, KdTree, RTree, SpatialIndex, VpTree};
-use enviro_memsize::DeepSize;
+use enviro_index::{Entry, SpatialIndex};
 
-/// Which index structure backs an [`IndexedProcessor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IndexKind {
-    /// STR-bulk-loaded R-tree.
-    RTree,
-    /// Vantage-point tree.
-    VpTree,
-    /// Arena-allocated k-d tree.
-    KdTree,
-    /// Uniform grid (cell size = radius, the classic heuristic).
-    Grid,
+/// The index entries of one window: each tuple's position, with its offset
+/// in the window as the entry id.
+pub(super) fn entries(tuples: &[RawTuple]) -> Vec<Entry> {
+    tuples
+        .iter()
+        .enumerate()
+        .map(|(i, t)| Entry::new(t.pos, i as u32))
+        .collect()
 }
 
-#[derive(Debug, Clone)]
-enum Backend {
-    RTree(RTree),
-    VpTree(VpTree),
-    KdTree(KdTree),
-    Grid(GridIndex),
-}
-
-/// The paper's *metric space indexing* method: identical semantics to the
-/// naïve method (average of all tuples within radius `r`), with the radius
-/// search served by an index built over the window.
-#[derive(Debug, Clone)]
-pub struct IndexedProcessor {
-    backend: Backend,
-    /// Window tuple values, indexed by entry id.
-    values: Vec<f64>,
+/// The paper's *metric space indexing* method: the naïve method's answer
+/// (the average of all tuples within `radius`), with the radius search
+/// served by `index`, built over [`entries`] of `tuples`.
+pub(super) fn indexed_mean(
+    index: &dyn SpatialIndex,
+    tuples: &[RawTuple],
     radius: f64,
-}
-
-impl IndexedProcessor {
-    /// Builds the index of `kind` over one window's tuples.
-    pub fn build(kind: IndexKind, tuples: &[RawTuple], radius: f64) -> Self {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let entries: Vec<Entry> = tuples
-            .iter()
-            .enumerate()
-            .map(|(i, t)| Entry::new(t.pos, i as u32))
-            .collect();
-        let values: Vec<f64> = tuples.iter().map(|t| t.value).collect();
-        let backend = match kind {
-            IndexKind::RTree => Backend::RTree(RTree::bulk_load(entries)),
-            IndexKind::VpTree => Backend::VpTree(VpTree::build(entries)),
-            IndexKind::KdTree => Backend::KdTree(KdTree::build(entries)),
-            IndexKind::Grid => {
-                // Cell size on the order of the query radius keeps the
-                // per-query cell count constant.
-                Backend::Grid(GridIndex::build(&entries, radius.max(1.0)))
-            }
-        };
-        Self {
-            backend,
-            values,
-            radius,
-        }
-    }
-
-    /// The backing index kind.
-    pub fn kind(&self) -> IndexKind {
-        match self.backend {
-            Backend::RTree(_) => IndexKind::RTree,
-            Backend::VpTree(_) => IndexKind::VpTree,
-            Backend::KdTree(_) => IndexKind::KdTree,
-            Backend::Grid(_) => IndexKind::Grid,
-        }
-    }
-
-    /// The query radius in meters.
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
-    /// Deep memory footprint of the *index structure alone* (excluding the
-    /// value table) — the quantity Figure 7(a) compares.
-    pub fn index_memory_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::RTree(t) => t.deep_size_of(),
-            Backend::VpTree(t) => t.deep_size_of(),
-            Backend::KdTree(t) => t.deep_size_of(),
-            Backend::Grid(g) => g.deep_size_of(),
-        }
-    }
-
-    fn for_each_hit(&self, q: &QueryTuple, visit: &mut dyn FnMut(&Entry)) {
-        match &self.backend {
-            Backend::RTree(t) => t.for_each_within(&q.pos, self.radius, visit),
-            Backend::VpTree(t) => t.for_each_within(&q.pos, self.radius, visit),
-            Backend::KdTree(t) => t.for_each_within(&q.pos, self.radius, visit),
-            Backend::Grid(g) => g.for_each_within(&q.pos, self.radius, visit),
-        }
-    }
-}
-
-impl PointQueryProcessor for IndexedProcessor {
-    fn interpolate(&self, q: &QueryTuple) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        self.for_each_hit(q, &mut |e| {
-            sum += self.values[e.id as usize];
-            n += 1;
-        });
-        (n > 0).then(|| sum / n as f64)
-    }
-
-    fn method(&self) -> QueryMethod {
-        match self.backend {
-            Backend::RTree(_) => QueryMethod::RTree,
-            Backend::VpTree(_) => QueryMethod::VpTree,
-            Backend::KdTree(_) => QueryMethod::KdTree,
-            Backend::Grid(_) => QueryMethod::Grid,
-        }
-    }
+    q: &QueryTuple,
+) -> Option<f64> {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    index.for_each_within(&q.pos, radius, &mut |e| {
+        sum += tuples[e.id as usize].value;
+        n += 1;
+    });
+    (n > 0).then(|| sum / n as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::NaiveProcessor;
-    use enviro_data::Timestamp;
+    use crate::cluster::AdKmnConfig;
+    use crate::query::{QueryEngine, QueryMethod};
+    use enviro_data::{Dataset, Pollutant, Timestamp, WindowSpec};
     use enviro_geo::Point;
+    use enviro_index::{GridIndex, KdTree, RTree, VpTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -149,28 +62,33 @@ mod tests {
     #[test]
     fn all_kinds_agree_with_naive() {
         let tuples = random_tuples(400, 31);
-        let radius = 500.0;
-        let naive = NaiveProcessor::new(&tuples, radius);
-        for kind in [
-            IndexKind::RTree,
-            IndexKind::VpTree,
-            IndexKind::KdTree,
-            IndexKind::Grid,
+        let dataset = Dataset::from_tuples(Pollutant::Co2, tuples).unwrap();
+        let engine = QueryEngine::new(
+            dataset,
+            WindowSpec::ByCount(400),
+            AdKmnConfig::default(),
+            500.0,
+        );
+        assert_eq!(engine.window_count(), 1);
+        for method in [
+            QueryMethod::RTree,
+            QueryMethod::VpTree,
+            QueryMethod::KdTree,
+            QueryMethod::Grid,
         ] {
-            let idx = IndexedProcessor::build(kind, &tuples, radius);
             for qi in 0..50 {
                 let q = QueryTuple::new(
                     Timestamp::ZERO,
                     Point::new(qi as f64 * 70.0 - 1750.0, (qi % 7) as f64 * 300.0 - 900.0),
                 );
-                let a = naive.interpolate(&q);
-                let b = idx.interpolate(&q);
+                let a = engine.query(&q, QueryMethod::Naive);
+                let b = engine.query(&q, method);
                 match (a, b) {
                     (None, None) => {}
                     (Some(x), Some(y)) => {
-                        assert!((x - y).abs() < 1e-9, "{kind:?} query {qi}: {x} vs {y}")
+                        assert!((x - y).abs() < 1e-9, "{method} query {qi}: {x} vs {y}")
                     }
-                    other => panic!("{kind:?} query {qi}: mismatch {other:?}"),
+                    other => panic!("{method} query {qi}: mismatch {other:?}"),
                 }
             }
         }
@@ -178,54 +96,15 @@ mod tests {
 
     #[test]
     fn empty_window_none() {
-        for kind in [
-            IndexKind::RTree,
-            IndexKind::VpTree,
-            IndexKind::KdTree,
-            IndexKind::Grid,
-        ] {
-            let idx = IndexedProcessor::build(kind, &[], 100.0);
-            assert_eq!(
-                idx.interpolate(&QueryTuple::new(Timestamp::ZERO, Point::origin())),
-                None
-            );
+        let indexes: [&dyn SpatialIndex; 4] = [
+            &RTree::bulk_load(Vec::new()),
+            &VpTree::build(Vec::new()),
+            &KdTree::build(Vec::new()),
+            &GridIndex::build(&[], 100.0),
+        ];
+        let q = QueryTuple::new(Timestamp::ZERO, Point::origin());
+        for index in indexes {
+            assert_eq!(indexed_mean(index, &[], 100.0, &q), None);
         }
-    }
-
-    #[test]
-    fn method_tags_match_kind() {
-        let tuples = random_tuples(10, 32);
-        assert_eq!(
-            IndexedProcessor::build(IndexKind::RTree, &tuples, 10.0).method(),
-            QueryMethod::RTree
-        );
-        assert_eq!(
-            IndexedProcessor::build(IndexKind::VpTree, &tuples, 10.0).method(),
-            QueryMethod::VpTree
-        );
-        assert_eq!(
-            IndexedProcessor::build(IndexKind::Grid, &tuples, 10.0).method(),
-            QueryMethod::Grid
-        );
-        assert_eq!(
-            IndexedProcessor::build(IndexKind::KdTree, &tuples, 10.0).method(),
-            QueryMethod::KdTree
-        );
-    }
-
-    #[test]
-    fn index_memory_reported() {
-        let tuples = random_tuples(5_000, 33);
-        let rtree = IndexedProcessor::build(IndexKind::RTree, &tuples, 1_000.0);
-        let vptree = IndexedProcessor::build(IndexKind::VpTree, &tuples, 1_000.0);
-        assert!(rtree.index_memory_bytes() > 0);
-        // The per-node-boxed VP-tree is the most memory-hungry structure —
-        // the ordering Figure 7(a) reports.
-        assert!(
-            vptree.index_memory_bytes() > rtree.index_memory_bytes() / 4,
-            "vptree {} vs rtree {}",
-            vptree.index_memory_bytes(),
-            rtree.index_memory_bytes()
-        );
     }
 }

@@ -1,35 +1,30 @@
-//! Continuous query processing — the three methods of §2.2 behind one trait.
+//! Continuous query processing — the methods of §2.2 over one windowed
+//! dataset.
 //!
 //! *Query 1 (Continuous Value Query)*: a mobile object `v_q` transmits query
 //! tuples `q_l = (t_l, x_l, y_l)`; the platform interpolates the sensor
 //! value `ŝ_l` at each position. The paper proposes and compares:
 //!
-//! * [`NaiveProcessor`] — exhaustive scan of the window for tuples within
+//! * the naïve method — exhaustive scan of the window for tuples within
 //!   radius `r`, answer = their average;
-//! * [`IndexedProcessor`] — same semantics, but the radius search goes
-//!   through a metric-space index (R-tree, VP-tree, or grid);
-//! * [`CoverProcessor`] — nearest cluster centroid `µ*`, answer = its model
+//! * metric-space indexing — same semantics, but the radius search goes
+//!   through an index (R-tree, VP-tree, kd-tree or grid);
+//! * the model cover — nearest cluster centroid `µ*`, answer = its model
 //!   `M*` evaluated at the query point.
 //!
-//! [`QueryEngine`] hosts all methods over a windowed dataset, building and
-//! caching per-window structures lazily (the `model_cover` table of
-//! Figure 1).
+//! IDW over the k nearest tuples is an extension baseline. [`QueryMethod`]
+//! names all seven methods; [`QueryEngine`] answers each of them over a
+//! windowed dataset, building and caching per-window structures lazily (the
+//! `model_cover` table of Figure 1).
 
-mod cover_proc;
 mod engine;
 mod idw;
 mod indexed;
 mod naive;
 mod outcome;
 
-pub use cover_proc::CoverProcessor;
 pub use engine::{default_parallelism, QueryEngine};
-pub use idw::{IdwConfig, IdwProcessor};
-pub use indexed::{IndexKind, IndexedProcessor};
-pub use naive::NaiveProcessor;
 pub use outcome::QueryOutcome;
-
-use enviro_data::QueryTuple;
 
 /// The query-processing methods evaluated in the paper (plus the grid-index
 /// ablation).
@@ -82,27 +77,4 @@ impl std::fmt::Display for QueryMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// A point-query processor: one method bound to one window's data.
-pub trait PointQueryProcessor {
-    /// Interpolates the sensor value at the query tuple, or `None` when the
-    /// method has no data to answer from (e.g. no tuple within `r`).
-    fn interpolate(&self, q: &QueryTuple) -> Option<f64>;
-
-    /// Interpolates a batch of query tuples, appending one answer per tuple
-    /// to `out`.
-    ///
-    /// The batched serving path ([`QueryEngine::query_batch_into`]) reuses
-    /// one result buffer across frames, so this must append into the
-    /// caller's buffer rather than allocate its own.
-    fn interpolate_batch(&self, queries: &[QueryTuple], out: &mut Vec<Option<f64>>) {
-        out.reserve(queries.len());
-        for q in queries {
-            out.push(self.interpolate(q));
-        }
-    }
-
-    /// The method implemented by this processor.
-    fn method(&self) -> QueryMethod;
 }

@@ -1,58 +1,21 @@
 //! The naïve query-processing method: exhaustive radius scan.
 
-use crate::query::{PointQueryProcessor, QueryMethod};
 use enviro_data::{QueryTuple, RawTuple};
 
 /// Exhaustive search over the window `W_c` for all raw tuples within radius
 /// `r` of the query position; the interpolated value is their average
-/// (§2.2, "Naïve").
-#[derive(Debug, Clone)]
-pub struct NaiveProcessor<'a> {
-    tuples: &'a [RawTuple],
-    radius: f64,
-}
-
-impl<'a> NaiveProcessor<'a> {
-    /// Binds the method to one window's tuples with query radius `radius`
-    /// (meters).
-    pub fn new(tuples: &'a [RawTuple], radius: f64) -> Self {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        Self { tuples, radius }
-    }
-
-    /// The query radius in meters.
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
-    /// The number of tuples that would be averaged for `q` — used by tests
-    /// and diagnostics.
-    pub fn support(&self, q: &QueryTuple) -> usize {
-        let r2 = self.radius * self.radius;
-        self.tuples
-            .iter()
-            .filter(|t| t.pos.distance_sq(&q.pos) <= r2)
-            .count()
-    }
-}
-
-impl PointQueryProcessor for NaiveProcessor<'_> {
-    fn interpolate(&self, q: &QueryTuple) -> Option<f64> {
-        let r2 = self.radius * self.radius;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for t in self.tuples {
-            if t.pos.distance_sq(&q.pos) <= r2 {
-                sum += t.value;
-                n += 1;
-            }
+/// (§2.2, "Naïve"). `None` when no tuple lies within `radius`.
+pub(super) fn naive_mean(tuples: &[RawTuple], radius: f64, q: &QueryTuple) -> Option<f64> {
+    let r2 = radius * radius;
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for t in tuples {
+        if t.pos.distance_sq(&q.pos) <= r2 {
+            sum += t.value;
+            n += 1;
         }
-        (n > 0).then(|| sum / n as f64)
     }
-
-    fn method(&self) -> QueryMethod {
-        QueryMethod::Naive
-    }
+    (n > 0).then(|| sum / n as f64)
 }
 
 #[cfg(test)]
@@ -76,48 +39,30 @@ mod tests {
             tup(5.0, 0.0, 20.0),
             tup(100.0, 0.0, 99.0),
         ];
-        let p = NaiveProcessor::new(&tuples, 10.0);
-        assert_eq!(p.interpolate(&q(0.0, 0.0)), Some(15.0));
+        assert_eq!(naive_mean(&tuples, 10.0, &q(0.0, 0.0)), Some(15.0));
     }
 
     #[test]
     fn boundary_tuple_included() {
         let tuples = [tup(3.0, 4.0, 50.0)]; // exactly 5 away
-        let p = NaiveProcessor::new(&tuples, 5.0);
-        assert_eq!(p.interpolate(&q(0.0, 0.0)), Some(50.0));
+        assert_eq!(naive_mean(&tuples, 5.0, &q(0.0, 0.0)), Some(50.0));
     }
 
     #[test]
     fn no_tuple_in_radius_is_none() {
         let tuples = [tup(100.0, 100.0, 1.0)];
-        let p = NaiveProcessor::new(&tuples, 10.0);
-        assert_eq!(p.interpolate(&q(0.0, 0.0)), None);
+        assert_eq!(naive_mean(&tuples, 10.0, &q(0.0, 0.0)), None);
     }
 
     #[test]
     fn empty_window_is_none() {
-        let p = NaiveProcessor::new(&[], 1_000.0);
-        assert_eq!(p.interpolate(&q(0.0, 0.0)), None);
+        assert_eq!(naive_mean(&[], 1_000.0, &q(0.0, 0.0)), None);
     }
 
     #[test]
     fn zero_radius_matches_exact_position_only() {
         let tuples = [tup(1.0, 1.0, 7.0), tup(1.1, 1.0, 9.0)];
-        let p = NaiveProcessor::new(&tuples, 0.0);
-        assert_eq!(p.interpolate(&q(1.0, 1.0)), Some(7.0));
-        assert_eq!(p.interpolate(&q(2.0, 2.0)), None);
-    }
-
-    #[test]
-    fn support_counts_matches() {
-        let tuples = [tup(0.0, 0.0, 1.0), tup(1.0, 0.0, 2.0), tup(50.0, 0.0, 3.0)];
-        let p = NaiveProcessor::new(&tuples, 2.0);
-        assert_eq!(p.support(&q(0.0, 0.0)), 2);
-    }
-
-    #[test]
-    fn method_tag() {
-        let p = NaiveProcessor::new(&[], 1.0);
-        assert_eq!(p.method(), QueryMethod::Naive);
+        assert_eq!(naive_mean(&tuples, 0.0, &q(1.0, 1.0)), Some(7.0));
+        assert_eq!(naive_mean(&tuples, 0.0, &q(2.0, 2.0)), None);
     }
 }

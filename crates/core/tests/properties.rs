@@ -10,7 +10,7 @@ use enviro_data::{Dataset, Pollutant, QueryTuple, RawTuple, Timestamp, Window, W
 use enviro_geo::Point;
 use enviro_meter::{
     AdKmn, AdKmnConfig, CoverBuilder, CoverRegistry, CoverSet, FitConfig, KMeans, KMeansConfig,
-    NaiveProcessor, PointQueryProcessor, PublishedCover, QueryEngine, QueryMethod, RegionModel,
+    PublishedCover, QueryEngine, QueryMethod, RegionModel,
 };
 use enviro_schedule::sync::Arc;
 use proptest::prelude::*;
@@ -137,9 +137,15 @@ proptest! {
         qx in -5_000.0..5_000.0f64,
         qy in -5_000.0..5_000.0f64,
     ) {
-        let proc = NaiveProcessor::new(&tuples, 1_000.0);
+        // One window holding every tuple, so each query scans them all.
+        let engine = QueryEngine::new(
+            Dataset::from_tuples(Pollutant::Co2, tuples.clone()).unwrap(),
+            WindowSpec::ByCount(tuples.len().max(1)),
+            AdKmnConfig::default(),
+            1_000.0,
+        );
         let q = QueryTuple::new(Timestamp::from_secs(0), Point::new(qx, qy));
-        if let Some(v) = proc.interpolate(&q) {
+        if let Some(v) = engine.query(&q, QueryMethod::Naive) {
             let in_radius: Vec<f64> = tuples
                 .iter()
                 .filter(|t| t.pos.distance(&q.pos) <= 1_000.0)
