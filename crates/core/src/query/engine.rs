@@ -502,6 +502,18 @@ mod tests {
     }
 
     #[test]
+    fn model_cover_empty_cover_returns_none() {
+        let cover = ModelCover {
+            pollutant: Pollutant::Co2,
+            window_id: 0,
+            valid_until: Timestamp::ZERO,
+            regions: Vec::new(),
+        };
+        let q = QueryTuple::new(Timestamp::ZERO, Point::origin());
+        assert_eq!(Bound::Cover(&cover).answer(&q), None);
+    }
+
+    #[test]
     fn continuous_query_length_matches() {
         let (engine, sim) = small_engine();
         let traj = sim.continuous_trajectory(25, 30, 5);
