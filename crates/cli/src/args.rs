@@ -114,7 +114,7 @@ pub fn parse_time(raw: &str) -> Option<Timestamp> {
         _ => (raw, 1),
     };
     let v: i64 = num.parse().ok()?;
-    Some(Timestamp::from_secs(v * mult))
+    v.checked_mul(mult).map(Timestamp::from_secs)
 }
 
 #[cfg(test)]
@@ -185,6 +185,13 @@ mod tests {
         assert_eq!(parse_time("15s"), Some(Timestamp::from_secs(15)));
         assert_eq!(parse_time("abc"), None);
         assert_eq!(parse_time(""), None);
+        // Out of `i64` range once scaled: invalid, not wrapped.
+        assert_eq!(parse_time("200000000000000d"), None);
+        assert_eq!(parse_time("9223372036854775807h"), None);
+        assert_eq!(
+            parse_time("9223372036854775807"),
+            Some(Timestamp::from_secs(i64::MAX))
+        );
     }
 
     #[test]

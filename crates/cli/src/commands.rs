@@ -72,6 +72,11 @@ const MAX_HEATMAP_CELLS: u64 = 1 << 22;
 /// as a usage error rather than allocated.
 const MAX_ROUTE_FIXES: usize = 1_000_000;
 
+/// The most tuples `enviro simulate` generates (about 9.5 years of both bus
+/// lines at the default 60-s sampling); a longer run is refused as a usage
+/// error rather than allocated.
+const MAX_SIM_TUPLES: i64 = 10_000_000;
+
 /// Parses the platform flags (`--window` | `--window-secs`, `--tau`,
 /// `--radius`), then loads the dataset and stands the platform up. A bad
 /// flag value is a usage error before any library call sees it.
@@ -134,21 +139,33 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     }
     let out_path = args.require("out")?;
-    let hours: i64 = args.get_or("hours", 0)?;
-    let days: i64 = args.get_or("days", 0)?;
-    let duration_secs = match (hours, days) {
-        (0, 0) => 24 * 3_600,
-        (h, 0) => h * 3_600,
-        (0, d) => d * 86_400,
-        _ => return Err(CliError::usage("give either --hours or --days")),
+    let duration_secs = match (args.has("hours"), args.has("days")) {
+        (false, false) => Some(24 * 3_600),
+        (true, false) => args.get_or("hours", 0i64)?.checked_mul(3_600),
+        (false, true) => args.get_or("days", 0i64)?.checked_mul(86_400),
+        (true, true) => return Err(CliError::usage("give either --hours or --days")),
+    };
+    let interval: i64 = args.get_or("interval", 60)?;
+    let duration_secs = match duration_secs {
+        Some(d) if d > 0 && interval > 0 => d,
+        _ => {
+            return Err(CliError::usage(
+                "--hours, --days and --interval must be positive and in range",
+            ))
+        }
     };
     let config = SimConfig {
         duration_secs,
-        sampling_interval_secs: args.get_or("interval", 60)?,
+        sampling_interval_secs: interval,
         seed: args.get_or("seed", SimConfig::default().seed)?,
         ..SimConfig::default()
     };
     let sim = LausanneSim::lausanne(config);
+    if duration_secs / interval > MAX_SIM_TUPLES / sim.lines().len() as i64 {
+        return Err(CliError::usage(format!(
+            "the run would exceed {MAX_SIM_TUPLES} tuples; shorten it or raise --interval"
+        )));
+    }
     let dataset = sim.generate();
     let mut file = std::io::BufWriter::new(
         std::fs::File::create(out_path)
@@ -1028,7 +1045,10 @@ mod tests {
         let query = ["query", csv_str, "--time", "1h", "--x", "0", "--y", "0"];
         let route = ["route", csv_str, "--start", "1h", "--points", "0,0;100,0"];
         let heatmap = ["heatmap", csv_str, "--time", "1h", "--ascii"];
-        let cases: [(&[&str], &[&str]); 14] = [
+        let query_at = ["query", csv_str, "--x", "0", "--y", "0"];
+        let sim_out = temp_path("bad-flags-sim.csv");
+        let simulate = ["simulate", "--out", sim_out.to_str().unwrap()];
+        let cases: [(&[&str], &[&str]); 21] = [
             (&query, &["--radius", "-1"]),
             (&query, &["--radius", "NaN"]),
             (&query, &["--window", "0"]),
@@ -1036,6 +1056,8 @@ mod tests {
             (&query, &["--window-secs", "-5"]),
             (&query, &["--tau", "-1"]),
             (&query, &["--tau", "NaN"]),
+            (&query_at, &["--time", "200000000000000d"]),
+            (&query_at, &["--time", "9223372036854775807h"]),
             (&route, &["--speed", "NaN"]),
             (&route, &["--speed", "inf"]),
             (&route, &["--speed", "1e-12"]),
@@ -1043,6 +1065,11 @@ mod tests {
             (&heatmap, &["--cols", "0"]),
             (&heatmap, &["--rows", "0"]),
             (&heatmap, &["--cols", "100000", "--rows", "100000"]),
+            (&simulate, &["--hours", "-5"]),
+            (&simulate, &["--hours", "0"]),
+            (&simulate, &["--interval", "0"]),
+            (&simulate, &["--days", "200000000000000"]),
+            (&simulate, &["--days", "100000"]),
         ];
         for (command, flags) in cases {
             let argv: Vec<&str> = command.iter().chain(flags).copied().collect();
@@ -1054,6 +1081,7 @@ mod tests {
             let (code, out) = run_cmd(command);
             assert_eq!(code, 0, "{command:?}: {out}");
         }
+        assert!(!sim_out.exists(), "a refused simulate wrote its output");
         std::fs::remove_file(&csv).ok();
     }
 

@@ -2,7 +2,6 @@
 
 use enviro_data::{RawTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_linalg::{lstsq_ridge, Matrix};
 
 /// Fitting policy shared by all region models.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +85,11 @@ impl LinearModel {
 
     /// Fits the model by ridge regression on standardized features (see
     /// [`FitConfig::ridge_alpha`] for why ridge is not merely a fallback).
-    /// Returns `None` when no finite coefficients exist (non-finite inputs).
+    ///
+    /// The 4×4 normal equations `(AᵀA + λI)·β = Aᵀb` are accumulated tuple
+    /// by tuple and solved in place by Cholesky decomposition; no design
+    /// matrix is built. Returns `None` when no finite coefficients exist
+    /// (non-finite inputs).
     pub fn fit(tuples: &[RawTuple], config: &FitConfig) -> Option<LinearModel> {
         let n = tuples.len();
         if n < 4 {
@@ -111,25 +114,27 @@ impl LinearModel {
         let sy = spread(&|t| t.pos.y, cy, config.min_spatial_spread_m);
         let st = spread(&|t| t.time.as_secs_f64(), ct, config.min_time_spread_s);
 
-        let mut design = Vec::with_capacity(n * 4);
-        for t in tuples {
-            design.push(1.0);
-            design.push(feature(t.pos.x, cx, sx));
-            design.push(feature(t.pos.y, cy, sy));
-            design.push(feature(t.time.as_secs_f64(), ct, st));
-        }
-        let a = Matrix::from_rows(n, 4, design);
-        let b: Vec<f64> = tuples.iter().map(|t| t.value).collect();
+        let (mut gram, rhs) = normal_equations(tuples.iter().map(|t| {
+            let row = [
+                1.0,
+                feature(t.pos.x, cx, sx),
+                feature(t.pos.y, cy, sy),
+                feature(t.time.as_secs_f64(), ct, st),
+            ];
+            (row, t.value)
+        }));
         let lambda = (config.ridge_alpha * n as f64).max(f64::MIN_POSITIVE);
-        let beta_vec = lstsq_ridge(&a, &b, lambda).ok()?;
-        let beta = [beta_vec[0], beta_vec[1], beta_vec[2], beta_vec[3]];
+        for (i, row) in gram.iter_mut().enumerate() {
+            row[i] += lambda;
+        }
+        let beta = cholesky_solve(&gram, &rhs)?;
         if !beta.iter().all(|v| v.is_finite()) {
             return None;
         }
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in &b {
-            lo = lo.min(v);
-            hi = hi.max(v);
+        for t in tuples {
+            lo = lo.min(t.value);
+            hi = hi.max(t.value);
         }
         let margin = (hi - lo) * 0.1;
         Some(LinearModel {
@@ -209,6 +214,87 @@ impl LinearModel {
             value_range: (c[10], c[11]),
         }
     }
+}
+
+/// Accumulates the normal equations `AᵀA` and `Aᵀb` of a 4-column
+/// least-squares problem from its `(row, value)` pairs, in order.
+///
+/// Only the upper triangle of `AᵀA` is summed (zero entries skipped), then
+/// mirrored; the summation order is part of the fit's bit-exact output.
+fn normal_equations(rows: impl Iterator<Item = ([f64; 4], f64)>) -> ([[f64; 4]; 4], [f64; 4]) {
+    let mut gram = [[0.0; 4]; 4];
+    let mut rhs = [0.0; 4];
+    for (row, value) in rows {
+        for i in 0..4 {
+            let a = row[i];
+            if a == 0.0 {
+                continue;
+            }
+            for j in i..4 {
+                gram[i][j] += a * row[j];
+            }
+        }
+        if value != 0.0 {
+            for (o, &a) in rhs.iter_mut().zip(&row) {
+                *o += a * value;
+            }
+        }
+    }
+    let upper = gram;
+    for (i, row) in gram.iter_mut().enumerate() {
+        for (j, g) in row.iter_mut().enumerate().take(i) {
+            *g = upper[j][i];
+        }
+    }
+    (gram, rhs)
+}
+
+/// Solves `A·x = b` for symmetric positive-definite `A` by Cholesky
+/// decomposition (`A = L·Lᵀ`, then two triangular solves). Only the lower
+/// triangle of `a` is read.
+///
+/// Returns `None` for non-finite input, or when a pivot falls below
+/// `1e-12 · max(max|aᵢⱼ|, 1)` (`A` is not positive definite, or too close
+/// to singular to trust).
+fn cholesky_solve(a: &[[f64; 4]; 4], b: &[f64; 4]) -> Option<[f64; 4]> {
+    if !a.iter().flatten().chain(b).all(|v| v.is_finite()) {
+        return None;
+    }
+    let max_abs = a.iter().flatten().fold(0.0, |m: f64, v| m.max(v.abs()));
+    let tol = 1e-12 * max_abs.max(1.0);
+    let mut l = [[0.0; 4]; 4];
+    for i in 0..4 {
+        for j in 0..=i {
+            let sum = (0..j).fold(a[i][j], |sum, k| sum - l[i][k] * l[j][k]);
+            if i == j {
+                if sum <= tol {
+                    return None;
+                }
+                l[i][i] = sum.sqrt();
+            } else {
+                l[i][j] = sum / l[j][j];
+            }
+        }
+    }
+    // Forward solve L·y = b.
+    let mut y = [0.0; 4];
+    for i in 0..4 {
+        let mut sum = b[i];
+        for k in 0..i {
+            sum -= l[i][k] * y[k];
+        }
+        y[i] = sum / l[i][i];
+    }
+    // Back solve Lᵀ·x = y.
+    let mut x = [0.0; 4];
+    for i in (0..4).rev() {
+        let mut sum = y[i];
+        for k in (i + 1)..4 {
+            sum -= l[k][i] * x[k];
+        }
+        x[i] = sum / l[i][i];
+    }
+    Some(x)
 }
 
 #[cfg(test)]
@@ -294,5 +380,140 @@ mod tests {
             let pred = m.predict(Timestamp::from_secs(4), &Point::new(4.0, 0.0));
             assert!((pred - 33.0).abs() < 0.1, "{pred}");
         }
+    }
+
+    /// `a` as the leading 2×2 block of an otherwise-identity 4×4 matrix.
+    fn embed(a: [[f64; 2]; 2]) -> [[f64; 4]; 4] {
+        let mut m = [[0.0; 4]; 4];
+        for (i, row) in m.iter_mut().enumerate() {
+            row[i] = 1.0;
+        }
+        m[0][..2].copy_from_slice(&a[0]);
+        m[1][..2].copy_from_slice(&a[1]);
+        m
+    }
+
+    fn assert_close(a: &[f64], b: &[f64], tol: f64) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert!((x - y).abs() < tol, "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn cholesky_solves_spd_system() {
+        // [[4,2],[2,3]] x = [10, 8] → x = [1.75, 1.5]; the identity block
+        // passes its right-hand side through.
+        let x = cholesky_solve(&embed([[4.0, 2.0], [2.0, 3.0]]), &[10.0, 8.0, -1.0, 2.0]).unwrap();
+        assert_close(&x, &[1.75, 1.5, -1.0, 2.0], 1e-12);
+    }
+
+    #[test]
+    fn cholesky_identity_returns_rhs() {
+        let x = cholesky_solve(&embed([[1.0, 0.0], [0.0, 1.0]]), &[1.0, -2.0, 3.0, -4.0]).unwrap();
+        assert_close(&x, &[1.0, -2.0, 3.0, -4.0], 1e-15);
+    }
+
+    #[test]
+    fn cholesky_rejects_indefinite() {
+        let a = embed([[0.0, 1.0], [1.0, 0.0]]);
+        assert_eq!(cholesky_solve(&a, &[1.0; 4]), None);
+    }
+
+    #[test]
+    fn cholesky_rejects_rank_deficient() {
+        let a = embed([[1.0, 1.0], [1.0, 1.0]]);
+        assert_eq!(cholesky_solve(&a, &[2.0, 2.0, 0.0, 0.0]), None);
+    }
+
+    #[test]
+    fn cholesky_rejects_non_finite() {
+        let identity = embed([[1.0, 0.0], [0.0, 1.0]]);
+        assert_eq!(
+            cholesky_solve(&embed([[f64::NAN, 0.0], [0.0, 1.0]]), &[1.0; 4]),
+            None
+        );
+        assert_eq!(
+            cholesky_solve(&identity, &[1.0, f64::INFINITY, 0.0, 0.0]),
+            None
+        );
+    }
+
+    /// Rows of a 4-column design matrix with zero entries and a zero value,
+    /// so the accumulation's zero-skipping paths run.
+    fn design() -> Vec<([f64; 4], f64)> {
+        vec![
+            ([1.0, 2.0, 0.0, -1.5], 3.0),
+            ([1.0, -0.5, 4.0, 0.0], -2.0),
+            ([1.0, 0.0, -3.0, 2.5], 0.0),
+            ([0.0, 1.0, 1.0, 1.0], 7.0),
+        ]
+    }
+
+    #[test]
+    fn gram_equals_explicit_ata() {
+        let rows = design();
+        let (g, _) = normal_equations(rows.iter().copied());
+        for i in 0..4 {
+            for j in 0..4 {
+                let explicit: f64 = rows.iter().map(|(r, _)| r[i] * r[j]).sum();
+                assert!((g[i][j] - explicit).abs() < 1e-12, "({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn gram_is_symmetric() {
+        let (g, _) = normal_equations(design().into_iter());
+        for (i, row) in g.iter().enumerate() {
+            for (j, &gij) in row.iter().enumerate() {
+                assert_eq!(gij, g[j][i]);
+            }
+        }
+    }
+
+    #[test]
+    fn t_matvec_equals_explicit() {
+        let rows = design();
+        let (_, rhs) = normal_equations(rows.iter().copied());
+        let explicit: Vec<f64> = (0..4)
+            .map(|j| rows.iter().map(|(r, v)| r[j] * v).sum())
+            .collect();
+        assert_eq!(rhs.to_vec(), explicit);
+    }
+
+    #[test]
+    fn ridge_handles_collinear_columns() {
+        // A bus at constant speed on a straight east-west street: x and t
+        // are the same standardized column, and y is degenerate.
+        let tuples: Vec<RawTuple> = (0..20)
+            .map(|i| tup(i * 60, i as f64 * 50.0, 0.0, 400.0 + 0.1 * i as f64 * 50.0))
+            .collect();
+        let m = LinearModel::fit(&tuples, &FitConfig::default()).unwrap();
+        // Ridge splits the shared slope evenly between the twin columns.
+        assert!((m.beta[1] - m.beta[3]).abs() < 1e-6, "{:?}", m.beta);
+        assert_eq!(m.beta[2], 0.0);
+        for t in &tuples {
+            let pred = m.predict(t.time, &t.pos);
+            assert!((pred - t.value).abs() < 0.1, "{pred} vs {}", t.value);
+        }
+    }
+
+    #[test]
+    fn ridge_shrinks_towards_zero_with_large_lambda() {
+        let tuples: Vec<RawTuple> = planar_tuples()
+            .into_iter()
+            .map(|t| RawTuple { value: 4.0, ..t })
+            .collect();
+        let fit = |ridge_alpha| {
+            let config = FitConfig {
+                ridge_alpha,
+                ..FitConfig::default()
+            };
+            LinearModel::fit(&tuples, &config).unwrap().beta[0]
+        };
+        let (small, big) = (fit(1e-9), fit(1e3));
+        assert!((small - 4.0).abs() < 1e-6, "{small}");
+        assert!(big.abs() < small.abs(), "{big} vs {small}");
     }
 }

@@ -10,7 +10,7 @@ use enviro_data::{Dataset, Pollutant, QueryTuple, RawTuple, Timestamp, Window, W
 use enviro_geo::Point;
 use enviro_meter::{
     AdKmn, AdKmnConfig, CoverBuilder, CoverRegistry, CoverSet, FitConfig, KMeans, KMeansConfig,
-    PublishedCover, QueryEngine, QueryMethod, RegionModel,
+    LinearModel, PublishedCover, QueryEngine, QueryMethod, RegionModel,
 };
 use enviro_schedule::sync::Arc;
 use proptest::prelude::*;
@@ -170,6 +170,92 @@ proptest! {
         let r = AdKmn::new(cfg).run_seeded(&tuples, Pollutant::Co2, &seeds);
         prop_assert!(r.model_count() <= 6);
         prop_assert_eq!(r.assignment.len(), tuples.len());
+    }
+}
+
+/// The design row `[1, x̃, ỹ, t̃]` a fitted model gives `t`, rebuilt from the
+/// model's public standardization (features saturate at ±4 σ).
+fn design_row(m: &LinearModel, t: &RawTuple) -> [f64; 4] {
+    let z = |v: f64, c: f64, s: f64| ((v - c) / s).clamp(-4.0, 4.0);
+    [
+        1.0,
+        z(t.pos.x, m.center.0, m.scale.0),
+        z(t.pos.y, m.center.1, m.scale.1),
+        z(t.time.as_secs_f64(), m.center.2, m.scale.2),
+    ]
+}
+
+/// Fits the default ridge model, returning it with its normal equations
+/// `AᵀA` and `Aᵀb` computed naively from the model's design rows.
+fn fit_with_normal_equations(tuples: &[RawTuple]) -> (LinearModel, [[f64; 4]; 4], [f64; 4]) {
+    let m = LinearModel::fit(tuples, &FitConfig::default()).expect("finite inputs always fit");
+    let (mut gram, mut rhs) = ([[0.0; 4]; 4], [0.0; 4]);
+    for t in tuples {
+        let row = design_row(&m, t);
+        for (i, (g, r)) in gram.iter_mut().zip(&mut rhs).enumerate() {
+            *r += row[i] * t.value;
+            for (gij, rj) in g.iter_mut().zip(&row) {
+                *gij += row[i] * rj;
+            }
+        }
+    }
+    (m, gram, rhs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn cholesky_solution_satisfies_system(tuples in arb_tuples(80)) {
+        prop_assume!(tuples.len() >= 4);
+        let (m, gram, rhs) = fit_with_normal_equations(&tuples);
+        let lambda = FitConfig::default().ridge_alpha * tuples.len() as f64;
+        for ((i, g), r) in gram.iter().enumerate().zip(rhs) {
+            let terms = g.iter().zip(&m.beta).map(|(gij, bj)| gij * bj);
+            let ridge = lambda * m.beta[i];
+            let lhs = ridge + terms.clone().sum::<f64>();
+            let scale = ridge.abs() + r.abs() + terms.map(f64::abs).sum::<f64>();
+            prop_assert!((lhs - r).abs() <= 1e-9 * scale, "row {i}: {lhs} vs {r}");
+        }
+    }
+
+    #[test]
+    fn gram_is_positive_semidefinite_diag(tuples in arb_tuples(80)) {
+        // Standardization keeps the ridge system well scaled: the intercept
+        // column sums to n and every slope column's square sum lies in
+        // [0, n] (exactly 0 for a degenerate dimension).
+        prop_assume!(tuples.len() >= 4);
+        let (_, gram, _) = fit_with_normal_equations(&tuples);
+        let n = tuples.len() as f64;
+        prop_assert_eq!(gram[0][0], n);
+        for (i, row) in gram.iter().enumerate().skip(1) {
+            prop_assert!(row[i] >= 0.0, "negative diagonal {}", row[i]);
+            prop_assert!(row[i] <= n * (1.0 + 1e-9), "diagonal {} above n", row[i]);
+        }
+    }
+
+    #[test]
+    fn ridge_always_solves_finite_inputs(tuples in arb_tuples(80)) {
+        prop_assume!(tuples.len() >= 4);
+        let m = LinearModel::fit(&tuples, &FitConfig::default());
+        prop_assert!(m.is_some(), "ridge is always positive definite");
+        prop_assert_eq!(m.unwrap().check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn ridge_residual_not_worse_than_zero_model(tuples in arb_tuples(80)) {
+        prop_assume!(tuples.len() >= 4);
+        let (m, _, _) = fit_with_normal_equations(&tuples);
+        let mut rss = 0.0;
+        let mut tss = 0.0;
+        for t in &tuples {
+            let row = design_row(&m, t);
+            let fitted: f64 = row.iter().zip(&m.beta).map(|(a, b)| a * b).sum();
+            rss += (t.value - fitted).powi(2);
+            tss += t.value * t.value;
+        }
+        // The ridge optimum costs at most what β = 0 does.
+        prop_assert!(rss <= tss * (1.0 + 1e-9), "rss {rss} > tss {tss}");
     }
 }
 

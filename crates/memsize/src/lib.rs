@@ -118,22 +118,6 @@ impl<A: DeepSize, B: DeepSize, C: DeepSize> DeepSize for (A, B, C) {
     }
 }
 
-/// Pretty-prints a byte count with binary units (e.g. `12.3 KiB`).
-pub fn format_bytes(bytes: usize) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.1} {}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,12 +190,5 @@ mod tests {
     fn arrays_sum_children() {
         let a: [Vec<u8>; 2] = [vec![0; 3], vec![0; 5]];
         assert_eq!(a.heap_size(), 8);
-    }
-
-    #[test]
-    fn format_bytes_units() {
-        assert_eq!(format_bytes(512), "512 B");
-        assert_eq!(format_bytes(2_048), "2.0 KiB");
-        assert_eq!(format_bytes(5 * 1024 * 1024), "5.0 MiB");
     }
 }

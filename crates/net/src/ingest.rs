@@ -413,11 +413,6 @@ impl ModelMaintenance {
             handle: Some(handle),
         })
     }
-
-    /// The shared state the worker maintains.
-    pub fn state(&self) -> &Arc<IngestState> {
-        &self.state
-    }
 }
 
 impl Drop for ModelMaintenance {

@@ -52,11 +52,6 @@ impl<C: WireCodec> EnviroServer<C> {
         &self.platform
     }
 
-    /// The attached ingest state, if the server accepts writes.
-    pub fn ingest_state(&self) -> Option<&Arc<IngestState>> {
-        self.ingest.as_ref()
-    }
-
     /// The codec in use.
     pub fn codec(&self) -> &C {
         &self.codec

@@ -306,11 +306,6 @@ impl WalStore {
         Ok(store)
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The store's configuration.
     pub fn config(&self) -> WalConfig {
         self.config

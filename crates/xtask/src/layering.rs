@@ -12,15 +12,15 @@ use crate::manifest::Manifest;
 /// Allowed **normal**-dependency edges, bottom layer first.
 ///
 /// Invariants encoded here (see DESIGN.md "Static analysis & code policy"):
-/// * `enviro-memsize`, `enviro-geo`, `enviro-linalg`, and `enviro-schedule`
-///   (the concurrency facade everything above may use) are leaves;
+/// * `enviro-memsize` and `enviro-schedule` (the concurrency facade
+///   everything above may use) are leaves, and `enviro-geo` depends on
+///   `enviro-memsize` alone;
 /// * `enviro-meter` (core) never depends on `enviro-cli`, `enviro-bench`,
 ///   or `enviro-net`;
 /// * `enviro-net` never depends on `enviro-cli`.
 pub const LAYERS: &[(&str, &[&str])] = &[
     ("enviro-schedule", &[]),
     ("enviro-memsize", &[]),
-    ("enviro-linalg", &[]),
     ("enviro-geo", &["enviro-memsize"]),
     ("enviro-data", &["enviro-memsize", "enviro-geo"]),
     ("enviro-index", &["enviro-memsize", "enviro-geo"]),
@@ -37,7 +37,6 @@ pub const LAYERS: &[(&str, &[&str])] = &[
         "enviro-meter",
         &[
             "enviro-memsize",
-            "enviro-linalg",
             "enviro-geo",
             "enviro-data",
             "enviro-index",
@@ -70,7 +69,6 @@ pub const LAYERS: &[(&str, &[&str])] = &[
         "enviro-bench",
         &[
             "enviro-memsize",
-            "enviro-linalg",
             "enviro-geo",
             "enviro-data",
             "enviro-index",
@@ -90,17 +88,6 @@ pub const LAYERS: &[(&str, &[&str])] = &[
 const FORBIDDEN_DEV: &[(&str, &[&str])] = &[
     (
         "enviro-memsize",
-        &[
-            "enviro-geo",
-            "enviro-data",
-            "enviro-meter",
-            "enviro-net",
-            "enviro-cli",
-            "enviro-bench",
-        ],
-    ),
-    (
-        "enviro-linalg",
         &[
             "enviro-geo",
             "enviro-data",
@@ -213,7 +200,7 @@ mod tests {
 
     #[test]
     fn leaf_gaining_a_dep_is_a_violation() {
-        let ms = vec![mf("enviro-linalg", &["enviro-geo"], &[])];
+        let ms = vec![mf("enviro-memsize", &["enviro-geo"], &[])];
         assert_eq!(check(&ms).len(), 1);
     }
 
