@@ -176,9 +176,6 @@ fn build_server(seed: u64) -> EnviroServer<BinaryCodec> {
         AdKmnConfig::default(),
         RADIUS_M,
     );
-    platform
-        .engine()
-        .prepare_parallel_auto(QueryMethod::ModelCover);
     EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
 }
 

@@ -257,18 +257,16 @@ fn ingest_server(state: &Arc<IngestState>) -> EnviroServer<BinaryCodec> {
 }
 
 /// The read-path server for the latency cells: quick-scale platform with
-/// prebuilt covers, plus an attached ingest state for the busy cell.
+/// prebuilt covers, windowed like the store, plus an attached ingest state
+/// for the busy cell.
 fn query_server(seed: u64, state: &Arc<IngestState>) -> EnviroServer<BinaryCodec> {
     let sim = enviro_data::LausanneSim::lausanne(Scale::Quick.sim_config(seed));
     let platform = EnviroMeter::new(
         sim.generate(),
-        WindowSpec::ByDuration(4 * 3_600),
+        WindowSpec::ByDuration(WINDOW_SECS),
         AdKmnConfig::default(),
         RADIUS_M,
     );
-    platform
-        .engine()
-        .prepare_parallel_auto(QueryMethod::ModelCover);
     EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover).with_ingest(Arc::clone(state))
 }
 
@@ -337,11 +335,13 @@ fn run_latency_cell(cfg: &IngestBenchConfig, with_ingest: bool) -> QueryLatencyR
     let Some(state) = open_state(&dir) else {
         return failed_row();
     };
-    let gen_before = state.generation();
     let maintenance = with_ingest
         .then(|| ModelMaintenance::spawn(Arc::clone(&state)).ok())
         .flatten();
     let server = Arc::new(query_server(cfg.seed, &state));
+    // Counted from after the server seeded its static covers: only the
+    // generations the writer's load published.
+    let gen_before = state.generation();
     let transport = match ConcurrentTransport::spawn_shared(Arc::clone(&server), cfg.workers) {
         Ok(t) => t,
         Err(_) => return failed_row(),

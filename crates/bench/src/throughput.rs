@@ -170,8 +170,9 @@ impl<W: Wire> Wire for CountingWire<W> {
 }
 
 /// Builds the benchmark server: quick-scale workload, hour-long windows,
-/// model-cover serving, every window cache prebuilt so measurements see
-/// steady state rather than first-touch cache builds.
+/// model-cover serving, every window's cover prebuilt (by
+/// `EnviroServer::new`) so measurements see steady state rather than
+/// first-touch cache builds.
 fn build_server(seed: u64) -> EnviroServer<BinaryCodec> {
     let sim = enviro_data::LausanneSim::lausanne(Scale::Quick.sim_config(seed));
     let platform = EnviroMeter::new(
@@ -180,9 +181,6 @@ fn build_server(seed: u64) -> EnviroServer<BinaryCodec> {
         AdKmnConfig::default(),
         RADIUS_M,
     );
-    platform
-        .engine()
-        .prepare_parallel_auto(QueryMethod::ModelCover);
     EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
 }
 

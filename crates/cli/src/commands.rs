@@ -383,7 +383,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
              deadline and retry budget;\n\
              --ingest DIR opens a WAL-backed ingest state at DIR, streams \
              the dataset through the durable write path concurrently with \
-             the query load, and publishes covers online"
+             the query load, and publishes covers online (it takes \
+             --window-secs, not --window, and only the ad-kmn method)"
         )
         .map_err(io_err)?;
         return Ok(());
@@ -404,6 +405,19 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "--workers, --batch, --clients, --requests and --max-queue must be positive",
         ));
     }
+    // An ingesting server answers from the one cover registry it shares
+    // with the store, whose windows are `--window-secs` long.
+    let ingest_dir = args.get("ingest").map(str::to_string);
+    if ingest_dir.is_some() && args.has("window") {
+        return Err(CliError::usage(
+            "--ingest windows by duration: use --window-secs, not --window",
+        ));
+    }
+    if ingest_dir.is_some() && method != QueryMethod::ModelCover {
+        return Err(CliError::usage(format!(
+            "--ingest answers from model covers, not with --method {method}"
+        )));
+    }
     let platform = load_platform(args)?;
     let dataset = platform.engine().dataset();
     let pollutant = dataset.pollutant();
@@ -413,7 +427,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let bounds = platform.extent();
     // With --ingest the same tuples are streamed through the durable write
     // path while the query clients run.
-    let ingest_dir = args.get("ingest").map(str::to_string);
     let stream: Vec<enviro_data::RawTuple> = if ingest_dir.is_some() {
         dataset.tuples().to_vec()
     } else {
@@ -1189,6 +1202,36 @@ mod tests {
         assert!(out.contains("durable 240"), "{out}");
         std::fs::remove_file(&csv).ok();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_with_ingest_refuses_count_windows() {
+        let dir = temp_path("serve-ingest-count-wal");
+        let (code, out) = run_cmd(&[
+            "serve",
+            "no-such-file.csv",
+            "--window",
+            "120",
+            "--ingest",
+            dir.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn serve_with_ingest_refuses_non_cover_methods() {
+        let dir = temp_path("serve-ingest-naive-wal");
+        let (code, out) = run_cmd(&[
+            "serve",
+            "no-such-file.csv",
+            "--method",
+            "naive",
+            "--ingest",
+            dir.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(!dir.exists());
     }
 
     #[test]

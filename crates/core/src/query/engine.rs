@@ -2,6 +2,7 @@
 
 use crate::cluster::AdKmnConfig;
 use crate::cover::{CoverBuilder, ModelCover};
+use crate::publish::PublishedCover;
 use crate::query::idw::idw;
 use crate::query::indexed::{entries, indexed_mean};
 use crate::query::naive::naive_mean;
@@ -9,7 +10,7 @@ use crate::query::QueryMethod;
 use crate::routing;
 use enviro_data::{Dataset, QueryTuple, RawTuple, Timestamp, WindowSpec, Windows};
 use enviro_index::{GridIndex, KdTree, RTree, SpatialIndex, VpTree};
-use enviro_schedule::sync::OnceLock;
+use enviro_schedule::sync::{Arc, OnceLock};
 
 /// Precomputed placement of one window inside the dataset's tuple vector.
 #[derive(Debug, Clone, Copy)]
@@ -25,10 +26,12 @@ struct WindowMeta {
 /// [`QueryMethod`] needs. Each slot is an independent `OnceLock`, which
 /// keeps the hot query path lock-free after the first build. The R-tree
 /// serves both [`QueryMethod::RTree`]'s radius search and
-/// [`QueryMethod::Idw`]'s k-NN; the naïve scan needs no structure.
+/// [`QueryMethod::Idw`]'s k-NN; the naïve scan needs no structure. The
+/// cover is `Arc`-shared, so a server publishing it into a
+/// [`crate::CoverRegistry`] holds the same copy the engine does.
 #[derive(Debug, Default)]
 struct WindowSlots {
-    cover: OnceLock<ModelCover>,
+    cover: OnceLock<Arc<ModelCover>>,
     rtree: OnceLock<RTree>,
     vptree: OnceLock<VpTree>,
     kdtree: OnceLock<KdTree>,
@@ -156,6 +159,10 @@ impl QueryEngine {
     /// The model cover of window `idx`, building and caching it on first
     /// use (the paper's lazy model creation).
     pub fn cover(&self, idx: usize) -> &ModelCover {
+        self.shared_cover(idx)
+    }
+
+    fn shared_cover(&self, idx: usize) -> &Arc<ModelCover> {
         self.slots[idx].cover.get_or_init(|| {
             let meta = self.windows[idx];
             let window = enviro_data::Window {
@@ -163,8 +170,26 @@ impl QueryEngine {
                 tuples: self.window_tuples(idx),
                 valid_until: meta.valid_until,
             };
-            self.builder.build(&window, self.dataset.pollutant())
+            Arc::new(self.builder.build(&window, self.dataset.pollutant()))
         })
+    }
+
+    /// Every window's cover as a [`PublishedCover`], oldest window first,
+    /// each keyed by its window id and first tuple time and sharing the
+    /// engine's copy — what a server publishes as the covers of its static
+    /// history. Builds any cover not yet built, one window at a time (call
+    /// [`QueryEngine::prepare_parallel_auto`] first to build them in
+    /// parallel).
+    pub fn published_covers(&self) -> Vec<PublishedCover> {
+        self.windows
+            .iter()
+            .enumerate()
+            .map(|(idx, meta)| PublishedCover {
+                window_id: meta.id,
+                first_time: meta.first_time,
+                cover: Arc::clone(self.shared_cover(idx)),
+            })
+            .collect()
     }
 
     /// The model cover responsible for time `t` (`None` on empty dataset).
@@ -390,6 +415,18 @@ mod tests {
         let a = engine.cover(0) as *const _;
         let b = engine.cover(0) as *const _;
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn published_covers_share_the_engine_copies() {
+        let (engine, _) = small_engine();
+        let published = engine.published_covers();
+        assert_eq!(published.len(), engine.window_count());
+        for (idx, entry) in published.iter().enumerate() {
+            assert_eq!(entry.window_id, idx as u64);
+            assert_eq!(entry.first_time, engine.window_tuples(idx)[0].time);
+            assert!(std::ptr::eq(entry.cover.as_ref(), engine.cover(idx)));
+        }
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub struct IngestState {
     inner: Mutex<Inner>,
     /// Signalled when the dirty set grows or shutdown is requested.
     work: Condvar,
-    registry: CoverRegistry,
+    /// Shared with the server that attaches this state.
+    registry: Arc<CoverRegistry>,
     config: IngestConfig,
     builder: CoverBuilder,
 }
@@ -141,7 +142,7 @@ impl IngestState {
                 shutdown: false,
             }),
             work: Condvar::new(),
-            registry: CoverRegistry::new(),
+            registry: Arc::new(CoverRegistry::new()),
             config,
             builder,
         })
@@ -162,6 +163,16 @@ impl IngestState {
     /// The published-cover registry queries read from.
     pub fn registry(&self) -> &CoverRegistry {
         &self.registry
+    }
+
+    /// The registry itself, for a server to read from and seed.
+    pub(crate) fn shared_registry(&self) -> Arc<CoverRegistry> {
+        Arc::clone(&self.registry)
+    }
+
+    /// The store's window length in seconds.
+    pub(crate) fn window_secs(&self) -> i64 {
+        self.lock().wal.config().window_secs
     }
 
     /// The current cover generation (0 until the first publication).
@@ -315,16 +326,9 @@ impl IngestState {
     }
 
     /// Answers one query from the published covers, or `None` when nothing
-    /// has been published yet (the server then falls back to its batch
-    /// platform).
+    /// has been published yet.
     pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
         self.registry.snapshot().query(q)
-    }
-
-    /// The published cover responsible for `t`, if any.
-    pub fn cover_at(&self, t: Timestamp) -> Option<Arc<ModelCover>> {
-        let snapshot = self.registry.snapshot();
-        snapshot.cover_for_time(t).map(|e| Arc::clone(&e.cover))
     }
 
     /// `true` while there are dirty windows awaiting a maintenance pass.
@@ -518,7 +522,11 @@ mod tests {
         let state = open_state(&dir);
         let q = QueryTuple::new(Timestamp::from_secs(50), Point::origin());
         assert_eq!(state.query(&q), None);
-        assert!(state.cover_at(Timestamp::ZERO).is_none());
+        assert!(state
+            .registry()
+            .snapshot()
+            .cover_for_time(Timestamp::ZERO)
+            .is_none());
         // Acked but not yet published: still nothing to answer from.
         state.ingest(1, 1, &window_tuples(0, 10)).unwrap();
         assert_eq!(state.query(&q), None);

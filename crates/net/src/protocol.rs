@@ -92,11 +92,11 @@ pub enum Response {
         /// The sequence number of the [`Request::QueryBatch`] this answers,
         /// echoed verbatim.
         seq: u32,
-        /// The server's cover **generation** at answer time: a counter that
-        /// the model-maintenance worker bumps on every atomic cover
-        /// publication. A client holding a cached cover from an older
-        /// generation knows to invalidate it. 0 when the server does not
-        /// ingest (static covers never change).
+        /// The server's cover **generation** at answer time: a counter
+        /// bumped on every atomic cover publication — the server's static
+        /// covers at start-up, then each model-maintenance republication.
+        /// A client holding a cached cover from an older generation knows
+        /// to invalidate it. 0 when nothing is published (no data yet).
         generation: u64,
         /// `Some(ŝ_l)` per answerable tuple, `None` per miss.
         values: Vec<Option<f64>>,

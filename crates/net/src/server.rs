@@ -4,8 +4,8 @@ use crate::buffers;
 use crate::codec::WireCodec;
 use crate::ingest::IngestState;
 use crate::protocol::{ErrorCode, ProtocolError, Request, Response, WireCover};
-use enviro_data::QueryTuple;
-use enviro_meter::{CoverSet, EnviroMeter, QueryMethod};
+use enviro_data::{QueryTuple, WindowSpec};
+use enviro_meter::{CoverRegistry, EnviroMeter, QueryMethod};
 use enviro_schedule::sync::Arc;
 
 /// The server side of Figure 3: decodes a request, consults the platform,
@@ -16,33 +16,75 @@ use enviro_schedule::sync::Arc;
 /// paper), but the evaluation can plug any method to isolate network
 /// effects from processing effects.
 ///
+/// Covers are read from one [`CoverRegistry`], the paper's `model_cover`
+/// table: one cover per window id. The server publishes its platform's
+/// covers there as the first generation, and every request that reads a
+/// cover reads one snapshot of the registry, so a reply never mixes two
+/// publications and each `ValueBatch` carries the generation that
+/// answered it. A query at time `t` is answered by the window holding `t`;
+/// before the first window by the oldest one, after the last by the
+/// newest (the routing rule of [`enviro_meter::CoverSet::cover_for_time`]).
+///
 /// A server built [`EnviroServer::with_ingest`] additionally accepts
-/// `IngestBatch` frames on the durable write path, and serves value/model
-/// queries from the ingest state's published covers once any exist (the
-/// static platform remains the fallback for times the stream has not
-/// covered yet). Every `ValueBatch` reply then carries the generation of
-/// the covers that answered it, so caching clients can invalidate.
+/// `IngestBatch` frames on the durable write path and shares its registry
+/// with the ingest state: model maintenance republishes each window the
+/// stream writes into over the static cover of that window, so such a
+/// window is owned by the stream from its first publication on.
 pub struct EnviroServer<C: WireCodec> {
     platform: EnviroMeter,
     codec: C,
     method: QueryMethod,
+    registry: Arc<CoverRegistry>,
     ingest: Option<Arc<IngestState>>,
 }
 
 impl<C: WireCodec> EnviroServer<C> {
-    /// Creates a server over a platform.
+    /// Creates a server over a platform, building every window's cover and
+    /// publishing them as the registry's first generation (an empty
+    /// platform publishes nothing and stays at generation 0).
     pub fn new(platform: EnviroMeter, codec: C, method: QueryMethod) -> Self {
+        let engine = platform.engine();
+        engine.prepare_parallel_auto(QueryMethod::ModelCover);
+        let registry = CoverRegistry::new();
+        registry.publish_missing(engine.published_covers());
         Self {
             platform,
             codec,
             method,
+            registry: Arc::new(registry),
             ingest: None,
         }
     }
 
     /// Attaches a durable ingest state: `IngestBatch` frames are accepted,
-    /// and queries prefer the stream's published covers.
+    /// and covers are read from the state's registry from now on.
+    ///
+    /// The platform's covers are seeded into that registry, each only if
+    /// the registry does not hold its window yet, so a window that
+    /// maintenance already published (say, one recovered from the WAL)
+    /// keeps the stream's cover.
+    ///
+    /// # Panics
+    /// Panics when the server's method is not [`QueryMethod::ModelCover`],
+    /// or when the platform holds data but is not windowed
+    /// [`WindowSpec::ByDuration`] of the store's window length: the static
+    /// and the streamed windows must share one window-id space.
     pub fn with_ingest(mut self, ingest: Arc<IngestState>) -> Self {
+        assert!(
+            self.method == QueryMethod::ModelCover,
+            "an ingesting server answers from covers, not with {}",
+            self.method
+        );
+        let engine = self.platform.engine();
+        let window_secs = ingest.window_secs();
+        assert!(
+            engine.window_count() == 0 || engine.spec() == WindowSpec::ByDuration(window_secs),
+            "the platform is windowed {:?}, the store by {window_secs} s",
+            engine.spec()
+        );
+        let registry = ingest.shared_registry();
+        registry.publish_missing(self.registry.snapshot().entries().to_vec());
+        self.registry = registry;
         self.ingest = Some(ingest);
         self
     }
@@ -57,38 +99,24 @@ impl<C: WireCodec> EnviroServer<C> {
         &self.codec
     }
 
-    /// The published covers, one snapshot per request, so a reply never
-    /// mixes two publications (`None` when the server does not ingest).
-    fn covers(&self) -> Option<Arc<CoverSet>> {
-        self.ingest.as_ref().map(|i| i.registry().snapshot())
-    }
-
     /// Handles one decoded request.
     pub fn handle(&self, request: &Request) -> Response {
         match request {
             Request::Query { time, pos } => {
                 let q = QueryTuple::new(*time, *pos);
-                match self.answer_query(&q) {
+                let value = match self.method {
+                    QueryMethod::ModelCover => self.registry.snapshot().query(&q).flatten(),
+                    method => self.platform.point_query(&q, method),
+                };
+                match value {
                     Some(value) => Response::Value { value },
                     None => Response::NoData,
                 }
             }
             Request::ModelRequest { time } => {
-                // The stream's published cover wins when one exists; the
-                // static platform covers the pre-ingest past.
-                if let Some(cover) = self
-                    .ingest
-                    .as_ref()
-                    .and_then(|ingest| ingest.cover_at(*time))
-                {
-                    if !cover.is_empty() {
-                        return Response::Cover(WireCover::from_cover(cover.as_ref()));
-                    }
-                    return Response::NoData;
-                }
-                match self.platform.cover_at(*time) {
-                    Some(cover) if !cover.is_empty() => {
-                        Response::Cover(WireCover::from_cover(cover))
+                match self.registry.snapshot().cover_for_time(*time) {
+                    Some(entry) if !entry.cover.is_empty() => {
+                        Response::Cover(WireCover::from_cover(&entry.cover))
                     }
                     _ => Response::NoData,
                 }
@@ -101,17 +129,16 @@ impl<C: WireCodec> EnviroServer<C> {
                 // pair this reply with its chunk even after retries, and the
                 // generation stamped is that of the snapshot that answered.
                 let mut values = buffers::take_values();
-                let covers = self.covers();
-                match covers.as_deref().filter(|c| !c.is_empty()) {
-                    Some(set) => set.query_batch_into(queries, &mut values),
-                    None => {
-                        self.platform
-                            .point_query_batch_into(queries, self.method, &mut values);
-                    }
+                let covers = self.registry.snapshot();
+                match self.method {
+                    QueryMethod::ModelCover => covers.query_batch_into(queries, &mut values),
+                    method => self
+                        .platform
+                        .point_query_batch_into(queries, method, &mut values),
                 }
                 Response::ValueBatch {
                     seq: *seq,
-                    generation: covers.map_or(0, |c| c.generation()),
+                    generation: covers.generation(),
                     values,
                 }
             }
@@ -138,15 +165,6 @@ impl<C: WireCodec> EnviroServer<C> {
                     "this server does not accept ingestion",
                 )),
             },
-        }
-    }
-
-    /// Answers one point query: published covers first (once any exist),
-    /// the batch platform otherwise.
-    fn answer_query(&self, q: &QueryTuple) -> Option<f64> {
-        match self.covers().and_then(|c| c.query(q)) {
-            Some(answer) => answer,
-            None => self.platform.point_query(q, self.method),
         }
     }
 
@@ -261,7 +279,7 @@ mod tests {
                 values,
             } => {
                 assert_eq!(seq, 41);
-                assert_eq!(generation, 0, "no ingest state => generation 0");
+                assert_eq!(generation, 1, "the static covers are generation 1");
                 assert_eq!(values.len(), 1);
             }
             other => panic!("expected value batch, got {other:?}"),
@@ -288,23 +306,9 @@ mod tests {
 
     #[test]
     fn ingest_server_acks_and_stamps_generations() {
-        use crate::ingest::{IngestConfig, IngestState};
         use enviro_data::RawTuple;
-        use enviro_storage::WalConfig;
 
-        let dir = std::env::temp_dir().join(format!("enviro-server-ingest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let state = Arc::new(
-            IngestState::open(
-                &dir,
-                WalConfig {
-                    window_secs: 3_600,
-                    ..WalConfig::default()
-                },
-                IngestConfig::default(),
-            )
-            .unwrap(),
-        );
+        let (state, dir) = open_ingest("ingest", 3_600);
         let s = server().with_ingest(Arc::clone(&state));
 
         // Write a batch over the wire path.
@@ -330,8 +334,8 @@ mod tests {
             other => panic!("expected ingest ack, got {other:?}"),
         }
 
-        // Before any cover is published, batch replies stamp generation 0
-        // and queries fall back to the static platform.
+        // Before the stream's cover is published, batch replies stamp the
+        // static covers' generation 1 and are answered by them.
         let q = Request::QueryBatch {
             seq: 1,
             queries: vec![QueryTuple::new(
@@ -340,7 +344,7 @@ mod tests {
             )],
         };
         match s.handle(&q) {
-            Response::ValueBatch { generation, .. } => assert_eq!(generation, 0),
+            Response::ValueBatch { generation, .. } => assert_eq!(generation, 1),
             other => panic!("expected value batch, got {other:?}"),
         }
 
@@ -359,6 +363,111 @@ mod tests {
         }
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn open_ingest(tag: &str, window_secs: i64) -> (Arc<IngestState>, std::path::PathBuf) {
+        use crate::ingest::IngestConfig;
+        use enviro_storage::WalConfig;
+
+        let dir = std::env::temp_dir().join(format!("enviro-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = IngestState::open(
+            &dir,
+            WalConfig {
+                window_secs,
+                ..WalConfig::default()
+            },
+            IngestConfig::default(),
+        )
+        .unwrap();
+        (Arc::new(state), dir)
+    }
+
+    /// A stream window far ahead of the static history must not answer for
+    /// times the history covers: each time is answered by the window that
+    /// holds it, whichever side published that window.
+    #[test]
+    fn ingest_window_does_not_answer_for_the_static_history() {
+        use enviro_data::RawTuple;
+
+        let (state, dir) = open_ingest("misroute", 3_600);
+        let s = server().with_ingest(Arc::clone(&state));
+        let day10 = Timestamp::from_days(10).as_secs();
+        let stream: Vec<RawTuple> = (0..32)
+            .map(|i| {
+                RawTuple::new(
+                    Timestamp::from_secs(day10 + 60 * i),
+                    Point::new(f64::from(i as u32) * 25.0, -100.0),
+                    9_000.0,
+                )
+            })
+            .collect();
+        state.ingest(1, 1, &stream).unwrap();
+        state.rebuild_dirty_now().unwrap();
+
+        let time = Timestamp::from_secs(600);
+        let pos = Point::new(0.0, -200.0);
+        let want = s
+            .platform()
+            .point_query(&QueryTuple::new(time, pos), QueryMethod::ModelCover)
+            .unwrap();
+        assert!(want < 3_000.0, "{want}");
+        assert_eq!(
+            s.handle(&Request::Query { time, pos }),
+            Response::Value { value: want }
+        );
+        match s.handle(&Request::QueryBatch {
+            seq: 5,
+            queries: vec![QueryTuple::new(time, pos)],
+        }) {
+            Response::ValueBatch {
+                generation, values, ..
+            } => {
+                assert_eq!(values, vec![Some(want)]);
+                assert_eq!(generation, 2, "static covers, then the stream's");
+            }
+            other => panic!("expected value batch, got {other:?}"),
+        }
+        match s.handle(&Request::ModelRequest { time }) {
+            Response::Cover(cover) => {
+                assert!(cover.valid_until <= Timestamp::from_secs(7_200));
+                let platform_cover = s.platform().cover_at(time).unwrap();
+                assert_eq!(cover, WireCover::from_cover(platform_cover));
+            }
+            other => panic!("expected cover, got {other:?}"),
+        }
+        // The stream's own window still answers from the stream's cover.
+        match s.handle(&Request::Query {
+            time: Timestamp::from_secs(day10 + 600),
+            pos,
+        }) {
+            Response::Value { value } => assert!((value - 9_000.0).abs() < 1.0, "{value}"),
+            other => panic!("expected value, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "windowed")]
+    fn with_ingest_refuses_a_mismatched_window_length() {
+        let (state, dir) = open_ingest("mismatch", 7_200);
+        // The refusal reads no file: the directory can go before the panic.
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = server().with_ingest(state);
+    }
+
+    #[test]
+    #[should_panic(expected = "answers from covers")]
+    fn with_ingest_refuses_a_non_cover_method() {
+        let (state, dir) = open_ingest("method", 3_600);
+        let _ = std::fs::remove_dir_all(&dir);
+        let platform = EnviroMeter::new(
+            enviro_data::Dataset::new(enviro_data::Pollutant::Co2),
+            WindowSpec::ByDuration(3_600),
+            AdKmnConfig::default(),
+            1_000.0,
+        );
+        let _ = EnviroServer::new(platform, BinaryCodec, QueryMethod::Naive).with_ingest(state);
     }
 
     #[test]
@@ -419,5 +528,133 @@ mod tests {
             }),
             Response::NoData
         );
+    }
+
+    mod one_read_path {
+        use super::*;
+        use crate::XorShiftRng;
+        use enviro_data::{Dataset, Pollutant, RawTuple};
+        use enviro_meter::QueryEngine;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        const WINDOW_SECS: i64 = 100;
+
+        /// The tuples of window `id`: evenly spaced, distinct times from a
+        /// random offset into the window, at a per-window level.
+        fn window(id: i64, rng: &mut XorShiftRng) -> Vec<RawTuple> {
+            let n = rng.next_in_range(8, 24) as i64;
+            let start = id * WINDOW_SECS + rng.next_in_range(0, 20) as i64;
+            let step = (WINDOW_SECS - 20) / n;
+            let level = 300.0 + 600.0 * rng.next_f64();
+            (0..n)
+                .map(|i| {
+                    RawTuple::new(
+                        Timestamp::from_secs(start + i * step),
+                        Point::new(400.0 * rng.next_f64(), -400.0 * rng.next_f64()),
+                        level + 50.0 * rng.next_f64(),
+                    )
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// For a static history and a stream over disjoint windows,
+            /// every answer equals the batch engine's over both together:
+            /// the window holding the query time answers, whichever side
+            /// published it. `layout[id]` says who owns window `id`: 0
+            /// nobody, 1 the history, 2 the stream.
+            #[test]
+            fn server_answers_like_the_batch_engine_over_history_and_stream(
+                layout in proptest::collection::vec(0u8..3, 1..7),
+                seed in any::<u64>(),
+            ) {
+                static CASE: AtomicU64 = AtomicU64::new(0);
+                let mut rng = XorShiftRng::new(seed);
+                let (mut history, mut stream) = (Vec::new(), Vec::new());
+                for (id, owner) in layout.iter().enumerate() {
+                    match owner {
+                        1 => history.extend(window(id as i64, &mut rng)),
+                        2 => stream.extend(window(id as i64, &mut rng)),
+                        _ => {}
+                    }
+                }
+                let mut all = history.clone();
+                all.extend(stream.iter().copied());
+                let batch = QueryEngine::new(
+                    Dataset::from_tuples(Pollutant::Co2, all).unwrap(),
+                    WindowSpec::ByDuration(WINDOW_SECS),
+                    AdKmnConfig::default(),
+                    1_000.0,
+                );
+                let platform = EnviroMeter::new(
+                    Dataset::from_tuples(Pollutant::Co2, history).unwrap(),
+                    WindowSpec::ByDuration(WINDOW_SECS),
+                    AdKmnConfig::default(),
+                    1_000.0,
+                );
+
+                let tag = format!("props-{}", CASE.fetch_add(1, Ordering::Relaxed));
+                let (state, dir) = open_ingest(&tag, WINDOW_SECS);
+                let server = EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
+                    .with_ingest(Arc::clone(&state));
+                for (seq, chunk) in stream.chunks(16).enumerate() {
+                    state.ingest(1, seq as u32 + 1, chunk).unwrap();
+                }
+                state.rebuild_dirty_now().unwrap();
+
+                // Before, inside (first, middle and last tuple time) and
+                // after every window, owned or not, and past the end.
+                let mut times = vec![-WINDOW_SECS];
+                for id in 0..=layout.len() as i64 {
+                    let base = id * WINDOW_SECS;
+                    times.extend([base, base + 1, base + 30, base + 61, base + WINDOW_SECS - 1]);
+                }
+                times.push(100 * WINDOW_SECS);
+                let probes: Vec<QueryTuple> = times
+                    .iter()
+                    .map(|&t| {
+                        let pos = Point::new(500.0 * rng.next_f64() - 50.0, -500.0 * rng.next_f64());
+                        QueryTuple::new(Timestamp::from_secs(t), pos)
+                    })
+                    .collect();
+
+                let bits = |v: Option<f64>| v.map(f64::to_bits);
+                let want: Vec<Option<f64>> = probes
+                    .iter()
+                    .map(|q| batch.query(q, QueryMethod::ModelCover))
+                    .collect();
+                for (q, want) in probes.iter().zip(&want) {
+                    let got = match server.handle(&Request::Query { time: q.time, pos: q.pos }) {
+                        Response::Value { value } => Some(value),
+                        Response::NoData => None,
+                        other => panic!("expected a value, got {other:?}"),
+                    };
+                    prop_assert_eq!(bits(got), bits(*want), "Query at {}", q.time.as_secs());
+                    let cover = batch
+                        .cover_for_time(q.time)
+                        .filter(|c| !c.is_empty())
+                        .map_or(Response::NoData, |c| Response::Cover(WireCover::from_cover(c)));
+                    prop_assert_eq!(
+                        server.handle(&Request::ModelRequest { time: q.time }),
+                        cover,
+                        "ModelRequest at {}",
+                        q.time.as_secs()
+                    );
+                }
+                match server.handle(&Request::QueryBatch { seq: 9, queries: probes.clone() }) {
+                    Response::ValueBatch { generation, values, .. } => {
+                        prop_assert_eq!(generation, state.generation());
+                        let got: Vec<_> = values.iter().map(|v| bits(*v)).collect();
+                        let want: Vec<_> = want.iter().map(|v| bits(*v)).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    other => panic!("expected a value batch, got {other:?}"),
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! allocations, and so must the client's warmed `query_batch` calls. This
 //! pins the tentpole perf claim as a test instead of a comment:
 //! regressions that sneak an allocation into the hot path fail CI. Both
-//! read paths are covered: the static platform, and a streaming server
-//! answering from the published covers of its ingest state.
+//! server set-ups are covered: a static server, and a streaming one
+//! answering from the cover registry it shares with its ingest state.
 //!
 //! Both paths run on the measuring thread, so the count is per thread: the
 //! test harness starting other tests' threads meanwhile cannot leak into a
@@ -24,7 +24,7 @@
 
 use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
-use enviro_meter::{AdKmnConfig, EnviroMeter, PublishedCover, QueryMethod};
+use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
     LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec,
@@ -100,29 +100,31 @@ fn tuple(i: i64) -> QueryTuple {
     )
 }
 
-/// A model-cover server with an ingest state whose registry holds a
-/// published cover for every window of the platform, so value queries are
-/// answered from the stream's covers; returns the state's directory too,
-/// for the caller to remove.
+/// A model-cover server with an ingest state attached: the server seeds
+/// its registry with a cover for every window of the platform, so value
+/// queries are answered from the ingest state's registry; returns the
+/// state's directory too, for the caller to remove.
 fn streaming_server() -> (EnviroServer<BinaryCodec>, PathBuf) {
     let server = server(QueryMethod::ModelCover);
     let dir = std::env::temp_dir().join(format!("enviro-alloc-streamed-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let state = IngestState::open(&dir, WalConfig::default(), IngestConfig::default()).unwrap();
-    let engine = server.platform().engine();
-    let covers: Vec<PublishedCover> = (0..engine.window_count())
-        .map(|idx| {
-            let cover = engine.cover(idx);
-            PublishedCover {
-                window_id: cover.window_id,
-                first_time: engine.window_tuples(idx)[0].time,
-                cover: Arc::new(cover.clone()),
-            }
-        })
-        .collect();
-    assert!(covers.len() > 1, "the streamed batch must cross windows");
-    state.registry().publish(covers);
-    (server.with_ingest(Arc::new(state)), dir)
+    let state = Arc::new(
+        IngestState::open(
+            &dir,
+            WalConfig {
+                window_secs: 3_600,
+                ..WalConfig::default()
+            },
+            IngestConfig::default(),
+        )
+        .unwrap(),
+    );
+    let server = server.with_ingest(Arc::clone(&state));
+    assert!(
+        state.registry().snapshot().len() > 1,
+        "the streamed batch must cross windows"
+    );
+    (server, dir)
 }
 
 /// Runs `rounds` of single + batch frames through `handle_bytes_into`,

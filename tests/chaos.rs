@@ -58,6 +58,11 @@ fn verbose() -> bool {
 }
 
 fn build_server<C: WireCodec>(codec: C) -> EnviroServer<C> {
+    build_server_windowed(codec, 2 * 3_600)
+}
+
+/// [`build_server`]'s platform, windowed by `window_secs`.
+fn build_server_windowed<C: WireCodec>(codec: C, window_secs: i64) -> EnviroServer<C> {
     let sim = LausanneSim::lausanne(SimConfig {
         duration_secs: 6 * 3_600,
         seed: 4242,
@@ -65,7 +70,7 @@ fn build_server<C: WireCodec>(codec: C) -> EnviroServer<C> {
     });
     let platform = EnviroMeter::new(
         sim.generate(),
-        WindowSpec::ByDuration(2 * 3_600),
+        WindowSpec::ByDuration(window_secs),
         AdKmnConfig::default(),
         1_000.0,
     );
@@ -624,7 +629,9 @@ fn run_ingest_chaos(
         )
         .unwrap(),
     );
-    let server = Arc::new(build_server(BinaryCodec).with_ingest(Arc::clone(&state)));
+    let server = Arc::new(
+        build_server_windowed(BinaryCodec, INGEST_WINDOW_SECS).with_ingest(Arc::clone(&state)),
+    );
     let transport = ConcurrentTransport::spawn_shared(Arc::clone(&server), 2).unwrap();
     let clock = VirtualClock::new();
     let mut wire =
