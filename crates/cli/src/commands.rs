@@ -756,9 +756,11 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "export" => {
             let dir = args.require("dir")?;
             let out_path = args.require("out")?;
-            let store = open_store(dir)?;
+            let tuples = open_store(dir)?
+                .tuples()
+                .map_err(|e| CliError::runtime(format!("{dir}: {e}")))?;
             let dataset =
-                Dataset::from_tuples(Pollutant::Co2, store.tuples()).map_err(CliError::runtime)?;
+                Dataset::from_tuples(Pollutant::Co2, tuples).map_err(CliError::runtime)?;
             let mut file = std::io::BufWriter::new(
                 std::fs::File::create(out_path)
                     .map_err(|e| CliError::runtime(format!("cannot create {out_path}: {e}")))?,

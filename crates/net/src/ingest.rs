@@ -70,7 +70,9 @@ pub struct IngestStats {
     /// Windows sealed to segment files.
     pub sealed_windows: u64,
     /// Maintenance passes that failed (storage errors while sealing). The
-    /// worker keeps running; the windows stay dirty and are retried.
+    /// pass has already taken its dirty windows and published their
+    /// covers; only the seal failed. The worker keeps running and retries
+    /// the seal on its next pass, which only new data triggers.
     pub maintenance_errors: u64,
 }
 
@@ -191,6 +193,13 @@ impl IngestState {
         }
     }
 
+    /// Every retained tuple, as [`WalStore::tuples`] returns them: windows
+    /// whose raw tuples were released are read back from disk. The read
+    /// holds the ingest lock, so acks wait for it.
+    pub fn tuples(&self) -> Result<Vec<RawTuple>, StorageError> {
+        self.lock().wal.tuples()
+    }
+
     /// The ack path: dedup, durable append, dirty marking.
     ///
     /// Returns only after the WAL has fsynced the batch (or recognized a
@@ -217,11 +226,12 @@ impl IngestState {
         // acks are one atomic step, and the paper's exactly-once ack
         // contract hangs on them never being observed apart.
         let durable_upto = inner.wal.append_batch(tuples)?;
-        for t in tuples {
-            let id = inner.wal.window_id_of(t.time);
-            if !inner.wal.is_sealed(id) {
-                inner.dirty.insert(id);
-            }
+        // Only windows that received an accepted tuple turn dirty: a
+        // rejected (non-finite) or late tuple changes no window. An append
+        // seals nothing, so `accepts` still answers as the append did.
+        let Inner { wal, dirty, .. } = &mut *inner;
+        for t in tuples.iter().filter(|t| wal.accepts(t)) {
+            dirty.insert(wal.window_id_of(t.time));
         }
         inner.dedup.insert(source, (seq, durable_upto));
         inner.stats.acked_batches += 1;
@@ -275,32 +285,36 @@ impl IngestState {
         }
         // Seal + compact last: expensive I/O that shares the ingest lock,
         // but never the query path.
-        let sealed = {
-            let mut inner = self.lock();
-            let watermark = inner
-                .wal
-                .max_window_id()
-                .map(|max| max.saturating_sub(self.config.seal_lag));
-            match watermark {
-                // lock-scope: allow(maintenance) — sealing shares the
-                // ingest lock by design: it only ever runs on the single
-                // maintenance worker, and the query path never takes this
-                // lock (covers are read through the registry snapshot).
-                Some(w) => match inner.wal.seal_windows_before(w) {
-                    Ok(ids) => ids.len() as u64,
-                    Err(e) => {
-                        inner.stats.maintenance_errors += 1;
-                        return Err(e);
-                    }
-                },
-                None => 0,
-            }
+        let mut inner = self.lock();
+        let watermark = inner
+            .wal
+            .max_window_id()
+            .map(|max| max.saturating_sub(self.config.seal_lag));
+        let sealed = match watermark {
+            // lock-scope: allow(maintenance) — sealing shares the ingest
+            // lock by design: it only ever runs on the single maintenance
+            // worker, and the query path never takes this lock (covers are
+            // read through the registry snapshot).
+            Some(w) => inner.wal.seal_windows_before(w),
+            None => Ok(Vec::new()),
         };
-        if sealed > 0 {
-            let mut inner = self.lock();
-            inner.stats.sealed_windows += sealed;
+        // A sealed window that is not dirty has its final cover published:
+        // this pass published before it sealed, a sealed window never turns
+        // dirty again (`ingest` drops its late tuples), and one sealed while
+        // still dirty stays resident until the next pass publishes it. Its
+        // segment becomes its only copy.
+        let Inner { wal, dirty, .. } = &mut *inner;
+        wal.release_sealed(|id| dirty.contains(&id));
+        match sealed {
+            Ok(ids) => {
+                inner.stats.sealed_windows += ids.len() as u64;
+                Ok(published)
+            }
+            Err(e) => {
+                inner.stats.maintenance_errors += 1;
+                Err(e)
+            }
         }
-        Ok(published)
     }
 
     /// Builds one window's cover exactly the way the batch engine would:
@@ -336,7 +350,9 @@ impl IngestState {
         !self.lock().dirty.is_empty()
     }
 
-    /// Verifies the cross-structure invariants (WAL, registry, dedup).
+    /// Verifies the cross-structure invariants (WAL, registry, dedup,
+    /// dirty set): every dirty window is resident, and every released
+    /// window is clean and has a published cover.
     pub fn check_invariants(&self) -> Result<(), String> {
         let inner = self.lock();
         inner.wal.check_invariants()?;
@@ -348,12 +364,30 @@ impl IngestState {
                 ));
             }
         }
+        let released: Vec<u64> = inner
+            .wal
+            .sealed_window_ids()
+            .into_iter()
+            .filter(|&id| inner.wal.window_tuples(id).is_none())
+            .collect();
+        if let Some(id) = released.iter().find(|id| inner.dirty.contains(id)) {
+            return Err(format!("released window {id} is dirty"));
+        }
         for &id in &inner.dirty {
             if inner.wal.window_tuples(id).is_none() {
                 return Err(format!("dirty window {id} holds no tuples"));
             }
         }
         drop(inner);
+        // Read after the lock: a window is released only after its cover
+        // is published, and a published window never leaves the registry.
+        let snapshot = self.registry.snapshot();
+        if let Some(id) = released
+            .iter()
+            .find(|&&id| snapshot.cover_for_window(id).is_none())
+        {
+            return Err(format!("released window {id} has no published cover"));
+        }
         self.registry.check_invariants()
     }
 
@@ -618,6 +652,16 @@ mod tests {
         // seal_lag 1 and max window 3: windows 0 and 1 seal, 2 and 3 open.
         let stats = state.stats();
         assert_eq!(stats.sealed_windows, 2);
+        // Their covers are published, so their raw tuples left memory; the
+        // open windows stay resident, and everything reads back from disk.
+        {
+            let inner = state.lock();
+            assert!(inner.wal.window_tuples(0).is_none());
+            assert!(inner.wal.window_tuples(1).is_none());
+            assert_eq!(inner.wal.window_tuples(2).map(<[_]>::len), Some(6));
+        }
+        let all: Vec<RawTuple> = (0..4).flat_map(|w| window_tuples(w, 6)).collect();
+        assert_eq!(state.tuples().unwrap(), all);
         // Sealed windows still answer queries from their published covers.
         let q = QueryTuple::new(Timestamp::from_secs(10), Point::new(50.0, 0.0));
         assert!(state.query(&q).expect("covers exist").is_some());
@@ -626,20 +670,122 @@ mod tests {
     }
 
     #[test]
+    fn rejected_tuples_mark_no_window_dirty() {
+        let dir = temp_dir("rejected");
+        let state = open_state(&dir);
+        let out = state.ingest(1, 1, &[tuple(550, 0.0, f64::NAN)]).unwrap();
+        assert_eq!(out.durable_upto, 0);
+        assert!(
+            !state.has_dirty_windows(),
+            "a rejected tuple changes no window"
+        );
+        assert_eq!(state.check_invariants(), Ok(()));
+        // Only the window of the accepted tuple turns dirty.
+        state
+            .ingest(1, 2, &[tuple(650, 0.0, f64::INFINITY), tuple(10, 0.0, 1.0)])
+            .unwrap();
+        assert_eq!(state.lock().dirty.iter().copied().collect::<Vec<_>>(), [0]);
+        assert_eq!(state.check_invariants(), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_window_sealed_while_dirty_stays_resident_until_published() {
+        let dir = temp_dir("sealed-dirty");
+        let state = open_state(&dir);
+        state.ingest(1, 1, &window_tuples(0, 6)).unwrap();
+        state.ingest(1, 2, &window_tuples(2, 6)).unwrap();
+        // Window 0 is sealed while still dirty, as when a write lands
+        // between a pass's snapshot and its seal: it stays resident.
+        {
+            let mut inner = state.lock();
+            // lock-scope: allow(test) — stages that pass's seal.
+            inner.wal.seal_windows_before(1).unwrap();
+            let Inner { wal, dirty, .. } = &mut *inner;
+            assert_eq!(wal.release_sealed(|id| dirty.contains(&id)), 0);
+            assert_eq!(wal.window_tuples(0).map(<[_]>::len), Some(6));
+        }
+        assert_eq!(state.rebuild_dirty_now().unwrap(), 2);
+        assert!(state.lock().wal.window_tuples(0).is_none());
+        assert_eq!(state.check_invariants(), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Resident state besides the covers, after a history of `days` of
+    /// hourly windows with `per_window` readings each has been ingested
+    /// and published.
+    fn state_without_covers(tag: &str, days: i64, per_window: i64) -> usize {
+        let dir = temp_dir(tag);
+        let state = IngestState::open(
+            &dir,
+            WalConfig {
+                window_secs: 3_600,
+                ..WalConfig::default()
+            },
+            IngestConfig::default(),
+        )
+        .unwrap();
+        let history: Vec<RawTuple> = (0..days * 24)
+            .flat_map(|w| {
+                (0..per_window).map(move |i| {
+                    let x = (i * 37 % per_window) as f64 * 40.0;
+                    tuple(w * 3_600 + i * 60, x, 400.0 + (w % 7) as f64 + i as f64)
+                })
+            })
+            .collect();
+        // Equal-sized batches: the append buffer grows to the largest one.
+        for (seq, chunk) in (1..).zip(history.chunks(128)) {
+            state.ingest(1, seq, chunk).unwrap();
+        }
+        state.rebuild_dirty_now().unwrap();
+        assert_eq!(state.check_invariants(), Ok(()));
+        let size = state.deep_size_of() - state.registry().deep_size_of();
+        let _ = std::fs::remove_dir_all(&dir);
+        size
+    }
+
+    #[test]
+    fn resident_state_grows_per_window_not_per_tuple() {
+        const PER_WINDOW: i64 = 16;
+        let short = state_without_covers("budget-short", 2, PER_WINDOW);
+        let long = state_without_covers("budget-long", 8, PER_WINDOW);
+        let extra_windows = (8 - 2) * 24;
+        assert!(
+            long <= short + 64 * extra_windows,
+            "{long} B after 8 days vs {short} B after 2: more than 64 B per extra \
+             sealed window ({} B per extra tuple)",
+            (long.saturating_sub(short)) as f64 / (extra_windows * PER_WINDOW as usize) as f64
+        );
+    }
+
+    #[test]
     fn recovery_marks_everything_dirty_and_republishes() {
         let dir = temp_dir("recover");
-        {
+        let before = {
             let state = open_state(&dir);
-            state.ingest(1, 1, &window_tuples(0, 10)).unwrap();
-            state.ingest(1, 2, &window_tuples(1, 10)).unwrap();
+            for w in 0..3i64 {
+                state
+                    .ingest(1, w as u32 + 1, &window_tuples(w, 10))
+                    .unwrap();
+            }
             state.rebuild_dirty_now().unwrap();
-        }
+            // Window 0 sealed, its tuples released to disk.
+            assert!(state.lock().wal.window_tuples(0).is_none());
+            state.tuples().unwrap()
+        };
         let state = open_state(&dir);
         assert!(state.has_dirty_windows(), "recovered windows are dirty");
         assert_eq!(state.generation(), 0, "registry starts empty");
+        // Recovery loads the sealed window back, resident until republished.
+        assert_eq!(state.lock().wal.window_tuples(0).map(<[_]>::len), Some(10));
         let published = state.rebuild_dirty_now().unwrap();
-        assert_eq!(published, 2);
+        assert_eq!(published, 3);
         assert!(!state.registry().snapshot().is_empty());
+        assert!(
+            state.lock().wal.window_tuples(0).is_none(),
+            "released again"
+        );
+        assert_eq!(state.tuples().unwrap(), before);
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -499,3 +499,74 @@ fn static_seed_never_overwrites_the_stream() {
     println!("{report}");
     assert!(report.schedules > 1);
 }
+
+/// The cover of window `id` built from `tuples` exactly as maintenance
+/// builds it.
+fn window_cover(id: u64, tuples: &[RawTuple]) -> enviro_meter::ModelCover {
+    let window = Window {
+        id,
+        tuples,
+        valid_until: Timestamp::from_secs((id as i64 + 1) * 100),
+    };
+    CoverBuilder::new(AdKmnConfig::default()).build(&window, Pollutant::Co2)
+}
+
+/// The release rule racing a late write: window 0 is old but still open
+/// when an `ingest` into it races a maintenance pass that publishes it
+/// and then seals it (seal lag 1, newest window 2). The write lands before
+/// the pass takes the dirty set, between that and the seal (window 0 is
+/// sealed while dirty and must stay resident), or after the seal (a late
+/// tuple, dropped). In every interleaving, after one more pass, no
+/// released window is dirty and each window's published cover equals a
+/// fresh build over that window's tuples as `tuples()` reads them back,
+/// from disk for a released window.
+#[test]
+fn released_windows_keep_their_final_cover() {
+    let round = AtomicU64::new(0);
+    let report = enviro_schedule::explore("release-vs-late-ingest", move || {
+        let dir = fresh_dir("release", round.fetch_add(1, Ordering::Relaxed));
+        let state = Arc::new(open_state(&dir));
+        state
+            .ingest(1, 1, &level_tuples(0, 100.0))
+            .expect("window 0");
+        state
+            .ingest(1, 2, &level_tuples(2, 300.0))
+            .expect("window 2");
+        let writer = {
+            let state = Arc::clone(&state);
+            enviro_schedule::thread::spawn(move || {
+                let late: Vec<RawTuple> = level_tuples(0, 900.0)
+                    .into_iter()
+                    .map(|t| RawTuple::new(t.time + 2, t.pos, t.value))
+                    .collect();
+                state.ingest(2, 1, &late).expect("late write acked")
+            })
+        };
+        state.rebuild_dirty_now().expect("racing pass");
+        writer.join().expect("writer ran");
+        state.rebuild_dirty_now().expect("one more pass");
+
+        assert_eq!(state.stats().sealed_windows, 1, "window 0 sealed");
+        assert!(!state.has_dirty_windows());
+        state.check_invariants().expect("state is consistent");
+        let tuples = state.tuples().expect("history reads back");
+        let snapshot = state.registry().snapshot();
+        for id in [0u64, 2] {
+            let window: Vec<RawTuple> = tuples
+                .iter()
+                .filter(|t| t.time.as_secs().div_euclid(100) as u64 == id)
+                .copied()
+                .collect();
+            let published = snapshot.cover_for_window(id).expect("window published");
+            assert_eq!(
+                *published.cover,
+                window_cover(id, &window),
+                "window {id}: the published cover is not the one its {} tuples build",
+                window.len()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+    println!("{report}");
+    assert!(report.schedules > 1);
+}

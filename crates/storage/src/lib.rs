@@ -34,7 +34,7 @@
 //!
 //! // Reopen (e.g. after a restart) and hand everything to the engine.
 //! let store = WalStore::open(&dir, config).unwrap();
-//! let dataset = Dataset::from_tuples(Pollutant::Co2, store.tuples()).unwrap();
+//! let dataset = Dataset::from_tuples(Pollutant::Co2, store.tuples().unwrap()).unwrap();
 //! assert_eq!(dataset.tuples(), &[reading]);
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```

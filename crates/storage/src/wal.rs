@@ -14,6 +14,12 @@
 //!   the windows manifest is switched atomically, and the WAL is compacted
 //!   down to the still-open memtables — the background compactor keeps the
 //!   log from growing without bound;
+//! * a sealed window's tuples stay **resident** until the owner
+//!   [releases](WalStore::release_sealed) them (the ingest path does so
+//!   once the window's final cover is published). From then on only its
+//!   tuple count stays in memory: the immutable segment is the one copy,
+//!   and [`WalStore::tuples`] reads it back on demand with the checks
+//!   recovery applies, so raw history lives on disk, not in memory;
 //! * **recovery** reads the sealed windows, then replays the WAL in order,
 //!   truncating a torn tail on the final segment only (the expected crash
 //!   shape) and skipping tuples whose window is already sealed.
@@ -146,6 +152,17 @@ pub struct WalStats {
     pub recovered_torn_tail: bool,
 }
 
+/// One sealed window's record.
+#[derive(Debug)]
+struct SealedWindow {
+    /// Tuples in the window's `windows/` segment.
+    len: usize,
+    /// The tuples in arrival order while they are resident; `None` once
+    /// [`WalStore::release_sealed`] dropped them and the segment is the
+    /// only copy.
+    resident: Option<Vec<RawTuple>>,
+}
+
 /// A durable, crash-recoverable raw-tuple store: WAL + per-window memtables
 /// + sealed window segments. See the module docs for the protocol.
 #[derive(Debug)]
@@ -157,9 +174,9 @@ pub struct WalStore {
     wal_segments: Vec<(u32, u64)>,
     /// Open windows: id → tuples in arrival order.
     memtables: BTreeMap<u64, Vec<RawTuple>>,
-    /// Sealed windows, resident in memory (the durable copy lives under
-    /// `windows/`).
-    sealed: BTreeMap<u64, Vec<RawTuple>>,
+    /// Sealed windows: id → tuple count, plus the tuples until they are
+    /// released (the durable copy lives under `windows/`).
+    sealed: BTreeMap<u64, SealedWindow>,
     durable_tuples: u64,
     late_tuples: u64,
     rejected_tuples: u64,
@@ -205,18 +222,12 @@ impl WalStore {
         );
         let mut sealed = BTreeMap::new();
         for &seq in &sealed_live {
-            let path = windows_dir.join(segment_file_name(seq));
-            let contents = read_segment(&path).map_err(|e| StorageError::InvalidSegment {
-                path: path.clone(),
-                reason: e.to_string(),
-            })?;
-            if contents.truncated_tail {
-                return Err(StorageError::InvalidSegment {
-                    path,
-                    reason: "sealed window segment has a torn tail".into(),
-                });
-            }
-            sealed.insert(u64::from(seq), contents.tuples);
+            let tuples = read_sealed_segment(windows_dir.join(segment_file_name(seq)))?;
+            let window = SealedWindow {
+                len: tuples.len(),
+                resident: Some(tuples),
+            };
+            sealed.insert(u64::from(seq), window);
         }
 
         // 2. WAL replay. No manifest = every discovered segment is live.
@@ -284,24 +295,20 @@ impl WalStore {
             write_manifest(&wal_dir, &seqs)?;
         }
 
-        let durable_tuples = sealed
-            .values()
-            .chain(memtables.values())
-            .map(|w| w.len() as u64)
-            .sum();
-        let store = Self {
+        let mut store = Self {
             dir,
             config,
             writer,
             wal_segments,
             memtables,
             sealed,
-            durable_tuples,
+            durable_tuples: 0,
             late_tuples: 0,
             rejected_tuples: 0,
             recovered_torn_tail,
             scratch: Vec::new(),
         };
+        store.durable_tuples = store.retained_tuples();
         debug_assert_eq!(store.check_invariants(), Ok(()));
         Ok(store)
     }
@@ -321,6 +328,12 @@ impl WalStore {
         self.durable_tuples
     }
 
+    /// `true` when [`Self::append_batch`] would retain `t`: it is finite and
+    /// its window is not sealed.
+    pub fn accepts(&self, t: &RawTuple) -> bool {
+        t.is_finite() && !self.is_sealed(self.window_id_of(t.time))
+    }
+
     /// Appends a batch of tuples: WAL write + fsync, then memtable insert.
     ///
     /// Returns the new `durable_upto` watermark. Non-finite tuples are
@@ -330,12 +343,12 @@ impl WalStore {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for t in tuples {
-            if !t.is_finite() {
-                self.rejected_tuples += 1;
-            } else if self.sealed.contains_key(&self.window_id_of(t.time)) {
+            if self.accepts(t) {
+                scratch.push(*t);
+            } else if t.is_finite() {
                 self.late_tuples += 1;
             } else {
-                scratch.push(*t);
+                self.rejected_tuples += 1;
             }
         }
         if scratch.is_empty() {
@@ -379,14 +392,28 @@ impl WalStore {
     /// windows alike), each window in arrival order — the whole raw-tuple
     /// database in one read. `Dataset::from_tuples` sorts it stably by
     /// time, so equal timestamps keep their arrival order.
-    pub fn tuples(&self) -> Vec<RawTuple> {
-        let mut windows: Vec<(&u64, &Vec<RawTuple>)> =
-            self.memtables.iter().chain(&self.sealed).collect();
-        windows.sort_unstable_by_key(|&(&id, _)| id);
-        windows
-            .into_iter()
-            .flat_map(|(_, tuples)| tuples.iter().copied())
-            .collect()
+    ///
+    /// Released windows are read back from their `windows/` segments with
+    /// the checks [`Self::open`] applies; a segment that fails them, or
+    /// holds another tuple count than was sealed, is a
+    /// [`StorageError::InvalidSegment`].
+    pub fn tuples(&self) -> Result<Vec<RawTuple>, StorageError> {
+        let mut ids: Vec<u64> = self
+            .memtables
+            .keys()
+            .chain(self.sealed.keys())
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        let mut out = Vec::with_capacity(self.retained_tuples() as usize);
+        for id in ids {
+            if let Some(tuples) = self.window_tuples(id) {
+                out.extend_from_slice(tuples);
+            } else if let Some(window) = self.sealed.get(&id) {
+                out.extend(self.read_released(id, window.len)?);
+            }
+        }
+        Ok(out)
     }
 
     /// Ids of sealed windows, lowest first.
@@ -399,12 +426,15 @@ impl WalStore {
         self.sealed.contains_key(&id)
     }
 
-    /// The tuples of window `id` (open or sealed), in arrival order.
+    /// The tuples of window `id`, in arrival order, while they are
+    /// resident: an open window, or a sealed one not yet released. `None`
+    /// for a released window (read it back through [`Self::tuples`]) and
+    /// for a window with no data.
     pub fn window_tuples(&self, id: u64) -> Option<&[RawTuple]> {
-        self.memtables
-            .get(&id)
-            .or_else(|| self.sealed.get(&id))
-            .map(Vec::as_slice)
+        match self.memtables.get(&id) {
+            Some(mem) => Some(mem),
+            None => self.sealed.get(&id)?.resident.as_deref(),
+        }
     }
 
     /// The highest window id with any data, open or sealed.
@@ -436,6 +466,22 @@ impl WalStore {
         Ok(ids)
     }
 
+    /// Drops the resident tuples of every sealed window for which `keep`
+    /// is `false`, keeping its tuple count: from then on its `windows/`
+    /// segment is the only copy. Counts, [`Self::durable_upto`] and
+    /// [`Self::stats`] do not change. Returns the number of windows
+    /// released.
+    pub fn release_sealed(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
+        let mut released = 0;
+        for (&id, window) in &mut self.sealed {
+            if window.resident.is_some() && !keep(id) {
+                window.resident = None;
+                released += 1;
+            }
+        }
+        released
+    }
+
     /// Store statistics.
     pub fn stats(&self) -> WalStats {
         WalStats {
@@ -443,7 +489,7 @@ impl WalStore {
             memtable_windows: self.memtables.len(),
             memtable_tuples: self.memtables.values().map(Vec::len).sum(),
             sealed_windows: self.sealed.len(),
-            sealed_tuples: self.sealed.values().map(Vec::len).sum(),
+            sealed_tuples: self.sealed.values().map(|w| w.len).sum(),
             wal_segments: self.wal_segments.len(),
             wal_bytes: self.wal_segments.iter().map(|&(_, b)| b).sum(),
             late_tuples: self.late_tuples,
@@ -460,7 +506,8 @@ impl WalStore {
     ///   the last one, at its recorded length;
     /// * no window is both open and sealed;
     /// * every memtable tuple is finite and maps back to its window id;
-    /// * `durable_upto` equals the retained tuple count (sealed + open).
+    /// * every resident sealed window holds its recorded tuple count;
+    /// * `durable_upto` equals the open tuples plus the sealed counts.
     pub fn check_invariants(&self) -> Result<(), String> {
         let Some(&(last_seq, last_bytes)) = self.wal_segments.last() else {
             return Err("no active WAL segment".into());
@@ -501,12 +548,18 @@ impl WalStore {
                 }
             }
         }
-        let retained: u64 = self
-            .sealed
-            .values()
-            .chain(self.memtables.values())
-            .map(|w| w.len() as u64)
-            .sum();
+        for (&id, window) in &self.sealed {
+            if let Some(tuples) = &window.resident {
+                if tuples.len() != window.len {
+                    return Err(format!(
+                        "sealed window {id} holds {} tuples, {} recorded",
+                        tuples.len(),
+                        window.len
+                    ));
+                }
+            }
+        }
+        let retained = self.retained_tuples();
         if retained != self.durable_tuples {
             return Err(format!(
                 "durable_upto {} but {retained} tuples retained",
@@ -516,14 +569,44 @@ impl WalStore {
         Ok(())
     }
 
-    /// Writes window `id`'s memtable to a `windows/` segment, switches the
-    /// windows manifest atomically, and moves the memtable to the sealed
-    /// map. The WAL still holds the tuples until [`Self::compact_wal`].
-    fn seal_one(&mut self, id: u64) -> Result<(), StorageError> {
-        let seq = u32::try_from(id).map_err(|_| StorageError::InvalidSegment {
+    /// Open tuples plus the sealed windows' counts.
+    fn retained_tuples(&self) -> u64 {
+        let open: usize = self.memtables.values().map(Vec::len).sum();
+        let sealed: usize = self.sealed.values().map(|w| w.len).sum();
+        (open + sealed) as u64
+    }
+
+    /// The segment seq of window `id` (window ids name their segments).
+    fn window_seq(&self, id: u64) -> Result<u32, StorageError> {
+        u32::try_from(id).map_err(|_| StorageError::InvalidSegment {
             path: self.dir.join(WINDOWS_DIR),
             reason: format!("window id {id} exceeds the segment naming range"),
-        })?;
+        })
+    }
+
+    /// Reads released window `id`, sealed with `len` tuples, back from its
+    /// `windows/` segment.
+    fn read_released(&self, id: u64, len: usize) -> Result<Vec<RawTuple>, StorageError> {
+        let path = self
+            .dir
+            .join(WINDOWS_DIR)
+            .join(segment_file_name(self.window_seq(id)?));
+        let tuples = read_sealed_segment(path.clone())?;
+        if tuples.len() != len {
+            return Err(StorageError::InvalidSegment {
+                path,
+                reason: format!("holds {} tuples, {len} were sealed", tuples.len()),
+            });
+        }
+        Ok(tuples)
+    }
+
+    /// Writes window `id`'s memtable to a `windows/` segment, switches the
+    /// windows manifest atomically, and moves the memtable to the sealed
+    /// map, resident. The WAL still holds the tuples until
+    /// [`Self::compact_wal`].
+    fn seal_one(&mut self, id: u64) -> Result<(), StorageError> {
+        let seq = self.window_seq(id)?;
         let Some(mem) = self.memtables.get(&id) else {
             return Ok(());
         };
@@ -542,7 +625,11 @@ impl WalStore {
         live.sort_unstable();
         write_manifest(&windows_dir, &live)?;
         if let Some(mem) = self.memtables.remove(&id) {
-            self.sealed.insert(id, mem);
+            let window = SealedWindow {
+                len: mem.len(),
+                resident: Some(mem),
+            };
+            self.sealed.insert(id, window);
         }
         Ok(())
     }
@@ -596,13 +683,17 @@ impl DeepSize for WalStore {
         // what matters for capacity planning is the tuple buffers. The
         // store's path is not counted: it is deployment configuration, and
         // counting it would make the figure depend on where the store lives.
-        let windows: usize = self
+        let open: usize = self
             .memtables
             .values()
-            .chain(self.sealed.values())
             .map(|w| std::mem::size_of::<(u64, Vec<RawTuple>)>() + w.heap_size())
             .sum();
-        windows
+        let sealed: usize = self
+            .sealed
+            .values()
+            .map(|w| std::mem::size_of::<(u64, SealedWindow)>() + w.resident.heap_size())
+            .sum();
+        open + sealed
             + self.scratch.heap_size()
             + self.wal_segments.capacity() * std::mem::size_of::<(u32, u64)>()
     }
@@ -611,6 +702,23 @@ impl DeepSize for WalStore {
 /// The window id `c` of a timestamp — the `WindowSpec::ByDuration` mapping.
 fn window_id_of(window_secs: i64, time: Timestamp) -> u64 {
     time.as_secs().div_euclid(window_secs) as u64
+}
+
+/// Reads a sealed window's segment. It must be fully intact: sealed
+/// segments are synced before the manifest lists them, so a torn one is
+/// real corruption.
+fn read_sealed_segment(path: PathBuf) -> Result<Vec<RawTuple>, StorageError> {
+    let contents = read_segment(&path).map_err(|e| StorageError::InvalidSegment {
+        path: path.clone(),
+        reason: e.to_string(),
+    })?;
+    if contents.truncated_tail {
+        return Err(StorageError::InvalidSegment {
+            path,
+            reason: "sealed window segment has a torn tail".into(),
+        });
+    }
+    Ok(contents.tuples)
 }
 
 /// Lists the segment seqs present in `dir`, sorted.
@@ -759,7 +867,11 @@ mod tests {
     }
 
     fn times(w: &WalStore) -> Vec<i64> {
-        w.tuples().iter().map(|t| t.time.as_secs()).collect()
+        w.tuples()
+            .unwrap()
+            .iter()
+            .map(|t| t.time.as_secs())
+            .collect()
     }
 
     fn invalid_segment_reason(result: Result<WalStore, StorageError>) -> String {
@@ -841,6 +953,77 @@ mod tests {
         assert_eq!(w.window_tuples(0).unwrap().len(), 50);
         assert_eq!(w.window_tuples(1).unwrap().len(), 50);
         assert!(w.is_sealed(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn release_keeps_every_answer_but_the_resident_tuples() {
+        let dir = tempdir("release");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(50, 1.0), tuple(10, 2.0), tuple(H + 5, 3.0)])
+            .unwrap();
+        w.append_batch(&[tuple(2 * H + 1, 4.0), tuple(H + 9, 5.0)])
+            .unwrap();
+        w.seal_windows_before(2).unwrap();
+        let tuples = w.tuples().unwrap();
+        let stats = w.stats();
+        let resident = w.deep_size_of();
+        // Window 1 is kept, window 0 released: twice is a no-op.
+        assert_eq!(w.release_sealed(|id| id == 1), 1);
+        assert_eq!(w.release_sealed(|id| id == 1), 0);
+        assert!(w.window_tuples(0).is_none());
+        assert_eq!(
+            w.window_tuples(1),
+            Some(&[tuple(H + 5, 3.0), tuple(H + 9, 5.0)][..])
+        );
+        assert_eq!(w.tuples().unwrap(), tuples);
+        assert_eq!(w.stats(), stats);
+        assert_eq!(w.durable_upto(), 5);
+        assert!(w.is_sealed(0) && w.is_sealed(1) && !w.is_sealed(2));
+        assert_eq!(w.sealed_window_ids(), [0, 1]);
+        assert_eq!(w.max_window_id(), Some(2));
+        assert!(w.deep_size_of() <= resident - 2 * std::mem::size_of::<RawTuple>());
+        assert_eq!(w.check_invariants(), Ok(()));
+        // A released window is still sealed: its late tuples are dropped.
+        assert_eq!(w.append_batch(&[tuple(20, 9.0)]).unwrap(), 5);
+        assert_eq!(w.stats().late_tuples, 1);
+        drop(w);
+        let w = WalStore::open(&dir, cfg()).unwrap();
+        assert_eq!(w.tuples().unwrap(), tuples);
+        assert_eq!(w.durable_upto(), 5);
+        assert_eq!(w.stats().sealed_tuples, stats.sealed_tuples);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_released_segment_fails_the_read_back() {
+        let dir = tempdir("release-corrupt");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0), tuple(20, 2.0), tuple(H + 1, 3.0)])
+            .unwrap();
+        w.seal_windows_before(1).unwrap();
+        w.release_sealed(|_| false);
+        let seg = dir.join("windows").join(segment_file_name(0));
+        let clean = std::fs::read(&seg).unwrap();
+        // A flipped payload byte fails the batch CRC.
+        let mut flipped = clean.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x40;
+        std::fs::write(&seg, &flipped).unwrap();
+        let reason = |r: Result<Vec<RawTuple>, StorageError>| match r {
+            Err(StorageError::InvalidSegment { reason, .. }) => reason,
+            other => panic!("expected InvalidSegment, got {other:?}"),
+        };
+        assert!(reason(w.tuples()).contains("torn tail"));
+        // A segment cut back to its header parses cleanly but has lost the
+        // window's tuples.
+        std::fs::write(&seg, &clean[..HEADER_SIZE]).unwrap();
+        assert!(reason(w.tuples()).contains("2 were sealed"));
+        // A missing one is an error too, never a silently shorter history.
+        std::fs::remove_file(&seg).unwrap();
+        reason(w.tuples());
+        std::fs::write(&seg, &clean).unwrap();
+        assert_eq!(w.tuples().unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1180,7 +1363,7 @@ mod tests {
         ])
         .unwrap();
         w.seal_windows_before(1).unwrap();
-        let ds = Dataset::from_tuples(Pollutant::Co2, w.tuples()).unwrap();
+        let ds = Dataset::from_tuples(Pollutant::Co2, w.tuples().unwrap()).unwrap();
         assert_eq!(ds.len(), 4);
         assert!(ds.tuples().windows(2).all(|p| p[0].time <= p[1].time));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1194,7 +1377,7 @@ mod tests {
         assert_eq!(stats.durable_tuples, 0);
         assert_eq!(stats.wal_segments, 1); // the active segment
         assert_eq!(stats.memtable_windows + stats.sealed_windows, 0);
-        assert!(w.tuples().is_empty());
+        assert!(w.tuples().unwrap().is_empty());
         assert_eq!(w.max_window_id(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1232,7 +1415,7 @@ mod tests {
         drop(w);
         let w = WalStore::open(&dir, small(80)).unwrap();
         assert_eq!(w.durable_upto(), 13);
-        let tuples = w.tuples();
+        let tuples = w.tuples().unwrap();
         assert!(tuples
             .windows(2)
             .all(|p| p[0].time.as_secs() / H <= p[1].time.as_secs() / H));
@@ -1258,7 +1441,7 @@ mod tests {
         let w = WalStore::open(&dir, small(80)).unwrap();
         // The orphan's tuple must NOT appear, and its file must be gone.
         assert_eq!(w.durable_upto(), 9);
-        assert!(w.tuples().iter().all(|t| t.value != 99.0));
+        assert!(w.tuples().unwrap().iter().all(|t| t.value != 99.0));
         assert!(!wal_segment(&dir, 999).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

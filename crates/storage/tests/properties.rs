@@ -75,7 +75,7 @@ proptest! {
             }
         }
         let store = WalStore::open(&dir, config()).unwrap();
-        let mut got = store.tuples();
+        let mut got = store.tuples().unwrap();
         expected.sort_by_key(|t| t.time);
         got.sort_by_key(|t| t.time);
         prop_assert_eq!(got.len(), expected.len());
@@ -117,7 +117,7 @@ proptest! {
         // Recovery must not panic and must return a prefix of the appended
         // tuples (batch-granular).
         let store = WalStore::open(&dir, unrotated).unwrap();
-        prop_assert!(store.tuples().len() <= total);
+        prop_assert!(store.tuples().unwrap().len() <= total);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -147,7 +147,7 @@ proptest! {
         // recovered as truncation. Either way: no panic, no garbage tuples
         // beyond the original count.
         if let Ok(store) = WalStore::open(&dir, unrotated) {
-            prop_assert!(store.tuples().len() <= tuples.len());
+            prop_assert!(store.tuples().unwrap().len() <= tuples.len());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

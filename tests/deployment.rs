@@ -75,7 +75,7 @@ fn sensing_to_phone_through_storage_and_crash() {
         stats.durable_tuples as usize > dataset.len() - 240,
         "lost too much: {stats:?}"
     );
-    let recovered = Dataset::from_tuples(Pollutant::Co2, store.tuples()).unwrap();
+    let recovered = Dataset::from_tuples(Pollutant::Co2, store.tuples().unwrap()).unwrap();
 
     // Server over the recovered data; phone session over a lossy GPRS cell.
     let platform = EnviroMeter::new(
@@ -128,7 +128,7 @@ fn ingest_state_over_store_replay_matches_batch_platform() {
         store.append_batch(dataset.tuples()).unwrap();
     }
     let store = WalStore::open(&dir, WalConfig::default()).unwrap();
-    let recovered = Dataset::from_tuples(Pollutant::Co2, store.tuples()).unwrap();
+    let recovered = Dataset::from_tuples(Pollutant::Co2, store.tuples().unwrap()).unwrap();
 
     // The durable write path fed by replay: one ingest batch per 500
     // recovered tuples, then one maintenance pass publishes every window.
