@@ -8,7 +8,7 @@
 //! (§2.3).
 
 use crate::cluster::{nearest_centroid, AdKmn, AdKmnConfig};
-use crate::model::RegionModel;
+use crate::model::{LinearModel, RegionModel};
 use enviro_data::{Pollutant, Timestamp, Window};
 use enviro_geo::Point;
 use enviro_memsize::DeepSize;
@@ -134,6 +134,126 @@ impl ModelCover {
             }
         }
         Ok(())
+    }
+}
+
+/// Model tags of the binary form.
+const MEAN_TAG: u8 = 0;
+const LINEAR_TAG: u8 = 1;
+/// Bytes of the smallest encoded region: centroid, tag, a mean, training
+/// error and population.
+const MIN_REGION_BYTES: usize = 8 + 8 + 1 + 8 + 8 + 8;
+
+impl ModelCover {
+    /// Appends the cover's exact binary form to `out`; [`ModelCover::decode`]
+    /// gives back a bit-identical cover. Little-endian, every `f64` as its
+    /// raw bits:
+    ///
+    /// ```text
+    /// u8 pollutant (index in Pollutant::ALL) ++ u64 window_id
+    ///   ++ i64 valid_until ++ u32 region count ++ region*
+    /// region = f64 centroid.x ++ f64 centroid.y ++ u8 model ++ coefficients
+    ///   ++ f64 training_error_percent ++ u64 population
+    /// ```
+    ///
+    /// where model 0 is a mean (one `f64`) and model 1 a linear model (its
+    /// [`LinearModel::COEFFICIENT_COUNT`] coefficients, in
+    /// [`LinearModel::to_coefficients`] order).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let pollutant = Pollutant::ALL
+            .iter()
+            .position(|&p| p == self.pollutant)
+            .unwrap_or_default() as u8;
+        out.push(pollutant);
+        out.extend_from_slice(&self.window_id.to_le_bytes());
+        out.extend_from_slice(&self.valid_until.as_secs().to_le_bytes());
+        out.extend_from_slice(&(self.regions.len() as u32).to_le_bytes());
+        let put = |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
+        for region in &self.regions {
+            put(out, region.centroid.x);
+            put(out, region.centroid.y);
+            match &region.model {
+                RegionModel::Mean(v) => {
+                    out.push(MEAN_TAG);
+                    put(out, *v);
+                }
+                RegionModel::Linear(m) => {
+                    out.push(LINEAR_TAG);
+                    for c in m.to_coefficients() {
+                        put(out, c);
+                    }
+                }
+            }
+            put(out, region.training_error_percent);
+            out.extend_from_slice(&(region.population as u64).to_le_bytes());
+        }
+    }
+
+    /// Decodes the form [`ModelCover::encode_into`] writes; `None` unless
+    /// `bytes` is exactly one well-formed cover.
+    pub fn decode(bytes: &[u8]) -> Option<ModelCover> {
+        let mut r = Reader(bytes);
+        let pollutant = *Pollutant::ALL.get(usize::from(r.u8()?))?;
+        let window_id = r.u64()?;
+        let valid_until = Timestamp::from_secs(r.u64()? as i64);
+        let count = r.u32()? as usize;
+        if count > r.0.len() / MIN_REGION_BYTES {
+            return None;
+        }
+        let mut regions = Vec::with_capacity(count);
+        for _ in 0..count {
+            let centroid = Point::new(r.f64()?, r.f64()?);
+            let model = match r.u8()? {
+                MEAN_TAG => RegionModel::Mean(r.f64()?),
+                LINEAR_TAG => {
+                    let mut c = [0.0; LinearModel::COEFFICIENT_COUNT];
+                    for v in &mut c {
+                        *v = r.f64()?;
+                    }
+                    RegionModel::Linear(LinearModel::from_coefficients(&c))
+                }
+                _ => return None,
+            };
+            regions.push(CoverRegion {
+                centroid,
+                model,
+                training_error_percent: r.f64()?,
+                population: usize::try_from(r.u64()?).ok()?,
+            });
+        }
+        r.0.is_empty().then_some(ModelCover {
+            pollutant,
+            window_id,
+            valid_until,
+            regions,
+        })
+    }
+}
+
+/// A cursor over little-endian fields; every read is `None` past the end.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take::<1>().map(|[b]| b)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
     }
 }
 
@@ -304,6 +424,60 @@ mod tests {
         assert!(sz >= cover.len() * std::mem::size_of::<CoverRegion>());
         // A model cover must be far smaller than the raw tuples it replaces.
         assert!(sz < ds.len() * std::mem::size_of::<RawTuple>() * 2);
+    }
+
+    /// The bytes of a cover's binary form.
+    fn encoded(cover: &ModelCover) -> Vec<u8> {
+        let mut out = Vec::new();
+        cover.encode_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn binary_form_roundtrips_bit_for_bit() {
+        let mut cover = build_cover(&window_dataset());
+        cover.pollutant = Pollutant::Pm25;
+        cover.window_id = 7;
+        cover.regions.push(CoverRegion {
+            centroid: Point::new(-0.0, 1e-300),
+            model: RegionModel::Mean(f64::MIN_POSITIVE),
+            training_error_percent: 0.0,
+            population: 1,
+        });
+        assert!(cover
+            .regions
+            .iter()
+            .any(|r| matches!(r.model, RegionModel::Linear(_))));
+        let bytes = encoded(&cover);
+        let back = ModelCover::decode(&bytes).expect("decodes");
+        assert_eq!(encoded(&back), bytes);
+        assert_eq!(back, cover);
+        assert_eq!(back.regions.capacity(), back.regions.len());
+        let empty = ModelCover {
+            regions: Vec::new(),
+            ..cover
+        };
+        assert_eq!(ModelCover::decode(&encoded(&empty)), Some(empty));
+    }
+
+    #[test]
+    fn malformed_binary_forms_decode_to_none() {
+        let bytes = encoded(&build_cover(&window_dataset()));
+        for cut in 0..bytes.len() {
+            assert_eq!(ModelCover::decode(&bytes[..cut]), None, "cut at {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(ModelCover::decode(&trailing), None);
+        let mut pollutant = bytes.clone();
+        pollutant[0] = Pollutant::ALL.len() as u8;
+        assert_eq!(ModelCover::decode(&pollutant), None);
+        let mut tag = bytes.clone();
+        tag[1 + 8 + 8 + 4 + 16] = 9; // the first region's model tag
+        assert_eq!(ModelCover::decode(&tag), None);
+        let mut count = bytes;
+        count[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(ModelCover::decode(&count), None);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! error and population, so any change in the order or rounding of the
 //! Ad-KMN or regression arithmetic shows up here. If a change is *meant* to
 //! move the fit, re-record the expected values and say so in the change log.
+//!
+//! Re-pinning these covers also requires bumping `COVER_LOG_VERSION` in
+//! `enviro_net::cover_log`: an ingesting server restarts from the covers
+//! its cover log recorded, so without the bump an upgraded server would
+//! keep serving covers fitted by the old algorithm.
 
 // Harness code, exempt from the library panic policy: an unwrap here
 // fails the run loudly, which is the desired behavior.

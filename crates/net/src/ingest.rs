@@ -12,6 +12,10 @@
 //! [`enviro_meter::CoverRegistry`] `Arc` swap. Queries only ever read a
 //! registry snapshot, so an in-flight rebuild can never block them.
 //!
+//! A sealed window's cover is final once the pass releases the window's raw
+//! tuples; the pass then records it in the [`crate::cover_log`], and a
+//! restart publishes the recorded covers instead of rebuilding them.
+//!
 //! Exactly-once acks under retransmission: the client resends a chunk until
 //! it sees a matching ack, and each source tags chunks with a sequence
 //! number. The state remembers each source's last applied `(seq,
@@ -19,13 +23,16 @@
 //! appending it twice. (A client is stop-and-wait per chunk, so one
 //! remembered sequence number per source suffices.)
 
+use crate::cover_log::{self, COVER_LOG_VERSION};
 use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, Window};
 use enviro_memsize::DeepSize;
 use enviro_meter::{AdKmnConfig, CoverBuilder, CoverRegistry, ModelCover, PublishedCover};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
+use enviro_storage::segment::SegmentWriter;
+use enviro_storage::wal::ReleasedWindow;
 use enviro_storage::{StorageError, WalConfig, WalStore};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 
 /// Model-maintenance knobs for an ingesting server.
@@ -69,10 +76,12 @@ pub struct IngestStats {
     pub published_windows: u64,
     /// Windows sealed to segment files.
     pub sealed_windows: u64,
-    /// Maintenance passes that failed (storage errors while sealing). The
-    /// pass has already taken its dirty windows and published their
-    /// covers; only the seal failed. The worker keeps running and retries
-    /// the seal on its next pass, which only new data triggers.
+    /// Maintenance passes that failed: a storage error while sealing,
+    /// while reading a released window back, or while appending to the
+    /// cover log. The pass has already taken its dirty windows and
+    /// published the covers it could build. The worker keeps running and
+    /// retries the seal on its next pass, which only new data triggers; a
+    /// failed cover-log append closes the log until the next restart.
     pub maintenance_errors: u64,
 }
 
@@ -101,6 +110,18 @@ struct Inner {
     stats: IngestStats,
     /// Set once when the owning [`ModelMaintenance`] is dropped.
     shutdown: bool,
+    /// The cover log's writer. A pass takes it out to append after it
+    /// drops this lock, and puts it back; `None` meanwhile, and for good
+    /// once an append failed.
+    cover_log: Option<SegmentWriter>,
+}
+
+/// A dirty window's tuples as a pass snapshots them.
+enum Snapshot {
+    /// Copied from memory under the lock.
+    Resident(Vec<RawTuple>),
+    /// Released: read back from disk after the lock is dropped.
+    Released(ReleasedWindow),
 }
 
 /// Shared state of an ingesting server: WAL + dedup on the hot path, cover
@@ -114,21 +135,52 @@ pub struct IngestState {
     registry: Arc<CoverRegistry>,
     config: IngestConfig,
     builder: CoverBuilder,
+    /// The [`cover_log::fingerprint`] of this store and configuration.
+    fingerprint: u32,
 }
 
 impl IngestState {
     /// Opens (or recovers) the durable state under `dir`.
     ///
-    /// Recovery marks every retained window dirty, so the first maintenance
-    /// pass republishes covers for everything the WAL preserved.
+    /// Recovery publishes, as one generation, the cover-log record of every
+    /// sealed window that has an accepted one: its CRC holds, it was
+    /// written under this store's fingerprint, and it names the tuple
+    /// count the window was sealed with (the last such record of a window
+    /// wins). Only the sealed windows left without one are read back into
+    /// memory; they and the open windows are marked dirty, so the first
+    /// maintenance pass rebuilds exactly those.
     pub fn open(
         dir: &Path,
         wal_config: WalConfig,
         config: IngestConfig,
     ) -> Result<Self, StorageError> {
-        let wal = WalStore::open(dir, wal_config)?;
+        let mut wal = WalStore::open(dir, wal_config)?;
+        let fingerprint = cover_log::fingerprint(
+            COVER_LOG_VERSION,
+            wal.store_id(),
+            config.pollutant,
+            wal.config().window_secs,
+            &config.adkmn,
+        );
+        let (log, records) = cover_log::open(dir, fingerprint)?;
+        let mut recovered: BTreeMap<u64, PublishedCover> = BTreeMap::new();
+        for record in records {
+            let id = record.cover.window_id;
+            if wal.sealed_len(id).map(|len| len as u64) == Some(record.sealed_len) {
+                recovered.insert(id, record.cover);
+            }
+        }
         let mut dirty: BTreeSet<u64> = wal.memtables().map(|(id, _)| id).collect();
-        dirty.extend(wal.sealed_window_ids());
+        for id in wal.sealed_window_ids() {
+            if !recovered.contains_key(&id) {
+                wal.reload_sealed(id)?;
+                dirty.insert(id);
+            }
+        }
+        let registry = CoverRegistry::new();
+        if !recovered.is_empty() {
+            registry.publish(recovered.into_values().collect());
+        }
         let wal_stats = wal.stats();
         let stats = IngestStats {
             durable_tuples: wal_stats.durable_tuples,
@@ -142,11 +194,13 @@ impl IngestState {
                 dirty,
                 stats,
                 shutdown: false,
+                cover_log: Some(log),
             }),
             work: Condvar::new(),
-            registry: Arc::new(CoverRegistry::new()),
+            registry: Arc::new(registry),
             config,
             builder,
+            fingerprint,
         })
     }
 
@@ -245,8 +299,9 @@ impl IngestState {
 
     /// One synchronous maintenance pass: drain the dirty set, rebuild those
     /// windows' covers off-lock, publish them, then seal windows older than
-    /// the [`IngestConfig::seal_lag`] horizon. Returns the number of covers
-    /// published.
+    /// the [`IngestConfig::seal_lag`] horizon, release the sealed windows
+    /// whose final cover is published, and record those covers in the cover
+    /// log. Returns the number of covers published.
     ///
     /// This is what the [`ModelMaintenance`] worker runs; tests call it
     /// directly for deterministic publication points. It must not run
@@ -255,28 +310,45 @@ impl IngestState {
     /// with nothing left dirty to replace it.
     pub fn rebuild_dirty_now(&self) -> Result<usize, StorageError> {
         // Snapshot the dirty windows' tuples under the lock…
-        let (snapshots, window_secs): (Vec<(u64, Vec<RawTuple>)>, i64) = {
+        let (snapshots, window_secs): (Vec<(u64, Snapshot)>, i64) = {
             let mut inner = self.lock();
             let dirty = std::mem::take(&mut inner.dirty);
             let window_secs = inner.wal.config().window_secs;
+            let wal = &inner.wal;
+            // A dirty window whose tuples were released is read back, not
+            // dropped. No pass leaves one (it releases clean windows only),
+            // and recovery reloads every sealed window it marks dirty.
             let snapshots = dirty
                 .into_iter()
-                .filter_map(|id| {
-                    inner
-                        .wal
-                        .window_tuples(id)
-                        .map(|tuples| (id, tuples.to_vec()))
+                .filter_map(|id| match wal.window_tuples(id) {
+                    Some(tuples) => Some((id, Snapshot::Resident(tuples.to_vec()))),
+                    None => wal
+                        .released_window(id)
+                        .map(|released| (id, Snapshot::Released(released))),
                 })
                 .collect();
             (snapshots, window_secs)
         };
         // …then run Ad-KMN with no lock held: ingest acks and (lock-free)
         // queries proceed while models rebuild.
-        let published = snapshots.len();
+        let mut read_error = None;
         let covers: Vec<PublishedCover> = snapshots
             .into_iter()
-            .map(|(id, tuples)| self.build_cover(id, window_secs, &tuples))
+            .filter_map(|(id, snapshot)| {
+                let tuples = match snapshot {
+                    Snapshot::Resident(tuples) => tuples,
+                    Snapshot::Released(released) => match released.read() {
+                        Ok(tuples) => tuples,
+                        Err(e) => {
+                            read_error.get_or_insert(e);
+                            return None;
+                        }
+                    },
+                };
+                Some(self.build_cover(id, window_secs, &tuples))
+            })
             .collect();
+        let published = covers.len();
         if !covers.is_empty() {
             self.registry.publish(covers);
             let mut inner = self.lock();
@@ -302,19 +374,55 @@ impl IngestState {
         // this pass published before it sealed, a sealed window never turns
         // dirty again (`ingest` drops its late tuples), and one sealed while
         // still dirty stays resident until the next pass publishes it. Its
-        // segment becomes its only copy.
-        let Inner { wal, dirty, .. } = &mut *inner;
-        wal.release_sealed(|id| dirty.contains(&id));
-        match sealed {
-            Ok(ids) => {
-                inner.stats.sealed_windows += ids.len() as u64;
-                Ok(published)
-            }
-            Err(e) => {
-                inner.stats.maintenance_errors += 1;
-                Err(e)
+        // segment becomes its only copy, and its cover goes to the log.
+        let Inner {
+            wal,
+            dirty,
+            cover_log,
+            ..
+        } = &mut *inner;
+        let released: Vec<(u64, usize)> = wal
+            .release_sealed(|id| dirty.contains(&id))
+            .into_iter()
+            .filter_map(|id| Some((id, wal.sealed_len(id)?)))
+            .collect();
+        let log = if released.is_empty() {
+            None
+        } else {
+            cover_log.take()
+        };
+        if let Ok(ids) = &sealed {
+            inner.stats.sealed_windows += ids.len() as u64;
+        }
+        let mut result = match (sealed, read_error) {
+            (Ok(_), None) => Ok(published),
+            (Err(e), _) | (Ok(_), Some(e)) => Err(e),
+        };
+        if result.is_err() {
+            inner.stats.maintenance_errors += 1;
+        }
+        drop(inner);
+        // The log append is file I/O, so it runs off the lock. Only the
+        // maintenance pass writes the log: the writer goes back for the
+        // next pass, unless the append failed. A torn record is truncated
+        // at the next restart, and until then nothing is appended after it.
+        if let Some(mut log) = log {
+            let snapshot = self.registry.snapshot();
+            let covers = released
+                .iter()
+                .filter_map(|&(id, len)| Some((len, snapshot.cover_for_window(id)?)));
+            let appended = cover_log::append(&mut log, self.fingerprint, covers);
+            let mut inner = self.lock();
+            match appended {
+                Ok(()) => inner.cover_log = Some(log),
+                Err(e) if result.is_ok() => {
+                    inner.stats.maintenance_errors += 1;
+                    result = Err(e.into());
+                }
+                Err(_) => {}
             }
         }
+        result
     }
 
     /// Builds one window's cover exactly the way the batch engine would:
@@ -702,7 +810,7 @@ mod tests {
             // lock-scope: allow(test) — stages that pass's seal.
             inner.wal.seal_windows_before(1).unwrap();
             let Inner { wal, dirty, .. } = &mut *inner;
-            assert_eq!(wal.release_sealed(|id| dirty.contains(&id)), 0);
+            assert!(wal.release_sealed(|id| dirty.contains(&id)).is_empty());
             assert_eq!(wal.window_tuples(0).map(<[_]>::len), Some(6));
         }
         assert_eq!(state.rebuild_dirty_now().unwrap(), 2);
@@ -713,18 +821,21 @@ mod tests {
 
     /// Resident state besides the covers, after a history of `days` of
     /// hourly windows with `per_window` readings each has been ingested
-    /// and published.
-    fn state_without_covers(tag: &str, days: i64, per_window: i64) -> usize {
+    /// and published, and again right after a restart, before any pass.
+    fn state_without_covers(tag: &str, days: i64, per_window: i64) -> (usize, usize) {
         let dir = temp_dir(tag);
-        let state = IngestState::open(
-            &dir,
-            WalConfig {
+        let open = || {
+            let wal = WalConfig {
                 window_secs: 3_600,
                 ..WalConfig::default()
-            },
-            IngestConfig::default(),
-        )
-        .unwrap();
+            };
+            IngestState::open(&dir, wal, IngestConfig::default()).unwrap()
+        };
+        let without_covers = |state: &IngestState| {
+            assert_eq!(state.check_invariants(), Ok(()));
+            state.deep_size_of() - state.registry().deep_size_of()
+        };
+        let state = open();
         let history: Vec<RawTuple> = (0..days * 24)
             .flat_map(|w| {
                 (0..per_window).map(move |i| {
@@ -738,10 +849,11 @@ mod tests {
             state.ingest(1, seq, chunk).unwrap();
         }
         state.rebuild_dirty_now().unwrap();
-        assert_eq!(state.check_invariants(), Ok(()));
-        let size = state.deep_size_of() - state.registry().deep_size_of();
+        let published = without_covers(&state);
+        drop(state);
+        let reopened = without_covers(&open());
         let _ = std::fs::remove_dir_all(&dir);
-        size
+        (published, reopened)
     }
 
     #[test]
@@ -750,18 +862,35 @@ mod tests {
         let short = state_without_covers("budget-short", 2, PER_WINDOW);
         let long = state_without_covers("budget-long", 8, PER_WINDOW);
         let extra_windows = (8 - 2) * 24;
-        assert!(
-            long <= short + 64 * extra_windows,
-            "{long} B after 8 days vs {short} B after 2: more than 64 B per extra \
-             sealed window ({} B per extra tuple)",
-            (long.saturating_sub(short)) as f64 / (extra_windows * PER_WINDOW as usize) as f64
-        );
+        for (when, long, short) in [
+            ("published", long.0, short.0),
+            ("reopened", long.1, short.1),
+        ] {
+            assert!(
+                long <= short + 64 * extra_windows,
+                "{when}: {long} B after 8 days vs {short} B after 2: more than 64 B per \
+                 extra sealed window ({} B per extra tuple)",
+                (long.saturating_sub(short)) as f64 / (extra_windows * PER_WINDOW as usize) as f64
+            );
+        }
+    }
+
+    /// A published cover's routing key and exact binary form.
+    fn cover_bits(cover: &PublishedCover) -> (u64, Timestamp, Vec<u8>) {
+        let mut bytes = Vec::new();
+        cover.cover.encode_into(&mut bytes);
+        (cover.window_id, cover.first_time, bytes)
+    }
+
+    fn published_bits(state: &IngestState, id: u64) -> (u64, Timestamp, Vec<u8>) {
+        let snapshot = state.registry().snapshot();
+        cover_bits(snapshot.cover_for_window(id).expect("window published"))
     }
 
     #[test]
-    fn recovery_marks_everything_dirty_and_republishes() {
+    fn recovery_publishes_logged_covers_and_marks_open_windows_dirty() {
         let dir = temp_dir("recover");
-        let before = {
+        let (before, cover0) = {
             let state = open_state(&dir);
             for w in 0..3i64 {
                 state
@@ -771,21 +900,55 @@ mod tests {
             state.rebuild_dirty_now().unwrap();
             // Window 0 sealed, its tuples released to disk.
             assert!(state.lock().wal.window_tuples(0).is_none());
-            state.tuples().unwrap()
+            (state.tuples().unwrap(), published_bits(&state, 0))
         };
         let state = open_state(&dir);
-        assert!(state.has_dirty_windows(), "recovered windows are dirty");
-        assert_eq!(state.generation(), 0, "registry starts empty");
-        // Recovery loads the sealed window back, resident until republished.
-        assert_eq!(state.lock().wal.window_tuples(0).map(<[_]>::len), Some(10));
+        // Only the open windows are dirty. Window 0's logged cover is
+        // published, bit for bit, as generation 1 before any pass, and its
+        // tuples stay on disk.
+        assert_eq!(
+            state.lock().dirty.iter().copied().collect::<Vec<_>>(),
+            [1, 2]
+        );
+        assert_eq!(state.generation(), 1);
+        assert_eq!(published_bits(&state, 0), cover0);
+        assert!(state.lock().wal.window_tuples(0).is_none());
+        assert_eq!(state.check_invariants(), Ok(()));
         let published = state.rebuild_dirty_now().unwrap();
-        assert_eq!(published, 3);
-        assert!(!state.registry().snapshot().is_empty());
+        assert_eq!(published, 2);
+        assert_eq!(state.generation(), 2);
+        assert_eq!(published_bits(&state, 0), cover0);
+        assert_eq!(state.tuples().unwrap(), before);
+        assert_eq!(state.check_invariants(), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_released_window_marked_dirty_is_read_back_and_rebuilt() {
+        let dir = temp_dir("released-dirty");
+        let state = open_state(&dir);
+        for w in 0..3i64 {
+            state
+                .ingest(1, w as u32 + 1, &window_tuples(w, 10))
+                .unwrap();
+        }
+        state.rebuild_dirty_now().unwrap();
+        let cover0 = published_bits(&state, 0);
+        let generation = state.generation();
+        // No pass marks a released window dirty; force it.
+        {
+            let mut inner = state.lock();
+            assert!(inner.wal.window_tuples(0).is_none());
+            inner.dirty.insert(0);
+        }
+        assert_eq!(state.rebuild_dirty_now().unwrap(), 1);
+        assert!(!state.has_dirty_windows());
+        assert_eq!(state.generation(), generation + 1);
+        assert_eq!(published_bits(&state, 0), cover0);
         assert!(
             state.lock().wal.window_tuples(0).is_none(),
-            "released again"
+            "still released"
         );
-        assert_eq!(state.tuples().unwrap(), before);
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -37,6 +37,9 @@
 //!   `IngestBatch` frames to a WAL-backed store and a background
 //!   [`ingest::ModelMaintenance`] worker rebuilds Ad-KMN covers off the hot
 //!   path, publishing them atomically via an epoch-versioned registry.
+//! * [`cover_log`] — each sealed window's final cover, recorded when its
+//!   raw tuples leave memory, so a restart publishes it without re-running
+//!   Ad-KMN.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -47,6 +50,7 @@ pub mod client;
 pub mod clock;
 pub mod codec;
 pub mod concurrent;
+pub mod cover_log;
 pub mod fault;
 pub mod ingest;
 pub mod link;

@@ -1,10 +1,15 @@
 //! Segment files: CRC-framed batch logs.
 //!
-//! A segment is `HEADER ++ batch*` where `HEADER = MAGIC(8) ++ version(u32)
-//! ++ seq(u32)` and each batch is `[u32 len][u32 crc32(payload)][payload]`.
-//! Readers stop at the first incomplete or corrupt batch and report how
+//! A segment is `HEADER ++ frame*` where `HEADER = MAGIC(8) ++ version(u32)
+//! ++ seq(u32)` and each frame is `[u32 len][u32 crc32(payload)][payload]`.
+//! Readers stop at the first incomplete or corrupt frame and report how
 //! many clean bytes precede it, letting the store truncate torn tails on
 //! recovery.
+//!
+//! The framing is payload-agnostic ([`encode_frame`], [`read_frames`]): the
+//! WAL and the sealed windows frame batches of tuple records
+//! ([`SegmentWriter::append_batch`], [`read_segment`]), and the ingest
+//! path's cover log frames one encoded cover per frame.
 
 use crate::crc::crc32;
 use crate::record::{decode_batch, encode_records, RECORD_SIZE};
@@ -19,8 +24,8 @@ pub const MAGIC: [u8; 8] = *b"ENVIROS1";
 pub const VERSION: u32 = 1;
 /// Header length in bytes.
 pub const HEADER_SIZE: usize = MAGIC.len() + 4 + 4;
-/// Batch frame header length in bytes: `u32 len ++ u32 crc32(payload)`.
-const FRAME_HEADER_SIZE: usize = 8;
+/// Frame header length in bytes: `u32 len ++ u32 crc32(payload)`.
+pub const FRAME_HEADER_SIZE: usize = 8;
 
 /// File name of segment `seq`.
 pub fn segment_file_name(seq: u32) -> String {
@@ -117,17 +122,16 @@ impl SegmentWriter {
         if tuples.is_empty() {
             return Ok(());
         }
-        // One buffer: a placeholder frame header, the records, then the
-        // header patched in place once the payload's length and CRC are
-        // known.
         let mut frame = Vec::with_capacity(FRAME_HEADER_SIZE + tuples.len() * RECORD_SIZE);
-        frame.extend_from_slice(&[0; FRAME_HEADER_SIZE]);
-        encode_records(tuples, &mut frame);
-        let (header, payload) = frame.split_at_mut(FRAME_HEADER_SIZE);
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
+        encode_frame(&mut frame, |payload| encode_records(tuples, payload));
+        self.append_frames(&frame)
+    }
+
+    /// Appends `frames`, one or more whole frames built by
+    /// [`encode_frame`], in one write.
+    pub fn append_frames(&mut self, frames: &[u8]) -> io::Result<()> {
+        self.file.write_all(frames)?;
+        self.len += frames.len() as u64;
         Ok(())
     }
 
@@ -138,25 +142,38 @@ impl SegmentWriter {
     }
 }
 
-/// The outcome of reading a segment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentContents {
+/// Appends one frame to `out`: a placeholder header, the payload that
+/// `encode` appends, then the header patched in place once the payload's
+/// length and CRC are known.
+pub fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_SIZE]);
+    encode(out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER_SIZE);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Where a scan of a segment's frames stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameScan {
     /// Sequence number from the header.
     pub seq: u32,
-    /// Every tuple in clean batches, in append order.
-    pub tuples: Vec<RawTuple>,
-    /// Bytes of clean data (header + intact batches). Anything past this
-    /// offset is a torn or corrupt tail.
+    /// Bytes of clean data (header + intact, accepted frames). Anything
+    /// past this offset is a torn or corrupt tail.
     pub clean_len: u64,
     /// `true` when a torn/corrupt tail was detected (and skipped).
     pub truncated_tail: bool,
 }
 
-/// Reads and verifies a segment file.
+/// Reads and verifies a segment file, handing each CRC-valid payload to
+/// `accept` in order.
 ///
-/// Bad headers are hard errors (the file is not a segment); bad batches are
-/// *expected* after a crash and reported via `clean_len`/`truncated_tail`.
-pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
+/// Bad headers are hard errors (the file is not a segment); bad frames are
+/// *expected* after a crash and end the scan, reported via
+/// `clean_len`/`truncated_tail`. A payload that `accept` rejects (its CRC
+/// held, but it does not decode) ends the scan the same way.
+pub fn read_frames(path: &Path, mut accept: impl FnMut(&[u8]) -> bool) -> io::Result<FrameScan> {
     let mut file = File::open(path)?;
     let mut data = Vec::new();
     file.read_to_end(&mut data)?;
@@ -175,7 +192,6 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
     }
     let seq = u32_at(&data, 12);
 
-    let mut tuples = Vec::new();
     let mut offset = HEADER_SIZE;
     let mut truncated_tail = false;
     while offset < data.len() {
@@ -195,24 +211,49 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
             }
         };
         let payload = &data[start..end];
-        if crc32(payload) != crc {
+        if crc32(payload) != crc || !accept(payload) {
             truncated_tail = true;
             break;
         }
-        match decode_batch(payload) {
-            Some(batch) => tuples.extend(batch),
-            None => {
-                truncated_tail = true;
-                break;
-            }
-        }
         offset = end;
     }
-    Ok(SegmentContents {
+    Ok(FrameScan {
         seq,
-        tuples,
         clean_len: offset as u64,
         truncated_tail,
+    })
+}
+
+/// The outcome of reading a segment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SegmentContents {
+    /// Sequence number from the header.
+    pub seq: u32,
+    /// Every tuple in clean batches, in append order.
+    pub tuples: Vec<RawTuple>,
+    /// Bytes of clean data (header + intact batches). Anything past this
+    /// offset is a torn or corrupt tail.
+    pub clean_len: u64,
+    /// `true` when a torn/corrupt tail was detected (and skipped).
+    pub truncated_tail: bool,
+}
+
+/// Reads and verifies a segment of tuple batches: [`read_frames`] with
+/// every payload decoded as a run of records.
+pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
+    let mut tuples = Vec::new();
+    let scan = read_frames(path, |payload| match decode_batch(payload) {
+        Some(batch) => {
+            tuples.extend(batch);
+            true
+        }
+        None => false,
+    })?;
+    Ok(SegmentContents {
+        seq: scan.seq,
+        tuples,
+        clean_len: scan.clean_len,
+        truncated_tail: scan.truncated_tail,
     })
 }
 

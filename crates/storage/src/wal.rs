@@ -20,9 +20,12 @@
 //!   tuple count stays in memory: the immutable segment is the one copy,
 //!   and [`WalStore::tuples`] reads it back on demand with the checks
 //!   recovery applies, so raw history lives on disk, not in memory;
-//! * **recovery** reads the sealed windows, then replays the WAL in order,
-//!   truncating a torn tail on the final segment only (the expected crash
-//!   shape) and skipping tuples whose window is already sealed.
+//! * **recovery** reads and checks every sealed window's segment but keeps
+//!   only its tuple count: every sealed window opens released, and the
+//!   owner [reloads](WalStore::reload_sealed) the ones it needs. It then
+//!   replays the WAL in order, truncating a torn tail on the final segment
+//!   only (the expected crash shape) and skipping tuples whose window is
+//!   already sealed.
 //!
 //! Tuples that arrive for an already-sealed window are *late* under the
 //! watermark semantics: they are acknowledged, counted, and dropped, so a
@@ -37,6 +40,7 @@
 //!
 //! ```text
 //! <dir>/WINDOW_SECS               window length, written on creation
+//! <dir>/STORE_ID                  random store identity, written on creation
 //! <dir>/wal/seg-00000000.log      append-only log + MANIFEST
 //! <dir>/windows/seg-00000007.log  sealed window 7 + MANIFEST
 //! ```
@@ -48,6 +52,7 @@ use enviro_data::{RawTuple, Timestamp};
 use enviro_memsize::DeepSize;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::BuildHasher as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -163,12 +168,46 @@ struct SealedWindow {
     resident: Option<Vec<RawTuple>>,
 }
 
+/// A released sealed window's segment, to be read back with
+/// [`ReleasedWindow::read`] (which needs no access to the store, so a
+/// caller can read it after releasing whatever lock guards the store).
+#[derive(Debug, Clone)]
+pub struct ReleasedWindow {
+    windows_dir: PathBuf,
+    id: u64,
+    len: usize,
+}
+
+impl ReleasedWindow {
+    /// Reads the window's tuples, in arrival order, with the checks
+    /// [`WalStore::open`] applies: a segment that fails them, or holds
+    /// another tuple count than was sealed, is a
+    /// [`StorageError::InvalidSegment`].
+    pub fn read(&self) -> Result<Vec<RawTuple>, StorageError> {
+        let seq = u32::try_from(self.id).map_err(|_| StorageError::InvalidSegment {
+            path: self.windows_dir.clone(),
+            reason: format!("window id {} exceeds the segment naming range", self.id),
+        })?;
+        let path = self.windows_dir.join(segment_file_name(seq));
+        let tuples = read_sealed_segment(path.clone())?;
+        if tuples.len() != self.len {
+            return Err(StorageError::InvalidSegment {
+                path,
+                reason: format!("holds {} tuples, {} were sealed", tuples.len(), self.len),
+            });
+        }
+        Ok(tuples)
+    }
+}
+
 /// A durable, crash-recoverable raw-tuple store: WAL + per-window memtables
 /// + sealed window segments. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct WalStore {
     dir: PathBuf,
     config: WalConfig,
+    /// Random identity recorded in `STORE_ID` when the store was created.
+    store_id: u64,
     writer: SegmentWriter,
     /// `(seq, clean bytes)` of every live WAL segment, active one last.
     wal_segments: Vec<(u32, u64)>,
@@ -191,6 +230,8 @@ impl WalStore {
     /// Sealed window segments must be fully intact (they are synced before
     /// the manifest lists them, so a torn one is real corruption); a torn
     /// tail is tolerated — and truncated — on the *final* WAL segment only.
+    /// Every sealed window opens released: its segment is read and checked,
+    /// and only its tuple count stays in memory.
     /// A store created with another `window_secs` is refused with
     /// [`StorageError::WindowMismatch`].
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self, StorageError> {
@@ -209,6 +250,7 @@ impl WalStore {
         std::fs::create_dir_all(&wal_dir)?;
         std::fs::create_dir_all(&windows_dir)?;
         check_window_record(&dir, config.window_secs)?;
+        let store_id = store_identity(&dir)?;
 
         // 1. Sealed windows. A segment file not named by the manifest is
         //    the residue of a crash between writing the segment and the
@@ -225,7 +267,7 @@ impl WalStore {
             let tuples = read_sealed_segment(windows_dir.join(segment_file_name(seq)))?;
             let window = SealedWindow {
                 len: tuples.len(),
-                resident: Some(tuples),
+                resident: None,
             };
             sealed.insert(u64::from(seq), window);
         }
@@ -298,6 +340,7 @@ impl WalStore {
         let mut store = Self {
             dir,
             config,
+            store_id,
             writer,
             wal_segments,
             memtables,
@@ -316,6 +359,13 @@ impl WalStore {
     /// The store's configuration.
     pub fn config(&self) -> WalConfig {
         self.config
+    }
+
+    /// The store's identity: random, recorded in `STORE_ID` when the store
+    /// was created, and kept by a copy of the whole directory. Data derived
+    /// from one store can check it was not derived from another.
+    pub fn store_id(&self) -> u64 {
+        self.store_id
     }
 
     /// The window id `c` that a timestamp maps to.
@@ -409,8 +459,8 @@ impl WalStore {
         for id in ids {
             if let Some(tuples) = self.window_tuples(id) {
                 out.extend_from_slice(tuples);
-            } else if let Some(window) = self.sealed.get(&id) {
-                out.extend(self.read_released(id, window.len)?);
+            } else if let Some(released) = self.released_window(id) {
+                out.extend(released.read()?);
             }
         }
         Ok(out)
@@ -424,6 +474,37 @@ impl WalStore {
     /// `true` once `id` has been sealed.
     pub fn is_sealed(&self, id: u64) -> bool {
         self.sealed.contains_key(&id)
+    }
+
+    /// The tuple count sealed window `id` was sealed with; `None` for a
+    /// window that is not sealed.
+    pub fn sealed_len(&self, id: u64) -> Option<usize> {
+        self.sealed.get(&id).map(|w| w.len)
+    }
+
+    /// Where to read sealed window `id` back from once it is released;
+    /// `None` for a window that is open, resident or not sealed.
+    pub fn released_window(&self, id: u64) -> Option<ReleasedWindow> {
+        let window = self.sealed.get(&id)?;
+        window.resident.is_none().then(|| ReleasedWindow {
+            windows_dir: self.dir.join(WINDOWS_DIR),
+            id,
+            len: window.len,
+        })
+    }
+
+    /// Makes released window `id` resident again, read back from its
+    /// segment with the checks [`Self::tuples`] applies. A no-op for a
+    /// window that is not released.
+    pub fn reload_sealed(&mut self, id: u64) -> Result<(), StorageError> {
+        let Some(released) = self.released_window(id) else {
+            return Ok(());
+        };
+        let tuples = released.read()?;
+        if let Some(window) = self.sealed.get_mut(&id) {
+            window.resident = Some(tuples);
+        }
+        Ok(())
     }
 
     /// The tuples of window `id`, in arrival order, while they are
@@ -469,14 +550,14 @@ impl WalStore {
     /// Drops the resident tuples of every sealed window for which `keep`
     /// is `false`, keeping its tuple count: from then on its `windows/`
     /// segment is the only copy. Counts, [`Self::durable_upto`] and
-    /// [`Self::stats`] do not change. Returns the number of windows
-    /// released.
-    pub fn release_sealed(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
-        let mut released = 0;
+    /// [`Self::stats`] do not change. Returns the ids released, lowest
+    /// first.
+    pub fn release_sealed(&mut self, mut keep: impl FnMut(u64) -> bool) -> Vec<u64> {
+        let mut released = Vec::new();
         for (&id, window) in &mut self.sealed {
             if window.resident.is_some() && !keep(id) {
                 window.resident = None;
-                released += 1;
+                released.push(id);
             }
         }
         released
@@ -582,23 +663,6 @@ impl WalStore {
             path: self.dir.join(WINDOWS_DIR),
             reason: format!("window id {id} exceeds the segment naming range"),
         })
-    }
-
-    /// Reads released window `id`, sealed with `len` tuples, back from its
-    /// `windows/` segment.
-    fn read_released(&self, id: u64, len: usize) -> Result<Vec<RawTuple>, StorageError> {
-        let path = self
-            .dir
-            .join(WINDOWS_DIR)
-            .join(segment_file_name(self.window_seq(id)?));
-        let tuples = read_sealed_segment(path.clone())?;
-        if tuples.len() != len {
-            return Err(StorageError::InvalidSegment {
-                path,
-                reason: format!("holds {} tuples, {len} were sealed", tuples.len()),
-            });
-        }
-        Ok(tuples)
     }
 
     /// Writes window `id`'s memtable to a `windows/` segment, switches the
@@ -752,6 +816,9 @@ const MANIFEST: &str = "MANIFEST";
 /// Window-length record file name (in the store's root directory).
 const WINDOW_RECORD: &str = "WINDOW_SECS";
 
+/// Store-identity record file name (in the store's root directory).
+const STORE_ID_RECORD: &str = "STORE_ID";
+
 /// Reads `path` as text; `None` if it does not exist.
 fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
     match std::fs::read_to_string(path) {
@@ -795,6 +862,24 @@ fn read_manifest(dir: &Path) -> Result<Option<Vec<u32>>, StorageError> {
 fn write_manifest(dir: &Path, seqs: &[u32]) -> Result<(), StorageError> {
     let text: String = seqs.iter().map(|seq| format!("{seq}\n")).collect();
     write_atomic(dir, MANIFEST, &text)
+}
+
+/// Reads the store's identity, recording a fresh random one (hex) in a store
+/// that has none yet.
+fn store_identity(dir: &Path) -> Result<u64, StorageError> {
+    let path = dir.join(STORE_ID_RECORD);
+    if let Some(text) = read_optional(&path)? {
+        return u64::from_str_radix(text.trim(), 16).map_err(|_| StorageError::InvalidSegment {
+            path,
+            reason: format!("bad store id {text:?}"),
+        });
+    }
+    // `RandomState`'s hash keys come from the OS's randomness and differ
+    // on every call; the clock and pid only add to them.
+    let id = std::collections::hash_map::RandomState::new()
+        .hash_one((std::time::SystemTime::now(), std::process::id()));
+    write_atomic(dir, STORE_ID_RECORD, &format!("{id:016x}\n"))?;
+    Ok(id)
 }
 
 /// Records `window_secs` in a new store, or checks it against the length
@@ -947,9 +1032,13 @@ mod tests {
             s.wal_bytes
         );
         // Sealed data survives a reopen; WAL replay must not double count.
+        // The sealed window opens released, and reloads whole.
         drop(w);
-        let w = WalStore::open(&dir, cfg()).unwrap();
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
         assert_eq!(w.durable_upto(), 100);
+        assert!(w.window_tuples(0).is_none());
+        assert_eq!(w.sealed_len(0), Some(50));
+        w.reload_sealed(0).unwrap();
         assert_eq!(w.window_tuples(0).unwrap().len(), 50);
         assert_eq!(w.window_tuples(1).unwrap().len(), 50);
         assert!(w.is_sealed(0));
@@ -969,8 +1058,8 @@ mod tests {
         let stats = w.stats();
         let resident = w.deep_size_of();
         // Window 1 is kept, window 0 released: twice is a no-op.
-        assert_eq!(w.release_sealed(|id| id == 1), 1);
-        assert_eq!(w.release_sealed(|id| id == 1), 0);
+        assert_eq!(w.release_sealed(|id| id == 1), [0]);
+        assert_eq!(w.release_sealed(|id| id == 1), []);
         assert!(w.window_tuples(0).is_none());
         assert_eq!(
             w.window_tuples(1),
@@ -993,6 +1082,52 @@ mod tests {
         assert_eq!(w.durable_upto(), 5);
         assert_eq!(w.stats().sealed_tuples, stats.sealed_tuples);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_releases_sealed_windows_and_reload_reads_them_back() {
+        let dir = tempdir("open-released");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(50, 1.0), tuple(10, 2.0), tuple(H + 5, 3.0)])
+            .unwrap();
+        w.seal_windows_before(1).unwrap();
+        let tuples = w.tuples().unwrap();
+        drop(w);
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        let resident = w.deep_size_of();
+        assert!(w.window_tuples(0).is_none());
+        assert!(w.released_window(1).is_none(), "window 1 is open");
+        let released = w.released_window(0).expect("sealed windows open released");
+        assert_eq!(released.read().unwrap(), [tuple(50, 1.0), tuple(10, 2.0)]);
+        assert_eq!(w.tuples().unwrap(), tuples);
+        w.reload_sealed(0).unwrap();
+        assert_eq!(
+            w.window_tuples(0),
+            Some(&[tuple(50, 1.0), tuple(10, 2.0)][..])
+        );
+        assert!(w.released_window(0).is_none());
+        assert!(w.deep_size_of() >= resident + 2 * std::mem::size_of::<RawTuple>());
+        // Reloading a resident or an open window changes nothing.
+        w.reload_sealed(0).unwrap();
+        w.reload_sealed(1).unwrap();
+        assert_eq!(w.tuples().unwrap(), tuples);
+        assert_eq!(w.check_invariants(), Ok(()));
+        assert_eq!(w.release_sealed(|_| false), [0]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_id_is_recorded_once_and_differs_between_stores() {
+        let (a, b) = (tempdir("store-id-a"), tempdir("store-id-b"));
+        let first = WalStore::open(&a, cfg()).unwrap().store_id();
+        assert_eq!(WalStore::open(&a, cfg()).unwrap().store_id(), first);
+        assert_ne!(WalStore::open(&b, cfg()).unwrap().store_id(), first);
+        std::fs::write(a.join("STORE_ID"), "00000000000000ff\n").unwrap();
+        assert_eq!(WalStore::open(&a, cfg()).unwrap().store_id(), 0xff);
+        std::fs::write(a.join("STORE_ID"), "not hex").unwrap();
+        assert!(invalid_segment_reason(WalStore::open(&a, cfg())).contains("store id"));
+        std::fs::remove_dir_all(&a).unwrap();
+        std::fs::remove_dir_all(&b).unwrap();
     }
 
     #[test]

@@ -269,11 +269,13 @@ fn kill_at_every_byte_with_sealed_windows() {
 
         let store = WalStore::open(&scratch, cfg)
             .unwrap_or_else(|e| panic!("seed {seed:#x}: open failed at kill_at={kill_at}: {e}"));
-        // Sealed windows are untouched by a WAL kill.
+        // Sealed windows are untouched by a WAL kill. They open released
+        // and read back from their segments.
         for (&id, tuples) in &sealed_exp {
             assert!(store.is_sealed(id), "seed {seed:#x}: window {id} unsealed");
+            assert!(store.window_tuples(id).is_none(), "window {id} resident");
             assert_eq!(
-                store.window_tuples(id).unwrap(),
+                store.released_window(id).unwrap().read().unwrap(),
                 tuples.as_slice(),
                 "seed {seed:#x}, kill_at={kill_at}: sealed window {id} changed"
             );
@@ -339,7 +341,7 @@ fn recovery_is_deterministic() {
         let mut all: Vec<(u64, Vec<RawTuple>)> =
             s.memtables().map(|(id, m)| (id, m.to_vec())).collect();
         for id in s.sealed_window_ids() {
-            all.push((id, s.window_tuples(id).unwrap().to_vec()));
+            all.push((id, s.released_window(id).unwrap().read().unwrap()));
         }
         all.sort_by_key(|&(id, _)| id);
         all

@@ -610,13 +610,30 @@ fn tuple_key(t: &RawTuple) -> (i64, u64, u64, u64) {
 
 const INGEST_WINDOW_SECS: i64 = 3_600;
 
-/// One chaos ingest run into a fresh WAL at `dir`.
+/// A registry's covers: each window's routing key and exact binary form.
+type RegistryBits = Vec<(u64, Timestamp, Vec<u8>)>;
+
+fn registry_bits(state: &IngestState) -> RegistryBits {
+    let snapshot = state.registry().snapshot();
+    snapshot
+        .entries()
+        .iter()
+        .map(|e| {
+            let mut bytes = Vec::new();
+            e.cover.encode_into(&mut bytes);
+            (e.window_id, e.first_time, bytes)
+        })
+        .collect()
+}
+
+/// One chaos ingest run into a fresh WAL at `dir`, ended by one
+/// maintenance pass. Returns the registry as that pass left it too.
 fn run_ingest_chaos(
     dir: &std::path::Path,
     tuples: &[RawTuple],
     plan: FaultPlan,
     seed: u64,
-) -> (IngestReport, ResilienceStats, u64) {
+) -> (IngestReport, ResilienceStats, u64, RegistryBits) {
     let _ = std::fs::remove_dir_all(dir);
     let state = Arc::new(
         IngestState::open(
@@ -643,9 +660,12 @@ fn run_ingest_chaos(
     let report = client.ingest_resilient(&mut wire, 0xFEED, tuples);
     let stats = client.resilience_stats();
     drop(wire); // release the session before the transport joins
+                // Publish, seal and log the history, as a running server's
+                // maintenance would have before it shut down.
+    state.rebuild_dirty_now().unwrap();
     state.check_invariants().unwrap();
     let durable = state.stats().durable_tuples;
-    (report, stats, durable)
+    (report, stats, durable, registry_bits(&state))
 }
 
 /// The durable-write acceptance criterion: 10 000 tuples streamed as
@@ -669,7 +689,7 @@ fn acceptance_10k_ingested_tuples_under_faults_lose_nothing() {
         ..FaultPlan::default()
     };
     let dir = chaos_temp_dir("ingest-a");
-    let (report, stats, durable) = run_ingest_chaos(&dir, &tuples, plan.clone(), seed);
+    let (report, stats, durable, registry) = run_ingest_chaos(&dir, &tuples, plan.clone(), seed);
 
     assert_eq!(
         report.acked_tuples + report.failed_tuples,
@@ -692,20 +712,20 @@ fn acceptance_10k_ingested_tuples_under_faults_lose_nothing() {
     );
 
     // Zero lost acked tuples, by cold-reopen audit: replay the WAL from
-    // disk exactly as crash recovery would and check membership of every
-    // tuple in every acknowledged chunk.
-    let wal = WalStore::open(
-        &dir,
-        WalConfig {
-            window_secs: INGEST_WINDOW_SECS,
-            ..WalConfig::default()
-        },
-    )
-    .unwrap();
-    let stored: std::collections::HashSet<_> = wal
-        .memtables()
-        .flat_map(|(_, mem)| mem.iter().map(tuple_key))
-        .collect();
+    // disk exactly as crash recovery would, read the sealed windows back,
+    // and check membership of every tuple in every acknowledged chunk.
+    let wal_config = WalConfig {
+        window_secs: INGEST_WINDOW_SECS,
+        ..WalConfig::default()
+    };
+    let wal = WalStore::open(&dir, wal_config).unwrap();
+    assert!(
+        !wal.sealed_window_ids().is_empty(),
+        "seed {seed}: nothing sealed"
+    );
+    let stored: std::collections::HashSet<_> =
+        wal.tuples().unwrap().iter().map(tuple_key).collect();
+    drop(wal);
     assert_eq!(
         stored.len() as u64,
         durable,
@@ -722,12 +742,27 @@ fn acceptance_10k_ingested_tuples_under_faults_lose_nothing() {
     }
     assert_eq!(lost, 0, "seed {seed}: {lost} acked tuples missing from WAL");
 
+    // The cold restart publishes the sealed windows' logged covers; once
+    // its first pass rebuilds the open windows, the recovered registry
+    // equals the one before shutdown, bit for bit.
+    let state = Arc::new(IngestState::open(&dir, wal_config, IngestConfig::default()).unwrap());
+    let _server =
+        build_server_windowed(BinaryCodec, INGEST_WINDOW_SECS).with_ingest(Arc::clone(&state));
+    state.rebuild_dirty_now().unwrap();
+    state.check_invariants().unwrap();
+    assert_eq!(
+        registry_bits(&state),
+        registry,
+        "seed {seed}: recovered registry differs from the one before shutdown"
+    );
+
     // Determinism: a second run into a fresh WAL, counter for counter.
     let dir2 = chaos_temp_dir("ingest-b");
-    let (report2, stats2, durable2) = run_ingest_chaos(&dir2, &tuples, plan, seed);
+    let (report2, stats2, durable2, registry2) = run_ingest_chaos(&dir2, &tuples, plan, seed);
     assert_eq!(report, report2, "seed {seed}: ingest reports diverged");
     assert_eq!(stats, stats2, "seed {seed}: stats diverged");
     assert_eq!(durable, durable2, "seed {seed}: durable counts diverged");
+    assert_eq!(registry, registry2, "seed {seed}: registries diverged");
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
