@@ -791,7 +791,7 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let mut store = open_store(args.require("dir")?)?;
             let before = store.stats();
             // Sealing every window leaves a store with no open windows: the
-            // WAL shrinks to two empty segments.
+            // WAL shrinks to one empty segment.
             if let Some(max) = store.max_window_id() {
                 store
                     .seal_windows_before(max.saturating_add(1))

@@ -6,7 +6,7 @@
 //! the per-source idempotency check, appends to the
 //! [`enviro_storage::WalStore`] (which fsyncs before returning), marks the
 //! affected windows dirty, and acks. Everything expensive — Ad-KMN
-//! rebuilds, window sealing, WAL compaction — happens on the
+//! rebuilds, window sealing, WAL segment retirement — happens on the
 //! [`ModelMaintenance`] worker thread, which drains the dirty set, builds
 //! fresh covers **without holding any lock**, and publishes them through an
 //! [`enviro_meter::CoverRegistry`] `Arc` swap. Queries only ever read a
@@ -43,8 +43,9 @@ pub struct IngestConfig {
     /// Ad-KMN configuration for the background cover rebuilds.
     pub adkmn: AdKmnConfig,
     /// Windows within `seal_lag` of the newest stay open (late tuples are
-    /// still accepted); older ones are sealed to segment files — and their
-    /// WAL space reclaimed — on the next maintenance pass.
+    /// still accepted); older ones are sealed to segment files on the next
+    /// maintenance pass, which also deletes the WAL segments left holding
+    /// sealed windows only.
     pub seal_lag: u64,
 }
 
@@ -355,7 +356,7 @@ impl IngestState {
             inner.stats.rebuilds += 1;
             inner.stats.published_windows += published as u64;
         }
-        // Seal + compact last: expensive I/O that shares the ingest lock,
+        // Seal + retire WAL segments last: I/O that shares the ingest lock,
         // but never the query path.
         let mut inner = self.lock();
         let watermark = inner

@@ -30,7 +30,7 @@
 //! let mut store = WalStore::open(&dir, config).unwrap();
 //! let reading = RawTuple::new(Timestamp::from_secs(60), Point::new(1.0, 2.0), 420.0);
 //! assert_eq!(store.append_batch(&[reading]).unwrap(), 1); // durable on return
-//! store.seal_windows_before(1).unwrap(); // window 0 leaves the log
+//! store.seal_windows_before(1).unwrap(); // window 0 moves to windows/, its WAL segment goes
 //!
 //! // Reopen (e.g. after a restart) and hand everything to the engine.
 //! let store = WalStore::open(&dir, config).unwrap();

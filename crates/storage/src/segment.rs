@@ -16,7 +16,7 @@ use crate::record::{decode_batch, encode_records, RECORD_SIZE};
 use enviro_data::RawTuple;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic bytes opening every segment file.
 pub const MAGIC: [u8; 8] = *b"ENVIROS1";
@@ -51,7 +51,6 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: File,
-    path: PathBuf,
     seq: u32,
     /// Bytes written so far, header included.
     len: u64,
@@ -61,20 +60,14 @@ impl SegmentWriter {
     /// Creates a new segment file (fails if it already exists) and syncs
     /// `dir`, so the new name survives a power cut.
     pub fn create(dir: &Path, seq: u32) -> io::Result<Self> {
-        let path = dir.join(segment_file_name(seq));
         let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
-            .open(&path)?;
-        let mut header = Vec::with_capacity(HEADER_SIZE);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&seq.to_le_bytes());
-        file.write_all(&header)?;
+            .open(dir.join(segment_file_name(seq)))?;
+        file.write_all(&encode_header(seq))?;
         sync_dir(dir)?;
         Ok(Self {
             file,
-            path,
             seq,
             len: HEADER_SIZE as u64,
         })
@@ -86,12 +79,7 @@ impl SegmentWriter {
         let file = OpenOptions::new().write(true).open(&path)?;
         // Truncate any torn tail found during verification.
         file.set_len(len)?;
-        let mut w = Self {
-            file,
-            path,
-            seq,
-            len,
-        };
+        let mut w = Self { file, seq, len };
         use std::io::Seek;
         w.file.seek(io::SeekFrom::Start(len))?;
         Ok(w)
@@ -110,11 +98,6 @@ impl SegmentWriter {
     /// `true` when no batch has been appended yet.
     pub fn is_empty(&self) -> bool {
         self.len == HEADER_SIZE as u64
-    }
-
-    /// The segment's path on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one CRC-framed batch of tuples.
@@ -140,6 +123,11 @@ impl SegmentWriter {
         self.file.flush()?;
         self.file.sync_data()
     }
+}
+
+/// The header opening segment `seq`.
+pub fn encode_header(seq: u32) -> Vec<u8> {
+    [&MAGIC[..], &VERSION.to_le_bytes(), &seq.to_le_bytes()].concat()
 }
 
 /// Appends one frame to `out`: a placeholder header, the payload that
@@ -270,6 +258,7 @@ mod tests {
     use super::*;
     use enviro_data::Timestamp;
     use enviro_geo::Point;
+    use std::path::PathBuf;
 
     fn tuple(secs: i64) -> RawTuple {
         RawTuple::new(Timestamp::from_secs(secs), Point::new(1.0, 2.0), 400.0)

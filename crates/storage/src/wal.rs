@@ -10,10 +10,10 @@
 //! * accepted tuples also land in an in-memory **memtable per epoch-aligned
 //!   window** `W_c` (the paper's model-building unit), in arrival order;
 //! * once a window falls behind the ingest watermark it is **sealed**: its
-//!   memtable is written to a time-partitioned segment under `windows/`,
-//!   the windows manifest is switched atomically, and the WAL is compacted
-//!   down to the still-open memtables — the background compactor keeps the
-//!   log from growing without bound;
+//!   memtable is written whole to a time-partitioned segment under
+//!   `windows/`, committed by an atomic rename, and every WAL segment left
+//!   holding only sealed windows is **retired** (deleted), so the log holds
+//!   what is still open and nothing is rewritten;
 //! * a sealed window's tuples stay **resident** until the owner
 //!   [releases](WalStore::release_sealed) them (the ingest path does so
 //!   once the window's final cover is published). From then on only its
@@ -23,9 +23,9 @@
 //! * **recovery** reads and checks every sealed window's segment but keeps
 //!   only its tuple count: every sealed window opens released, and the
 //!   owner [reloads](WalStore::reload_sealed) the ones it needs. It then
-//!   replays the WAL in order, truncating a torn tail on the final segment
-//!   only (the expected crash shape) and skipping tuples whose window is
-//!   already sealed.
+//!   replays every WAL segment in order, truncating a torn tail on the
+//!   final segment only (the expected crash shape) and skipping tuples
+//!   whose window is already sealed.
 //!
 //! Tuples that arrive for an already-sealed window are *late* under the
 //! watermark semantics: they are acknowledged, counted, and dropped, so a
@@ -41,12 +41,18 @@
 //! ```text
 //! <dir>/WINDOW_SECS               window length, written on creation
 //! <dir>/STORE_ID                  random store identity, written on creation
-//! <dir>/wal/seg-00000000.log      append-only log + MANIFEST
-//! <dir>/windows/seg-00000007.log  sealed window 7 + MANIFEST
+//! <dir>/wal/seg-00000000.log      append-only log segments, oldest first
+//! <dir>/windows/seg-00000007.log  sealed window 7, committed by rename
 //! ```
+//!
+//! The live files are the ones that are there; no list sits beside them
+//! (the `MANIFEST`s of stores written by earlier builds go on their first
+//! [`WalStore::open`]).
 
+use crate::record::encode_records;
 use crate::segment::{
-    parse_segment_file_name, read_segment, segment_file_name, sync_dir, SegmentWriter, HEADER_SIZE,
+    encode_frame, encode_header, parse_segment_file_name, read_segment, segment_file_name,
+    sync_dir, SegmentWriter, HEADER_SIZE,
 };
 use enviro_data::{RawTuple, Timestamp};
 use enviro_memsize::DeepSize;
@@ -151,10 +157,38 @@ pub struct WalStats {
     pub wal_bytes: u64,
     /// Acknowledged-then-dropped tuples that arrived for a sealed window.
     pub late_tuples: u64,
-    /// Dropped tuples with a non-finite position or value.
+    /// Dropped tuples: non-finite, before the epoch, or past the last window.
     pub rejected_tuples: u64,
     /// `true` if recovery truncated a torn WAL tail on open.
     pub recovered_torn_tail: bool,
+}
+
+/// One live WAL segment.
+#[derive(Debug, Clone, Copy)]
+struct WalSegment {
+    seq: u32,
+    /// Clean bytes on disk, header included.
+    bytes: u64,
+    /// The lowest and highest window id filed into a memtable from this
+    /// segment; `None` while it has filed none. Once no window in the range
+    /// is open, every tuple in the segment is sealed and it can retire.
+    windows: Option<(u64, u64)>,
+}
+
+impl WalSegment {
+    fn new(seq: u32, bytes: u64) -> Self {
+        Self {
+            seq,
+            bytes,
+            windows: None,
+        }
+    }
+
+    /// Records that a tuple of window `id` was filed from this segment.
+    fn file(&mut self, id: u64) {
+        let (lo, hi) = self.windows.unwrap_or((id, id));
+        self.windows = Some((lo.min(id), hi.max(id)));
+    }
 }
 
 /// One sealed window's record.
@@ -173,8 +207,7 @@ struct SealedWindow {
 /// caller can read it after releasing whatever lock guards the store).
 #[derive(Debug, Clone)]
 pub struct ReleasedWindow {
-    windows_dir: PathBuf,
-    id: u64,
+    path: PathBuf,
     len: usize,
 }
 
@@ -184,17 +217,10 @@ impl ReleasedWindow {
     /// another tuple count than was sealed, is a
     /// [`StorageError::InvalidSegment`].
     pub fn read(&self) -> Result<Vec<RawTuple>, StorageError> {
-        let seq = u32::try_from(self.id).map_err(|_| StorageError::InvalidSegment {
-            path: self.windows_dir.clone(),
-            reason: format!("window id {} exceeds the segment naming range", self.id),
-        })?;
-        let path = self.windows_dir.join(segment_file_name(seq));
-        let tuples = read_sealed_segment(path.clone())?;
+        let tuples = read_sealed_segment(&self.path)?;
         if tuples.len() != self.len {
-            return Err(StorageError::InvalidSegment {
-                path,
-                reason: format!("holds {} tuples, {} were sealed", tuples.len(), self.len),
-            });
+            let reason = format!("holds {} tuples, {} were sealed", tuples.len(), self.len);
+            return Err(invalid(&self.path, reason));
         }
         Ok(tuples)
     }
@@ -209,8 +235,8 @@ pub struct WalStore {
     /// Random identity recorded in `STORE_ID` when the store was created.
     store_id: u64,
     writer: SegmentWriter,
-    /// `(seq, clean bytes)` of every live WAL segment, active one last.
-    wal_segments: Vec<(u32, u64)>,
+    /// Every live WAL segment, active one last.
+    wal_segments: Vec<WalSegment>,
     /// Open windows: id → tuples in arrival order.
     memtables: BTreeMap<u64, Vec<RawTuple>>,
     /// Sealed windows: id → tuple count, plus the tuples until they are
@@ -227,9 +253,9 @@ pub struct WalStore {
 impl WalStore {
     /// Opens (or creates) a WAL store in `dir`, running recovery.
     ///
-    /// Sealed window segments must be fully intact (they are synced before
-    /// the manifest lists them, so a torn one is real corruption); a torn
-    /// tail is tolerated — and truncated — on the *final* WAL segment only.
+    /// Sealed window segments must be fully intact (synced before the rename
+    /// that commits them, so a torn one is real corruption); a torn tail is
+    /// tolerated — and truncated — on the *final* WAL segment only.
     /// Every sealed window opens released: its segment is read and checked,
     /// and only its tuple count stays in memory.
     /// A store created with another `window_secs` is refused with
@@ -251,20 +277,13 @@ impl WalStore {
         std::fs::create_dir_all(&windows_dir)?;
         check_window_record(&dir, config.window_secs)?;
         let store_id = store_identity(&dir)?;
+        upgrade_manifest_store(&wal_dir, &windows_dir)?;
 
-        // 1. Sealed windows. A segment file not named by the manifest is
-        //    the residue of a crash between writing the segment and the
-        //    atomic manifest switch; its tuples are still in the WAL, so
-        //    the orphan is deleted, not recovered.
-        let sealed_live = read_manifest(&windows_dir)?.unwrap_or_default();
-        remove_unlisted(
-            &windows_dir,
-            &discover_segments(&windows_dir)?,
-            &sealed_live,
-        );
+        // 1. Sealed windows: every segment under windows/. A seal cut short
+        //    leaves `seg-N.log.tmp`, no segment name: window N is still open.
         let mut sealed = BTreeMap::new();
-        for &seq in &sealed_live {
-            let tuples = read_sealed_segment(windows_dir.join(segment_file_name(seq)))?;
+        for seq in discover_segments(&windows_dir)? {
+            let tuples = read_sealed_segment(&windows_dir.join(segment_file_name(seq)))?;
             let window = SealedWindow {
                 len: tuples.len(),
                 resident: None,
@@ -272,13 +291,8 @@ impl WalStore {
             sealed.insert(u64::from(seq), window);
         }
 
-        // 2. WAL replay. No manifest = every discovered segment is live.
-        let mut wal_seqs = discover_segments(&wal_dir)?;
-        let listed = read_manifest(&wal_dir)?;
-        if let Some(live) = &listed {
-            remove_unlisted(&wal_dir, &wal_seqs, live);
-            wal_seqs.retain(|s| live.contains(s));
-        }
+        // 2. WAL replay, every segment in seq order.
+        let wal_seqs = discover_segments(&wal_dir)?;
         let mut wal_segments = Vec::with_capacity(wal_seqs.len());
         let mut memtables: BTreeMap<u64, Vec<RawTuple>> = BTreeMap::new();
         let mut recovered_torn_tail = false;
@@ -292,50 +306,40 @@ impl WalStore {
                 std::fs::remove_file(&path)?;
                 SegmentWriter::create(&wal_dir, seq)?;
                 recovered_torn_tail = true;
-                wal_segments.push((seq, HEADER_SIZE as u64));
+                wal_segments.push(WalSegment::new(seq, HEADER_SIZE as u64));
                 continue;
             }
-            let contents = read_segment(&path).map_err(|e| StorageError::InvalidSegment {
-                path: path.clone(),
-                reason: e.to_string(),
-            })?;
+            let contents = read_segment(&path).map_err(|e| invalid(&path, e.to_string()))?;
             if contents.truncated_tail {
                 if Some(i) != last_idx {
-                    return Err(StorageError::InvalidSegment {
-                        path,
-                        reason: "corrupt batch in a non-final WAL segment".into(),
-                    });
+                    return Err(invalid(&path, "corrupt batch in a non-final WAL segment"));
                 }
                 recovered_torn_tail = true;
             }
+            let mut segment = WalSegment::new(seq, contents.clean_len);
             for t in contents.tuples {
                 let id = window_id_of(config.window_secs, t.time);
                 // Tuples of a window sealed before the crash were already
                 // persisted under windows/; replaying them would double
                 // count.
                 if !sealed.contains_key(&id) {
+                    segment.file(id);
                     memtables.entry(id).or_default().push(t);
                 }
             }
-            wal_segments.push((seq, contents.clean_len));
+            wal_segments.push(segment);
         }
 
         // 3. Active writer: reopen the last WAL segment at its clean length
         //    (truncating any torn tail) or create segment 0.
         let writer = match wal_segments.last() {
-            Some(&(seq, clean)) => SegmentWriter::reopen(&wal_dir, seq, clean)?,
+            Some(last) => SegmentWriter::reopen(&wal_dir, last.seq, last.bytes)?,
             None => {
                 let w = SegmentWriter::create(&wal_dir, 0)?;
-                wal_segments.push((0, HEADER_SIZE as u64));
+                wal_segments.push(WalSegment::new(0, HEADER_SIZE as u64));
                 w
             }
         };
-        let seqs: Vec<u32> = wal_segments.iter().map(|&(s, _)| s).collect();
-        // An unchanged manifest is kept: rewriting it costs a file and a
-        // directory fsync on every open.
-        if listed.as_deref() != Some(seqs.as_slice()) {
-            write_manifest(&wal_dir, &seqs)?;
-        }
 
         let mut store = Self {
             dir,
@@ -378,27 +382,28 @@ impl WalStore {
         self.durable_tuples
     }
 
-    /// `true` when [`Self::append_batch`] would retain `t`: it is finite and
-    /// its window is not sealed.
+    /// `true` when [`Self::append_batch`] would retain `t`: it is finite, not
+    /// before the epoch, in a window whose id fits a `u32` and is not sealed.
     pub fn accepts(&self, t: &RawTuple) -> bool {
-        t.is_finite() && !self.is_sealed(self.window_id_of(t.time))
+        self.storable(t) && !self.is_sealed(self.window_id_of(t.time))
     }
 
     /// Appends a batch of tuples: WAL write + fsync, then memtable insert.
     ///
-    /// Returns the new `durable_upto` watermark. Non-finite tuples are
+    /// Returns the new `durable_upto` watermark. Tuples the store cannot
+    /// hold (non-finite, before the epoch, or past the last window id) are
     /// dropped and counted; tuples for an already-sealed window are *late*
     /// — acknowledged, counted, and dropped (watermark semantics).
     pub fn append_batch(&mut self, tuples: &[RawTuple]) -> Result<u64, StorageError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for t in tuples {
-            if self.accepts(t) {
-                scratch.push(*t);
-            } else if t.is_finite() {
+            if !self.storable(t) {
+                self.rejected_tuples += 1;
+            } else if self.is_sealed(self.window_id_of(t.time)) {
                 self.late_tuples += 1;
             } else {
-                self.rejected_tuples += 1;
+                scratch.push(*t);
             }
         }
         if scratch.is_empty() {
@@ -411,20 +416,22 @@ impl WalStore {
         // Visible to the deterministic scheduler (no-op outside a model
         // run): the durability point interleaves with concurrent readers.
         enviro_schedule::point("wal-append");
-        let append = (|| -> Result<(), StorageError> {
-            self.writer.append_batch(&scratch)?;
-            self.writer.sync()?;
-            Ok(())
-        })();
-        if let Err(e) = append {
+        if let Err(e) = self
+            .writer
+            .append_batch(&scratch)
+            .and_then(|()| self.writer.sync())
+        {
             self.scratch = scratch;
-            return Err(e);
+            return Err(e.into());
         }
         if let Some(active) = self.wal_segments.last_mut() {
-            active.1 = self.writer.len();
+            active.bytes = self.writer.len();
         }
         for &t in &scratch {
             let id = window_id_of(self.config.window_secs, t.time);
+            if let Some(active) = self.wal_segments.last_mut() {
+                active.file(id);
+            }
             self.memtables.entry(id).or_default().push(t);
         }
         self.durable_tuples += scratch.len() as u64;
@@ -486,9 +493,10 @@ impl WalStore {
     /// `None` for a window that is open, resident or not sealed.
     pub fn released_window(&self, id: u64) -> Option<ReleasedWindow> {
         let window = self.sealed.get(&id)?;
+        // A sealed window's id names its segment, so it fits a seq.
+        let seq = u32::try_from(id).ok()?;
         window.resident.is_none().then(|| ReleasedWindow {
-            windows_dir: self.dir.join(WINDOWS_DIR),
-            id,
+            path: self.dir.join(WINDOWS_DIR).join(segment_file_name(seq)),
             len: window.len,
         })
     }
@@ -525,8 +533,11 @@ impl WalStore {
         open.max(sealed)
     }
 
-    /// Seals every open window with `id < watermark`, then compacts the WAL
-    /// once. Returns the sealed ids.
+    /// Seals every open window with `id < watermark`, then retires every
+    /// WAL segment left holding only sealed windows. Returns the sealed ids.
+    ///
+    /// Sealing one window costs two file and two directory fsyncs: rolling
+    /// the active segment, and committing the window's segment.
     pub fn seal_windows_before(&mut self, watermark: u64) -> Result<Vec<u64>, StorageError> {
         let ids: Vec<u64> = self
             .memtables
@@ -536,13 +547,18 @@ impl WalStore {
         if ids.is_empty() {
             return Ok(ids);
         }
-        // Model-checker schedule point: sealing + compaction is the other
+        // Model-checker schedule point: sealing + retirement is the other
         // mutating I/O boundary the maintenance pass crosses.
         enviro_schedule::point("wal-seal");
+        // A fresh active segment leaves every frame written so far in a
+        // segment that retires once its windows are sealed.
+        if !self.writer.is_empty() {
+            self.rotate_wal()?;
+        }
         for &id in &ids {
             self.seal_one(id)?;
         }
-        self.compact_wal()?;
+        self.retire_wal_segments()?;
         debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(ids)
     }
@@ -572,7 +588,7 @@ impl WalStore {
             sealed_windows: self.sealed.len(),
             sealed_tuples: self.sealed.values().map(|w| w.len).sum(),
             wal_segments: self.wal_segments.len(),
-            wal_bytes: self.wal_segments.iter().map(|&(_, b)| b).sum(),
+            wal_bytes: self.wal_segments.iter().map(|s| s.bytes).sum(),
             late_tuples: self.late_tuples,
             rejected_tuples: self.rejected_tuples,
             recovered_torn_tail: self.recovered_torn_tail,
@@ -590,27 +606,22 @@ impl WalStore {
     /// * every resident sealed window holds its recorded tuple count;
     /// * `durable_upto` equals the open tuples plus the sealed counts.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let Some(&(last_seq, last_bytes)) = self.wal_segments.last() else {
+        let Some(last) = self.wal_segments.last() else {
             return Err("no active WAL segment".into());
         };
         for pair in self.wal_segments.windows(2) {
-            if pair[0].0 >= pair[1].0 {
+            if pair[0].seq >= pair[1].seq {
                 return Err(format!(
                     "WAL seqs not strictly increasing: {} then {}",
-                    pair[0].0, pair[1].0
+                    pair[0].seq, pair[1].seq
                 ));
             }
         }
-        if self.writer.seq() != last_seq {
+        let writer = (self.writer.seq(), self.writer.len());
+        if writer != (last.seq, last.bytes) {
+            let (seq, bytes) = (last.seq, last.bytes);
             return Err(format!(
-                "writer on WAL segment {}, but last segment is {last_seq}",
-                self.writer.seq()
-            ));
-        }
-        if self.writer.len() != last_bytes {
-            return Err(format!(
-                "writer at {} bytes, but segment {last_seq} accounts for {last_bytes}",
-                self.writer.len()
+                "writer at (segment, bytes) {writer:?}, last segment ({seq}, {bytes})"
             ));
         }
         for (&id, tuples) in &self.memtables {
@@ -657,37 +668,26 @@ impl WalStore {
         (open + sealed) as u64
     }
 
-    /// The segment seq of window `id` (window ids name their segments).
-    fn window_seq(&self, id: u64) -> Result<u32, StorageError> {
-        u32::try_from(id).map_err(|_| StorageError::InvalidSegment {
-            path: self.dir.join(WINDOWS_DIR),
-            reason: format!("window id {id} exceeds the segment naming range"),
-        })
+    /// `true` for a tuple the store can hold: finite, not before the epoch,
+    /// and in a window whose id names a segment.
+    fn storable(&self, t: &RawTuple) -> bool {
+        t.is_finite() && t.time.as_secs() >= 0 && self.window_id_of(t.time) <= u64::from(u32::MAX)
     }
 
-    /// Writes window `id`'s memtable to a `windows/` segment, switches the
-    /// windows manifest atomically, and moves the memtable to the sealed
-    /// map, resident. The WAL still holds the tuples until
-    /// [`Self::compact_wal`].
+    /// Commits window `id`'s memtable as its `windows/` segment — written
+    /// whole under a temporary name, fsynced, renamed into place, directory
+    /// fsynced — and moves it to the sealed map, resident. The WAL still
+    /// holds the tuples until [`Self::retire_wal_segments`].
     fn seal_one(&mut self, id: u64) -> Result<(), StorageError> {
-        let seq = self.window_seq(id)?;
+        let windows_dir = self.dir.join(WINDOWS_DIR);
+        let reason = || format!("window id {id} exceeds the segment naming range");
+        let seq = u32::try_from(id).map_err(|_| invalid(&windows_dir, reason()))?;
         let Some(mem) = self.memtables.get(&id) else {
             return Ok(());
         };
-        let windows_dir = self.dir.join(WINDOWS_DIR);
-        let mut w = SegmentWriter::create(&windows_dir, seq)?;
-        w.append_batch(mem)?;
-        w.sync()?;
-        // Sealed keys always fit u32 (they were sealed through this same
-        // path), but stay total rather than assert.
-        let mut live: Vec<u32> = self
-            .sealed
-            .keys()
-            .filter_map(|&id| u32::try_from(id).ok())
-            .collect();
-        live.push(seq);
-        live.sort_unstable();
-        write_manifest(&windows_dir, &live)?;
+        let mut bytes = encode_header(seq);
+        encode_frame(&mut bytes, |payload| encode_records(mem, payload));
+        write_atomic(&windows_dir, &segment_file_name(seq), &bytes)?;
         if let Some(mem) = self.memtables.remove(&id) {
             let window = SealedWindow {
                 len: mem.len(),
@@ -698,45 +698,34 @@ impl WalStore {
         Ok(())
     }
 
-    /// Rewrites the WAL down to the still-open memtables: one compacted
-    /// segment plus a fresh active one. Crash safety: the new segments are
-    /// written and fsynced first and the switch is an atomic manifest
-    /// rename, so a crash before it leaves the old log intact (the
-    /// unlisted new segments are deleted on the next open) and a crash
-    /// after it leaves the new one (the old segments are deleted).
-    fn compact_wal(&mut self) -> Result<(), StorageError> {
-        self.writer.sync()?;
-        let old_seqs: Vec<u32> = self.wal_segments.iter().map(|&(s, _)| s).collect();
-        let compacted_seq = self.writer.seq() + 1;
-        let active_seq = compacted_seq + 1;
-        let wal_dir = self.dir.join(WAL_DIR);
-        let mut compacted = SegmentWriter::create(&wal_dir, compacted_seq)?;
-        for mem in self.memtables.values() {
-            compacted.append_batch(mem)?;
-        }
-        compacted.sync()?;
-        let compacted_bytes = compacted.len();
-        let active = SegmentWriter::create(&wal_dir, active_seq)?;
-        let live = [compacted_seq, active_seq];
-        write_manifest(&wal_dir, &live)?;
-        remove_unlisted(&wal_dir, &old_seqs, &live);
-        self.wal_segments = vec![
-            (compacted_seq, compacted_bytes),
-            (active_seq, HEADER_SIZE as u64),
-        ];
-        self.writer = active;
-        Ok(())
+    /// Deletes every WAL segment but the active one whose window range
+    /// holds no open window: each of its tuples is in a sealed window's
+    /// segment, committed before this runs. The unlinks need no fsync: a
+    /// retired segment that survives a crash replays into sealed windows
+    /// only, and replay skips those.
+    fn retire_wal_segments(&mut self) -> Result<(), StorageError> {
+        let (wal_dir, active) = (self.dir.join(WAL_DIR), self.writer.seq());
+        let memtables = &self.memtables;
+        let mut removed = Ok(());
+        self.wal_segments.retain(|s| {
+            let open = |(lo, hi)| memtables.range(lo..=hi).next().is_some();
+            if s.seq == active || s.windows.is_some_and(open) || removed.is_err() {
+                return true;
+            }
+            removed = std::fs::remove_file(wal_dir.join(segment_file_name(s.seq)));
+            removed.is_err()
+        });
+        Ok(removed?)
     }
 
-    /// Forces a fresh active WAL segment (called on size rotation).
+    /// Starts a fresh active WAL segment: on size rotation, and before a
+    /// seal so that the frames written so far can retire.
     fn rotate_wal(&mut self) -> Result<(), StorageError> {
         self.writer.sync()?;
         let next_seq = self.writer.seq() + 1;
-        let wal_dir = self.dir.join(WAL_DIR);
-        self.writer = SegmentWriter::create(&wal_dir, next_seq)?;
-        self.wal_segments.push((next_seq, HEADER_SIZE as u64));
-        let seqs: Vec<u32> = self.wal_segments.iter().map(|&(s, _)| s).collect();
-        write_manifest(&wal_dir, &seqs)?;
+        self.writer = SegmentWriter::create(&self.dir.join(WAL_DIR), next_seq)?;
+        self.wal_segments
+            .push(WalSegment::new(next_seq, HEADER_SIZE as u64));
         Ok(())
     }
 }
@@ -759,7 +748,7 @@ impl DeepSize for WalStore {
             .sum();
         open + sealed
             + self.scratch.heap_size()
-            + self.wal_segments.capacity() * std::mem::size_of::<(u32, u64)>()
+            + self.wal_segments.capacity() * std::mem::size_of::<WalSegment>()
     }
 }
 
@@ -769,18 +758,12 @@ fn window_id_of(window_secs: i64, time: Timestamp) -> u64 {
 }
 
 /// Reads a sealed window's segment. It must be fully intact: sealed
-/// segments are synced before the manifest lists them, so a torn one is
-/// real corruption.
-fn read_sealed_segment(path: PathBuf) -> Result<Vec<RawTuple>, StorageError> {
-    let contents = read_segment(&path).map_err(|e| StorageError::InvalidSegment {
-        path: path.clone(),
-        reason: e.to_string(),
-    })?;
+/// segments are synced before the rename that commits them, so a torn one
+/// is real corruption.
+fn read_sealed_segment(path: &Path) -> Result<Vec<RawTuple>, StorageError> {
+    let contents = read_segment(path).map_err(|e| invalid(path, e.to_string()))?;
     if contents.truncated_tail {
-        return Err(StorageError::InvalidSegment {
-            path,
-            reason: "sealed window segment has a torn tail".into(),
-        });
+        return Err(invalid(path, "sealed window segment has a torn tail"));
     }
     Ok(contents.tuples)
 }
@@ -795,12 +778,45 @@ fn discover_segments(dir: &Path) -> Result<Vec<u32>, StorageError> {
     Ok(seqs)
 }
 
-/// Deletes the segments `seqs` of `dir` that the manifest `live` does not
-/// name: the residue of a crash before a manifest switch, or of one after
-/// it (best-effort — the next open deletes them too).
-fn remove_unlisted(dir: &Path, seqs: &[u32], live: &[u32]) {
-    for seq in seqs.iter().filter(|s| !live.contains(s)) {
-        let _ = std::fs::remove_file(dir.join(segment_file_name(*seq)));
+/// Deletes the segments of `dir` that the manifest `live` does not name.
+fn remove_unlisted(dir: &Path, live: &[u32]) -> Result<(), StorageError> {
+    for seq in discover_segments(dir)?.iter().filter(|s| !live.contains(s)) {
+        std::fs::remove_file(dir.join(segment_file_name(*seq)))?;
+    }
+    Ok(())
+}
+
+/// Upgrades a store written by an earlier build, which lists each
+/// directory's live segments in a `MANIFEST` (none: every WAL segment, no
+/// sealed window). An unlisted segment is the residue of a crash mid-seal
+/// or mid-compaction and is deleted; then the manifests go, WAL's first,
+/// each removal synced, so a crash partway repeats this with the same lists.
+fn upgrade_manifest_store(wal_dir: &Path, windows_dir: &Path) -> Result<(), StorageError> {
+    let wal_live = read_manifest(wal_dir)?;
+    let windows_live = read_manifest(windows_dir)?;
+    if wal_live.is_none() && windows_live.is_none() {
+        return Ok(());
+    }
+    if let Some(live) = &wal_live {
+        remove_unlisted(wal_dir, live)?;
+    }
+    remove_unlisted(windows_dir, windows_live.as_deref().unwrap_or_default())?;
+    sync_dir(wal_dir)?;
+    sync_dir(windows_dir)?;
+    for dir in [wal_dir, windows_dir] {
+        match std::fs::remove_file(dir.join(MANIFEST)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+            _ => sync_dir(dir)?,
+        }
+    }
+    Ok(())
+}
+
+/// A [`StorageError::InvalidSegment`] naming `path`.
+fn invalid(path: &Path, reason: impl Into<String>) -> StorageError {
+    StorageError::InvalidSegment {
+        path: path.to_path_buf(),
+        reason: reason.into(),
     }
 }
 
@@ -810,7 +826,8 @@ const WAL_DIR: &str = "wal";
 /// The sealed window segments' subdirectory of a store.
 const WINDOWS_DIR: &str = "windows";
 
-/// Manifest file name (one per segment directory).
+/// The live-segment list of a store written by an earlier build (one per
+/// segment directory).
 const MANIFEST: &str = "MANIFEST";
 
 /// Window-length record file name (in the store's root directory).
@@ -830,11 +847,11 @@ fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
 
 /// Writes `dir/name` atomically (temp file + fsync + rename + directory
 /// fsync).
-fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<(), StorageError> {
+fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
     let tmp = dir.join(format!("{name}.tmp"));
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(name))?;
@@ -849,19 +866,11 @@ fn read_manifest(dir: &Path) -> Result<Option<Vec<u32>>, StorageError> {
         return Ok(None);
     };
     let parse = |line: &str| {
-        line.parse().map_err(|_| StorageError::InvalidSegment {
-            path: path.clone(),
-            reason: format!("bad manifest line {line:?}"),
-        })
+        let reason = || format!("bad manifest line {line:?}");
+        line.parse().map_err(|_| invalid(&path, reason()))
     };
     let lines = text.lines().map(str::trim).filter(|line| !line.is_empty());
     lines.map(parse).collect::<Result<_, _>>().map(Some)
-}
-
-/// Writes the manifest atomically.
-fn write_manifest(dir: &Path, seqs: &[u32]) -> Result<(), StorageError> {
-    let text: String = seqs.iter().map(|seq| format!("{seq}\n")).collect();
-    write_atomic(dir, MANIFEST, &text)
 }
 
 /// Reads the store's identity, recording a fresh random one (hex) in a store
@@ -869,16 +878,14 @@ fn write_manifest(dir: &Path, seqs: &[u32]) -> Result<(), StorageError> {
 fn store_identity(dir: &Path) -> Result<u64, StorageError> {
     let path = dir.join(STORE_ID_RECORD);
     if let Some(text) = read_optional(&path)? {
-        return u64::from_str_radix(text.trim(), 16).map_err(|_| StorageError::InvalidSegment {
-            path,
-            reason: format!("bad store id {text:?}"),
-        });
+        let reason = || format!("bad store id {text:?}");
+        return u64::from_str_radix(text.trim(), 16).map_err(|_| invalid(&path, reason()));
     }
     // `RandomState`'s hash keys come from the OS's randomness and differ
     // on every call; the clock and pid only add to them.
     let id = std::collections::hash_map::RandomState::new()
         .hash_one((std::time::SystemTime::now(), std::process::id()));
-    write_atomic(dir, STORE_ID_RECORD, &format!("{id:016x}\n"))?;
+    write_atomic(dir, STORE_ID_RECORD, format!("{id:016x}\n").as_bytes())?;
     Ok(id)
 }
 
@@ -888,15 +895,10 @@ fn store_identity(dir: &Path) -> Result<u64, StorageError> {
 fn check_window_record(dir: &Path, window_secs: i64) -> Result<(), StorageError> {
     let path = dir.join(WINDOW_RECORD);
     let Some(text) = read_optional(&path)? else {
-        return write_atomic(dir, WINDOW_RECORD, &format!("{window_secs}\n"));
+        return write_atomic(dir, WINDOW_RECORD, format!("{window_secs}\n").as_bytes());
     };
-    let stored: i64 = text
-        .trim()
-        .parse()
-        .map_err(|_| StorageError::InvalidSegment {
-            path,
-            reason: format!("bad window record {text:?}"),
-        })?;
+    let reason = || format!("bad window record {text:?}");
+    let stored: i64 = text.trim().parse().map_err(|_| invalid(&path, reason()))?;
     if stored != window_secs {
         return Err(StorageError::WindowMismatch {
             stored,
@@ -1026,11 +1028,6 @@ mod tests {
         assert_eq!(s.sealed_tuples, 50);
         assert_eq!(s.memtable_windows, 1);
         assert_eq!(s.durable_tuples, 100);
-        assert!(
-            s.wal_bytes < wal_before,
-            "compaction should shrink the WAL: {} vs {wal_before}",
-            s.wal_bytes
-        );
         // Sealed data survives a reopen; WAL replay must not double count.
         // The sealed window opens released, and reloads whole.
         drop(w);
@@ -1042,6 +1039,19 @@ mod tests {
         assert_eq!(w.window_tuples(0).unwrap().len(), 50);
         assert_eq!(w.window_tuples(1).unwrap().len(), 50);
         assert!(w.is_sealed(0));
+        // The segment that holds window 0 also holds open window 1, so it
+        // retires only once window 1 is sealed too.
+        assert_eq!(w.seal_windows_before(2).unwrap(), vec![1]);
+        let s = w.stats();
+        assert_eq!(s.durable_tuples, 100);
+        assert!(
+            s.wal_bytes < wal_before,
+            "retirement should shrink the WAL: {} vs {wal_before}",
+            s.wal_bytes
+        );
+        // A new store keeps no list of its live files.
+        assert!(!dir.join("wal").join(MANIFEST).exists());
+        assert!(!dir.join("windows").join(MANIFEST).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1180,6 +1190,29 @@ mod tests {
     }
 
     #[test]
+    fn pre_epoch_tuple_is_rejected_and_seals_nothing() {
+        let dir = tempdir("pre-epoch");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0), tuple(5 * H + 1, 2.0)])
+            .unwrap();
+        // t = -1 s would file into window u64::MAX, and a seal watermark
+        // under it would seal the live window 5.
+        assert_eq!(w.append_batch(&[tuple(-1, 3.0)]).unwrap(), 2);
+        assert_eq!(w.stats().rejected_tuples, 1);
+        let max = w.max_window_id().unwrap();
+        assert_eq!(max, 5);
+        assert_eq!(w.seal_windows_before(max - 1).unwrap(), vec![0]);
+        assert_eq!(w.append_batch(&[tuple(5 * H + 2, 4.0)]).unwrap(), 3);
+        assert_eq!(w.stats().late_tuples, 0);
+        // A window id past the segment naming range is refused the same way.
+        let far = tuple((i64::from(u32::MAX) + 1) * H, 5.0);
+        assert!(!w.accepts(&far));
+        assert_eq!(w.append_batch(&[far]).unwrap(), 3);
+        assert_eq!(w.stats().rejected_tuples, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn non_finite_tuples_are_rejected() {
         let dir = tempdir("nonfinite");
         let mut w = WalStore::open(&dir, cfg()).unwrap();
@@ -1208,14 +1241,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Writes the `MANIFEST` an earlier build kept in `dir/sub`.
+    fn write_legacy_manifest(dir: &Path, sub: &str, seqs: &[u32]) {
+        let text: String = seqs.iter().map(|seq| format!("{seq}\n")).collect();
+        std::fs::write(dir.join(sub).join(MANIFEST), text).unwrap();
+    }
+
+    /// The WAL segment seqs on disk.
+    fn wal_seqs(dir: &Path) -> Vec<u32> {
+        discover_segments(&dir.join("wal")).unwrap()
+    }
+
+    /// Asserts both manifests are gone and a second open changes nothing.
+    fn assert_upgraded(dir: &Path, config: WalConfig, w: WalStore) {
+        for sub in ["wal", "windows"] {
+            assert!(!dir.join(sub).join(MANIFEST).exists(), "{sub}/MANIFEST");
+        }
+        let (tuples, stats) = (w.tuples().unwrap(), w.stats());
+        drop(w);
+        let again = WalStore::open(dir, config).unwrap();
+        assert_eq!(again.tuples().unwrap(), tuples);
+        assert_eq!(again.stats(), stats);
+    }
+
     #[test]
     fn orphan_window_segment_is_cleaned_up() {
         let dir = tempdir("orphan");
         let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(H + 5, 2.0)]).unwrap();
+        assert_eq!(w.seal_windows_before(2).unwrap(), vec![1]);
         w.append_batch(&[tuple(10, 1.0)]).unwrap();
         drop(w);
-        // Simulate a crash between writing a window segment and the
-        // manifest switch: the file exists but no manifest names it.
+        // A store from an earlier build that crashed between writing
+        // window 0's segment and the manifest switch naming it: the file
+        // exists, but only window 1 is listed.
+        write_legacy_manifest(&dir, "wal", &wal_seqs(&dir));
+        write_legacy_manifest(&dir, "windows", &[1]);
         let windows = dir.join("windows");
         let mut orphan = SegmentWriter::create(&windows, 0).unwrap();
         orphan.append_batch(&[tuple(10, 99.0)]).unwrap();
@@ -1223,9 +1284,29 @@ mod tests {
         drop(orphan);
         let w = WalStore::open(&dir, cfg()).unwrap();
         // The orphan was deleted; the tuple came back from the WAL.
-        assert!(!w.is_sealed(0));
+        assert!(!w.is_sealed(0) && w.is_sealed(1));
         assert_eq!(w.window_tuples(0).unwrap(), &[tuple(10, 1.0)]);
         assert!(!windows.join(segment_file_name(0)).exists());
+        assert_eq!(w.durable_upto(), 2);
+        assert_upgraded(&dir, cfg(), w);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interrupted_upgrade_repeats_under_the_same_lists() {
+        let dir = tempdir("upgrade-crash");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0), tuple(H + 5, 2.0)])
+            .unwrap();
+        w.seal_windows_before(1).unwrap();
+        drop(w);
+        // The upgrade deleted wal/MANIFEST, then crashed before deleting
+        // windows/MANIFEST: the repeat must keep the sealed window it lists.
+        write_legacy_manifest(&dir, "windows", &[0]);
+        let w = WalStore::open(&dir, cfg()).unwrap();
+        assert!(w.is_sealed(0));
+        assert_eq!(w.durable_upto(), 2);
+        assert_upgraded(&dir, cfg(), w);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1460,8 +1541,8 @@ mod tests {
         w.seal_windows_before(1).unwrap();
         drop(w);
         // Chop into a sealed window's 16-byte header: a sealed segment was
-        // synced before the manifest named it, so this is corruption, not a
-        // torn tail.
+        // synced before its rename committed it, so this is corruption, not
+        // a torn tail.
         truncate(&dir.join("windows").join(segment_file_name(0)), 9);
         invalid_segment_reason(WalStore::open(&dir, cfg()));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1542,10 +1623,10 @@ mod tests {
         let max = w.max_window_id().unwrap();
         assert_eq!(w.seal_windows_before(max + 1).unwrap(), vec![0, 1, 2, 3]);
         let stats = w.stats();
-        assert_eq!(stats.wal_segments, 2); // compacted + fresh active
+        assert_eq!(stats.wal_segments, 1); // the fresh active one
         assert_eq!(stats.memtable_windows, 0);
         assert_eq!(stats.sealed_tuples, 12);
-        // Appends keep working after compaction, and survive reopen.
+        // Appends keep working after retirement, and survive reopen.
         w.append_batch(&[tuple(1_000, 1.0)]).unwrap();
         drop(w);
         let w = WalStore::open(&dir, small(80)).unwrap();
@@ -1567,8 +1648,11 @@ mod tests {
         w.seal_windows_before(1).unwrap();
         w.append_batch(&[tuple(150, 1.0)]).unwrap();
         drop(w);
-        // A crash mid-compaction leaves a WAL segment the manifest does not
-        // name.
+        // A store from an earlier build that crashed mid-compaction: a WAL
+        // segment the manifest does not name, whose tuples would replay
+        // twice.
+        write_legacy_manifest(&dir, "wal", &wal_seqs(&dir));
+        write_legacy_manifest(&dir, "windows", &[0]);
         let mut orphan = SegmentWriter::create(&dir.join("wal"), 999).unwrap();
         orphan.append_batch(&[tuple(170, 99.0)]).unwrap();
         orphan.sync().unwrap();
@@ -1578,18 +1662,19 @@ mod tests {
         assert_eq!(w.durable_upto(), 9);
         assert!(w.tuples().unwrap().iter().all(|t| t.value != 99.0));
         assert!(!wal_segment(&dir, 999).exists());
+        assert_upgraded(&dir, small(80), w);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn rotation_after_compaction_keeps_manifest_live() {
+    fn rotation_after_a_seal_keeps_every_segment_live() {
         let dir = tempdir("compact-rotate");
         let mut w = WalStore::open(&dir, small(80)).unwrap();
         for i in 0..6 {
             w.append_batch(&[tuple(i, 1.0)]).unwrap();
         }
         w.seal_windows_before(1).unwrap();
-        // Force several post-compaction rotations.
+        // Force several rotations after the seal.
         for i in 6..14 {
             w.append_batch(&[tuple(H + i, 1.0)]).unwrap();
         }

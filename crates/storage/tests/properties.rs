@@ -7,9 +7,11 @@
 
 use enviro_data::{RawTuple, Timestamp};
 use enviro_geo::Point;
+use enviro_storage::segment::{parse_segment_file_name, read_segment, segment_file_name};
 use enviro_storage::{WalConfig, WalStore};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -59,8 +61,124 @@ fn arb_batches() -> impl Strategy<Value = Vec<Vec<RawTuple>>> {
     })
 }
 
+/// One step in the life of a store.
+#[derive(Debug, Clone)]
+enum Op {
+    Append(Vec<RawTuple>),
+    /// Seal every window below this id.
+    Seal(u64),
+    Reopen,
+}
+
+/// Appends over eleven one-hour windows (a few tuples before the epoch,
+/// which the store refuses), seals at any watermark, and reopens.
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let tuple = (-100i64..40_000, -1e4..1e4f64, 0.0..2_000.0f64)
+        .prop_map(|(t, x, v)| RawTuple::new(Timestamp::from_secs(t), Point::new(x, -x), v));
+    let append = prop::collection::vec(tuple, 1..6).prop_map(Op::Append);
+    // Four appends to each seal and each reopen.
+    let op = prop_oneof![
+        append.clone(),
+        append.clone(),
+        append.clone(),
+        append,
+        (0u64..12).prop_map(Op::Seal),
+        Just(Op::Reopen),
+    ];
+    prop::collection::vec(op, 1..40)
+}
+
+/// What the store must hold: every accepted tuple, by window.
+#[derive(Default)]
+struct Model {
+    open: BTreeMap<u64, Vec<RawTuple>>,
+    sealed: BTreeMap<u64, Vec<RawTuple>>,
+}
+
+impl Model {
+    fn append(&mut self, batch: &[RawTuple]) {
+        for t in batch.iter().filter(|t| t.time.as_secs() >= 0) {
+            let id = (t.time.as_secs() / 3_600) as u64;
+            if !self.sealed.contains_key(&id) {
+                self.open.entry(id).or_default().push(*t);
+            }
+        }
+    }
+
+    fn seal(&mut self, watermark: u64) -> Vec<u64> {
+        let ids: Vec<u64> = self.open.range(..watermark).map(|(&id, _)| id).collect();
+        for id in &ids {
+            if let Some(tuples) = self.open.remove(id) {
+                self.sealed.insert(*id, tuples);
+            }
+        }
+        ids
+    }
+
+    /// `WalStore::tuples` order: window by window, each in arrival order.
+    fn tuples(&self) -> Vec<RawTuple> {
+        let windows: BTreeMap<&u64, &Vec<RawTuple>> =
+            self.open.iter().chain(&self.sealed).collect();
+        windows.into_values().flatten().copied().collect()
+    }
+}
+
+/// Every WAL segment on disk but the last (the active one) must span an
+/// open window: one whose windows are all sealed should have retired.
+fn wal_holds_only_open_windows(dir: &Path, model: &Model) -> Result<(), TestCaseError> {
+    let wal = dir.join("wal");
+    let mut seqs: Vec<u32> = std::fs::read_dir(&wal)
+        .unwrap()
+        .filter_map(|e| parse_segment_file_name(e.unwrap().file_name().to_str()?))
+        .collect();
+    seqs.sort_unstable();
+    seqs.pop();
+    for seq in seqs {
+        let path = wal.join(segment_file_name(seq));
+        let ids: Vec<u64> = read_segment(&path)
+            .unwrap()
+            .tuples
+            .iter()
+            .map(|t| (t.time.as_secs() / 3_600) as u64)
+            .collect();
+        let (lo, hi) = (ids.iter().min(), ids.iter().max());
+        let spans_open = lo
+            .zip(hi)
+            .is_some_and(|(&lo, &hi)| model.open.range(lo..=hi).next().is_some());
+        prop_assert!(spans_open, "{} spans no open window", path.display());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn appends_seals_and_reopens_keep_every_accepted_tuple(ops in arb_ops()) {
+        let dir = unique_dir("lifecycle");
+        let mut store = WalStore::open(&dir, config()).unwrap();
+        let mut model = Model::default();
+        for op in &ops {
+            match op {
+                Op::Append(batch) => {
+                    model.append(batch);
+                    store.append_batch(batch).unwrap();
+                }
+                Op::Seal(watermark) => {
+                    prop_assert_eq!(store.seal_windows_before(*watermark).unwrap(), model.seal(*watermark));
+                }
+                Op::Reopen => {
+                    drop(store);
+                    store = WalStore::open(&dir, config()).unwrap();
+                }
+            }
+            prop_assert_eq!(store.tuples().unwrap(), model.tuples(), "after {:?}", op);
+            prop_assert_eq!(store.durable_upto(), model.tuples().len() as u64);
+            wal_holds_only_open_windows(&dir, &model)?;
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn appended_batches_survive_reopen(batches in arb_batches()) {

@@ -78,7 +78,7 @@ fn tempdir(name: &str) -> PathBuf {
     dir
 }
 
-/// Recursively copies a store directory (wal/ + windows/ + manifests).
+/// Recursively copies a store directory (wal/ + windows/ + records).
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
@@ -213,7 +213,7 @@ fn kill_at_every_byte_with_sealed_windows() {
         max_wal_segment_bytes: u64::MAX,
     };
 
-    // Phase 1: ingest, then seal everything below window 2 (compacting the
+    // Phase 1: ingest, then seal everything below window 2 (rolling the
     // WAL). Sealed windows live in windows/ segments from here on.
     let mut store = WalStore::open(&base, cfg).unwrap();
     let mut phase1_batches: Vec<Vec<RawTuple>> = Vec::new();
@@ -225,12 +225,11 @@ fn kill_at_every_byte_with_sealed_windows() {
     let sealed_ids = store.seal_windows_before(2).unwrap();
     assert!(!sealed_ids.is_empty(), "seed {seed:#x}: nothing sealed");
 
-    // Phase 2: more batches after the compaction; late tuples for the
+    // Phase 2: more batches after the seal; late tuples for the
     // sealed windows are dropped on arrival, so the expected survivors of
     // phase 2 are only the fresh-window tuples.
     let mut tail_batches: Vec<Vec<RawTuple>> = Vec::new();
     let mut synced_len: Vec<u64> = Vec::new();
-    let active = store.stats().wal_segments as u32; // seqs 1 (compacted) + 2 (active)
     for _ in 0..12 {
         let batch = random_batch(&mut rng, 4);
         let kept: Vec<RawTuple> = batch
@@ -242,17 +241,18 @@ fn kill_at_every_byte_with_sealed_windows() {
         tail_batches.push(kept);
         synced_len.push(store.stats().wal_bytes);
     }
-    assert_eq!(active, 2, "expected compacted+active WAL layout");
     let sealed_exp: BTreeMap<u64, Vec<RawTuple>> = sealed_ids
         .iter()
         .map(|&id| (id, store.window_tuples(id).unwrap().to_vec()))
         .collect();
     drop(store);
 
-    // The active segment is seg-00000002.log; kill at every byte of it.
-    let wal_file = base.join("wal").join("seg-00000002.log");
+    // The seal rolled the WAL: seg-00000000.log holds phase 1 (it also
+    // holds the open windows, so it did not retire), and the active
+    // segment is seg-00000001.log; kill at every byte of it.
+    let wal_file = base.join("wal").join("seg-00000001.log");
     let full_len = std::fs::metadata(&wal_file).unwrap().len();
-    let compacted_wal_bytes: u64 = std::fs::metadata(base.join("wal").join("seg-00000001.log"))
+    let prefix_wal_bytes: u64 = std::fs::metadata(base.join("wal").join("seg-00000000.log"))
         .unwrap()
         .len();
 
@@ -262,7 +262,7 @@ fn kill_at_every_byte_with_sealed_windows() {
         copy_dir(&base, &scratch);
         let f = std::fs::OpenOptions::new()
             .write(true)
-            .open(scratch.join("wal").join("seg-00000002.log"))
+            .open(scratch.join("wal").join("seg-00000001.log"))
             .unwrap();
         f.set_len(kill_at).unwrap();
         drop(f);
@@ -280,10 +280,10 @@ fn kill_at_every_byte_with_sealed_windows() {
                 "seed {seed:#x}, kill_at={kill_at}: sealed window {id} changed"
             );
         }
-        // Memtables: compacted prefix (always whole — it was synced before
-        // the manifest switch) plus the surviving tail batches.
+        // Memtables: the prefix segment (always whole — it was synced
+        // before the roll) plus the surviving tail batches.
         let acked =
-            synced_len.partition_point(|&end| end.saturating_sub(compacted_wal_bytes) <= kill_at);
+            synced_len.partition_point(|&end| end.saturating_sub(prefix_wal_bytes) <= kill_at);
         let mut exp: BTreeMap<u64, Vec<RawTuple>> = BTreeMap::new();
         for batch in &phase1_batches {
             for t in batch {
@@ -317,6 +317,153 @@ fn kill_at_every_byte_with_sealed_windows() {
         assert_eq!(store.check_invariants(), Ok(()));
     }
     let _ = std::fs::remove_dir_all(&base);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Lists the `.log` files of `dir`, sorted.
+fn log_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".log"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A seal cut short at each of its steps reopens to the same tuples and
+/// `durable_upto`. The seal writes each window's segment under a `.tmp`
+/// name, fsyncs it, renames it into `windows/` and syncs the directory;
+/// only then does it delete the WAL segments left holding sealed windows
+/// only, without a sync. So a crash leaves one of:
+///
+/// * a `.tmp` of any length for the window being written, with every WAL
+///   segment still there: that window reopens open, from the WAL;
+/// * a rename that did not reach the disk: the same;
+/// * every rename durable, but an unlink lost: the retired segment
+///   replays into sealed windows only, and nothing counts twice.
+#[test]
+fn kill_at_every_step_of_a_seal() {
+    let seed = wal_seed() ^ 0x5EA1;
+    let mut rng = Rng::new(seed);
+    let base = tempdir("seal-steps");
+    let cfg = WalConfig {
+        window_secs: H,
+        max_wal_segment_bytes: 256,
+    };
+    // Windows 0-1 first, then 2-3: the 256-byte rotation leaves the older
+    // segments holding windows 0-1 only, so the seal retires them.
+    let mut store = WalStore::open(&base, cfg).unwrap();
+    for phase in 0..2 {
+        for _ in 0..10 {
+            let batch: Vec<RawTuple> = random_batch(&mut rng, 2)
+                .into_iter()
+                .map(|t| {
+                    let time = Timestamp::from_secs(t.time.as_secs() + phase * 2 * H);
+                    RawTuple::new(time, t.pos, t.value)
+                })
+                .collect();
+            store.append_batch(&batch).unwrap();
+        }
+    }
+    let tuples = store.tuples().unwrap();
+    let durable = store.durable_upto();
+    let pre_seal = tempdir("seal-steps-pre");
+    copy_dir(&base, &pre_seal);
+    assert_eq!(
+        store.seal_windows_before(2).unwrap(),
+        [0, 1],
+        "seed {seed:#x}"
+    );
+    drop(store);
+    let retired: Vec<String> = log_files(&pre_seal.join("wal"))
+        .into_iter()
+        .filter(|name| !base.join("wal").join(name).exists())
+        .collect();
+    assert!(
+        !retired.is_empty(),
+        "seed {seed:#x}: no WAL segment retired"
+    );
+    let sealed: Vec<Vec<u8>> = ["seg-00000000.log", "seg-00000001.log"]
+        .iter()
+        .map(|name| std::fs::read(base.join("windows").join(name)).unwrap())
+        .collect();
+
+    let scratch = tempdir("seal-steps-scratch");
+    // The sealed store with its retired WAL segments back, and the windows
+    // from `open_from` on not renamed into place.
+    let crash_state = |open_from: usize| {
+        let _ = std::fs::remove_dir_all(&scratch);
+        copy_dir(&base, &scratch);
+        for name in &retired {
+            std::fs::copy(
+                pre_seal.join("wal").join(name),
+                scratch.join("wal").join(name),
+            )
+            .unwrap();
+        }
+        for id in open_from..sealed.len() {
+            std::fs::remove_file(scratch.join("windows").join(format!("seg-{id:08}.log"))).unwrap();
+        }
+    };
+    let check = |open_from: usize, ctx: &str| {
+        let store = WalStore::open(&scratch, cfg)
+            .unwrap_or_else(|e| panic!("seed {seed:#x}, {ctx}: open failed: {e}"));
+        for id in 0..sealed.len() {
+            assert_eq!(
+                store.is_sealed(id as u64),
+                id < open_from,
+                "seed {seed:#x}, {ctx}: window {id}"
+            );
+        }
+        assert_eq!(
+            store.durable_upto(),
+            durable,
+            "seed {seed:#x}, {ctx}: durable_upto"
+        );
+        assert_eq!(
+            store.tuples().unwrap(),
+            tuples,
+            "seed {seed:#x}, {ctx}: tuples"
+        );
+        let stats = store.stats();
+        assert_eq!(
+            (stats.memtable_tuples + stats.sealed_tuples) as u64,
+            durable,
+            "seed {seed:#x}, {ctx}: double count"
+        );
+        assert_eq!(store.check_invariants(), Ok(()), "seed {seed:#x}, {ctx}");
+        store
+    };
+
+    // A crash while window 0's segment was written: any prefix of it under
+    // the .tmp name. Resealing overwrites the leftover.
+    for len in 0..=sealed[0].len() {
+        crash_state(0);
+        let tmp = scratch.join("windows").join("seg-00000000.log.tmp");
+        std::fs::write(&tmp, &sealed[0][..len]).unwrap();
+        let mut store = check(0, &format!("tmp of {len} bytes"));
+        if len == sealed[0].len() / 2 {
+            store.seal_windows_before(2).unwrap();
+            assert!(!tmp.exists());
+            drop(store);
+            check(2, "resealed after a torn tmp");
+        }
+    }
+    // Window 0 committed, window 1's rename lost: its whole .tmp remains.
+    crash_state(1);
+    std::fs::write(
+        scratch.join("windows").join("seg-00000001.log.tmp"),
+        &sealed[1],
+    )
+    .unwrap();
+    check(1, "rename lost");
+    // Every rename durable, the unlinks of the retired segments lost.
+    crash_state(sealed.len());
+    check(sealed.len(), "unlink lost");
+
+    let _ = std::fs::remove_dir_all(&base);
+    let _ = std::fs::remove_dir_all(&pre_seal);
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
