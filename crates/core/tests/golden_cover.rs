@@ -6,9 +6,9 @@
 //! Ad-KMN or regression arithmetic shows up here. If a change is *meant* to
 //! move the fit, re-record the expected values and say so in the change log.
 //!
-//! Re-pinning these covers also requires bumping `COVER_LOG_VERSION` in
-//! `enviro_net::cover_log`: an ingesting server restarts from the covers
-//! its cover log recorded, so without the bump an upgraded server would
+//! Re-pinning these covers also requires bumping `COVER_FRAME_VERSION` in
+//! `enviro_net::ingest`: an ingesting server restarts from the covers its
+//! sealed window files hold, so without the bump an upgraded server would
 //! keep serving covers fitted by the old algorithm.
 
 // Harness code, exempt from the library panic policy: an unwrap here

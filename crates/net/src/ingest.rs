@@ -12,9 +12,10 @@
 //! [`enviro_meter::CoverRegistry`] `Arc` swap. Queries only ever read a
 //! registry snapshot, so an in-flight rebuild can never block them.
 //!
-//! A sealed window's cover is final once the pass releases the window's raw
-//! tuples; the pass then records it in the [`crate::cover_log`], and a
-//! restart publishes the recorded covers instead of rebuilding them.
+//! A window is sealed only once its published cover is final: the pass
+//! seals the clean windows behind the watermark, and writes each one's
+//! cover into the window's own file, after its tuples. A restart publishes
+//! those covers instead of rebuilding them.
 //!
 //! Exactly-once acks under retransmission: the client resends a chunk until
 //! it sees a matching ack, and each source tags chunks with a sequence
@@ -23,17 +24,21 @@
 //! appending it twice. (A client is stop-and-wait per chunk, so one
 //! remembered sequence number per source suffices.)
 
-use crate::cover_log::{self, COVER_LOG_VERSION};
 use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, Window};
 use enviro_memsize::DeepSize;
 use enviro_meter::{AdKmnConfig, CoverBuilder, CoverRegistry, ModelCover, PublishedCover};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
-use enviro_storage::segment::SegmentWriter;
-use enviro_storage::wal::ReleasedWindow;
+use enviro_storage::crc::crc32;
 use enviro_storage::{StorageError, WalConfig, WalStore};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
+
+/// The cover frame's format version. Bump it whenever the frame layout or
+/// the covers the builder fits change (`core/tests/golden_cover.rs` pins
+/// the latter): frames written under another version are rebuilt, never
+/// served.
+const COVER_FRAME_VERSION: u32 = 1;
 
 /// Model-maintenance knobs for an ingesting server.
 #[derive(Debug, Clone)]
@@ -44,8 +49,8 @@ pub struct IngestConfig {
     pub adkmn: AdKmnConfig,
     /// Windows within `seal_lag` of the newest stay open (late tuples are
     /// still accepted); older ones are sealed to segment files on the next
-    /// maintenance pass, which also deletes the WAL segments left holding
-    /// sealed windows only.
+    /// maintenance pass that finds them clean, which also deletes the WAL
+    /// segments left holding sealed windows only.
     pub seal_lag: u64,
 }
 
@@ -56,6 +61,18 @@ impl Default for IngestConfig {
             adkmn: AdKmnConfig::default(),
             seal_lag: 1,
         }
+    }
+}
+
+impl IngestConfig {
+    /// The fingerprint a sealed window's cover frame carries: a CRC of the
+    /// `Debug` text of (the frame format's version, pollutant, Ad-KMN
+    /// configuration). A frame is served only under the fingerprint it was
+    /// written with, so a cover fitted under another τ, pollutant or format
+    /// is rebuilt.
+    pub fn cover_fingerprint(&self) -> u32 {
+        let text = format!("{:?}", (COVER_FRAME_VERSION, self.pollutant, &self.adkmn));
+        crc32(text.as_bytes())
     }
 }
 
@@ -77,12 +94,10 @@ pub struct IngestStats {
     pub published_windows: u64,
     /// Windows sealed to segment files.
     pub sealed_windows: u64,
-    /// Maintenance passes that failed: a storage error while sealing,
-    /// while reading a released window back, or while appending to the
-    /// cover log. The pass has already taken its dirty windows and
-    /// published the covers it could build. The worker keeps running and
-    /// retries the seal on its next pass, which only new data triggers; a
-    /// failed cover-log append closes the log until the next restart.
+    /// Maintenance passes whose seal failed with a storage error. The pass
+    /// has already taken its dirty windows and published their covers. The
+    /// worker keeps running and retries the seal on its next pass, which
+    /// only new data triggers.
     pub maintenance_errors: u64,
 }
 
@@ -111,18 +126,6 @@ struct Inner {
     stats: IngestStats,
     /// Set once when the owning [`ModelMaintenance`] is dropped.
     shutdown: bool,
-    /// The cover log's writer. A pass takes it out to append after it
-    /// drops this lock, and puts it back; `None` meanwhile, and for good
-    /// once an append failed.
-    cover_log: Option<SegmentWriter>,
-}
-
-/// A dirty window's tuples as a pass snapshots them.
-enum Snapshot {
-    /// Copied from memory under the lock.
-    Resident(Vec<RawTuple>),
-    /// Released: read back from disk after the lock is dropped.
-    Released(ReleasedWindow),
 }
 
 /// Shared state of an ingesting server: WAL + dedup on the hot path, cover
@@ -136,19 +139,20 @@ pub struct IngestState {
     registry: Arc<CoverRegistry>,
     config: IngestConfig,
     builder: CoverBuilder,
-    /// The [`cover_log::fingerprint`] of this store and configuration.
+    /// [`IngestConfig::cover_fingerprint`] of `config`.
     fingerprint: u32,
 }
 
 impl IngestState {
     /// Opens (or recovers) the durable state under `dir`.
     ///
-    /// Recovery publishes, as one generation, the cover-log record of every
-    /// sealed window that has an accepted one: its CRC holds, it was
-    /// written under this store's fingerprint, and it names the tuple
-    /// count the window was sealed with (the last such record of a window
-    /// wins). Only the sealed windows left without one are read back into
-    /// memory; they and the open windows are marked dirty, so the first
+    /// Recovery publishes, as one generation, the cover of every sealed
+    /// window: the one its file holds when that cover frame is intact,
+    /// carries this configuration's fingerprint and names the window's
+    /// tuple count. Any other sealed window — its frame missing (a file
+    /// from an earlier build or from `enviro store compact`), torn, or
+    /// stale — is read back and rebuilt here, and its cover written back
+    /// into its file. The open windows are marked dirty, so the first
     /// maintenance pass rebuilds exactly those.
     pub fn open(
         dir: &Path,
@@ -156,38 +160,35 @@ impl IngestState {
         config: IngestConfig,
     ) -> Result<Self, StorageError> {
         let mut wal = WalStore::open(dir, wal_config)?;
-        let fingerprint = cover_log::fingerprint(
-            COVER_LOG_VERSION,
-            wal.store_id(),
-            config.pollutant,
-            wal.config().window_secs,
-            &config.adkmn,
-        );
-        let (log, records) = cover_log::open(dir, fingerprint)?;
-        let mut recovered: BTreeMap<u64, PublishedCover> = BTreeMap::new();
-        for record in records {
-            let id = record.cover.window_id;
-            if wal.sealed_len(id).map(|len| len as u64) == Some(record.sealed_len) {
-                recovered.insert(id, record.cover);
-            }
-        }
-        let mut dirty: BTreeSet<u64> = wal.memtables().map(|(id, _)| id).collect();
+        let fingerprint = config.cover_fingerprint();
+        let builder = CoverBuilder::new(config.adkmn.clone());
+        let window_secs = wal.config().window_secs;
+        let mut frames = wal.take_covers();
+        let mut covers = Vec::new();
+        let mut written_back = Vec::new();
         for id in wal.sealed_window_ids() {
-            if !recovered.contains_key(&id) {
-                wal.reload_sealed(id)?;
-                dirty.insert(id);
+            let len = wal.sealed_len(id).unwrap_or_default();
+            let frame = frames.remove(&id);
+            match frame.and_then(|f| decode_cover_frame(&f, fingerprint, id, len)) {
+                Some(cover) => covers.push(cover),
+                None => {
+                    let tuples = wal.read_sealed(id)?;
+                    let cover = build_cover(&builder, &config, id, window_secs, &tuples);
+                    written_back.push((id, encode_cover_frame(fingerprint, len, &cover)));
+                    covers.push(cover);
+                }
             }
         }
+        wal.seal_with_covers(written_back)?;
         let registry = CoverRegistry::new();
-        if !recovered.is_empty() {
-            registry.publish(recovered.into_values().collect());
+        if !covers.is_empty() {
+            registry.publish(covers);
         }
-        let wal_stats = wal.stats();
+        let dirty = wal.memtables().map(|(id, _)| id).collect();
         let stats = IngestStats {
-            durable_tuples: wal_stats.durable_tuples,
+            durable_tuples: wal.durable_upto(),
             ..IngestStats::default()
         };
-        let builder = CoverBuilder::new(config.adkmn.clone());
         Ok(Self {
             inner: Mutex::new(Inner {
                 wal,
@@ -195,7 +196,6 @@ impl IngestState {
                 dirty,
                 stats,
                 shutdown: false,
-                cover_log: Some(log),
             }),
             work: Condvar::new(),
             registry: Arc::new(registry),
@@ -248,9 +248,9 @@ impl IngestState {
         }
     }
 
-    /// Every retained tuple, as [`WalStore::tuples`] returns them: windows
-    /// whose raw tuples were released are read back from disk. The read
-    /// holds the ingest lock, so acks wait for it.
+    /// Every retained tuple, as [`WalStore::tuples`] returns them: sealed
+    /// windows are read back from disk. The read holds the ingest lock, so
+    /// acks wait for it.
     pub fn tuples(&self) -> Result<Vec<RawTuple>, StorageError> {
         self.lock().wal.tuples()
     }
@@ -299,10 +299,9 @@ impl IngestState {
     }
 
     /// One synchronous maintenance pass: drain the dirty set, rebuild those
-    /// windows' covers off-lock, publish them, then seal windows older than
-    /// the [`IngestConfig::seal_lag`] horizon, release the sealed windows
-    /// whose final cover is published, and record those covers in the cover
-    /// log. Returns the number of covers published.
+    /// windows' covers off-lock, publish them, then seal the clean windows
+    /// older than the [`IngestConfig::seal_lag`] horizon, each with its
+    /// published cover in its file. Returns the number of covers published.
     ///
     /// This is what the [`ModelMaintenance`] worker runs; tests call it
     /// directly for deterministic publication points. It must not run
@@ -310,44 +309,24 @@ impl IngestState {
     /// one window's covers out of order, leaving the older one in place
     /// with nothing left dirty to replace it.
     pub fn rebuild_dirty_now(&self) -> Result<usize, StorageError> {
-        // Snapshot the dirty windows' tuples under the lock…
-        let (snapshots, window_secs): (Vec<(u64, Snapshot)>, i64) = {
+        // Snapshot the dirty windows' tuples under the lock: every dirty
+        // window is open, since a sealed one never turns dirty again
+        // (`ingest` drops its late tuples)…
+        let (snapshots, window_secs): (Vec<(u64, Vec<RawTuple>)>, i64) = {
             let mut inner = self.lock();
             let dirty = std::mem::take(&mut inner.dirty);
-            let window_secs = inner.wal.config().window_secs;
             let wal = &inner.wal;
-            // A dirty window whose tuples were released is read back, not
-            // dropped. No pass leaves one (it releases clean windows only),
-            // and recovery reloads every sealed window it marks dirty.
             let snapshots = dirty
                 .into_iter()
-                .filter_map(|id| match wal.window_tuples(id) {
-                    Some(tuples) => Some((id, Snapshot::Resident(tuples.to_vec()))),
-                    None => wal
-                        .released_window(id)
-                        .map(|released| (id, Snapshot::Released(released))),
-                })
+                .filter_map(|id| Some((id, wal.window_tuples(id)?.to_vec())))
                 .collect();
-            (snapshots, window_secs)
+            (snapshots, wal.config().window_secs)
         };
         // …then run Ad-KMN with no lock held: ingest acks and (lock-free)
         // queries proceed while models rebuild.
-        let mut read_error = None;
         let covers: Vec<PublishedCover> = snapshots
-            .into_iter()
-            .filter_map(|(id, snapshot)| {
-                let tuples = match snapshot {
-                    Snapshot::Resident(tuples) => tuples,
-                    Snapshot::Released(released) => match released.read() {
-                        Ok(tuples) => tuples,
-                        Err(e) => {
-                            read_error.get_or_insert(e);
-                            return None;
-                        }
-                    },
-                };
-                Some(self.build_cover(id, window_secs, &tuples))
-            })
+            .iter()
+            .map(|(id, tuples)| build_cover(&self.builder, &self.config, *id, window_secs, tuples))
             .collect();
         let published = covers.len();
         if !covers.is_empty() {
@@ -356,95 +335,53 @@ impl IngestState {
             inner.stats.rebuilds += 1;
             inner.stats.published_windows += published as u64;
         }
-        // Seal + retire WAL segments last: I/O that shares the ingest lock,
-        // but never the query path.
-        let mut inner = self.lock();
-        let watermark = inner
-            .wal
-            .max_window_id()
-            .map(|max| max.saturating_sub(self.config.seal_lag));
-        let sealed = match watermark {
-            // lock-scope: allow(maintenance) — sealing shares the ingest
-            // lock by design: it only ever runs on the single maintenance
-            // worker, and the query path never takes this lock (covers are
-            // read through the registry snapshot).
-            Some(w) => inner.wal.seal_windows_before(w),
-            None => Ok(Vec::new()),
-        };
-        // A sealed window that is not dirty has its final cover published:
-        // this pass published before it sealed, a sealed window never turns
-        // dirty again (`ingest` drops its late tuples), and one sealed while
-        // still dirty stays resident until the next pass publishes it. Its
-        // segment becomes its only copy, and its cover goes to the log.
-        let Inner {
-            wal,
-            dirty,
-            cover_log,
-            ..
-        } = &mut *inner;
-        let released: Vec<(u64, usize)> = wal
-            .release_sealed(|id| dirty.contains(&id))
-            .into_iter()
-            .filter_map(|id| Some((id, wal.sealed_len(id)?)))
-            .collect();
-        let log = if released.is_empty() {
-            None
-        } else {
-            cover_log.take()
-        };
-        if let Ok(ids) = &sealed {
-            inner.stats.sealed_windows += ids.len() as u64;
-        }
-        let mut result = match (sealed, read_error) {
-            (Ok(_), None) => Ok(published),
-            (Err(e), _) | (Ok(_), Some(e)) => Err(e),
-        };
-        if result.is_err() {
-            inner.stats.maintenance_errors += 1;
-        }
-        drop(inner);
-        // The log append is file I/O, so it runs off the lock. Only the
-        // maintenance pass writes the log: the writer goes back for the
-        // next pass, unless the append failed. A torn record is truncated
-        // at the next restart, and until then nothing is appended after it.
-        if let Some(mut log) = log {
-            let snapshot = self.registry.snapshot();
-            let covers = released
-                .iter()
-                .filter_map(|&(id, len)| Some((len, snapshot.cover_for_window(id)?)));
-            let appended = cover_log::append(&mut log, self.fingerprint, covers);
-            let mut inner = self.lock();
-            match appended {
-                Ok(()) => inner.cover_log = Some(log),
-                Err(e) if result.is_ok() => {
-                    inner.stats.maintenance_errors += 1;
-                    result = Err(e.into());
-                }
-                Err(_) => {}
-            }
-        }
-        result
+        self.seal_clean_windows()?;
+        Ok(published)
     }
 
-    /// Builds one window's cover exactly the way the batch engine would:
-    /// cold Ad-KMN over the window's tuples, epoch-aligned validity, the
-    /// window's earliest tuple time as the routing key.
-    fn build_cover(&self, id: u64, window_secs: i64, tuples: &[RawTuple]) -> PublishedCover {
-        let window = Window {
-            id,
-            tuples,
-            valid_until: Timestamp::from_secs((id as i64 + 1) * window_secs),
-        };
-        let cover: ModelCover = self.builder.build(&window, self.config.pollutant);
-        let first_time = tuples
-            .iter()
-            .map(|t| t.time)
-            .min()
-            .unwrap_or(Timestamp::ZERO);
-        PublishedCover {
-            window_id: id,
-            first_time,
-            cover: Arc::new(cover),
+    /// The pass's last step: seals the clean windows older than the
+    /// [`IngestConfig::seal_lag`] horizon and retires the WAL segments
+    /// left holding sealed windows only. I/O that shares the ingest lock,
+    /// but never the query path.
+    ///
+    /// Only a clean window seals: its published cover was built over
+    /// exactly the tuples it holds (a write since would have marked it
+    /// dirty), so that cover is final and goes into its file. A dirty one
+    /// waits for the next pass, which its dirty mark already schedules.
+    fn seal_clean_windows(&self) -> Result<(), StorageError> {
+        // Read before the ingest lock is taken: the covers as the pass
+        // left them, which hold the cover of every window it may seal.
+        let snapshot = self.registry.snapshot();
+        let mut inner = self.lock();
+        let Inner { wal, dirty, .. } = &mut *inner;
+        let watermark = wal
+            .max_window_id()
+            .map_or(0, |max| max.saturating_sub(self.config.seal_lag));
+        let seal: Vec<(u64, Vec<u8>)> = wal
+            .memtables()
+            .take_while(|&(id, _)| id < watermark)
+            .filter(|(id, _)| !dirty.contains(id))
+            .filter_map(|(id, tuples)| {
+                let cover = snapshot.cover_for_window(id)?;
+                Some((
+                    id,
+                    encode_cover_frame(self.fingerprint, tuples.len(), cover),
+                ))
+            })
+            .collect();
+        // lock-scope: allow(maintenance) — sealing shares the ingest lock
+        // by design: it only ever runs on the single maintenance worker,
+        // and the query path never takes this lock (covers are read
+        // through the registry snapshot).
+        match wal.seal_with_covers(seal) {
+            Ok(ids) => {
+                inner.stats.sealed_windows += ids.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                inner.stats.maintenance_errors += 1;
+                Err(e)
+            }
         }
     }
 
@@ -460,8 +397,8 @@ impl IngestState {
     }
 
     /// Verifies the cross-structure invariants (WAL, registry, dedup,
-    /// dirty set): every dirty window is resident, and every released
-    /// window is clean and has a published cover.
+    /// dirty set): every dirty window is open, and every sealed window has
+    /// a published cover, from [`Self::open`] on.
     pub fn check_invariants(&self) -> Result<(), String> {
         let inner = self.lock();
         inner.wal.check_invariants()?;
@@ -473,29 +410,23 @@ impl IngestState {
                 ));
             }
         }
-        let released: Vec<u64> = inner
-            .wal
-            .sealed_window_ids()
-            .into_iter()
-            .filter(|&id| inner.wal.window_tuples(id).is_none())
-            .collect();
-        if let Some(id) = released.iter().find(|id| inner.dirty.contains(id)) {
-            return Err(format!("released window {id} is dirty"));
+        if let Some(id) = inner
+            .dirty
+            .iter()
+            .find(|&&id| inner.wal.window_tuples(id).is_none())
+        {
+            return Err(format!("dirty window {id} is not open"));
         }
-        for &id in &inner.dirty {
-            if inner.wal.window_tuples(id).is_none() {
-                return Err(format!("dirty window {id} holds no tuples"));
-            }
-        }
+        let sealed = inner.wal.sealed_window_ids();
         drop(inner);
-        // Read after the lock: a window is released only after its cover
-        // is published, and a published window never leaves the registry.
+        // Read after the lock: a window is sealed only after its cover is
+        // published, and a published window never leaves the registry.
         let snapshot = self.registry.snapshot();
-        if let Some(id) = released
+        if let Some(id) = sealed
             .iter()
             .find(|&&id| snapshot.cover_for_window(id).is_none())
         {
-            return Err(format!("released window {id} has no published cover"));
+            return Err(format!("sealed window {id} has no published cover"));
         }
         self.registry.check_invariants()
     }
@@ -531,13 +462,77 @@ impl IngestState {
 
 impl DeepSize for IngestState {
     fn heap_size(&self) -> usize {
-        let inner = self.lock();
-        inner.wal.heap_size()
-            + inner.dedup.capacity()
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<(u32, u64)>())
-            + inner.dirty.len() * std::mem::size_of::<u64>()
-            + self.registry.heap_size()
+        let own = {
+            let inner = self.lock();
+            inner.wal.heap_size()
+                + inner.dedup.capacity()
+                    * (std::mem::size_of::<u64>() + std::mem::size_of::<(u32, u64)>())
+                + inner.dirty.len() * std::mem::size_of::<u64>()
+        };
+        own + self.registry.heap_size()
     }
+}
+
+/// Builds one window's cover exactly the way the batch engine would: cold
+/// Ad-KMN over the window's tuples, epoch-aligned validity, the window's
+/// earliest tuple time as the routing key.
+fn build_cover(
+    builder: &CoverBuilder,
+    config: &IngestConfig,
+    id: u64,
+    window_secs: i64,
+    tuples: &[RawTuple],
+) -> PublishedCover {
+    let window = Window {
+        id,
+        tuples,
+        valid_until: Timestamp::from_secs((id as i64 + 1) * window_secs),
+    };
+    let cover: ModelCover = builder.build(&window, config.pollutant);
+    let first_time = tuples
+        .iter()
+        .map(|t| t.time)
+        .min()
+        .unwrap_or(Timestamp::ZERO);
+    PublishedCover {
+        window_id: id,
+        first_time,
+        cover: Arc::new(cover),
+    }
+}
+
+/// A sealed window's cover frame payload, little-endian: `u32 fingerprint
+/// ++ u64 tuple count ++ i64 first_time ++ cover`, the cover in
+/// [`ModelCover::encode_into`]'s exact binary form.
+fn encode_cover_frame(fingerprint: u32, len: usize, cover: &PublishedCover) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    out.extend_from_slice(&cover.first_time.as_secs().to_le_bytes());
+    cover.cover.encode_into(&mut out);
+    out
+}
+
+/// Decodes window `id`'s cover frame; `None` unless it is one well-formed
+/// cover of that window, under `fingerprint`, built over `len` tuples.
+fn decode_cover_frame(
+    payload: &[u8],
+    fingerprint: u32,
+    id: u64,
+    len: usize,
+) -> Option<PublishedCover> {
+    let (stamp, rest) = payload.split_first_chunk::<4>()?;
+    let (count, rest) = rest.split_first_chunk::<8>()?;
+    let (first_time, rest) = rest.split_first_chunk::<8>()?;
+    if u32::from_le_bytes(*stamp) != fingerprint || u64::from_le_bytes(*count) != len as u64 {
+        return None;
+    }
+    let cover = ModelCover::decode(rest).filter(|c| c.window_id == id)?;
+    Some(PublishedCover {
+        window_id: id,
+        first_time: Timestamp::from_secs(i64::from_le_bytes(*first_time)),
+        cover: Arc::new(cover),
+    })
 }
 
 /// Owns the background maintenance thread. Dropping it shuts the worker
@@ -799,49 +794,58 @@ mod tests {
     }
 
     #[test]
-    fn a_window_sealed_while_dirty_stays_resident_until_published() {
+    fn a_dirty_window_behind_the_watermark_waits_for_the_next_pass() {
         let dir = temp_dir("sealed-dirty");
         let state = open_state(&dir);
         state.ingest(1, 1, &window_tuples(0, 6)).unwrap();
+        assert_eq!(state.rebuild_dirty_now().unwrap(), 1);
+        // A write into window 0 lands after its cover was published, and
+        // window 2 moves the watermark past it: the seal finds it dirty.
         state.ingest(1, 2, &window_tuples(2, 6)).unwrap();
-        // Window 0 is sealed while still dirty, as when a write lands
-        // between a pass's snapshot and its seal: it stays resident.
-        {
-            let mut inner = state.lock();
-            // lock-scope: allow(test) — stages that pass's seal.
-            inner.wal.seal_windows_before(1).unwrap();
-            let Inner { wal, dirty, .. } = &mut *inner;
-            assert!(wal.release_sealed(|id| dirty.contains(&id)).is_empty());
-            assert_eq!(wal.window_tuples(0).map(<[_]>::len), Some(6));
-        }
+        let late: Vec<RawTuple> = (0..6).map(|i| tuple(50 + i, 0.0, 900.0)).collect();
+        state.ingest(1, 3, &late).unwrap();
+        state.seal_clean_windows().unwrap();
+        assert_eq!(state.stats().sealed_windows, 0);
+        assert_eq!(state.lock().wal.window_tuples(0).map(<[_]>::len), Some(12));
+        assert_eq!(state.check_invariants(), Ok(()));
+        // The next pass publishes its cover over all 12 tuples, then seals
+        // it with that cover.
         assert_eq!(state.rebuild_dirty_now().unwrap(), 2);
-        assert!(state.lock().wal.window_tuples(0).is_none());
+        assert_eq!(state.stats().sealed_windows, 1);
+        let tuples: Vec<RawTuple> = window_tuples(0, 6).into_iter().chain(late).collect();
+        assert_eq!(published_bits(&state, 0), built_bits(0, &tuples));
+        assert_eq!(state.lock().wal.read_sealed(0).unwrap(), tuples);
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Resident state besides the covers, after a history of `days` of
-    /// hourly windows with `per_window` readings each has been ingested
-    /// and published, and again right after a restart, before any pass.
-    fn state_without_covers(tag: &str, days: i64, per_window: i64) -> (usize, usize) {
+    /// Resident state besides the covers, and the store's share of it,
+    /// after a history of `windows` ten-second windows with `per_window`
+    /// readings each has been ingested and published, and again right
+    /// after a restart, before any pass.
+    fn state_without_covers(tag: &str, windows: i64, per_window: i64) -> [(usize, usize); 2] {
         let dir = temp_dir(tag);
         let open = || {
             let wal = WalConfig {
-                window_secs: 3_600,
+                window_secs: 10,
                 ..WalConfig::default()
             };
             IngestState::open(&dir, wal, IngestConfig::default()).unwrap()
         };
         let without_covers = |state: &IngestState| {
             assert_eq!(state.check_invariants(), Ok(()));
-            state.deep_size_of() - state.registry().deep_size_of()
+            let store = state.lock().wal.deep_size_of();
+            (
+                state.deep_size_of() - state.registry().deep_size_of(),
+                store,
+            )
         };
         let state = open();
-        let history: Vec<RawTuple> = (0..days * 24)
+        let history: Vec<RawTuple> = (0..windows)
             .flat_map(|w| {
                 (0..per_window).map(move |i| {
                     let x = (i * 37 % per_window) as f64 * 40.0;
-                    tuple(w * 3_600 + i * 60, x, 400.0 + (w % 7) as f64 + i as f64)
+                    tuple(w * 10 + i * 2, x, 400.0 + (w % 7) as f64 + i as f64)
                 })
             })
             .collect();
@@ -850,28 +854,38 @@ mod tests {
             state.ingest(1, seq, chunk).unwrap();
         }
         state.rebuild_dirty_now().unwrap();
+        assert_eq!(state.stats().sealed_windows, windows as u64 - 2);
         let published = without_covers(&state);
         drop(state);
         let reopened = without_covers(&open());
         let _ = std::fs::remove_dir_all(&dir);
-        (published, reopened)
+        [published, reopened]
     }
 
     #[test]
     fn resident_state_grows_per_window_not_per_tuple() {
-        const PER_WINDOW: i64 = 16;
-        let short = state_without_covers("budget-short", 2, PER_WINDOW);
-        let long = state_without_covers("budget-long", 8, PER_WINDOW);
-        let extra_windows = (8 - 2) * 24;
-        for (when, long, short) in [
-            ("published", long.0, short.0),
-            ("reopened", long.1, short.1),
+        const PER_WINDOW: i64 = 4;
+        const SHORT: i64 = 48;
+        const EXTRA: usize = 720;
+        let short = state_without_covers("budget-short", SHORT, PER_WINDOW);
+        let long = state_without_covers("budget-long", SHORT + EXTRA as i64, PER_WINDOW);
+        let entry = std::mem::size_of::<(u64, usize)>();
+        for (when, (long, long_store), (short, short_store)) in [
+            ("published", long[0], short[0]),
+            ("reopened", long[1], short[1]),
         ] {
             assert!(
-                long <= short + 64 * extra_windows,
-                "{when}: {long} B after 8 days vs {short} B after 2: more than 64 B per \
-                 extra sealed window ({} B per extra tuple)",
-                (long.saturating_sub(short)) as f64 / (extra_windows * PER_WINDOW as usize) as f64
+                long <= short + 64 * EXTRA,
+                "{when}: {long} B after {} windows vs {short} B after {SHORT}: more than 64 B \
+                 per extra sealed window ({} B per extra tuple)",
+                SHORT + EXTRA as i64,
+                (long.saturating_sub(short)) as f64 / (EXTRA * PER_WINDOW as usize) as f64
+            );
+            // The store keeps a sealed window's tuple count and nothing else.
+            assert!(
+                long_store <= short_store + entry * EXTRA,
+                "{when}: the store holds {long_store} B vs {short_store} B: more than \
+                 {entry} B per extra sealed window"
             );
         }
     }
@@ -888,8 +902,15 @@ mod tests {
         cover_bits(snapshot.cover_for_window(id).expect("window published"))
     }
 
+    /// What a pass publishes for window `id` holding `tuples`.
+    fn built_bits(id: u64, tuples: &[RawTuple]) -> (u64, Timestamp, Vec<u8>) {
+        let builder = CoverBuilder::new(AdKmnConfig::default());
+        let config = IngestConfig::default();
+        cover_bits(&build_cover(&builder, &config, id, 100, tuples))
+    }
+
     #[test]
-    fn recovery_publishes_logged_covers_and_marks_open_windows_dirty() {
+    fn recovery_publishes_stored_covers_and_marks_open_windows_dirty() {
         let dir = temp_dir("recover");
         let (before, cover0) = {
             let state = open_state(&dir);
@@ -899,12 +920,12 @@ mod tests {
                     .unwrap();
             }
             state.rebuild_dirty_now().unwrap();
-            // Window 0 sealed, its tuples released to disk.
+            // Window 0 sealed, its tuples on disk only.
             assert!(state.lock().wal.window_tuples(0).is_none());
             (state.tuples().unwrap(), published_bits(&state, 0))
         };
         let state = open_state(&dir);
-        // Only the open windows are dirty. Window 0's logged cover is
+        // Only the open windows are dirty. The cover in window 0's file is
         // published, bit for bit, as generation 1 before any pass, and its
         // tuples stay on disk.
         assert_eq!(
@@ -925,32 +946,37 @@ mod tests {
     }
 
     #[test]
-    fn a_released_window_marked_dirty_is_read_back_and_rebuilt() {
-        let dir = temp_dir("released-dirty");
-        let state = open_state(&dir);
-        for w in 0..3i64 {
-            state
-                .ingest(1, w as u32 + 1, &window_tuples(w, 10))
-                .unwrap();
-        }
-        state.rebuild_dirty_now().unwrap();
-        let cover0 = published_bits(&state, 0);
-        let generation = state.generation();
-        // No pass marks a released window dirty; force it.
+    fn a_sealed_window_without_a_cover_is_rebuilt_at_open() {
+        let dir = temp_dir("coverless");
+        let wal_config = WalConfig {
+            window_secs: 100,
+            ..WalConfig::default()
+        };
+        // Windows 0 and 1 sealed with their tuples only, as `enviro store
+        // compact` or an earlier build leaves them.
         {
-            let mut inner = state.lock();
-            assert!(inner.wal.window_tuples(0).is_none());
-            inner.dirty.insert(0);
+            let mut wal = WalStore::open(&dir, wal_config).unwrap();
+            for w in 0..3 {
+                wal.append_batch(&window_tuples(w, 10)).unwrap();
+            }
+            assert_eq!(wal.seal_windows_before(2).unwrap(), [0, 1]);
         }
-        assert_eq!(state.rebuild_dirty_now().unwrap(), 1);
-        assert!(!state.has_dirty_windows());
-        assert_eq!(state.generation(), generation + 1);
-        assert_eq!(published_bits(&state, 0), cover0);
-        assert!(
-            state.lock().wal.window_tuples(0).is_none(),
-            "still released"
-        );
+        let state = open_state(&dir);
+        // Both are rebuilt at open and published as generation 1; only the
+        // open window is left for the first pass.
+        assert_eq!(state.generation(), 1);
+        assert_eq!(state.lock().dirty.iter().copied().collect::<Vec<_>>(), [2]);
+        for id in 0..2 {
+            let tuples = window_tuples(id as i64, 10);
+            assert_eq!(published_bits(&state, id), built_bits(id, &tuples));
+        }
         assert_eq!(state.check_invariants(), Ok(()));
+        assert_eq!(state.rebuild_dirty_now().unwrap(), 1);
+        drop(state);
+        // The covers were written back: the next open finds them.
+        let mut wal = WalStore::open(&dir, wal_config).unwrap();
+        assert_eq!(wal.take_covers().into_keys().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(wal.durable_upto(), 30);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

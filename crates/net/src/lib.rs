@@ -37,9 +37,8 @@
 //!   `IngestBatch` frames to a WAL-backed store and a background
 //!   [`ingest::ModelMaintenance`] worker rebuilds Ad-KMN covers off the hot
 //!   path, publishing them atomically via an epoch-versioned registry.
-//! * [`cover_log`] — each sealed window's final cover, recorded when its
-//!   raw tuples leave memory, so a restart publishes it without re-running
-//!   Ad-KMN.
+//!   A sealed window's final cover is written into the window's own file,
+//!   so a restart publishes it without re-running Ad-KMN.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -50,7 +49,6 @@ pub mod client;
 pub mod clock;
 pub mod codec;
 pub mod concurrent;
-pub mod cover_log;
 pub mod fault;
 pub mod ingest;
 pub mod link;

@@ -511,20 +511,20 @@ fn window_cover(id: u64, tuples: &[RawTuple]) -> enviro_meter::ModelCover {
     CoverBuilder::new(AdKmnConfig::default()).build(&window, Pollutant::Co2)
 }
 
-/// The release rule racing a late write: window 0 is old but still open
+/// The seal rule racing a late write: window 0 is old but still open
 /// when an `ingest` into it races a maintenance pass that publishes it
 /// and then seals it (seal lag 1, newest window 2). The write lands before
 /// the pass takes the dirty set, between that and the seal (window 0 is
-/// sealed while dirty and must stay resident), or after the seal (a late
-/// tuple, dropped). In every interleaving, after one more pass, no
-/// released window is dirty and each window's published cover equals a
-/// fresh build over that window's tuples as `tuples()` reads them back,
-/// from disk for a released window.
+/// dirty at the seal and must wait for the next pass), or after the seal
+/// (a late tuple, dropped). In every interleaving, after one more pass,
+/// window 0 is sealed, nothing is dirty, and each window's published cover
+/// equals a fresh build over that window's tuples as `tuples()` reads them
+/// back, from disk for a sealed window.
 #[test]
-fn released_windows_keep_their_final_cover() {
+fn sealed_windows_keep_their_final_cover() {
     let round = AtomicU64::new(0);
-    let report = enviro_schedule::explore("release-vs-late-ingest", move || {
-        let dir = fresh_dir("release", round.fetch_add(1, Ordering::Relaxed));
+    let report = enviro_schedule::explore("seal-vs-late-ingest", move || {
+        let dir = fresh_dir("seal", round.fetch_add(1, Ordering::Relaxed));
         let state = Arc::new(open_state(&dir));
         state
             .ingest(1, 1, &level_tuples(0, 100.0))

@@ -15,9 +15,11 @@
 //!
 //! Segment files (`seg-00000000.log`, `seg-00000001.log`, …) hold the
 //! write-ahead log and the sealed windows. Each starts with a 16-byte
-//! header and holds a sequence of *batches*:
-//! `[u32 payload_len][u32 crc32(payload)][payload]`, where the payload is a
-//! packed run of fixed 32-byte records `(i64 time, f64 x, f64 y, f64 s)`.
+//! header and holds a sequence of *frames*:
+//! `[u32 payload_len][u32 crc32(payload)][payload]`. A WAL frame's payload
+//! is a batch: a packed run of fixed 32-byte records `(i64 time, f64 x,
+//! f64 y, f64 s)`. A sealed window's file is one such batch, then a cover
+//! frame whose payload belongs to the store's owner.
 //!
 //! ```
 //! use enviro_data::{Dataset, Pollutant, RawTuple, Timestamp};

@@ -6,10 +6,10 @@
 //! many clean bytes precede it, letting the store truncate torn tails on
 //! recovery.
 //!
-//! The framing is payload-agnostic ([`encode_frame`], [`read_frames`]): the
-//! WAL and the sealed windows frame batches of tuple records
-//! ([`SegmentWriter::append_batch`], [`read_segment`]), and the ingest
-//! path's cover log frames one encoded cover per frame.
+//! The framing is payload-agnostic (`encode_frame`, `read_frames`): the
+//! WAL frames batches of tuple records ([`SegmentWriter::append_batch`],
+//! [`read_segment`]), and a sealed window's file frames its tuples, then
+//! the cover its owner stored beside them.
 
 use crate::crc::crc32;
 use crate::record::{decode_batch, encode_records, RECORD_SIZE};
@@ -107,14 +107,8 @@ impl SegmentWriter {
         }
         let mut frame = Vec::with_capacity(FRAME_HEADER_SIZE + tuples.len() * RECORD_SIZE);
         encode_frame(&mut frame, |payload| encode_records(tuples, payload));
-        self.append_frames(&frame)
-    }
-
-    /// Appends `frames`, one or more whole frames built by
-    /// [`encode_frame`], in one write.
-    pub fn append_frames(&mut self, frames: &[u8]) -> io::Result<()> {
-        self.file.write_all(frames)?;
-        self.len += frames.len() as u64;
+        self.file.write_all(&frame)?;
+        self.len += frame.len() as u64;
         Ok(())
     }
 
@@ -126,14 +120,14 @@ impl SegmentWriter {
 }
 
 /// The header opening segment `seq`.
-pub fn encode_header(seq: u32) -> Vec<u8> {
+pub(crate) fn encode_header(seq: u32) -> Vec<u8> {
     [&MAGIC[..], &VERSION.to_le_bytes(), &seq.to_le_bytes()].concat()
 }
 
 /// Appends one frame to `out`: a placeholder header, the payload that
 /// `encode` appends, then the header patched in place once the payload's
 /// length and CRC are known.
-pub fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+pub(crate) fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0; FRAME_HEADER_SIZE]);
     encode(out);
@@ -144,7 +138,7 @@ pub fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
 
 /// Where a scan of a segment's frames stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameScan {
+pub(crate) struct FrameScan {
     /// Sequence number from the header.
     pub seq: u32,
     /// Bytes of clean data (header + intact, accepted frames). Anything
@@ -161,7 +155,10 @@ pub struct FrameScan {
 /// *expected* after a crash and end the scan, reported via
 /// `clean_len`/`truncated_tail`. A payload that `accept` rejects (its CRC
 /// held, but it does not decode) ends the scan the same way.
-pub fn read_frames(path: &Path, mut accept: impl FnMut(&[u8]) -> bool) -> io::Result<FrameScan> {
+pub(crate) fn read_frames(
+    path: &Path,
+    mut accept: impl FnMut(&[u8]) -> bool,
+) -> io::Result<FrameScan> {
     let mut file = File::open(path)?;
     let mut data = Vec::new();
     file.read_to_end(&mut data)?;
@@ -226,7 +223,7 @@ pub struct SegmentContents {
     pub truncated_tail: bool,
 }
 
-/// Reads and verifies a segment of tuple batches: [`read_frames`] with
+/// Reads and verifies a segment of tuple batches: `read_frames` with
 /// every payload decoded as a run of records.
 pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
     let mut tuples = Vec::new();

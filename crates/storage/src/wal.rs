@@ -10,26 +10,25 @@
 //! * accepted tuples also land in an in-memory **memtable per epoch-aligned
 //!   window** `W_c` (the paper's model-building unit), in arrival order;
 //! * once a window falls behind the ingest watermark it is **sealed**: its
-//!   memtable is written whole to a time-partitioned segment under
-//!   `windows/`, committed by an atomic rename, and every WAL segment left
-//!   holding only sealed windows is **retired** (deleted), so the log holds
-//!   what is still open and nothing is rewritten;
-//! * a sealed window's tuples stay **resident** until the owner
-//!   [releases](WalStore::release_sealed) them (the ingest path does so
-//!   once the window's final cover is published). From then on only its
-//!   tuple count stays in memory: the immutable segment is the one copy,
-//!   and [`WalStore::tuples`] reads it back on demand with the checks
-//!   recovery applies, so raw history lives on disk, not in memory;
-//! * **recovery** reads and checks every sealed window's segment but keeps
-//!   only its tuple count: every sealed window opens released, and the
-//!   owner [reloads](WalStore::reload_sealed) the ones it needs. It then
-//!   replays every WAL segment in order, truncating a torn tail on the
-//!   final segment only (the expected crash shape) and skipping tuples
+//!   memtable is written whole to the window's own file under `windows/`,
+//!   `header ++ tuple frame ++ cover frame`, committed by an atomic rename,
+//!   and every WAL segment left holding only sealed windows is **retired**
+//!   (deleted), so the log holds what is still open and nothing is
+//!   rewritten. The cover frame is the owner's, opaque to the store (the
+//!   ingest path puts the window's final model cover there); a window
+//!   sealed without one has a tuple frame only;
+//! * a sealed window leaves memory at the seal: only its tuple count stays,
+//!   the file is the one copy, and [`WalStore::tuples`] reads it back on
+//!   demand with the checks recovery applies;
+//! * **recovery** reads each window file once, keeping its tuple count and
+//!   handing the owner its cover frame ([`WalStore::take_covers`]). It
+//!   then replays every WAL segment in order, truncating a torn tail on
+//!   the final segment only (the expected crash shape) and skipping tuples
 //!   whose window is already sealed.
 //!
 //! Tuples that arrive for an already-sealed window are *late* under the
 //! watermark semantics: they are acknowledged, counted, and dropped, so a
-//! sealed window's model cover is immutable once published.
+//! sealed window's tuples, and the cover built over them, never change.
 //!
 //! The window length is fixed when the store is created and recorded in
 //! `WINDOW_SECS`: replaying the WAL under another length would file tuples
@@ -40,25 +39,23 @@
 //!
 //! ```text
 //! <dir>/WINDOW_SECS               window length, written on creation
-//! <dir>/STORE_ID                  random store identity, written on creation
 //! <dir>/wal/seg-00000000.log      append-only log segments, oldest first
-//! <dir>/windows/seg-00000007.log  sealed window 7, committed by rename
+//! <dir>/windows/seg-00000007.log  sealed window 7: tuples, then its cover
 //! ```
 //!
 //! The live files are the ones that are there; no list sits beside them
 //! (the `MANIFEST`s of stores written by earlier builds go on their first
 //! [`WalStore::open`]).
 
-use crate::record::encode_records;
+use crate::record::{decode_batch, encode_records, RECORD_SIZE};
 use crate::segment::{
-    encode_frame, encode_header, parse_segment_file_name, read_segment, segment_file_name,
-    sync_dir, SegmentWriter, HEADER_SIZE,
+    encode_frame, encode_header, parse_segment_file_name, read_frames, read_segment,
+    segment_file_name, sync_dir, SegmentWriter, HEADER_SIZE,
 };
 use enviro_data::{RawTuple, Timestamp};
 use enviro_memsize::DeepSize;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::BuildHasher as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -191,57 +188,21 @@ impl WalSegment {
     }
 }
 
-/// One sealed window's record.
-#[derive(Debug)]
-struct SealedWindow {
-    /// Tuples in the window's `windows/` segment.
-    len: usize,
-    /// The tuples in arrival order while they are resident; `None` once
-    /// [`WalStore::release_sealed`] dropped them and the segment is the
-    /// only copy.
-    resident: Option<Vec<RawTuple>>,
-}
-
-/// A released sealed window's segment, to be read back with
-/// [`ReleasedWindow::read`] (which needs no access to the store, so a
-/// caller can read it after releasing whatever lock guards the store).
-#[derive(Debug, Clone)]
-pub struct ReleasedWindow {
-    path: PathBuf,
-    len: usize,
-}
-
-impl ReleasedWindow {
-    /// Reads the window's tuples, in arrival order, with the checks
-    /// [`WalStore::open`] applies: a segment that fails them, or holds
-    /// another tuple count than was sealed, is a
-    /// [`StorageError::InvalidSegment`].
-    pub fn read(&self) -> Result<Vec<RawTuple>, StorageError> {
-        let tuples = read_sealed_segment(&self.path)?;
-        if tuples.len() != self.len {
-            let reason = format!("holds {} tuples, {} were sealed", tuples.len(), self.len);
-            return Err(invalid(&self.path, reason));
-        }
-        Ok(tuples)
-    }
-}
-
 /// A durable, crash-recoverable raw-tuple store: WAL + per-window memtables
-/// + sealed window segments. See the module docs for the protocol.
+/// + sealed window files. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct WalStore {
     dir: PathBuf,
     config: WalConfig,
-    /// Random identity recorded in `STORE_ID` when the store was created.
-    store_id: u64,
     writer: SegmentWriter,
     /// Every live WAL segment, active one last.
     wal_segments: Vec<WalSegment>,
     /// Open windows: id → tuples in arrival order.
     memtables: BTreeMap<u64, Vec<RawTuple>>,
-    /// Sealed windows: id → tuple count, plus the tuples until they are
-    /// released (the durable copy lives under `windows/`).
-    sealed: BTreeMap<u64, SealedWindow>,
+    /// Sealed windows: id → tuple count (the tuples live under `windows/`).
+    sealed: BTreeMap<u64, usize>,
+    /// The intact cover frames read at open, until [`Self::take_covers`].
+    covers: BTreeMap<u64, Vec<u8>>,
     durable_tuples: u64,
     late_tuples: u64,
     rejected_tuples: u64,
@@ -253,11 +214,12 @@ pub struct WalStore {
 impl WalStore {
     /// Opens (or creates) a WAL store in `dir`, running recovery.
     ///
-    /// Sealed window segments must be fully intact (synced before the rename
-    /// that commits them, so a torn one is real corruption); a torn tail is
-    /// tolerated — and truncated — on the *final* WAL segment only.
-    /// Every sealed window opens released: its segment is read and checked,
-    /// and only its tuple count stays in memory.
+    /// Each sealed window's file is read once: its tuple frame must be
+    /// intact (the file was synced before the rename that committed it, so
+    /// a torn one is real corruption) and only its tuple count stays in
+    /// memory; its cover frame, when intact, waits for
+    /// [`Self::take_covers`]. A torn tail is tolerated — and truncated — on
+    /// the *final* WAL segment only.
     /// A store created with another `window_secs` is refused with
     /// [`StorageError::WindowMismatch`].
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self, StorageError> {
@@ -276,19 +238,24 @@ impl WalStore {
         std::fs::create_dir_all(&wal_dir)?;
         std::fs::create_dir_all(&windows_dir)?;
         check_window_record(&dir, config.window_secs)?;
-        let store_id = store_identity(&dir)?;
         upgrade_manifest_store(&wal_dir, &windows_dir)?;
 
         // 1. Sealed windows: every segment under windows/. A seal cut short
         //    leaves `seg-N.log.tmp`, no segment name: window N is still open.
-        let mut sealed = BTreeMap::new();
+        let (mut sealed, mut covers) = (BTreeMap::new(), BTreeMap::new());
         for seq in discover_segments(&windows_dir)? {
-            let tuples = read_sealed_segment(&windows_dir.join(segment_file_name(seq)))?;
-            let window = SealedWindow {
-                len: tuples.len(),
-                resident: None,
+            let path = windows_dir.join(segment_file_name(seq));
+            let count = |payload: &[u8]| {
+                payload
+                    .len()
+                    .is_multiple_of(RECORD_SIZE)
+                    .then_some(payload.len() / RECORD_SIZE)
             };
-            sealed.insert(u64::from(seq), window);
+            let (len, cover) = read_window(&path, count)?;
+            sealed.insert(u64::from(seq), len);
+            if let Some(cover) = cover {
+                covers.insert(u64::from(seq), cover);
+            }
         }
 
         // 2. WAL replay, every segment in seq order.
@@ -344,11 +311,11 @@ impl WalStore {
         let mut store = Self {
             dir,
             config,
-            store_id,
             writer,
             wal_segments,
             memtables,
             sealed,
+            covers,
             durable_tuples: 0,
             late_tuples: 0,
             rejected_tuples: 0,
@@ -363,13 +330,6 @@ impl WalStore {
     /// The store's configuration.
     pub fn config(&self) -> WalConfig {
         self.config
-    }
-
-    /// The store's identity: random, recorded in `STORE_ID` when the store
-    /// was created, and kept by a copy of the whole directory. Data derived
-    /// from one store can check it was not derived from another.
-    pub fn store_id(&self) -> u64 {
-        self.store_id
     }
 
     /// The window id `c` that a timestamp maps to.
@@ -450,10 +410,7 @@ impl WalStore {
     /// database in one read. `Dataset::from_tuples` sorts it stably by
     /// time, so equal timestamps keep their arrival order.
     ///
-    /// Released windows are read back from their `windows/` segments with
-    /// the checks [`Self::open`] applies; a segment that fails them, or
-    /// holds another tuple count than was sealed, is a
-    /// [`StorageError::InvalidSegment`].
+    /// Sealed windows are read back with [`Self::read_sealed`].
     pub fn tuples(&self) -> Result<Vec<RawTuple>, StorageError> {
         let mut ids: Vec<u64> = self
             .memtables
@@ -464,13 +421,39 @@ impl WalStore {
         ids.sort_unstable();
         let mut out = Vec::with_capacity(self.retained_tuples() as usize);
         for id in ids {
-            if let Some(tuples) = self.window_tuples(id) {
-                out.extend_from_slice(tuples);
-            } else if let Some(released) = self.released_window(id) {
-                out.extend(released.read()?);
+            match self.memtables.get(&id) {
+                Some(tuples) => out.extend_from_slice(tuples),
+                None => out.extend(self.read_sealed(id)?),
             }
         }
         Ok(out)
+    }
+
+    /// Reads sealed window `id`'s tuples back from its file, in arrival
+    /// order, with the checks [`Self::open`] applies: a file that fails
+    /// them, or holds another tuple count than was sealed, is a
+    /// [`StorageError::InvalidSegment`]. A window that is not sealed reads
+    /// empty.
+    pub fn read_sealed(&self, id: u64) -> Result<Vec<RawTuple>, StorageError> {
+        let (Some(&len), Ok(seq)) = (self.sealed.get(&id), u32::try_from(id)) else {
+            return Ok(Vec::new());
+        };
+        let path = self.dir.join(WINDOWS_DIR).join(segment_file_name(seq));
+        let (tuples, _) = read_window(&path, decode_batch)?;
+        if tuples.len() != len {
+            let reason = format!("holds {} tuples, {len} were sealed", tuples.len());
+            return Err(invalid(&path, reason));
+        }
+        Ok(tuples)
+    }
+
+    /// Hands over the cover frame of each sealed window whose file held an
+    /// intact one at [`Self::open`], by window id. The frames are the
+    /// owner's bytes, as [`Self::seal_with_covers`] wrote them; a window
+    /// missing here has none (sealed by [`Self::seal_windows_before`], or
+    /// its cover frame is torn). Later calls return nothing.
+    pub fn take_covers(&mut self) -> BTreeMap<u64, Vec<u8>> {
+        std::mem::take(&mut self.covers)
     }
 
     /// Ids of sealed windows, lowest first.
@@ -486,44 +469,14 @@ impl WalStore {
     /// The tuple count sealed window `id` was sealed with; `None` for a
     /// window that is not sealed.
     pub fn sealed_len(&self, id: u64) -> Option<usize> {
-        self.sealed.get(&id).map(|w| w.len)
+        self.sealed.get(&id).copied()
     }
 
-    /// Where to read sealed window `id` back from once it is released;
-    /// `None` for a window that is open, resident or not sealed.
-    pub fn released_window(&self, id: u64) -> Option<ReleasedWindow> {
-        let window = self.sealed.get(&id)?;
-        // A sealed window's id names its segment, so it fits a seq.
-        let seq = u32::try_from(id).ok()?;
-        window.resident.is_none().then(|| ReleasedWindow {
-            path: self.dir.join(WINDOWS_DIR).join(segment_file_name(seq)),
-            len: window.len,
-        })
-    }
-
-    /// Makes released window `id` resident again, read back from its
-    /// segment with the checks [`Self::tuples`] applies. A no-op for a
-    /// window that is not released.
-    pub fn reload_sealed(&mut self, id: u64) -> Result<(), StorageError> {
-        let Some(released) = self.released_window(id) else {
-            return Ok(());
-        };
-        let tuples = released.read()?;
-        if let Some(window) = self.sealed.get_mut(&id) {
-            window.resident = Some(tuples);
-        }
-        Ok(())
-    }
-
-    /// The tuples of window `id`, in arrival order, while they are
-    /// resident: an open window, or a sealed one not yet released. `None`
-    /// for a released window (read it back through [`Self::tuples`]) and
-    /// for a window with no data.
+    /// The tuples of open window `id`, in arrival order; `None` for a
+    /// sealed window (read it back with [`Self::read_sealed`]) and for a
+    /// window with no data.
     pub fn window_tuples(&self, id: u64) -> Option<&[RawTuple]> {
-        match self.memtables.get(&id) {
-            Some(mem) => Some(mem),
-            None => self.sealed.get(&id)?.resident.as_deref(),
-        }
+        self.memtables.get(&id).map(Vec::as_slice)
     }
 
     /// The highest window id with any data, open or sealed.
@@ -533,50 +486,35 @@ impl WalStore {
         open.max(sealed)
     }
 
-    /// Seals every open window with `id < watermark`, then retires every
-    /// WAL segment left holding only sealed windows. Returns the sealed ids.
-    ///
-    /// Sealing one window costs two file and two directory fsyncs: rolling
-    /// the active segment, and committing the window's segment.
+    /// Seals every open window with `id < watermark`, each with a tuple
+    /// frame only, then retires every WAL segment left holding only sealed
+    /// windows. Returns the sealed ids. See [`Self::seal_with_covers`] for
+    /// the steps.
     pub fn seal_windows_before(&mut self, watermark: u64) -> Result<Vec<u64>, StorageError> {
-        let ids: Vec<u64> = self
-            .memtables
-            .range(..watermark)
-            .map(|(&id, _)| id)
-            .collect();
-        if ids.is_empty() {
-            return Ok(ids);
-        }
-        // Model-checker schedule point: sealing + retirement is the other
-        // mutating I/O boundary the maintenance pass crosses.
-        enviro_schedule::point("wal-seal");
-        // A fresh active segment leaves every frame written so far in a
-        // segment that retires once its windows are sealed.
-        if !self.writer.is_empty() {
-            self.rotate_wal()?;
-        }
-        for &id in &ids {
-            self.seal_one(id)?;
-        }
-        self.retire_wal_segments()?;
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        Ok(ids)
+        let windows = self.memtables.range(..watermark);
+        let windows = windows.map(|(&id, _)| (id, None)).collect();
+        self.write_windows(windows)
     }
 
-    /// Drops the resident tuples of every sealed window for which `keep`
-    /// is `false`, keeping its tuple count: from then on its `windows/`
-    /// segment is the only copy. Counts, [`Self::durable_upto`] and
-    /// [`Self::stats`] do not change. Returns the ids released, lowest
-    /// first.
-    pub fn release_sealed(&mut self, mut keep: impl FnMut(u64) -> bool) -> Vec<u64> {
-        let mut released = Vec::new();
-        for (&id, window) in &mut self.sealed {
-            if window.resident.is_some() && !keep(id) {
-                window.resident = None;
-                released.push(id);
-            }
-        }
-        released
+    /// Writes each listed window's file as `header ++ tuple frame ++ cover
+    /// frame`, the cover frame holding the given bytes. An open window is
+    /// sealed by this; a sealed one has its file rewritten with the tuples
+    /// it holds, as an owner does once it has rebuilt a cover the file
+    /// lacked. Ids that name no window are skipped. Returns the ids sealed.
+    ///
+    /// The steps, each finished before the next begins: roll the active
+    /// WAL segment (when a window is sealed), so the frames written so far
+    /// can retire; write and fsync every file under a `.tmp` name; rename
+    /// them all into place, each rename committing its window; fsync
+    /// `windows/` once; retire the WAL segments left holding sealed
+    /// windows only. A crash anywhere leaves each window either open, with
+    /// its tuples in the WAL, or sealed.
+    pub fn seal_with_covers(
+        &mut self,
+        covers: Vec<(u64, Vec<u8>)>,
+    ) -> Result<Vec<u64>, StorageError> {
+        let windows = covers.into_iter().map(|(id, c)| (id, Some(c))).collect();
+        self.write_windows(windows)
     }
 
     /// Store statistics.
@@ -586,7 +524,7 @@ impl WalStore {
             memtable_windows: self.memtables.len(),
             memtable_tuples: self.memtables.values().map(Vec::len).sum(),
             sealed_windows: self.sealed.len(),
-            sealed_tuples: self.sealed.values().map(|w| w.len).sum(),
+            sealed_tuples: self.sealed.values().sum(),
             wal_segments: self.wal_segments.len(),
             wal_bytes: self.wal_segments.iter().map(|s| s.bytes).sum(),
             late_tuples: self.late_tuples,
@@ -603,7 +541,7 @@ impl WalStore {
     ///   the last one, at its recorded length;
     /// * no window is both open and sealed;
     /// * every memtable tuple is finite and maps back to its window id;
-    /// * every resident sealed window holds its recorded tuple count;
+    /// * only sealed windows have a cover frame waiting;
     /// * `durable_upto` equals the open tuples plus the sealed counts.
     pub fn check_invariants(&self) -> Result<(), String> {
         let Some(last) = self.wal_segments.last() else {
@@ -640,16 +578,10 @@ impl WalStore {
                 }
             }
         }
-        for (&id, window) in &self.sealed {
-            if let Some(tuples) = &window.resident {
-                if tuples.len() != window.len {
-                    return Err(format!(
-                        "sealed window {id} holds {} tuples, {} recorded",
-                        tuples.len(),
-                        window.len
-                    ));
-                }
-            }
+        if let Some(id) = self.covers.keys().find(|id| !self.sealed.contains_key(id)) {
+            return Err(format!(
+                "cover frame waiting for window {id}, which is not sealed"
+            ));
         }
         let retained = self.retained_tuples();
         if retained != self.durable_tuples {
@@ -664,7 +596,7 @@ impl WalStore {
     /// Open tuples plus the sealed windows' counts.
     fn retained_tuples(&self) -> u64 {
         let open: usize = self.memtables.values().map(Vec::len).sum();
-        let sealed: usize = self.sealed.values().map(|w| w.len).sum();
+        let sealed: usize = self.sealed.values().sum();
         (open + sealed) as u64
     }
 
@@ -674,33 +606,70 @@ impl WalStore {
         t.is_finite() && t.time.as_secs() >= 0 && self.window_id_of(t.time) <= u64::from(u32::MAX)
     }
 
-    /// Commits window `id`'s memtable as its `windows/` segment — written
-    /// whole under a temporary name, fsynced, renamed into place, directory
-    /// fsynced — and moves it to the sealed map, resident. The WAL still
-    /// holds the tuples until [`Self::retire_wal_segments`].
-    fn seal_one(&mut self, id: u64) -> Result<(), StorageError> {
-        let windows_dir = self.dir.join(WINDOWS_DIR);
-        let reason = || format!("window id {id} exceeds the segment naming range");
-        let seq = u32::try_from(id).map_err(|_| invalid(&windows_dir, reason()))?;
-        let Some(mem) = self.memtables.get(&id) else {
-            return Ok(());
-        };
-        let mut bytes = encode_header(seq);
-        encode_frame(&mut bytes, |payload| encode_records(mem, payload));
-        write_atomic(&windows_dir, &segment_file_name(seq), &bytes)?;
-        if let Some(mem) = self.memtables.remove(&id) {
-            let window = SealedWindow {
-                len: mem.len(),
-                resident: Some(mem),
-            };
-            self.sealed.insert(id, window);
+    /// Writes each window's file with its cover frame, if it has one, in
+    /// the steps [`Self::seal_with_covers`] lists. Each window's bytes are
+    /// built and written one at a time, so the pass holds one file in
+    /// memory however many windows it seals.
+    fn write_windows(
+        &mut self,
+        windows: Vec<(u64, Option<Vec<u8>>)>,
+    ) -> Result<Vec<u64>, StorageError> {
+        if windows.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(())
+        // Model-checker schedule point: sealing + retirement is the other
+        // mutating I/O boundary the maintenance pass crosses.
+        enviro_schedule::point("wal-seal");
+        // A fresh active segment leaves every frame written so far in a
+        // segment that retires once its windows are sealed.
+        let seals = windows
+            .iter()
+            .any(|(id, _)| self.memtables.contains_key(id));
+        if seals && !self.writer.is_empty() {
+            self.rotate_wal()?;
+        }
+        let windows_dir = self.dir.join(WINDOWS_DIR);
+        let mut staged = Vec::with_capacity(windows.len());
+        for (id, cover) in windows {
+            let read_back;
+            let tuples = match self.memtables.get(&id) {
+                Some(mem) => mem.as_slice(),
+                None if self.is_sealed(id) => {
+                    read_back = self.read_sealed(id)?;
+                    &read_back
+                }
+                None => continue,
+            };
+            let reason = || format!("window id {id} exceeds the segment naming range");
+            let seq = u32::try_from(id).map_err(|_| invalid(&windows_dir, reason()))?;
+            let mut bytes = encode_header(seq);
+            encode_frame(&mut bytes, |payload| encode_records(tuples, payload));
+            if let Some(cover) = &cover {
+                encode_frame(&mut bytes, |payload| payload.extend_from_slice(cover));
+            }
+            write_synced(&windows_dir.join(tmp_file_name(seq)), &bytes)?;
+            staged.push((id, seq));
+        }
+        let mut sealed = Vec::new();
+        for (id, seq) in staged {
+            let name = segment_file_name(seq);
+            std::fs::rename(windows_dir.join(tmp_file_name(seq)), windows_dir.join(name))?;
+            if let Some(mem) = self.memtables.remove(&id) {
+                self.sealed.insert(id, mem.len());
+                sealed.push(id);
+            }
+        }
+        // One directory sync makes every rename above durable; only then
+        // may the WAL copies of the sealed tuples go.
+        sync_dir(&windows_dir)?;
+        self.retire_wal_segments()?;
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        Ok(sealed)
     }
 
     /// Deletes every WAL segment but the active one whose window range
     /// holds no open window: each of its tuples is in a sealed window's
-    /// segment, committed before this runs. The unlinks need no fsync: a
+    /// file, committed before this runs. The unlinks need no fsync: a
     /// retired segment that survives a crash replays into sealed windows
     /// only, and replay skips those.
     fn retire_wal_segments(&mut self) -> Result<(), StorageError> {
@@ -741,12 +710,14 @@ impl DeepSize for WalStore {
             .values()
             .map(|w| std::mem::size_of::<(u64, Vec<RawTuple>)>() + w.heap_size())
             .sum();
-        let sealed: usize = self
-            .sealed
+        let sealed = self.sealed.len() * std::mem::size_of::<(u64, usize)>();
+        let covers: usize = self
+            .covers
             .values()
-            .map(|w| std::mem::size_of::<(u64, SealedWindow)>() + w.resident.heap_size())
+            .map(|c| std::mem::size_of::<(u64, Vec<u8>)>() + c.heap_size())
             .sum();
         open + sealed
+            + covers
             + self.scratch.heap_size()
             + self.wal_segments.capacity() * std::mem::size_of::<WalSegment>()
     }
@@ -757,15 +728,32 @@ fn window_id_of(window_secs: i64, time: Timestamp) -> u64 {
     time.as_secs().div_euclid(window_secs) as u64
 }
 
-/// Reads a sealed window's segment. It must be fully intact: sealed
-/// segments are synced before the rename that commits them, so a torn one
-/// is real corruption.
-fn read_sealed_segment(path: &Path) -> Result<Vec<RawTuple>, StorageError> {
-    let contents = read_segment(path).map_err(|e| invalid(path, e.to_string()))?;
-    if contents.truncated_tail {
-        return Err(invalid(path, "sealed window segment has a torn tail"));
-    }
-    Ok(contents.tuples)
+/// Reads a sealed window's file, `header ++ tuple frame ++ cover frame?`,
+/// returning the tuple frame's payload as `tuples` decodes it and the
+/// cover frame's payload if it is intact. The tuple frame must be intact:
+/// the file was synced before the rename that committed it, so a torn one
+/// is real corruption. A torn or extra frame after it only costs the
+/// cover, which its owner rebuilds.
+fn read_window<T>(
+    path: &Path,
+    mut tuples: impl FnMut(&[u8]) -> Option<T>,
+) -> Result<(T, Option<Vec<u8>>), StorageError> {
+    let (mut decoded, mut cover) = (None, None);
+    let scan = read_frames(path, |payload| {
+        if decoded.is_none() {
+            decoded = tuples(payload);
+            decoded.is_some()
+        } else if cover.is_none() {
+            cover = Some(payload.to_vec());
+            true
+        } else {
+            false
+        }
+    })
+    .map_err(|e| invalid(path, e.to_string()))?;
+    let decoded =
+        decoded.ok_or_else(|| invalid(path, "sealed window has no intact tuple frame"))?;
+    Ok((decoded, cover.filter(|_| !scan.truncated_tail)))
 }
 
 /// Lists the segment seqs present in `dir`, sorted.
@@ -833,8 +821,10 @@ const MANIFEST: &str = "MANIFEST";
 /// Window-length record file name (in the store's root directory).
 const WINDOW_RECORD: &str = "WINDOW_SECS";
 
-/// Store-identity record file name (in the store's root directory).
-const STORE_ID_RECORD: &str = "STORE_ID";
+/// The name a window's file is written under before its rename commits it.
+fn tmp_file_name(seq: u32) -> String {
+    format!("{}.tmp", segment_file_name(seq))
+}
 
 /// Reads `path` as text; `None` if it does not exist.
 fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
@@ -845,15 +835,18 @@ fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
     }
 }
 
+/// Writes `bytes` to a new `path` (replacing any file there) and fsyncs it.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = std::fs::File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_data()
+}
+
 /// Writes `dir/name` atomically (temp file + fsync + rename + directory
 /// fsync).
 fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
     let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
+    write_synced(&tmp, bytes)?;
     std::fs::rename(&tmp, dir.join(name))?;
     sync_dir(dir)?;
     Ok(())
@@ -871,22 +864,6 @@ fn read_manifest(dir: &Path) -> Result<Option<Vec<u32>>, StorageError> {
     };
     let lines = text.lines().map(str::trim).filter(|line| !line.is_empty());
     lines.map(parse).collect::<Result<_, _>>().map(Some)
-}
-
-/// Reads the store's identity, recording a fresh random one (hex) in a store
-/// that has none yet.
-fn store_identity(dir: &Path) -> Result<u64, StorageError> {
-    let path = dir.join(STORE_ID_RECORD);
-    if let Some(text) = read_optional(&path)? {
-        let reason = || format!("bad store id {text:?}");
-        return u64::from_str_radix(text.trim(), 16).map_err(|_| invalid(&path, reason()));
-    }
-    // `RandomState`'s hash keys come from the OS's randomness and differ
-    // on every call; the clock and pid only add to them.
-    let id = std::collections::hash_map::RandomState::new()
-        .hash_one((std::time::SystemTime::now(), std::process::id()));
-    write_atomic(dir, STORE_ID_RECORD, format!("{id:016x}\n").as_bytes())?;
-    Ok(id)
 }
 
 /// Records `window_secs` in a new store, or checks it against the length
@@ -1029,14 +1006,13 @@ mod tests {
         assert_eq!(s.memtable_windows, 1);
         assert_eq!(s.durable_tuples, 100);
         // Sealed data survives a reopen; WAL replay must not double count.
-        // The sealed window opens released, and reloads whole.
+        // The sealed window stays on disk, and reads back whole.
         drop(w);
         let mut w = WalStore::open(&dir, cfg()).unwrap();
         assert_eq!(w.durable_upto(), 100);
         assert!(w.window_tuples(0).is_none());
         assert_eq!(w.sealed_len(0), Some(50));
-        w.reload_sealed(0).unwrap();
-        assert_eq!(w.window_tuples(0).unwrap().len(), 50);
+        assert_eq!(w.read_sealed(0).unwrap().len(), 50);
         assert_eq!(w.window_tuples(1).unwrap().len(), 50);
         assert!(w.is_sealed(0));
         // The segment that holds window 0 also holds open window 1, so it
@@ -1056,98 +1032,112 @@ mod tests {
     }
 
     #[test]
-    fn release_keeps_every_answer_but_the_resident_tuples() {
-        let dir = tempdir("release");
+    fn a_seal_keeps_every_answer_but_the_resident_tuples() {
+        let dir = tempdir("seal-memory");
         let mut w = WalStore::open(&dir, cfg()).unwrap();
         w.append_batch(&[tuple(50, 1.0), tuple(10, 2.0), tuple(H + 5, 3.0)])
             .unwrap();
         w.append_batch(&[tuple(2 * H + 1, 4.0), tuple(H + 9, 5.0)])
             .unwrap();
-        w.seal_windows_before(2).unwrap();
         let tuples = w.tuples().unwrap();
-        let stats = w.stats();
         let resident = w.deep_size_of();
-        // Window 1 is kept, window 0 released: twice is a no-op.
-        assert_eq!(w.release_sealed(|id| id == 1), [0]);
-        assert_eq!(w.release_sealed(|id| id == 1), []);
-        assert!(w.window_tuples(0).is_none());
+        assert_eq!(w.seal_windows_before(2).unwrap(), [0, 1]);
+        // The sealed tuples left memory; every answer stays.
+        assert!(w.window_tuples(0).is_none() && w.window_tuples(1).is_none());
         assert_eq!(
-            w.window_tuples(1),
-            Some(&[tuple(H + 5, 3.0), tuple(H + 9, 5.0)][..])
+            w.read_sealed(1).unwrap(),
+            [tuple(H + 5, 3.0), tuple(H + 9, 5.0)]
         );
         assert_eq!(w.tuples().unwrap(), tuples);
-        assert_eq!(w.stats(), stats);
         assert_eq!(w.durable_upto(), 5);
+        assert_eq!(w.stats().sealed_tuples, 4);
         assert!(w.is_sealed(0) && w.is_sealed(1) && !w.is_sealed(2));
         assert_eq!(w.sealed_window_ids(), [0, 1]);
         assert_eq!(w.max_window_id(), Some(2));
-        assert!(w.deep_size_of() <= resident - 2 * std::mem::size_of::<RawTuple>());
+        assert!(w.deep_size_of() <= resident - 4 * std::mem::size_of::<RawTuple>());
         assert_eq!(w.check_invariants(), Ok(()));
-        // A released window is still sealed: its late tuples are dropped.
+        // A sealed window's late tuples are dropped.
         assert_eq!(w.append_batch(&[tuple(20, 9.0)]).unwrap(), 5);
         assert_eq!(w.stats().late_tuples, 1);
+        // An open window, or one with no data, has nothing to read back.
+        assert!(w.read_sealed(2).unwrap().is_empty());
         drop(w);
         let w = WalStore::open(&dir, cfg()).unwrap();
         assert_eq!(w.tuples().unwrap(), tuples);
         assert_eq!(w.durable_upto(), 5);
-        assert_eq!(w.stats().sealed_tuples, stats.sealed_tuples);
+        assert_eq!(w.sealed_len(0), Some(2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The offset of a sealed window file's cover frame: after the header
+    /// and the tuple frame of `len` tuples.
+    fn cover_frame_at(len: usize) -> usize {
+        HEADER_SIZE + 8 + len * RECORD_SIZE
+    }
+
     #[test]
-    fn open_releases_sealed_windows_and_reload_reads_them_back() {
-        let dir = tempdir("open-released");
+    fn a_window_file_carries_its_cover_frame_across_a_restart() {
+        let dir = tempdir("cover-frame");
         let mut w = WalStore::open(&dir, cfg()).unwrap();
-        w.append_batch(&[tuple(50, 1.0), tuple(10, 2.0), tuple(H + 5, 3.0)])
+        w.append_batch(&[tuple(10, 1.0), tuple(H + 5, 2.0), tuple(2 * H + 1, 3.0)])
             .unwrap();
-        w.seal_windows_before(1).unwrap();
+        assert!(w.take_covers().is_empty(), "a new store has no covers");
+        assert_eq!(w.seal_windows_before(1).unwrap(), [0]);
+        let covers = vec![(1, b"cover 1".to_vec()), (7, b"no window".to_vec())];
+        assert_eq!(w.seal_with_covers(covers).unwrap(), [1]);
         let tuples = w.tuples().unwrap();
         drop(w);
-        let mut w = WalStore::open(&dir, cfg()).unwrap();
-        let resident = w.deep_size_of();
-        assert!(w.window_tuples(0).is_none());
-        assert!(w.released_window(1).is_none(), "window 1 is open");
-        let released = w.released_window(0).expect("sealed windows open released");
-        assert_eq!(released.read().unwrap(), [tuple(50, 1.0), tuple(10, 2.0)]);
-        assert_eq!(w.tuples().unwrap(), tuples);
-        w.reload_sealed(0).unwrap();
+        let seg = |id: u32| dir.join("windows").join(segment_file_name(id));
         assert_eq!(
-            w.window_tuples(0),
-            Some(&[tuple(50, 1.0), tuple(10, 2.0)][..])
+            std::fs::read(seg(1)).unwrap().len(),
+            cover_frame_at(1) + 8 + 7
         );
-        assert!(w.released_window(0).is_none());
-        assert!(w.deep_size_of() >= resident + 2 * std::mem::size_of::<RawTuple>());
-        // Reloading a resident or an open window changes nothing.
-        w.reload_sealed(0).unwrap();
-        w.reload_sealed(1).unwrap();
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        // Window 0 was sealed without a cover frame.
+        let got = w.take_covers();
+        assert_eq!(
+            got.into_iter().collect::<Vec<_>>(),
+            [(1, b"cover 1".to_vec())]
+        );
+        assert!(w.take_covers().is_empty(), "handed over once");
+        // Writing a cover back rewrites a sealed window's file around the
+        // same tuples, and seals nothing.
+        assert!(w
+            .seal_with_covers(vec![(0, b"cover 0".to_vec())])
+            .unwrap()
+            .is_empty());
         assert_eq!(w.tuples().unwrap(), tuples);
-        assert_eq!(w.check_invariants(), Ok(()));
-        assert_eq!(w.release_sealed(|_| false), [0]);
+        assert!(!dir.join("windows").join(tmp_file_name(0)).exists());
+        drop(w);
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        assert_eq!(w.take_covers().len(), 2);
+        drop(w);
+        // A torn cover frame costs the cover only; a torn tuple frame
+        // fails the open.
+        let clean = std::fs::read(seg(1)).unwrap();
+        let mut torn = clean.clone();
+        let last = torn.len() - 1;
+        torn[last] ^= 0x10;
+        std::fs::write(seg(1), &torn).unwrap();
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        assert_eq!(w.take_covers().keys().copied().collect::<Vec<_>>(), [0]);
+        assert_eq!(w.tuples().unwrap(), tuples);
+        drop(w);
+        let mut torn = clean;
+        torn[cover_frame_at(1) - 1] ^= 0x10;
+        std::fs::write(seg(1), &torn).unwrap();
+        let reason = invalid_segment_reason(WalStore::open(&dir, cfg()));
+        assert!(reason.contains("no intact tuple frame"), "{reason}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn store_id_is_recorded_once_and_differs_between_stores() {
-        let (a, b) = (tempdir("store-id-a"), tempdir("store-id-b"));
-        let first = WalStore::open(&a, cfg()).unwrap().store_id();
-        assert_eq!(WalStore::open(&a, cfg()).unwrap().store_id(), first);
-        assert_ne!(WalStore::open(&b, cfg()).unwrap().store_id(), first);
-        std::fs::write(a.join("STORE_ID"), "00000000000000ff\n").unwrap();
-        assert_eq!(WalStore::open(&a, cfg()).unwrap().store_id(), 0xff);
-        std::fs::write(a.join("STORE_ID"), "not hex").unwrap();
-        assert!(invalid_segment_reason(WalStore::open(&a, cfg())).contains("store id"));
-        std::fs::remove_dir_all(&a).unwrap();
-        std::fs::remove_dir_all(&b).unwrap();
-    }
-
-    #[test]
-    fn corrupt_released_segment_fails_the_read_back() {
-        let dir = tempdir("release-corrupt");
+    fn corrupt_sealed_window_fails_the_read_back() {
+        let dir = tempdir("sealed-corrupt");
         let mut w = WalStore::open(&dir, cfg()).unwrap();
         w.append_batch(&[tuple(10, 1.0), tuple(20, 2.0), tuple(H + 1, 3.0)])
             .unwrap();
         w.seal_windows_before(1).unwrap();
-        w.release_sealed(|_| false);
         let seg = dir.join("windows").join(segment_file_name(0));
         let clean = std::fs::read(&seg).unwrap();
         // A flipped payload byte fails the batch CRC.
@@ -1159,10 +1149,12 @@ mod tests {
             Err(StorageError::InvalidSegment { reason, .. }) => reason,
             other => panic!("expected InvalidSegment, got {other:?}"),
         };
-        assert!(reason(w.tuples()).contains("torn tail"));
-        // A segment cut back to its header parses cleanly but has lost the
-        // window's tuples.
-        std::fs::write(&seg, &clean[..HEADER_SIZE]).unwrap();
+        assert!(reason(w.tuples()).contains("no intact tuple frame"));
+        // A tuple frame that reads cleanly but holds another count than
+        // was sealed has lost tuples.
+        let mut short = encode_header(0);
+        encode_frame(&mut short, |out| encode_records(&[tuple(10, 1.0)], out));
+        std::fs::write(&seg, &short).unwrap();
         assert!(reason(w.tuples()).contains("2 were sealed"));
         // A missing one is an error too, never a silently shorter history.
         std::fs::remove_file(&seg).unwrap();
@@ -1185,7 +1177,7 @@ mod tests {
         // advances the watermark by the retained tuple.
         assert_eq!(durable, 2);
         assert_eq!(w.stats().late_tuples, 1);
-        assert_eq!(w.window_tuples(0).unwrap(), &[tuple(10, 1.0)]);
+        assert_eq!(w.read_sealed(0).unwrap(), [tuple(10, 1.0)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -243,7 +243,7 @@ fn kill_at_every_byte_with_sealed_windows() {
     }
     let sealed_exp: BTreeMap<u64, Vec<RawTuple>> = sealed_ids
         .iter()
-        .map(|&id| (id, store.window_tuples(id).unwrap().to_vec()))
+        .map(|&id| (id, store.read_sealed(id).unwrap()))
         .collect();
     drop(store);
 
@@ -269,13 +269,13 @@ fn kill_at_every_byte_with_sealed_windows() {
 
         let store = WalStore::open(&scratch, cfg)
             .unwrap_or_else(|e| panic!("seed {seed:#x}: open failed at kill_at={kill_at}: {e}"));
-        // Sealed windows are untouched by a WAL kill. They open released
-        // and read back from their segments.
+        // Sealed windows are untouched by a WAL kill. They stay on disk
+        // and read back from their files.
         for (&id, tuples) in &sealed_exp {
             assert!(store.is_sealed(id), "seed {seed:#x}: window {id} unsealed");
             assert!(store.window_tuples(id).is_none(), "window {id} resident");
             assert_eq!(
-                store.released_window(id).unwrap().read().unwrap(),
+                store.read_sealed(id).unwrap(),
                 tuples.as_slice(),
                 "seed {seed:#x}, kill_at={kill_at}: sealed window {id} changed"
             );
@@ -332,18 +332,24 @@ fn log_files(dir: &Path) -> Vec<String> {
 }
 
 /// A seal cut short at each of its steps reopens to the same tuples and
-/// `durable_upto`. The seal writes each window's segment under a `.tmp`
-/// name, fsyncs it, renames it into `windows/` and syncs the directory;
-/// only then does it delete the WAL segments left holding sealed windows
-/// only, without a sync. So a crash leaves one of:
+/// `durable_upto`, and each window that reopens sealed hands back its
+/// cover frame. One seal writes and fsyncs every window's file under a
+/// `.tmp` name, renames them all into `windows/`, syncs the directory
+/// once, and only then deletes the WAL segments left holding sealed
+/// windows only, without a sync. So a crash leaves one of:
 ///
-/// * a `.tmp` of any length for the window being written, with every WAL
-///   segment still there: that window reopens open, from the WAL;
-/// * a rename that did not reach the disk: the same;
+/// * `.tmp` files, the last of any length, with every WAL segment still
+///   there: every window reopens open, from the WAL;
+/// * after any of the renames and before the directory sync: any subset
+///   of them on disk (a rename is durable only once its directory is
+///   synced, in no set order). A renamed window reopens sealed; every
+///   other one reopens open, its whole `.tmp` beside it;
 /// * every rename durable, but an unlink lost: the retired segment
 ///   replays into sealed windows only, and nothing counts twice.
 #[test]
 fn kill_at_every_step_of_a_seal() {
+    /// Windows the seal commits.
+    const SEALED: usize = 3;
     let seed = wal_seed() ^ 0x5EA1;
     let mut rng = Rng::new(seed);
     let base = tempdir("seal-steps");
@@ -351,17 +357,14 @@ fn kill_at_every_step_of_a_seal() {
         window_secs: H,
         max_wal_segment_bytes: 256,
     };
-    // Windows 0-1 first, then 2-3: the 256-byte rotation leaves the older
-    // segments holding windows 0-1 only, so the seal retires them.
+    // Windows 0-2 first, then 3-4: the 256-byte rotation leaves the older
+    // segments holding windows 0-2 only, so the seal retires them.
     let mut store = WalStore::open(&base, cfg).unwrap();
-    for phase in 0..2 {
+    for (windows, shift) in [(SEALED as u64, 0), (2, SEALED as i64 * H)] {
         for _ in 0..10 {
-            let batch: Vec<RawTuple> = random_batch(&mut rng, 2)
+            let batch: Vec<RawTuple> = random_batch(&mut rng, windows)
                 .into_iter()
-                .map(|t| {
-                    let time = Timestamp::from_secs(t.time.as_secs() + phase * 2 * H);
-                    RawTuple::new(time, t.pos, t.value)
-                })
+                .map(|t| RawTuple::new(t.time + shift, t.pos, t.value))
                 .collect();
             store.append_batch(&batch).unwrap();
         }
@@ -370,9 +373,12 @@ fn kill_at_every_step_of_a_seal() {
     let durable = store.durable_upto();
     let pre_seal = tempdir("seal-steps-pre");
     copy_dir(&base, &pre_seal);
+    let cover = |id: usize| format!("cover of window {id}").into_bytes();
+    let covers = || (0..SEALED).map(|id| (id as u64, cover(id))).collect();
+    let all: Vec<u64> = (0..SEALED as u64).collect();
     assert_eq!(
-        store.seal_windows_before(2).unwrap(),
-        [0, 1],
+        store.seal_with_covers(covers()).unwrap(),
+        all,
         "seed {seed:#x}"
     );
     drop(store);
@@ -384,15 +390,17 @@ fn kill_at_every_step_of_a_seal() {
         !retired.is_empty(),
         "seed {seed:#x}: no WAL segment retired"
     );
-    let sealed: Vec<Vec<u8>> = ["seg-00000000.log", "seg-00000001.log"]
-        .iter()
-        .map(|name| std::fs::read(base.join("windows").join(name)).unwrap())
+    let file = |dir: &Path, id: usize, ext: &str| {
+        dir.join("windows").join(format!("seg-{id:08}.log{ext}"))
+    };
+    let sealed: Vec<Vec<u8>> = (0..SEALED)
+        .map(|id| std::fs::read(file(&base, id, "")).unwrap())
         .collect();
 
     let scratch = tempdir("seal-steps-scratch");
-    // The sealed store with its retired WAL segments back, and the windows
-    // from `open_from` on not renamed into place.
-    let crash_state = |open_from: usize| {
+    // The sealed store with its retired WAL segments back, and only the
+    // windows in `renamed` committed: every other one is its whole `.tmp`.
+    let crash_state = |renamed: &[usize]| {
         let _ = std::fs::remove_dir_all(&scratch);
         copy_dir(&base, &scratch);
         for name in &retired {
@@ -402,20 +410,23 @@ fn kill_at_every_step_of_a_seal() {
             )
             .unwrap();
         }
-        for id in open_from..sealed.len() {
-            std::fs::remove_file(scratch.join("windows").join(format!("seg-{id:08}.log"))).unwrap();
+        for id in (0..SEALED).filter(|id| !renamed.contains(id)) {
+            std::fs::rename(file(&scratch, id, ""), file(&scratch, id, ".tmp")).unwrap();
         }
     };
-    let check = |open_from: usize, ctx: &str| {
-        let store = WalStore::open(&scratch, cfg)
+    let check = |renamed: &[usize], ctx: &str| {
+        let mut store = WalStore::open(&scratch, cfg)
             .unwrap_or_else(|e| panic!("seed {seed:#x}, {ctx}: open failed: {e}"));
-        for id in 0..sealed.len() {
+        for id in 0..SEALED {
             assert_eq!(
                 store.is_sealed(id as u64),
-                id < open_from,
+                renamed.contains(&id),
                 "seed {seed:#x}, {ctx}: window {id}"
             );
         }
+        let want: BTreeMap<u64, Vec<u8>> =
+            renamed.iter().map(|&id| (id as u64, cover(id))).collect();
+        assert_eq!(store.take_covers(), want, "seed {seed:#x}, {ctx}: covers");
         assert_eq!(
             store.durable_upto(),
             durable,
@@ -436,31 +447,40 @@ fn kill_at_every_step_of_a_seal() {
         store
     };
 
-    // A crash while window 0's segment was written: any prefix of it under
-    // the .tmp name. Resealing overwrites the leftover.
-    for len in 0..=sealed[0].len() {
-        crash_state(0);
-        let tmp = scratch.join("windows").join("seg-00000000.log.tmp");
-        std::fs::write(&tmp, &sealed[0][..len]).unwrap();
-        let mut store = check(0, &format!("tmp of {len} bytes"));
-        if len == sealed[0].len() / 2 {
-            store.seal_windows_before(2).unwrap();
-            assert!(!tmp.exists());
-            drop(store);
-            check(2, "resealed after a torn tmp");
+    // A crash while the `.tmp` files were written: the ones before window
+    // `k` whole, window `k`'s any prefix. Resealing overwrites the
+    // leftovers.
+    for (k, bytes) in sealed.iter().enumerate() {
+        for len in 0..=bytes.len() {
+            crash_state(&[]);
+            for id in k..SEALED {
+                std::fs::remove_file(file(&scratch, id, ".tmp")).unwrap();
+            }
+            std::fs::write(file(&scratch, k, ".tmp"), &bytes[..len]).unwrap();
+            let mut store = check(&[], &format!("tmp {k} of {len} bytes"));
+            if k + 1 == SEALED && len == bytes.len() / 2 {
+                store.seal_with_covers(covers()).unwrap();
+                assert!((0..SEALED).all(|id| !file(&scratch, id, ".tmp").exists()));
+                drop(store);
+                check(
+                    &(0..SEALED).collect::<Vec<_>>(),
+                    "resealed after a torn tmp",
+                );
+            }
         }
     }
-    // Window 0 committed, window 1's rename lost: its whole .tmp remains.
-    crash_state(1);
-    std::fs::write(
-        scratch.join("windows").join("seg-00000001.log.tmp"),
-        &sealed[1],
-    )
-    .unwrap();
-    check(1, "rename lost");
-    // Every rename durable, the unlinks of the retired segments lost.
-    crash_state(sealed.len());
-    check(sealed.len(), "unlink lost");
+    // A crash after the renames and before the directory sync: any subset
+    // of them reached the disk. The full set is also the crash after the
+    // sync with every unlink lost.
+    for mask in 0..1usize << SEALED {
+        let renamed: Vec<usize> = (0..SEALED).filter(|id| mask >> id & 1 == 1).collect();
+        crash_state(&renamed);
+        check(&renamed, &format!("renames {renamed:?} durable"));
+    }
+    // The seal as it completed.
+    let _ = std::fs::remove_dir_all(&scratch);
+    copy_dir(&base, &scratch);
+    check(&(0..SEALED).collect::<Vec<_>>(), "seal complete");
 
     let _ = std::fs::remove_dir_all(&base);
     let _ = std::fs::remove_dir_all(&pre_seal);
@@ -488,7 +508,7 @@ fn recovery_is_deterministic() {
         let mut all: Vec<(u64, Vec<RawTuple>)> =
             s.memtables().map(|(id, m)| (id, m.to_vec())).collect();
         for id in s.sealed_window_ids() {
-            all.push((id, s.released_window(id).unwrap().read().unwrap()));
+            all.push((id, s.read_sealed(id).unwrap()));
         }
         all.sort_by_key(|&(id, _)| id);
         all
