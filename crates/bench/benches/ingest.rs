@@ -1,16 +1,17 @@
-//! Durable write path: the isolated costs behind the `ingest` binary's
-//! end-to-end numbers — one `IngestBatch` frame encoded, served (WAL
-//! append + ack), and appended raw at the storage layer.
+//! Durable write path: the isolated per-batch costs — one `IngestBatch`
+//! frame encoded, served (WAL append + ack), and appended raw at the
+//! storage layer, at batch sizes 1, 64 and 256.
 //!
-//! The throughput-vs-batch sweep with JSON output lives in the `ingest`
-//! binary; this bench gives criterion-grade timings for the pieces.
+//! End to end, `enviro ingest FILE --dir DIR --batch B` streams a dataset
+//! through the client, wire, server and WAL at one batch size, and
+//! `perfbench`'s `ingest_fleet` workload measures a loaded fleet.
 
 // Harness code, exempt from the library panic policy: an unwrap here
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use enviro_bench::ingest::synthetic_tuples;
+use enviro_bench::workload::synthetic_tuples;
 use enviro_data::{Pollutant, WindowSpec};
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{BinaryCodec, EnviroServer, IngestConfig, IngestState, Request, WireCodec};

@@ -1,10 +1,14 @@
 //! Concurrent-serving throughput: end-to-end batches through the sharded
 //! thread pool, plus the isolated per-frame serving cost.
 //!
-//! The full sweep (with the per-query baseline and JSON output)
-//! lives in the `throughput` binary; this bench gives criterion-grade
-//! timings for the pieces: one batch frame served end-to-end at each
-//! worker count, and the raw `handle_bytes_into` hot path.
+//! Criterion-grade timings for the pieces: one batch frame served
+//! end-to-end at each worker count (1, 2, 4), and the raw
+//! `handle_bytes_into` hot path at batch sizes 1, 16 and 64.
+//!
+//! Under load, `enviro serve FILE --workers W --batch B --clients K
+//! --requests M` drives one workers × batch cell from the CLI, and
+//! `perfbench`'s `read_static` and `mixed_live` workloads measure serving
+//! end to end.
 
 // Harness code, exempt from the library panic policy: an unwrap here
 // fails the run loudly, which is the desired behavior.

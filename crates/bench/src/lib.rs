@@ -12,9 +12,11 @@
 //! | [`fig7a`] | Figure 7(a): memory at `H = 5000`, four representations |
 //! | [`fig7b`] | Figure 7(b): bandwidth/time, baseline vs model-cache |
 //! | [`ablations`] | abl-k0 / abl-split / abl-tau / abl-codec / abl-radius |
-//! | [`throughput`] | concurrent serving: qps & wire bytes, workers × batch |
 //! | [`faults`] | resilience cost: goodput & retries vs injected fault rate |
-//! | [`ingest`] | durable write path: tuples/s vs batch, query p50/p99 under ingest |
+//!
+//! Serving under load is not measured here: `perfbench/` (its own package
+//! at the repository root) is the end-to-end serving benchmark, and the
+//! `throughput` and `ingest` criterion benches time the per-frame pieces.
 
 #![forbid(unsafe_code)]
 // Panic-prone sites in this crate are legacy debt tracked by the xtask
@@ -31,7 +33,5 @@ pub mod fig6a;
 pub mod fig6b;
 pub mod fig7a;
 pub mod fig7b;
-pub mod ingest;
 pub mod table;
-pub mod throughput;
 pub mod workload;

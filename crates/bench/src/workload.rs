@@ -1,6 +1,7 @@
 //! Shared workload construction for all experiments.
 
-use enviro_data::{Dataset, LausanneSim, QueryTuple, SimConfig};
+use enviro_data::{Dataset, LausanneSim, QueryTuple, RawTuple, SimConfig, Timestamp};
+use enviro_geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,6 +90,25 @@ pub fn build(scale: Scale, seed: u64) -> Workload {
         queries,
         accuracy_queries,
     }
+}
+
+/// A deterministic synthetic tuple stream for the write-path benches:
+/// distinct times two simulated seconds apart (spanning `n / 1800` hour
+/// windows), positions and values varied by modular arithmetic.
+pub fn synthetic_tuples(n: usize, seed: u64) -> Vec<RawTuple> {
+    (0..n)
+        .map(|i| {
+            let j = i as u64 ^ (seed & 0xFF);
+            RawTuple::new(
+                Timestamp::from_secs(i as i64 * 2),
+                Point::new(
+                    (j % 89) as f64 * 45.0 - 2_000.0,
+                    (j % 53) as f64 * 60.0 - 1_500.0,
+                ),
+                400.0 + (j % 41) as f64 * 2.5,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -675,7 +675,10 @@ impl<C: WireCodec> EnviroClient<C> {
     /// spent, then the next chunk goes out. The server deduplicates by
     /// `(source, seq)`, so a retransmit whose original *did* land is acked
     /// without a second append — together this gives exactly-once appends
-    /// for every acked chunk. Never fails: chunks whose budget is spent
+    /// for every acked chunk within one server process. The dedup table
+    /// lives in memory and starts empty at restart, so a chunk made durable
+    /// whose ack was lost to a crash is appended again if re-sent to the
+    /// restarted server. Never fails: chunks whose budget is spent
     /// are reported in [`IngestReport::failed_tuples`] and
     /// [`IngestReport::chunk_acked`], for the caller to replay later.
     pub fn ingest_resilient(
@@ -802,7 +805,9 @@ pub struct IngestReport {
     /// Tuples in chunks the server acknowledged as durable.
     pub acked_tuples: u64,
     /// Tuples in chunks whose retry budget was spent without an ack; the
-    /// caller should replay them (the server-side dedup makes that safe).
+    /// caller should replay them. The server-side dedup makes a replay to
+    /// the same server process safe; after a server restart a replayed
+    /// chunk that had already landed is appended twice.
     pub failed_tuples: u64,
     /// Highest durable watermark any ack reported (total tuples the server
     /// has retained from all sources).

@@ -104,6 +104,9 @@ const TAG_BUSY: u8 = 0x86;
 const TAG_INGEST_ACK: u8 = 0x87;
 const MODEL_MEAN: u8 = 0x01;
 const MODEL_LINEAR: u8 = 0x02;
+/// Bytes of the smallest `Cover` region: centroid `f64 x + f64 y`, model
+/// tag, `f64` mean.
+const MIN_WIRE_REGION_SIZE: usize = 8 + 8 + 1 + 8;
 /// Flag byte of a batch value slot.
 const VALUE_MISS: u8 = 0x00;
 const VALUE_PRESENT: u8 = 0x01;
@@ -449,9 +452,10 @@ impl WireCodec for BinaryCodec {
             TAG_COVER => {
                 let valid_until = Timestamp::from_secs(take_i64(&mut bytes)?);
                 let n = take_u32(&mut bytes)? as usize;
-                // Guard against absurd lengths before allocating.
-                if n > 1_000_000 {
-                    return Err(CodecError::Malformed(format!("{n} regions")));
+                // The frame has no CRC, so bound the count by the bytes
+                // present before allocating for it.
+                if n > bytes.len() / MIN_WIRE_REGION_SIZE {
+                    return Err(CodecError::Truncated);
                 }
                 let mut regions = Vec::with_capacity(n);
                 for _ in 0..n {

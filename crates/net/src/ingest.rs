@@ -120,6 +120,7 @@ pub struct IngestOutcome {
 struct Inner {
     wal: WalStore,
     /// Per-source `(last_seq, durable_upto_at_ack)` for idempotent re-acks.
+    /// In memory only: it starts empty at [`IngestState::open`].
     dedup: HashMap<u64, (u32, u64)>,
     /// Windows with data not yet reflected in the published covers.
     dirty: BTreeSet<u64>,

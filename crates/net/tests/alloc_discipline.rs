@@ -25,9 +25,10 @@
 use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
+use enviro_net::codec::CodecError;
 use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
-    LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec,
+    LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec, WireCover,
 };
 use enviro_storage::WalConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -297,5 +298,21 @@ fn session_round_trip_is_allocation_free() {
             }
         }
     });
+    assert_eq!(allocs, 0);
+}
+
+/// A `Cover` reply carries no CRC, so its region count is checked against
+/// the bytes present before anything is reserved for it: an empty cover
+/// whose count says a million regions is refused without allocating.
+#[test]
+fn a_cover_count_beyond_its_bytes_is_refused_before_allocating() {
+    let mut frame = BinaryCodec.encode_response(&Response::Cover(WireCover {
+        valid_until: Timestamp::from_secs(3_600),
+        regions: Vec::new(),
+    }));
+    assert_eq!(frame.len(), 13, "tag + valid_until + count");
+    frame[9..].copy_from_slice(&1_000_000u32.to_le_bytes());
+    let (allocs, decoded) = allocations(|| BinaryCodec.decode_response(&frame));
+    assert!(matches!(decoded, Err(CodecError::Truncated)), "{decoded:?}");
     assert_eq!(allocs, 0);
 }

@@ -181,3 +181,39 @@ fn text_value_batch_bytes() {
     );
     assert_eq!(TextCodec.decode_response(&frame).unwrap(), resp);
 }
+
+/// What batching buys on the wire: 64 tuples asked as one `QueryBatch` and
+/// answered by one `ValueBatch` cost 1 550 + 598 B, against 64 × (25 + 9) B
+/// as single `Query`/`Value` frames — 33.5625 B per tuple instead of 34.
+#[test]
+fn a_batch_of_64_costs_fewer_bytes_per_tuple_than_single_frames() {
+    let tuples: Vec<QueryTuple> = (0..64)
+        .map(|i| QueryTuple::new(Timestamp::from_secs(60 * i), Point::new(i as f64, 0.5)))
+        .collect();
+    let single_request = BinaryCodec
+        .encode_request(&Request::Query {
+            time: tuples[0].time,
+            pos: tuples[0].pos,
+        })
+        .len();
+    let single_reply = BinaryCodec
+        .encode_response(&Response::Value { value: 421.125 })
+        .len();
+    assert_eq!((single_request, single_reply), (25, 9));
+
+    let batch_request = BinaryCodec
+        .encode_request(&Request::QueryBatch {
+            seq: 1,
+            queries: tuples,
+        })
+        .len();
+    let batch_reply = BinaryCodec
+        .encode_response(&Response::ValueBatch {
+            seq: 1,
+            generation: 3,
+            values: vec![Some(421.125); 64],
+        })
+        .len();
+    assert_eq!((batch_request, batch_reply), (1_550, 598));
+    assert!(batch_request + batch_reply < 64 * (single_request + single_reply));
+}

@@ -32,13 +32,15 @@ const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"
 
 /// Calls a held lock guard must not reach: file I/O (`fs::`, `File::`,
 /// `OpenOptions`, `sync_all`) and model rebuilds (`CoverBuilder`), plus the
-/// WAL's fsync-backed mutations (`append_batch`, `seal_windows_before`).
+/// WAL's fsync-backed mutations (`append_batch`, `seal_windows_before`,
+/// `seal_with_covers`).
 const FORBIDDEN_UNDER_LOCK: &[&str] = &[
     "OpenOptions",
     "sync_all",
     "CoverBuilder",
     "append_batch",
     "seal_windows_before",
+    "seal_with_covers",
 ];
 
 /// One source file as the lint pass sees it.
@@ -532,6 +534,28 @@ mod tests {
              }\n",
         );
         assert_eq!(check_crate("enviro-net", &[f]), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_seal_under_a_guard_needs_its_allow_note() {
+        let bare = file(
+            "fn f(s: &S) {\n\
+             \x20   let mut inner = s.inner.lock();\n\
+             \x20   inner.wal.seal_with_covers(seal);\n\
+             }\n",
+        );
+        let errs = check_crate("enviro-net", &[bare]);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("seal_with_covers"), "{errs:?}");
+
+        let noted = file(
+            "fn f(s: &S) {\n\
+             \x20   let mut inner = s.inner.lock();\n\
+             \x20   // lock-scope: allow(maintenance) — one worker seals.\n\
+             \x20   inner.wal.seal_with_covers(seal);\n\
+             }\n",
+        );
+        assert_eq!(check_crate("enviro-net", &[noted]), Vec::<String>::new());
     }
 
     #[test]
