@@ -90,13 +90,6 @@ impl FaultsReport {
         self.rows.iter().map(|r| r.wrong).sum()
     }
 
-    /// Goodput at `rate` relative to the clean-wire control row.
-    pub fn goodput_ratio(&self, rate: f64) -> Option<f64> {
-        let clean = self.rows.iter().find(|r| r.rate == 0.0)?;
-        let row = self.rows.iter().find(|r| r.rate == rate)?;
-        Some(row.goodput_qps / clean.goodput_qps.max(1e-9))
-    }
-
     /// Serializes the report as pretty-printed JSON (no dependencies;
     /// every value is a number, so no string escaping is needed).
     pub fn to_json(&self) -> String {

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 /// The size of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The paper's regime: ~173 K raw tuples (≈ the 176 K of
-    /// `lausanne-data`), 5000 point queries.
+    /// The paper's regime: `SimConfig::paper_scale` (~173 K raw tuples
+    /// ≈ the 176 K of `lausanne-data`), 5000 point queries.
     Paper,
     /// A CI-friendly regime: ~10 K tuples, 1000 queries. Same shapes,
     /// seconds instead of minutes.
@@ -20,12 +20,7 @@ impl Scale {
     /// Simulation config for this scale.
     pub fn sim_config(&self, seed: u64) -> SimConfig {
         match self {
-            Scale::Paper => SimConfig {
-                duration_secs: 30 * 86_400,
-                sampling_interval_secs: 30,
-                seed,
-                ..SimConfig::default()
-            },
+            Scale::Paper => SimConfig::paper_scale(seed),
             Scale::Quick => SimConfig {
                 duration_secs: 3 * 86_400 + 43_200, // 3.5 days
                 sampling_interval_secs: 60,

@@ -95,12 +95,6 @@ impl Args {
             .map(Some)
             .ok_or_else(|| CliError::usage(format!("invalid time for --{name}: {raw:?}")))
     }
-
-    /// Flags that were given but never read — currently unused, reserved
-    /// for strict-mode validation.
-    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
-    }
 }
 
 /// Parses `3600`, `90m`, `8h` or `2d` into a timestamp.

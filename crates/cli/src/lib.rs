@@ -16,6 +16,12 @@
 //! enviro store export --dir ./store --out back.csv
 //! ```
 //!
+//! Exit codes: 0 on success, 2 for a usage error, 1 for a runtime error.
+//! A CSV row the format refuses (a time before the epoch, a non-finite or
+//! unparsable field, a missing or extra column) is a runtime error that
+//! names its line. A header-only CSV is an empty dataset: `info` and
+//! `query` report it and exit 0, `serve` refuses it and exits 1.
+//!
 //! Argument parsing is hand-rolled (`--flag value` pairs after a
 //! subcommand) to stay inside the approved dependency set.
 

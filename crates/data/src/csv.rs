@@ -4,10 +4,13 @@
 //! module is the file-interchange equivalent. The format is deliberately
 //! minimal — a header line followed by `time_secs,x,y,value` rows — so that
 //! datasets round-trip between the simulator, the examples and external
-//! tooling. Parsing is hand-rolled (no quoting is needed for numeric columns)
+//! tooling. `time_secs` is a non-negative whole number of seconds since the
+//! epoch (the first duration window starts there), and `x`, `y` (meters)
+//! and `value` are finite; a row that breaks this is refused with its line
+//! number. Parsing is hand-rolled (no quoting is needed for numeric columns)
 //! to stay inside the approved dependency set.
 
-use crate::dataset::Dataset;
+use crate::dataset::{check_tuple, Dataset};
 use crate::pollutant::Pollutant;
 use crate::tuple::{RawTuple, Timestamp};
 use enviro_geo::Point;
@@ -112,11 +115,12 @@ pub fn read_csv<R: Read>(pollutant: Pollutant, r: R) -> Result<Dataset, CsvError
                 message: "too many fields".into(),
             });
         }
-        tuples.push(RawTuple::new(
-            Timestamp::from_secs(time),
-            Point::new(x, y),
-            value,
-        ));
+        let tuple = RawTuple::new(Timestamp::from_secs(time), Point::new(x, y), value);
+        check_tuple(&tuple).map_err(|e| CsvError::Parse {
+            line: line_no,
+            message: format!("tuple {e}"),
+        })?;
+        tuples.push(tuple);
     }
     Dataset::from_tuples(pollutant, tuples).map_err(|message| CsvError::Parse { line: 0, message })
 }
@@ -203,7 +207,18 @@ mod tests {
     #[test]
     fn read_rejects_non_finite_values() {
         let input = format!("{HEADER}\n0,NaN,0,1\n");
-        assert!(read_csv(Pollutant::Co2, input.as_bytes()).is_err());
+        let err = read_csv(Pollutant::Co2, input.as_bytes()).unwrap_err();
+        assert!(matches!(err, CsvError::Parse { line: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn read_rejects_pre_epoch_rows_with_line_info() {
+        let input = format!("{HEADER}\n100,20,20,420\n\n-4,10,10,410\n");
+        let err = read_csv(Pollutant::Co2, input.as_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4: tuple is before the epoch (time_secs -4)"
+        );
     }
 
     #[test]

@@ -42,13 +42,12 @@ impl Dataset {
 
     /// Builds a dataset from a tuple collection, sorting by time.
     ///
-    /// Non-finite tuples are rejected with an error naming the offending
-    /// index — GPS glitches and sensor dropouts must be cleaned upstream.
+    /// A non-finite or pre-epoch tuple is rejected with an error naming
+    /// its index: GPS glitches, sensor dropouts and clock faults must be
+    /// cleaned upstream.
     pub fn from_tuples(pollutant: Pollutant, mut tuples: Vec<RawTuple>) -> Result<Self, String> {
         for (i, t) in tuples.iter().enumerate() {
-            if !t.is_finite() {
-                return Err(format!("tuple {i} has non-finite position or value"));
-            }
+            check_tuple(t).map_err(|e| format!("tuple {i} {e}"))?;
         }
         tuples.sort_by_key(|t| t.time);
         Ok(Self { pollutant, tuples })
@@ -82,11 +81,10 @@ impl Dataset {
     ///
     /// Appending in time order is O(1); out-of-order tuples are inserted at
     /// their sorted position (O(n) worst case), matching the mostly-ordered
-    /// arrival pattern of a live deployment.
+    /// arrival pattern of a live deployment. A non-finite or pre-epoch
+    /// tuple is rejected.
     pub fn push(&mut self, tuple: RawTuple) -> Result<(), String> {
-        if !tuple.is_finite() {
-            return Err("tuple has non-finite position or value".into());
-        }
+        check_tuple(&tuple).map_err(|e| format!("tuple {e}"))?;
         match self.tuples.last() {
             Some(last) if last.time > tuple.time => {
                 let idx = self.tuples.partition_point(|t| t.time <= tuple.time);
@@ -111,13 +109,23 @@ impl Dataset {
     pub fn stats(&self) -> Option<DatasetStats> {
         stats_of(&self.tuples)
     }
+}
 
-    /// The slice of tuples with `time ∈ [from, to)`, found by binary search.
-    pub fn slice_time_range(&self, from: Timestamp, to: Timestamp) -> &[RawTuple] {
-        let lo = self.tuples.partition_point(|t| t.time < from);
-        let hi = self.tuples.partition_point(|t| t.time < to);
-        &self.tuples[lo..hi]
+/// Checks that a dataset can hold `t`: its position and value are finite,
+/// and it is not before the epoch, so the epoch-window rule
+/// ([`crate::WindowSpec::window_id_at`]) files it under a window. The
+/// error says what is wrong with the tuple.
+pub(crate) fn check_tuple(t: &RawTuple) -> Result<(), String> {
+    if !t.is_finite() {
+        return Err("has non-finite position or value".into());
     }
+    if t.time < Timestamp::ZERO {
+        return Err(format!(
+            "is before the epoch (time_secs {})",
+            t.time.as_secs()
+        ));
+    }
+    Ok(())
 }
 
 /// Computes summary statistics for a tuple slice (shared with [`crate::Window`]).
@@ -176,6 +184,31 @@ mod tests {
     fn from_tuples_rejects_non_finite() {
         let err = Dataset::from_tuples(Pollutant::Co2, vec![tup(0, f64::NAN, 1.0)]);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn from_tuples_and_push_reject_pre_epoch_tuples() {
+        let err = Dataset::from_tuples(Pollutant::Co2, vec![tup(0, 0.0, 1.0), tup(-1, 0.0, 1.0)]);
+        assert_eq!(
+            err.unwrap_err(),
+            "tuple 1 is before the epoch (time_secs -1)"
+        );
+        let mut ds = Dataset::new(Pollutant::Co2);
+        assert!(ds.push(tup(-1, 0.0, 1.0)).is_err());
+        assert!(ds.is_empty());
+    }
+
+    #[test]
+    fn pre_epoch_history_is_refused() {
+        // 50 readings before the epoch and 50 at 20 000 s. Admitted, the
+        // early ones would need a window the epoch-window rule has no id
+        // for; filed under window u64::MAX instead, that cover sorts last
+        // in the server's registry and answers t = 30 000 s with 400 where
+        // a point query answers 900.
+        let early = (0..50).map(|i| tup(-3_000 + i, i as f64, 400.0));
+        let late = (0..50).map(|i| tup(20_000 + i, i as f64, 900.0));
+        let err = Dataset::from_tuples(Pollutant::Co2, early.chain(late).collect());
+        assert!(err.unwrap_err().contains("before the epoch"));
     }
 
     #[test]
@@ -239,26 +272,5 @@ mod tests {
         assert_eq!(s.mean, 4.0);
         let expected_sd = (8.0f64 / 3.0).sqrt();
         assert!((s.std_dev - expected_sd).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slice_time_range_is_half_open() {
-        let ds = Dataset::from_tuples(
-            Pollutant::Co2,
-            vec![tup(10, 0.0, 1.0), tup(20, 0.0, 2.0), tup(30, 0.0, 3.0)],
-        )
-        .unwrap();
-        let s = ds.slice_time_range(Timestamp::from_secs(10), Timestamp::from_secs(30));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].time.as_secs(), 10);
-        assert_eq!(s[1].time.as_secs(), 20);
-    }
-
-    #[test]
-    fn slice_time_range_empty_when_no_overlap() {
-        let ds = Dataset::from_tuples(Pollutant::Co2, vec![tup(10, 0.0, 1.0)]).unwrap();
-        assert!(ds
-            .slice_time_range(Timestamp::from_secs(100), Timestamp::from_secs(200))
-            .is_empty());
     }
 }

@@ -73,6 +73,21 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// The paper-scale configuration: ~173 K tuples ≈ the 176 K of
+    /// `lausanne-data` (two buses, 30 days; we sample every 30 s where
+    /// OpenSense's two buses produced 176 K over a month — the tuple
+    /// *density along the corridors* is what matters for query processing).
+    pub fn paper_scale(seed: u64) -> Self {
+        Self {
+            duration_secs: 30 * 86_400,
+            sampling_interval_secs: 30,
+            seed,
+            ..Self::default()
+        }
+    }
+}
+
 /// The Lausanne community-sensing simulator: bus lines + ground-truth field.
 #[derive(Debug, Clone)]
 pub struct LausanneSim {
@@ -116,19 +131,6 @@ impl LausanneSim {
             ..config
         };
         Self::new(config, lausanne_bus_lines(), lausanne_field_for(pollutant))
-    }
-
-    /// The paper-scale dataset: ~173 K tuples ≈ the 176 K of `lausanne-data`
-    /// (two buses, 30 days; we sample every 30 s where OpenSense's two buses
-    /// produced 176 K over a month — the tuple *density along the corridors*
-    /// is what matters for query processing).
-    pub fn paper_scale(seed: u64) -> Self {
-        Self::lausanne(SimConfig {
-            duration_secs: 30 * 86_400,
-            sampling_interval_secs: 30,
-            seed,
-            ..SimConfig::default()
-        })
     }
 
     /// The simulation configuration.
@@ -505,8 +507,8 @@ mod tests {
 
     #[test]
     fn paper_scale_tuple_count_close_to_176k() {
-        let sim = LausanneSim::paper_scale(0);
-        let ticks = sim.config().duration_secs / sim.config().sampling_interval_secs;
+        let config = SimConfig::paper_scale(0);
+        let ticks = config.duration_secs / config.sampling_interval_secs;
         let expected = (ticks * 2) as usize;
         assert!(
             (150_000..200_000).contains(&expected),

@@ -21,15 +21,38 @@ pub enum WindowSpec {
 }
 
 impl WindowSpec {
-    /// The window id `c` that a timestamp falls into.
+    /// The epoch-window rule: the id `c = ⌊t/H⌋` of the duration window
+    /// holding `time`, the one `W_c` with `c·H ≤ t < (c+1)·H`. Every
+    /// place that files a tuple under a window — this decomposition, the
+    /// store and the ingest path — asks this rule.
     ///
-    /// Only meaningful for duration-based windows; count-based windows are
-    /// defined by tuple position, not by time, so this returns `None` for
-    /// [`WindowSpec::ByCount`].
+    /// `None` for a time before the epoch, which no window `c ≥ 0` holds
+    /// (both entrances, `Dataset` and the store, refuse such tuples), and
+    /// for [`WindowSpec::ByCount`], whose windows are defined by tuple
+    /// position, not by time.
+    #[inline]
     pub fn window_id_at(&self, time: Timestamp) -> Option<u64> {
-        match self {
+        match *self {
             WindowSpec::ByCount(_) => None,
-            WindowSpec::ByDuration(secs) => Some(time.as_secs().div_euclid(*secs) as u64),
+            WindowSpec::ByDuration(secs) => u64::try_from(time.as_secs().div_euclid(secs)).ok(),
+        }
+    }
+
+    /// Window `id` over `tuples`. A duration window is valid until its end
+    /// `(c+1)·H` (saturating at the last representable time); a count
+    /// window until its last tuple's time, as the cover learned from it is
+    /// superseded as soon as newer data arrives.
+    pub fn window<'a>(&self, id: u64, tuples: &'a [RawTuple]) -> Window<'a> {
+        let valid_until = match *self {
+            WindowSpec::ByCount(_) => tuples.last().map_or(Timestamp::ZERO, |t| t.time),
+            WindowSpec::ByDuration(secs) => {
+                Timestamp::from_secs((id as i64).saturating_add(1).saturating_mul(secs))
+            }
+        };
+        Window {
+            id,
+            tuples,
+            valid_until,
         }
     }
 }
@@ -41,9 +64,7 @@ pub struct Window<'a> {
     pub id: u64,
     /// The tuples of the window, time-sorted.
     pub tuples: &'a [RawTuple],
-    /// The end of the window's validity: for duration windows, `(c+1)·H`;
-    /// for count windows, the time of the last tuple (the cover learned from
-    /// this window is superseded as soon as newer data arrives).
+    /// The end of the window's validity, as [`WindowSpec::window`] sets it.
     pub valid_until: Timestamp,
 }
 
@@ -71,9 +92,9 @@ impl Window<'_> {
 pub struct Windows<'a> {
     tuples: &'a [RawTuple],
     spec: WindowSpec,
-    /// Next tuple offset (ByCount) .
+    /// Next tuple offset.
     offset: usize,
-    /// Next window id.
+    /// Next count window's id.
     next_id: u64,
 }
 
@@ -84,30 +105,17 @@ impl<'a> Windows<'a> {
     /// Panics if the spec is degenerate (`ByCount(0)` or a non-positive
     /// duration).
     pub fn new(dataset: &'a Dataset, spec: WindowSpec) -> Self {
-        Self::over(dataset.tuples(), spec)
-    }
-
-    /// Creates the window iterator over an arbitrary time-sorted slice.
-    pub fn over(tuples: &'a [RawTuple], spec: WindowSpec) -> Self {
         match spec {
             WindowSpec::ByCount(n) => assert!(n > 0, "window size must be positive"),
             WindowSpec::ByDuration(s) => {
                 assert!(s > 0, "window duration must be positive")
             }
         }
-        let next_id = match (spec, tuples.first()) {
-            // Duration windows are epoch-aligned: start at the window
-            // containing the first tuple.
-            (WindowSpec::ByDuration(secs), Some(first)) => {
-                first.time.as_secs().div_euclid(secs) as u64
-            }
-            _ => 0,
-        };
         Self {
-            tuples,
+            tuples: dataset.tuples(),
             spec,
             offset: 0,
-            next_id,
+            next_id: 0,
         }
     }
 }
@@ -116,40 +124,21 @@ impl<'a> Iterator for Windows<'a> {
     type Item = Window<'a>;
 
     fn next(&mut self) -> Option<Window<'a>> {
-        if self.offset >= self.tuples.len() {
-            return None;
-        }
-        match self.spec {
-            WindowSpec::ByCount(n) => {
-                let end = (self.offset + n).min(self.tuples.len());
-                let tuples = &self.tuples[self.offset..end];
-                let id = self.next_id;
-                self.offset = end;
-                self.next_id += 1;
-                Some(Window {
-                    id,
-                    tuples,
-                    valid_until: tuples.last().expect("non-empty by construction").time,
-                })
+        let rest = &self.tuples[self.offset..];
+        let first = rest.first()?;
+        let (id, n) = match self.spec {
+            WindowSpec::ByCount(n) => (self.next_id, n.min(rest.len())),
+            // Empty windows are skipped: the next window is the one holding
+            // the next tuple, and it runs to the first tuple past it.
+            WindowSpec::ByDuration(_) => {
+                let id = self.spec.window_id_at(first.time)?;
+                let n = rest.partition_point(|t| self.spec.window_id_at(t.time) <= Some(id));
+                (id, n)
             }
-            WindowSpec::ByDuration(secs) => {
-                // Skip empty windows: advance to the window containing the
-                // next tuple.
-                let first = &self.tuples[self.offset];
-                let id = (first.time.as_secs().div_euclid(secs) as u64).max(self.next_id);
-                let window_end = Timestamp::from_secs((id as i64 + 1) * secs);
-                let rest = &self.tuples[self.offset..];
-                let n = rest.partition_point(|t| t.time < window_end);
-                let tuples = &rest[..n];
-                self.offset += n;
-                self.next_id = id + 1;
-                Some(Window {
-                    id,
-                    tuples,
-                    valid_until: window_end,
-                })
-            }
-        }
+        };
+        self.offset += n;
+        self.next_id = id + 1;
+        Some(self.spec.window(id, &rest[..n]))
     }
 }
 
@@ -250,7 +239,17 @@ mod tests {
         assert_eq!(spec.window_id_at(Timestamp::from_secs(0)), Some(0));
         assert_eq!(spec.window_id_at(Timestamp::from_secs(3_599)), Some(0));
         assert_eq!(spec.window_id_at(Timestamp::from_secs(3_600)), Some(1));
+        // No window c ≥ 0 holds a time before the epoch.
+        assert_eq!(spec.window_id_at(Timestamp::from_secs(-1)), None);
         assert_eq!(WindowSpec::ByCount(40).window_id_at(Timestamp::ZERO), None);
+    }
+
+    #[test]
+    fn window_end_saturates_at_the_last_time() {
+        let spec = WindowSpec::ByDuration(3_600);
+        assert_eq!(spec.window(2, &[]).valid_until.as_secs(), 3 * 3_600);
+        let last = spec.window_id_at(Timestamp::from_secs(i64::MAX)).unwrap();
+        assert_eq!(spec.window(last, &[]).valid_until.as_secs(), i64::MAX);
     }
 
     #[test]

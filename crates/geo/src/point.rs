@@ -46,12 +46,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Manhattan (L1) distance to `other`.
-    #[inline]
-    pub fn manhattan_distance(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Component-wise midpoint between `self` and `other`.
     #[inline]
     pub fn midpoint(&self, other: &Point) -> Point {
@@ -74,12 +68,6 @@ impl Point {
     #[inline]
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
-    }
-
-    /// Translates the point by `(dx, dy)` meters.
-    #[inline]
-    pub fn translated(&self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
     }
 }
 
@@ -114,15 +102,6 @@ impl GeoPoint {
     #[inline]
     pub const fn new(lat: f64, lon: f64) -> Self {
         Self { lat, lon }
-    }
-
-    /// Returns `true` if the coordinate lies in the valid WGS-84 ranges.
-    #[inline]
-    pub fn is_valid(&self) -> bool {
-        self.lat.is_finite()
-            && self.lon.is_finite()
-            && (-90.0..=90.0).contains(&self.lat)
-            && (-180.0..=180.0).contains(&self.lon)
     }
 
     /// Great-circle distance to `other` in meters (haversine formula).
@@ -165,14 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_dominates_euclidean() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 4.0);
-        assert!(a.manhattan_distance(&b) >= a.distance(&b));
-        assert_eq!(a.manhattan_distance(&b), 7.0);
-    }
-
-    #[test]
     fn midpoint_is_equidistant() {
         let a = Point::new(-2.0, 1.0);
         let b = Point::new(6.0, 5.0);
@@ -188,12 +159,6 @@ mod tests {
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
         assert_eq!(a.lerp(&b, 0.5), Point::new(5.0, -5.0));
-    }
-
-    #[test]
-    fn translated_shifts_coordinates() {
-        let p = Point::new(1.0, 2.0).translated(-3.0, 0.5);
-        assert_eq!(p, Point::new(-2.0, 2.5));
     }
 
     #[test]
@@ -237,13 +202,5 @@ mod tests {
         let b = GeoPoint::new(47.0, 6.0);
         let d = a.haversine_distance(&b);
         assert!((110_000.0..112_500.0).contains(&d), "got {d}");
-    }
-
-    #[test]
-    fn geo_point_validity() {
-        assert!(LAUSANNE.is_valid());
-        assert!(!GeoPoint::new(91.0, 0.0).is_valid());
-        assert!(!GeoPoint::new(0.0, 181.0).is_valid());
-        assert!(!GeoPoint::new(f64::NAN, 0.0).is_valid());
     }
 }

@@ -70,16 +70,6 @@ impl Polyline {
         self.vertices[seg].lerp(&self.vertices[seg + 1], t)
     }
 
-    /// Samples `n` points spaced uniformly in arc length, endpoints included.
-    ///
-    /// # Panics
-    /// Panics if `n < 2`.
-    pub fn sample_uniform(&self, n: usize) -> Vec<Point> {
-        assert!(n >= 2, "need at least the two endpoints");
-        let step = self.length() / (n - 1) as f64;
-        (0..n).map(|i| self.point_at(i as f64 * step)).collect()
-    }
-
     /// The minimum distance from `p` to the polyline, and the arc-length
     /// position of the closest point.
     pub fn project(&self, p: &Point) -> (f64, f64) {
@@ -153,16 +143,6 @@ mod tests {
         // Hitting exactly the cumulative length of a vertex must not panic
         // and must return that vertex.
         assert_eq!(pl.point_at(10.0), Point::new(10.0, 0.0));
-    }
-
-    #[test]
-    fn sample_uniform_endpoints_and_spacing() {
-        let pl = l_shape();
-        let pts = pl.sample_uniform(5);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0], Point::new(0.0, 0.0));
-        assert_eq!(pts[4], Point::new(10.0, 10.0));
-        assert_eq!(pts[2], Point::new(10.0, 0.0)); // the corner at s = 10
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! appending it twice. (A client is stop-and-wait per chunk, so one
 //! remembered sequence number per source suffices.)
 
-use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, Window};
+use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, WindowSpec};
 use enviro_memsize::DeepSize;
 use enviro_meter::{AdKmnConfig, CoverBuilder, CoverRegistry, ModelCover, PublishedCover};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -186,16 +186,12 @@ impl IngestState {
             registry.publish(covers);
         }
         let dirty = wal.memtables().map(|(id, _)| id).collect();
-        let stats = IngestStats {
-            durable_tuples: wal.durable_upto(),
-            ..IngestStats::default()
-        };
         Ok(Self {
             inner: Mutex::new(Inner {
                 wal,
                 dedup: HashMap::new(),
                 dirty,
-                stats,
+                stats: IngestStats::default(),
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -283,12 +279,11 @@ impl IngestState {
         // contract hangs on them never being observed apart.
         let durable_upto = inner.wal.append_batch(tuples)?;
         // Only windows that received an accepted tuple turn dirty: a
-        // rejected (non-finite) or late tuple changes no window. An append
-        // seals nothing, so `accepts` still answers as the append did.
+        // rejected (non-finite, pre-epoch) or late tuple changes no window.
+        // An append seals nothing, so `window_for` still answers as the
+        // append did.
         let Inner { wal, dirty, .. } = &mut *inner;
-        for t in tuples.iter().filter(|t| wal.accepts(t)) {
-            dirty.insert(wal.window_id_of(t.time));
-        }
+        dirty.extend(tuples.iter().filter_map(|t| wal.window_for(t)));
         inner.dedup.insert(source, (seq, durable_upto));
         inner.stats.acked_batches += 1;
         drop(inner);
@@ -484,11 +479,7 @@ fn build_cover(
     window_secs: i64,
     tuples: &[RawTuple],
 ) -> PublishedCover {
-    let window = Window {
-        id,
-        tuples,
-        valid_until: Timestamp::from_secs((id as i64 + 1) * window_secs),
-    };
+    let window = WindowSpec::ByDuration(window_secs).window(id, tuples);
     let cover: ModelCover = builder.build(&window, config.pollutant);
     let first_time = tuples
         .iter()

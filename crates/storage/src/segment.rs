@@ -15,8 +15,8 @@ use crate::crc::crc32;
 use crate::record::{decode_batch, encode_records, RECORD_SIZE};
 use enviro_data::RawTuple;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
 pub const MAGIC: [u8; 8] = *b"ENVIROS1";
@@ -48,12 +48,23 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// An open segment accepting appended batches.
+///
+/// A failed append or sync leaves no frame behind: the segment is cut back
+/// to its length at the last successful [`SegmentWriter::sync`], so a
+/// batch reported as failed never replays, and the next frame is written
+/// where replay expects it. If the cut fails as well, the writer refuses
+/// every later append and sync.
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: File,
+    path: PathBuf,
     seq: u32,
     /// Bytes written so far, header included.
     len: u64,
+    /// `len` at the last successful sync: what a failure cuts back to.
+    synced: u64,
+    /// Set when a failure could not be cut back.
+    broken: bool,
 }
 
 impl SegmentWriter {
@@ -66,23 +77,22 @@ impl SegmentWriter {
             .open(dir.join(segment_file_name(seq)))?;
         file.write_all(&encode_header(seq))?;
         sync_dir(dir)?;
-        Ok(Self {
-            file,
-            seq,
-            len: HEADER_SIZE as u64,
-        })
+        Self::reopen(dir, seq, HEADER_SIZE as u64)
     }
 
     /// Reopens an existing, verified segment for appending at `len` bytes.
     pub fn reopen(dir: &Path, seq: u32, len: u64) -> io::Result<Self> {
         let path = dir.join(segment_file_name(seq));
-        let file = OpenOptions::new().write(true).open(&path)?;
         // Truncate any torn tail found during verification.
-        file.set_len(len)?;
-        let mut w = Self { file, seq, len };
-        use std::io::Seek;
-        w.file.seek(io::SeekFrom::Start(len))?;
-        Ok(w)
+        let file = open_at(&path, len)?;
+        Ok(Self {
+            file,
+            path,
+            seq,
+            len,
+            synced: len,
+            broken: false,
+        })
     }
 
     /// Segment sequence number.
@@ -102,21 +112,52 @@ impl SegmentWriter {
 
     /// Appends one CRC-framed batch of tuples.
     pub fn append_batch(&mut self, tuples: &[RawTuple]) -> io::Result<()> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
         let mut frame = Vec::with_capacity(FRAME_HEADER_SIZE + tuples.len() * RECORD_SIZE);
-        encode_frame(&mut frame, |payload| encode_records(tuples, payload));
-        self.file.write_all(&frame)?;
+        if !tuples.is_empty() {
+            encode_frame(&mut frame, |payload| encode_records(tuples, payload));
+        }
+        self.write_or_cut_back(|file| file.write_all(&frame))?;
         self.len += frame.len() as u64;
         Ok(())
     }
 
-    /// Flushes buffered data and fsyncs the file.
+    /// Fsyncs the file.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.flush()?;
-        self.file.sync_data()
+        self.write_or_cut_back(|file| file.sync_data())?;
+        self.synced = self.len;
+        Ok(())
     }
+
+    /// Runs `op` on the file. When it fails, the segment is cut back to
+    /// its last synced length through a fresh handle positioned there (the
+    /// failed one may sit past a partial frame) before the error returns;
+    /// when the cut fails too, the writer is broken.
+    fn write_or_cut_back(
+        &mut self,
+        op: impl FnOnce(&mut File) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if self.broken {
+            let path = self.path.display();
+            let reason = format!("{path}: a failed write could not be cut back; reopen the store");
+            return Err(io::Error::other(reason));
+        }
+        let Err(e) = op(&mut self.file) else {
+            return Ok(());
+        };
+        match open_at(&self.path, self.synced).and_then(|file| file.sync_data().map(|()| file)) {
+            Ok(file) => (self.file, self.len) = (file, self.synced),
+            Err(_) => self.broken = true,
+        }
+        Err(e)
+    }
+}
+
+/// Opens `path` for writing, cut to `len` bytes and positioned at its end.
+fn open_at(path: &Path, len: u64) -> io::Result<File> {
+    let mut file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    file.seek(SeekFrom::Start(len))?;
+    Ok(file)
 }
 
 /// The header opening segment `seq`.
@@ -255,7 +296,14 @@ mod tests {
     use super::*;
     use enviro_data::Timestamp;
     use enviro_geo::Point;
-    use std::path::PathBuf;
+
+    impl SegmentWriter {
+        /// Replaces the writer's file handle, as a test's stand-in for a
+        /// disk that fails.
+        pub(crate) fn replace_file(&mut self, file: File) {
+            self.file = file;
+        }
+    }
 
     fn tuple(secs: i64) -> RawTuple {
         RawTuple::new(Timestamp::from_secs(secs), Point::new(1.0, 2.0), 400.0)

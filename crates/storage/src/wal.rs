@@ -43,16 +43,18 @@
 //! <dir>/windows/seg-00000007.log  sealed window 7: tuples, then its cover
 //! ```
 //!
-//! The live files are the ones that are there; no list sits beside them
-//! (the `MANIFEST`s of stores written by earlier builds go on their first
-//! [`WalStore::open`]).
+//! The live files are the ones that are there; no list sits beside them.
+//! A store of the earlier format that listed its live segments in a
+//! `wal/MANIFEST` or `windows/MANIFEST` is refused by [`WalStore::open`],
+//! which changes nothing in it: its unlisted segments may be the residue of
+//! a crash mid-compaction, and replaying them would count tuples twice.
 
 use crate::record::{decode_batch, encode_records, RECORD_SIZE};
 use crate::segment::{
     encode_frame, encode_header, parse_segment_file_name, read_frames, read_segment,
     segment_file_name, sync_dir, SegmentWriter, HEADER_SIZE,
 };
-use enviro_data::{RawTuple, Timestamp};
+use enviro_data::{RawTuple, WindowSpec};
 use enviro_memsize::DeepSize;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -118,8 +120,8 @@ impl From<io::Error> for StorageError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
     /// Epoch-aligned window length `H` in seconds; window `c` holds tuples
-    /// with `c·H ≤ t < (c+1)·H` (the same mapping as
-    /// `WindowSpec::ByDuration`).
+    /// with `c·H ≤ t < (c+1)·H`, as the epoch-window rule
+    /// [`WindowSpec::window_id_at`] files them.
     pub window_secs: i64,
     /// WAL segment rotation threshold in bytes.
     pub max_wal_segment_bytes: u64,
@@ -221,7 +223,9 @@ impl WalStore {
     /// [`Self::take_covers`]. A torn tail is tolerated — and truncated — on
     /// the *final* WAL segment only.
     /// A store created with another `window_secs` is refused with
-    /// [`StorageError::WindowMismatch`].
+    /// [`StorageError::WindowMismatch`], and a store of the earlier
+    /// `MANIFEST` format with [`StorageError::InvalidSegment`] naming the
+    /// manifest, before anything in it is touched.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self, StorageError> {
         if config.window_secs <= 0 {
             return Err(StorageError::Io(io::Error::new(
@@ -232,13 +236,19 @@ impl WalStore {
         let dir = dir.as_ref().to_path_buf();
         let wal_dir = dir.join(WAL_DIR);
         let windows_dir = dir.join(WINDOWS_DIR);
+        for manifest in [wal_dir.join("MANIFEST"), windows_dir.join("MANIFEST")] {
+            if manifest.try_exists()? {
+                let reason = "a store of the earlier MANIFEST format is not opened: \
+                              its unlisted segments could replay twice";
+                return Err(invalid(&manifest, reason));
+            }
+        }
         // The subdirectories come first: a new store's window record is
         // renamed into `dir` and `dir` synced, which makes their names
         // durable too.
         std::fs::create_dir_all(&wal_dir)?;
         std::fs::create_dir_all(&windows_dir)?;
         check_window_record(&dir, config.window_secs)?;
-        upgrade_manifest_store(&wal_dir, &windows_dir)?;
 
         // 1. Sealed windows: every segment under windows/. A seal cut short
         //    leaves `seg-N.log.tmp`, no segment name: window N is still open.
@@ -259,6 +269,7 @@ impl WalStore {
         }
 
         // 2. WAL replay, every segment in seq order.
+        let spec = WindowSpec::ByDuration(config.window_secs);
         let wal_seqs = discover_segments(&wal_dir)?;
         let mut wal_segments = Vec::with_capacity(wal_seqs.len());
         let mut memtables: BTreeMap<u64, Vec<RawTuple>> = BTreeMap::new();
@@ -285,7 +296,9 @@ impl WalStore {
             }
             let mut segment = WalSegment::new(seq, contents.clean_len);
             for t in contents.tuples {
-                let id = window_id_of(config.window_secs, t.time);
+                let Some(id) = spec.window_id_at(t.time) else {
+                    continue;
+                };
                 // Tuples of a window sealed before the crash were already
                 // persisted under windows/; replaying them would double
                 // count.
@@ -332,20 +345,15 @@ impl WalStore {
         self.config
     }
 
-    /// The window id `c` that a timestamp maps to.
-    pub fn window_id_of(&self, time: Timestamp) -> u64 {
-        window_id_of(self.config.window_secs, time)
-    }
-
     /// The ingest ack watermark: tuples durably accepted so far.
     pub fn durable_upto(&self) -> u64 {
         self.durable_tuples
     }
 
-    /// `true` when [`Self::append_batch`] would retain `t`: it is finite, not
-    /// before the epoch, in a window whose id fits a `u32` and is not sealed.
-    pub fn accepts(&self, t: &RawTuple) -> bool {
-        self.storable(t) && !self.is_sealed(self.window_id_of(t.time))
+    /// The open window [`Self::append_batch`] files `t` under; `None` when
+    /// it would not retain `t`: one the store cannot hold, or a late one.
+    pub fn window_for(&self, t: &RawTuple) -> Option<u64> {
+        self.storable_window(t).filter(|&id| !self.is_sealed(id))
     }
 
     /// Appends a batch of tuples: WAL write + fsync, then memtable insert.
@@ -358,12 +366,10 @@ impl WalStore {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for t in tuples {
-            if !self.storable(t) {
-                self.rejected_tuples += 1;
-            } else if self.is_sealed(self.window_id_of(t.time)) {
-                self.late_tuples += 1;
-            } else {
-                scratch.push(*t);
+            match self.storable_window(t) {
+                None => self.rejected_tuples += 1,
+                Some(id) if self.is_sealed(id) => self.late_tuples += 1,
+                Some(_) => scratch.push(*t),
             }
         }
         if scratch.is_empty() {
@@ -388,7 +394,9 @@ impl WalStore {
             active.bytes = self.writer.len();
         }
         for &t in &scratch {
-            let id = window_id_of(self.config.window_secs, t.time);
+            let Some(id) = self.storable_window(&t) else {
+                continue;
+            };
             if let Some(active) = self.wal_segments.last_mut() {
                 active.file(id);
             }
@@ -540,7 +548,7 @@ impl WalStore {
     /// * WAL segment seqs are strictly increasing and the writer sits on
     ///   the last one, at its recorded length;
     /// * no window is both open and sealed;
-    /// * every memtable tuple is finite and maps back to its window id;
+    /// * every memtable tuple is storable and maps back to its window id;
     /// * only sealed windows have a cover frame waiting;
     /// * `durable_upto` equals the open tuples plus the sealed counts.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -566,16 +574,9 @@ impl WalStore {
             if self.sealed.contains_key(&id) {
                 return Err(format!("window {id} is both open and sealed"));
             }
-            for t in tuples {
-                if !t.is_finite() {
-                    return Err(format!("non-finite tuple in memtable {id}"));
-                }
-                if window_id_of(self.config.window_secs, t.time) != id {
-                    return Err(format!(
-                        "tuple at t={} filed under window {id}",
-                        t.time.as_secs()
-                    ));
-                }
+            if let Some(t) = tuples.iter().find(|t| self.storable_window(t) != Some(id)) {
+                let t = t.time.as_secs();
+                return Err(format!("tuple at t={t} filed under window {id}"));
             }
         }
         if let Some(id) = self.covers.keys().find(|id| !self.sealed.contains_key(id)) {
@@ -600,10 +601,13 @@ impl WalStore {
         (open + sealed) as u64
     }
 
-    /// `true` for a tuple the store can hold: finite, not before the epoch,
-    /// and in a window whose id names a segment.
-    fn storable(&self, t: &RawTuple) -> bool {
-        t.is_finite() && t.time.as_secs() >= 0 && self.window_id_of(t.time) <= u64::from(u32::MAX)
+    /// The window `t` files under when the store can hold it: it is
+    /// finite, the epoch-window rule files it (it is not before the epoch),
+    /// and the window's id fits the `u32` that names its segment.
+    #[inline]
+    fn storable_window(&self, t: &RawTuple) -> Option<u64> {
+        let id = WindowSpec::ByDuration(self.config.window_secs).window_id_at(t.time)?;
+        (t.is_finite() && id <= u64::from(u32::MAX)).then_some(id)
     }
 
     /// Writes each window's file with its cover frame, if it has one, in
@@ -723,11 +727,6 @@ impl DeepSize for WalStore {
     }
 }
 
-/// The window id `c` of a timestamp — the `WindowSpec::ByDuration` mapping.
-fn window_id_of(window_secs: i64, time: Timestamp) -> u64 {
-    time.as_secs().div_euclid(window_secs) as u64
-}
-
 /// Reads a sealed window's file, `header ++ tuple frame ++ cover frame?`,
 /// returning the tuple frame's payload as `tuples` decodes it and the
 /// cover frame's payload if it is intact. The tuple frame must be intact:
@@ -766,40 +765,6 @@ fn discover_segments(dir: &Path) -> Result<Vec<u32>, StorageError> {
     Ok(seqs)
 }
 
-/// Deletes the segments of `dir` that the manifest `live` does not name.
-fn remove_unlisted(dir: &Path, live: &[u32]) -> Result<(), StorageError> {
-    for seq in discover_segments(dir)?.iter().filter(|s| !live.contains(s)) {
-        std::fs::remove_file(dir.join(segment_file_name(*seq)))?;
-    }
-    Ok(())
-}
-
-/// Upgrades a store written by an earlier build, which lists each
-/// directory's live segments in a `MANIFEST` (none: every WAL segment, no
-/// sealed window). An unlisted segment is the residue of a crash mid-seal
-/// or mid-compaction and is deleted; then the manifests go, WAL's first,
-/// each removal synced, so a crash partway repeats this with the same lists.
-fn upgrade_manifest_store(wal_dir: &Path, windows_dir: &Path) -> Result<(), StorageError> {
-    let wal_live = read_manifest(wal_dir)?;
-    let windows_live = read_manifest(windows_dir)?;
-    if wal_live.is_none() && windows_live.is_none() {
-        return Ok(());
-    }
-    if let Some(live) = &wal_live {
-        remove_unlisted(wal_dir, live)?;
-    }
-    remove_unlisted(windows_dir, windows_live.as_deref().unwrap_or_default())?;
-    sync_dir(wal_dir)?;
-    sync_dir(windows_dir)?;
-    for dir in [wal_dir, windows_dir] {
-        match std::fs::remove_file(dir.join(MANIFEST)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
-            _ => sync_dir(dir)?,
-        }
-    }
-    Ok(())
-}
-
 /// A [`StorageError::InvalidSegment`] naming `path`.
 fn invalid(path: &Path, reason: impl Into<String>) -> StorageError {
     StorageError::InvalidSegment {
@@ -813,10 +778,6 @@ const WAL_DIR: &str = "wal";
 
 /// The sealed window segments' subdirectory of a store.
 const WINDOWS_DIR: &str = "windows";
-
-/// The live-segment list of a store written by an earlier build (one per
-/// segment directory).
-const MANIFEST: &str = "MANIFEST";
 
 /// Window-length record file name (in the store's root directory).
 const WINDOW_RECORD: &str = "WINDOW_SECS";
@@ -852,20 +813,6 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError
     Ok(())
 }
 
-/// Reads the manifest: one decimal segment seq per line. `None` if absent.
-fn read_manifest(dir: &Path) -> Result<Option<Vec<u32>>, StorageError> {
-    let path = dir.join(MANIFEST);
-    let Some(text) = read_optional(&path)? else {
-        return Ok(None);
-    };
-    let parse = |line: &str| {
-        let reason = || format!("bad manifest line {line:?}");
-        line.parse().map_err(|_| invalid(&path, reason()))
-    };
-    let lines = text.lines().map(str::trim).filter(|line| !line.is_empty());
-    lines.map(parse).collect::<Result<_, _>>().map(Some)
-}
-
 /// Records `window_secs` in a new store, or checks it against the length
 /// an existing store was created with. A store written before the record
 /// existed adopts the length it is first opened with.
@@ -890,7 +837,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use enviro_data::Timestamp;
     use enviro_geo::Point;
+    use std::io::{Seek as _, SeekFrom};
 
     const H: i64 = 100;
 
@@ -1026,8 +975,8 @@ mod tests {
             s.wal_bytes
         );
         // A new store keeps no list of its live files.
-        assert!(!dir.join("wal").join(MANIFEST).exists());
-        assert!(!dir.join("windows").join(MANIFEST).exists());
+        assert!(!dir.join("wal").join("MANIFEST").exists());
+        assert!(!dir.join("windows").join("MANIFEST").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1198,7 +1147,7 @@ mod tests {
         assert_eq!(w.stats().late_tuples, 0);
         // A window id past the segment naming range is refused the same way.
         let far = tuple((i64::from(u32::MAX) + 1) * H, 5.0);
-        assert!(!w.accepts(&far));
+        assert_eq!(w.window_for(&far), None);
         assert_eq!(w.append_batch(&[far]).unwrap(), 3);
         assert_eq!(w.stats().rejected_tuples, 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1216,6 +1165,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Makes `w`'s next WAL write fail as a short write does: five bytes
+    /// of a frame reach the file, the handle sits past them, and the disk
+    /// refuses the rest (a read-only handle refuses every write).
+    fn fail_next_write(w: &mut WalStore, path: &Path) {
+        let mut partial = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        partial.write_all(&[0xAB; 5]).unwrap();
+        let mut refusing = std::fs::File::open(path).unwrap();
+        refusing.seek(SeekFrom::End(0)).unwrap();
+        w.writer.replace_file(refusing);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_frame_behind() {
+        let dir = tempdir("failed-append");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0)]).unwrap();
+        let (durable, wal_bytes) = (w.durable_upto(), w.stats().wal_bytes);
+        let path = wal_segment(&dir, 0);
+        fail_next_write(&mut w, &path);
+        assert!(w.append_batch(&[tuple(20, 2.0)]).is_err());
+        assert_eq!(w.durable_upto(), durable);
+        assert_eq!(w.stats().wal_bytes, wal_bytes);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), wal_bytes);
+        // The next acked frame lands where replay expects it.
+        assert_eq!(w.append_batch(&[tuple(30, 3.0)]).unwrap(), 2);
+        assert_eq!(w.check_invariants(), Ok(()));
+        drop(w);
+        let w = WalStore::open(&dir, cfg()).unwrap();
+        assert_eq!(times(&w), [10, 30]);
+        assert!(!w.stats().recovered_torn_tail);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failure_that_cannot_be_cut_back_refuses_later_appends() {
+        let dir = tempdir("broken-append");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0)]).unwrap();
+        let path = wal_segment(&dir, 0);
+        fail_next_write(&mut w, &path);
+        // With the segment gone, the cut back fails too.
+        std::fs::remove_file(&path).unwrap();
+        assert!(w.append_batch(&[tuple(20, 2.0)]).is_err());
+        assert_eq!(w.durable_upto(), 1);
+        let err = w.append_batch(&[tuple(30, 3.0)]).unwrap_err();
+        assert!(err.to_string().contains("reopen the store"), "{err}");
+        // A seal would roll the segment over; it is refused the same way.
+        assert!(w.seal_windows_before(1).is_err());
+        assert_eq!(w.durable_upto(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn torn_wal_tail_is_truncated_on_recovery() {
         let dir = tempdir("torn");
@@ -1230,75 +1231,6 @@ mod tests {
         assert!(w.stats().recovered_torn_tail);
         assert_eq!(w.durable_upto(), 1);
         assert_eq!(w.window_tuples(0).unwrap(), &[tuple(10, 1.0)]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Writes the `MANIFEST` an earlier build kept in `dir/sub`.
-    fn write_legacy_manifest(dir: &Path, sub: &str, seqs: &[u32]) {
-        let text: String = seqs.iter().map(|seq| format!("{seq}\n")).collect();
-        std::fs::write(dir.join(sub).join(MANIFEST), text).unwrap();
-    }
-
-    /// The WAL segment seqs on disk.
-    fn wal_seqs(dir: &Path) -> Vec<u32> {
-        discover_segments(&dir.join("wal")).unwrap()
-    }
-
-    /// Asserts both manifests are gone and a second open changes nothing.
-    fn assert_upgraded(dir: &Path, config: WalConfig, w: WalStore) {
-        for sub in ["wal", "windows"] {
-            assert!(!dir.join(sub).join(MANIFEST).exists(), "{sub}/MANIFEST");
-        }
-        let (tuples, stats) = (w.tuples().unwrap(), w.stats());
-        drop(w);
-        let again = WalStore::open(dir, config).unwrap();
-        assert_eq!(again.tuples().unwrap(), tuples);
-        assert_eq!(again.stats(), stats);
-    }
-
-    #[test]
-    fn orphan_window_segment_is_cleaned_up() {
-        let dir = tempdir("orphan");
-        let mut w = WalStore::open(&dir, cfg()).unwrap();
-        w.append_batch(&[tuple(H + 5, 2.0)]).unwrap();
-        assert_eq!(w.seal_windows_before(2).unwrap(), vec![1]);
-        w.append_batch(&[tuple(10, 1.0)]).unwrap();
-        drop(w);
-        // A store from an earlier build that crashed between writing
-        // window 0's segment and the manifest switch naming it: the file
-        // exists, but only window 1 is listed.
-        write_legacy_manifest(&dir, "wal", &wal_seqs(&dir));
-        write_legacy_manifest(&dir, "windows", &[1]);
-        let windows = dir.join("windows");
-        let mut orphan = SegmentWriter::create(&windows, 0).unwrap();
-        orphan.append_batch(&[tuple(10, 99.0)]).unwrap();
-        orphan.sync().unwrap();
-        drop(orphan);
-        let w = WalStore::open(&dir, cfg()).unwrap();
-        // The orphan was deleted; the tuple came back from the WAL.
-        assert!(!w.is_sealed(0) && w.is_sealed(1));
-        assert_eq!(w.window_tuples(0).unwrap(), &[tuple(10, 1.0)]);
-        assert!(!windows.join(segment_file_name(0)).exists());
-        assert_eq!(w.durable_upto(), 2);
-        assert_upgraded(&dir, cfg(), w);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn interrupted_upgrade_repeats_under_the_same_lists() {
-        let dir = tempdir("upgrade-crash");
-        let mut w = WalStore::open(&dir, cfg()).unwrap();
-        w.append_batch(&[tuple(10, 1.0), tuple(H + 5, 2.0)])
-            .unwrap();
-        w.seal_windows_before(1).unwrap();
-        drop(w);
-        // The upgrade deleted wal/MANIFEST, then crashed before deleting
-        // windows/MANIFEST: the repeat must keep the sealed window it lists.
-        write_legacy_manifest(&dir, "windows", &[0]);
-        let w = WalStore::open(&dir, cfg()).unwrap();
-        assert!(w.is_sealed(0));
-        assert_eq!(w.durable_upto(), 2);
-        assert_upgraded(&dir, cfg(), w);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1630,9 +1562,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every file under `dir`, by path, with its bytes.
+    fn files_under(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let (mut files, mut dirs) = (BTreeMap::new(), vec![dir.to_path_buf()]);
+        while let Some(d) = dirs.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    files.insert(path.clone(), std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        files
+    }
+
     #[test]
-    fn interrupted_compaction_cleans_up_on_open() {
-        let dir = tempdir("compact-crash");
+    fn manifest_store_is_refused_untouched() {
+        let dir = tempdir("manifest");
         let mut w = WalStore::open(&dir, small(80)).unwrap();
         for i in 0..8 {
             w.append_batch(&[tuple(i * 20, 1.0)]).unwrap();
@@ -1640,21 +1588,25 @@ mod tests {
         w.seal_windows_before(1).unwrap();
         w.append_batch(&[tuple(150, 1.0)]).unwrap();
         drop(w);
-        // A store from an earlier build that crashed mid-compaction: a WAL
-        // segment the manifest does not name, whose tuples would replay
-        // twice.
-        write_legacy_manifest(&dir, "wal", &wal_seqs(&dir));
-        write_legacy_manifest(&dir, "windows", &[0]);
+        // A store of the earlier format, from before the window record,
+        // with the residue of a crash mid-compaction: a WAL segment its
+        // manifest does not name, whose tuples would replay twice.
+        std::fs::remove_file(dir.join(WINDOW_RECORD)).unwrap();
         let mut orphan = SegmentWriter::create(&dir.join("wal"), 999).unwrap();
         orphan.append_batch(&[tuple(170, 99.0)]).unwrap();
         orphan.sync().unwrap();
         drop(orphan);
-        let w = WalStore::open(&dir, small(80)).unwrap();
-        // The orphan's tuple must NOT appear, and its file must be gone.
-        assert_eq!(w.durable_upto(), 9);
-        assert!(w.tuples().unwrap().iter().all(|t| t.value != 99.0));
-        assert!(!wal_segment(&dir, 999).exists());
-        assert_upgraded(&dir, small(80), w);
+        for sub in ["wal", "windows"] {
+            let manifest = dir.join(sub).join("MANIFEST");
+            std::fs::write(&manifest, "0\n").unwrap();
+            let before = files_under(&dir);
+            match WalStore::open(&dir, small(80)) {
+                Err(StorageError::InvalidSegment { path, .. }) => assert_eq!(path, manifest),
+                other => panic!("{sub}/MANIFEST: expected a refusal, got {other:?}"),
+            }
+            assert_eq!(files_under(&dir), before, "{sub}/MANIFEST: open wrote");
+            std::fs::remove_file(&manifest).unwrap();
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
