@@ -8,16 +8,16 @@ use enviro_geo::{Point, Polyline};
 use enviro_meter::{default_parallelism, AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
     BinaryCodec, Clock, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
-    LinkProfile, LoopbackWire, ModelMaintenance, RetryPolicy, SimulatedLink, SystemClock,
-    TransportConfig, VirtualClock, Wire,
+    IngestStats, LinkProfile, LoopbackWire, ModelMaintenance, RetryPolicy, SimulatedLink,
+    SystemClock, TransportConfig, VirtualClock, Wire,
 };
 use enviro_schedule::sync::Arc;
 use enviro_storage::{WalConfig, WalStore};
 use std::io::Write;
 
-/// `enviro ingest`'s default window length, also the one `enviro store`
-/// opens a store with.
-const DEFAULT_INGEST_WINDOW_SECS: i64 = 3_600;
+/// The window length `H` of a platform, and of a new store, when no
+/// `--window-secs` is given: 4 h.
+const DEFAULT_WINDOW_SECS: i64 = 4 * 3_600;
 
 /// Routes a raw argument list to its subcommand.
 pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -77,37 +77,148 @@ const MAX_ROUTE_FIXES: usize = 1_000_000;
 /// error rather than allocated.
 const MAX_SIM_TUPLES: i64 = 10_000_000;
 
-/// Parses the platform flags (`--window` | `--window-secs`, `--tau`,
-/// `--radius`), then loads the dataset and stands the platform up. A bad
-/// flag value is a usage error before any library call sees it.
+/// The platform flags (`--window` | `--window-secs`, `--tau`,
+/// `--radius`), parsed before any dataset is read.
+#[derive(Debug)]
+struct PlatformConfig {
+    spec: WindowSpec,
+    adkmn: AdKmnConfig,
+    radius: f64,
+}
+
+impl Default for PlatformConfig {
+    fn default() -> Self {
+        Self {
+            spec: WindowSpec::ByDuration(DEFAULT_WINDOW_SECS),
+            adkmn: AdKmnConfig::default(),
+            radius: 1_000.0,
+        }
+    }
+}
+
+impl PlatformConfig {
+    /// Parses the platform flags. A bad value is a usage error before any
+    /// library call sees it.
+    fn parse(args: &Args) -> Result<Self, CliError> {
+        let defaults = Self::default();
+        let spec = match (args.get("window"), window_secs_flag(args)?) {
+            (Some(_), Some(_)) => {
+                return Err(CliError::usage("give either --window or --window-secs"))
+            }
+            (Some(_), None) => WindowSpec::ByCount(args.require_parsed("window")?),
+            (None, Some(secs)) => WindowSpec::ByDuration(secs),
+            (None, None) => defaults.spec,
+        };
+        if spec == WindowSpec::ByCount(0) {
+            return Err(CliError::usage("--window must be positive"));
+        }
+        let tau_percent: f64 = args.get_or("tau", defaults.adkmn.tau_percent)?;
+        let radius: f64 = args.get_or("radius", defaults.radius)?;
+        if !(tau_percent.is_finite() && tau_percent >= 0.0 && radius.is_finite() && radius >= 0.0) {
+            return Err(CliError::usage(
+                "--tau and --radius must be finite and non-negative",
+            ));
+        }
+        let adkmn = AdKmnConfig {
+            tau_percent,
+            ..defaults.adkmn
+        };
+        Ok(Self {
+            spec,
+            adkmn,
+            radius,
+        })
+    }
+
+    /// Stands the platform up over `dataset`.
+    fn platform(&self, dataset: Dataset) -> EnviroMeter {
+        EnviroMeter::new(dataset, self.spec, self.adkmn.clone(), self.radius)
+    }
+}
+
+/// Parses the platform flags, then loads the dataset and stands the
+/// platform up.
 fn load_platform(args: &Args) -> Result<EnviroMeter, CliError> {
-    let spec = match (args.get("window"), args.get("window-secs")) {
-        (Some(_), Some(_)) => return Err(CliError::usage("give either --window or --window-secs")),
-        (Some(_), None) => WindowSpec::ByCount(args.require_parsed("window")?),
-        (None, Some(_)) => WindowSpec::ByDuration(args.require_parsed("window-secs")?),
-        (None, None) => WindowSpec::ByDuration(4 * 3_600),
-    };
-    let positive = match spec {
-        WindowSpec::ByCount(n) => n > 0,
-        WindowSpec::ByDuration(secs) => secs > 0,
-    };
-    if !positive {
-        return Err(CliError::usage(
-            "--window and --window-secs must be positive",
-        ));
+    let config = PlatformConfig::parse(args)?;
+    Ok(config.platform(load_dataset(args)?))
+}
+
+/// `--window-secs`, when given; it must be positive.
+fn window_secs_flag(args: &Args) -> Result<Option<i64>, CliError> {
+    let secs = args
+        .get("window-secs")
+        .map(|_| args.require_parsed("window-secs"));
+    match secs.transpose()? {
+        Some(secs) if secs <= 0 => Err(CliError::usage("--window-secs must be positive")),
+        secs => Ok(secs),
     }
-    let tau_percent: f64 = args.get_or("tau", 2.0)?;
-    let radius: f64 = args.get_or("radius", 1_000.0)?;
-    if !(tau_percent.is_finite() && tau_percent >= 0.0 && radius.is_finite() && radius >= 0.0) {
-        return Err(CliError::usage(
-            "--tau and --radius must be finite and non-negative",
-        ));
+}
+
+/// The CLI's one store rule: the store at `dir` has the window length its
+/// `WINDOW_SECS` record names. Where `dir` holds no store, a command that
+/// may create one (`create`) takes `--window-secs` or
+/// [`DEFAULT_WINDOW_SECS`], and any other is refused without creating
+/// anything. A `--window-secs` that disagrees with the record is a usage
+/// error naming both.
+fn store_window_secs(args: &Args, dir: &str, create: bool) -> Result<i64, CliError> {
+    let asked = window_secs_flag(args)?;
+    let recorded = WalStore::recorded_window_secs(dir)
+        .map_err(|e| CliError::runtime(format!("{dir}: {e}")))?;
+    match (recorded, asked) {
+        (Some(stored), Some(asked)) if stored != asked => Err(CliError::usage(format!(
+            "--window-secs {asked} disagrees with the store at {dir}, \
+             which records window_secs {stored}"
+        ))),
+        (Some(stored), _) => Ok(stored),
+        (None, asked) if create => Ok(asked.unwrap_or(DEFAULT_WINDOW_SECS)),
+        (None, _) => Err(CliError::runtime(format!("no store at {dir}"))),
     }
-    let adkmn = AdKmnConfig {
-        tau_percent,
-        ..AdKmnConfig::default()
-    };
-    Ok(EnviroMeter::new(load_dataset(args)?, spec, adkmn, radius))
+}
+
+/// The durable write path that `serve --ingest` and `ingest` stand up: the
+/// ingest state at a store directory and its maintenance worker.
+struct Ingest {
+    state: Arc<IngestState>,
+    maintenance: ModelMaintenance,
+}
+
+impl Ingest {
+    /// Opens (or creates) the ingest state at `dir` with the platform's
+    /// window, so the server's static and streamed windows share one id
+    /// space, and with its pollutant and Ad-KMN configuration, so both are
+    /// fitted alike; then spawns the maintenance worker.
+    fn open(dir: &str, pollutant: Pollutant, config: &PlatformConfig) -> Result<Self, CliError> {
+        let WindowSpec::ByDuration(window_secs) = config.spec else {
+            return Err(CliError::usage("a store windows by duration, not by count"));
+        };
+        let wal = WalConfig {
+            window_secs,
+            ..WalConfig::default()
+        };
+        let ingest = IngestConfig {
+            pollutant,
+            adkmn: config.adkmn.clone(),
+            ..IngestConfig::default()
+        };
+        let state = IngestState::open(std::path::Path::new(dir), wal, ingest)
+            .map_err(|e| CliError::runtime(format!("cannot open ingest dir {dir}: {e}")))?;
+        let state = Arc::new(state);
+        let maintenance = ModelMaintenance::spawn(Arc::clone(&state))
+            .map_err(|e| CliError::runtime(format!("cannot spawn maintenance: {e}")))?;
+        Ok(Self { state, maintenance })
+    }
+
+    /// Publishes whatever is still pending, so the summary reflects the
+    /// whole run, and returns the final counters and cover generation. The
+    /// worker is shut down first: a pass of its own racing this one could
+    /// publish an older cover over a newer one.
+    fn finish(self) -> Result<(IngestStats, u64), CliError> {
+        drop(self.maintenance);
+        self.state
+            .rebuild_dirty_now()
+            .map_err(|e| CliError::runtime(format!("cover rebuild failed: {e}")))?;
+        Ok((self.state.stats(), self.state.generation()))
+    }
 }
 
 fn parse_method(args: &Args) -> Result<QueryMethod, CliError> {
@@ -384,7 +495,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
              --ingest DIR opens a WAL-backed ingest state at DIR, streams \
              the dataset through the durable write path concurrently with \
              the query load, and publishes covers online (it takes \
-             --window-secs, not --window, and only the ad-kmn method)"
+             --window-secs, not --window, and only the ad-kmn method; an \
+             existing store keeps the window it records)"
         )
         .map_err(io_err)?;
         return Ok(());
@@ -395,30 +507,35 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let clients: usize = args.get_or("clients", 4)?;
     let requests: usize = args.get_or("requests", 10_000)?;
     let max_queue: usize = args.get_or("max-queue", TransportConfig::default().max_queue)?;
+    let defaults = RetryPolicy::default();
     let policy = RetryPolicy {
-        deadline_ms: args.get_or("deadline-ms", RetryPolicy::default().deadline_ms)?,
-        max_retries: args.get_or("retries", RetryPolicy::default().max_retries)?,
-        ..RetryPolicy::default()
+        deadline_ms: args.get_or("deadline-ms", defaults.deadline_ms)?,
+        max_retries: args.get_or("retries", defaults.max_retries)?,
     };
     if workers == 0 || batch == 0 || clients == 0 || requests == 0 || max_queue == 0 {
         return Err(CliError::usage(
             "--workers, --batch, --clients, --requests and --max-queue must be positive",
         ));
     }
-    // An ingesting server answers from the one cover registry it shares
-    // with the store, whose windows are `--window-secs` long.
-    let ingest_dir = args.get("ingest").map(str::to_string);
-    if ingest_dir.is_some() && args.has("window") {
-        return Err(CliError::usage(
-            "--ingest windows by duration: use --window-secs, not --window",
-        ));
+    let mut config = PlatformConfig::parse(args)?;
+    let ingest_dir = args.get("ingest");
+    if let Some(dir) = ingest_dir {
+        // An ingesting server answers from the one cover registry it
+        // shares with the store, so the platform is windowed like the
+        // store.
+        if args.has("window") {
+            return Err(CliError::usage(
+                "--ingest windows by duration: use --window-secs, not --window",
+            ));
+        }
+        if method != QueryMethod::ModelCover {
+            return Err(CliError::usage(format!(
+                "--ingest answers from model covers, not with --method {method}"
+            )));
+        }
+        config.spec = WindowSpec::ByDuration(store_window_secs(args, dir, true)?);
     }
-    if ingest_dir.is_some() && method != QueryMethod::ModelCover {
-        return Err(CliError::usage(format!(
-            "--ingest answers from model covers, not with --method {method}"
-        )));
-    }
-    let platform = load_platform(args)?;
+    let platform = config.platform(load_dataset(args)?);
     let dataset = platform.engine().dataset();
     let pollutant = dataset.pollutant();
     let (from, to) = dataset
@@ -436,32 +553,13 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Build every per-window structure up front (in parallel across the
     // worker count) so the measured load sees steady-state serving.
     platform.engine().prepare_parallel(method, workers);
-    let ingest = match &ingest_dir {
-        Some(dir) => {
-            let window_secs: i64 = args.get_or("window-secs", 4 * 3_600)?;
-            let state = Arc::new(
-                IngestState::open(
-                    std::path::Path::new(dir),
-                    WalConfig {
-                        window_secs,
-                        ..WalConfig::default()
-                    },
-                    IngestConfig {
-                        pollutant,
-                        ..IngestConfig::default()
-                    },
-                )
-                .map_err(|e| CliError::runtime(format!("cannot open ingest dir {dir}: {e}")))?,
-            );
-            let maintenance = ModelMaintenance::spawn(Arc::clone(&state))
-                .map_err(|e| CliError::runtime(format!("cannot spawn maintenance: {e}")))?;
-            Some((state, maintenance))
-        }
+    let ingest = match ingest_dir {
+        Some(dir) => Some(Ingest::open(dir, pollutant, &config)?),
         None => None,
     };
     let mut server = EnviroServer::new(platform, BinaryCodec, method);
-    if let Some((state, _)) = &ingest {
-        server = server.with_ingest(Arc::clone(state));
+    if let Some(ingest) = &ingest {
+        server = server.with_ingest(Arc::clone(&ingest.state));
     }
     let server = Arc::new(server);
     let transport =
@@ -576,25 +674,18 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         transport.shed_total()
     )
     .map_err(io_err)?;
-    if let Some((state, maintenance)) = ingest {
-        // Publish whatever is still pending so the summary reflects the
-        // whole run. The worker is shut down first: a pass of its own
-        // racing this one could publish an older cover over a newer one.
-        drop(maintenance);
-        state
-            .rebuild_dirty_now()
-            .map_err(|e| CliError::runtime(format!("cover rebuild failed: {e}")))?;
-        let stats = state.stats();
+    if let Some(ingest) = ingest {
+        let (stats, generation) = ingest.finish()?;
         let report = ingest_report.unwrap_or_default();
         writeln!(
             out,
-            "ingest: {} tuples acked, {} failed, durable {}, \
-             {} windows published, generation {}",
+            "ingest: {} tuples acked, {} failed, {} late, durable {}, \
+             {} windows published, generation {generation}",
             report.acked_tuples,
             report.failed_tuples,
+            stats.late_tuples,
             stats.durable_tuples,
             stats.published_windows,
-            state.generation()
         )
         .map_err(io_err)?;
     }
@@ -611,54 +702,38 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
              (default 1000): tuples are appended to the WAL at DIR, \
              acknowledged once durable, and background maintenance \
              publishes Ad-KMN covers online;\n\
+             --window-secs sets a new store's window (default \
+             {DEFAULT_WINDOW_SECS}); an \
+             existing store keeps the window it records;\n\
              --virtual-clock paces on a virtual clock (no real sleeping), \
              for deterministic tests"
         )
         .map_err(io_err)?;
         return Ok(());
     }
-    let dataset = load_dataset(args)?;
-    let pollutant = dataset.pollutant();
     let dir = args.require("dir")?;
     let rate: f64 = args.get_or("rate", 1_000.0)?;
     let batch: usize = args.get_or("batch", 64)?;
-    let window_secs: i64 = args.get_or("window-secs", DEFAULT_INGEST_WINDOW_SECS)?;
     let source: u64 = args.get_or("source", 1)?;
-    if !rate.is_finite() || rate <= 0.0 || batch == 0 || window_secs <= 0 {
-        return Err(CliError::usage(
-            "--rate, --batch and --window-secs must be positive",
-        ));
+    if !rate.is_finite() || rate <= 0.0 || batch == 0 {
+        return Err(CliError::usage("--rate and --batch must be positive"));
     }
+    let config = PlatformConfig {
+        spec: WindowSpec::ByDuration(store_window_secs(args, dir, true)?),
+        ..PlatformConfig::default()
+    };
+    let dataset = load_dataset(args)?;
+    let pollutant = dataset.pollutant();
 
-    let state = Arc::new(
-        IngestState::open(
-            std::path::Path::new(dir),
-            WalConfig {
-                window_secs,
-                ..WalConfig::default()
-            },
-            IngestConfig {
-                pollutant,
-                ..IngestConfig::default()
-            },
-        )
-        .map_err(|e| CliError::runtime(format!("cannot open ingest dir {dir}: {e}")))?,
-    );
-    let maintenance = ModelMaintenance::spawn(Arc::clone(&state))
-        .map_err(|e| CliError::runtime(format!("cannot spawn maintenance: {e}")))?;
+    let ingest = Ingest::open(dir, pollutant, &config)?;
     // An ingest-only endpoint: the static platform behind it is empty, so
     // every query answer comes from the stream's published covers.
     let server = EnviroServer::new(
-        EnviroMeter::new(
-            Dataset::new(pollutant),
-            WindowSpec::ByDuration(window_secs),
-            AdKmnConfig::default(),
-            1_000.0,
-        ),
+        config.platform(Dataset::new(pollutant)),
         BinaryCodec,
         QueryMethod::ModelCover,
     )
-    .with_ingest(Arc::clone(&state));
+    .with_ingest(Arc::clone(&ingest.state));
 
     let clock: Box<dyn Clock> = if args.has("virtual-clock") {
         Box::new(VirtualClock::new())
@@ -688,29 +763,24 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             clock.sleep_ms(target_ms - now);
         }
     }
-    drop(maintenance); // shut the worker down before the final sync rebuild
-    state
-        .rebuild_dirty_now()
-        .map_err(|e| CliError::runtime(format!("cover rebuild failed: {e}")))?;
-    let stats = state.stats();
+    let (stats, generation) = ingest.finish()?;
     let elapsed = (clock.now_ms() - start_ms) as f64 / 1_000.0;
     writeln!(
         out,
         "ingested {acked} tuples ({failed} failed) at target {rate:.0} tuples/s; \
-         durable {durable}; {} windows published (generation {}); elapsed {elapsed:.3} s",
-        stats.published_windows,
-        state.generation()
+         durable {durable}, {} late; {} windows published (generation {generation}); \
+         elapsed {elapsed:.3} s",
+        stats.late_tuples, stats.published_windows,
     )
     .map_err(io_err)?;
     Ok(())
 }
 
-/// Opens the store in `dir` with `enviro ingest`'s default window, so
-/// `store` reads what `ingest` wrote; a store created with another window
-/// length is refused with an error naming both.
-fn open_store(dir: &str) -> Result<WalStore, CliError> {
+/// Opens the store at `dir` under the store rule ([`store_window_secs`]);
+/// only `store ingest` may `create` one.
+fn open_store(args: &Args, dir: &str, create: bool) -> Result<WalStore, CliError> {
     let config = WalConfig {
-        window_secs: DEFAULT_INGEST_WINDOW_SECS,
+        window_secs: store_window_secs(args, dir, create)?,
         ..WalConfig::default()
     };
     WalStore::open(dir, config).map_err(|e| CliError::runtime(format!("{dir}: {e}")))
@@ -733,7 +803,7 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 .map_err(|e| CliError::runtime(format!("cannot open {csv_path}: {e}")))?;
             let dataset = read_csv(Pollutant::Co2, file)
                 .map_err(|e| CliError::runtime(format!("{csv_path}: {e}")))?;
-            let mut store = open_store(dir)?;
+            let mut store = open_store(args, dir, true)?;
             let before = store.durable_upto();
             store
                 .append_batch(dataset.tuples())
@@ -756,7 +826,7 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "export" => {
             let dir = args.require("dir")?;
             let out_path = args.require("out")?;
-            let tuples = open_store(dir)?
+            let tuples = open_store(args, dir, false)?
                 .tuples()
                 .map_err(|e| CliError::runtime(format!("{dir}: {e}")))?;
             let dataset =
@@ -770,7 +840,7 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         "stats" => {
-            let s = open_store(args.require("dir")?)?.stats();
+            let s = open_store(args, args.require("dir")?, false)?.stats();
             writeln!(
                 out,
                 "durable tuples: {}  open windows: {} ({} tuples)  sealed windows: {} ({} tuples)  \
@@ -788,7 +858,7 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         "compact" => {
-            let mut store = open_store(args.require("dir")?)?;
+            let mut store = open_store(args, args.require("dir")?, false)?;
             let before = store.stats();
             // Sealing every window leaves a store with no open windows: the
             // WAL shrinks to one empty segment.
@@ -816,7 +886,8 @@ fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         _ => {
             writeln!(
                 out,
-                "usage: enviro store <ingest FILE --dir DIR | export --dir DIR --out FILE | stats --dir DIR | compact --dir DIR>"
+                "usage: enviro store <ingest FILE --dir DIR [--window-secs S] | export --dir DIR --out FILE | stats --dir DIR | compact --dir DIR>\n\
+                 a store keeps the window it records; only ingest creates one"
             )
             .map_err(io_err)?;
             Ok(())
@@ -1007,12 +1078,13 @@ mod tests {
         let (code, out) = run_cmd(&["store", "stats", "--dir", dir.to_str().unwrap()]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("durable tuples: 240"), "{out}");
-        // A directory written with another window length is refused, not
-        // misread.
+        // A directory written with another window length is read with the
+        // window it records, not misread.
         let (code, out) = ingest(&other, &["--window-secs", "7200"]);
         assert_eq!(code, 0, "{out}");
-        let (code, _) = run_cmd(&["store", "stats", "--dir", other.to_str().unwrap()]);
-        assert_eq!(code, 1);
+        let (code, out) = run_cmd(&["store", "stats", "--dir", other.to_str().unwrap()]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("durable tuples: 240"), "{out}");
         std::fs::remove_file(&csv).ok();
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&other).ok();
@@ -1203,6 +1275,24 @@ mod tests {
         assert!(out.contains("ingest: 240 tuples acked, 0 failed"), "{out}");
         assert!(out.contains("durable 240"), "{out}");
         std::fs::remove_file(&csv).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_ingest_setup_fits_with_the_platforms_tau() {
+        let dir = temp_path("ingest-setup-tau");
+        let _ = std::fs::remove_dir_all(&dir);
+        let argv: Vec<String> = ["--tau", "5"].iter().map(|s| s.to_string()).collect();
+        let config = PlatformConfig::parse(&Args::parse(&argv).unwrap()).unwrap();
+        let ingest = Ingest::open(dir.to_str().unwrap(), Pollutant::Co2, &config).unwrap();
+        let adkmn = &ingest.state.config().adkmn;
+        assert_eq!(adkmn.tau_percent, 5.0);
+        assert_eq!(*adkmn, config.adkmn);
+        ingest.finish().unwrap();
+        assert_eq!(
+            WalStore::recorded_window_secs(&dir).unwrap(),
+            Some(DEFAULT_WINDOW_SECS)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

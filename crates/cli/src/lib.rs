@@ -12,9 +12,17 @@
 //! enviro serve day.csv --workers 4 --batch 64       # concurrent load drive
 //! enviro ingest day.csv --dir ./wal --rate 500      # durable write path
 //! enviro store ingest day.csv --dir ./store         # durable raw-tuple store
-//! enviro store stats --dir ./wal                    # inspect any store dir
+//! enviro store stats --dir ./wal                    # inspect an existing store
 //! enviro store export --dir ./store --out back.csv
 //! ```
+//!
+//! One rule gives a store its window length `H`: an existing store keeps
+//! the one its `WINDOW_SECS` record names, and a new store takes
+//! `--window-secs` or the 4-h default that the platform also uses. A
+//! `--window-secs` that disagrees with the record is a usage error. `store
+//! stats|export|compact` only read: a path with no store is a runtime
+//! error, and nothing is created there. `ingest` and `serve --ingest`
+//! share one ingest setup, fitted with the platform's configuration.
 //!
 //! Exit codes: 0 on success, 2 for a usage error, 1 for a runtime error.
 //! A CSV row the format refuses (a time before the epoch, a non-finite or

@@ -14,10 +14,9 @@
 //!
 //! Each publication bumps a monotone **generation** number, stored in the
 //! set it labels. The server answers a request from one snapshot and
-//! stamps that snapshot's generation into the `ValueBatch` reply, which
-//! lets a cover-caching client detect that the models it holds predate
-//! the latest publication and refetch instead of serving stale
-//! interpolations.
+//! stamps that snapshot's generation into the `ValueBatch` reply, so each
+//! batch of answers names the one publication it came from. (A fetched
+//! cover carries no generation yet: ROADMAP.md item 1.)
 //!
 //! Query routing is the batch engine's: a query at time `t` is answered by
 //! the newest window whose **first tuple** is at or before `t` (not the

@@ -6,19 +6,13 @@
 //! the small, allocation-free geometric vocabulary shared by all other
 //! EnviroMeter crates:
 //!
-//! * [`Point`] — a position in a projected, metric plane (meters).
-//! * [`GeoPoint`] — a WGS-84 latitude/longitude pair, with great-circle
-//!   distance ([`GeoPoint::haversine_distance`]).
-//! * [`LocalProjection`] — an equirectangular local east/north projection that
-//!   maps lat/lon to meters around a reference origin (adequate at city
-//!   scale, which is exactly the paper's granularity: "city or state").
+//! * [`Point`] — a position in a local metric plane (meters).
 //! * [`BoundingBox`] — axis-aligned rectangles used by the R-tree.
 //! * [`Grid`] — a uniform cell decomposition used by the grid index and the
 //!   heatmap service.
 //! * [`polyline`] — arc-length utilities for bus routes and recorded tracks.
 //!
-//! All distances are Euclidean in the projected plane unless stated
-//! otherwise; the paper's radius-`r` queries ("a radius r of 1 km") are
+//! All distances are Euclidean in the metric plane; the paper's radius-`r` queries ("a radius r of 1 km") are
 //! metric-plane disks.
 
 #![forbid(unsafe_code)]
@@ -35,13 +29,8 @@ pub mod grid;
 mod memsize_impls;
 pub mod point;
 pub mod polyline;
-pub mod projection;
 
 pub use bbox::BoundingBox;
 pub use grid::{CellId, Grid};
-pub use point::{GeoPoint, Point};
+pub use point::Point;
 pub use polyline::Polyline;
-pub use projection::LocalProjection;
-
-/// Mean Earth radius in meters (IUGG value), used by the haversine formula.
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;

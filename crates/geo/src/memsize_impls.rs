@@ -1,16 +1,9 @@
 //! [`DeepSize`] implementations for the geometric primitives.
 
-use crate::{BoundingBox, CellId, GeoPoint, Grid, Point, Polyline};
+use crate::{BoundingBox, CellId, Grid, Point, Polyline};
 use enviro_memsize::DeepSize;
 
 impl DeepSize for Point {
-    #[inline]
-    fn heap_size(&self) -> usize {
-        0
-    }
-}
-
-impl DeepSize for GeoPoint {
     #[inline]
     fn heap_size(&self) -> usize {
         0

@@ -1,18 +1,16 @@
-//! Points in the projected metric plane and on the WGS-84 ellipsoid.
+//! Points in the metric plane.
 
-use crate::EARTH_RADIUS_M;
-
-/// A position in a local, projected, metric plane.
+/// A position in a local, metric plane.
 ///
-/// Coordinates are in meters east (`x`) and north (`y`) of a projection
-/// origin (see [`crate::LocalProjection`]). `Point` is the coordinate type
-/// used throughout query processing: raw tuples, query tuples, cluster
-/// centroids and index entries all carry a `Point`.
+/// Coordinates are in meters east (`x`) and north (`y`) of an origin; CSV
+/// rows and the simulator are metric already. `Point` is the coordinate
+/// type used throughout query processing: raw tuples, query tuples,
+/// cluster centroids and index entries all carry a `Point`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
-    /// Meters east of the projection origin.
+    /// Meters east of the origin.
     pub x: f64,
-    /// Meters north of the projection origin.
+    /// Meters north of the origin.
     pub y: f64,
 }
 
@@ -23,7 +21,7 @@ impl Point {
         Self { x, y }
     }
 
-    /// The origin of the projected plane.
+    /// The origin of the plane.
     #[inline]
     pub const fn origin() -> Self {
         Self { x: 0.0, y: 0.0 }
@@ -85,42 +83,9 @@ impl From<Point> for (f64, f64) {
     }
 }
 
-/// A WGS-84 geographic coordinate (decimal degrees).
-///
-/// The community sensors report GPS fixes; [`crate::LocalProjection`]
-/// converts them into the metric [`Point`] plane for query processing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeoPoint {
-    /// Latitude in decimal degrees, positive north. Valid range `[-90, 90]`.
-    pub lat: f64,
-    /// Longitude in decimal degrees, positive east. Valid range `[-180, 180]`.
-    pub lon: f64,
-}
-
-impl GeoPoint {
-    /// Creates a geographic coordinate from latitude/longitude degrees.
-    #[inline]
-    pub const fn new(lat: f64, lon: f64) -> Self {
-        Self { lat, lon }
-    }
-
-    /// Great-circle distance to `other` in meters (haversine formula).
-    pub fn haversine_distance(&self, other: &GeoPoint) -> f64 {
-        let lat1 = self.lat.to_radians();
-        let lat2 = other.lat.to_radians();
-        let dlat = (other.lat - self.lat).to_radians();
-        let dlon = (other.lon - self.lon).to_radians();
-        let a = (dlat * 0.5).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon * 0.5).sin().powi(2);
-        2.0 * EARTH_RADIUS_M * a.sqrt().min(1.0).asin()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const LAUSANNE: GeoPoint = GeoPoint::new(46.5197, 6.6323);
-    const GENEVA: GeoPoint = GeoPoint::new(46.2044, 6.1432);
 
     #[test]
     fn distance_is_zero_for_identical_points() {
@@ -173,34 +138,5 @@ mod tests {
         let p: Point = (1.5, -2.5).into();
         let t: (f64, f64) = p.into();
         assert_eq!(t, (1.5, -2.5));
-    }
-
-    #[test]
-    fn haversine_zero_for_same_point() {
-        assert_eq!(LAUSANNE.haversine_distance(&LAUSANNE), 0.0);
-    }
-
-    #[test]
-    fn haversine_lausanne_geneva_plausible() {
-        // Straight-line distance Lausanne–Geneva is ~50 km.
-        let d = LAUSANNE.haversine_distance(&GENEVA);
-        assert!((45_000.0..55_000.0).contains(&d), "got {d}");
-    }
-
-    #[test]
-    fn haversine_is_symmetric() {
-        assert!(
-            (LAUSANNE.haversine_distance(&GENEVA) - GENEVA.haversine_distance(&LAUSANNE)).abs()
-                < 1e-6
-        );
-    }
-
-    #[test]
-    fn haversine_one_degree_latitude() {
-        // One degree of latitude is ~111.2 km everywhere.
-        let a = GeoPoint::new(46.0, 6.0);
-        let b = GeoPoint::new(47.0, 6.0);
-        let d = a.haversine_distance(&b);
-        assert!((110_000.0..112_500.0).contains(&d), "got {d}");
     }
 }

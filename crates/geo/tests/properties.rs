@@ -4,7 +4,7 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_geo::{BoundingBox, GeoPoint, Grid, LocalProjection, Point, Polyline};
+use enviro_geo::{BoundingBox, Grid, Point, Polyline};
 use proptest::prelude::*;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -96,15 +96,6 @@ proptest! {
         let cells = g.cells_in_radius(&p, radius);
         let home = g.cell_of(&p).expect("inside extent");
         prop_assert!(cells.contains(&home));
-    }
-
-    #[test]
-    fn projection_roundtrip(lat in 46.0..47.0f64, lon in 6.0..7.0f64) {
-        let proj = LocalProjection::lausanne();
-        let g = GeoPoint::new(lat, lon);
-        let back = proj.unproject(&proj.project(&g));
-        prop_assert!((back.lat - lat).abs() < 1e-9);
-        prop_assert!((back.lon - lon).abs() < 1e-9);
     }
 
     #[test]

@@ -68,12 +68,20 @@ impl From<TransportError> for ClientError {
     }
 }
 
-/// Retry/deadline/backoff knobs for every [`EnviroClient`] exchange.
+/// Backoff before the first retry, in ms; doubles per retry.
+const BACKOFF_BASE_MS: u64 = 25;
+
+/// Ceiling on any single backoff sleep, in ms. Also the degraded-mode
+/// cool-off: an unreachable server is not re-probed more often than this
+/// in model-cache mode.
+const BACKOFF_MAX_MS: u64 = 800;
+
+/// Retry and deadline budget for every [`EnviroClient`] exchange.
 ///
-/// The backoff before retry *k* is `min(backoff_base_ms << (k-1),
-/// backoff_max_ms)` with uniform jitter in the upper half of that value,
-/// and every sleep is clamped to the remaining deadline — a chunk never
-/// outlives `deadline_ms` no matter how the retries land.
+/// The backoff before retry *k* is `min(25 ms << (k-1), 800 ms)` with
+/// uniform jitter in the upper half of that value, and every sleep is
+/// clamped to the remaining deadline — a chunk never outlives
+/// `deadline_ms` no matter how the retries land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Per-chunk time budget on the injected clock, in ms. Once spent, the
@@ -82,12 +90,6 @@ pub struct RetryPolicy {
     /// Retries after the first attempt (so at most `max_retries + 1`
     /// sends per chunk).
     pub max_retries: u32,
-    /// Backoff before the first retry, in ms; doubles per retry.
-    pub backoff_base_ms: u64,
-    /// Ceiling on any single backoff sleep, in ms. Also the degraded-mode
-    /// cool-off: an unreachable server is not re-probed more often than
-    /// this in model-cache mode.
-    pub backoff_max_ms: u64,
 }
 
 impl Default for RetryPolicy {
@@ -95,8 +97,6 @@ impl Default for RetryPolicy {
         Self {
             deadline_ms: 2_000,
             max_retries: 4,
-            backoff_base_ms: 25,
-            backoff_max_ms: 800,
         }
     }
 }
@@ -616,7 +616,7 @@ impl<C: WireCodec> EnviroClient<C> {
             if !matches!(refreshed, Ok(true)) {
                 // Unreachable or nothing fresher: cool off before probing
                 // again instead of paying the full retry budget per tuple.
-                self.degraded_until = self.clock.now_ms() + self.policy.backoff_max_ms;
+                self.degraded_until = self.clock.now_ms() + BACKOFF_MAX_MS;
             }
             if self.cached.is_none() {
                 refreshed?;
@@ -782,11 +782,9 @@ impl<C: WireCodec> EnviroClient<C> {
     /// upper half, clamped to what remains of the deadline.
     fn backoff_sleep(&mut self, attempt: u32, deadline: u64) {
         let exp = attempt.saturating_sub(1).min(10);
-        let cap = self
-            .policy
-            .backoff_base_ms
+        let cap = BACKOFF_BASE_MS
             .saturating_mul(1u64 << exp)
-            .min(self.policy.backoff_max_ms);
+            .min(BACKOFF_MAX_MS);
         if cap == 0 {
             return;
         }

@@ -12,9 +12,9 @@ use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
 /// resilient client can discard duplicated or stale replies after a
 /// retry) and a trailing CRC-32 over the frame (so a bit-corrupted batch
 /// is *detected* instead of silently mis-answering); `ValueBatch` also
-/// carries the cover **generation**, so a caching client can tell its
-/// cover was rebuilt behind its back and refresh instead of serving
-/// answers past `t_n`.
+/// carries the cover **generation** that answered it. A `Cover` reply
+/// carries none yet, so a model-cache client cannot see its cover
+/// republished (ROADMAP.md item 1).
 ///
 /// Encoders emit this version and decoders accept only this version:
 /// any other version byte is a `Malformed` error.
@@ -92,11 +92,10 @@ pub enum Response {
         /// The sequence number of the [`Request::QueryBatch`] this answers,
         /// echoed verbatim.
         seq: u32,
-        /// The server's cover **generation** at answer time: a counter
+        /// The cover **generation** that answered this batch: a counter
         /// bumped on every atomic cover publication — the server's static
         /// covers at start-up, then each model-maintenance republication.
-        /// A client holding a cached cover from an older generation knows
-        /// to invalidate it. 0 when nothing is published (no data yet).
+        /// 0 when nothing is published (no data yet).
         generation: u64,
         /// `Some(ŝ_l)` per answerable tuple, `None` per miss.
         values: Vec<Option<f64>>,

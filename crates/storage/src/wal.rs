@@ -33,7 +33,9 @@
 //! The window length is fixed when the store is created and recorded in
 //! `WINDOW_SECS`: replaying the WAL under another length would file tuples
 //! under the wrong windows, so reopening with a different one is a
-//! [`StorageError::WindowMismatch`].
+//! [`StorageError::WindowMismatch`]. [`WalStore::recorded_window_secs`]
+//! reads the record without opening or creating anything, so a caller can
+//! open an existing store with the window it was created with.
 //!
 //! Directory layout:
 //!
@@ -214,6 +216,23 @@ pub struct WalStore {
 }
 
 impl WalStore {
+    /// The window length the store in `dir` was created with, read from its
+    /// `WINDOW_SECS` record without opening or creating anything; `None`
+    /// when `dir` holds no record (no store, or one written before the
+    /// record existed).
+    pub fn recorded_window_secs(dir: impl AsRef<Path>) -> Result<Option<i64>, StorageError> {
+        let path = dir.as_ref().join(WINDOW_RECORD);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        match text.trim().parse() {
+            Ok(stored) => Ok(Some(stored)),
+            Err(_) => Err(invalid(&path, format!("bad window record {text:?}"))),
+        }
+    }
+
     /// Opens (or creates) a WAL store in `dir`, running recovery.
     ///
     /// Each sealed window's file is read once: its tuple frame must be
@@ -787,15 +806,6 @@ fn tmp_file_name(seq: u32) -> String {
     format!("{}.tmp", segment_file_name(seq))
 }
 
-/// Reads `path` as text; `None` if it does not exist.
-fn read_optional(path: &Path) -> Result<Option<String>, StorageError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
 /// Writes `bytes` to a new `path` (replacing any file there) and fsyncs it.
 fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = std::fs::File::create(path)?;
@@ -817,19 +827,14 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StorageError
 /// an existing store was created with. A store written before the record
 /// existed adopts the length it is first opened with.
 fn check_window_record(dir: &Path, window_secs: i64) -> Result<(), StorageError> {
-    let path = dir.join(WINDOW_RECORD);
-    let Some(text) = read_optional(&path)? else {
-        return write_atomic(dir, WINDOW_RECORD, format!("{window_secs}\n").as_bytes());
-    };
-    let reason = || format!("bad window record {text:?}");
-    let stored: i64 = text.trim().parse().map_err(|_| invalid(&path, reason()))?;
-    if stored != window_secs {
-        return Err(StorageError::WindowMismatch {
+    match WalStore::recorded_window_secs(dir)? {
+        None => write_atomic(dir, WINDOW_RECORD, format!("{window_secs}\n").as_bytes()),
+        Some(stored) if stored != window_secs => Err(StorageError::WindowMismatch {
             stored,
             requested: window_secs,
-        });
+        }),
+        Some(_) => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1352,6 +1357,27 @@ mod tests {
             Ok(w) => panic!("reopened with durable_upto {} of 2", w.durable_upto()),
         }
         assert_eq!(WalStore::open(&dir, cfg()).unwrap().durable_upto(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_window_record_is_read_without_creating_a_store() {
+        let dir = tempdir("window-record");
+        assert_eq!(WalStore::recorded_window_secs(&dir).unwrap(), None);
+        assert!(
+            !dir.exists(),
+            "reading the record created {}",
+            dir.display()
+        );
+        drop(WalStore::open(&dir, cfg()).unwrap());
+        assert_eq!(WalStore::recorded_window_secs(&dir).unwrap(), Some(H));
+        std::fs::write(dir.join(WINDOW_RECORD), "an hour\n").unwrap();
+        match WalStore::recorded_window_secs(&dir) {
+            Err(e @ StorageError::InvalidSegment { .. }) => {
+                assert!(e.to_string().contains("an hour"), "{e}")
+            }
+            other => panic!("expected a bad record, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -544,7 +544,6 @@ fn client_rides_through_server_shedding() {
             .with_retry_policy(RetryPolicy {
                 deadline_ms: 10_000,
                 max_retries: 100,
-                ..RetryPolicy::default()
             })
             .with_rng_seed(seed);
         let mut outcomes = Vec::new();
