@@ -1,8 +1,11 @@
 //! Regenerates every figure of the paper's evaluation (and the ablations).
 //!
 //! ```text
-//! figures [--quick] [--seed N] <fig6a|fig6b|fig7a|fig7b|abl-k0|abl-split|abl-tau|abl-codec|abl-radius|all>
+//! figures [--quick] [--seed N] <panel>... | all
 //! ```
+//!
+//! `figures --help` lists the panels. Every name is checked before any
+//! workload is built.
 //!
 //! `--quick` runs the CI-sized workload (~10 K tuples, 1000 queries);
 //! without it the paper-scale workload (~173 K tuples, 5000 queries) is
@@ -18,6 +21,25 @@
 use enviro_bench::workload::{build, Scale, Workload};
 use enviro_bench::{ablations, fig6a, fig6b, fig7a, fig7b, table};
 use enviro_meter::QueryMethod;
+
+/// Every panel, in the order `all` runs them.
+const PANELS: [&str; 15] = [
+    "fig6a",
+    "fig6b",
+    "fig7a",
+    "fig7b",
+    "abl-k0",
+    "abl-split",
+    "abl-tau",
+    "abl-codec",
+    "abl-radius",
+    "abl-spread",
+    "abl-interp",
+    "abl-warm",
+    "abl-build",
+    "abl-interval",
+    "abl-loss",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,27 +63,14 @@ fn main() {
     if targets.is_empty() {
         usage("no experiment named");
     }
-    let expanded: Vec<String> = if targets.iter().any(|t| t == "all") {
-        [
-            "fig6a",
-            "fig6b",
-            "fig7a",
-            "fig7b",
-            "abl-k0",
-            "abl-split",
-            "abl-tau",
-            "abl-codec",
-            "abl-radius",
-            "abl-spread",
-            "abl-interp",
-            "abl-warm",
-            "abl-build",
-            "abl-interval",
-            "abl-loss",
-        ]
+    if let Some(unknown) = targets
         .iter()
-        .map(|s| s.to_string())
-        .collect()
+        .find(|t| *t != "all" && !PANELS.contains(&t.as_str()))
+    {
+        usage(&format!("unknown experiment {unknown:?}"));
+    }
+    let expanded: Vec<String> = if targets.iter().any(|t| t == "all") {
+        PANELS.iter().map(|s| s.to_string()).collect()
     } else {
         targets
     };
@@ -105,7 +114,7 @@ fn main() {
             "abl-build" => run_abl_build(w()),
             "abl-interval" => run_abl_interval(seed),
             "abl-loss" => run_abl_loss(seed),
-            other => usage(&format!("unknown experiment {other:?}")),
+            other => unreachable!("{other:?} was checked against PANELS"),
         }
     }
 }
@@ -115,8 +124,8 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: figures [--quick] [--seed N] \
-         <fig6a|fig6b|fig7a|fig7b|abl-k0|abl-split|abl-tau|abl-codec|abl-radius|abl-spread|abl-interp|abl-warm|abl-build|abl-interval|abl-loss|all>"
+        "usage: figures [--quick] [--seed N] <{}|all>...",
+        PANELS.join("|")
     );
     std::process::exit(2);
 }

@@ -1,7 +1,8 @@
-//! The subcommand implementations.
+//! The subcommand implementations, each behind the table of what it
+//! accepts.
 
-use crate::args::Args;
-use crate::{CliError, USAGE};
+use crate::args::{Args, Command};
+use crate::CliError;
 use enviro_data::csv::{read_csv, write_csv};
 use enviro_data::{Dataset, LausanneSim, Pollutant, QueryTuple, SimConfig, WindowSpec};
 use enviro_geo::{Point, Polyline};
@@ -19,48 +20,170 @@ use std::io::Write;
 /// `--window-secs` is given: 4 h.
 const DEFAULT_WINDOW_SECS: i64 = 4 * 3_600;
 
-/// Routes a raw argument list to its subcommand.
-pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        writeln!(out, "{USAGE}").map_err(io_err)?;
-        return Ok(());
-    };
-    let args = Args::parse(rest)?;
-    match cmd.as_str() {
-        "simulate" => cmd_simulate(&args, out),
-        "info" => cmd_info(&args, out),
-        "query" => cmd_query(&args, out),
-        "heatmap" => cmd_heatmap(&args, out),
-        "route" => cmd_route(&args, out),
-        "serve" => cmd_serve(&args, out),
-        "ingest" => cmd_ingest(&args, out),
-        "store" => cmd_store(&args, out),
-        "--help" | "help" => {
-            writeln!(out, "{USAGE}").map_err(io_err)?;
-            Ok(())
+// Flag lines that more than one command reads, each declared once.
+const TIME: &[&str] = &["--time T  seconds, or 90m, 8h, 2d"];
+const METHOD: &[&str] = &["[--method M]  ad-kmn, naive, rtree, vptree, kdtree, grid or idw"];
+const DATASET: &[&str] = &["[--pollutant P]  what the CSV measures: CO2, CO, NO2, O3, PM10, PM2.5"];
+const WINDOW_SECS: &str = "[--window-secs S]  window length H in seconds; a store keeps its own";
+/// Read by [`PlatformConfig::parse`].
+const PLATFORM: &[&str] = &[
+    "[--window N]  window by count, N tuples each",
+    WINDOW_SECS,
+    "[--tau PCT]  Ad-KMN's error threshold, in percent",
+    "[--radius R]  the raw-data methods' radius, in metres",
+];
+/// Read by [`store_window_secs`].
+const STORE: &[&str] = &["--dir DIR  the store's directory", WINDOW_SECS];
+
+/// Every command, in the order `enviro` lists them.
+static COMMANDS: [Command; 11] = [
+    Command {
+        table: "simulate: generate a community-sensed dataset (CSV)
+                --out FILE  the CSV to write
+                [--hours N]  hours to simulate
+                [--days N]  days to simulate, instead of --hours
+                [--interval SECS]  seconds between readings
+                [--seed N]  the simulation's seed",
+        groups: &[],
+        run: cmd_simulate,
+    },
+    Command {
+        table: "info FILE: summarize a dataset",
+        groups: &[DATASET],
+        run: cmd_info,
+    },
+    Command {
+        table: "query FILE: interpolate the pollutant value at a time and position
+                --x X  east coordinate, in metres
+                --y Y  north coordinate, in metres",
+        groups: &[TIME, METHOD, DATASET, PLATFORM],
+        run: cmd_query,
+    },
+    Command {
+        table: "heatmap FILE: render the model cover as a PPM image
+                [--out FILE]  the PPM image to write
+                [--cols N]  grid columns
+                [--rows N]  grid rows
+                [--ascii]  print the map as ASCII art",
+        groups: &[TIME, DATASET, PLATFORM],
+        run: cmd_heatmap,
+    },
+    Command {
+        table: "route FILE: evaluate a route and print the OSHA summary
+                --points \"X,Y;X,Y;...\"  the route's vertices, in metres
+                --start T  when the walk starts
+                [--speed MPS]  walking speed, in m/s
+                [--interval SECS]  seconds between fixes",
+        groups: &[METHOD, DATASET, PLATFORM],
+        run: cmd_route,
+    },
+    Command {
+        table: "serve FILE: run the concurrent server and drive it with in-process clients
+                [--workers N]  worker threads
+                [--batch B]  queries per frame
+                [--clients K]  query clients
+                [--requests M]  queries per client
+                [--max-queue Q]  each worker's queue bound; overload is shed with Busy replies
+                [--deadline-ms MS]  each client's per-request deadline
+                [--retries R]  each client's retry budget
+                [--ingest DIR]  also stream FILE into the store at DIR and answer from its \
+                covers; takes --window-secs, not --window, and only the ad-kmn method",
+        groups: &[METHOD, DATASET, PLATFORM],
+        run: cmd_serve,
+    },
+    Command {
+        table: "ingest FILE: replay a dataset through the WAL-backed durable write path
+                [--rate N]  tuples per second
+                [--batch B]  tuples per frame
+                [--source ID]  the client's source id
+                [--virtual-clock]  pace on a virtual clock, without sleeping",
+        groups: &[STORE, DATASET],
+        run: cmd_ingest,
+    },
+    Command {
+        table: "store ingest FILE: append a dataset to a store, creating it if absent",
+        groups: &[STORE],
+        run: cmd_store_ingest,
+    },
+    Command {
+        table: "store export: write a store's tuples as CSV
+                --out FILE  the CSV to write",
+        groups: &[STORE],
+        run: cmd_store_export,
+    },
+    Command {
+        table: "store stats: summarize a store",
+        groups: &[STORE],
+        run: cmd_store_stats,
+    },
+    Command {
+        table: "store compact: seal every window of a store",
+        groups: &[STORE],
+        run: cmd_store_compact,
+    },
+];
+
+/// Lists the commands whose names start with `prefix`.
+fn usage(prefix: &str) -> String {
+    let mut text = format!("usage: enviro {prefix}<command> [flags]\n\ncommands:\n");
+    for (synopsis, summary) in COMMANDS.iter().map(Command::head) {
+        if synopsis.starts_with(prefix) {
+            text += &format!("  {synopsis:<20}{summary}\n");
         }
-        other => Err(CliError::usage(format!(
-            "unknown command {other:?}\n{USAGE}"
-        ))),
     }
+    text + "\nrun `enviro <command> --help` for the command's flags"
+}
+
+/// Routes a raw argument list to its command, parses the rest against the
+/// command's table, then prints the command's help or runs it.
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let words: Vec<&str> = argv.iter().take(2).map(String::as_str).collect();
+    let (name, rest, prefix) = match words[..] {
+        [] | ["help" | "--help", ..] => return print(out, &usage("")),
+        ["store"] | ["store", "--help"] => return print(out, &usage("store ")),
+        ["store", sub] => (format!("store {sub}"), &argv[2..], "store "),
+        [cmd, ..] => (cmd.to_string(), &argv[1..], ""),
+    };
+    let Some(command) = COMMANDS.iter().find(|c| c.is(&name)) else {
+        let listing = usage(prefix);
+        return Err(CliError::usage(format!(
+            "unknown command {name:?}\n{listing}"
+        )));
+    };
+    let args = Args::parse(rest, command)?;
+    if args.help {
+        print(out, &command.help())
+    } else {
+        (command.run)(&args, out)
+    }
+}
+
+fn print(out: &mut dyn Write, text: &str) -> Result<(), CliError> {
+    writeln!(out, "{text}").map_err(io_err)
 }
 
 fn io_err(e: std::io::Error) -> CliError {
     CliError::runtime(format!("I/O error: {e}"))
 }
 
+/// Reads the CSV named by the first positional, its values measuring
+/// `--pollutant`.
 fn load_dataset(args: &Args) -> Result<Dataset, CliError> {
+    let pollutant: Pollutant = args
+        .get("pollutant")
+        .unwrap_or("CO2")
+        .parse()
+        .map_err(CliError::usage)?;
+    load_csv(args, pollutant)
+}
+
+fn load_csv(args: &Args, pollutant: Pollutant) -> Result<Dataset, CliError> {
     let path = args
         .positional
         .first()
         .ok_or_else(|| CliError::usage("missing dataset path (CSV)"))?;
     let file = std::fs::File::open(path)
         .map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?;
-    let pollutant: Pollutant = args
-        .get("pollutant")
-        .unwrap_or("CO2")
-        .parse()
-        .map_err(CliError::usage)?;
     read_csv(pollutant, file).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
@@ -240,15 +363,6 @@ fn parse_method(args: &Args) -> Result<QueryMethod, CliError> {
 }
 
 fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(
-            out,
-            "usage: enviro simulate --out FILE [--hours N | --days N] \
-             [--interval SECS] [--seed N]"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
     let out_path = args.require("out")?;
     let duration_secs = match (args.has("hours"), args.has("days")) {
         (false, false) => Some(24 * 3_600),
@@ -295,10 +409,6 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(out, "usage: enviro info FILE [--pollutant P]").map_err(io_err)?;
-        return Ok(());
-    }
     let dataset = load_dataset(args)?;
     writeln!(out, "tuples:    {}", dataset.len()).map_err(io_err)?;
     writeln!(out, "pollutant: {}", dataset.pollutant()).map_err(io_err)?;
@@ -331,18 +441,7 @@ fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(
-            out,
-            "usage: enviro query FILE --time T --x X --y Y [--method M] \
-             [--radius R] [--window H | --window-secs S] [--tau PCT]"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
-    let time = args
-        .time("time")?
-        .ok_or_else(|| CliError::usage("missing required flag --time"))?;
+    let time = args.time("time")?;
     let x: f64 = args.require_parsed("x")?;
     let y: f64 = args.require_parsed("y")?;
     let method = parse_method(args)?;
@@ -365,18 +464,7 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_heatmap(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(
-            out,
-            "usage: enviro heatmap FILE --time T --out FILE.ppm \
-             [--cols N] [--rows N] [--ascii]"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
-    let time = args
-        .time("time")?
-        .ok_or_else(|| CliError::usage("missing required flag --time"))?;
+    let time = args.time("time")?;
     let cols = args.get_or("cols", 96u32)?;
     let rows = args.get_or("rows", 64u32)?;
     if cols == 0 || rows == 0 || u64::from(cols) * u64::from(rows) > MAX_HEATMAP_CELLS {
@@ -408,18 +496,7 @@ fn cmd_heatmap(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_route(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(
-            out,
-            "usage: enviro route FILE --points \"x,y;x,y;...\" --start T \
-             [--speed MPS] [--interval SECS] [--method M]"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
-    let start = args
-        .time("start")?
-        .ok_or_else(|| CliError::usage("missing required flag --start"))?;
+    let start = args.time("start")?;
     let speed: f64 = args.get_or("speed", 1.4)?;
     let interval: i64 = args.get_or("interval", 60)?;
     if !(speed.is_finite() && speed > 0.0) || interval <= 0 {
@@ -479,28 +556,6 @@ impl<W: Wire> Wire for MeteredWire<W> {
 }
 
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(
-            out,
-            "usage: enviro serve FILE [--workers N] [--batch B] [--clients K] \
-             [--requests M] [--method M] [--window H | --window-secs S]\n\
-             [--max-queue Q] [--deadline-ms MS] [--retries R] [--ingest DIR]\n\
-             runs the concurrent server over FILE and drives it with K \
-             in-process clients issuing M queries each;\n\
-             --workers defaults to the detected CPU parallelism;\n\
-             --max-queue bounds each worker's queue (overload is shed with \
-             Busy replies);\n\
-             --deadline-ms and --retries set each client's per-request \
-             deadline and retry budget;\n\
-             --ingest DIR opens a WAL-backed ingest state at DIR, streams \
-             the dataset through the durable write path concurrently with \
-             the query load, and publishes covers online (it takes \
-             --window-secs, not --window, and only the ad-kmn method; an \
-             existing store keeps the window it records)"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
     let method = parse_method(args)?;
     let workers: usize = args.get_or("workers", default_parallelism())?;
     let batch: usize = args.get_or("batch", 64)?;
@@ -693,24 +748,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if args.has("help") {
-        writeln!(
-            out,
-            "usage: enviro ingest FILE --dir DIR [--rate N] [--batch B] \
-             [--window-secs S] [--source ID] [--virtual-clock]\n\
-             replays FILE through the durable write path at --rate tuples/s \
-             (default 1000): tuples are appended to the WAL at DIR, \
-             acknowledged once durable, and background maintenance \
-             publishes Ad-KMN covers online;\n\
-             --window-secs sets a new store's window (default \
-             {DEFAULT_WINDOW_SECS}); an \
-             existing store keeps the window it records;\n\
-             --virtual-clock paces on a virtual clock (no real sleeping), \
-             for deterministic tests"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
     let dir = args.require("dir")?;
     let rate: f64 = args.get_or("rate", 1_000.0)?;
     let batch: usize = args.get_or("batch", 64)?;
@@ -776,9 +813,10 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Opens the store at `dir` under the store rule ([`store_window_secs`]);
+/// Opens the store at `--dir` under the store rule ([`store_window_secs`]);
 /// only `store ingest` may `create` one.
-fn open_store(args: &Args, dir: &str, create: bool) -> Result<WalStore, CliError> {
+fn open_store(args: &Args, create: bool) -> Result<WalStore, CliError> {
+    let dir = args.require("dir")?;
     let config = WalConfig {
         window_secs: store_window_secs(args, dir, create)?,
         ..WalConfig::default()
@@ -786,113 +824,84 @@ fn open_store(args: &Args, dir: &str, create: bool) -> Result<WalStore, CliError
     WalStore::open(dir, config).map_err(|e| CliError::runtime(format!("{dir}: {e}")))
 }
 
-fn cmd_store(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let sub = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("--help");
-    match sub {
-        "ingest" => {
-            let csv_path = args
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::usage("usage: enviro store ingest FILE --dir DIR"))?;
-            let dir = args.require("dir")?;
-            let file = std::fs::File::open(csv_path)
-                .map_err(|e| CliError::runtime(format!("cannot open {csv_path}: {e}")))?;
-            let dataset = read_csv(Pollutant::Co2, file)
-                .map_err(|e| CliError::runtime(format!("{csv_path}: {e}")))?;
-            let mut store = open_store(args, dir, true)?;
-            let before = store.durable_upto();
-            store
-                .append_batch(dataset.tuples())
-                .map_err(|e| CliError::runtime(e.to_string()))?;
-            // Late and rejected counts start at zero on every open, so they
-            // are this command's alone.
-            let s = store.stats();
-            writeln!(
-                out,
-                "ingested {} tuples ({} late, {} rejected); store now holds {} tuples in {} windows",
-                s.durable_tuples - before,
-                s.late_tuples,
-                s.rejected_tuples,
-                s.durable_tuples,
-                s.memtable_windows + s.sealed_windows
-            )
-            .map_err(io_err)?;
-            Ok(())
-        }
-        "export" => {
-            let dir = args.require("dir")?;
-            let out_path = args.require("out")?;
-            let tuples = open_store(args, dir, false)?
-                .tuples()
-                .map_err(|e| CliError::runtime(format!("{dir}: {e}")))?;
-            let dataset =
-                Dataset::from_tuples(Pollutant::Co2, tuples).map_err(CliError::runtime)?;
-            let mut file = std::io::BufWriter::new(
-                std::fs::File::create(out_path)
-                    .map_err(|e| CliError::runtime(format!("cannot create {out_path}: {e}")))?,
-            );
-            write_csv(&dataset, &mut file).map_err(io_err)?;
-            writeln!(out, "exported {} tuples to {out_path}", dataset.len()).map_err(io_err)?;
-            Ok(())
-        }
-        "stats" => {
-            let s = open_store(args, args.require("dir")?, false)?.stats();
-            writeln!(
-                out,
-                "durable tuples: {}  open windows: {} ({} tuples)  sealed windows: {} ({} tuples)  \
-                 wal: {} segments, {} bytes  recovered-torn-tail: {}",
-                s.durable_tuples,
-                s.memtable_windows,
-                s.memtable_tuples,
-                s.sealed_windows,
-                s.sealed_tuples,
-                s.wal_segments,
-                s.wal_bytes,
-                s.recovered_torn_tail
-            )
-            .map_err(io_err)?;
-            Ok(())
-        }
-        "compact" => {
-            let mut store = open_store(args, args.require("dir")?, false)?;
-            let before = store.stats();
-            // Sealing every window leaves a store with no open windows: the
-            // WAL shrinks to one empty segment.
-            if let Some(max) = store.max_window_id() {
-                store
-                    .seal_windows_before(max.saturating_add(1))
-                    .map_err(|e| CliError::runtime(e.to_string()))?;
-            }
-            let after = store.stats();
-            writeln!(
-                out,
-                "sealed {} windows; WAL {} segments ({} bytes) -> {} ({} bytes); \
-                 {} tuples in {} sealed windows",
-                after.sealed_windows - before.sealed_windows,
-                before.wal_segments,
-                before.wal_bytes,
-                after.wal_segments,
-                after.wal_bytes,
-                after.durable_tuples,
-                after.sealed_windows
-            )
-            .map_err(io_err)?;
-            Ok(())
-        }
-        _ => {
-            writeln!(
-                out,
-                "usage: enviro store <ingest FILE --dir DIR [--window-secs S] | export --dir DIR --out FILE | stats --dir DIR | compact --dir DIR>\n\
-                 a store keeps the window it records; only ingest creates one"
-            )
-            .map_err(io_err)?;
-            Ok(())
-        }
+fn cmd_store_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let dataset = load_csv(args, Pollutant::Co2)?;
+    let mut store = open_store(args, true)?;
+    let before = store.durable_upto();
+    store
+        .append_batch(dataset.tuples())
+        .map_err(|e| CliError::runtime(e.to_string()))?;
+    // Late and rejected counts start at zero on every open, so they are
+    // this command's alone.
+    let s = store.stats();
+    writeln!(
+        out,
+        "ingested {} tuples ({} late, {} rejected); store now holds {} tuples in {} windows",
+        s.durable_tuples - before,
+        s.late_tuples,
+        s.rejected_tuples,
+        s.durable_tuples,
+        s.memtable_windows + s.sealed_windows
+    )
+    .map_err(io_err)
+}
+
+fn cmd_store_export(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let (dir, out_path) = (args.require("dir")?, args.require("out")?);
+    let tuples = open_store(args, false)?
+        .tuples()
+        .map_err(|e| CliError::runtime(format!("{dir}: {e}")))?;
+    let dataset = Dataset::from_tuples(Pollutant::Co2, tuples).map_err(CliError::runtime)?;
+    let mut file = std::io::BufWriter::new(
+        std::fs::File::create(out_path)
+            .map_err(|e| CliError::runtime(format!("cannot create {out_path}: {e}")))?,
+    );
+    write_csv(&dataset, &mut file).map_err(io_err)?;
+    writeln!(out, "exported {} tuples to {out_path}", dataset.len()).map_err(io_err)
+}
+
+fn cmd_store_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let s = open_store(args, false)?.stats();
+    writeln!(
+        out,
+        "durable tuples: {}  open windows: {} ({} tuples)  sealed windows: {} ({} tuples)  \
+         wal: {} segments, {} bytes  recovered-torn-tail: {}",
+        s.durable_tuples,
+        s.memtable_windows,
+        s.memtable_tuples,
+        s.sealed_windows,
+        s.sealed_tuples,
+        s.wal_segments,
+        s.wal_bytes,
+        s.recovered_torn_tail
+    )
+    .map_err(io_err)
+}
+
+fn cmd_store_compact(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let mut store = open_store(args, false)?;
+    let before = store.stats();
+    // Sealing every window leaves a store with no open windows: the WAL
+    // shrinks to one empty segment.
+    if let Some(max) = store.max_window_id() {
+        store
+            .seal_windows_before(max.saturating_add(1))
+            .map_err(|e| CliError::runtime(e.to_string()))?;
     }
+    let after = store.stats();
+    writeln!(
+        out,
+        "sealed {} windows; WAL {} segments ({} bytes) -> {} ({} bytes); \
+         {} tuples in {} sealed windows",
+        after.sealed_windows - before.sealed_windows,
+        before.wal_segments,
+        before.wal_bytes,
+        after.wal_segments,
+        after.wal_bytes,
+        after.durable_tuples,
+        after.sealed_windows
+    )
+    .map_err(io_err)
 }
 
 /// Parses `"x,y;x,y;…"` into points.
@@ -1283,7 +1292,8 @@ mod tests {
         let dir = temp_path("ingest-setup-tau");
         let _ = std::fs::remove_dir_all(&dir);
         let argv: Vec<String> = ["--tau", "5"].iter().map(|s| s.to_string()).collect();
-        let config = PlatformConfig::parse(&Args::parse(&argv).unwrap()).unwrap();
+        let serve = COMMANDS.iter().find(|c| c.is("serve")).unwrap();
+        let config = PlatformConfig::parse(&Args::parse(&argv, serve).unwrap()).unwrap();
         let ingest = Ingest::open(dir.to_str().unwrap(), Pollutant::Co2, &config).unwrap();
         let adkmn = &ingest.state.config().adkmn;
         assert_eq!(adkmn.tau_percent, 5.0);
@@ -1379,6 +1389,39 @@ mod tests {
         assert!(parse_points("1,2,3").is_err());
         assert!(parse_points("0,0;NaN,0").is_err());
         assert_eq!(parse_points("").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn every_table_line_declares_one_flag() {
+        for command in &COMMANDS {
+            let (synopsis, summary) = command.head();
+            assert!(!summary.is_empty(), "{synopsis} has no summary");
+            let help = command.help();
+            let mut names = Vec::new();
+            for line in help.lines().skip(3) {
+                let line = line.trim_start();
+                let (spelling, flag_help) = line.split_once("  ").unwrap();
+                assert!(
+                    !flag_help.trim().is_empty(),
+                    "{synopsis}: {line:?} has no help"
+                );
+                let bare = spelling
+                    .strip_prefix('[')
+                    .map_or(Some(spelling), |s| s.strip_suffix(']'));
+                let words: Vec<&str> = bare.unwrap().split(' ').collect();
+                assert!(
+                    words.len() <= 2 && words[0].starts_with("--"),
+                    "{synopsis}: {line:?}"
+                );
+                assert!(
+                    !names.contains(&words[0]),
+                    "{synopsis} declares {} twice",
+                    words[0]
+                );
+                names.push(words[0]);
+            }
+            assert_eq!(names.len(), command.usage().matches("--").count());
+        }
     }
 
     #[test]

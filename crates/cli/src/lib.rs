@@ -30,8 +30,10 @@
 //! names its line. A header-only CSV is an empty dataset: `info` and
 //! `query` report it and exit 0, `serve` refuses it and exits 1.
 //!
-//! Argument parsing is hand-rolled (`--flag value` pairs after a
-//! subcommand) to stay inside the approved dependency set.
+//! Each command declares what it accepts once, in its table in
+//! [`commands`]: positionals, flags and one help line each. The parser,
+//! the usage text and `enviro <command> --help` all come from that table,
+//! and anything it does not declare exits 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,19 +90,3 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
         }
     }
 }
-
-/// The top-level usage text.
-pub const USAGE: &str = "\
-usage: enviro <command> [flags]
-
-commands:
-  simulate   generate a community-sensed dataset (CSV)
-  info       summarize a dataset
-  query      interpolate the pollutant value at a time and position
-  heatmap    render the model cover as a PPM image
-  route      evaluate a route and print the OSHA summary
-  serve      run the concurrent server and drive it with in-process clients
-  ingest     replay a dataset through the WAL-backed durable write path
-  store      raw-tuple store operations (ingest | export | stats | compact)
-
-run `enviro <command> --help` for the command's flags";

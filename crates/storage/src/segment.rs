@@ -417,6 +417,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_sync_cuts_back_to_the_last_synced_length() {
+        let dir = tempdir("sync-fails");
+        let path = dir.join(segment_file_name(1));
+        let mut w = SegmentWriter::create(&dir, 1).unwrap();
+        w.append_batch(&[tuple(1), tuple(2)]).unwrap();
+        w.sync().unwrap();
+        let synced = w.len();
+        // Batch B is written and counted, but its sync fails: the state
+        // `sync` is in when `sync_data` errs.
+        w.append_batch(&[tuple(3)]).unwrap();
+        assert!(w.len() > synced);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), w.len());
+        let injected = w.write_or_cut_back(|_| Err(io::Error::other("injected fsync failure")));
+        assert!(injected.is_err());
+        assert_eq!(w.len(), synced);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), synced);
+        // The next batch lands where replay expects it: A then C, no tail.
+        w.append_batch(&[tuple(4)]).unwrap();
+        w.sync().unwrap();
+        let c = read_segment(&path).unwrap();
+        assert_eq!(c.tuples, vec![tuple(1), tuple(2), tuple(4)]);
+        assert!(!c.truncated_tail);
+        assert_eq!(c.clean_len, w.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn huge_declared_length_is_treated_as_torn() {
         let dir = tempdir("hugelen");
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
