@@ -56,7 +56,7 @@ fn bench_query_batch(c: &mut Criterion) {
             .map(|idx| PublishedCover {
                 window_id: idx as u64,
                 first_time: engine.window_tuples(idx)[0].time,
-                cover: Arc::new(engine.cover(idx).clone()),
+                cover: Arc::new(engine.cover(idx).clone()).into(),
             })
             .collect(),
     );
@@ -74,7 +74,8 @@ fn bench_query_batch(c: &mut Criterion) {
     });
     group.bench_function("cover_set", |b| {
         b.iter(|| {
-            set.query_batch_into(black_box(&batch), &mut out);
+            let read = set.query_batch_into(black_box(&batch), &mut out);
+            assert!(read.is_ok(), "static covers are resident");
             black_box(&out);
         })
     });

@@ -56,7 +56,10 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs an integer"));
             }
-            "--help" | "-h" => usage(""),
+            "--help" | "-h" => {
+                println!("{}", usage_line());
+                return;
+            }
             other => targets.push(other.to_string()),
         }
     }
@@ -119,14 +122,18 @@ fn main() {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
+/// The one-line usage, listing every panel.
+fn usage_line() -> String {
+    format!(
         "usage: figures [--quick] [--seed N] <{}|all>...",
         PANELS.join("|")
-    );
+    )
+}
+
+/// A usage error: the message and the usage on stderr, exit code 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{}", usage_line());
     std::process::exit(2);
 }
 

@@ -90,6 +90,9 @@ pub use eval::{nrmse_percent, AccuracyReport};
 pub use heatmap::{Heatmap, HeatmapBuilder};
 pub use model::{ApproximationError, FitConfig, LinearModel, RegionModel};
 pub use platform::EnviroMeter;
-pub use publish::{CoverRegistry, CoverSet, PublishedCover};
+pub use publish::{
+    CoverCacheStats, CoverLoader, CoverReadError, CoverRegistry, CoverSet, PublishedCover,
+    StoredCover, COVER_CACHE_CAPACITY,
+};
 pub use query::{default_parallelism, QueryEngine, QueryMethod, QueryOutcome};
 pub use route::{Route, RouteSummary};

@@ -18,6 +18,15 @@
 //! batch of answers names the one publication it came from. (A fetched
 //! cover carries no generation yet: ROADMAP.md item 1.)
 //!
+//! A sealed window's cover is final and kept in its window's file, so its
+//! entry need not hold it: [`CoverRegistry::page_out`] leaves such an
+//! entry [`StoredCover::Paged`] — its window id, first tuple time and
+//! region count — and a read fetches the cover through the registry's one
+//! cover cache, which holds at most [`COVER_CACHE_CAPACITY`] covers and
+//! asks the registry's [`CoverLoader`] on a miss. Paging out changes no
+//! answer, so it keeps the generation. Static covers and the covers of
+//! open windows stay [`StoredCover::Resident`].
+//!
 //! Query routing is the batch engine's: a query at time `t` is answered by
 //! the newest window whose **first tuple** is at or before `t` (not the
 //! window's epoch boundary — an empty leading stretch of a window belongs
@@ -31,7 +40,56 @@ use crate::cover::ModelCover;
 use crate::routing;
 use enviro_data::{QueryTuple, Timestamp};
 use enviro_memsize::DeepSize;
-use enviro_schedule::sync::{Arc, RwLock};
+use enviro_schedule::sync::atomic::{AtomicU64, Ordering};
+use enviro_schedule::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::fmt;
+
+/// How many paged-out covers a registry's cover cache holds: at about
+/// 660 B a cover, some 41 KB, more than two days of hourly windows.
+pub const COVER_CACHE_CAPACITY: usize = 64;
+
+/// Where a published cover's models are held.
+#[derive(Debug, Clone)]
+pub enum StoredCover {
+    /// In memory, shared with in-flight readers: static covers and the
+    /// covers of windows still open to writes.
+    Resident(Arc<ModelCover>),
+    /// A sealed window's final cover, read back through the registry's
+    /// cover cache; the entry keeps only its region count.
+    Paged {
+        /// The cover's region count.
+        regions: usize,
+    },
+}
+
+impl StoredCover {
+    /// The cover's region count, read without paging the cover in.
+    pub fn len(&self) -> usize {
+        match self {
+            StoredCover::Resident(cover) => cover.len(),
+            StoredCover::Paged { regions } => *regions,
+        }
+    }
+
+    /// `true` when the cover models nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cover, when it is resident.
+    pub fn resident(&self) -> Option<&Arc<ModelCover>> {
+        match self {
+            StoredCover::Resident(cover) => Some(cover),
+            StoredCover::Paged { .. } => None,
+        }
+    }
+}
+
+impl From<Arc<ModelCover>> for StoredCover {
+    fn from(cover: Arc<ModelCover>) -> Self {
+        StoredCover::Resident(cover)
+    }
+}
 
 /// One published cover: a window's models plus the routing key.
 #[derive(Debug, Clone)]
@@ -41,8 +99,156 @@ pub struct PublishedCover {
     /// Arrival time of the window's first tuple — the routing key that
     /// keeps streamed routing bit-identical to the batch engine's.
     pub first_time: Timestamp,
-    /// The cover itself, shared with in-flight readers.
-    pub cover: Arc<ModelCover>,
+    /// The cover itself, or where to read it from.
+    pub cover: StoredCover,
+}
+
+/// Reads a paged-out cover back from where its window keeps it.
+pub trait CoverLoader: fmt::Debug + Send + Sync {
+    /// Window `window_id`'s cover, or why it cannot be read.
+    fn load(&self, window_id: u64) -> Result<ModelCover, String>;
+}
+
+/// A paged-out cover that could not be read back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoverReadError {
+    /// The window whose cover is unreadable.
+    pub window_id: u64,
+    /// Why.
+    pub reason: String,
+}
+
+impl fmt::Display for CoverReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "the cover of window {} could not be read: {}",
+            self.window_id, self.reason
+        )
+    }
+}
+
+impl std::error::Error for CoverReadError {}
+
+/// Cover-cache counters of a registry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoverCacheStats {
+    /// Paged reads the cache did not hold, each read from the loader.
+    pub misses: u64,
+    /// Misses whose read failed.
+    pub read_errors: u64,
+}
+
+/// The paged covers most recently read, at most [`COVER_CACHE_CAPACITY`],
+/// and the loader that fills it. Its lock is a leaf: never held with the
+/// registry's, nor across a load.
+#[derive(Debug)]
+struct CoverCache {
+    loader: Option<Box<dyn CoverLoader>>,
+    slots: Mutex<CacheSlots>,
+    misses: AtomicU64,
+    read_errors: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct CacheSlots {
+    /// `(window id, last use, cover)`, in no order.
+    covers: Vec<(u64, u64, Arc<ModelCover>)>,
+    /// Ticks once per use; the slot used longest ago is evicted first.
+    clock: u64,
+}
+
+impl CoverCache {
+    fn new(loader: Option<Box<dyn CoverLoader>>) -> Self {
+        Self {
+            loader,
+            slots: Mutex::new(CacheSlots::default()),
+            misses: AtomicU64::new(0),
+            read_errors: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheSlots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Window `id`'s cover: from the cache when it holds it (no allocation),
+    /// else from the loader, with the cache lock released while it reads.
+    /// Two racing misses may both read; a sealed window's file never
+    /// changes, so they read the same cover.
+    fn get(&self, id: u64) -> Result<Arc<ModelCover>, CoverReadError> {
+        if let Some(cover) = self.lookup(id) {
+            return Ok(cover);
+        }
+        // ordering: Relaxed — statistics counters; they order nothing.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let loaded = match &self.loader {
+            Some(loader) => loader.load(id),
+            None => Err("the registry has no cover loader".to_string()),
+        };
+        match loaded {
+            Ok(cover) => {
+                let cover = Arc::new(cover);
+                self.insert(id, Arc::clone(&cover));
+                Ok(cover)
+            }
+            Err(reason) => {
+                // ordering: Relaxed — see `misses` above.
+                self.read_errors.fetch_add(1, Ordering::Relaxed);
+                Err(CoverReadError {
+                    window_id: id,
+                    reason,
+                })
+            }
+        }
+    }
+
+    fn lookup(&self, id: u64) -> Option<Arc<ModelCover>> {
+        let mut slots = self.lock();
+        slots.clock += 1;
+        let now = slots.clock;
+        let slot = slots.covers.iter_mut().find(|slot| slot.0 == id)?;
+        slot.1 = now;
+        Some(Arc::clone(&slot.2))
+    }
+
+    /// Caches `cover` as window `id`'s, evicting the least recently used
+    /// cover when the cache is full.
+    fn insert(&self, id: u64, cover: Arc<ModelCover>) {
+        let mut slots = self.lock();
+        slots.clock += 1;
+        let slot = (id, slots.clock, cover);
+        let covers = &mut slots.covers;
+        if let Some(i) = covers.iter().position(|s| s.0 == id) {
+            covers[i] = slot;
+        } else if covers.len() < COVER_CACHE_CAPACITY {
+            covers.push(slot);
+        } else if let Some(oldest) = covers.iter_mut().min_by_key(|s| s.1) {
+            *oldest = slot;
+        }
+    }
+
+    fn stats(&self) -> CoverCacheStats {
+        CoverCacheStats {
+            // ordering: Relaxed — see `get`.
+            misses: self.misses.load(Ordering::Relaxed),
+            // ordering: Relaxed — see `get`.
+            read_errors: self.read_errors.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl DeepSize for CoverCache {
+    fn heap_size(&self) -> usize {
+        // The loader is configuration (a store path), not counted.
+        let slots = self.lock();
+        slots.covers.capacity() * std::mem::size_of::<(u64, u64, Arc<ModelCover>)>()
+            + slots
+                .covers
+                .iter()
+                .map(|s| s.2.deep_size_of())
+                .sum::<usize>()
+    }
 }
 
 /// An immutable, atomically-published set of covers, sorted by window id,
@@ -51,6 +257,9 @@ pub struct PublishedCover {
 pub struct CoverSet {
     entries: Vec<PublishedCover>,
     generation: u64,
+    /// The publishing registry's cover cache, which paged entries are read
+    /// through; `None` before the first publication.
+    cache: Option<Arc<CoverCache>>,
 }
 
 impl CoverSet {
@@ -96,40 +305,73 @@ impl CoverSet {
         routing::window_index(&self.entries, |e| e.first_time, t).map(|i| &self.entries[i])
     }
 
-    /// Answers `q` from the cover responsible for its time, or `None` when
-    /// the set is empty (nothing is published).
-    pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
+    /// Runs `f` on `entry`'s cover: a resident one in place, a paged one
+    /// from the cover cache, which reads it from the registry's loader on
+    /// a miss. Errs when a paged cover cannot be read.
+    pub fn with_cover<R>(
+        &self,
+        entry: &PublishedCover,
+        f: impl FnOnce(&ModelCover) -> R,
+    ) -> Result<R, CoverReadError> {
+        match (&entry.cover, &self.cache) {
+            (StoredCover::Resident(cover), _) => Ok(f(cover)),
+            (StoredCover::Paged { .. }, Some(cache)) => Ok(f(&*cache.get(entry.window_id)?)),
+            (StoredCover::Paged { .. }, None) => Err(CoverReadError {
+                window_id: entry.window_id,
+                reason: "the set has no cover cache".to_string(),
+            }),
+        }
+    }
+
+    /// Answers `q` from the cover responsible for its time: `Ok(None)` when
+    /// the set is empty (nothing is published), an error when that cover
+    /// is paged out and cannot be read.
+    pub fn query(&self, q: &QueryTuple) -> Result<Option<Option<f64>>, CoverReadError> {
         self.cover_for_time(q.time)
-            .map(|e| e.cover.interpolate(q.time, &q.pos))
+            .map(|e| self.with_cover(e, |cover| cover.interpolate(q.time, &q.pos)))
+            .transpose()
     }
 
     /// Answers a batch of queries, appending one answer per query to `out`
-    /// (which is cleared first): `out[i]` is `query(&queries[i]).flatten()`,
-    /// so an empty set answers every query `None`.
+    /// (which is cleared first): `out[i]` is `query(&queries[i])`'s answer,
+    /// flattened, so an empty set answers every query `None`. Errs, with
+    /// `out` left partial, when a paged cover the batch needs cannot be
+    /// read.
     ///
     /// Routed like [`crate::QueryEngine::query_batch_into`]: one window
     /// search per run of consecutive queries in the same window, not one
     /// per query. Appends into the caller's buffer, so a warmed-up server
-    /// serves streamed batches without allocating.
-    pub fn query_batch_into(&self, queries: &[QueryTuple], out: &mut Vec<Option<f64>>) {
+    /// serves streamed batches without allocating, from resident covers
+    /// and cached paged ones alike.
+    pub fn query_batch_into(
+        &self,
+        queries: &[QueryTuple],
+        out: &mut Vec<Option<f64>>,
+    ) -> Result<(), CoverReadError> {
         out.clear();
         out.reserve(queries.len());
         if self.entries.is_empty() {
             out.resize(queries.len(), None);
-            return;
+            return Ok(());
         }
+        let mut read = Ok(());
         routing::for_each_window_run(
             &self.entries,
             |e| e.first_time,
             queries,
             |idx, run| {
-                let cover = &self.entries[idx].cover;
-                out.extend(run.iter().map(|q| cover.interpolate(q.time, &q.pos)));
+                if read.is_ok() {
+                    read = self.with_cover(&self.entries[idx], |cover| {
+                        out.extend(run.iter().map(|q| cover.interpolate(q.time, &q.pos)));
+                    });
+                }
             },
         );
+        read
     }
 
-    /// Verifies the set's ordering invariants.
+    /// Verifies the set's ordering invariants, and the labels of its
+    /// resident covers (a paged one is checked where it is read from).
     pub fn check_invariants(&self) -> Result<(), String> {
         for pair in self.entries.windows(2) {
             if pair[0].window_id >= pair[1].window_id {
@@ -149,13 +391,16 @@ impl CoverSet {
             }
         }
         for e in &self.entries {
-            if e.cover.window_id != e.window_id {
+            let Some(cover) = e.cover.resident() else {
+                continue;
+            };
+            if cover.window_id != e.window_id {
                 return Err(format!(
                     "entry for window {} holds a cover built from window {}",
-                    e.window_id, e.cover.window_id
+                    e.window_id, cover.window_id
                 ));
             }
-            e.cover
+            cover
                 .check_invariants()
                 .map_err(|err| format!("window {}: {err}", e.window_id))?;
         }
@@ -167,8 +412,11 @@ impl DeepSize for PublishedCover {
     fn heap_size(&self) -> usize {
         // The Arc'd cover is attributed to the set that publishes it; a
         // second snapshot sharing the Arc double-counts, which is the
-        // conservative direction for a memory budget.
-        self.cover.deep_size_of()
+        // conservative direction for a memory budget. A paged cover is
+        // counted by the cache that holds it, if any.
+        self.cover
+            .resident()
+            .map_or(0, |cover| cover.deep_size_of())
     }
 }
 
@@ -185,16 +433,36 @@ impl DeepSize for CoverSet {
 /// clone, never blocked by a rebuild) and keep using the snapshot, and its
 /// generation, for the whole request; writers assemble the next
 /// [`CoverSet`] and swap it in with [`CoverRegistry::publish`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CoverRegistry {
     current: RwLock<Arc<CoverSet>>,
+    cache: Arc<CoverCache>,
+}
+
+impl Default for CoverRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CoverRegistry {
     /// An empty registry at generation 0 (generation 0 is reserved for
-    /// "nothing ever published").
+    /// "nothing ever published"), with no loader: it holds resident covers
+    /// only, and a paged entry published into it cannot be read.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_cache(CoverCache::new(None))
+    }
+
+    /// An empty registry whose paged entries are read through `loader`.
+    pub fn with_loader(loader: impl CoverLoader + 'static) -> Self {
+        Self::with_cache(CoverCache::new(Some(Box::new(loader))))
+    }
+
+    fn with_cache(cache: CoverCache) -> Self {
+        Self {
+            current: RwLock::new(Arc::new(CoverSet::new())),
+            cache: Arc::new(cache),
+        }
     }
 
     /// The current cover set. Cheap; the returned `Arc` stays valid (and
@@ -206,6 +474,11 @@ impl CoverRegistry {
     /// The generation of the latest publication (0 = none yet). Monotone.
     pub fn generation(&self) -> u64 {
         self.snapshot().generation
+    }
+
+    /// The cover cache's counters.
+    pub fn cache_stats(&self) -> CoverCacheStats {
+        self.cache.stats()
     }
 
     /// Publishes `updates`: each entry replaces the current cover for its
@@ -249,8 +522,49 @@ impl CoverRegistry {
         *guard = Arc::new(CoverSet {
             entries,
             generation,
+            cache: Some(Arc::clone(&self.cache)),
         });
         generation
+    }
+
+    /// Pages out sealed windows' covers, given as `(window id, the resident
+    /// cover its file holds)`: each entry still holding that cover keeps
+    /// only its region count, and the cover moves into the cover cache.
+    /// Answers do not change, so the generation does not either. Call it
+    /// only once each window's file holds its cover: a read of a paged
+    /// entry goes to the loader on a miss.
+    pub fn page_out(&self, sealed: Vec<(u64, Arc<ModelCover>)>) {
+        let mut paged = Vec::with_capacity(sealed.len());
+        {
+            let mut guard = self.current.write().unwrap_or_else(|e| e.into_inner());
+            let mut entries = guard.entries.clone();
+            for (id, cover) in sealed {
+                let Ok(i) = entries.binary_search_by_key(&id, |e| e.window_id) else {
+                    continue;
+                };
+                if entries[i]
+                    .cover
+                    .resident()
+                    .is_some_and(|held| Arc::ptr_eq(held, &cover))
+                {
+                    entries[i].cover = StoredCover::Paged {
+                        regions: cover.len(),
+                    };
+                    paged.push((id, cover));
+                }
+            }
+            if paged.is_empty() {
+                return;
+            }
+            *guard = Arc::new(CoverSet {
+                entries,
+                generation: guard.generation,
+                cache: Some(Arc::clone(&self.cache)),
+            });
+        }
+        for (id, cover) in paged {
+            self.cache.insert(id, cover);
+        }
     }
 
     /// Verifies the registry and its current set.
@@ -265,10 +579,9 @@ impl CoverRegistry {
 
 impl DeepSize for CoverRegistry {
     fn heap_size(&self) -> usize {
-        self.snapshot().deep_size_of()
+        self.snapshot().deep_size_of() + self.cache.deep_size_of()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +612,196 @@ mod tests {
         PublishedCover {
             window_id,
             first_time: Timestamp::from_secs(first_secs),
-            cover: built_cover(window_id, first_secs),
+            cover: built_cover(window_id, first_secs).into(),
         }
+    }
+
+    /// Window `id`'s cover as [`entry`] builds it for window `id` starting
+    /// at `id · 100 + 10` s.
+    fn paged_source(id: u64) -> PublishedCover {
+        entry(id, id as i64 * 100 + 10)
+    }
+
+    /// Loads [`paged_source`]'s covers, counting the loads; window `fail`
+    /// cannot be read.
+    #[derive(Debug)]
+    struct TestLoader {
+        loads: Arc<std::sync::atomic::AtomicUsize>,
+        fail: u64,
+    }
+
+    impl CoverLoader for TestLoader {
+        fn load(&self, window_id: u64) -> Result<ModelCover, String> {
+            self.loads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if window_id == self.fail {
+                return Err("its file is gone".into());
+            }
+            let source = paged_source(window_id);
+            Ok(ModelCover::clone(
+                source.cover.resident().expect("built resident"),
+            ))
+        }
+    }
+
+    /// A registry over `TestLoader` holding windows `0..n` resident, and
+    /// its load counter.
+    fn paging_registry(n: u64, fail: u64) -> (CoverRegistry, Arc<std::sync::atomic::AtomicUsize>) {
+        let loads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let reg = CoverRegistry::with_loader(TestLoader {
+            loads: Arc::clone(&loads),
+            fail,
+        });
+        reg.publish((0..n).map(paged_source).collect());
+        (reg, loads)
+    }
+
+    fn resident_covers(reg: &CoverRegistry) -> Vec<(u64, Arc<ModelCover>)> {
+        reg.snapshot()
+            .entries()
+            .iter()
+            .filter_map(|e| Some((e.window_id, Arc::clone(e.cover.resident()?))))
+            .collect()
+    }
+
+    fn answer_bits(
+        set: &CoverSet,
+        queries: &[QueryTuple],
+    ) -> Result<Vec<Option<u64>>, CoverReadError> {
+        let mut out = Vec::new();
+        set.query_batch_into(queries, &mut out)?;
+        Ok(out.iter().map(|v| v.map(f64::to_bits)).collect())
+    }
+
+    fn probes(windows: u64) -> Vec<QueryTuple> {
+        (0..windows as i64 * 10)
+            .map(|i| {
+                QueryTuple::new(
+                    Timestamp::from_secs(i * 10 + 5),
+                    Point::new(i as f64 * 7.0, -20.0),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn paging_out_keeps_every_answer_and_the_generation() {
+        let (reg, loads) = paging_registry(4, u64::MAX);
+        let queries = probes(4);
+        let before = answer_bits(&reg.snapshot(), &queries).unwrap();
+        let covers = resident_covers(&reg);
+        reg.page_out(covers[..3].to_vec());
+        let snap = reg.snapshot();
+        assert_eq!(snap.generation(), 1, "a page-out is no publication");
+        let paged: Vec<bool> = snap
+            .entries()
+            .iter()
+            .map(|e| e.cover.resident().is_none())
+            .collect();
+        assert_eq!(paged, [true, true, true, false]);
+        // A paged entry still knows its region count.
+        for (e, (_, cover)) in snap.entries().iter().zip(&covers) {
+            assert_eq!(e.cover.len(), cover.len());
+        }
+        // The page-out seeded the cache: warm reads load nothing.
+        assert_eq!(answer_bits(&snap, &queries).unwrap(), before);
+        assert_eq!(loads.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(reg.cache_stats(), CoverCacheStats::default());
+        // Paging out again, or a cover the entry no longer holds, is a no-op.
+        reg.page_out(covers[..3].to_vec());
+        reg.page_out(vec![(3, built_cover(3, 310))]);
+        assert!(Arc::ptr_eq(&snap, &reg.snapshot()));
+        assert_eq!(reg.generation(), 1);
+        assert_eq!(reg.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn a_cold_read_loads_once_and_the_cache_stays_bounded() {
+        let n = COVER_CACHE_CAPACITY as u64 + 8;
+        let (reg, loads) = paging_registry(n, u64::MAX);
+        let queries = probes(n);
+        let want = answer_bits(&reg.snapshot(), &queries).unwrap();
+        // Page out into a fresh registry over the same loader: its cache
+        // starts cold.
+        let cold = CoverRegistry::with_loader(TestLoader {
+            loads: Arc::clone(&loads),
+            fail: u64::MAX,
+        });
+        cold.publish(
+            reg.snapshot()
+                .entries()
+                .iter()
+                .map(|e| PublishedCover {
+                    cover: StoredCover::Paged {
+                        regions: e.cover.len(),
+                    },
+                    ..e.clone()
+                })
+                .collect(),
+        );
+        let snap = cold.snapshot();
+        let one = &queries[..1];
+        assert_eq!(answer_bits(&snap, one).unwrap(), want[..1]);
+        assert_eq!(answer_bits(&snap, one).unwrap(), want[..1]);
+        assert_eq!(
+            loads.load(std::sync::atomic::Ordering::Relaxed),
+            1,
+            "one miss, then a hit"
+        );
+        assert_eq!(answer_bits(&snap, &queries).unwrap(), want);
+        assert_eq!(cold.cache_stats().misses, n);
+        assert_eq!(cold.cache.lock().covers.len(), COVER_CACHE_CAPACITY);
+        // Window 0 was evicted long ago; reading it again loads it again.
+        assert_eq!(answer_bits(&snap, one).unwrap(), want[..1]);
+        assert_eq!(cold.cache_stats().misses, n + 1);
+        assert_eq!(cold.cache_stats().read_errors, 0);
+    }
+
+    #[test]
+    fn an_unreadable_cover_errs_naming_its_window() {
+        let (reg, _) = paging_registry(3, 1);
+        let queries = probes(3);
+        reg.page_out(resident_covers(&reg));
+        // A fresh registry over the same entries starts with a cold cache.
+        let cold = CoverRegistry::with_loader(TestLoader {
+            loads: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
+            fail: 1,
+        });
+        cold.publish(reg.snapshot().entries().to_vec());
+        let snap = cold.snapshot();
+        let err = answer_bits(&snap, &queries).unwrap_err();
+        assert_eq!(err.window_id, 1);
+        assert!(err.to_string().contains("window 1"), "{err}");
+        let in_window =
+            |id: u64| QueryTuple::new(Timestamp::from_secs(id as i64 * 100 + 50), Point::origin());
+        assert!(snap.query(&in_window(1)).is_err());
+        assert!(snap.query(&in_window(0)).unwrap().is_some());
+        assert!(snap.query(&in_window(2)).unwrap().is_some());
+        assert_eq!(cold.cache_stats().read_errors, 2);
+        // A set outside a registry cannot read a paged entry either.
+        assert!(CoverSet::new()
+            .with_cover(&snap.entries()[0], |_| ())
+            .is_err());
+    }
+
+    #[test]
+    fn deep_size_counts_the_cached_covers() {
+        let (reg, _) = paging_registry(5, u64::MAX);
+        let covers = resident_covers(&reg);
+        let held: usize = covers.iter().map(|(_, c)| c.deep_size_of()).sum();
+        let all_resident = reg.deep_size_of();
+        // Paged and seeded: the covers moved from the set to the cache.
+        reg.page_out(covers.clone());
+        let cached = reg.deep_size_of();
+        let cold = CoverRegistry::new();
+        cold.publish(reg.snapshot().entries().to_vec());
+        let empty_cache = cold.deep_size_of();
+        assert!(
+            cached >= empty_cache + held,
+            "{cached} B with {} cached covers vs {empty_cache} B",
+            covers.len()
+        );
+        assert!(all_resident >= empty_cache + held);
     }
 
     #[test]
@@ -380,7 +881,7 @@ mod tests {
         reg.publish(vec![PublishedCover {
             window_id: 5,
             first_time: Timestamp::from_secs(0),
-            cover: built_cover(4, 0),
+            cover: built_cover(4, 0).into(),
         }]);
         assert!(reg.check_invariants().is_err());
     }

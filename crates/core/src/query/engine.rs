@@ -187,7 +187,7 @@ impl QueryEngine {
             .map(|(idx, meta)| PublishedCover {
                 window_id: meta.id,
                 first_time: meta.first_time,
-                cover: Arc::clone(self.shared_cover(idx)),
+                cover: Arc::clone(self.shared_cover(idx)).into(),
             })
             .collect()
     }
@@ -425,7 +425,8 @@ mod tests {
         for (idx, entry) in published.iter().enumerate() {
             assert_eq!(entry.window_id, idx as u64);
             assert_eq!(entry.first_time, engine.window_tuples(idx)[0].time);
-            assert!(std::ptr::eq(entry.cover.as_ref(), engine.cover(idx)));
+            let resident = entry.cover.resident().expect("static covers are resident");
+            assert!(std::ptr::eq(resident.as_ref(), engine.cover(idx)));
         }
     }
 

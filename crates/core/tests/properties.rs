@@ -293,7 +293,7 @@ fn published_set(engine: &QueryEngine) -> Arc<CoverSet> {
         .map(|idx| PublishedCover {
             window_id: idx as u64,
             first_time: engine.window_tuples(idx)[0].time,
-            cover: Arc::new(engine.cover(idx).clone()),
+            cover: Arc::new(engine.cover(idx).clone()).into(),
         })
         .collect();
     if !entries.is_empty() {
@@ -357,8 +357,12 @@ fn assert_batch_routing_matches_per_tuple(
     }
     let set = published_set(engine);
     let mut streamed = vec![Some(f64::NAN); 3];
-    set.query_batch_into(queries, &mut streamed);
-    let single = bits(queries.iter().map(|q| set.query(q).flatten()));
+    prop_assert!(set.query_batch_into(queries, &mut streamed).is_ok());
+    let single = bits(
+        queries
+            .iter()
+            .map(|q| set.query(q).ok().flatten().flatten()),
+    );
     prop_assert_eq!(bits(streamed.iter().copied()), single.clone());
     engine.query_batch_into(queries, QueryMethod::ModelCover, &mut out);
     prop_assert_eq!(bits(out.iter().copied()), single);

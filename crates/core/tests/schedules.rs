@@ -49,7 +49,7 @@ fn generation_never_leads_cover_contents() {
                 registry.publish(vec![PublishedCover {
                     window_id: 0,
                     first_time: Timestamp::from_secs(0),
-                    cover,
+                    cover: cover.into(),
                 }])
             })
         };
@@ -87,7 +87,7 @@ fn concurrent_publishers_never_lose_an_update() {
                 registry.publish(vec![PublishedCover {
                     window_id,
                     first_time: Timestamp::from_secs(window_id as i64 * 3_600),
-                    cover,
+                    cover: cover.into(),
                 }])
             })
         };

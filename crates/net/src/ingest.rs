@@ -14,8 +14,10 @@
 //!
 //! A window is sealed only once its published cover is final: the pass
 //! seals the clean windows behind the watermark, and writes each one's
-//! cover into the window's own file, after its tuples. A restart publishes
-//! those covers instead of rebuilding them.
+//! cover into the window's own file, after its tuples. Once the file is
+//! committed the cover leaves memory: the registry pages it out and reads
+//! it back from the file through its bounded cover cache. A restart
+//! publishes those covers paged out instead of rebuilding them.
 //!
 //! Exactly-once acks under retransmission: the client resends a chunk until
 //! it sees a matching ack, and each source tags chunks with a sequence
@@ -26,13 +28,15 @@
 
 use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp, WindowSpec};
 use enviro_memsize::DeepSize;
-use enviro_meter::{AdKmnConfig, CoverBuilder, CoverRegistry, ModelCover, PublishedCover};
+use enviro_meter::{
+    AdKmnConfig, CoverBuilder, CoverLoader, CoverRegistry, ModelCover, PublishedCover, StoredCover,
+};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use enviro_schedule::thread::JoinHandle;
 use enviro_storage::crc::crc32;
 use enviro_storage::{StorageError, WalConfig, WalStore};
 use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The cover frame's format version. Bump it whenever the frame layout or
 /// the covers the builder fits change (`core/tests/golden_cover.rs` pins
@@ -99,6 +103,12 @@ pub struct IngestStats {
     /// worker keeps running and retries the seal on its next pass, which
     /// only new data triggers.
     pub maintenance_errors: u64,
+    /// Reads of a paged-out cover that the cover cache did not hold, each
+    /// read from its window's file.
+    pub cover_cache_misses: u64,
+    /// Of those, reads that failed (the file gone or its cover frame
+    /// corrupt): the query was answered with an error.
+    pub cover_read_errors: u64,
 }
 
 /// What one [`IngestState::ingest`] call produced.
@@ -147,14 +157,15 @@ pub struct IngestState {
 impl IngestState {
     /// Opens (or recovers) the durable state under `dir`.
     ///
-    /// Recovery publishes, as one generation, the cover of every sealed
-    /// window: the one its file holds when that cover frame is intact,
-    /// carries this configuration's fingerprint and names the window's
-    /// tuple count. Any other sealed window — its frame missing (a file
-    /// from an earlier build or from `enviro store compact`), torn, or
-    /// stale — is read back and rebuilt here, and its cover written back
-    /// into its file. The open windows are marked dirty, so the first
-    /// maintenance pass rebuilds exactly those.
+    /// Recovery checks the cover of every sealed window: the one its file
+    /// holds must be intact, carry this configuration's fingerprint and
+    /// name the window's tuple count. Any other sealed window — its frame
+    /// missing (a file from an earlier build or from `enviro store
+    /// compact`), torn, or stale — is read back and rebuilt here, and its
+    /// cover written back into its file. Every sealed window is then
+    /// published, as one generation, paged out: its cover stays in its
+    /// file. The open windows are marked dirty, so the first maintenance
+    /// pass rebuilds exactly those.
     pub fn open(
         dir: &Path,
         wal_config: WalConfig,
@@ -170,18 +181,31 @@ impl IngestState {
         for id in wal.sealed_window_ids() {
             let len = wal.sealed_len(id).unwrap_or_default();
             let frame = frames.remove(&id);
-            match frame.and_then(|f| decode_cover_frame(&f, fingerprint, id, len)) {
-                Some(cover) => covers.push(cover),
-                None => {
-                    let tuples = wal.read_sealed(id)?;
-                    let cover = build_cover(&builder, &config, id, window_secs, &tuples);
-                    written_back.push((id, encode_cover_frame(fingerprint, len, &cover)));
-                    covers.push(cover);
-                }
-            }
+            let (first_time, cover) =
+                match frame.and_then(|f| decode_cover_frame(&f, fingerprint, id, len)) {
+                    Some(found) => found,
+                    None => {
+                        let tuples = wal.read_sealed(id)?;
+                        let (first_time, cover) =
+                            build_cover(&builder, &config, id, window_secs, &tuples);
+                        let frame = encode_cover_frame(fingerprint, len, first_time, &cover);
+                        written_back.push((id, frame));
+                        (first_time, cover)
+                    }
+                };
+            covers.push(PublishedCover {
+                window_id: id,
+                first_time,
+                cover: StoredCover::Paged {
+                    regions: cover.len(),
+                },
+            });
         }
         wal.seal_with_covers(written_back)?;
-        let registry = CoverRegistry::new();
+        let registry = CoverRegistry::with_loader(WindowFileCovers {
+            dir: dir.to_path_buf(),
+            fingerprint,
+        });
         if !covers.is_empty() {
             registry.publish(covers);
         }
@@ -236,11 +260,14 @@ impl IngestState {
 
     /// Current counters.
     pub fn stats(&self) -> IngestStats {
+        let cache = self.registry.cache_stats();
         let inner = self.lock();
         let wal_stats = inner.wal.stats();
         IngestStats {
             durable_tuples: wal_stats.durable_tuples,
             late_tuples: wal_stats.late_tuples,
+            cover_cache_misses: cache.misses,
+            cover_read_errors: cache.read_errors,
             ..inner.stats
         }
     }
@@ -322,7 +349,15 @@ impl IngestState {
         // queries proceed while models rebuild.
         let covers: Vec<PublishedCover> = snapshots
             .iter()
-            .map(|(id, tuples)| build_cover(&self.builder, &self.config, *id, window_secs, tuples))
+            .map(|(id, tuples)| {
+                let (first_time, cover) =
+                    build_cover(&self.builder, &self.config, *id, window_secs, tuples);
+                PublishedCover {
+                    window_id: *id,
+                    first_time,
+                    cover: Arc::new(cover).into(),
+                }
+            })
             .collect();
         let published = covers.len();
         if !covers.is_empty() {
@@ -336,9 +371,10 @@ impl IngestState {
     }
 
     /// The pass's last step: seals the clean windows older than the
-    /// [`IngestConfig::seal_lag`] horizon and retires the WAL segments
-    /// left holding sealed windows only. I/O that shares the ingest lock,
-    /// but never the query path.
+    /// [`IngestConfig::seal_lag`] horizon, retires the WAL segments left
+    /// holding sealed windows only, then pages the sealed covers out of
+    /// the registry. I/O that shares the ingest lock, but never the query
+    /// path.
     ///
     /// Only a clean window seals: its published cover was built over
     /// exactly the tuples it holds (a write since would have marked it
@@ -353,38 +389,46 @@ impl IngestState {
         let watermark = wal
             .max_window_id()
             .map_or(0, |max| max.saturating_sub(self.config.seal_lag));
+        let mut covers = Vec::new();
         let seal: Vec<(u64, Vec<u8>)> = wal
             .memtables()
             .take_while(|&(id, _)| id < watermark)
             .filter(|(id, _)| !dirty.contains(id))
             .filter_map(|(id, tuples)| {
-                let cover = snapshot.cover_for_window(id)?;
-                Some((
-                    id,
-                    encode_cover_frame(self.fingerprint, tuples.len(), cover),
-                ))
+                let entry = snapshot.cover_for_window(id)?;
+                let cover = entry.cover.resident()?;
+                covers.push((id, Arc::clone(cover)));
+                let frame =
+                    encode_cover_frame(self.fingerprint, tuples.len(), entry.first_time, cover);
+                Some((id, frame))
             })
             .collect();
         // lock-scope: allow(maintenance) — sealing shares the ingest lock
         // by design: it only ever runs on the single maintenance worker,
         // and the query path never takes this lock (covers are read
         // through the registry snapshot).
-        match wal.seal_with_covers(seal) {
-            Ok(ids) => {
-                inner.stats.sealed_windows += ids.len() as u64;
-                Ok(())
-            }
+        let sealed = match wal.seal_with_covers(seal) {
+            Ok(ids) => ids,
             Err(e) => {
                 inner.stats.maintenance_errors += 1;
-                Err(e)
+                return Err(e);
             }
-        }
+        };
+        inner.stats.sealed_windows += sealed.len() as u64;
+        drop(inner);
+        // Each sealed window's file now holds its cover, so the cover may
+        // leave memory.
+        covers.retain(|(id, _)| sealed.contains(id));
+        self.registry.page_out(covers);
+        Ok(())
     }
 
     /// Answers one query from the published covers, or `None` when nothing
-    /// has been published yet.
+    /// has been published yet, or when the cover that would answer is paged
+    /// out and cannot be read (counted in
+    /// [`IngestStats::cover_read_errors`]; a server replies with an error).
     pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
-        self.registry.snapshot().query(q)
+        self.registry.snapshot().query(q).ok().flatten()
     }
 
     /// `true` while there are dirty windows awaiting a maintenance pass.
@@ -393,9 +437,13 @@ impl IngestState {
     }
 
     /// Verifies the cross-structure invariants (WAL, registry, dedup,
-    /// dirty set): every dirty window is open, and every sealed window has
-    /// a published cover, from [`Self::open`] on.
+    /// dirty set): every dirty window is open, every sealed window has a
+    /// published cover, from [`Self::open`] on, and only a sealed window's
+    /// cover is paged out.
     pub fn check_invariants(&self) -> Result<(), String> {
+        // Read before the lock: a cover is paged out only after its window
+        // is sealed, and a sealed window stays sealed.
+        let before = self.registry.snapshot();
         let inner = self.lock();
         inner.wal.check_invariants()?;
         let durable = inner.wal.durable_upto();
@@ -423,6 +471,16 @@ impl IngestState {
             .find(|&&id| snapshot.cover_for_window(id).is_none())
         {
             return Err(format!("sealed window {id} has no published cover"));
+        }
+        if let Some(e) = before
+            .entries()
+            .iter()
+            .find(|e| e.cover.resident().is_none() && sealed.binary_search(&e.window_id).is_err())
+        {
+            return Err(format!(
+                "window {} is paged out but not sealed",
+                e.window_id
+            ));
         }
         self.registry.check_invariants()
     }
@@ -469,50 +527,72 @@ impl DeepSize for IngestState {
     }
 }
 
+/// Reads a sealed window's cover back from its file for the registry's
+/// cover cache, checked as [`IngestState::open`] checks it. It takes
+/// neither the ingest lock nor the store.
+#[derive(Debug)]
+struct WindowFileCovers {
+    /// The store's directory.
+    dir: PathBuf,
+    /// [`IngestConfig::cover_fingerprint`] of the state's configuration.
+    fingerprint: u32,
+}
+
+impl CoverLoader for WindowFileCovers {
+    fn load(&self, window_id: u64) -> Result<ModelCover, String> {
+        let (len, frame) =
+            WalStore::read_cover_frame(&self.dir, window_id).map_err(|e| e.to_string())?;
+        decode_cover_frame(&frame, self.fingerprint, window_id, len)
+            .map(|(_, cover)| cover)
+            .ok_or_else(|| "its cover frame is stale or malformed".to_string())
+    }
+}
+
 /// Builds one window's cover exactly the way the batch engine would: cold
 /// Ad-KMN over the window's tuples, epoch-aligned validity, the window's
-/// earliest tuple time as the routing key.
+/// earliest tuple time as the routing key. Returns the key and the cover.
 fn build_cover(
     builder: &CoverBuilder,
     config: &IngestConfig,
     id: u64,
     window_secs: i64,
     tuples: &[RawTuple],
-) -> PublishedCover {
+) -> (Timestamp, ModelCover) {
     let window = WindowSpec::ByDuration(window_secs).window(id, tuples);
-    let cover: ModelCover = builder.build(&window, config.pollutant);
     let first_time = tuples
         .iter()
         .map(|t| t.time)
         .min()
         .unwrap_or(Timestamp::ZERO);
-    PublishedCover {
-        window_id: id,
-        first_time,
-        cover: Arc::new(cover),
-    }
+    (first_time, builder.build(&window, config.pollutant))
 }
 
 /// A sealed window's cover frame payload, little-endian: `u32 fingerprint
 /// ++ u64 tuple count ++ i64 first_time ++ cover`, the cover in
 /// [`ModelCover::encode_into`]'s exact binary form.
-fn encode_cover_frame(fingerprint: u32, len: usize, cover: &PublishedCover) -> Vec<u8> {
+fn encode_cover_frame(
+    fingerprint: u32,
+    len: usize,
+    first_time: Timestamp,
+    cover: &ModelCover,
+) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&(len as u64).to_le_bytes());
-    out.extend_from_slice(&cover.first_time.as_secs().to_le_bytes());
-    cover.cover.encode_into(&mut out);
+    out.extend_from_slice(&first_time.as_secs().to_le_bytes());
+    cover.encode_into(&mut out);
     out
 }
 
-/// Decodes window `id`'s cover frame; `None` unless it is one well-formed
-/// cover of that window, under `fingerprint`, built over `len` tuples.
+/// Decodes window `id`'s cover frame into its first tuple time and cover;
+/// `None` unless it is one well-formed cover of that window, under
+/// `fingerprint`, built over `len` tuples.
 fn decode_cover_frame(
     payload: &[u8],
     fingerprint: u32,
     id: u64,
     len: usize,
-) -> Option<PublishedCover> {
+) -> Option<(Timestamp, ModelCover)> {
     let (stamp, rest) = payload.split_first_chunk::<4>()?;
     let (count, rest) = rest.split_first_chunk::<8>()?;
     let (first_time, rest) = rest.split_first_chunk::<8>()?;
@@ -520,11 +600,7 @@ fn decode_cover_frame(
         return None;
     }
     let cover = ModelCover::decode(rest).filter(|c| c.window_id == id)?;
-    Some(PublishedCover {
-        window_id: id,
-        first_time: Timestamp::from_secs(i64::from_le_bytes(*first_time)),
-        cover: Arc::new(cover),
-    })
+    Some((Timestamp::from_secs(i64::from_le_bytes(*first_time)), cover))
 }
 
 /// Owns the background maintenance thread. Dropping it shuts the worker
@@ -811,11 +887,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Resident state besides the covers, and the store's share of it,
-    /// after a history of `windows` ten-second windows with `per_window`
-    /// readings each has been ingested and published, and again right
-    /// after a restart, before any pass.
-    fn state_without_covers(tag: &str, windows: i64, per_window: i64) -> [(usize, usize); 2] {
+    /// Resident state, covers and cover cache included, and the store's
+    /// share of it, after a history of `windows` ten-second windows with
+    /// `per_window` readings each has been ingested and published, and
+    /// again right after a restart, before any pass; then the largest
+    /// cover's size.
+    fn resident_state(tag: &str, windows: i64, per_window: i64) -> ([(usize, usize); 2], usize) {
         let dir = temp_dir(tag);
         let open = || {
             let wal = WalConfig {
@@ -824,13 +901,19 @@ mod tests {
             };
             IngestState::open(&dir, wal, IngestConfig::default()).unwrap()
         };
-        let without_covers = |state: &IngestState| {
+        let measure = |state: &IngestState| {
             assert_eq!(state.check_invariants(), Ok(()));
+            let snapshot = state.registry().snapshot();
+            let resident = snapshot
+                .entries()
+                .iter()
+                .filter(|e| e.cover.resident().is_some());
+            assert!(
+                resident.count() <= 2,
+                "only the open windows' covers are resident"
+            );
             let store = state.lock().wal.deep_size_of();
-            (
-                state.deep_size_of() - state.registry().deep_size_of(),
-                store,
-            )
+            (state.deep_size_of(), store)
         };
         let state = open();
         let history: Vec<RawTuple> = (0..windows)
@@ -847,11 +930,21 @@ mod tests {
         }
         state.rebuild_dirty_now().unwrap();
         assert_eq!(state.stats().sealed_windows, windows as u64 - 2);
-        let published = without_covers(&state);
+        let published = measure(&state);
         drop(state);
-        let reopened = without_covers(&open());
+        let state = open();
+        let reopened = measure(&state);
+        // Every cover, paged in after the measurement.
+        let snapshot = state.registry().snapshot();
+        let largest = snapshot
+            .entries()
+            .iter()
+            .map(|e| snapshot.with_cover(e, |c| c.deep_size_of()).unwrap())
+            .max()
+            .unwrap_or(0);
+        drop(state);
         let _ = std::fs::remove_dir_all(&dir);
-        [published, reopened]
+        ([published, reopened], largest)
     }
 
     #[test]
@@ -859,17 +952,20 @@ mod tests {
         const PER_WINDOW: i64 = 4;
         const SHORT: i64 = 48;
         const EXTRA: usize = 720;
-        let short = state_without_covers("budget-short", SHORT, PER_WINDOW);
-        let long = state_without_covers("budget-long", SHORT + EXTRA as i64, PER_WINDOW);
+        let (short, _) = resident_state("budget-short", SHORT, PER_WINDOW);
+        let (long, largest) = resident_state("budget-long", SHORT + EXTRA as i64, PER_WINDOW);
         let entry = std::mem::size_of::<(u64, usize)>();
+        // The cover cache may hold up to its capacity of covers more.
+        let cache = enviro_meter::COVER_CACHE_CAPACITY * largest;
         for (when, (long, long_store), (short, short_store)) in [
             ("published", long[0], short[0]),
             ("reopened", long[1], short[1]),
         ] {
             assert!(
-                long <= short + 64 * EXTRA,
+                long <= short + 64 * EXTRA + cache,
                 "{when}: {long} B after {} windows vs {short} B after {SHORT}: more than 64 B \
-                 per extra sealed window ({} B per extra tuple)",
+                 per extra sealed window plus a full cover cache ({cache} B); {} B per extra \
+                 tuple",
                 SHORT + EXTRA as i64,
                 (long.saturating_sub(short)) as f64 / (EXTRA * PER_WINDOW as usize) as f64
             );
@@ -882,23 +978,27 @@ mod tests {
         }
     }
 
-    /// A published cover's routing key and exact binary form.
-    fn cover_bits(cover: &PublishedCover) -> (u64, Timestamp, Vec<u8>) {
+    /// A cover's window, routing key and exact binary form.
+    fn cover_bits(id: u64, first_time: Timestamp, cover: &ModelCover) -> (u64, Timestamp, Vec<u8>) {
         let mut bytes = Vec::new();
-        cover.cover.encode_into(&mut bytes);
-        (cover.window_id, cover.first_time, bytes)
+        cover.encode_into(&mut bytes);
+        (id, first_time, bytes)
     }
 
+    /// Window `id`'s published cover, paged in if it is paged out.
     fn published_bits(state: &IngestState, id: u64) -> (u64, Timestamp, Vec<u8>) {
         let snapshot = state.registry().snapshot();
-        cover_bits(snapshot.cover_for_window(id).expect("window published"))
+        let entry = snapshot.cover_for_window(id).expect("window published");
+        snapshot
+            .with_cover(entry, |c| cover_bits(id, entry.first_time, c))
+            .expect("cover reads back")
     }
 
     /// What a pass publishes for window `id` holding `tuples`.
     fn built_bits(id: u64, tuples: &[RawTuple]) -> (u64, Timestamp, Vec<u8>) {
         let builder = CoverBuilder::new(AdKmnConfig::default());
-        let config = IngestConfig::default();
-        cover_bits(&build_cover(&builder, &config, id, 100, tuples))
+        let (first_time, cover) = build_cover(&builder, &IngestConfig::default(), id, 100, tuples);
+        cover_bits(id, first_time, &cover)
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::codec::WireCodec;
 use crate::ingest::IngestState;
 use crate::protocol::{ErrorCode, ProtocolError, Request, Response, WireCover};
 use enviro_data::{QueryTuple, WindowSpec};
-use enviro_meter::{CoverRegistry, EnviroMeter, QueryMethod};
+use enviro_meter::{CoverReadError, CoverRegistry, EnviroMeter, QueryMethod};
 use enviro_schedule::sync::Arc;
 
 /// The server side of Figure 3: decodes a request, consults the platform,
@@ -24,6 +24,9 @@ use enviro_schedule::sync::Arc;
 /// answered it. A query at time `t` is answered by the window holding `t`;
 /// before the first window by the oldest one, after the last by the
 /// newest (the routing rule of [`enviro_meter::CoverSet::cover_for_time`]).
+/// When that window's cover is paged out and cannot be read back, the
+/// reply to a `Query`, `QueryBatch` or `ModelRequest` is an
+/// [`ErrorCode::Internal`] error naming the window.
 ///
 /// A server built [`EnviroServer::with_ingest`] additionally accepts
 /// `IngestBatch` frames on the durable write path and shares its registry
@@ -105,7 +108,10 @@ impl<C: WireCodec> EnviroServer<C> {
             Request::Query { time, pos } => {
                 let q = QueryTuple::new(*time, *pos);
                 let value = match self.method {
-                    QueryMethod::ModelCover => self.registry.snapshot().query(&q).flatten(),
+                    QueryMethod::ModelCover => match self.registry.snapshot().query(&q) {
+                        Ok(value) => value.flatten(),
+                        Err(e) => return unreadable(&e),
+                    },
                     method => self.platform.point_query(&q, method),
                 };
                 match value {
@@ -114,9 +120,13 @@ impl<C: WireCodec> EnviroServer<C> {
                 }
             }
             Request::ModelRequest { time } => {
-                match self.registry.snapshot().cover_for_time(*time) {
+                let covers = self.registry.snapshot();
+                match covers.cover_for_time(*time) {
                     Some(entry) if !entry.cover.is_empty() => {
-                        Response::Cover(WireCover::from_cover(&entry.cover))
+                        match covers.with_cover(entry, WireCover::from_cover) {
+                            Ok(cover) => Response::Cover(cover),
+                            Err(e) => unreadable(&e),
+                        }
                     }
                     _ => Response::NoData,
                 }
@@ -131,7 +141,12 @@ impl<C: WireCodec> EnviroServer<C> {
                 let mut values = buffers::take_values();
                 let covers = self.registry.snapshot();
                 match self.method {
-                    QueryMethod::ModelCover => covers.query_batch_into(queries, &mut values),
+                    QueryMethod::ModelCover => {
+                        if let Err(e) = covers.query_batch_into(queries, &mut values) {
+                            buffers::recycle_values(values);
+                            return unreadable(&e);
+                        }
+                    }
                     method => self
                         .platform
                         .point_query_batch_into(queries, method, &mut values),
@@ -209,6 +224,13 @@ impl<C: WireCodec> EnviroServer<C> {
             }
         }
     }
+}
+
+/// The reply to a request whose answering cover is paged out and could
+/// not be read: an internal error naming the window, never `NoData` or a
+/// value.
+fn unreadable(e: &CoverReadError) -> Response {
+    Response::Error(ProtocolError::new(ErrorCode::Internal, e.to_string()))
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, Timestamp, WindowSpec};
+use enviro_data::{LausanneSim, Pollutant, QueryTuple, RawTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::codec::CodecError;
@@ -223,6 +223,66 @@ fn published_cover_serving_path_is_allocation_free() {
         "answered from the published covers: {reply:?}"
     );
     let allocs = steady_state_allocs_on(&server);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(allocs, 0);
+}
+
+/// The paged read path: every window the frames ask about is sealed, so
+/// its cover is paged out of the registry and read through the cover
+/// cache. A warm cache hit allocates nothing.
+#[test]
+fn paged_cover_cache_hit_is_allocation_free() {
+    let dir = std::env::temp_dir().join(format!("enviro-alloc-paged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = WalConfig {
+        window_secs: 3_600,
+        ..WalConfig::default()
+    };
+    let state = Arc::new(IngestState::open(&dir, wal, IngestConfig::default()).unwrap());
+    let readings: Vec<RawTuple> = (0..4 * 45)
+        .map(|i| {
+            let pos = Point::new(
+                (i % 9) as f64 * 110.0 - 500.0,
+                (i % 7) as f64 * 120.0 - 400.0,
+            );
+            RawTuple::new(Timestamp::from_secs(i * 80), pos, 400.0 + (i % 13) as f64)
+        })
+        .collect();
+    state.ingest(1, 1, &readings).unwrap();
+    state.rebuild_dirty_now().unwrap();
+    // Seal lag 1 over windows 0..=3: windows 0 and 1, which the frames
+    // ask about, are sealed and paged out, their covers cached by the seal.
+    let snapshot = state.registry().snapshot();
+    let paged: Vec<u64> = snapshot
+        .entries()
+        .iter()
+        .filter(|e| e.cover.resident().is_none())
+        .map(|e| e.window_id)
+        .collect();
+    assert_eq!(paged, [0, 1]);
+    let platform = EnviroMeter::new(
+        enviro_data::Dataset::new(Pollutant::Co2),
+        WindowSpec::ByDuration(3_600),
+        AdKmnConfig::default(),
+        1_000.0,
+    );
+    let server = EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
+        .with_ingest(Arc::clone(&state));
+    let reply = server.handle(&Request::QueryBatch {
+        seq: 1,
+        queries: (0..64).map(tuple).collect(),
+    });
+    assert!(
+        matches!(&reply, Response::ValueBatch { values, .. } if values.iter().all(Option::is_some)),
+        "answered from the paged covers: {reply:?}"
+    );
+    let allocs = steady_state_allocs_on(&server);
+    assert_eq!(
+        state.stats().cover_cache_misses,
+        0,
+        "every read hit the cache"
+    );
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(allocs, 0);

@@ -203,10 +203,13 @@ fn a_stored_cover_frame_with_both_model_variants_is_served_as_written() {
     let state = IngestState::open(&dir, wal, config).unwrap();
     let snapshot = state.registry().snapshot();
     let served = snapshot.cover_for_window(5).expect("window 5 served");
-    assert_eq!(*served.cover, sample_cover(), "decoded cover changed");
+    let cover = snapshot
+        .with_cover(served, Clone::clone)
+        .expect("window 5 reads back from its file");
+    assert_eq!(cover, sample_cover(), "decoded cover changed");
     assert_eq!(served.first_time, Timestamp::from_secs(512));
     let mut encoded = Vec::new();
-    served.cover.encode_into(&mut encoded);
+    cover.encode_into(&mut encoded);
     assert_eq!(hex(&encoded), SAMPLE_FRAME[32..], "cover bytes changed");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -307,7 +307,8 @@ fn level_cover(level: f64) -> PublishedCover {
     PublishedCover {
         window_id: 0,
         first_time: Timestamp::ZERO,
-        cover: Arc::new(CoverBuilder::new(AdKmnConfig::default()).build(&window, Pollutant::Co2)),
+        cover: Arc::new(CoverBuilder::new(AdKmnConfig::default()).build(&window, Pollutant::Co2))
+            .into(),
     }
 }
 
@@ -327,7 +328,10 @@ fn reply_generation_names_the_covers_that_answered() {
     let answers = |cover: &PublishedCover| -> Vec<Option<u64>> {
         queries
             .iter()
-            .map(|q| cover.cover.interpolate(q.time, &q.pos).map(f64::to_bits))
+            .map(|q| {
+                let resident = cover.cover.resident().expect("built resident");
+                resident.interpolate(q.time, &q.pos).map(f64::to_bits)
+            })
             .collect()
     };
     let by_generation = [answers(&old), answers(&new)];
@@ -425,7 +429,8 @@ fn static_seed_never_overwrites_the_stream() {
                 valid_until: Timestamp::from_secs(200),
             },
             Pollutant::Co2,
-        )),
+        ))
+        .into(),
     };
     let queries: Vec<QueryTuple> = [(10, 0.0), (60, 200.0), (120, 0.0), (150, 300.0)]
         .into_iter()
@@ -436,7 +441,10 @@ fn static_seed_never_overwrites_the_stream() {
         let registry = enviro_meter::CoverRegistry::new();
         registry.publish(entries);
         let mut out = Vec::new();
-        registry.snapshot().query_batch_into(&queries, &mut out);
+        registry
+            .snapshot()
+            .query_batch_into(&queries, &mut out)
+            .expect("resident covers");
         out.iter().map(|v| v.map(f64::to_bits)).collect()
     };
     let seeded_first = answers(static_covers.clone());
@@ -472,7 +480,11 @@ fn static_seed_never_overwrites_the_stream() {
         assert_eq!(snapshot.len(), 2);
         let owner = snapshot.cover_for_window(1).expect("window 1 published");
         assert!(
-            Arc::ptr_eq(&owner.cover, &stream_cover.cover),
+            owner
+                .cover
+                .resident()
+                .zip(stream_cover.cover.resident())
+                .is_some_and(|(held, stream)| Arc::ptr_eq(held, stream)),
             "the static seed overwrote the stream's cover"
         );
         state.check_invariants().expect("state is consistent");
@@ -558,13 +570,96 @@ fn sealed_windows_keep_their_final_cover() {
                 .copied()
                 .collect();
             let published = snapshot.cover_for_window(id).expect("window published");
+            let cover = snapshot.with_cover(published, Clone::clone);
             assert_eq!(
-                *published.cover,
+                cover.expect("cover reads back"),
                 window_cover(id, &window),
                 "window {id}: the published cover is not the one its {} tuples build",
                 window.len()
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+    println!("{report}");
+    assert!(report.schedules > 1);
+}
+
+/// A reader racing a seal's page-out. Windows 0 and 1 are published as
+/// generation 1 and still open; a write into window 2 makes the next pass
+/// publish it (generation 2), seal window 0 and page its cover out of the
+/// registry. A `QueryBatch` over window 0 served during that pass answers
+/// the values it answered before, whether it reads the resident cover or
+/// the paged one, stamped with a published generation; and the page-out
+/// itself publishes nothing.
+#[test]
+fn a_page_out_changes_no_answer_and_no_generation() {
+    let queries: Vec<QueryTuple> = [(10, 0.0), (40, 200.0)]
+        .into_iter()
+        .map(|(t, x)| QueryTuple::new(Timestamp::from_secs(t), Point::new(x, -50.0)))
+        .collect();
+    let round = AtomicU64::new(0);
+    let report = enviro_schedule::explore("read-vs-page-out", move || {
+        let dir = fresh_dir("page-out", round.fetch_add(1, Ordering::Relaxed));
+        let state = Arc::new(open_state(&dir));
+        state
+            .ingest(1, 1, &level_tuples(0, 100.0))
+            .expect("window 0");
+        state
+            .ingest(1, 2, &level_tuples(1, 300.0))
+            .expect("window 1");
+        state.rebuild_dirty_now().expect("first pass");
+        let server = EnviroServer::new(
+            EnviroMeter::new(
+                Dataset::new(Pollutant::Co2),
+                WindowSpec::ByDuration(100),
+                AdKmnConfig::default(),
+                1_000.0,
+            ),
+            BinaryCodec,
+            QueryMethod::ModelCover,
+        )
+        .with_ingest(Arc::clone(&state));
+        let batch = Request::QueryBatch {
+            seq: 1,
+            queries: queries.clone(),
+        };
+        let Response::ValueBatch {
+            generation: 1,
+            values: before,
+            ..
+        } = server.handle(&batch)
+        else {
+            panic!("window 0 is published as generation 1");
+        };
+        state
+            .ingest(1, 3, &level_tuples(2, 500.0))
+            .expect("window 2");
+        let pass = {
+            let state = Arc::clone(&state);
+            enviro_schedule::thread::spawn(move || state.rebuild_dirty_now().expect("racing pass"))
+        };
+        let reply = server.handle(&batch);
+        assert_eq!(pass.join().expect("pass ran"), 1);
+
+        let Response::ValueBatch {
+            generation, values, ..
+        } = reply
+        else {
+            panic!("expected a value batch, got {reply:?}");
+        };
+        assert!(
+            (1..=2).contains(&generation),
+            "stamped generation {generation} was never published"
+        );
+        let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+            v.iter().map(|x| x.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(&values), bits(&before), "generation {generation}");
+        let snapshot = state.registry().snapshot();
+        assert_eq!(snapshot.generation(), 2, "the page-out kept the generation");
+        let window0 = snapshot.cover_for_window(0).expect("window 0 published");
+        assert!(window0.cover.resident().is_none(), "window 0 is paged out");
+        state.check_invariants().expect("state is consistent");
         let _ = std::fs::remove_dir_all(&dir);
     });
     println!("{report}");

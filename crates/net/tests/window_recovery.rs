@@ -172,7 +172,10 @@ fn registry_bits(state: &IngestState) -> Vec<CoverBits> {
     snapshot
         .entries()
         .iter()
-        .map(|e| bits(e.window_id, e.first_time, &e.cover))
+        .map(|e| {
+            let read = snapshot.with_cover(e, |c| bits(e.window_id, e.first_time, c));
+            read.expect("cover reads back")
+        })
         .collect()
 }
 

@@ -19,7 +19,10 @@
 //!   sealed without one has a tuple frame only;
 //! * a sealed window leaves memory at the seal: only its tuple count stays,
 //!   the file is the one copy, and [`WalStore::tuples`] reads it back on
-//!   demand with the checks recovery applies;
+//!   demand with the checks recovery applies. Its cover leaves too: the
+//!   owner reads it back with [`WalStore::read_cover_frame`], which reads
+//!   the header, the tuple frame's length and the cover frame only, and
+//!   needs no store, so a reader never waits on the one that writes;
 //! * **recovery** reads each window file once, keeping its tuple count and
 //!   handing the owner its cover frame ([`WalStore::take_covers`]). It
 //!   then replays every WAL segment in order, truncating a torn tail on
@@ -51,16 +54,17 @@
 //! which changes nothing in it: its unlisted segments may be the residue of
 //! a crash mid-compaction, and replaying them would count tuples twice.
 
+use crate::crc::crc32;
 use crate::record::{decode_batch, encode_records, RECORD_SIZE};
 use crate::segment::{
     encode_frame, encode_header, parse_segment_file_name, read_frames, read_segment,
-    segment_file_name, sync_dir, SegmentWriter, HEADER_SIZE,
+    segment_file_name, sync_dir, SegmentWriter, FRAME_HEADER_SIZE, HEADER_SIZE,
 };
 use enviro_data::{RawTuple, WindowSpec};
 use enviro_memsize::DeepSize;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Default WAL segment rotation threshold: ~1 MiB of records.
@@ -474,6 +478,49 @@ impl WalStore {
         Ok(tuples)
     }
 
+    /// Reads sealed window `id`'s cover frame from its file in the store
+    /// under `dir`, without opening the store: the header, the tuple
+    /// frame's length, then the cover frame, which must pass its CRC and
+    /// end the file. Returns the tuple count that the tuple frame's length
+    /// names, and the cover frame's payload. It takes no [`WalStore`], so a
+    /// reader can page a sealed window's cover in while the store is busy:
+    /// a sealed window's file never changes while its store is open.
+    pub fn read_cover_frame(
+        dir: impl AsRef<Path>,
+        id: u64,
+    ) -> Result<(usize, Vec<u8>), StorageError> {
+        let windows_dir = dir.as_ref().join(WINDOWS_DIR);
+        let seq = u32::try_from(id)
+            .map_err(|_| invalid(&windows_dir, format!("window id {id} names no segment")))?;
+        let path = windows_dir.join(segment_file_name(seq));
+        let mut file = std::fs::File::open(&path)?;
+        let file_len = file.metadata()?.len();
+        let mut header = [0; HEADER_SIZE];
+        file.read_exact(&mut header)?;
+        if header[..] != encode_header(seq)[..] {
+            return Err(invalid(&path, "not the segment header of its window"));
+        }
+        let (tuple_len, _) = read_frame_header(&mut file)?;
+        if !tuple_len.is_multiple_of(RECORD_SIZE as u64) {
+            return Err(invalid(&path, "the tuple frame holds no whole records"));
+        }
+        let cover_at = (HEADER_SIZE + FRAME_HEADER_SIZE) as u64 + tuple_len;
+        if file_len < cover_at + FRAME_HEADER_SIZE as u64 {
+            return Err(invalid(&path, "sealed without a cover frame"));
+        }
+        file.seek(SeekFrom::Start(cover_at))?;
+        let (cover_len, crc) = read_frame_header(&mut file)?;
+        if cover_at + FRAME_HEADER_SIZE as u64 + cover_len != file_len {
+            return Err(invalid(&path, "the cover frame does not end the file"));
+        }
+        let mut payload = vec![0; cover_len as usize];
+        file.read_exact(&mut payload)?;
+        if crc32(&payload) != crc {
+            return Err(invalid(&path, "the cover frame fails its CRC"));
+        }
+        Ok(((tuple_len / RECORD_SIZE as u64) as usize, payload))
+    }
+
     /// Hands over the cover frame of each sealed window whose file held an
     /// intact one at [`Self::open`], by window id. The frames are the
     /// owner's bytes, as [`Self::seal_with_covers`] wrote them; a window
@@ -774,6 +821,15 @@ fn read_window<T>(
     Ok((decoded, cover.filter(|_| !scan.truncated_tail)))
 }
 
+/// Reads a frame header at the file's position: `(payload length, CRC)`.
+fn read_frame_header(file: &mut std::fs::File) -> io::Result<(u64, u32)> {
+    let mut header = [0; FRAME_HEADER_SIZE];
+    file.read_exact(&mut header)?;
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    Ok((u64::from(len), u32::from_le_bytes([c0, c1, c2, c3])))
+}
+
 /// Lists the segment seqs present in `dir`, sorted.
 fn discover_segments(dir: &Path) -> Result<Vec<u32>, StorageError> {
     let mut seqs: Vec<u32> = std::fs::read_dir(dir)?
@@ -844,7 +900,6 @@ mod tests {
     use super::*;
     use enviro_data::Timestamp;
     use enviro_geo::Point;
-    use std::io::{Seek as _, SeekFrom};
 
     const H: i64 = 100;
 
@@ -1082,6 +1137,47 @@ mod tests {
         std::fs::write(seg(1), &torn).unwrap();
         let reason = invalid_segment_reason(WalStore::open(&dir, cfg()));
         assert!(reason.contains("no intact tuple frame"), "{reason}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cover_frame_is_read_back_without_the_store() {
+        let dir = tempdir("cover-read");
+        let mut w = WalStore::open(&dir, cfg()).unwrap();
+        w.append_batch(&[tuple(10, 1.0), tuple(H + 5, 2.0), tuple(H + 6, 2.5)])
+            .unwrap();
+        w.append_batch(&[tuple(3 * H, 3.0)]).unwrap();
+        assert_eq!(w.seal_windows_before(1).unwrap(), [0]);
+        assert_eq!(
+            w.seal_with_covers(vec![(1, b"cover 1".to_vec())]).unwrap(),
+            [1]
+        );
+        // Read while the store is open and holds its WAL.
+        let read = |id| WalStore::read_cover_frame(&dir, id);
+        assert_eq!(read(1).unwrap(), (2, b"cover 1".to_vec()));
+        let reason = |id| match read(id) {
+            Err(StorageError::InvalidSegment { reason, .. }) => reason,
+            other => panic!("expected an invalid segment, got {other:?}"),
+        };
+        assert!(reason(0).contains("without a cover frame"));
+        assert!(matches!(read(3), Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound));
+        assert!(read(u64::from(u32::MAX) + 1).is_err());
+        let seg = dir.join("windows").join(segment_file_name(1));
+        let clean = std::fs::read(&seg).unwrap();
+        let mut flipped = clean.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        std::fs::write(&seg, &flipped).unwrap();
+        assert!(reason(1).contains("CRC"));
+        let mut longer = clean.clone();
+        longer.push(0);
+        std::fs::write(&seg, &longer).unwrap();
+        assert!(reason(1).contains("does not end the file"));
+        std::fs::write(&seg, &clean[..clean.len() - 1]).unwrap();
+        assert!(reason(1).contains("does not end the file"));
+        std::fs::write(dir.join("windows").join(segment_file_name(0)), &clean).unwrap();
+        assert!(reason(0).contains("segment header"));
+        drop(w);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

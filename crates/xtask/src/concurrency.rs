@@ -33,7 +33,8 @@ const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"
 /// Calls a held lock guard must not reach: file I/O (`fs::`, `File::`,
 /// `OpenOptions`, `sync_all`) and model rebuilds (`CoverBuilder`), plus the
 /// WAL's fsync-backed mutations (`append_batch`, `seal_windows_before`,
-/// `seal_with_covers`).
+/// `seal_with_covers`) and its read of a sealed window's cover frame
+/// (`read_cover_frame`, which a cover-cache miss runs).
 const FORBIDDEN_UNDER_LOCK: &[&str] = &[
     "OpenOptions",
     "sync_all",
@@ -41,6 +42,7 @@ const FORBIDDEN_UNDER_LOCK: &[&str] = &[
     "append_batch",
     "seal_windows_before",
     "seal_with_covers",
+    "read_cover_frame",
 ];
 
 /// One source file as the lint pass sees it.

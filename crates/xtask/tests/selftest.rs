@@ -173,6 +173,39 @@ fn synthetic_raw_std_sync_import_fails_the_gate() {
 }
 
 #[test]
+fn synthetic_cover_read_under_a_guard_fails_the_gate() {
+    with_workspace(
+        "coverread",
+        &[
+            (
+                "crates/geo/Cargo.toml",
+                &manifest("enviro-geo", &["enviro-memsize"]),
+            ),
+            (
+                "crates/geo/src/lib.rs",
+                "//! Synthetic crate.\n\
+                 pub fn page_in(c: &Cache) {\n\
+                 \x20   let slots = c.slots.lock();\n\
+                 \x20   let frame = WalStore::read_cover_frame(&c.dir, 7);\n\
+                 }\n",
+            ),
+            ("crates/xtask/panic-baseline.toml", EMPTY_BASELINE),
+        ],
+        |root| {
+            let outcome = xtask::run_lint(root, false);
+            assert!(!outcome.passed());
+            assert!(
+                outcome.errors.iter().any(|e| e.contains("lock-scope")
+                    && e.contains("read_cover_frame")
+                    && e.contains("guard `slots`")),
+                "missing lock-scope error: {:?}",
+                outcome.errors
+            );
+        },
+    );
+}
+
+#[test]
 fn synthetic_lock_order_cycle_fails_the_gate() {
     with_workspace(
         "lockorder",

@@ -619,7 +619,8 @@ fn registry_bits(state: &IngestState) -> RegistryBits {
         .iter()
         .map(|e| {
             let mut bytes = Vec::new();
-            e.cover.encode_into(&mut bytes);
+            let read = snapshot.with_cover(e, |cover| cover.encode_into(&mut bytes));
+            read.expect("cover reads back");
             (e.window_id, e.first_time, bytes)
         })
         .collect()
