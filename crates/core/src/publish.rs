@@ -139,12 +139,24 @@ pub struct CoverCacheStats {
     pub read_errors: u64,
 }
 
+/// The loader of a registry built by [`CoverRegistry::new`]: such a
+/// registry is for resident covers only, so a paged entry published into
+/// it reads as an error, as an unreadable file does.
+#[derive(Debug)]
+struct NoLoader;
+
+impl CoverLoader for NoLoader {
+    fn load(&self, _window_id: u64) -> Result<ModelCover, String> {
+        Err("the registry has no cover loader".to_string())
+    }
+}
+
 /// The paged covers most recently read, at most [`COVER_CACHE_CAPACITY`],
 /// and the loader that fills it. Its lock is a leaf: never held with the
 /// registry's, nor across a load.
 #[derive(Debug)]
 struct CoverCache {
-    loader: Option<Box<dyn CoverLoader>>,
+    loader: Box<dyn CoverLoader>,
     slots: Mutex<CacheSlots>,
     misses: AtomicU64,
     read_errors: AtomicU64,
@@ -159,7 +171,7 @@ struct CacheSlots {
 }
 
 impl CoverCache {
-    fn new(loader: Option<Box<dyn CoverLoader>>) -> Self {
+    fn new(loader: Box<dyn CoverLoader>) -> Self {
         Self {
             loader,
             slots: Mutex::new(CacheSlots::default()),
@@ -182,11 +194,7 @@ impl CoverCache {
         }
         // ordering: Relaxed — statistics counters; they order nothing.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let loaded = match &self.loader {
-            Some(loader) => loader.load(id),
-            None => Err("the registry has no cover loader".to_string()),
-        };
-        match loaded {
+        match self.loader.load(id) {
             Ok(cover) => {
                 let cover = Arc::new(cover);
                 self.insert(id, Arc::clone(&cover));
@@ -238,6 +246,12 @@ impl CoverCache {
     }
 }
 
+impl Default for CoverCache {
+    fn default() -> Self {
+        Self::new(Box::new(NoLoader))
+    }
+}
+
 impl DeepSize for CoverCache {
     fn heap_size(&self) -> usize {
         // The loader is configuration (a store path), not counted.
@@ -258,8 +272,8 @@ pub struct CoverSet {
     entries: Vec<PublishedCover>,
     generation: u64,
     /// The publishing registry's cover cache, which paged entries are read
-    /// through; `None` before the first publication.
-    cache: Option<Arc<CoverCache>>,
+    /// through.
+    cache: Arc<CoverCache>,
 }
 
 impl CoverSet {
@@ -313,13 +327,9 @@ impl CoverSet {
         entry: &PublishedCover,
         f: impl FnOnce(&ModelCover) -> R,
     ) -> Result<R, CoverReadError> {
-        match (&entry.cover, &self.cache) {
-            (StoredCover::Resident(cover), _) => Ok(f(cover)),
-            (StoredCover::Paged { .. }, Some(cache)) => Ok(f(&*cache.get(entry.window_id)?)),
-            (StoredCover::Paged { .. }, None) => Err(CoverReadError {
-                window_id: entry.window_id,
-                reason: "the set has no cover cache".to_string(),
-            }),
+        match &entry.cover {
+            StoredCover::Resident(cover) => Ok(f(cover)),
+            StoredCover::Paged { .. } => Ok(f(&*self.cache.get(entry.window_id)?)),
         }
     }
 
@@ -447,21 +457,27 @@ impl Default for CoverRegistry {
 
 impl CoverRegistry {
     /// An empty registry at generation 0 (generation 0 is reserved for
-    /// "nothing ever published"), with no loader: it holds resident covers
-    /// only, and a paged entry published into it cannot be read.
+    /// "nothing ever published"), with no loader: it is for resident covers
+    /// only, and a read of a paged entry published into it errs.
     pub fn new() -> Self {
-        Self::with_cache(CoverCache::new(None))
+        Self::with_cache(CoverCache::default())
     }
 
     /// An empty registry whose paged entries are read through `loader`.
     pub fn with_loader(loader: impl CoverLoader + 'static) -> Self {
-        Self::with_cache(CoverCache::new(Some(Box::new(loader))))
+        Self::with_cache(CoverCache::new(Box::new(loader)))
     }
 
     fn with_cache(cache: CoverCache) -> Self {
+        let cache = Arc::new(cache);
+        let empty = CoverSet {
+            entries: Vec::new(),
+            generation: 0,
+            cache: Arc::clone(&cache),
+        };
         Self {
-            current: RwLock::new(Arc::new(CoverSet::new())),
-            cache: Arc::new(cache),
+            current: RwLock::new(Arc::new(empty)),
+            cache,
         }
     }
 
@@ -522,48 +538,43 @@ impl CoverRegistry {
         *guard = Arc::new(CoverSet {
             entries,
             generation,
-            cache: Some(Arc::clone(&self.cache)),
+            cache: Arc::clone(&self.cache),
         });
         generation
     }
 
     /// Pages out sealed windows' covers, given as `(window id, the resident
     /// cover its file holds)`: each entry still holding that cover keeps
-    /// only its region count, and the cover moves into the cover cache.
-    /// Answers do not change, so the generation does not either. Call it
-    /// only once each window's file holds its cover: a read of a paged
-    /// entry goes to the loader on a miss.
+    /// only its region count, and the cover leaves memory once in-flight
+    /// readers drop it; the cache fills only from reads. Answers do not
+    /// change, so the generation does not either. Call it only once each
+    /// window's file holds its cover: a read of a paged entry goes to the
+    /// loader on a miss.
     pub fn page_out(&self, sealed: Vec<(u64, Arc<ModelCover>)>) {
-        let mut paged = Vec::with_capacity(sealed.len());
-        {
-            let mut guard = self.current.write().unwrap_or_else(|e| e.into_inner());
-            let mut entries = guard.entries.clone();
-            for (id, cover) in sealed {
-                let Ok(i) = entries.binary_search_by_key(&id, |e| e.window_id) else {
-                    continue;
+        let mut guard = self.current.write().unwrap_or_else(|e| e.into_inner());
+        let mut entries = guard.entries.clone();
+        let mut paged = false;
+        for (id, cover) in sealed {
+            let Ok(i) = entries.binary_search_by_key(&id, |e| e.window_id) else {
+                continue;
+            };
+            if entries[i]
+                .cover
+                .resident()
+                .is_some_and(|held| Arc::ptr_eq(held, &cover))
+            {
+                entries[i].cover = StoredCover::Paged {
+                    regions: cover.len(),
                 };
-                if entries[i]
-                    .cover
-                    .resident()
-                    .is_some_and(|held| Arc::ptr_eq(held, &cover))
-                {
-                    entries[i].cover = StoredCover::Paged {
-                        regions: cover.len(),
-                    };
-                    paged.push((id, cover));
-                }
+                paged = true;
             }
-            if paged.is_empty() {
-                return;
-            }
+        }
+        if paged {
             *guard = Arc::new(CoverSet {
                 entries,
                 generation: guard.generation,
-                cache: Some(Arc::clone(&self.cache)),
+                cache: Arc::clone(&self.cache),
             });
-        }
-        for (id, cover) in paged {
-            self.cache.insert(id, cover);
         }
     }
 
@@ -703,10 +714,18 @@ mod tests {
         for (e, (_, cover)) in snap.entries().iter().zip(&covers) {
             assert_eq!(e.cover.len(), cover.len());
         }
-        // The page-out seeded the cache: warm reads load nothing.
-        assert_eq!(answer_bits(&snap, &queries).unwrap(), before);
-        assert_eq!(loads.load(std::sync::atomic::Ordering::Relaxed), 0);
+        // The page-out left the cache empty: the first reads load each
+        // paged cover once, and the warm reads after them load nothing.
         assert_eq!(reg.cache_stats(), CoverCacheStats::default());
+        assert_eq!(answer_bits(&snap, &queries).unwrap(), before);
+        assert_eq!(loads.load(std::sync::atomic::Ordering::Relaxed), 3);
+        assert_eq!(answer_bits(&snap, &queries).unwrap(), before);
+        assert_eq!(loads.load(std::sync::atomic::Ordering::Relaxed), 3);
+        let warm = CoverCacheStats {
+            misses: 3,
+            read_errors: 0,
+        };
+        assert_eq!(reg.cache_stats(), warm);
         // Paging out again, or a cover the entry no longer holds, is a no-op.
         reg.page_out(covers[..3].to_vec());
         reg.page_out(vec![(3, built_cover(3, 310))]);
@@ -788,10 +807,18 @@ mod tests {
     fn deep_size_counts_the_cached_covers() {
         let (reg, _) = paging_registry(5, u64::MAX);
         let covers = resident_covers(&reg);
-        let held: usize = covers.iter().map(|(_, c)| c.deep_size_of()).sum();
+        // What the loader reads back: a copy of each cover, which may hold
+        // less spare capacity than the cover built in memory.
+        let held: usize = covers
+            .iter()
+            .map(|(_, c)| ModelCover::clone(c).deep_size_of())
+            .sum();
         let all_resident = reg.deep_size_of();
-        // Paged and seeded: the covers moved from the set to the cache.
+        // Paged out, then read back: the covers moved from the set to the
+        // cache.
         reg.page_out(covers.clone());
+        answer_bits(&reg.snapshot(), &probes(5)).unwrap();
+        assert_eq!(reg.cache.lock().covers.len(), covers.len());
         let cached = reg.deep_size_of();
         let cold = CoverRegistry::new();
         cold.publish(reg.snapshot().entries().to_vec());

@@ -407,20 +407,20 @@ impl IngestState {
         // by design: it only ever runs on the single maintenance worker,
         // and the query path never takes this lock (covers are read
         // through the registry snapshot).
-        let sealed = match wal.seal_with_covers(seal) {
-            Ok(ids) => ids,
-            Err(e) => {
-                inner.stats.maintenance_errors += 1;
-                return Err(e);
-            }
-        };
-        inner.stats.sealed_windows += sealed.len() as u64;
+        let sealed = wal.seal_with_covers(seal);
+        // The windows the seal committed: all of them, or, when a step
+        // after the renames failed, those renamed into place before it.
+        // Each one's file now holds its cover, so the cover may leave
+        // memory; a later pass seals only what is still open, so these
+        // would never be paged out otherwise.
+        covers.retain(|&(id, _)| wal.is_sealed(id));
+        inner.stats.sealed_windows += covers.len() as u64;
+        if sealed.is_err() {
+            inner.stats.maintenance_errors += 1;
+        }
         drop(inner);
-        // Each sealed window's file now holds its cover, so the cover may
-        // leave memory.
-        covers.retain(|(id, _)| sealed.contains(id));
         self.registry.page_out(covers);
-        Ok(())
+        sealed.map(drop)
     }
 
     /// Answers one query from the published covers, or `None` when nothing
@@ -837,6 +837,64 @@ mod tests {
         // Sealed windows still answer queries from their published covers.
         let q = QueryTuple::new(Timestamp::from_secs(10), Point::new(50.0, 0.0));
         assert!(state.query(&q).expect("covers exist").is_some());
+        assert_eq!(state.check_invariants(), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_seal_that_fails_after_its_renames_still_pages_out_what_it_sealed() {
+        let dir = temp_dir("seal-fails-late");
+        // Every batch rotates the WAL first, so each window's tuples sit in
+        // a segment of their own, which the seal retires.
+        let wal = WalConfig {
+            window_secs: 100,
+            max_wal_segment_bytes: 1,
+        };
+        let state = IngestState::open(&dir, wal, IngestConfig::default()).unwrap();
+        for w in 0..2i64 {
+            state.ingest(1, w as u32 + 1, &window_tuples(w, 6)).unwrap();
+        }
+        state.rebuild_dirty_now().unwrap();
+        let probes: Vec<QueryTuple> = (0..2)
+            .map(|w| QueryTuple::new(Timestamp::from_secs(w * 100 + 3), Point::new(60.0, 0.0)))
+            .collect();
+        let answers = |state: &IngestState| -> Vec<Option<u64>> {
+            probes
+                .iter()
+                .map(|q| state.query(q).flatten().map(f64::to_bits))
+                .collect()
+        };
+        let before = answers(&state);
+        for w in 2..4i64 {
+            state.ingest(1, w as u32 + 1, &window_tuples(w, 6)).unwrap();
+        }
+        // Every WAL segment but the active one goes missing, so the seal of
+        // windows 0 and 1 fails where it retires them, after their files
+        // were renamed into place.
+        let wal_dir = dir.join("wal");
+        let mut segments: Vec<_> = std::fs::read_dir(&wal_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        segments.sort();
+        segments.pop();
+        for path in segments {
+            std::fs::remove_file(path).unwrap();
+        }
+        assert!(state.rebuild_dirty_now().is_err());
+        let stats = state.stats();
+        assert_eq!((stats.maintenance_errors, stats.sealed_windows), (1, 2));
+        assert!(state.lock().wal.is_sealed(1));
+        let snapshot = state.registry().snapshot();
+        let paged: Vec<u64> = snapshot
+            .entries()
+            .iter()
+            .filter(|e| e.cover.resident().is_none())
+            .map(|e| e.window_id)
+            .collect();
+        assert_eq!(paged, [0, 1], "the committed windows left memory");
+        assert_eq!(answers(&state), before);
+        assert_eq!(state.stats().cover_read_errors, 0);
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }

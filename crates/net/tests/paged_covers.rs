@@ -223,12 +223,15 @@ proptest! {
         let before = ingest_recording(&state, &server, &windows, &probes);
         prop_assert_eq!(&before, &want, "resident answers");
         // Seal lag 1: every window but the newest two is sealed and paged
-        // out, and the seal left its covers in the cache (warm).
+        // out. The seal leaves the cache empty: the first reads miss once
+        // per paged window, the next ones hit.
         let sealed: Vec<u64> = (0..n as u64 - 2).collect();
         prop_assert_eq!(paged_windows(&state), sealed.clone());
         let generation = state.generation();
+        check_answers(&state, &server, &probes, &want, "cold after the seal")?;
+        prop_assert_eq!(state.stats().cover_cache_misses, n as u64 - 2);
         check_answers(&state, &server, &probes, &want, "warm after the seal")?;
-        prop_assert_eq!(state.stats().cover_cache_misses, 0);
+        prop_assert_eq!(state.stats().cover_cache_misses, n as u64 - 2);
         prop_assert_eq!(state.generation(), generation, "reads publish nothing");
         drop(server);
         drop(state);
