@@ -14,22 +14,26 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use enviro_data::{QueryTuple, RawTuple, Timestamp};
+use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_meter::LinearModel;
-use enviro_net::{buffers, BinaryCodec, Request, Response, TextCodec, WireCodec, WireCover};
+use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
+use enviro_net::{buffers, BinaryCodec, Request, Response, TextCodec, WireCodec};
 use enviro_storage::crc::crc32;
 use std::hint::black_box;
 
-fn sample_cover(regions: usize) -> WireCover {
-    WireCover {
+fn sample_cover(regions: usize) -> ModelCover {
+    ModelCover {
+        pollutant: Pollutant::default(),
+        window_id: 0,
         valid_until: Timestamp::from_secs(14_400),
         regions: (0..regions)
-            .map(|i| enviro_net::WireRegion {
+            .map(|i| CoverRegion {
                 centroid: Point::new(i as f64 * 100.0, -(i as f64) * 50.0),
-                model: enviro_net::protocol::WireModel::Linear(
-                    [i as f64; LinearModel::COEFFICIENT_COUNT],
-                ),
+                model: RegionModel::Linear(LinearModel::from_coefficients(
+                    &[i as f64 + 1.0; LinearModel::COEFFICIENT_COUNT],
+                )),
+                training_error_percent: 0.0,
+                population: 0,
             })
             .collect(),
     }

@@ -26,6 +26,20 @@ pub struct CoverRegion {
     pub population: usize,
 }
 
+impl CoverRegion {
+    /// Verifies what a region needs to answer queries: a finite centroid
+    /// (a NaN centroid wins no nearest-centroid comparison and silently
+    /// shadows its cell) and a model that passes
+    /// [`RegionModel::check_invariants`]. The wire carries nothing else
+    /// of a region, so a decoded cover is checked with exactly this.
+    pub fn check_queryable(&self) -> Result<(), String> {
+        if !self.centroid.is_finite() {
+            return Err("non-finite centroid".into());
+        }
+        self.model.check_invariants()
+    }
+}
+
 /// A complete model cover for one window: `(t_n, µ, M)` in the paper's
 /// notation, plus provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,15 +92,6 @@ impl ModelCover {
         self.nearest_region(p).map(|(_, r)| r.model.predict(t, p))
     }
 
-    /// Total `f64` coefficients across all models — the payload size driver
-    /// for the model-cache protocol.
-    pub fn coefficient_count(&self) -> usize {
-        self.regions
-            .iter()
-            .map(|r| r.model.coefficient_count() + 2) // + centroid (x, y)
-            .sum()
-    }
-
     /// Worst training error across regions (0 for an empty cover).
     pub fn worst_training_error_percent(&self) -> f64 {
         self.regions
@@ -101,28 +106,16 @@ impl ModelCover {
     /// A cover is what phones cache and query, so a malformed one must be
     /// caught at the factory ([`CoverBuilder`] checks this in debug
     /// builds), not discovered as NaN interpolations in the field:
-    /// * every centroid is finite (a NaN centroid wins no nearest-centroid
-    ///   comparison and silently shadows its cell);
-    /// * every model satisfies its own numeric invariants (see
-    ///   [`crate::model::LinearModel::check_invariants`]);
+    /// * every region passes [`CoverRegion::check_queryable`]: a finite
+    ///   centroid and a model that satisfies its own numeric invariants;
     /// * every region was trained on at least one tuple (empty Voronoi
     ///   cells are dropped at assembly);
     /// * training errors are finite and non-negative.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, region) in self.regions.iter().enumerate() {
-            if !region.centroid.is_finite() {
-                return Err(format!("region {i}: non-finite centroid"));
-            }
-            match &region.model {
-                RegionModel::Mean(v) if !v.is_finite() => {
-                    return Err(format!("region {i}: non-finite mean model"));
-                }
-                RegionModel::Mean(_) => {}
-                RegionModel::Linear(m) => {
-                    m.check_invariants()
-                        .map_err(|e| format!("region {i}: {e}"))?;
-                }
-            }
+            region
+                .check_queryable()
+                .map_err(|e| format!("region {i}: {e}"))?;
             if region.population == 0 {
                 return Err(format!("region {i}: no training tuples"));
             }
@@ -407,13 +400,6 @@ mod tests {
                 "region {i} closer than chosen {idx}"
             );
         }
-    }
-
-    #[test]
-    fn coefficient_count_positive_and_scales() {
-        let ds = window_dataset();
-        let cover = build_cover(&ds);
-        assert!(cover.coefficient_count() >= cover.len() * 3);
     }
 
     #[test]

@@ -69,13 +69,14 @@ impl RegionModel {
         )
     }
 
-    /// Number of `f64` coefficients a client must receive to evaluate this
-    /// model — the quantity that the model-cache protocol ships over the
-    /// air.
-    pub fn coefficient_count(&self) -> usize {
+    /// Verifies the model's numeric invariants: a mean model's value is
+    /// finite, and a linear model passes [`LinearModel::check_invariants`]
+    /// (under which an `INFINITY` scale is legal).
+    pub fn check_invariants(&self) -> Result<(), String> {
         match self {
-            RegionModel::Linear(_) => LinearModel::COEFFICIENT_COUNT,
-            RegionModel::Mean(_) => 1,
+            RegionModel::Mean(v) if !v.is_finite() => Err("non-finite mean model".into()),
+            RegionModel::Mean(_) => Ok(()),
+            RegionModel::Linear(m) => m.check_invariants(),
         }
     }
 }
@@ -167,17 +168,5 @@ mod tests {
                                                // CO2 normal range width = 1150 → 1 %.
         let err = m.approximation_error(&tuples, Pollutant::Co2);
         assert!((err.percent() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn coefficient_counts() {
-        assert_eq!(RegionModel::Mean(1.0).coefficient_count(), 1);
-        let tuples: Vec<RawTuple> = (0..16)
-            .map(|i| tup(i, (i % 4) as f64, (i / 4) as f64, i as f64))
-            .collect();
-        let m = RegionModel::fit(&tuples, &FitConfig::default()).unwrap();
-        if let RegionModel::Linear(_) = m {
-            assert_eq!(m.coefficient_count(), LinearModel::COEFFICIENT_COUNT);
-        }
     }
 }

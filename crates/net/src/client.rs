@@ -251,8 +251,8 @@ impl<C: WireCodec> ModelCacheClient<C> {
                     .decode_response(&resp_bytes)
                     .map_err(|e| ClientError::BadReply(e.to_string()))?
                 {
-                    Response::Cover(wire) => {
-                        let cover = wire.into_cover(pollutant);
+                    Response::Cover(mut cover) => {
+                        cover.pollutant = pollutant;
                         // A cover already expired for t_l means the server
                         // has nothing fresher: serve stale, stop refreshing.
                         self.nothing_fresher = !cover.is_valid_at(q.time);
@@ -645,7 +645,10 @@ impl<C: WireCodec> EnviroClient<C> {
             .encode_request_into(&Request::ModelRequest { time }, &mut self.scratch);
         let pollutant = self.pollutant;
         let fetched = self.exchange(wire, |_, response| match response {
-            Response::Cover(wire_cover) => Some(Some(wire_cover.into_cover(pollutant))),
+            Response::Cover(mut cover) => {
+                cover.pollutant = pollutant;
+                Some(Some(cover))
+            }
             Response::NoData => Some(None),
             _ => None,
         })?;

@@ -12,13 +12,10 @@
 //!   `abl-codec` ablation quantifies what the binary layout saves.
 
 use crate::buffers;
-use crate::protocol::{
-    ErrorCode, ProtocolError, Request, Response, WireCover, WireModel, WireRegion, BATCH_VERSION,
-    MAX_BATCH,
-};
-use enviro_data::{QueryTuple, RawTuple, Timestamp};
+use crate::protocol::{ErrorCode, ProtocolError, Request, Response, BATCH_VERSION, MAX_BATCH};
+use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_meter::LinearModel;
+use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
 use enviro_storage::crc::{crc32, Crc32};
 use enviro_storage::record::{decode_record, encode_records, RECORD_SIZE};
 use std::io::Write;
@@ -369,13 +366,13 @@ impl WireCodec for BinaryCodec {
                     out.extend_from_slice(&r.centroid.x.to_le_bytes());
                     out.extend_from_slice(&r.centroid.y.to_le_bytes());
                     match &r.model {
-                        WireModel::Mean(v) => {
+                        RegionModel::Mean(v) => {
                             out.push(MODEL_MEAN);
                             out.extend_from_slice(&v.to_le_bytes());
                         }
-                        WireModel::Linear(coeffs) => {
+                        RegionModel::Linear(m) => {
                             out.push(MODEL_LINEAR);
-                            for c in coeffs {
+                            for c in m.to_coefficients() {
                                 out.extend_from_slice(&c.to_le_bytes());
                             }
                         }
@@ -462,26 +459,20 @@ impl WireCodec for BinaryCodec {
                     let cx = take_f64(&mut bytes)?;
                     let cy = take_f64(&mut bytes)?;
                     let model = match take_u8(&mut bytes)? {
-                        MODEL_MEAN => WireModel::Mean(take_f64(&mut bytes)?),
+                        MODEL_MEAN => RegionModel::Mean(take_f64(&mut bytes)?),
                         MODEL_LINEAR => {
                             let mut coeffs = [0.0; LinearModel::COEFFICIENT_COUNT];
                             for c in &mut coeffs {
                                 *c = take_f64(&mut bytes)?;
                             }
-                            WireModel::Linear(coeffs)
+                            RegionModel::Linear(LinearModel::from_coefficients(&coeffs))
                         }
                         other => return Err(CodecError::BadTag(other)),
                     };
-                    regions.push(WireRegion {
-                        centroid: Point::new(cx, cy),
-                        model,
-                    });
+                    regions.push(decoded_region(Point::new(cx, cy), model)?);
                 }
                 ensure_empty(bytes)?;
-                Ok(Response::Cover(WireCover {
-                    valid_until,
-                    regions,
-                }))
+                Ok(decoded_cover(valid_until, regions))
             }
             TAG_ERROR => {
                 let code = ErrorCode::from_u8(take_u8(&mut bytes)?)
@@ -527,6 +518,33 @@ fn take_i64(bytes: &mut &[u8]) -> Result<i64, CodecError> {
 
 fn take_u64(bytes: &mut &[u8]) -> Result<u64, CodecError> {
     take(bytes).map(u64::from_le_bytes)
+}
+
+/// One region of a decoded `Cover` frame. The wire carries only the
+/// centroid and the model, so the training diagnostics are zeroed. A
+/// region that could not answer a query honestly (see
+/// [`CoverRegion::check_queryable`]) is `Malformed`: the frame has no CRC,
+/// and a NaN centroid or mean would otherwise reach the client's answers.
+fn decoded_region(centroid: Point, model: RegionModel) -> Result<CoverRegion, CodecError> {
+    let region = CoverRegion {
+        centroid,
+        model,
+        training_error_percent: 0.0,
+        population: 0,
+    };
+    region.check_queryable().map_err(CodecError::Malformed)?;
+    Ok(region)
+}
+
+/// A decoded `Cover` reply. The window id and the pollutant are not sent,
+/// so they read 0 and the default; the client stamps its own pollutant.
+fn decoded_cover(valid_until: Timestamp, regions: Vec<CoverRegion>) -> Response {
+    Response::Cover(ModelCover {
+        pollutant: Pollutant::default(),
+        window_id: 0,
+        valid_until,
+        regions,
+    })
 }
 
 fn take_f64(bytes: &mut &[u8]) -> Result<f64, CodecError> {
@@ -741,20 +759,20 @@ impl WireCodec for TextCodec {
                 );
                 for r in &cover.regions {
                     match &r.model {
-                        WireModel::Mean(v) => {
+                        RegionModel::Mean(v) => {
                             let _ = writeln!(
                                 out,
                                 "region cx={:.6} cy={:.6} model=mean coeffs={v:.9}",
                                 r.centroid.x, r.centroid.y
                             );
                         }
-                        WireModel::Linear(cs) => {
+                        RegionModel::Linear(m) => {
                             let _ = write!(
                                 out,
                                 "region cx={:.6} cy={:.6} model=linear coeffs=",
                                 r.centroid.x, r.centroid.y
                             );
-                            for (i, c) in cs.iter().enumerate() {
+                            for (i, c) in m.to_coefficients().iter().enumerate() {
                                 let sep = if i == 0 { "" } else { "," };
                                 let _ = write!(out, "{sep}{c:.9}");
                             }
@@ -844,7 +862,7 @@ impl WireCodec for TextCodec {
                     let coeffs = kv_str(&mut p, "coeffs")?;
                     let model = match kind {
                         "mean" => {
-                            WireModel::Mean(coeffs.parse().map_err(|_| {
+                            RegionModel::Mean(coeffs.parse().map_err(|_| {
                                 CodecError::Malformed(format!("bad mean {coeffs:?}"))
                             })?)
                         }
@@ -862,16 +880,13 @@ impl WireCodec for TextCodec {
                             }
                             let mut arr = [0.0; LinearModel::COEFFICIENT_COUNT];
                             arr.copy_from_slice(&vals);
-                            WireModel::Linear(arr)
+                            RegionModel::Linear(LinearModel::from_coefficients(&arr))
                         }
                         other => {
                             return Err(CodecError::Malformed(format!("bad model kind {other:?}")))
                         }
                     };
-                    regions.push(WireRegion {
-                        centroid: Point::new(cx, cy),
-                        model,
-                    });
+                    regions.push(decoded_region(Point::new(cx, cy), model)?);
                 }
                 if regions.len() != n {
                     return Err(CodecError::Malformed(format!(
@@ -879,10 +894,7 @@ impl WireCodec for TextCodec {
                         regions.len()
                     )));
                 }
-                Ok(Response::Cover(WireCover {
-                    valid_until,
-                    regions,
-                }))
+                Ok(decoded_cover(valid_until, regions))
             }
             Some("error") => {
                 let code = ErrorCode::from_name(kv_str(&mut parts, "code")?)
@@ -1043,20 +1055,27 @@ fn text_batch_body<'a>(
 mod tests {
     use super::*;
 
-    fn sample_cover() -> WireCover {
-        WireCover {
+    /// A cover as it decodes: zeroed diagnostics, window 0, default
+    /// pollutant, so a round trip gives it back exactly.
+    fn sample_cover() -> ModelCover {
+        let region = |centroid, model| CoverRegion {
+            centroid,
+            model,
+            training_error_percent: 0.0,
+            population: 0,
+        };
+        ModelCover {
+            pollutant: Pollutant::default(),
+            window_id: 0,
             valid_until: Timestamp::from_secs(7_200),
             regions: vec![
-                WireRegion {
-                    centroid: Point::new(100.0, -50.0),
-                    model: WireModel::Mean(421.5),
-                },
-                WireRegion {
-                    centroid: Point::new(-300.25, 900.125),
-                    model: WireModel::Linear([
+                region(Point::new(100.0, -50.0), RegionModel::Mean(421.5)),
+                region(
+                    Point::new(-300.25, 900.125),
+                    RegionModel::Linear(LinearModel::from_coefficients(&[
                         400.0, 1.5, -2.25, 0.125, 10.0, 20.0, 30.0, 1.0, 2.0, 3.0, 350.0, 900.0,
-                    ]),
-                },
+                    ])),
+                ),
             ],
         }
     }

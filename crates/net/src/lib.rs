@@ -65,7 +65,5 @@ pub use concurrent::{ConcurrentTransport, Session, TransportConfig, TransportErr
 pub use fault::{ChaosStats, ChaosWire, FaultPlan, Outage, XorShiftRng};
 pub use ingest::{IngestConfig, IngestOutcome, IngestState, IngestStats, ModelMaintenance};
 pub use link::{LinkProfile, SimulatedLink};
-pub use protocol::{
-    ErrorCode, ProtocolError, Request, Response, WireCover, WireRegion, BATCH_VERSION, MAX_BATCH,
-};
+pub use protocol::{ErrorCode, ProtocolError, Request, Response, BATCH_VERSION, MAX_BATCH};
 pub use server::EnviroServer;

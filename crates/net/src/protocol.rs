@@ -1,8 +1,8 @@
 //! Protocol messages between the EnviroMeter app and server.
 
-use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
+use enviro_data::{QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
+use enviro_meter::ModelCover;
 
 /// Version byte carried by the batch frames (`QueryBatch` / `ValueBatch` /
 /// `IngestBatch` / `IngestAck`), so the layout can evolve without
@@ -100,8 +100,19 @@ pub enum Response {
         /// `Some(ŝ_l)` per answerable tuple, `None` per miss.
         values: Vec<Option<f64>>,
     },
-    /// The model cover `(t_n, µ, M)` for a [`Request::ModelRequest`].
-    Cover(WireCover),
+    /// The model cover `(t_n, µ, M)` for a [`Request::ModelRequest`]:
+    /// exactly what §2.3 lists, "(i) the coefficients of all the models
+    /// in M, (ii) the cluster centroids µ, and (iii) the time t_n".
+    ///
+    /// On the wire go `valid_until` and, per region, the centroid and the
+    /// model (a mean's one value, or a linear model's
+    /// [`enviro_meter::LinearModel::to_coefficients`]). Nothing else is
+    /// sent, so a decoded cover carries zeroed training diagnostics,
+    /// window 0 and the default pollutant; a client stamps its own
+    /// pollutant on it. A region with a non-finite centroid or a model that
+    /// fails [`enviro_meter::RegionModel::check_invariants`] does not
+    /// decode.
+    Cover(ModelCover),
     /// Durability acknowledgement for a [`Request::IngestBatch`]: sent only
     /// after the chunk is WAL-appended and fsynced.
     IngestAck {
@@ -224,141 +235,5 @@ impl ProtocolError {
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.code.name(), self.message)
-    }
-}
-
-/// A model cover in wire form: exactly the items §2.3 lists —
-/// "(i) the coefficients of all the models in M, (ii) the cluster centroids
-/// µ, and (iii) the time t_n until which the current model cover is valid".
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireCover {
-    /// Validity horizon `t_n`.
-    pub valid_until: Timestamp,
-    /// One entry per model, centroid included.
-    pub regions: Vec<WireRegion>,
-}
-
-/// One region of a wire cover.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRegion {
-    /// The cluster centroid `µ_j`.
-    pub centroid: Point,
-    /// The model coefficients: 1 value for a mean model,
-    /// [`LinearModel::COEFFICIENT_COUNT`] for a linear model.
-    pub model: WireModel,
-}
-
-/// Wire form of a region model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireModel {
-    /// Mean model: one coefficient.
-    Mean(f64),
-    /// Linear model: β, centers, scales.
-    Linear([f64; LinearModel::COEFFICIENT_COUNT]),
-}
-
-impl WireCover {
-    /// Converts a learned cover into wire form.
-    pub fn from_cover(cover: &ModelCover) -> Self {
-        Self {
-            valid_until: cover.valid_until,
-            regions: cover
-                .regions
-                .iter()
-                .map(|r| WireRegion {
-                    centroid: r.centroid,
-                    model: match &r.model {
-                        RegionModel::Mean(v) => WireModel::Mean(*v),
-                        RegionModel::Linear(m) => WireModel::Linear(m.to_coefficients()),
-                    },
-                })
-                .collect(),
-        }
-    }
-
-    /// Reconstructs a queryable [`ModelCover`] on the client side.
-    ///
-    /// Training diagnostics are not transmitted (the phone does not need
-    /// them), so they are zeroed in the reconstruction.
-    pub fn into_cover(self, pollutant: Pollutant) -> ModelCover {
-        ModelCover {
-            pollutant,
-            window_id: 0, // not transmitted; irrelevant to clients
-            valid_until: self.valid_until,
-            regions: self
-                .regions
-                .into_iter()
-                .map(|r| CoverRegion {
-                    centroid: r.centroid,
-                    model: match r.model {
-                        WireModel::Mean(v) => RegionModel::Mean(v),
-                        WireModel::Linear(c) => {
-                            RegionModel::Linear(LinearModel::from_coefficients(&c))
-                        }
-                    },
-                    training_error_percent: 0.0,
-                    population: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// `true` when the cover carries no models.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use enviro_meter::{AdKmnConfig, CoverBuilder};
-
-    fn sample_cover() -> ModelCover {
-        use enviro_data::{Dataset, RawTuple, WindowSpec, Windows};
-        let tuples: Vec<RawTuple> = (0..60)
-            .map(|i| {
-                RawTuple::new(
-                    Timestamp::from_secs(i),
-                    Point::new((i % 10) as f64 * 50.0, (i / 10) as f64 * 50.0),
-                    420.0 + (i % 9) as f64,
-                )
-            })
-            .collect();
-        let ds = Dataset::from_tuples(Pollutant::Co2, tuples).unwrap();
-        let w = Windows::new(&ds, WindowSpec::ByCount(60)).next().unwrap();
-        CoverBuilder::new(AdKmnConfig::default()).build(&w, Pollutant::Co2)
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_predictions() {
-        let cover = sample_cover();
-        let wire = WireCover::from_cover(&cover);
-        let back = wire.into_cover(Pollutant::Co2);
-        assert_eq!(back.regions.len(), cover.regions.len());
-        assert_eq!(back.valid_until, cover.valid_until);
-        for (t, x, y) in [(0i64, 100.0, 100.0), (30, 425.0, 75.0), (59, 0.0, 0.0)] {
-            let q = Point::new(x, y);
-            let ts = Timestamp::from_secs(t);
-            assert_eq!(cover.interpolate(ts, &q), back.interpolate(ts, &q));
-        }
-    }
-
-    #[test]
-    fn wire_cover_reflects_emptiness() {
-        let empty = ModelCover {
-            pollutant: Pollutant::Co2,
-            window_id: 0,
-            valid_until: Timestamp::ZERO,
-            regions: Vec::new(),
-        };
-        let wire = WireCover::from_cover(&empty);
-        assert!(wire.is_empty());
-        assert_eq!(wire.len(), 0);
     }
 }

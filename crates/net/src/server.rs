@@ -3,9 +3,9 @@
 use crate::buffers;
 use crate::codec::WireCodec;
 use crate::ingest::IngestState;
-use crate::protocol::{ErrorCode, ProtocolError, Request, Response, WireCover};
+use crate::protocol::{ErrorCode, ProtocolError, Request, Response};
 use enviro_data::{QueryTuple, WindowSpec};
-use enviro_meter::{CoverReadError, CoverRegistry, EnviroMeter, QueryMethod};
+use enviro_meter::{CoverReadError, CoverRegistry, EnviroMeter, ModelCover, QueryMethod};
 use enviro_schedule::sync::Arc;
 
 /// The server side of Figure 3: decodes a request, consults the platform,
@@ -123,7 +123,7 @@ impl<C: WireCodec> EnviroServer<C> {
                 let covers = self.registry.snapshot();
                 match covers.cover_for_time(*time) {
                     Some(entry) if !entry.cover.is_empty() => {
-                        match covers.with_cover(entry, WireCover::from_cover) {
+                        match covers.with_cover(entry, ModelCover::clone) {
                             Ok(cover) => Response::Cover(cover),
                             Err(e) => unreadable(&e),
                         }
@@ -454,7 +454,7 @@ mod tests {
             Response::Cover(cover) => {
                 assert!(cover.valid_until <= Timestamp::from_secs(7_200));
                 let platform_cover = s.platform().cover_at(time).unwrap();
-                assert_eq!(cover, WireCover::from_cover(platform_cover));
+                assert_eq!(&cover, platform_cover);
             }
             other => panic!("expected cover, got {other:?}"),
         }
@@ -658,7 +658,7 @@ mod tests {
                     let cover = batch
                         .cover_for_time(q.time)
                         .filter(|c| !c.is_empty())
-                        .map_or(Response::NoData, |c| Response::Cover(WireCover::from_cover(c)));
+                        .map_or(Response::NoData, |c| Response::Cover(c.clone()));
                     prop_assert_eq!(
                         server.handle(&Request::ModelRequest { time: q.time }),
                         cover,

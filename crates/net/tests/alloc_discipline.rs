@@ -24,11 +24,11 @@
 
 use enviro_data::{LausanneSim, Pollutant, QueryTuple, RawTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
-use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
+use enviro_meter::{AdKmnConfig, EnviroMeter, ModelCover, QueryMethod};
 use enviro_net::codec::CodecError;
 use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
-    LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec, WireCover,
+    LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec,
 };
 use enviro_storage::WalConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -369,7 +369,9 @@ fn session_round_trip_is_allocation_free() {
 /// whose count says a million regions is refused without allocating.
 #[test]
 fn a_cover_count_beyond_its_bytes_is_refused_before_allocating() {
-    let mut frame = BinaryCodec.encode_response(&Response::Cover(WireCover {
+    let mut frame = BinaryCodec.encode_response(&Response::Cover(ModelCover {
+        pollutant: Pollutant::Co2,
+        window_id: 0,
         valid_until: Timestamp::from_secs(3_600),
         regions: Vec::new(),
     }));

@@ -14,13 +14,12 @@
 
 use std::panic::AssertUnwindSafe;
 
-use enviro_data::{QueryTuple, Timestamp};
+use enviro_data::{Pollutant, QueryTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_meter::LinearModel;
-use enviro_net::protocol::WireModel;
+use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
 use enviro_net::{
-    BinaryCodec, ErrorCode, ProtocolError, Request, Response, TextCodec, WireCodec, WireCover,
-    WireRegion, XorShiftRng, MAX_BATCH,
+    BinaryCodec, ErrorCode, ProtocolError, Request, Response, TextCodec, WireCodec, XorShiftRng,
+    MAX_BATCH,
 };
 
 /// Cases per property. Each case derives its own seed from the suite
@@ -101,16 +100,28 @@ fn value_batch(rng: &mut XorShiftRng) -> Response {
     }
 }
 
-fn model(rng: &mut XorShiftRng) -> WireModel {
+/// A model that passes `RegionModel::check_invariants`, so the decoders
+/// accept it: finite coefficients, positive scales (one in four the
+/// `INFINITY` sentinel) and an ordered value range.
+fn model(rng: &mut XorShiftRng) -> RegionModel {
     if rng.next_u64() & 1 == 0 {
-        WireModel::Mean(finite(rng))
-    } else {
-        let mut coeffs = [0.0; LinearModel::COEFFICIENT_COUNT];
-        for c in &mut coeffs {
-            *c = finite(rng);
-        }
-        WireModel::Linear(coeffs)
+        return RegionModel::Mean(finite(rng));
     }
+    let mut c = [0.0; LinearModel::COEFFICIENT_COUNT];
+    for v in &mut c[..7] {
+        *v = finite(rng);
+    }
+    for v in &mut c[7..10] {
+        *v = if rng.next_u64().is_multiple_of(4) {
+            f64::INFINITY
+        } else {
+            finite(rng).abs() + 1.0
+        };
+    }
+    let (a, b) = (finite(rng), finite(rng));
+    c[10] = a.min(b);
+    c[11] = a.max(b);
+    RegionModel::Linear(LinearModel::from_coefficients(&c))
 }
 
 /// Diagnostic alphabet: letters, digits, codec-hostile specials
@@ -133,14 +144,20 @@ fn protocol_error(rng: &mut XorShiftRng) -> ProtocolError {
     ProtocolError::new(code, message)
 }
 
+/// A cover as it decodes: the wire carries no training diagnostics, window
+/// id or pollutant, so they are zeroed here and the round trip stays exact.
 fn cover(rng: &mut XorShiftRng) -> Response {
     let n = rng.next_in_range(0, 12) as usize;
-    Response::Cover(WireCover {
+    Response::Cover(ModelCover {
+        pollutant: Pollutant::default(),
+        window_id: 0,
         valid_until: Timestamp::from_secs(rng.next_u64() as i64),
         regions: (0..n)
-            .map(|_| WireRegion {
+            .map(|_| CoverRegion {
                 centroid: Point::new(finite(rng), finite(rng)),
                 model: model(rng),
+                training_error_percent: 0.0,
+                population: 0,
             })
             .collect(),
     })

@@ -10,12 +10,23 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{QueryTuple, RawTuple, Timestamp};
+use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
-use enviro_net::{BinaryCodec, Request, Response, TextCodec, WireCodec};
+use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
+use enviro_net::codec::CodecError;
+use enviro_net::{
+    BinaryCodec, EnviroClient, Request, Response, TextCodec, TransportError, Wire, WireCodec,
+};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
 }
 
 fn query_batch() -> Request {
@@ -180,6 +191,166 @@ fn text_value_batch_bytes() {
         "text ValueBatch changed"
     );
     assert_eq!(TextCodec.decode_response(&frame).unwrap(), resp);
+}
+
+/// The golden binary `Cover` frame: one mean region, then one linear
+/// region whose y scale is the `INFINITY` degenerate-dimension sentinel.
+const BINARY_COVER: &str = concat!(
+    "83",               // tag
+    "201c000000000000", // valid_until
+    "02000000",         // region count
+    "000000000000f83f", // region 0: centroid x
+    "000000000000d0bf", //           centroid y
+    "01",               //           model: mean
+    "0000000000587a40", //           mean
+    "00000000006189c0", // region 1: centroid x
+    "0000000000807b40", //           centroid y
+    "02",               //           model: linear
+    "0000000000007940", //           beta 0
+    "0000000000000440", //           beta 1
+    "000000000000f4bf", //           beta 2
+    "000000000000e03f", //           beta 3
+    "00000000000089c0", //           center x
+    "0000000000e07a40", //           center y
+    "000000000020ac40", //           center t
+    "0000000000406f40", //           scale x
+    "000000000000f07f", //           scale y: INFINITY
+    "0000000000209c40", //           scale t
+    "0000000000c07740", //           value range low
+    "0000000000c07c40", //           value range high
+);
+
+/// The same cover in the text codec.
+const TEXT_COVER: &str = concat!(
+    "RESPONSE cover valid-until=7200 regions=2\n",
+    "region cx=1.500000 cy=-0.250000 model=mean coeffs=421.500000000\n",
+    "region cx=-812.125000 cy=440.000000 model=linear coeffs=",
+    "400.000000000,2.500000000,-1.250000000,0.500000000,",
+    "-800.000000000,430.000000000,3600.000000000,",
+    "250.000000000,inf,1800.000000000,",
+    "380.000000000,460.000000000\n",
+);
+
+/// The cover both golden frames carry, as a client holds it: a cover
+/// frame carries no training diagnostics and no window id.
+fn golden_cover() -> ModelCover {
+    let region = |x, y, model| CoverRegion {
+        centroid: Point::new(x, y),
+        model,
+        training_error_percent: 0.0,
+        population: 0,
+    };
+    ModelCover {
+        pollutant: Pollutant::Co2,
+        window_id: 0,
+        valid_until: Timestamp::from_secs(7_200),
+        regions: vec![
+            region(1.5, -0.25, RegionModel::Mean(421.5)),
+            region(
+                -812.125,
+                440.0,
+                RegionModel::Linear(LinearModel::from_coefficients(&[
+                    400.0,
+                    2.5,
+                    -1.25,
+                    0.5,
+                    -800.0,
+                    430.0,
+                    3_600.0,
+                    250.0,
+                    f64::INFINITY,
+                    1_800.0,
+                    380.0,
+                    460.0,
+                ])),
+            ),
+        ],
+    }
+}
+
+/// A wire that answers every request with one fixed reply.
+struct Canned(Vec<u8>);
+
+impl Wire for Canned {
+    fn exchange(&mut self, _request: &[u8]) -> Result<&[u8], TransportError> {
+        Ok(&self.0)
+    }
+}
+
+/// Asserts that a model-cache client fed `frame` caches [`golden_cover`]
+/// and that the decoded reply encodes back to `frame` exactly.
+fn assert_cover_golden<C: WireCodec + Copy>(codec: C, frame: &[u8]) {
+    let reply = codec.decode_response(frame).unwrap();
+    assert!(matches!(reply, Response::Cover(_)), "{reply:?}");
+    assert_eq!(
+        codec.encode_response(&reply),
+        frame,
+        "{}: Cover wire bytes changed",
+        codec.name()
+    );
+    let mut client = EnviroClient::new(codec, Pollutant::Co2).with_model_cache(true);
+    let q = QueryTuple::new(Timestamp::from_secs(3_600), Point::new(2.0, 0.0));
+    let mut values = Vec::new();
+    client
+        .query_batch(&mut Canned(frame.to_vec()), &[q], &mut values)
+        .unwrap();
+    let want = golden_cover();
+    assert_eq!(client.cached_cover(), Some(&want), "{}", codec.name());
+    assert_eq!(values, vec![want.interpolate(q.time, &q.pos)]);
+}
+
+#[test]
+fn binary_cover_bytes() {
+    assert_cover_golden(BinaryCodec, &unhex(BINARY_COVER));
+}
+
+#[test]
+fn text_cover_bytes() {
+    assert_cover_golden(TextCodec, TEXT_COVER.as_bytes());
+}
+
+/// Asserts that `frame` decodes as `Malformed`: a `Cover` frame has no
+/// CRC, so a region no cover could hold must be refused at the decoder,
+/// not answer `interpolate` with NaN.
+fn assert_malformed(codec: &dyn WireCodec, what: &str, frame: &[u8]) {
+    let decoded = codec.decode_response(frame);
+    assert!(
+        matches!(decoded, Err(CodecError::Malformed(_))),
+        "{} {what}: {decoded:?}",
+        codec.name()
+    );
+}
+
+#[test]
+fn binary_cover_with_a_bad_region_is_malformed() {
+    let golden = unhex(BINARY_COVER);
+    // Byte offsets of the patched fields in `BINARY_COVER`.
+    for (what, at, value) in [
+        ("NaN centroid", 13, f64::NAN),
+        ("NaN mean", 30, f64::NAN),
+        ("NaN beta", 55, f64::NAN),
+        ("negative scale", 111, -250.0),
+        ("NaN scale", 119, f64::NAN),
+    ] {
+        let mut frame = golden.clone();
+        frame[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        assert_malformed(&BinaryCodec, what, &frame);
+    }
+}
+
+#[test]
+fn text_cover_with_a_bad_region_is_malformed() {
+    for (what, from, to) in [
+        ("NaN centroid", "cx=1.500000", "cx=NaN"),
+        ("NaN mean", "coeffs=421.500000000", "coeffs=NaN"),
+        ("NaN beta", "coeffs=400.000000000", "coeffs=NaN"),
+        ("negative scale", ",250.000000000,", ",-250.000000000,"),
+        ("NaN scale", ",inf,", ",NaN,"),
+    ] {
+        let frame = TEXT_COVER.replacen(from, to, 1);
+        assert_ne!(frame, TEXT_COVER, "{what}: pattern not found");
+        assert_malformed(&TextCodec, what, frame.as_bytes());
+    }
 }
 
 /// What batching buys on the wire: 64 tuples asked as one `QueryBatch` and

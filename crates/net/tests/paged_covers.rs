@@ -14,8 +14,7 @@ use enviro_data::{Dataset, Pollutant, QueryTuple, RawTuple, Timestamp, WindowSpe
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryEngine, QueryMethod};
 use enviro_net::{
-    BinaryCodec, EnviroServer, ErrorCode, IngestConfig, IngestState, Request, Response, WireCover,
-    XorShiftRng,
+    BinaryCodec, EnviroServer, ErrorCode, IngestConfig, IngestState, Request, Response, XorShiftRng,
 };
 use enviro_storage::WalConfig;
 use proptest::prelude::*;
@@ -114,9 +113,7 @@ fn batch_seen(batch: &QueryEngine, q: &QueryTuple) -> Seen {
     let cover = batch
         .cover_for_time(q.time)
         .filter(|c| !c.is_empty())
-        .map_or(Response::NoData, |c| {
-            Response::Cover(WireCover::from_cover(c))
-        });
+        .map_or(Response::NoData, |c| Response::Cover(c.clone()));
     (value, cover)
 }
 

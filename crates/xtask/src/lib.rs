@@ -16,6 +16,11 @@
 //!    lock guards held across I/O or model rebuilds, and the declared
 //!    lock-order registry (`crates/xtask/lock-order.toml`).
 //!
+//! `cargo run -p xtask -- loc` prints the product lines of each crate
+//! ([`product_lines`]): every `crates/*/src/**/*.rs` line before the
+//! file's first `#[cfg(test)]` attribute. It is the one count a change's
+//! net line delta is reported in.
+//!
 //! The tool is std-only by design: it must run in the offline build
 //! environment and must never depend on the crates it polices.
 
@@ -146,6 +151,20 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> LintOutcome {
     }
     out.errors.extend(report.errors);
     out
+}
+
+/// Product lines per crate of the workspace at `root`, keyed by package
+/// name: the sum of [`scan::product_lines`] over [`read_sources`].
+pub fn product_lines(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
+    let mut out = BTreeMap::new();
+    for c in discover_crates(root)? {
+        let lines = read_sources(&c.dir)?
+            .iter()
+            .map(|(_, src)| scan::product_lines(src))
+            .sum();
+        out.insert(c.manifest.name, lines);
+    }
+    Ok(out)
 }
 
 /// One workspace member under `crates/`.

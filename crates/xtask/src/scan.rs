@@ -332,6 +332,17 @@ pub fn prev_nonspace(masked: &str, i: usize) -> Option<u8> {
         .find(|b| !b.is_ascii_whitespace())
 }
 
+/// Product lines of one source file: the lines before its first
+/// `#[cfg(test)]` attribute, or all its lines when it has none. A mention
+/// of the attribute in a comment or a string does not end the count.
+pub fn product_lines(src: &str) -> usize {
+    let masked = mask(src);
+    match masked.find("#[cfg(test)]") {
+        Some(at) => line_of(&masked, at) - 1,
+        None => src.lines().count(),
+    }
+}
+
 /// 1-based line number of byte offset `at`.
 pub fn line_of(text: &str, at: usize) -> usize {
     text.as_bytes()[..at.min(text.len())]

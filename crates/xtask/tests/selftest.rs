@@ -277,3 +277,28 @@ fn ratchet_improvement_warns_until_baseline_updated() {
         },
     );
 }
+
+#[test]
+fn loc_counts_product_lines_per_crate() {
+    with_workspace(
+        "loc",
+        &[
+            ("crates/geo/Cargo.toml", &manifest("enviro-geo", &[])),
+            (
+                "crates/geo/src/lib.rs",
+                "//! Counted, though it names `#[cfg(test)]`.\npub mod a;\n\
+                 pub const S: &str = \"#[cfg(test)]\";\n\n#[cfg(test)]\nmod tests {}\n",
+            ),
+            ("crates/geo/src/a.rs", "//! No tests.\npub fn f() {}\n"),
+            ("crates/geo/tests/t.rs", "fn not_counted() {}\n"),
+            ("crates/data/Cargo.toml", &manifest("enviro-data", &[])),
+            ("crates/data/src/lib.rs", "#[cfg(test)]\nmod tests {}\n"),
+        ],
+        |root| {
+            let counts = xtask::product_lines(root).unwrap();
+            assert_eq!(counts.get("enviro-geo"), Some(&6));
+            assert_eq!(counts.get("enviro-data"), Some(&0));
+            assert_eq!(counts.len(), 2);
+        },
+    );
+}

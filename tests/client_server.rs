@@ -143,20 +143,19 @@ fn reconstructed_cover_round_trips_through_both_codecs() {
         time: Timestamp::from_hours(2),
     };
     let resp = srv.handle(&req);
-    let Response::Cover(wire) = resp else {
+    let Response::Cover(a) = resp else {
         panic!("expected cover");
     };
     for codec in [&BinaryCodec as &dyn WireCodec, &TextCodec as &dyn WireCodec] {
-        let bytes = codec.encode_response(&Response::Cover(wire.clone()));
+        let bytes = codec.encode_response(&Response::Cover(a.clone()));
         let back = codec.decode_response(&bytes).unwrap();
-        let Response::Cover(decoded) = back else {
+        let Response::Cover(b) = back else {
             panic!("{}: expected cover", codec.name());
         };
-        assert_eq!(decoded.len(), wire.len(), "{}", codec.name());
+        assert_eq!(b.len(), a.len(), "{}", codec.name());
+        assert_eq!(b.valid_until, a.valid_until, "{}", codec.name());
         // Every region must evaluate identically after the round trip
         // (text codec: up to print precision).
-        let a = wire.clone().into_cover(enviro_data::Pollutant::Co2);
-        let b = decoded.into_cover(enviro_data::Pollutant::Co2);
         let t = Timestamp::from_hours(2);
         for p in [
             Point::new(0.0, 0.0),
