@@ -291,20 +291,24 @@ impl CoverBuilder {
         for &a in &result.assignment {
             population[a] += 1;
         }
-        let regions: Vec<CoverRegion> = result
-            .centroids
-            .iter()
-            .zip(&result.models)
-            .zip(&result.errors)
-            .zip(&population)
-            .filter(|&(_, &pop)| pop > 0)
-            .map(|(((centroid, model), error), &pop)| CoverRegion {
-                centroid: *centroid,
-                model: model.clone(),
-                training_error_percent: error.percent(),
-                population: pop,
-            })
-            .collect();
+        // Sized to the populated regions: a collected `filter` would grow
+        // to a power of two, and a cover stays resident for its window.
+        let mut regions = Vec::with_capacity(population.iter().filter(|&&pop| pop > 0).count());
+        regions.extend(
+            result
+                .centroids
+                .iter()
+                .zip(&result.models)
+                .zip(&result.errors)
+                .zip(&population)
+                .filter(|&(_, &pop)| pop > 0)
+                .map(|(((centroid, model), error), &pop)| CoverRegion {
+                    centroid: *centroid,
+                    model: model.clone(),
+                    training_error_percent: error.percent(),
+                    population: pop,
+                }),
+        );
         let cover = ModelCover {
             pollutant,
             window_id: window.id,
@@ -349,6 +353,12 @@ mod tests {
         assert!(!cover.is_empty());
         assert_eq!(cover.window_id, 0);
         assert!(cover.regions.iter().all(|r| r.population > 0));
+    }
+
+    #[test]
+    fn a_built_cover_holds_no_spare_region_slots() {
+        let cover = build_cover(&window_dataset());
+        assert_eq!(cover.regions.capacity(), cover.len());
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! Two codecs implement the same [`WireCodec`] trait:
 //!
 //! * [`BinaryCodec`] — the production format: little-endian fixed layouts,
-//!   one tag byte per message, varint-free (message sizes are dominated by
-//!   `f64` payloads; length prefixes are `u32`).
+//!   one tag byte per message (message sizes are dominated by `f64`
+//!   payloads; length prefixes are `u32`). Only the batch frames shed what
+//!   a trajectory repeats: a `QueryBatch` sends each time as a zig-zag
+//!   LEB128 varint of its delta from the one before, and a `ValueBatch`
+//!   marks misses in a presence bitmap instead of a flag byte per value.
 //! * [`TextCodec`] — a verbose human-readable format standing in for the
 //!   JSON-over-HTTP encodings typical of 2013 mobile backends; the
 //!   `abl-codec` ablation quantifies what the binary layout saves.
@@ -104,9 +107,6 @@ const MODEL_LINEAR: u8 = 0x02;
 /// Bytes of the smallest `Cover` region: centroid `f64 x + f64 y`, model
 /// tag, `f64` mean.
 const MIN_WIRE_REGION_SIZE: usize = 8 + 8 + 1 + 8;
-/// Flag byte of a batch value slot.
-const VALUE_MISS: u8 = 0x00;
-const VALUE_PRESENT: u8 = 0x01;
 
 /// Validates the count prefix of a batch frame.
 fn check_batch_count(count: usize) -> Result<(), CodecError> {
@@ -131,32 +131,65 @@ fn check_batch_version(version: i64) -> Result<(), CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch frames: CRC envelope and fixed-width records
+// Batch frames: CRC envelope, delta-coded times, fixed-width records
 // ---------------------------------------------------------------------------
 
-/// Bytes per `QueryBatch` tuple: `i64 time + f64 x + f64 y`.
-const QUERY_SIZE: usize = 24;
-/// Bytes of a present `ValueBatch` slot: flag + `f64`.
-const VALUE_SLOT_SIZE: usize = 9;
+/// Bytes of a `QueryBatch` coordinate record: `f64 x + f64 y`.
+const COORD_SIZE: usize = 16;
+/// The fewest bytes a `QueryBatch` tuple takes: a one-byte time delta and
+/// its coordinate record.
+const MIN_QUERY_SIZE: usize = 1 + COORD_SIZE;
+/// The most bytes a LEB128 varint of a `u64` takes.
+const MAX_VARINT_LEN: usize = 10;
 
-fn encode_query(q: &QueryTuple) -> [u8; QUERY_SIZE] {
-    let mut rec = [0; QUERY_SIZE];
-    rec[..8].copy_from_slice(&q.time.as_secs().to_le_bytes());
-    rec[8..16].copy_from_slice(&q.pos.x.to_le_bytes());
-    rec[16..].copy_from_slice(&q.pos.y.to_le_bytes());
+fn encode_coords(pos: &Point) -> [u8; COORD_SIZE] {
+    let mut rec = [0; COORD_SIZE];
+    rec[..8].copy_from_slice(&pos.x.to_le_bytes());
+    rec[8..].copy_from_slice(&pos.y.to_le_bytes());
     rec
 }
 
-fn decode_query(rec: &[u8; QUERY_SIZE]) -> QueryTuple {
-    let word = |i: usize| {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&rec[i * 8..i * 8 + 8]);
-        w
-    };
-    QueryTuple::new(
-        Timestamp::from_secs(i64::from_le_bytes(word(0))),
-        Point::new(f64::from_le_bytes(word(1)), f64::from_le_bytes(word(2))),
-    )
+fn decode_coords(rec: &[u8; COORD_SIZE]) -> Point {
+    let (mut x, mut y) = ([0u8; 8], [0u8; 8]);
+    x.copy_from_slice(&rec[..8]);
+    y.copy_from_slice(&rec[8..]);
+    Point::new(f64::from_le_bytes(x), f64::from_le_bytes(y))
+}
+
+/// Appends `v` as a zig-zag LEB128 varint: a value in `-64..=63` takes one
+/// byte, and any `i64` at most [`MAX_VARINT_LEN`].
+fn put_varint(v: i64, out: &mut Vec<u8>) {
+    let mut z = ((v << 1) ^ (v >> 63)) as u64;
+    while z >= 0x80 {
+        out.push(z as u8 | 0x80);
+        z >>= 7;
+    }
+    out.push(z as u8);
+}
+
+/// Reads one zig-zag LEB128 varint off the front of `bytes`. Each value
+/// has exactly one encoding: a varint longer than a `u64` needs (more than
+/// ten bytes, or a tenth byte above 1) or ending in a redundant zero byte
+/// is `Malformed`.
+fn take_varint(bytes: &mut &[u8]) -> Result<i64, CodecError> {
+    let mut z = 0u64;
+    let mut shift = 0;
+    loop {
+        let byte = take_u8(bytes)?;
+        if shift == 63 && byte > 1 {
+            return Err(CodecError::Malformed("varint overflows 64 bits".into()));
+        }
+        z |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(CodecError::Malformed(
+                    "varint has a redundant zero byte".into(),
+                ));
+            }
+            return Ok((z >> 1) as i64 ^ -((z & 1) as i64));
+        }
+        shift += 7;
+    }
 }
 
 /// Splits `n` fixed-width records of `N` bytes off the front of `bytes`.
@@ -220,15 +253,22 @@ impl WireCodec for BinaryCodec {
                 out.extend_from_slice(&time.as_secs().to_le_bytes());
             }
             Request::QueryBatch { seq, queries } => {
-                // tag, version, seq, count, the tuples, crc.
-                out.reserve(14 + queries.len() * QUERY_SIZE);
+                // tag, version, seq, count, the time deltas, the coordinate
+                // records, crc.
+                out.reserve(14 + queries.len() * (MAX_VARINT_LEN + COORD_SIZE));
                 let start = out.len();
                 out.push(TAG_QUERY_BATCH);
                 out.push(BATCH_VERSION);
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
+                let mut prev = 0i64;
                 for q in queries {
-                    out.extend_from_slice(&encode_query(q));
+                    let time = q.time.as_secs();
+                    put_varint(time.wrapping_sub(prev), out);
+                    prev = time;
+                }
+                for q in queries {
+                    out.extend_from_slice(&encode_coords(&q.pos));
                 }
                 let crc = crc32(&out[start..]);
                 out.extend_from_slice(&crc.to_le_bytes());
@@ -277,10 +317,22 @@ impl WireCodec for BinaryCodec {
                 let seq = take_u32(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
                 check_batch_count(n)?;
-                let records = take_records::<QUERY_SIZE>(&mut bytes, n)?;
-                ensure_empty(bytes)?;
+                // The cheap structural check before touching the pool.
+                if n > bytes.len() / MIN_QUERY_SIZE {
+                    return Err(CodecError::Truncated);
+                }
+                let (mut times, coords) = bytes.split_at(bytes.len() - n * COORD_SIZE);
                 let mut queries = buffers::take_queries();
-                queries.extend(records.iter().map(decode_query));
+                queries.reserve(n);
+                let mut time = 0i64;
+                for rec in coords.as_chunks::<COORD_SIZE>().0 {
+                    time = time.wrapping_add(take_varint(&mut times)?);
+                    queries.push(QueryTuple::new(
+                        Timestamp::from_secs(time),
+                        decode_coords(rec),
+                    ));
+                }
+                ensure_empty(times)?;
                 Ok(Request::QueryBatch { seq, queries })
             }
             TAG_INGEST => {
@@ -321,26 +373,24 @@ impl WireCodec for BinaryCodec {
                 generation,
                 values,
             } => {
-                // tag, version, seq, generation, count, the slots (at most
-                // 9 bytes each), crc.
-                out.reserve(22 + values.len() * VALUE_SLOT_SIZE);
+                // tag, version, seq, generation, count, the presence
+                // bitmap, the present values, crc.
+                out.reserve(22 + values.len().div_ceil(8) + values.len() * 8);
                 let start = out.len();
                 out.push(TAG_VALUE_BATCH);
                 out.push(BATCH_VERSION);
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&generation.to_le_bytes());
                 out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-                for v in values {
-                    let mut slot = [VALUE_MISS; VALUE_SLOT_SIZE];
-                    let len = match v {
-                        Some(value) => {
-                            slot[0] = VALUE_PRESENT;
-                            slot[1..].copy_from_slice(&value.to_le_bytes());
-                            VALUE_SLOT_SIZE
-                        }
-                        None => 1,
-                    };
-                    out.extend_from_slice(&slot[..len]);
+                for slots in values.chunks(8) {
+                    let byte = slots
+                        .iter()
+                        .enumerate()
+                        .fold(0u8, |byte, (bit, v)| byte | u8::from(v.is_some()) << bit);
+                    out.push(byte);
+                }
+                for value in values.iter().flatten() {
+                    out.extend_from_slice(&value.to_le_bytes());
                 }
                 let crc = crc32(&out[start..]);
                 out.extend_from_slice(&crc.to_le_bytes());
@@ -408,26 +458,24 @@ impl WireCodec for BinaryCodec {
                 let generation = take_u64(&mut bytes)?;
                 let n = take_u32(&mut bytes)? as usize;
                 check_batch_count(n)?;
+                let (bitmap, mut rest) = bytes
+                    .split_at_checked(n.div_ceil(8))
+                    .ok_or(CodecError::Truncated)?;
+                let tail_slots = n % 8;
+                if tail_slots != 0 && bitmap.last().is_some_and(|&byte| byte >> tail_slots != 0) {
+                    return Err(CodecError::Malformed("bitmap padding bits set".into()));
+                }
+                let present = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+                let mut present_values = take_records::<8>(&mut rest, present)?
+                    .iter()
+                    .map(|v| f64::from_le_bytes(*v));
+                ensure_empty(rest)?;
                 let mut values = buffers::take_values();
                 values.reserve(n);
-                for _ in 0..n {
-                    let value = match bytes.split_first() {
-                        Some((&VALUE_MISS, rest)) => {
-                            bytes = rest;
-                            None
-                        }
-                        Some((&VALUE_PRESENT, rest)) => {
-                            let (value, rest) =
-                                rest.split_first_chunk::<8>().ok_or(CodecError::Truncated)?;
-                            bytes = rest;
-                            Some(f64::from_le_bytes(*value))
-                        }
-                        Some((&other, _)) => return Err(CodecError::BadTag(other)),
-                        None => return Err(CodecError::Truncated),
-                    };
-                    values.push(value);
+                for slot in 0..n {
+                    let hit = bitmap[slot / 8] >> (slot % 8) & 1 == 1;
+                    values.push(if hit { present_values.next() } else { None });
                 }
-                ensure_empty(bytes)?;
                 Ok(Response::ValueBatch {
                     seq,
                     generation,
@@ -1296,32 +1344,56 @@ mod tests {
 
     #[test]
     fn binary_batch_size_formula() {
-        // Request layout (unchanged since v2): tag(1) + version(1) + seq(4)
-        // + count(4) + 24 per tuple + crc(4).
+        // Request (v4): tag(1) + version(1) + seq(4) + count(4) + one
+        // varint time delta per tuple (1 byte for 0 and for a 60-s step)
+        // + 16 per tuple + crc(4).
         let bytes = BinaryCodec.encode_request(&sample_batch(16));
-        assert_eq!(bytes.len(), 14 + 16 * 24);
-        // Reply (v3): tag(1) + version(1) + seq(4) + generation(8) +
-        // count(4) + flag(1) [+ value(8)] + crc(4).
+        assert_eq!(bytes.len(), 14 + 16 * (1 + 16));
+        // Reply (v4): tag(1) + version(1) + seq(4) + generation(8) +
+        // count(4) + bitmap(⌈n/8⌉) + 8 per present value + crc(4).
         let resp = Response::ValueBatch {
             seq: 1,
             generation: 0,
             values: vec![Some(1.0), None, Some(2.0)],
         };
-        assert_eq!(BinaryCodec.encode_response(&resp).len(), 22 + 3 + 2 * 8);
+        assert_eq!(BinaryCodec.encode_response(&resp).len(), 22 + 1 + 2 * 8);
+    }
+
+    #[test]
+    fn varints_round_trip_at_their_length_boundaries() {
+        for (v, len) in [
+            (0, 1),
+            (-1, 1),
+            (63, 1),
+            (-64, 1),
+            (64, 2),
+            (-65, 2),
+            (60, 1),
+            (2_592_000, 4),
+            (i64::MAX, 10),
+            (i64::MIN, 10),
+        ] {
+            let mut out = Vec::new();
+            put_varint(v, &mut out);
+            assert_eq!(out.len(), len, "{v}");
+            let mut rest = out.as_slice();
+            assert_eq!(take_varint(&mut rest), Ok(v));
+            assert!(rest.is_empty());
+        }
     }
 
     #[test]
     fn batched_frames_cost_fewer_wire_bytes_per_query() {
         // The acceptance criterion of the batching tentpole, at codec level.
-        // v3's fixed overhead (seq + generation + crc, 36 + 33n total vs 34n
-        // single-query) puts the break-even just past batch 36, so the sweep
-        // starts at 64.
+        // With one-byte time deltas a batch of n present values costs
+        // 36 + 25n + ⌈n/8⌉ bytes against 34n single-query, so it is smaller
+        // from batch 5 on (golden_frames.rs pins the break-even).
         let single_req = BinaryCodec.encode_request(&Request::Query {
             time: Timestamp::ZERO,
             pos: Point::origin(),
         });
         let single_resp = BinaryCodec.encode_response(&Response::Value { value: 1.0 });
-        for n in [64, 256, 1024] {
+        for n in [5, 64, 256, 1024] {
             let req = BinaryCodec.encode_request(&sample_batch(n));
             let resp = BinaryCodec.encode_response(&Response::ValueBatch {
                 seq: 7,
@@ -1360,20 +1432,20 @@ mod tests {
         let mut requests: Vec<(&str, Vec<u8>)> = Vec::new();
         let mut responses: Vec<(&str, Vec<u8>)> = Vec::new();
         // A future version: the current frame with its version bumped
-        // (binary: offset 1; text: "v=3").
+        // (binary: offset 1; text: "v=4").
         for codec in codecs() {
             let mut bytes = codec.encode_request(&sample_batch(2));
             match codec.name() {
                 "binary" => bytes[1] = BATCH_VERSION + 1,
                 _ => {
                     let s = String::from_utf8(bytes).unwrap();
-                    bytes = s.replace("v=3", "v=9").into_bytes();
+                    bytes = s.replace(&format!("v={BATCH_VERSION}"), "v=9").into_bytes();
                 }
             }
             requests.push((codec.name(), bytes));
         }
-        // The retired layouts: v1 (no seq, no CRC) and v2 (seq + CRC, no
-        // generation).
+        // The retired layouts: v1 (no seq, no CRC), v2 (seq + CRC, no
+        // generation) and v3 (24-byte tuples, a flag byte per value).
         let mut tuple = Vec::new();
         tuple.extend_from_slice(&60i64.to_le_bytes());
         tuple.extend_from_slice(&1.5f64.to_le_bytes());
@@ -1386,6 +1458,7 @@ mod tests {
         v2.extend_from_slice(&v1);
         requests.push(("binary", binary_frame(0x03, 1, &v1, false)));
         requests.push(("binary", binary_frame(0x03, 2, &v2, true)));
+        requests.push(("binary", binary_frame(0x03, 3, &v2, true)));
         let mut v1 = Vec::new();
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.push(0x01);
@@ -1393,8 +1466,13 @@ mod tests {
         let mut v2 = Vec::new();
         v2.extend_from_slice(&9u32.to_le_bytes());
         v2.extend_from_slice(&v1);
+        let mut v3 = Vec::new();
+        v3.extend_from_slice(&9u32.to_le_bytes());
+        v3.extend_from_slice(&41u64.to_le_bytes());
+        v3.extend_from_slice(&v1);
         responses.push(("binary", binary_frame(0x85, 1, &v1, false)));
         responses.push(("binary", binary_frame(0x85, 2, &v2, true)));
+        responses.push(("binary", binary_frame(0x85, 3, &v3, true)));
         requests.push((
             "text",
             b"REQUEST query-batch v=1 n=1\nq time=60 x=1.500000 y=-0.250000\n".to_vec(),
@@ -1410,6 +1488,14 @@ mod tests {
         responses.push((
             "text",
             text_frame("RESPONSE value-batch v=2 seq=9 n=1\nv s=1.500000000\n"),
+        ));
+        requests.push((
+            "text",
+            text_frame("REQUEST query-batch v=3 seq=7 n=1\nq time=60 x=1.500000 y=-0.250000\n"),
+        ));
+        responses.push((
+            "text",
+            text_frame("RESPONSE value-batch v=3 seq=9 gen=41 n=1\nv s=1.500000000\n"),
         ));
 
         let codec = |name: &str| -> Box<dyn WireCodec> {
@@ -1478,7 +1564,10 @@ mod tests {
             Err(CodecError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
             other => panic!("{other:?}"),
         }
-        let text = format!("REQUEST query-batch v=3 seq=0 n={}\n", MAX_BATCH + 1);
+        let text = format!(
+            "REQUEST query-batch v={BATCH_VERSION} seq=0 n={}\n",
+            MAX_BATCH + 1
+        );
         assert!(matches!(
             TextCodec.decode_request(text.as_bytes()),
             Err(CodecError::Malformed(_))
@@ -1499,10 +1588,13 @@ mod tests {
         assert!(BinaryCodec.decode_request(&padded).is_err());
         // Text: declared count mismatching the line count, both ways, under
         // a valid CRC.
-        let short = text_frame("REQUEST query-batch v=3 seq=0 n=2\nq time=0 x=0 y=0\n");
+        let header = |n: usize| format!("REQUEST query-batch v={BATCH_VERSION} seq=0 n={n}\n");
+        let short = text_frame(&format!("{}q time=0 x=0 y=0\n", header(2)));
         assert!(TextCodec.decode_request(&short).is_err());
-        let long =
-            text_frame("REQUEST query-batch v=3 seq=0 n=1\nq time=0 x=0 y=0\nq time=1 x=0 y=0\n");
+        let long = text_frame(&format!(
+            "{}q time=0 x=0 y=0\nq time=1 x=0 y=0\n",
+            header(1)
+        ));
         assert!(TextCodec.decode_request(&long).is_err());
         // Text: dropping the crc trailer is a decode error.
         let encoded = String::from_utf8(TextCodec.encode_request(&sample_batch(2))).unwrap();
@@ -1522,15 +1614,19 @@ mod tests {
 
     #[test]
     fn value_batch_rejects_bad_flag() {
+        // A presence flag for a slot past the count: one value, its flag
+        // set, and the flag of a second slot set in the bitmap's padding.
         let mut body = Vec::new();
         body.extend_from_slice(&1u32.to_le_bytes()); // seq
         body.extend_from_slice(&0u64.to_le_bytes()); // generation
         body.extend_from_slice(&1u32.to_le_bytes());
-        body.push(0x7F); // neither miss nor present
-        assert_eq!(
-            BinaryCodec.decode_response(&binary_frame(0x85, BATCH_VERSION, &body, true)),
-            Err(CodecError::BadTag(0x7F))
-        );
+        body.push(0b11);
+        body.extend_from_slice(&1.5f64.to_le_bytes());
+        body.extend_from_slice(&2.5f64.to_le_bytes());
+        match BinaryCodec.decode_response(&binary_frame(0x85, BATCH_VERSION, &body, true)) {
+            Err(CodecError::Malformed(m)) => assert!(m.contains("padding"), "{m}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     fn sample_ingest(n: usize) -> Request {
@@ -1642,7 +1738,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Text: count/line mismatch is caught even with a valid trailer.
-        let body = "REQUEST ingest-batch v=3 source=1 seq=0 n=2\nb time=0 x=0.000000 y=0.000000 s=1.000000000\n";
+        let body = format!("REQUEST ingest-batch v={BATCH_VERSION} source=1 seq=0 n=2\nb time=0 x=0.000000 y=0.000000 s=1.000000000\n");
         let crc = crc32(body.as_bytes());
         let text = format!("{body}crc={crc:08X}\n");
         assert!(TextCodec.decode_request(text.as_bytes()).is_err());
@@ -1654,7 +1750,7 @@ mod tests {
         // the codec is the first line of defence.
         for payload in ["nan", "inf", "-inf"] {
             let body = format!(
-                "REQUEST ingest-batch v=3 source=1 seq=0 n=1\nb time=0 x=0.000000 y=0.000000 s={payload}\n"
+                "REQUEST ingest-batch v={BATCH_VERSION} source=1 seq=0 n=1\nb time=0 x=0.000000 y=0.000000 s={payload}\n"
             );
             let crc = crc32(body.as_bytes());
             let text = format!("{body}crc={crc:08X}\n");
@@ -1678,14 +1774,16 @@ mod tests {
     }
 
     #[test]
-    fn ingest_frames_are_v3_only() {
+    fn ingest_frames_refuse_a_retired_version() {
+        // v3's ingest layout is v4's; only the version byte tells them
+        // apart, and v3 is retired with the rest of its frames.
         for codec in codecs() {
             let mut bytes = codec.encode_request(&sample_ingest(1));
             match codec.name() {
-                "binary" => bytes[1] = 2,
+                "binary" => bytes[1] = 3,
                 _ => {
                     let s = String::from_utf8(bytes).unwrap();
-                    bytes = s.replace("v=3", "v=2").into_bytes();
+                    bytes = s.replace(&format!("v={BATCH_VERSION}"), "v=3").into_bytes();
                 }
             }
             match codec.decode_request(&bytes) {

@@ -16,9 +16,15 @@ use enviro_meter::ModelCover;
 /// carries none yet, so a model-cache client cannot see its cover
 /// republished (ROADMAP.md item 1).
 ///
+/// Version 4 sends a binary `QueryBatch`'s times as zig-zag LEB128 varints
+/// of their wrapping differences (from 0) ahead of 16-byte `x, y` records,
+/// and a binary `ValueBatch`'s misses as a presence bitmap ahead of the
+/// present values; v3 sent 24-byte tuples and a flag byte per value. The
+/// other frames kept v3's layouts.
+///
 /// Encoders emit this version and decoders accept only this version:
 /// any other version byte is a `Malformed` error.
-pub const BATCH_VERSION: u8 = 3;
+pub const BATCH_VERSION: u8 = 4;
 
 /// Upper bound on the tuples one batch frame may carry.
 ///

@@ -30,6 +30,7 @@ use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
     LinkProfile, LoopbackWire, Request, Response, SimulatedLink, WireCodec,
 };
+use enviro_storage::crc::crc32;
 use enviro_storage::WalConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -378,6 +379,28 @@ fn a_cover_count_beyond_its_bytes_is_refused_before_allocating() {
     assert_eq!(frame.len(), 13, "tag + valid_until + count");
     frame[9..].copy_from_slice(&1_000_000u32.to_le_bytes());
     let (allocs, decoded) = allocations(|| BinaryCodec.decode_response(&frame));
+    assert!(matches!(decoded, Err(CodecError::Truncated)), "{decoded:?}");
+    assert_eq!(allocs, 0);
+}
+
+/// A `QueryBatch` tuple takes at least 17 bytes (a one-byte time delta and
+/// 16 bytes of coordinates), so a count above a seventeenth of the body is
+/// refused before a query buffer is reserved for it, even under a valid
+/// CRC: a 64-tuple frame whose count says 65 allocates nothing.
+#[test]
+fn a_query_batch_count_beyond_its_bytes_is_refused_before_allocating() {
+    let mut frame = BinaryCodec.encode_request(&Request::QueryBatch {
+        seq: 1,
+        queries: (0..64)
+            .map(|i| QueryTuple::new(Timestamp::from_secs(60 * i), Point::new(i as f64, 0.5)))
+            .collect(),
+    });
+    assert_eq!(frame.len(), 14 + 64 * 17, "one-byte deltas");
+    frame[6..10].copy_from_slice(&65u32.to_le_bytes());
+    let body = frame.len() - 4;
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+    let (allocs, decoded) = allocations(|| BinaryCodec.decode_request(&frame));
     assert!(matches!(decoded, Err(CodecError::Truncated)), "{decoded:?}");
     assert_eq!(allocs, 0);
 }

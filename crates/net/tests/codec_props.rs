@@ -12,15 +12,18 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 
 use enviro_data::{Pollutant, QueryTuple, Timestamp};
 use enviro_geo::Point;
 use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
+use enviro_net::codec::CodecError;
 use enviro_net::{
     BinaryCodec, ErrorCode, ProtocolError, Request, Response, TextCodec, WireCodec, XorShiftRng,
     MAX_BATCH,
 };
+use enviro_storage::crc::crc32;
 
 /// Cases per property. Each case derives its own seed from the suite
 /// seed, so any failure is reproducible in isolation.
@@ -91,6 +94,11 @@ fn request(rng: &mut XorShiftRng) -> Request {
 
 fn value_batch(rng: &mut XorShiftRng) -> Response {
     let n = rng.next_in_range(0, 40) as usize;
+    value_batch_of(rng, n)
+}
+
+/// A `ValueBatch` of `n` random slots, about half of them misses.
+fn value_batch_of(rng: &mut XorShiftRng, n: usize) -> Response {
     Response::ValueBatch {
         seq: rng.next_u64() as u32,
         generation: rng.next_u64(),
@@ -395,6 +403,139 @@ fn any_single_bit_flip_in_a_batch_frame_is_rejected() {
         assert!(
             BinaryCodec.decode_response(&bytes).is_err(),
             "flip at byte {at} bit {bit} slipped past the CRC"
+        );
+    });
+}
+
+// ----------------------------------------------------------- malformed v4
+//
+// Frames a CRC cannot catch: a peer that stamps a valid checksum on a
+// layout no encoder writes. Each must be refused as `Malformed` or
+// `Truncated`, never decoded and never a panic.
+
+/// Offset of a binary `QueryBatch`'s times block: tag, version, seq, count.
+const TIMES_AT: usize = 10;
+
+/// Offset of a binary `ValueBatch`'s bitmap: tag, version, seq,
+/// generation, count.
+const BITMAP_AT: usize = 18;
+
+/// Re-stamps the trailing CRC-32 of an edited binary batch frame, so only
+/// the layout checks stand between it and the decoder's output.
+fn resealed(mut frame: Vec<u8>) -> Vec<u8> {
+    let body = frame.len() - 4;
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+fn assert_refused<T: std::fmt::Debug>(what: &str, decoded: Result<T, CodecError>) {
+    assert!(
+        matches!(
+            decoded,
+            Err(CodecError::Malformed(_) | CodecError::Truncated)
+        ),
+        "{what}: {decoded:?}"
+    );
+}
+
+/// A binary `QueryBatch` of 1 to 12 random tuples, and the byte range of
+/// one tuple's time delta in it.
+fn batch_with_a_varint(rng: &mut XorShiftRng) -> (Vec<u8>, Range<usize>) {
+    let n = rng.next_in_range(1, 12) as usize;
+    let frame = BinaryCodec.encode_request(&Request::QueryBatch {
+        seq: rng.next_u64() as u32,
+        queries: (0..n).map(|_| tuple(rng)).collect(),
+    });
+    let varint_len = |at: usize| frame[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    let mut at = TIMES_AT;
+    for _ in 0..rng.next_in_range(0, n as u64 - 1) {
+        at += varint_len(at);
+    }
+    let end = at + varint_len(at);
+    (frame, at..end)
+}
+
+#[test]
+fn an_overlong_varint_is_refused() {
+    for_each_case("overlong_varint", |rng| {
+        let (mut frame, at) = batch_with_a_varint(rng);
+        // Eleven bytes, or ten whose last is above 1: longer than a u64.
+        let overlong = if rng.next_u64() & 1 == 0 {
+            [[0x80; 10].as_slice(), &[0x01]].concat()
+        } else {
+            [[0xFF; 9].as_slice(), &[rng.next_in_range(2, 0x7F) as u8]].concat()
+        };
+        let _ = frame.splice(at, overlong);
+        assert_refused(
+            "overlong varint",
+            BinaryCodec.decode_request(&resealed(frame)),
+        );
+    });
+}
+
+#[test]
+fn a_varint_with_a_redundant_zero_byte_is_refused() {
+    for_each_case("redundant_zero_varint", |rng| {
+        let (mut frame, at) = batch_with_a_varint(rng);
+        // The same value with one more, all-zero, group: decodable by a
+        // lax reader, but not the one encoding the encoder writes.
+        frame[at.end - 1] |= 0x80;
+        frame.insert(at.end, 0x00);
+        assert_refused(
+            "redundant zero byte",
+            BinaryCodec.decode_request(&resealed(frame)),
+        );
+    });
+}
+
+#[test]
+fn a_times_block_with_a_spare_varint_is_refused() {
+    for_each_case("spare_varint", |rng| {
+        let n = rng.next_in_range(0, 12) as usize;
+        let mut frame = BinaryCodec.encode_request(&Request::QueryBatch {
+            seq: rng.next_u64() as u32,
+            queries: (0..n).map(|_| tuple(rng)).collect(),
+        });
+        // One more delta than the count: the times block must be read to
+        // its end, not only as far as the count goes.
+        let coords_at = frame.len() - 4 - 16 * n;
+        frame.insert(coords_at, rng.next_in_range(0, 0x7F) as u8);
+        assert_refused("spare varint", BinaryCodec.decode_request(&resealed(frame)));
+    });
+}
+
+#[test]
+fn a_set_bitmap_padding_bit_is_refused() {
+    for_each_case("bitmap_padding", |rng| {
+        // A count that leaves padding bits in the bitmap's last byte.
+        let n = rng.next_in_range(1, 40) as usize | 1;
+        let mut frame = BinaryCodec.encode_response(&value_batch_of(rng, n));
+        let last = BITMAP_AT + n.div_ceil(8) - 1;
+        frame[last] |= 1 << rng.next_in_range((n % 8) as u64, 7);
+        // The phantom slot gets its value, so the bytes agree with the
+        // bitmap's count and only the padding check can refuse the frame.
+        let crc_at = frame.len() - 4;
+        let _ = frame.splice(crc_at..crc_at, finite(rng).to_le_bytes());
+        assert_refused(
+            "bitmap padding bit",
+            BinaryCodec.decode_response(&resealed(frame)),
+        );
+    });
+}
+
+#[test]
+fn a_bitmap_that_disagrees_with_the_values_is_refused() {
+    for_each_case("bitmap_count", |rng| {
+        let n = rng.next_in_range(1, 40) as usize;
+        let mut frame = BinaryCodec.encode_response(&value_batch_of(rng, n));
+        // Flipping one slot's flag moves the present count by one, so the
+        // values left are 8 bytes too few or too many.
+        let slot = rng.next_in_range(0, n as u64 - 1) as usize;
+        frame[BITMAP_AT + slot / 8] ^= 1 << (slot % 8);
+        assert_refused(
+            "bitmap count",
+            BinaryCodec.decode_response(&resealed(frame)),
         );
     });
 }

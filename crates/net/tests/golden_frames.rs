@@ -83,16 +83,16 @@ fn binary_query_batch_bytes() {
         &frame,
         concat!(
             "03",               // tag
-            "03",               // version
+            "04",               // version
             "07000000",         // seq
             "02000000",         // count
-            "100e000000000000", // tuple 0: time
-            "000000000000f83f", //          x
+            "a038",             // tuple 0: time delta 3600, zig-zag 7200
+            "3c",               // tuple 1: time delta 30, zig-zag 60
+            "000000000000f83f", // tuple 0: x
             "000000000000d0bf", //          y
-            "2e0e000000000000", // tuple 1: time
-            "00000000006189c0", //          x
+            "00000000006189c0", // tuple 1: x
             "0000000000807b40", //          y
-            "47a520a1",         // crc32
+            "39783923",         // crc32
         ),
         back,
         &req,
@@ -109,14 +109,13 @@ fn binary_value_batch_bytes() {
         &frame,
         concat!(
             "85",               // tag
-            "03",               // version
+            "04",               // version
             "09000000",         // seq
             "2900000000000000", // generation
             "02000000",         // count
-            "01",               // slot 0: present
-            "0000000000527a40", //         value
-            "00",               // slot 1: miss
-            "d24c0fbc",         // crc32
+            "01",               // bitmap: slot 0 present, slot 1 miss
+            "0000000000527a40", // slot 0: value
+            "b1c366be",         // crc32
         ),
         back,
         &resp,
@@ -133,7 +132,7 @@ fn binary_ingest_batch_bytes() {
         &frame,
         concat!(
             "04",               // tag
-            "03",               // version
+            "04",               // version
             "4200efbeadde0000", // source
             "0b000000",         // seq
             "02000000",         // count
@@ -145,7 +144,7 @@ fn binary_ingest_batch_bytes() {
             "0000000000001fc0", //          x
             "0000000000002840", //          y
             "0000000000499340", //          value
-            "23a13ab5",         // crc32
+            "3bef0e6f",         // crc32
         ),
         back,
         &req,
@@ -165,10 +164,10 @@ fn binary_ingest_ack_bytes() {
         &frame,
         concat!(
             "87",               // tag
-            "03",               // version
+            "04",               // version
             "0b000000",         // seq
             "40e2010000000000", // durable_upto
-            "5352a38d",         // crc32
+            "0b54d0f0",         // crc32
         ),
         back,
         &resp,
@@ -180,10 +179,10 @@ fn text_value_batch_bytes() {
     let resp = value_batch();
     let frame = TextCodec.encode_response(&resp);
     let golden = concat!(
-        "RESPONSE value-batch v=3 seq=9 gen=41 n=2\n",
+        "RESPONSE value-batch v=4 seq=9 gen=41 n=2\n",
         "v s=421.125000000\n",
         "v s=miss\n",
-        "crc=401C7AE8\n",
+        "crc=E411BE50\n",
     );
     assert_eq!(
         std::str::from_utf8(&frame).unwrap(),
@@ -353,38 +352,79 @@ fn text_cover_with_a_bad_region_is_malformed() {
     }
 }
 
-/// What batching buys on the wire: 64 tuples asked as one `QueryBatch` and
-/// answered by one `ValueBatch` cost 1 550 + 598 B, against 64 × (25 + 9) B
-/// as single `Query`/`Value` frames — 33.5625 B per tuple instead of 34.
-#[test]
-fn a_batch_of_64_costs_fewer_bytes_per_tuple_than_single_frames() {
-    let tuples: Vec<QueryTuple> = (0..64)
+/// `n` tuples one minute apart, from time 0: a trajectory's query stream.
+fn trajectory(n: i64) -> Vec<QueryTuple> {
+    (0..n)
         .map(|i| QueryTuple::new(Timestamp::from_secs(60 * i), Point::new(i as f64, 0.5)))
-        .collect();
-    let single_request = BinaryCodec
-        .encode_request(&Request::Query {
-            time: tuples[0].time,
-            pos: tuples[0].pos,
-        })
-        .len();
-    let single_reply = BinaryCodec
-        .encode_response(&Response::Value { value: 421.125 })
-        .len();
-    assert_eq!((single_request, single_reply), (25, 9));
+        .collect()
+}
 
-    let batch_request = BinaryCodec
+/// Wire bytes of a `QueryBatch` of `tuples` and its all-present
+/// `ValueBatch` reply.
+fn batch_exchange_bytes(tuples: Vec<QueryTuple>) -> (usize, usize) {
+    let n = tuples.len();
+    let request = BinaryCodec
         .encode_request(&Request::QueryBatch {
             seq: 1,
             queries: tuples,
         })
         .len();
-    let batch_reply = BinaryCodec
+    let reply = BinaryCodec
         .encode_response(&Response::ValueBatch {
             seq: 1,
             generation: 3,
-            values: vec![Some(421.125); 64],
+            values: vec![Some(421.125); n],
         })
         .len();
-    assert_eq!((batch_request, batch_reply), (1_550, 598));
-    assert!(batch_request + batch_reply < 64 * (single_request + single_reply));
+    (request, reply)
+}
+
+/// Wire bytes of one `Query` frame and its `Value` reply: 25 + 9 B.
+fn single_exchange_bytes() -> usize {
+    let request = BinaryCodec
+        .encode_request(&Request::Query {
+            time: Timestamp::from_secs(60),
+            pos: Point::new(1.0, 0.5),
+        })
+        .len();
+    let reply = BinaryCodec
+        .encode_response(&Response::Value { value: 421.125 })
+        .len();
+    assert_eq!((request, reply), (25, 9));
+    request + reply
+}
+
+/// What batching buys on the wire: 64 tuples a minute apart asked as one
+/// `QueryBatch` and answered by one `ValueBatch` cost 1 102 + 542 B, against
+/// 64 × (25 + 9) B as single `Query`/`Value` frames — 25.6875 B per tuple
+/// instead of 34. The request sends each time as a one-byte delta and 16 B
+/// of coordinates; the reply sends one bitmap byte per 8 values and each
+/// value's 8 B.
+#[test]
+fn a_batch_of_64_costs_fewer_bytes_per_tuple_than_single_frames() {
+    let (request, reply) = batch_exchange_bytes(trajectory(64));
+    assert_eq!((request, reply), (1_102, 542));
+    assert_eq!(request, 14 + 64 * (1 + 16));
+    assert_eq!(reply, 22 + 64 / 8 + 64 * 8);
+    assert!(request + reply < 64 * single_exchange_bytes());
+}
+
+/// The smallest batch that costs fewer bytes than single frames: a batch of
+/// B such tuples costs 36 + 25B + ⌈B/8⌉ B against 34B, so it is smaller from
+/// B = 5 on. (With 24-byte tuples and a flag byte per value it cost
+/// 36 + 33B, and tied with single frames at B = 36.)
+#[test]
+fn batches_cost_fewer_bytes_than_single_frames_from_five_tuples() {
+    let single = single_exchange_bytes();
+    let cheaper: Vec<i64> = (1..=64)
+        .filter(|&n| {
+            let (request, reply) = batch_exchange_bytes(trajectory(n));
+            request + reply < n as usize * single
+        })
+        .collect();
+    assert_eq!(cheaper, (5..=64).collect::<Vec<_>>());
+    assert_eq!(
+        batch_exchange_bytes(trajectory(4)),
+        (14 + 4 * 17, 22 + 1 + 4 * 8)
+    );
 }
