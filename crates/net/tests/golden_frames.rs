@@ -15,7 +15,8 @@ use enviro_geo::Point;
 use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
 use enviro_net::codec::CodecError;
 use enviro_net::{
-    BinaryCodec, EnviroClient, Request, Response, TextCodec, TransportError, Wire, WireCodec,
+    BinaryCodec, EnviroClient, ErrorCode, ProtocolError, Request, Response, TextCodec,
+    TransportError, Wire, WireCodec,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -426,5 +427,301 @@ fn batches_cost_fewer_bytes_than_single_frames_from_five_tuples() {
     assert_eq!(
         batch_exchange_bytes(trajectory(4)),
         (14 + 4 * 17, 22 + 1 + 4 * 8)
+    );
+}
+
+// ------------------------------------------------ every other (kind, codec)
+//
+// The frames above are the batch frames and the cover; these pin the rest,
+// so every frame kind is pinned byte for byte in both codecs.
+
+fn query() -> Request {
+    Request::Query {
+        time: Timestamp::from_secs(3_600),
+        pos: Point::new(1.5, -0.25),
+    }
+}
+
+fn model_request() -> Request {
+    Request::ModelRequest {
+        time: Timestamp::from_secs(7_200),
+    }
+}
+
+fn value() -> Response {
+    Response::Value { value: 421.125 }
+}
+
+fn busy() -> Response {
+    Response::Busy {
+        retry_after_ms: 250,
+    }
+}
+
+fn ingest_ack() -> Response {
+    Response::IngestAck {
+        seq: 11,
+        durable_upto: 123_456,
+    }
+}
+
+/// An error whose message holds the characters the text codec escapes.
+fn error() -> Response {
+    Response::Error(ProtocolError::new(
+        ErrorCode::BadRequest,
+        "bad frame: 5% lost",
+    ))
+}
+
+/// Asserts that the text `frame` is `golden` and decodes back to `message`.
+fn assert_text_golden<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    frame: &[u8],
+    golden: &str,
+    decoded: T,
+    message: &T,
+) {
+    assert_eq!(
+        std::str::from_utf8(frame).unwrap(),
+        golden,
+        "text {what}: wire bytes changed"
+    );
+    assert_eq!(
+        &decoded, message,
+        "text {what}: golden frame decodes differently"
+    );
+}
+
+#[test]
+fn binary_query_bytes() {
+    let req = query();
+    let frame = BinaryCodec.encode_request(&req);
+    let back = BinaryCodec.decode_request(&frame).unwrap();
+    assert_golden(
+        "Query",
+        &frame,
+        concat!(
+            "01",               // tag
+            "100e000000000000", // time
+            "000000000000f83f", // x
+            "000000000000d0bf", // y
+        ),
+        back,
+        &req,
+    );
+}
+
+#[test]
+fn binary_model_request_bytes() {
+    let req = model_request();
+    let frame = BinaryCodec.encode_request(&req);
+    let back = BinaryCodec.decode_request(&frame).unwrap();
+    assert_golden(
+        "ModelRequest",
+        &frame,
+        concat!(
+            "02",               // tag
+            "201c000000000000", // time
+        ),
+        back,
+        &req,
+    );
+}
+
+#[test]
+fn binary_value_bytes() {
+    let resp = value();
+    let frame = BinaryCodec.encode_response(&resp);
+    let back = BinaryCodec.decode_response(&frame).unwrap();
+    assert_golden(
+        "Value",
+        &frame,
+        concat!(
+            "81",               // tag
+            "0000000000527a40", // value
+        ),
+        back,
+        &resp,
+    );
+}
+
+#[test]
+fn binary_no_data_bytes() {
+    let frame = BinaryCodec.encode_response(&Response::NoData);
+    let back = BinaryCodec.decode_response(&frame).unwrap();
+    assert_golden("NoData", &frame, "82", back, &Response::NoData);
+}
+
+#[test]
+fn binary_busy_bytes() {
+    let resp = busy();
+    let frame = BinaryCodec.encode_response(&resp);
+    let back = BinaryCodec.decode_response(&frame).unwrap();
+    assert_golden(
+        "Busy",
+        &frame,
+        concat!(
+            "86",       // tag
+            "fa000000", // retry_after_ms
+        ),
+        back,
+        &resp,
+    );
+}
+
+#[test]
+fn binary_error_bytes() {
+    let resp = error();
+    let frame = BinaryCodec.encode_response(&resp);
+    let back = BinaryCodec.decode_response(&frame).unwrap();
+    assert_golden(
+        "Error",
+        &frame,
+        concat!(
+            "84",                                   // tag
+            "01",                                   // code: bad request
+            "12000000",                             // message length
+            "626164206672616d653a203525206c6f7374", // message
+        ),
+        back,
+        &resp,
+    );
+}
+
+#[test]
+fn text_query_bytes() {
+    let req = query();
+    let frame = TextCodec.encode_request(&req);
+    let back = TextCodec.decode_request(&frame).unwrap();
+    assert_text_golden(
+        "Query",
+        &frame,
+        "REQUEST query time=3600 x=1.500000 y=-0.250000\n",
+        back,
+        &req,
+    );
+}
+
+#[test]
+fn text_model_request_bytes() {
+    let req = model_request();
+    let frame = TextCodec.encode_request(&req);
+    let back = TextCodec.decode_request(&frame).unwrap();
+    assert_text_golden(
+        "ModelRequest",
+        &frame,
+        "REQUEST model-request time=7200\n",
+        back,
+        &req,
+    );
+}
+
+#[test]
+fn text_query_batch_bytes() {
+    let req = query_batch();
+    let frame = TextCodec.encode_request(&req);
+    let back = TextCodec.decode_request(&frame).unwrap();
+    assert_text_golden(
+        "QueryBatch",
+        &frame,
+        concat!(
+            "REQUEST query-batch v=4 seq=7 n=2\n",
+            "q time=3600 x=1.500000 y=-0.250000\n",
+            "q time=3630 x=-812.125000 y=440.000000\n",
+            "crc=74A23DE5\n",
+        ),
+        back,
+        &req,
+    );
+}
+
+#[test]
+fn text_ingest_batch_bytes() {
+    let req = ingest_batch();
+    let frame = TextCodec.encode_request(&req);
+    let back = TextCodec.decode_request(&frame).unwrap();
+    assert_text_golden(
+        "IngestBatch",
+        &frame,
+        concat!(
+            "REQUEST ingest-batch v=4 source=244837814042690 seq=11 n=2\n",
+            "b time=60 x=2.500000 y=-0.125000 s=400.500000000\n",
+            "b time=90 x=-7.750000 y=12.000000 s=1234.250000000\n",
+            "crc=05342A8A\n",
+        ),
+        back,
+        &req,
+    );
+}
+
+#[test]
+fn text_ingest_ack_bytes() {
+    let resp = ingest_ack();
+    let frame = TextCodec.encode_response(&resp);
+    let back = TextCodec.decode_response(&frame).unwrap();
+    assert_text_golden(
+        "IngestAck",
+        &frame,
+        concat!(
+            "RESPONSE ingest-ack v=4 seq=11 durable=123456\n",
+            "crc=681A2038\n",
+        ),
+        back,
+        &resp,
+    );
+}
+
+#[test]
+fn text_value_bytes() {
+    let resp = value();
+    let frame = TextCodec.encode_response(&resp);
+    let back = TextCodec.decode_response(&frame).unwrap();
+    assert_text_golden(
+        "Value",
+        &frame,
+        "RESPONSE value s=421.125000000\n",
+        back,
+        &resp,
+    );
+}
+
+#[test]
+fn text_no_data_bytes() {
+    let frame = TextCodec.encode_response(&Response::NoData);
+    let back = TextCodec.decode_response(&frame).unwrap();
+    assert_text_golden(
+        "NoData",
+        &frame,
+        "RESPONSE no-data\n",
+        back,
+        &Response::NoData,
+    );
+}
+
+#[test]
+fn text_busy_bytes() {
+    let resp = busy();
+    let frame = TextCodec.encode_response(&resp);
+    let back = TextCodec.decode_response(&frame).unwrap();
+    assert_text_golden(
+        "Busy",
+        &frame,
+        "RESPONSE busy retry-after-ms=250\n",
+        back,
+        &resp,
+    );
+}
+
+#[test]
+fn text_error_bytes() {
+    let resp = error();
+    let frame = TextCodec.encode_response(&resp);
+    let back = TextCodec.decode_response(&frame).unwrap();
+    assert_text_golden(
+        "Error",
+        &frame,
+        "RESPONSE error code=bad-request message=bad%20frame:%205%25%20lost\n",
+        back,
+        &resp,
     );
 }
