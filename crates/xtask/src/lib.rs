@@ -19,7 +19,9 @@
 //! `cargo run -p xtask -- loc` prints the product lines of each crate
 //! ([`product_lines`]): every `crates/*/src/**/*.rs` line before the
 //! file's first `#[cfg(test)]` attribute. It is the one count a change's
-//! net line delta is reported in.
+//! net line delta is reported in. `loc PATH…` counts the given files, or
+//! the `.rs` files under the given directories, by the same rule
+//! ([`path_product_lines`]).
 //!
 //! The tool is std-only by design: it must run in the offline build
 //! environment and must never depend on the crates it polices.
@@ -163,6 +165,27 @@ pub fn product_lines(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
             .map(|(_, src)| scan::product_lines(src))
             .sum();
         out.insert(c.manifest.name, lines);
+    }
+    Ok(out)
+}
+
+/// Product lines of each of `paths`, in the order given: a file's
+/// [`scan::product_lines`], or their sum over the `.rs` files under a
+/// directory.
+pub fn path_product_lines(paths: &[PathBuf]) -> std::io::Result<Vec<(PathBuf, usize)>> {
+    let mut out = Vec::new();
+    for path in paths {
+        let mut files = Vec::new();
+        if path.is_dir() {
+            walk(path, &mut files)?;
+        } else {
+            files.push(path.clone());
+        }
+        let mut lines = 0;
+        for file in files {
+            lines += scan::product_lines(&fs::read_to_string(file)?);
+        }
+        out.push((path.clone(), lines));
     }
     Ok(out)
 }

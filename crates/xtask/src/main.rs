@@ -1,9 +1,9 @@
 //! CLI entry point: `cargo run -p xtask -- lint [--update-baseline]` and
-//! `cargo run -p xtask -- loc`.
+//! `cargo run -p xtask -- loc [PATH…]`.
 
 #![forbid(unsafe_code)]
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -27,6 +27,7 @@ fn main() -> ExitCode {
             lint(root, update)
         }
         Some("loc") if args.len() == 1 => loc(root),
+        Some("loc") => loc_paths(&args[1..]),
         _ => usage(),
     }
 }
@@ -38,6 +39,24 @@ fn loc(root: &Path) -> ExitCode {
                 println!("{name:<16} {lines:>6}");
             }
             println!("{:<16} {:>6}", "total", counts.values().sum::<usize>());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask: cannot count product lines: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn loc_paths(paths: &[String]) -> ExitCode {
+    let paths: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
+    match xtask::path_product_lines(&paths) {
+        Ok(counts) => {
+            for (path, lines) in &counts {
+                println!("{:<40} {lines:>6}", path.display());
+            }
+            let total: usize = counts.iter().map(|(_, lines)| lines).sum();
+            println!("{:<40} {total:>6}", "total");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -72,9 +91,10 @@ fn lint(root: &Path, update_baseline: bool) -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--update-baseline]\n       \
-         cargo run -p xtask -- loc\n\n\
+         cargo run -p xtask -- loc [PATH...]\n\n\
          `loc` prints each crate's product lines: its src/**/*.rs lines\n\
-         before each file's first #[cfg(test)] attribute.\n\n\
+         before each file's first #[cfg(test)] attribute. Given paths, it\n\
+         counts those files, or the .rs files under those directories.\n\n\
          `lint` runs the workspace static-analysis gate:\n  \
          * dependency-DAG layering check (+ [lints] workspace adoption)\n  \
          * panic-policy ratchet against crates/xtask/panic-baseline.toml\n  \

@@ -302,3 +302,30 @@ fn loc_counts_product_lines_per_crate() {
         },
     );
 }
+
+#[test]
+fn loc_counts_product_lines_per_path() {
+    with_workspace(
+        "locpaths",
+        &[
+            (
+                "crates/net/src/codec.rs",
+                "//! Two lines.\npub fn f() {}\n#[cfg(test)]\nmod tests {}\n",
+            ),
+            ("crates/net/src/frame/a.rs", "pub fn a() {}\n"),
+            ("crates/net/src/frame/b.rs", "pub fn b() {}\npub fn c() {}\n"),
+            ("crates/net/src/frame/notes.txt", "not rust\n"),
+        ],
+        |root| {
+            let paths = [
+                root.join("crates/net/src/codec.rs"),
+                root.join("crates/net/src/frame"),
+            ];
+            let counts = xtask::path_product_lines(&paths).unwrap();
+            let lines: Vec<usize> = counts.iter().map(|(_, n)| *n).collect();
+            assert_eq!(lines, [2, 3]);
+            assert_eq!(counts[0].0, paths[0]);
+            assert!(xtask::path_product_lines(&[root.join("no/such.rs")]).is_err());
+        },
+    );
+}
