@@ -15,10 +15,10 @@
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 
-use enviro_data::{Pollutant, QueryTuple, Timestamp};
+use enviro_data::{Pollutant, QueryTuple, RawTuple, Timestamp};
 use enviro_geo::Point;
 use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
-use enviro_net::codec::CodecError;
+use enviro_net::codec::{CodecError, REQUEST_FRAMES, RESPONSE_FRAMES};
 use enviro_net::{
     BinaryCodec, ErrorCode, ProtocolError, Request, Response, TextCodec, WireCodec, XorShiftRng,
     MAX_BATCH,
@@ -79,17 +79,36 @@ fn batch_request(rng: &mut XorShiftRng, max_tuples: u64) -> Request {
     }
 }
 
-fn request(rng: &mut XorShiftRng) -> Request {
-    match rng.next_in_range(0, 2) {
-        0 => Request::Query {
+/// A random request of the frame kind the codec declares as `name`.
+fn request_of(name: &str, rng: &mut XorShiftRng) -> Request {
+    match name {
+        "Query" => Request::Query {
             time: Timestamp::from_secs(rng.next_u64() as i64),
             pos: Point::new(finite(rng), finite(rng)),
         },
-        1 => Request::ModelRequest {
+        "ModelRequest" => Request::ModelRequest {
             time: Timestamp::from_secs(rng.next_u64() as i64),
         },
-        _ => batch_request(rng, 40),
+        "QueryBatch" => batch_request(rng, 40),
+        "IngestBatch" => Request::IngestBatch {
+            source: rng.next_u64(),
+            seq: rng.next_u64() as u32,
+            tuples: (0..rng.next_in_range(0, 40))
+                .map(|_| {
+                    let time = Timestamp::from_secs(rng.next_u64() as i64);
+                    RawTuple::new(time, Point::new(finite(rng), finite(rng)), finite(rng))
+                })
+                .collect(),
+        },
+        other => panic!("no generator for the request frame {other}"),
     }
+}
+
+/// A query, a model request or a query batch: the requests the round-trip
+/// properties below compare field by field.
+fn request(rng: &mut XorShiftRng) -> Request {
+    let name = ["Query", "ModelRequest", "QueryBatch"][rng.next_in_range(0, 2) as usize];
+    request_of(name, rng)
 }
 
 fn value_batch(rng: &mut XorShiftRng) -> Response {
@@ -171,17 +190,29 @@ fn cover(rng: &mut XorShiftRng) -> Response {
     })
 }
 
-fn response(rng: &mut XorShiftRng) -> Response {
-    match rng.next_in_range(0, 5) {
-        0 => Response::Value { value: finite(rng) },
-        1 => Response::NoData,
-        2 => Response::Error(protocol_error(rng)),
-        3 => value_batch(rng),
-        4 => Response::Busy {
+/// A random response of the frame kind the codec declares as `name`.
+fn response_of(name: &str, rng: &mut XorShiftRng) -> Response {
+    match name {
+        "Value" => Response::Value { value: finite(rng) },
+        "NoData" => Response::NoData,
+        "Error" => Response::Error(protocol_error(rng)),
+        "ValueBatch" => value_batch(rng),
+        "Busy" => Response::Busy {
             retry_after_ms: rng.next_u64() as u32,
         },
-        _ => cover(rng),
+        "Cover" => cover(rng),
+        "IngestAck" => Response::IngestAck {
+            seq: rng.next_u64() as u32,
+            durable_upto: rng.next_u64(),
+        },
+        other => panic!("no generator for the response frame {other}"),
     }
+}
+
+/// Every response but an ingest ack.
+fn response(rng: &mut XorShiftRng) -> Response {
+    let names = ["Value", "NoData", "Error", "ValueBatch", "Busy", "Cover"];
+    response_of(names[rng.next_in_range(0, 5) as usize], rng)
 }
 
 fn garbage(rng: &mut XorShiftRng, max_len: u64) -> Vec<u8> {
@@ -306,6 +337,37 @@ fn busy_roundtrip_both_codecs() {
         assert_eq!(BinaryCodec.decode_response(&bin).unwrap(), resp);
         let text = TextCodec.encode_response(&resp);
         assert_eq!(TextCodec.decode_response(&text).unwrap(), resp);
+    });
+}
+
+/// Every frame kind the codec declares has a generator above and round
+/// trips through both codecs: exactly in binary, under its declared tag,
+/// and in text under its declared verb, to a message of the same kind.
+#[test]
+fn every_declared_frame_kind_round_trips() {
+    fn same_kind<T>(a: &T, b: &T) -> bool {
+        std::mem::discriminant(a) == std::mem::discriminant(b)
+    }
+    for_each_case("declared_frames", |rng| {
+        for frame in REQUEST_FRAMES {
+            let req = request_of(frame.name, rng);
+            let bytes = BinaryCodec.encode_request(&req);
+            assert_eq!(bytes[0], frame.tag, "{}", frame.name);
+            assert_eq!(BinaryCodec.decode_request(&bytes).unwrap(), req);
+            let text = TextCodec.encode_request(&req);
+            assert!(text.starts_with(format!("REQUEST {} ", frame.verb).as_bytes()));
+            assert!(same_kind(&TextCodec.decode_request(&text).unwrap(), &req));
+        }
+        for frame in RESPONSE_FRAMES {
+            let resp = response_of(frame.name, rng);
+            let bytes = BinaryCodec.encode_response(&resp);
+            assert_eq!(bytes[0], frame.tag, "{}", frame.name);
+            assert_eq!(BinaryCodec.decode_response(&bytes).unwrap(), resp);
+            let text = TextCodec.encode_response(&resp);
+            let header = format!("RESPONSE {}", frame.verb);
+            assert!(text.starts_with(header.as_bytes()), "{}", frame.name);
+            assert!(same_kind(&TextCodec.decode_response(&text).unwrap(), &resp));
+        }
     });
 }
 

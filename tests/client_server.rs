@@ -5,12 +5,12 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{LausanneSim, SimConfig, Timestamp, WindowSpec};
+use enviro_data::{LausanneSim, QueryTuple, SimConfig, Timestamp, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
-    BaselineClient, BinaryCodec, ConcurrentTransport, EnviroServer, LinkProfile, ModelCacheClient,
-    Request, Response, SimulatedLink, TextCodec, WireCodec,
+    BaselineClient, BinaryCodec, ConcurrentTransport, EnviroServer, ErrorCode, LinkProfile,
+    ModelCacheClient, Request, Response, SimulatedLink, TextCodec, WireCodec,
 };
 use std::sync::Arc;
 
@@ -167,4 +167,39 @@ fn reconstructed_cover_round_trips_through_both_codecs() {
             assert!((va - vb).abs() < 1e-6, "{}: {va} vs {vb}", codec.name());
         }
     }
+}
+
+/// A query whose position is not finite is a bad request in both codecs,
+/// as a non-finite ingest tuple is: the server must not answer it with a
+/// NaN, nor answer the rest of its batch.
+#[test]
+fn a_non_finite_query_coordinate_is_a_bad_request() {
+    fn check<C: WireCodec + Copy>(codec: C) {
+        let (srv, _) = server(codec, 3);
+        let t = Timestamp::from_hours(8);
+        let good = Point::new(0.0, -200.0);
+        for bad in [
+            Point::new(f64::NAN, -200.0),
+            Point::new(0.0, f64::NAN),
+            Point::new(f64::INFINITY, 0.0),
+        ] {
+            for req in [
+                Request::Query { time: t, pos: bad },
+                Request::QueryBatch {
+                    seq: 1,
+                    queries: vec![QueryTuple::new(t, bad), QueryTuple::new(t, good)],
+                },
+            ] {
+                let reply = srv.handle_bytes(&codec.encode_request(&req));
+                match codec.decode_response(&reply).unwrap() {
+                    Response::Error(e) => {
+                        assert_eq!(e.code, ErrorCode::BadRequest, "{}", codec.name())
+                    }
+                    other => panic!("{}: {req:?} answered {other:?}", codec.name()),
+                }
+            }
+        }
+    }
+    check(BinaryCodec);
+    check(TextCodec);
 }
