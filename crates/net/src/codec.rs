@@ -1819,4 +1819,45 @@ mod tests {
         assert_eq!(out[0], 0xAA);
         assert_eq!(out.len(), 1 + 9);
     }
+
+    #[test]
+    fn a_row_kind_is_only_ever_a_frames_last_field() {
+        // Text rows follow the header line, so a field after them would
+        // land on the last row.
+        let rows = ["Queries", "Values", "Tuples", "ModelCover"];
+        for frame in REQUEST_FRAMES.iter().chain(RESPONSE_FRAMES) {
+            let before_last = frame.fields.split_last().map_or(&[][..], |(_, init)| init);
+            assert!(
+                before_last.iter().all(|f| !rows.contains(&f.kind)),
+                "{}",
+                frame.name
+            );
+        }
+    }
+
+    #[test]
+    fn design_doc_lists_every_declared_frame() {
+        let design = include_str!("../../../DESIGN.md");
+        for frame in REQUEST_FRAMES.iter().chain(RESPONSE_FRAMES) {
+            let fields: Vec<String> = frame
+                .fields
+                .iter()
+                .map(|f| format!("`{}[{}]`", f.kind, f.keys.join(", ")))
+                .collect();
+            let envelope = match frame.envelope {
+                Envelope::Plain => "plain",
+                Envelope::Batch => "batch",
+            };
+            let fields = if fields.is_empty() {
+                "none".to_string()
+            } else {
+                fields.join(" ")
+            };
+            let row = format!(
+                "| `{}` | `{:#04x}` | `{}` | {envelope} | {fields} |",
+                frame.name, frame.tag, frame.verb
+            );
+            assert!(design.contains(&row), "DESIGN.md lacks the row\n{row}");
+        }
+    }
 }
