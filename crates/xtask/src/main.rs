@@ -33,30 +33,30 @@ fn main() -> ExitCode {
 }
 
 fn loc(root: &Path) -> ExitCode {
-    match xtask::product_lines(root) {
-        Ok(counts) => {
-            for (name, lines) in &counts {
-                println!("{name:<16} {lines:>6}");
-            }
-            println!("{:<16} {:>6}", "total", counts.values().sum::<usize>());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask: cannot count product lines: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let counts = xtask::product_lines(root);
+    print_counts(counts.map(|c| c.into_iter().collect()), 16)
 }
 
 fn loc_paths(paths: &[String]) -> ExitCode {
     let paths: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
-    match xtask::path_product_lines(&paths) {
+    let counts = xtask::path_product_lines(&paths);
+    let named = |c: Vec<(PathBuf, usize)>| {
+        c.into_iter()
+            .map(|(path, lines)| (path.display().to_string(), lines))
+            .collect()
+    };
+    print_counts(counts.map(named), 40)
+}
+
+/// Prints one `name lines` row per count, then their total.
+fn print_counts(counts: std::io::Result<Vec<(String, usize)>>, width: usize) -> ExitCode {
+    match counts {
         Ok(counts) => {
-            for (path, lines) in &counts {
-                println!("{:<40} {lines:>6}", path.display());
+            for (name, lines) in &counts {
+                println!("{name:<width$} {lines:>6}");
             }
             let total: usize = counts.iter().map(|(_, lines)| lines).sum();
-            println!("{:<40} {total:>6}", "total");
+            println!("{:<width$} {total:>6}", "total");
             ExitCode::SUCCESS
         }
         Err(e) => {

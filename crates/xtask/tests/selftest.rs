@@ -313,7 +313,10 @@ fn loc_counts_product_lines_per_path() {
                 "//! Two lines.\npub fn f() {}\n#[cfg(test)]\nmod tests {}\n",
             ),
             ("crates/net/src/frame/a.rs", "pub fn a() {}\n"),
-            ("crates/net/src/frame/b.rs", "pub fn b() {}\npub fn c() {}\n"),
+            (
+                "crates/net/src/frame/b.rs",
+                "pub fn b() {}\npub fn c() {}\n",
+            ),
             ("crates/net/src/frame/notes.txt", "not rust\n"),
         ],
         |root| {
