@@ -244,8 +244,8 @@ trait Field: Sized {
     /// Its text `key=` names, one per header token.
     type Keys;
     fn put(&self, out: &mut Vec<u8>);
-    /// Reads the value off the front of `bytes`; a row kind reads to the
-    /// end of the frame's body.
+    /// Reads the value off the front of `bytes`; a row kind may take all
+    /// that is left of the frame's body.
     fn take(bytes: &mut &[u8]) -> Result<Self, CodecError>;
     /// Appends ` key=value` tokens; a row kind then appends its rows, each
     /// on a line of its own.
