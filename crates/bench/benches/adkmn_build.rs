@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use enviro_bench::workload::{build, Scale};
 use enviro_data::{Pollutant, WindowSpec, Windows};
-use enviro_meter::{AdKmn, AdKmnConfig, KMeans, KMeansConfig};
+use enviro_meter::{AdKmn, AdKmnConfig, KMeans};
 use std::hint::black_box;
 
 fn bench_builds(c: &mut Criterion) {
@@ -26,13 +26,7 @@ fn bench_builds(c: &mut Criterion) {
         });
         let positions: Vec<enviro_geo::Point> = tuples.iter().map(|t| t.pos).collect();
         group.bench_with_input(BenchmarkId::new("kmeans_k2", h), &h, |b, _| {
-            b.iter(|| {
-                black_box(KMeans::fit(
-                    black_box(&positions),
-                    2,
-                    &KMeansConfig::default(),
-                ))
-            });
+            b.iter(|| black_box(KMeans::fit(black_box(&positions), 2)));
         });
     }
     group.finish();

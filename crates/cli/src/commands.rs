@@ -517,6 +517,16 @@ fn cmd_route(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
     let fixes = steps as usize + 1;
+    // The last fix is the latest: if its time fits an i64, every fix's does.
+    if interval
+        .checked_mul(steps as i64)
+        .and_then(|span| start.as_secs().checked_add(span))
+        .is_none()
+    {
+        return Err(CliError::usage(
+            "the route's last fix would fall past the latest time; lower --start or --interval",
+        ));
+    }
     let platform = load_platform(args)?;
     let trajectory: Vec<QueryTuple> = (0..fixes)
         .map(|i| {
@@ -1140,11 +1150,12 @@ mod tests {
         run_cmd(&["simulate", "--hours", "2", "--out", csv_str]);
         let query = ["query", csv_str, "--time", "1h", "--x", "0", "--y", "0"];
         let route = ["route", csv_str, "--start", "1h", "--points", "0,0;100,0"];
+        let route_from = ["route", csv_str, "--points", "0,0;100,0"];
         let heatmap = ["heatmap", csv_str, "--time", "1h", "--ascii"];
         let query_at = ["query", csv_str, "--x", "0", "--y", "0"];
         let sim_out = temp_path("bad-flags-sim.csv");
         let simulate = ["simulate", "--out", sim_out.to_str().unwrap()];
-        let cases: [(&[&str], &[&str]); 21] = [
+        let cases: [(&[&str], &[&str]); 23] = [
             (&query, &["--radius", "-1"]),
             (&query, &["--radius", "NaN"]),
             (&query, &["--window", "0"]),
@@ -1158,6 +1169,8 @@ mod tests {
             (&route, &["--speed", "inf"]),
             (&route, &["--speed", "1e-12"]),
             (&route, &["--speed", "1e-300"]),
+            (&route, &["--interval", "9223372036854775807"]),
+            (&route_from, &["--start", "9223372036854775807"]),
             (&heatmap, &["--cols", "0"]),
             (&heatmap, &["--rows", "0"]),
             (&heatmap, &["--cols", "100000", "--rows", "100000"]),

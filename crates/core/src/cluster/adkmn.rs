@@ -7,8 +7,8 @@
 //! set — "continued until all the regions meet the approximation error
 //! threshold".
 
-use crate::cluster::kmeans::{KMeans, KMeansConfig};
-use crate::model::{ApproximationError, FitConfig, RegionModel};
+use crate::cluster::kmeans::KMeans;
+use crate::model::{ApproximationError, RegionModel};
 use enviro_data::{Pollutant, RawTuple};
 use enviro_geo::Point;
 use rand::rngs::StdRng;
@@ -48,10 +48,6 @@ pub struct AdKmnConfig {
     /// would otherwise ratchet upward forever (see the `abl-warm`
     /// ablation).
     pub merge_after_converge: bool,
-    /// Inner k-means parameters.
-    pub kmeans: KMeansConfig,
-    /// Model-fitting parameters.
-    pub fit: FitConfig,
 }
 
 impl Default for AdKmnConfig {
@@ -63,8 +59,6 @@ impl Default for AdKmnConfig {
             max_rounds: 16,
             split: SplitStrategy::default(),
             merge_after_converge: false,
-            kmeans: KMeansConfig::default(),
-            fit: FitConfig::default(),
         }
     }
 }
@@ -209,14 +203,14 @@ impl AdKmn {
             };
         }
         let positions: Vec<Point> = tuples.iter().map(|t| t.pos).collect();
-        let mut rng = StdRng::seed_from_u64(cfg.kmeans.seed ^ 0xAD06);
+        let mut rng = StdRng::seed_from_u64(KMeans::SEED ^ 0xAD06);
         let mut clustering = match seeds {
             Some(seeds) => {
                 let mut seeds = seeds.to_vec();
                 seeds.truncate(cfg.max_models);
-                KMeans::lloyd(&positions, seeds, cfg.kmeans.max_iterations)
+                KMeans::lloyd(&positions, seeds)
             }
-            None => KMeans::fit(&positions, cfg.initial_k, &cfg.kmeans),
+            None => KMeans::fit(&positions, cfg.initial_k),
         };
         let mut rounds = 0;
         loop {
@@ -227,7 +221,7 @@ impl AdKmn {
             let mut region_tuples: Vec<Vec<RawTuple>> = Vec::with_capacity(members.cluster_count());
             for m in members.iter() {
                 let region: Vec<RawTuple> = m.iter().map(|&i| tuples[i]).collect();
-                let model = RegionModel::fit(&region, &cfg.fit).unwrap_or(RegionModel::Mean(0.0));
+                let model = RegionModel::fit(&region).unwrap_or(RegionModel::Mean(0.0));
                 let error = model.approximation_error(&region, pollutant);
                 models.push(model);
                 errors.push(error);
@@ -275,7 +269,7 @@ impl AdKmn {
                 centroids.push(seed);
             }
             // Re-estimate all centroids from the enlarged set.
-            clustering = KMeans::lloyd(&positions, centroids, cfg.kmeans.max_iterations);
+            clustering = KMeans::lloyd(&positions, centroids);
             rounds += 1;
         }
     }
@@ -365,7 +359,7 @@ fn merge_regions(
                 .chain(members[b].iter())
                 .map(|&i| tuples[i])
                 .collect();
-            let Some(model) = RegionModel::fit(&combined, &cfg.fit) else {
+            let Some(model) = RegionModel::fit(&combined) else {
                 continue;
             };
             let error = model.approximation_error(&combined, pollutant);

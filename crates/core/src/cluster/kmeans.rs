@@ -4,24 +4,6 @@ use enviro_geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// k-means parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KMeansConfig {
-    /// Maximum Lloyd iterations per run.
-    pub max_iterations: usize,
-    /// Seed for the k-means++ initialization.
-    pub seed: u64,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        Self {
-            max_iterations: 50,
-            seed: 0x4B4D_4541, // "KMEA"
-        }
-    }
-}
-
 /// The outcome of a clustering run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
@@ -116,11 +98,22 @@ impl Clustering {
 pub struct KMeans;
 
 impl KMeans {
+    /// Maximum Lloyd iterations per run.
+    ///
+    /// This and [`KMeans::SEED`] shape every fitted cover, which
+    /// `core/tests/golden_cover.rs` pins: changing either needs a
+    /// `COVER_FRAME_VERSION` bump in `enviro-net`.
+    pub const MAX_ITERATIONS: usize = 50;
+
+    /// Seed of the k-means++ initialization ("KMEA"); Ad-KMN seeds its
+    /// split draws from it too.
+    pub const SEED: u64 = 0x4B4D_4541;
+
     /// Runs k-means++ initialization followed by Lloyd iterations.
     ///
     /// `k` is clamped to the number of points; `k = 0` on non-empty input is
     /// a caller bug and panics. Empty input yields an empty clustering.
-    pub fn fit(points: &[Point], k: usize, config: &KMeansConfig) -> Clustering {
+    pub fn fit(points: &[Point], k: usize) -> Clustering {
         if points.is_empty() {
             return Clustering {
                 centroids: Vec::new(),
@@ -130,18 +123,19 @@ impl KMeans {
         }
         assert!(k > 0, "k must be positive for non-empty input");
         let k = k.min(points.len());
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(Self::SEED);
         let centroids = kmeanspp_init(points, k, &mut rng);
-        Self::lloyd(points, centroids, config.max_iterations)
+        Self::lloyd(points, centroids)
     }
 
-    /// Runs Lloyd iterations from explicit starting centroids — Ad-KMN's
-    /// "re-estimate all the centroids" step after a split.
+    /// Runs at most [`KMeans::MAX_ITERATIONS`] Lloyd iterations from explicit
+    /// starting centroids — Ad-KMN's "re-estimate all the centroids" step
+    /// after a split.
     ///
     /// Empty clusters are re-seeded at the point currently farthest from its
     /// assigned centroid, so the returned clustering always has exactly
     /// `centroids.len().min(points.len())` non-empty clusters.
-    pub fn lloyd(points: &[Point], mut centroids: Vec<Point>, max_iterations: usize) -> Clustering {
+    pub fn lloyd(points: &[Point], mut centroids: Vec<Point>) -> Clustering {
         if points.is_empty() {
             return Clustering {
                 centroids: Vec::new(),
@@ -153,7 +147,7 @@ impl KMeans {
         assert!(!centroids.is_empty(), "need at least one centroid");
         let mut assignment = assign(points, &centroids);
         let mut iterations = 0;
-        for _ in 0..max_iterations {
+        for _ in 0..Self::MAX_ITERATIONS {
             iterations += 1;
             // Update step: move each centroid to its members' mean.
             let k = centroids.len();
@@ -278,7 +272,7 @@ mod tests {
 
     #[test]
     fn empty_input_empty_output() {
-        let c = KMeans::fit(&[], 3, &KMeansConfig::default());
+        let c = KMeans::fit(&[], 3);
         assert!(c.centroids.is_empty());
         assert!(c.assignment.is_empty());
     }
@@ -286,7 +280,7 @@ mod tests {
     #[test]
     fn k_clamped_to_point_count() {
         let pts = [Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
-        let c = KMeans::fit(&pts, 10, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 10);
         assert!(c.centroids.len() <= 2);
         assert_eq!(c.assignment.len(), 2);
     }
@@ -294,7 +288,7 @@ mod tests {
     #[test]
     fn separates_well_separated_blobs() {
         let pts = three_blobs();
-        let c = KMeans::fit(&pts, 3, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 3);
         assert_eq!(c.centroids.len(), 3);
         // Each blob must map to a single cluster.
         for blob in 0..3 {
@@ -313,7 +307,7 @@ mod tests {
     #[test]
     fn assignment_is_nearest_centroid() {
         let pts = three_blobs();
-        let c = KMeans::fit(&pts, 3, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 3);
         for (p, &a) in pts.iter().zip(&c.assignment) {
             assert_eq!(a, nearest_centroid(&c.centroids, p));
         }
@@ -322,17 +316,16 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let pts = three_blobs();
-        let a = KMeans::fit(&pts, 3, &KMeansConfig::default());
-        let b = KMeans::fit(&pts, 3, &KMeansConfig::default());
+        let a = KMeans::fit(&pts, 3);
+        let b = KMeans::fit(&pts, 3);
         assert_eq!(a, b);
     }
 
     #[test]
     fn inertia_decreases_with_more_clusters() {
         let pts = three_blobs();
-        let cfg = KMeansConfig::default();
-        let c1 = KMeans::fit(&pts, 1, &cfg);
-        let c3 = KMeans::fit(&pts, 3, &cfg);
+        let c1 = KMeans::fit(&pts, 1);
+        let c3 = KMeans::fit(&pts, 3);
         assert!(c3.inertia(&pts) < c1.inertia(&pts));
     }
 
@@ -343,7 +336,7 @@ mod tests {
             Point::new(2.0, 0.0),
             Point::new(1.0, 3.0),
         ];
-        let c = KMeans::fit(&pts, 1, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 1);
         assert!((c.centroids[0].x - 1.0).abs() < 1e-9);
         assert!((c.centroids[0].y - 1.0).abs() < 1e-9);
     }
@@ -351,7 +344,7 @@ mod tests {
     #[test]
     fn identical_points_do_not_crash() {
         let pts = vec![Point::new(5.0, 5.0); 10];
-        let c = KMeans::fit(&pts, 3, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 3);
         assert_eq!(c.assignment.len(), 10);
         assert!(c.assignment.iter().all(|&a| a < c.centroids.len()));
     }
@@ -364,7 +357,7 @@ mod tests {
             Point::new(110.0, 10.0),
             Point::new(50.0, 110.0),
         ];
-        let c = KMeans::lloyd(&pts, seeds, 50);
+        let c = KMeans::lloyd(&pts, seeds);
         // Should converge to (approximately) the blob centers.
         let mut xs: Vec<f64> = c.centroids.iter().map(|p| p.x).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -379,7 +372,7 @@ mod tests {
         // Two seeds on top of each other far away: one will end up empty
         // and must be re-seeded rather than lost.
         let seeds = vec![Point::new(0.0, 0.0), Point::new(0.0, 0.0)];
-        let c = KMeans::lloyd(&pts, seeds, 50);
+        let c = KMeans::lloyd(&pts, seeds);
         let members = c.members();
         assert!(members.iter().all(|m| !m.is_empty()), "{members:?}");
     }
@@ -387,7 +380,7 @@ mod tests {
     #[test]
     fn members_partition_input() {
         let pts = three_blobs();
-        let c = KMeans::fit(&pts, 3, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 3);
         let members = c.members();
         let total: usize = members.iter().map(<[usize]>::len).sum();
         assert_eq!(total, pts.len());
@@ -397,7 +390,7 @@ mod tests {
     #[test]
     fn members_match_assignment_in_input_order() {
         let pts = three_blobs();
-        let c = KMeans::fit(&pts, 3, &KMeansConfig::default());
+        let c = KMeans::fit(&pts, 3);
         let members = c.members();
         assert_eq!(members.cluster_count(), c.centroids.len());
         for (cluster, m) in members.iter().enumerate() {
@@ -410,7 +403,7 @@ mod tests {
 
     #[test]
     fn members_of_empty_clustering() {
-        let c = KMeans::fit(&[], 3, &KMeansConfig::default());
+        let c = KMeans::fit(&[], 3);
         let members = c.members();
         assert_eq!(members.cluster_count(), 0);
         assert_eq!(members.total_len(), 0);

@@ -11,4 +11,4 @@ mod kmeans;
 
 pub use adkmn::{AdKmn, AdKmnConfig, AdKmnResult, SplitStrategy};
 pub(crate) use kmeans::nearest_centroid;
-pub use kmeans::{ClusterMembers, Clustering, KMeans, KMeansConfig};
+pub use kmeans::{ClusterMembers, Clustering, KMeans};

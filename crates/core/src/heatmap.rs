@@ -92,32 +92,20 @@ impl Heatmap {
     /// Colors interpolate hue from green (map minimum) through yellow to
     /// red (map maximum), matching the web UI's scale.
     pub fn color_of(&self, value: f64) -> (u8, u8, u8) {
-        let (lo, hi) = self.value_range();
-        let t = if hi > lo {
-            ((value - lo) / (hi - lo)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        // Piecewise green → yellow → red.
-        if t < 0.5 {
-            let k = t * 2.0;
-            (((k * 255.0) as u8), 200, 40)
-        } else {
-            let k = (t - 0.5) * 2.0;
-            (255, ((1.0 - k) * 200.0) as u8, 40)
-        }
+        color_in(value, self.value_range())
     }
 
     /// Renders the heatmap to a binary PPM (P6) image, one pixel per cell,
     /// north up (row 0 of the image is the northernmost grid row).
     pub fn to_ppm(&self) -> Vec<u8> {
         let (w, h) = (self.grid.cols(), self.grid.rows());
+        let range = self.value_range();
         let mut out = format!("P6\n{w} {h}\n255\n").into_bytes();
         out.reserve(self.values.len() * 3);
         for row in (0..h).rev() {
             for col in 0..w {
                 let idx = self.grid.flat_index(enviro_geo::CellId::new(col, row));
-                let (r, g, b) = self.color_of(self.values[idx]);
+                let (r, g, b) = color_in(self.values[idx], range);
                 out.extend_from_slice(&[r, g, b]);
             }
         }
@@ -142,6 +130,22 @@ impl Heatmap {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The green → yellow → red color of `value` on the scale `(lo, hi)`.
+fn color_in(value: f64, (lo, hi): (f64, f64)) -> (u8, u8, u8) {
+    let t = if hi > lo {
+        ((value - lo) / (hi - lo)).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    if t < 0.5 {
+        let k = t * 2.0;
+        (((k * 255.0) as u8), 200, 40)
+    } else {
+        let k = (t - 0.5) * 2.0;
+        (255, ((1.0 - k) * 200.0) as u8, 40)
     }
 }
 
@@ -219,6 +223,33 @@ mod tests {
         let header = b"P6\n8 6\n255\n";
         assert_eq!(&ppm[..header.len()], header);
         assert_eq!(ppm.len(), header.len() + 8 * 6 * 3);
+    }
+
+    #[test]
+    fn a_large_ppm_reads_its_scale_once() {
+        // 2^20 cells, each value its flat index: the south-west cell is the
+        // minimum and the north-east cell the maximum. Reading the scale
+        // per pixel would take 2^40 comparisons.
+        let (w, h) = (1024u32, 1024u32);
+        let grid = Grid::new(extent(), w, h);
+        let hm = Heatmap {
+            values: (0..grid.len()).map(|i| i as f64).collect(),
+            grid,
+            time: Timestamp::ZERO,
+            pollutant: Pollutant::Co2,
+            emitters: Vec::new(),
+        };
+        let ppm = hm.to_ppm();
+        let header = b"P6\n1024 1024\n255\n";
+        assert_eq!(&ppm[..header.len()], header);
+        assert_eq!(ppm.len(), header.len() + 3 * 1024 * 1024);
+        let pixel = |row: usize, col: usize| {
+            let at = header.len() + 3 * (row * w as usize + col);
+            (ppm[at], ppm[at + 1], ppm[at + 2])
+        };
+        // Image row 0 is the northernmost grid row.
+        assert_eq!(pixel(h as usize - 1, 0), (0, 200, 40), "minimum is green");
+        assert_eq!(pixel(0, w as usize - 1), (255, 0, 40), "maximum is red");
     }
 
     #[test]

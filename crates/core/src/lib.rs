@@ -84,11 +84,11 @@ pub mod query;
 pub mod route;
 mod routing;
 
-pub use cluster::{AdKmn, AdKmnConfig, ClusterMembers, KMeans, KMeansConfig, SplitStrategy};
+pub use cluster::{AdKmn, AdKmnConfig, ClusterMembers, KMeans, SplitStrategy};
 pub use cover::{CoverBuilder, CoverRegion, ModelCover};
 pub use eval::{nrmse_percent, AccuracyReport};
 pub use heatmap::{Heatmap, HeatmapBuilder};
-pub use model::{ApproximationError, FitConfig, LinearModel, RegionModel};
+pub use model::{ApproximationError, LinearModel, RegionModel};
 pub use platform::EnviroMeter;
 pub use publish::{
     CoverCacheStats, CoverLoader, CoverReadError, CoverRegistry, CoverSet, PublishedCover,

@@ -3,45 +3,6 @@
 use enviro_data::{RawTuple, Timestamp};
 use enviro_geo::Point;
 
-/// Fitting policy shared by all region models.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FitConfig {
-    /// Below this many tuples a region gets a mean model instead of a
-    /// regression (4 coefficients need comfortably more than 4 points).
-    pub min_points_for_regression: usize,
-    /// Relative ridge strength: the solver uses `λ = ridge_alpha · n` on
-    /// standardized features.
-    ///
-    /// Bus-trajectory windows are nearly one-dimensional: the spatial slope
-    /// *orthogonal* to the track is unidentifiable, and plain OLS would fit
-    /// it to GPS noise — harmless on the track, catastrophic when a query
-    /// extrapolates a few hundred meters off-corridor. Sample-scaled ridge
-    /// shrinks exactly those unidentified directions (Gram eigenvalue ≪
-    /// λ·n) to zero while biasing well-identified slopes by only
-    /// ≈ `ridge_alpha` relative.
-    pub ridge_alpha: f64,
-    /// Minimum spatial spread (meters, standard deviation) for a coordinate
-    /// to earn a slope. A region whose lateral extent is only GPS noise
-    /// (~5 m) must not fit a lateral gradient: standardization would
-    /// amplify that noise-slope 100× for a query a few hundred meters
-    /// off-track.
-    pub min_spatial_spread_m: f64,
-    /// Minimum temporal spread (seconds) for the time feature to earn a
-    /// slope.
-    pub min_time_spread_s: f64,
-}
-
-impl Default for FitConfig {
-    fn default() -> Self {
-        Self {
-            min_points_for_regression: 8,
-            ridge_alpha: 1e-4,
-            min_spatial_spread_m: 10.0,
-            min_time_spread_s: 30.0,
-        }
-    }
-}
-
 /// A fitted linear model `s = β₀ + β₁·x̃ + β₂·ỹ + β₃·t̃`.
 ///
 /// Features are *standardized* (centered on the training mean, scaled by
@@ -83,14 +44,51 @@ impl LinearModel {
     /// (4 β + 3 centers + 3 scales + 2 value bounds).
     pub const COEFFICIENT_COUNT: usize = 12;
 
+    /// Below this many tuples [`crate::RegionModel::fit`] gives a region a
+    /// mean model instead of a regression (4 coefficients need comfortably
+    /// more than 4 points).
+    ///
+    /// This and the three constants below shape every fitted cover, which
+    /// `core/tests/golden_cover.rs` pins: changing one needs a
+    /// `COVER_FRAME_VERSION` bump in `enviro-net`.
+    pub const MIN_POINTS_FOR_REGRESSION: usize = 8;
+
+    /// Relative ridge strength: the solver uses `λ = RIDGE_ALPHA · n` on
+    /// standardized features.
+    ///
+    /// Bus-trajectory windows are nearly one-dimensional: the spatial slope
+    /// *orthogonal* to the track is unidentifiable, and plain OLS would fit
+    /// it to GPS noise — harmless on the track, catastrophic when a query
+    /// extrapolates a few hundred meters off-corridor. Sample-scaled ridge
+    /// shrinks exactly those unidentified directions (Gram eigenvalue ≪
+    /// λ·n) to zero while biasing well-identified slopes by only
+    /// ≈ `RIDGE_ALPHA` relative.
+    pub const RIDGE_ALPHA: f64 = 1e-4;
+
+    /// Minimum spatial spread (meters, standard deviation) for a coordinate
+    /// to earn a slope. A region whose lateral extent is only GPS noise
+    /// (~5 m) must not fit a lateral gradient: standardization would
+    /// amplify that noise-slope 100× for a query a few hundred meters
+    /// off-track.
+    pub const MIN_SPATIAL_SPREAD_M: f64 = 10.0;
+
+    /// Minimum temporal spread (seconds) for the time feature to earn a
+    /// slope.
+    pub const MIN_TIME_SPREAD_S: f64 = 30.0;
+
     /// Fits the model by ridge regression on standardized features (see
-    /// [`FitConfig::ridge_alpha`] for why ridge is not merely a fallback).
+    /// [`LinearModel::RIDGE_ALPHA`] for why ridge is not merely a fallback).
     ///
     /// The 4×4 normal equations `(AᵀA + λI)·β = Aᵀb` are accumulated tuple
     /// by tuple and solved in place by Cholesky decomposition; no design
     /// matrix is built. Returns `None` when no finite coefficients exist
     /// (non-finite inputs).
-    pub fn fit(tuples: &[RawTuple], config: &FitConfig) -> Option<LinearModel> {
+    pub fn fit(tuples: &[RawTuple]) -> Option<LinearModel> {
+        Self::fit_ridge(tuples, Self::RIDGE_ALPHA)
+    }
+
+    /// [`LinearModel::fit`] under ridge strength `ridge_alpha`.
+    fn fit_ridge(tuples: &[RawTuple], ridge_alpha: f64) -> Option<LinearModel> {
         let n = tuples.len();
         if n < 4 {
             return None;
@@ -110,9 +108,9 @@ impl LinearModel {
                 sd
             }
         };
-        let sx = spread(&|t| t.pos.x, cx, config.min_spatial_spread_m);
-        let sy = spread(&|t| t.pos.y, cy, config.min_spatial_spread_m);
-        let st = spread(&|t| t.time.as_secs_f64(), ct, config.min_time_spread_s);
+        let sx = spread(&|t| t.pos.x, cx, Self::MIN_SPATIAL_SPREAD_M);
+        let sy = spread(&|t| t.pos.y, cy, Self::MIN_SPATIAL_SPREAD_M);
+        let st = spread(&|t| t.time.as_secs_f64(), ct, Self::MIN_TIME_SPREAD_S);
 
         let (mut gram, rhs) = normal_equations(tuples.iter().map(|t| {
             let row = [
@@ -123,7 +121,7 @@ impl LinearModel {
             ];
             (row, t.value)
         }));
-        let lambda = (config.ridge_alpha * n as f64).max(f64::MIN_POSITIVE);
+        let lambda = (ridge_alpha * n as f64).max(f64::MIN_POSITIVE);
         for (i, row) in gram.iter_mut().enumerate() {
             row[i] += lambda;
         }
@@ -323,8 +321,8 @@ mod tests {
     #[test]
     fn recovers_exact_plane_with_time() {
         let tuples = planar_tuples();
-        let m = LinearModel::fit(&tuples, &FitConfig::default()).unwrap();
-        // Ridge biases the fit by ~ridge_alpha relative; tolerance reflects
+        let m = LinearModel::fit(&tuples).unwrap();
+        // Ridge biases the fit by ~RIDGE_ALPHA relative; tolerance reflects
         // that.
         for t in &tuples {
             let pred = m.predict(t.time, &t.pos);
@@ -334,7 +332,7 @@ mod tests {
 
     #[test]
     fn extrapolates_the_plane() {
-        let m = LinearModel::fit(&planar_tuples(), &FitConfig::default()).unwrap();
+        let m = LinearModel::fit(&planar_tuples()).unwrap();
         let pred = m.predict(Timestamp::from_secs(600), &Point::new(250.0, 150.0));
         let want = 400.0 + 0.1 * 250.0 - 0.05 * 150.0 + 0.01 * 600.0;
         assert!((pred - want).abs() < 1.0, "{pred} vs {want}");
@@ -343,7 +341,7 @@ mod tests {
     #[test]
     fn fit_needs_at_least_four_points() {
         let tuples = vec![tup(0, 0.0, 0.0, 1.0); 3];
-        assert!(LinearModel::fit(&tuples, &FitConfig::default()).is_none());
+        assert!(LinearModel::fit(&tuples).is_none());
     }
 
     #[test]
@@ -356,7 +354,7 @@ mod tests {
                 tup(1_000_000 + i * 60, x, y, 500.0 + (i % 7) as f64)
             })
             .collect();
-        let m = LinearModel::fit(&tuples, &FitConfig::default()).unwrap();
+        let m = LinearModel::fit(&tuples).unwrap();
         let pred = m.predict(tuples[10].time, &tuples[10].pos);
         assert!(pred.is_finite());
         assert!((pred - tuples[10].value).abs() < 50.0);
@@ -364,7 +362,7 @@ mod tests {
 
     #[test]
     fn coefficients_roundtrip() {
-        let m = LinearModel::fit(&planar_tuples(), &FitConfig::default()).unwrap();
+        let m = LinearModel::fit(&planar_tuples()).unwrap();
         let back = LinearModel::from_coefficients(&m.to_coefficients());
         assert_eq!(m, back);
     }
@@ -375,7 +373,7 @@ mod tests {
         // the fit falls back to ridge; the on-trajectory prediction must
         // still be the constant, up to the regularization bias.
         let tuples: Vec<RawTuple> = (0..10).map(|i| tup(i, i as f64, 0.0, 33.0)).collect();
-        let m = LinearModel::fit(&tuples, &FitConfig::default());
+        let m = LinearModel::fit(&tuples);
         if let Some(m) = m {
             let pred = m.predict(Timestamp::from_secs(4), &Point::new(4.0, 0.0));
             assert!((pred - 33.0).abs() < 0.1, "{pred}");
@@ -489,7 +487,7 @@ mod tests {
         let tuples: Vec<RawTuple> = (0..20)
             .map(|i| tup(i * 60, i as f64 * 50.0, 0.0, 400.0 + 0.1 * i as f64 * 50.0))
             .collect();
-        let m = LinearModel::fit(&tuples, &FitConfig::default()).unwrap();
+        let m = LinearModel::fit(&tuples).unwrap();
         // Ridge splits the shared slope evenly between the twin columns.
         assert!((m.beta[1] - m.beta[3]).abs() < 1e-6, "{:?}", m.beta);
         assert_eq!(m.beta[2], 0.0);
@@ -505,13 +503,7 @@ mod tests {
             .into_iter()
             .map(|t| RawTuple { value: 4.0, ..t })
             .collect();
-        let fit = |ridge_alpha| {
-            let config = FitConfig {
-                ridge_alpha,
-                ..FitConfig::default()
-            };
-            LinearModel::fit(&tuples, &config).unwrap().beta[0]
-        };
+        let fit = |ridge_alpha| LinearModel::fit_ridge(&tuples, ridge_alpha).unwrap().beta[0];
         let (small, big) = (fit(1e-9), fit(1e3));
         assert!((small - 4.0).abs() < 1e-6, "{small}");
         assert!(big.abs() < small.abs(), "{big} vs {small}");

@@ -11,7 +11,7 @@ mod error;
 mod linear;
 
 pub use error::ApproximationError;
-pub use linear::{FitConfig, LinearModel};
+pub use linear::LinearModel;
 
 use enviro_data::{Pollutant, RawTuple, Timestamp};
 use enviro_geo::Point;
@@ -29,17 +29,17 @@ pub enum RegionModel {
 impl RegionModel {
     /// Fits the best available model for a region's tuples.
     ///
-    /// Fits a sample-scaled ridge regression (see [`FitConfig::ridge_alpha`]
+    /// Fits a sample-scaled ridge regression (see [`LinearModel::RIDGE_ALPHA`]
     /// for why ridge, not OLS), falling back to the mean when fewer than
-    /// [`FitConfig::min_points_for_regression`] tuples are available or the
-    /// solve fails. An empty region has no meaningful model and returns
+    /// [`LinearModel::MIN_POINTS_FOR_REGRESSION`] tuples are available or
+    /// the solve fails. An empty region has no meaningful model and returns
     /// `None`.
-    pub fn fit(tuples: &[RawTuple], config: &FitConfig) -> Option<RegionModel> {
+    pub fn fit(tuples: &[RawTuple]) -> Option<RegionModel> {
         if tuples.is_empty() {
             return None;
         }
-        if tuples.len() >= config.min_points_for_regression {
-            if let Some(linear) = LinearModel::fit(tuples, config) {
+        if tuples.len() >= LinearModel::MIN_POINTS_FOR_REGRESSION {
+            if let Some(linear) = LinearModel::fit(tuples) {
                 return Some(RegionModel::Linear(linear));
             }
         }
@@ -99,13 +99,13 @@ mod tests {
 
     #[test]
     fn fit_empty_region_is_none() {
-        assert!(RegionModel::fit(&[], &FitConfig::default()).is_none());
+        assert!(RegionModel::fit(&[]).is_none());
     }
 
     #[test]
     fn fit_small_region_is_mean() {
         let tuples = [tup(0, 0.0, 0.0, 10.0), tup(1, 1.0, 0.0, 20.0)];
-        let m = RegionModel::fit(&tuples, &FitConfig::default()).unwrap();
+        let m = RegionModel::fit(&tuples).unwrap();
         match m {
             RegionModel::Mean(v) => assert_eq!(v, 15.0),
             other => panic!("expected mean model, got {other:?}"),
@@ -124,7 +124,7 @@ mod tests {
                 tuples.push(tup(t, x, y, 100.0 + 0.5 * x - 0.25 * y));
             }
         }
-        let m = RegionModel::fit(&tuples, &FitConfig::default()).unwrap();
+        let m = RegionModel::fit(&tuples).unwrap();
         assert!(matches!(m, RegionModel::Linear(_)));
         let pred = m.predict(Timestamp::from_secs(90), &Point::new(25.0, 35.0));
         let want = 100.0 + 0.5 * 25.0 - 0.25 * 35.0;
@@ -139,7 +139,7 @@ mod tests {
         let tuples: Vec<RawTuple> = (0..20)
             .map(|i| tup(i, i as f64 * 5.0, i as f64 * 5.0, 50.0 + i as f64))
             .collect();
-        let m = RegionModel::fit(&tuples, &FitConfig::default()).unwrap();
+        let m = RegionModel::fit(&tuples).unwrap();
         let pred = m.predict(Timestamp::from_secs(10), &Point::new(50.0, 50.0));
         assert!(pred.is_finite());
         assert!((pred - 60.0).abs() < 5.0, "prediction {pred} off the line");
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn fit_identical_positions_falls_back() {
         let tuples: Vec<RawTuple> = (0..10).map(|_| tup(0, 1.0, 1.0, 7.0)).collect();
-        let m = RegionModel::fit(&tuples, &FitConfig::default()).unwrap();
+        let m = RegionModel::fit(&tuples).unwrap();
         let pred = m.predict(Timestamp::ZERO, &Point::new(1.0, 1.0));
         assert!((pred - 7.0).abs() < 1e-2, "{pred}");
     }

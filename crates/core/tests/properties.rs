@@ -9,8 +9,8 @@
 use enviro_data::{Dataset, Pollutant, QueryTuple, RawTuple, Timestamp, Window, WindowSpec};
 use enviro_geo::Point;
 use enviro_meter::{
-    AdKmn, AdKmnConfig, CoverBuilder, CoverRegistry, CoverSet, FitConfig, KMeans, KMeansConfig,
-    LinearModel, PublishedCover, QueryEngine, QueryMethod, RegionModel,
+    AdKmn, AdKmnConfig, CoverBuilder, CoverRegistry, CoverSet, KMeans, LinearModel, PublishedCover,
+    QueryEngine, QueryMethod, RegionModel,
 };
 use enviro_schedule::sync::Arc;
 use proptest::prelude::*;
@@ -44,7 +44,7 @@ proptest! {
         k in 1usize..8,
     ) {
         let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let c = KMeans::fit(&points, k, &KMeansConfig::default());
+        let c = KMeans::fit(&points, k);
         prop_assert_eq!(c.assignment.len(), points.len());
         for (p, &a) in points.iter().zip(&c.assignment) {
             let d_assigned = c.centroids[a].distance_sq(p);
@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn linear_model_predictions_stay_in_training_range(tuples in arb_tuples(80)) {
         prop_assume!(tuples.len() >= 8);
-        if let Some(model) = RegionModel::fit(&tuples, &FitConfig::default()) {
+        if let Some(model) = RegionModel::fit(&tuples) {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for t in &tuples {
                 lo = lo.min(t.value);
@@ -188,7 +188,7 @@ fn design_row(m: &LinearModel, t: &RawTuple) -> [f64; 4] {
 /// Fits the default ridge model, returning it with its normal equations
 /// `AᵀA` and `Aᵀb` computed naively from the model's design rows.
 fn fit_with_normal_equations(tuples: &[RawTuple]) -> (LinearModel, [[f64; 4]; 4], [f64; 4]) {
-    let m = LinearModel::fit(tuples, &FitConfig::default()).expect("finite inputs always fit");
+    let m = LinearModel::fit(tuples).expect("finite inputs always fit");
     let (mut gram, mut rhs) = ([[0.0; 4]; 4], [0.0; 4]);
     for t in tuples {
         let row = design_row(&m, t);
@@ -209,7 +209,7 @@ proptest! {
     fn cholesky_solution_satisfies_system(tuples in arb_tuples(80)) {
         prop_assume!(tuples.len() >= 4);
         let (m, gram, rhs) = fit_with_normal_equations(&tuples);
-        let lambda = FitConfig::default().ridge_alpha * tuples.len() as f64;
+        let lambda = LinearModel::RIDGE_ALPHA * tuples.len() as f64;
         for ((i, g), r) in gram.iter().enumerate().zip(rhs) {
             let terms = g.iter().zip(&m.beta).map(|(gij, bj)| gij * bj);
             let ridge = lambda * m.beta[i];
@@ -237,7 +237,7 @@ proptest! {
     #[test]
     fn ridge_always_solves_finite_inputs(tuples in arb_tuples(80)) {
         prop_assume!(tuples.len() >= 4);
-        let m = LinearModel::fit(&tuples, &FitConfig::default());
+        let m = LinearModel::fit(&tuples);
         prop_assert!(m.is_some(), "ridge is always positive definite");
         prop_assert_eq!(m.unwrap().check_invariants(), Ok(()));
     }

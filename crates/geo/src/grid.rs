@@ -111,15 +111,6 @@ impl Grid {
         cell.row as usize * self.cols as usize + cell.col as usize
     }
 
-    /// Inverse of [`Grid::flat_index`].
-    #[inline]
-    pub fn cell_from_flat(&self, idx: usize) -> CellId {
-        CellId::new(
-            (idx % self.cols as usize) as u32,
-            (idx / self.cols as usize) as u32,
-        )
-    }
-
     /// The bounding box of a cell.
     pub fn cell_bounds(&self, cell: CellId) -> BoundingBox {
         let min = Point::new(
@@ -226,10 +217,13 @@ mod tests {
 
     #[test]
     fn flat_index_roundtrip() {
+        // Over every cell, the flat indices hit 0..len() once each.
         let g = grid_10x10();
-        for idx in 0..g.len() {
-            assert_eq!(g.flat_index(g.cell_from_flat(idx)), idx);
+        let mut hits = vec![0u32; g.len()];
+        for cell in g.iter_cells() {
+            hits[g.flat_index(cell)] += 1;
         }
+        assert!(hits.iter().all(|&n| n == 1), "{hits:?}");
     }
 
     #[test]

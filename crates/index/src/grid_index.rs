@@ -49,17 +49,6 @@ impl GridIndex {
             len: entries.len(),
         }
     }
-
-    /// The grid geometry, when non-empty.
-    pub fn grid(&self) -> Option<&Grid> {
-        self.grid.as_ref()
-    }
-
-    /// Number of non-empty cells — a skew diagnostic: LCSN data leaves most
-    /// cells empty.
-    pub fn occupied_cells(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.is_empty()).count()
-    }
 }
 
 impl SpatialIndex for GridIndex {
@@ -157,23 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn occupied_cells_reflects_skew() {
-        // All points on a line: most of the grid stays empty.
-        let entries: Vec<Entry> = (0..100)
-            .map(|i| Entry::new(Point::new(i as f64 * 10.0, 0.0), i as u32))
-            .collect();
-        let idx = GridIndex::build(&entries, 10.0);
-        let grid_cells = idx.grid().unwrap().len();
-        assert!(idx.occupied_cells() <= 101);
-        assert!(grid_cells >= idx.occupied_cells());
-    }
-
-    #[test]
     fn identical_points_single_cell() {
         let p = Point::new(3.0, 3.0);
         let entries: Vec<Entry> = (0..10).map(|i| Entry::new(p, i)).collect();
         let idx = GridIndex::build(&entries, 5.0);
-        assert_eq!(idx.occupied_cells(), 1);
         assert_eq!(idx.within_radius(&p, 0.0).len(), 10);
     }
 }

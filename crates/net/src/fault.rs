@@ -84,8 +84,8 @@ impl Outage {
 ///
 /// Probabilities are independent per exchange; the fields default to 0, so
 /// `FaultPlan { drop: 0.1, ..FaultPlan::default() }` reads like the fault
-/// matrix it is. Timing fields are charged against the injected [`Clock`],
-/// never against real wall time.
+/// matrix it is. The timing constants are charged against the injected
+/// [`Clock`], never against real wall time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability the request vanishes before reaching the server.
@@ -100,19 +100,12 @@ pub struct FaultPlan {
     /// Probability a frame gets one bit flipped in transit — applied
     /// independently to the request and the reply.
     pub corrupt: f64,
-    /// Probability the reply is delayed by [`FaultPlan::delay_ms`] (still
+    /// Probability the reply is delayed by [`FaultPlan::DELAY_MS`] (still
     /// within the exchange).
     pub delay: f64,
     /// Probability the request reaches the server but the reply is lost
     /// (client-visible: identical to a drop; server-visible: work done).
     pub stall: f64,
-    /// Extra latency charged by a `delay` fault, in ms.
-    pub delay_ms: u64,
-    /// Nominal round-trip latency charged on every completed exchange, ms.
-    pub base_rtt_ms: u64,
-    /// How long the wire waits before declaring a lost frame timed out, ms
-    /// — the clock advance charged by drop/stall/reorder/outage faults.
-    pub timeout_ms: u64,
     /// Scripted total outages, checked against the injected clock.
     pub outages: Vec<Outage>,
 }
@@ -126,12 +119,19 @@ impl Default for FaultPlan {
             corrupt: 0.0,
             delay: 0.0,
             stall: 0.0,
-            delay_ms: 20,
-            base_rtt_ms: 5,
-            timeout_ms: 100,
             outages: Vec::new(),
         }
     }
+}
+
+impl FaultPlan {
+    /// Extra latency charged by a `delay` fault, in ms.
+    pub const DELAY_MS: u64 = 20;
+    /// Nominal round-trip latency charged on every completed exchange, ms.
+    pub const BASE_RTT_MS: u64 = 5;
+    /// How long the wire waits before declaring a lost frame timed out, ms
+    /// — the clock advance charged by drop/stall/reorder/outage faults.
+    pub const TIMEOUT_MS: u64 = 100;
 }
 
 /// Counters of every fault the wire actually injected. Deterministic for a
@@ -251,7 +251,7 @@ impl<W: Wire, C: Clock> Wire for ChaosWire<W, C> {
         if self.plan.outages.iter().any(|o| o.contains(now)) {
             self.stats.outage_drops += 1;
             self.trace_event("outage: frame swallowed");
-            self.clock.sleep_ms(self.plan.timeout_ms);
+            self.clock.sleep_ms(FaultPlan::TIMEOUT_MS);
             return Err(TransportError::TimedOut);
         }
 
@@ -262,7 +262,7 @@ impl<W: Wire, C: Clock> Wire for ChaosWire<W, C> {
             self.stats.stale_deliveries += 1;
             self.trace_event("delivering stale reply");
             self.scratch = stale;
-            self.clock.sleep_ms(self.plan.base_rtt_ms);
+            self.clock.sleep_ms(FaultPlan::BASE_RTT_MS);
             return Ok(&self.scratch);
         }
 
@@ -279,7 +279,7 @@ impl<W: Wire, C: Clock> Wire for ChaosWire<W, C> {
         if roll_drop < self.plan.drop {
             self.stats.dropped += 1;
             self.trace_event("request dropped");
-            self.clock.sleep_ms(self.plan.timeout_ms);
+            self.clock.sleep_ms(FaultPlan::TIMEOUT_MS);
             return Err(TransportError::TimedOut);
         }
 
@@ -298,13 +298,13 @@ impl<W: Wire, C: Clock> Wire for ChaosWire<W, C> {
             // The server did the work; the reply never made it back.
             self.stats.stalled += 1;
             self.trace_event("reply stalled past timeout");
-            self.clock.sleep_ms(self.plan.timeout_ms);
+            self.clock.sleep_ms(FaultPlan::TIMEOUT_MS);
             return Err(TransportError::TimedOut);
         }
 
         self.scratch.clear();
         self.scratch.extend_from_slice(reply);
-        self.clock.sleep_ms(self.plan.base_rtt_ms);
+        self.clock.sleep_ms(FaultPlan::BASE_RTT_MS);
         if corrupt_request {
             self.trace_event("request corrupted (one bit)");
         }
@@ -322,7 +322,7 @@ impl<W: Wire, C: Clock> Wire for ChaosWire<W, C> {
         if roll_delay < self.plan.delay {
             self.stats.delayed += 1;
             self.trace_event("reply delayed");
-            self.clock.sleep_ms(self.plan.delay_ms);
+            self.clock.sleep_ms(FaultPlan::DELAY_MS);
         }
         if roll_reorder < self.plan.reorder {
             // The reply exists but lands after the client gave up on this
@@ -330,7 +330,7 @@ impl<W: Wire, C: Clock> Wire for ChaosWire<W, C> {
             self.stats.reordered += 1;
             self.trace_event("reply reordered past timeout");
             self.pending.push_back(std::mem::take(&mut self.scratch));
-            self.clock.sleep_ms(self.plan.timeout_ms);
+            self.clock.sleep_ms(FaultPlan::TIMEOUT_MS);
             return Err(TransportError::TimedOut);
         }
 
@@ -391,7 +391,7 @@ mod tests {
             0
         );
         // Base RTT is still charged.
-        assert_eq!(clock.now_ms(), 100 * FaultPlan::default().base_rtt_ms);
+        assert_eq!(clock.now_ms(), 100 * FaultPlan::BASE_RTT_MS);
     }
 
     #[test]
@@ -401,10 +401,9 @@ mod tests {
             drop: 1.0,
             ..FaultPlan::default()
         };
-        let timeout = plan.timeout_ms;
         let mut wire = ChaosWire::new(EchoWire::default(), plan, 7, clock.clone());
         assert_eq!(wire.exchange(&[1]), Err(TransportError::TimedOut));
-        assert_eq!(clock.now_ms(), timeout);
+        assert_eq!(clock.now_ms(), FaultPlan::TIMEOUT_MS);
         assert_eq!(wire.stats().dropped, 1);
         assert_eq!(
             wire.inner().calls,
@@ -477,7 +476,6 @@ mod tests {
                 from_ms: 0,
                 until_ms: 250,
             }],
-            timeout_ms: 100,
             ..FaultPlan::default()
         };
         let mut wire = ChaosWire::new(EchoWire::default(), plan, 1, clock.clone());

@@ -49,9 +49,10 @@ const fn build_tables() -> [[u32; 256]; SLICE] {
     t
 }
 
-/// Advances the raw (pre-inverted) CRC register `crc` over `data`.
-fn fold(mut crc: u32, data: &[u8]) -> u32 {
+/// Computes the CRC-32 of `data`.
+pub fn crc32(data: &[u8]) -> u32 {
     let t = &TABLES;
+    let mut crc = !0u32;
     let (blocks, tail) = data.as_chunks::<SLICE>();
     for b in blocks {
         let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -75,42 +76,7 @@ fn fold(mut crc: u32, data: &[u8]) -> u32 {
     for &b in tail {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc
-}
-
-/// Computes the CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    !fold(!0, data)
-}
-
-/// Incremental CRC-32: `update` over consecutive pieces gives the same
-/// value as [`crc32`] over their concatenation.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// A hasher that has seen no bytes.
-    pub fn new() -> Self {
-        Self { state: !0 }
-    }
-
-    /// Feeds the next piece of input.
-    pub fn update(&mut self, data: &[u8]) {
-        self.state = fold(self.state, data);
-    }
-
-    /// The CRC-32 of everything fed so far.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
+    !crc
 }
 
 #[cfg(test)]
@@ -176,23 +142,6 @@ mod tests {
     fn matches_bitwise_reference_on_8_kib() {
         let buf = seeded_bytes(8 * 1024, 0x5EED_0008_0000_2000);
         assert_eq!(crc32(&buf), bitwise_reference(&buf));
-    }
-
-    #[test]
-    fn incremental_matches_one_shot() {
-        let buf = seeded_bytes(1_546, 7);
-        for split in [0, 1, 15, 16, 17, 700, 1_545, 1_546] {
-            let mut h = Crc32::new();
-            h.update(&buf[..split]);
-            h.update(&buf[split..]);
-            assert_eq!(h.finish(), crc32(&buf), "split {split}");
-        }
-        let mut h = Crc32::default();
-        for line in buf.chunks(37) {
-            h.update(line);
-        }
-        assert_eq!(h.finish(), crc32(&buf));
-        assert_eq!(Crc32::new().finish(), 0);
     }
 
     #[test]
