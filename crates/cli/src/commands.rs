@@ -4,7 +4,7 @@
 use crate::args::{Args, Command};
 use crate::CliError;
 use enviro_data::csv::{read_csv, write_csv};
-use enviro_data::{Dataset, LausanneSim, Pollutant, QueryTuple, SimConfig, WindowSpec};
+use enviro_data::{Dataset, LausanneSim, Pollutant, QueryTuple, RawTuple, SimConfig, WindowSpec};
 use enviro_geo::{Point, Polyline};
 use enviro_meter::{default_parallelism, AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
@@ -298,18 +298,20 @@ fn store_window_secs(args: &Args, dir: &str, create: bool) -> Result<i64, CliErr
     }
 }
 
-/// The durable write path that `serve --ingest` and `ingest` stand up: the
-/// ingest state at a store directory and its maintenance worker.
+/// The ingesting server that `serve --ingest` and `ingest` stand up: the
+/// ingest state at a store directory, its maintenance worker, and a server
+/// that answers from that store alone.
 struct Ingest {
+    server: Arc<EnviroServer<BinaryCodec>>,
     state: Arc<IngestState>,
     maintenance: ModelMaintenance,
 }
 
 impl Ingest {
     /// Opens (or creates) the ingest state at `dir` with the platform's
-    /// window, so the server's static and streamed windows share one id
-    /// space, and with its pollutant and Ad-KMN configuration, so both are
-    /// fitted alike; then spawns the maintenance worker.
+    /// window, pollutant and Ad-KMN configuration, publishes the covers of
+    /// the windows the store still holds open, so the server answers its
+    /// whole history from the start, then spawns the maintenance worker.
     fn open(dir: &str, pollutant: Pollutant, config: &PlatformConfig) -> Result<Self, CliError> {
         let WindowSpec::ByDuration(window_secs) = config.spec else {
             return Err(CliError::usage("a store windows by duration, not by count"));
@@ -325,10 +327,21 @@ impl Ingest {
         };
         let state = IngestState::open(std::path::Path::new(dir), wal, ingest)
             .map_err(|e| CliError::runtime(format!("cannot open ingest dir {dir}: {e}")))?;
+        state
+            .rebuild_dirty_now()
+            .map_err(|e| CliError::runtime(format!("cover rebuild failed: {e}")))?;
         let state = Arc::new(state);
+        let platform = config.platform(Dataset::new(pollutant));
+        let server = EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
+            .with_ingest(Arc::clone(&state));
         let maintenance = ModelMaintenance::spawn(Arc::clone(&state))
             .map_err(|e| CliError::runtime(format!("cannot spawn maintenance: {e}")))?;
-        Ok(Self { state, maintenance })
+        let server = Arc::new(server);
+        Ok(Self {
+            server,
+            state,
+            maintenance,
+        })
     }
 
     /// Publishes whatever is still pending, so the summary reflects the
@@ -585,9 +598,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut config = PlatformConfig::parse(args)?;
     let ingest_dir = args.get("ingest");
     if let Some(dir) = ingest_dir {
-        // An ingesting server answers from the one cover registry it
-        // shares with the store, so the platform is windowed like the
-        // store.
+        // An ingesting server answers from the covers of its store, which
+        // windows by duration and fits them with Ad-KMN.
         if args.has("window") {
             return Err(CliError::usage(
                 "--ingest windows by duration: use --window-secs, not --window",
@@ -600,33 +612,29 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         config.spec = WindowSpec::ByDuration(store_window_secs(args, dir, true)?);
     }
-    let platform = config.platform(load_dataset(args)?);
-    let dataset = platform.engine().dataset();
+    let dataset = load_dataset(args)?;
     let pollutant = dataset.pollutant();
     let (from, to) = dataset
         .time_span()
         .ok_or_else(|| CliError::runtime("dataset is empty".to_string()))?;
-    let bounds = platform.extent();
-    // With --ingest the same tuples are streamed through the durable write
-    // path while the query clients run.
-    let stream: Vec<enviro_data::RawTuple> = if ingest_dir.is_some() {
-        dataset.tuples().to_vec()
-    } else {
-        Vec::new()
+    let bounds = dataset.bounds();
+    // With --ingest the server answers from the store at DIR alone, and
+    // the dataset's tuples are streamed into it through the durable write
+    // path while the query clients run. Without it, every per-window
+    // structure is built up front (in parallel across the worker count)
+    // so the measured load sees steady-state serving.
+    let (server, ingest, stream): (_, _, &[RawTuple]) = match ingest_dir {
+        Some(dir) => {
+            let ingest = Ingest::open(dir, pollutant, &config)?;
+            (Arc::clone(&ingest.server), Some(ingest), dataset.tuples())
+        }
+        None => {
+            let platform = config.platform(dataset);
+            platform.engine().prepare_parallel(method, workers);
+            let server = EnviroServer::new(platform, BinaryCodec, method);
+            (Arc::new(server), None, &[])
+        }
     };
-
-    // Build every per-window structure up front (in parallel across the
-    // worker count) so the measured load sees steady-state serving.
-    platform.engine().prepare_parallel(method, workers);
-    let ingest = match ingest_dir {
-        Some(dir) => Some(Ingest::open(dir, pollutant, &config)?),
-        None => None,
-    };
-    let mut server = EnviroServer::new(platform, BinaryCodec, method);
-    if let Some(ingest) = &ingest {
-        server = server.with_ingest(Arc::clone(&ingest.state));
-    }
-    let server = Arc::new(server);
     let transport =
         ConcurrentTransport::spawn_shared_with(server, TransportConfig { workers, max_queue })
             .map_err(|e| CliError::runtime(format!("cannot spawn workers: {e}")))?;
@@ -773,14 +781,6 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let pollutant = dataset.pollutant();
 
     let ingest = Ingest::open(dir, pollutant, &config)?;
-    // An ingest-only endpoint: the static platform behind it is empty, so
-    // every query answer comes from the stream's published covers.
-    let server = EnviroServer::new(
-        config.platform(Dataset::new(pollutant)),
-        BinaryCodec,
-        QueryMethod::ModelCover,
-    )
-    .with_ingest(Arc::clone(&ingest.state));
 
     let clock: Box<dyn Clock> = if args.has("virtual-clock") {
         Box::new(VirtualClock::new())
@@ -788,7 +788,7 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Box::new(SystemClock::new())
     };
     let mut link = SimulatedLink::new(LinkProfile::IDEAL);
-    let mut wire = LoopbackWire::new(&server, &mut link);
+    let mut wire = LoopbackWire::new(&*ingest.server, &mut link);
     let mut client = EnviroClient::new(BinaryCodec, pollutant).with_batch(batch);
 
     let start_ms = clock.now_ms();
@@ -1297,6 +1297,38 @@ mod tests {
         assert!(out.contains("ingest: 240 tuples acked, 0 failed"), "{out}");
         assert!(out.contains("durable 240"), "{out}");
         std::fs::remove_file(&csv).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reopened store's open windows are published before the setup
+    /// returns, so its server answers the history from the first query,
+    /// with no wait for the maintenance worker.
+    #[test]
+    fn the_ingest_setup_answers_the_open_history_at_once() {
+        let dir = temp_path("ingest-setup-history");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_str = dir.to_str().unwrap();
+        let config = PlatformConfig::default();
+        let sim = LausanneSim::lausanne(SimConfig {
+            duration_secs: 2 * 3_600,
+            ..SimConfig::default()
+        });
+        let history = sim.generate();
+        let ingest = Ingest::open(dir_str, Pollutant::Co2, &config).unwrap();
+        ingest.state.ingest(1, 1, history.tuples()).unwrap();
+        ingest.finish().unwrap();
+
+        let ingest = Ingest::open(dir_str, Pollutant::Co2, &config).unwrap();
+        let first = history.tuples()[0];
+        let reply = ingest.server.handle(&enviro_net::Request::Query {
+            time: first.time,
+            pos: first.pos,
+        });
+        assert!(
+            matches!(reply, enviro_net::Response::Value { .. }),
+            "{reply:?}"
+        );
+        ingest.finish().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

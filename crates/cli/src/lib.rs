@@ -22,7 +22,8 @@
 //! `--window-secs` that disagrees with the record is a usage error. `store
 //! stats|export|compact` only read: a path with no store is a runtime
 //! error, and nothing is created there. `ingest` and `serve --ingest`
-//! share one ingest setup, fitted with the platform's configuration.
+//! stand up one ingesting server, fitted with the platform's
+//! configuration, which answers from the store's covers alone.
 //!
 //! Exit codes: 0 on success, 2 for a usage error, 1 for a runtime error.
 //! A CSV row the format refuses (a time before the epoch, a non-finite or

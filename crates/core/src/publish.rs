@@ -7,10 +7,11 @@
 //! either sees the complete old set or the complete new one — never a
 //! half-updated mixture, and never a lock held across a model rebuild.
 //!
-//! A server owns one registry and answers every cover query from it. Its
-//! static history is published first, as one generation
-//! ([`CoverRegistry::publish_missing`]); ingest then republishes the
-//! windows it writes into over those covers.
+//! A server owns one registry and answers every cover query from it, and
+//! each window in it has one owner. A static server publishes its
+//! platform's covers once, as generation 1. An ingesting server's
+//! registry is its store's: restart publishes the sealed windows, and
+//! maintenance publishes each window the stream writes into.
 //!
 //! Each publication bumps a monotone **generation** number, stored in the
 //! set it labels. The server answers a request from one snapshot and
@@ -502,35 +503,13 @@ impl CoverRegistry {
     /// Returns the new generation. Entries with an empty cover are
     /// published too — an all-outlier window legitimately models nothing.
     pub fn publish(&self, updates: Vec<PublishedCover>) -> u64 {
-        self.merge(updates, true)
-    }
-
-    /// Publishes the entries of `covers` whose window the registry does not
-    /// hold yet; a window already published keeps its cover. Returns the
-    /// new generation, or the current one when nothing was missing (no
-    /// publication happens then).
-    ///
-    /// The check and the insert are one step under the write lock, so a
-    /// cover that [`CoverRegistry::publish`] put in place first is never
-    /// overwritten, whichever of the two runs first.
-    pub fn publish_missing(&self, covers: Vec<PublishedCover>) -> u64 {
-        self.merge(covers, false)
-    }
-
-    /// Merges `updates` into the current set and swaps the result in;
-    /// `replace` says whether an update overwrites a window already held.
-    fn merge(&self, updates: Vec<PublishedCover>, replace: bool) -> u64 {
         let mut guard = self.current.write().unwrap_or_else(|e| e.into_inner());
         let mut entries = guard.entries.clone();
         for update in updates {
             match entries.binary_search_by_key(&update.window_id, |e| e.window_id) {
-                Ok(i) if replace => entries[i] = update,
-                Ok(_) => {}
+                Ok(i) => entries[i] = update,
                 Err(i) => entries.insert(i, update),
             }
-        }
-        if !replace && entries.len() == guard.entries.len() {
-            return guard.generation;
         }
         // Numbered under the write lock: generations are dense, and a set
         // and its number are published in one swap.
@@ -860,26 +839,6 @@ mod tests {
             before.cover_for_window(1).map(|e| e.first_time.as_secs()),
             Some(3_700)
         );
-        assert_eq!(reg.check_invariants(), Ok(()));
-    }
-
-    #[test]
-    fn publish_missing_keeps_published_windows() {
-        let reg = CoverRegistry::new();
-        assert_eq!(reg.publish(vec![entry(1, 3_650)]), 1);
-        // Window 1 is held: only window 0 is inserted, in one generation.
-        assert_eq!(reg.publish_missing(vec![entry(0, 10), entry(1, 3_700)]), 2);
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(
-            snap.cover_for_window(1).map(|e| e.first_time.as_secs()),
-            Some(3_650)
-        );
-        // Nothing missing: no publication, the generation stays.
-        assert_eq!(reg.publish_missing(vec![entry(0, 20)]), 2);
-        assert_eq!(reg.publish_missing(Vec::new()), 2);
-        assert_eq!(reg.generation(), 2);
-        assert!(Arc::ptr_eq(&snap, &reg.snapshot()));
         assert_eq!(reg.check_invariants(), Ok(()));
     }
 

@@ -1316,7 +1316,16 @@ mod tests {
 
     #[test]
     fn ingest_resilient_chunks_and_reports_durability() {
-        let (server, _sim) = setup();
+        let server = EnviroServer::new(
+            EnviroMeter::new(
+                enviro_data::Dataset::new(Pollutant::Co2),
+                WindowSpec::ByDuration(2 * 3_600),
+                AdKmnConfig::default(),
+                1_000.0,
+            ),
+            BinaryCodec,
+            QueryMethod::ModelCover,
+        );
         let dir = std::env::temp_dir().join(format!("enviro-client-ingest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let state = std::sync::Arc::new(

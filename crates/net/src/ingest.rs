@@ -243,14 +243,9 @@ impl IngestState {
         &self.registry
     }
 
-    /// The registry itself, for a server to read from and seed.
+    /// The registry itself, for a server to read from.
     pub(crate) fn shared_registry(&self) -> Arc<CoverRegistry> {
         Arc::clone(&self.registry)
-    }
-
-    /// The store's window length in seconds.
-    pub(crate) fn window_secs(&self) -> i64 {
-        self.lock().wal.config().window_secs
     }
 
     /// The current cover generation (0 until the first publication).
@@ -438,11 +433,14 @@ impl IngestState {
 
     /// Verifies the cross-structure invariants (WAL, registry, dedup,
     /// dirty set): every dirty window is open, every sealed window has a
-    /// published cover, from [`Self::open`] on, and only a sealed window's
-    /// cover is paged out.
+    /// published cover, from [`Self::open`] on, every published cover
+    /// names a window the store holds, open or sealed (the store is the
+    /// one owner of every window), and only a sealed window's cover is
+    /// paged out.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Read before the lock: a cover is paged out only after its window
-        // is sealed, and a sealed window stays sealed.
+        // Read before the lock: a window is published only once the store
+        // holds it and never leaves the store, and a cover is paged out
+        // only after its window is sealed, which it stays.
         let before = self.registry.snapshot();
         let inner = self.lock();
         inner.wal.check_invariants()?;
@@ -460,6 +458,14 @@ impl IngestState {
             .find(|&&id| inner.wal.window_tuples(id).is_none())
         {
             return Err(format!("dirty window {id} is not open"));
+        }
+        if let Some(e) = before.entries().iter().find(|e| {
+            inner.wal.window_tuples(e.window_id).is_none() && !inner.wal.is_sealed(e.window_id)
+        }) {
+            return Err(format!(
+                "window {} is published but the store does not hold it",
+                e.window_id
+            ));
         }
         let sealed = inner.wal.sealed_window_ids();
         drop(inner);
@@ -719,6 +725,27 @@ mod tests {
         assert_eq!(state.rebuild_dirty_now().unwrap(), 0);
         assert_eq!(state.generation(), 1);
         assert_eq!(state.check_invariants(), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The store owns every window: a cover published into the registry
+    /// for a window the store never held breaks the invariants.
+    #[test]
+    fn a_published_window_the_store_does_not_hold_fails_the_check() {
+        let dir = temp_dir("foreign");
+        let state = open_state(&dir);
+        state.ingest(1, 1, &window_tuples(0, 10)).unwrap();
+        state.rebuild_dirty_now().unwrap();
+        assert_eq!(state.check_invariants(), Ok(()));
+        let tuples = window_tuples(5, 10);
+        let (first_time, cover) = build_cover(&state.builder, &state.config, 5, 100, &tuples);
+        state.registry().publish(vec![PublishedCover {
+            window_id: 5,
+            first_time,
+            cover: Arc::new(cover).into(),
+        }]);
+        let err = state.check_invariants().unwrap_err();
+        assert!(err.contains("window 5 is published"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,7 @@ use crate::buffers;
 use crate::codec::WireCodec;
 use crate::ingest::IngestState;
 use crate::protocol::{ErrorCode, ProtocolError, Request, Response};
-use enviro_data::{QueryTuple, WindowSpec};
+use enviro_data::QueryTuple;
 use enviro_meter::{CoverReadError, CoverRegistry, EnviroMeter, ModelCover, QueryMethod};
 use enviro_schedule::sync::Arc;
 
@@ -29,10 +29,9 @@ use enviro_schedule::sync::Arc;
 /// [`ErrorCode::Internal`] error naming the window.
 ///
 /// A server built [`EnviroServer::with_ingest`] additionally accepts
-/// `IngestBatch` frames on the durable write path and shares its registry
-/// with the ingest state: model maintenance republishes each window the
-/// stream writes into over the static cover of that window, so such a
-/// window is owned by the stream from its first publication on.
+/// `IngestBatch` frames on the durable write path and answers from its
+/// store alone: its registry is the ingest state's, which owns every
+/// window, and its platform is empty.
 pub struct EnviroServer<C: WireCodec> {
     platform: EnviroMeter,
     codec: C,
@@ -49,7 +48,9 @@ impl<C: WireCodec> EnviroServer<C> {
         let engine = platform.engine();
         engine.prepare_parallel_auto(QueryMethod::ModelCover);
         let registry = CoverRegistry::new();
-        registry.publish_missing(engine.published_covers());
+        if engine.window_count() > 0 {
+            registry.publish(engine.published_covers());
+        }
         Self {
             platform,
             codec,
@@ -60,34 +61,23 @@ impl<C: WireCodec> EnviroServer<C> {
     }
 
     /// Attaches a durable ingest state: `IngestBatch` frames are accepted,
-    /// and covers are read from the state's registry from now on.
-    ///
-    /// The platform's covers are seeded into that registry, each only if
-    /// the registry does not hold its window yet, so a window that
-    /// maintenance already published (say, one recovered from the WAL)
-    /// keeps the stream's cover.
+    /// and covers are read from the state's registry alone from now on.
     ///
     /// # Panics
     /// Panics when the server's method is not [`QueryMethod::ModelCover`],
-    /// or when the platform holds data but is not windowed
-    /// [`WindowSpec::ByDuration`] of the store's window length: the static
-    /// and the streamed windows must share one window-id space.
+    /// or when the platform holds data: the store owns every window, so
+    /// there is no second source of covers to reconcile with it.
     pub fn with_ingest(mut self, ingest: Arc<IngestState>) -> Self {
         assert!(
             self.method == QueryMethod::ModelCover,
             "an ingesting server answers from covers, not with {}",
             self.method
         );
-        let engine = self.platform.engine();
-        let window_secs = ingest.window_secs();
         assert!(
-            engine.window_count() == 0 || engine.spec() == WindowSpec::ByDuration(window_secs),
-            "the platform is windowed {:?}, the store by {window_secs} s",
-            engine.spec()
+            self.platform.engine().dataset().is_empty(),
+            "an ingesting server answers from its store alone, not from a platform holding data"
         );
-        let registry = ingest.shared_registry();
-        registry.publish_missing(self.registry.snapshot().entries().to_vec());
-        self.registry = registry;
+        self.registry = ingest.shared_registry();
         self.ingest = Some(ingest);
         self
     }
@@ -331,7 +321,7 @@ mod tests {
         use enviro_data::RawTuple;
 
         let (state, dir) = open_ingest("ingest", 3_600);
-        let s = server().with_ingest(Arc::clone(&state));
+        let s = ingest_server(&state);
 
         // Write a batch over the wire path.
         let tuples: Vec<RawTuple> = (0..32)
@@ -356,8 +346,10 @@ mod tests {
             other => panic!("expected ingest ack, got {other:?}"),
         }
 
-        // Before the stream's cover is published, batch replies stamp the
-        // static covers' generation 1 and are answered by them.
+        // Publish covers for the ingested window; replies now carry the new
+        // generation and answers come from the stream's cover.
+        state.rebuild_dirty_now().unwrap();
+        assert!(state.generation() > 0);
         let q = Request::QueryBatch {
             seq: 1,
             queries: vec![QueryTuple::new(
@@ -365,15 +357,6 @@ mod tests {
                 Point::new(0.0, -200.0),
             )],
         };
-        match s.handle(&q) {
-            Response::ValueBatch { generation, .. } => assert_eq!(generation, 1),
-            other => panic!("expected value batch, got {other:?}"),
-        }
-
-        // Publish covers for the ingested window; replies now carry the new
-        // generation and answers come from the stream's cover.
-        state.rebuild_dirty_now().unwrap();
-        assert!(state.generation() > 0);
         match s.handle(&q) {
             Response::ValueBatch {
                 generation, values, ..
@@ -405,15 +388,61 @@ mod tests {
         (Arc::new(state), dir)
     }
 
-    /// A stream window far ahead of the static history must not answer for
-    /// times the history covers: each time is answered by the window that
-    /// holds it, whichever side published that window.
+    /// A platform with no data, as an ingesting server's must be.
+    fn empty_platform() -> EnviroMeter {
+        EnviroMeter::new(
+            enviro_data::Dataset::new(enviro_data::Pollutant::Co2),
+            WindowSpec::ByDuration(3_600),
+            AdKmnConfig::default(),
+            1_000.0,
+        )
+    }
+
+    /// A model-cover server answering from `state`'s store alone.
+    fn ingest_server(state: &Arc<IngestState>) -> EnviroServer<BinaryCodec> {
+        EnviroServer::new(empty_platform(), BinaryCodec, QueryMethod::ModelCover)
+            .with_ingest(Arc::clone(state))
+    }
+
+    /// An ingest state whose store holds `history` in sealed windows, as
+    /// `enviro ingest` then `enviro store compact` leave it: the reopen
+    /// rebuilds each sealed window's cover from its file and publishes
+    /// them all as generation 1, paged out.
+    fn sealed_history(
+        tag: &str,
+        window_secs: i64,
+        history: &[enviro_data::RawTuple],
+    ) -> (Arc<IngestState>, std::path::PathBuf) {
+        use crate::ingest::IngestConfig;
+        use enviro_storage::{WalConfig, WalStore};
+
+        let dir = std::env::temp_dir().join(format!("enviro-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = WalConfig {
+            window_secs,
+            ..WalConfig::default()
+        };
+        let mut store = WalStore::open(&dir, config).unwrap();
+        store.append_batch(history).unwrap();
+        store.seal_windows_before(u64::MAX).unwrap();
+        drop(store);
+        let state = IngestState::open(&dir, config, IngestConfig::default()).unwrap();
+        (Arc::new(state), dir)
+    }
+
+    /// A stream window far ahead of the sealed history must not answer
+    /// for times the history covers: each time is answered by the window
+    /// that holds it, as the batch engine over the history answers it.
     #[test]
     fn ingest_window_does_not_answer_for_the_static_history() {
         use enviro_data::RawTuple;
 
-        let (state, dir) = open_ingest("misroute", 3_600);
-        let s = server().with_ingest(Arc::clone(&state));
+        // The static server's platform is the batch engine over the history.
+        let batch = server();
+        let history = batch.platform().engine().dataset().tuples();
+        let (state, dir) = sealed_history("misroute", 3_600, history);
+        assert_eq!(state.generation(), 1);
+        let s = ingest_server(&state);
         let day10 = Timestamp::from_days(10).as_secs();
         let stream: Vec<RawTuple> = (0..32)
             .map(|i| {
@@ -429,7 +458,7 @@ mod tests {
 
         let time = Timestamp::from_secs(600);
         let pos = Point::new(0.0, -200.0);
-        let want = s
+        let want = batch
             .platform()
             .point_query(&QueryTuple::new(time, pos), QueryMethod::ModelCover)
             .unwrap();
@@ -446,15 +475,15 @@ mod tests {
                 generation, values, ..
             } => {
                 assert_eq!(values, vec![Some(want)]);
-                assert_eq!(generation, 2, "static covers, then the stream's");
+                assert_eq!(generation, 2, "the history's covers, then the stream's");
             }
             other => panic!("expected value batch, got {other:?}"),
         }
         match s.handle(&Request::ModelRequest { time }) {
             Response::Cover(cover) => {
                 assert!(cover.valid_until <= Timestamp::from_secs(7_200));
-                let platform_cover = s.platform().cover_at(time).unwrap();
-                assert_eq!(&cover, platform_cover);
+                let batch_cover = batch.platform().cover_at(time).unwrap();
+                assert_eq!(&cover, batch_cover);
             }
             other => panic!("expected cover, got {other:?}"),
         }
@@ -466,13 +495,14 @@ mod tests {
             Response::Value { value } => assert!((value - 9_000.0).abs() < 1.0, "{value}"),
             other => panic!("expected value, got {other:?}"),
         }
+        assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    #[should_panic(expected = "windowed")]
-    fn with_ingest_refuses_a_mismatched_window_length() {
-        let (state, dir) = open_ingest("mismatch", 7_200);
+    #[should_panic(expected = "answers from its store alone")]
+    fn with_ingest_refuses_a_platform_holding_data() {
+        let (state, dir) = open_ingest("history", 3_600);
         // The refusal reads no file: the directory can go before the panic.
         let _ = std::fs::remove_dir_all(&dir);
         let _ = server().with_ingest(state);
@@ -483,13 +513,8 @@ mod tests {
     fn with_ingest_refuses_a_non_cover_method() {
         let (state, dir) = open_ingest("method", 3_600);
         let _ = std::fs::remove_dir_all(&dir);
-        let platform = EnviroMeter::new(
-            enviro_data::Dataset::new(enviro_data::Pollutant::Co2),
-            WindowSpec::ByDuration(3_600),
-            AdKmnConfig::default(),
-            1_000.0,
-        );
-        let _ = EnviroServer::new(platform, BinaryCodec, QueryMethod::Naive).with_ingest(state);
+        let _ =
+            EnviroServer::new(empty_platform(), BinaryCodec, QueryMethod::Naive).with_ingest(state);
     }
 
     #[test]
@@ -583,11 +608,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
-            /// For a static history and a stream over disjoint windows,
-            /// every answer equals the batch engine's over both together:
-            /// the window holding the query time answers, whichever side
-            /// published it. `layout[id]` says who owns window `id`: 0
-            /// nobody, 1 the history, 2 the stream.
+            /// For a history sealed in the store before a stream over
+            /// other windows arrives, every answer equals the batch
+            /// engine's over both together: the window holding the query
+            /// time answers, whichever of the two wrote it. `layout[id]`
+            /// says what wrote window `id`: 0 nothing, 1 the history, 2
+            /// the stream.
             #[test]
             fn server_answers_like_the_batch_engine_over_history_and_stream(
                 layout in proptest::collection::vec(0u8..3, 1..7),
@@ -611,17 +637,10 @@ mod tests {
                     AdKmnConfig::default(),
                     1_000.0,
                 );
-                let platform = EnviroMeter::new(
-                    Dataset::from_tuples(Pollutant::Co2, history).unwrap(),
-                    WindowSpec::ByDuration(WINDOW_SECS),
-                    AdKmnConfig::default(),
-                    1_000.0,
-                );
 
                 let tag = format!("props-{}", CASE.fetch_add(1, Ordering::Relaxed));
-                let (state, dir) = open_ingest(&tag, WINDOW_SECS);
-                let server = EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
-                    .with_ingest(Arc::clone(&state));
+                let (state, dir) = sealed_history(&tag, WINDOW_SECS, &history);
+                let server = ingest_server(&state);
                 for (seq, chunk) in stream.chunks(16).enumerate() {
                     state.ingest(1, seq as u32 + 1, chunk).unwrap();
                 }

@@ -22,7 +22,9 @@
 // fails the run loudly, which is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enviro_data::{LausanneSim, Pollutant, QueryTuple, RawTuple, SimConfig, Timestamp, WindowSpec};
+use enviro_data::{
+    Dataset, LausanneSim, Pollutant, QueryTuple, RawTuple, SimConfig, Timestamp, WindowSpec,
+};
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, ModelCover, QueryMethod};
 use enviro_net::codec::CodecError;
@@ -77,14 +79,19 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOC_CALLS.with(Cell::get) - before, result)
 }
 
-fn server(method: QueryMethod) -> EnviroServer<BinaryCodec> {
-    let sim = LausanneSim::lausanne(SimConfig {
+/// Two simulated hours of readings.
+fn history() -> Dataset {
+    LausanneSim::lausanne(SimConfig {
         duration_secs: 2 * 3_600,
         seed: 21,
         ..SimConfig::default()
-    });
+    })
+    .generate()
+}
+
+fn server(method: QueryMethod) -> EnviroServer<BinaryCodec> {
     let platform = EnviroMeter::new(
-        sim.generate(),
+        history(),
         WindowSpec::ByDuration(3_600),
         AdKmnConfig::default(),
         1_000.0,
@@ -102,12 +109,23 @@ fn tuple(i: i64) -> QueryTuple {
     )
 }
 
-/// A model-cover server with an ingest state attached: the server seeds
-/// its registry with a cover for every window of the platform, so value
-/// queries are answered from the ingest state's registry; returns the
-/// state's directory too, for the caller to remove.
+/// A model-cover server over an empty platform, answering from `state`'s
+/// registry alone.
+fn ingest_server(state: &Arc<IngestState>) -> EnviroServer<BinaryCodec> {
+    let platform = EnviroMeter::new(
+        Dataset::new(Pollutant::Co2),
+        WindowSpec::ByDuration(3_600),
+        AdKmnConfig::default(),
+        1_000.0,
+    );
+    EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover).with_ingest(Arc::clone(state))
+}
+
+/// A model-cover server with an ingest state attached: two simulated
+/// hours are ingested and published as one stream generation, so value
+/// queries are answered from resident covers in the ingest state's
+/// registry; returns the state's directory too, for the caller to remove.
 fn streaming_server() -> (EnviroServer<BinaryCodec>, PathBuf) {
-    let server = server(QueryMethod::ModelCover);
     let dir = std::env::temp_dir().join(format!("enviro-alloc-streamed-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let state = Arc::new(
@@ -121,10 +139,17 @@ fn streaming_server() -> (EnviroServer<BinaryCodec>, PathBuf) {
         )
         .unwrap(),
     );
-    let server = server.with_ingest(Arc::clone(&state));
+    state.ingest(1, 1, history().tuples()).unwrap();
+    state.rebuild_dirty_now().unwrap();
+    let server = ingest_server(&state);
+    let snapshot = state.registry().snapshot();
+    assert!(snapshot.len() > 1, "the streamed batch must cross windows");
     assert!(
-        state.registry().snapshot().len() > 1,
-        "the streamed batch must cross windows"
+        snapshot
+            .entries()
+            .iter()
+            .all(|e| e.cover.resident().is_some()),
+        "the streamed covers stay resident"
     );
     (server, dir)
 }
@@ -262,14 +287,7 @@ fn paged_cover_cache_hit_is_allocation_free() {
         .map(|e| e.window_id)
         .collect();
     assert_eq!(paged, [0, 1]);
-    let platform = EnviroMeter::new(
-        enviro_data::Dataset::new(Pollutant::Co2),
-        WindowSpec::ByDuration(3_600),
-        AdKmnConfig::default(),
-        1_000.0,
-    );
-    let server = EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover)
-        .with_ingest(Arc::clone(&state));
+    let server = ingest_server(&state);
     // The same batch the measured frames send, spanning both windows.
     let reply = server.handle(&Request::QueryBatch {
         seq: 1,

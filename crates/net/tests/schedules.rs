@@ -397,121 +397,6 @@ fn level_tuples(id: i64, level: f64) -> Vec<RawTuple> {
         .collect()
 }
 
-/// The static seed racing maintenance: `with_ingest` seeds the platform's
-/// covers of windows 0 and 1 into the ingest state's registry while a
-/// maintenance `publish` puts the stream's cover of window 1 there. In
-/// every interleaving the stream's cover ends up owning window 1 and the
-/// static one window 0, the two publications are generations 1 and 2, and
-/// a `QueryBatch` served right after the attach is answered by exactly
-/// the set its stamped generation names.
-#[test]
-fn static_seed_never_overwrites_the_stream() {
-    let mut history = level_tuples(0, 100.0);
-    history.extend(level_tuples(1, 100.0));
-    let history = Dataset::from_tuples(Pollutant::Co2, history).expect("finite tuples");
-    let platform = move || {
-        EnviroMeter::new(
-            history.clone(),
-            WindowSpec::ByDuration(100),
-            AdKmnConfig::default(),
-            1_000.0,
-        )
-    };
-    let static_covers = platform().engine().published_covers();
-    let stream_tuples = level_tuples(1, 900.0);
-    let stream_cover = PublishedCover {
-        window_id: 1,
-        first_time: Timestamp::from_secs(100),
-        cover: Arc::new(CoverBuilder::new(AdKmnConfig::default()).build(
-            &Window {
-                id: 1,
-                tuples: &stream_tuples,
-                valid_until: Timestamp::from_secs(200),
-            },
-            Pollutant::Co2,
-        ))
-        .into(),
-    };
-    let queries: Vec<QueryTuple> = [(10, 0.0), (60, 200.0), (120, 0.0), (150, 300.0)]
-        .into_iter()
-        .map(|(t, x)| QueryTuple::new(Timestamp::from_secs(t), Point::new(x, -50.0)))
-        .collect();
-    // The answers of each cover set a generation can name.
-    let answers = |entries: Vec<PublishedCover>| -> Vec<Option<u64>> {
-        let registry = enviro_meter::CoverRegistry::new();
-        registry.publish(entries);
-        let mut out = Vec::new();
-        registry
-            .snapshot()
-            .query_batch_into(&queries, &mut out)
-            .expect("resident covers");
-        out.iter().map(|v| v.map(f64::to_bits)).collect()
-    };
-    let seeded_first = answers(static_covers.clone());
-    let published_first = answers(vec![stream_cover.clone()]);
-    let both = answers(vec![static_covers[0].clone(), stream_cover.clone()]);
-    assert_ne!(seeded_first, both, "the stream's cover must change answers");
-    assert_ne!(
-        published_first, both,
-        "the static window 0 must change answers"
-    );
-
-    let round = AtomicU64::new(0);
-    let report = enviro_schedule::explore("static-seed-vs-publish", move || {
-        let dir = fresh_dir("seed-race", round.fetch_add(1, Ordering::Relaxed));
-        let state = Arc::new(open_state(&dir));
-        let server = EnviroServer::new(platform(), BinaryCodec, QueryMethod::ModelCover);
-        let writer = {
-            let state = Arc::clone(&state);
-            let cover = stream_cover.clone();
-            enviro_schedule::thread::spawn(move || state.registry().publish(vec![cover]))
-        };
-        let server = server.with_ingest(Arc::clone(&state));
-        let reply = server.handle(&Request::QueryBatch {
-            seq: 1,
-            queries: queries.clone(),
-        });
-        let published = writer.join().expect("publisher ran");
-
-        // Two publications, numbered 1 and 2 in the order they happened.
-        assert!((1..=2).contains(&published), "publish got {published}");
-        let snapshot = state.registry().snapshot();
-        assert_eq!(snapshot.generation(), 2);
-        assert_eq!(snapshot.len(), 2);
-        let owner = snapshot.cover_for_window(1).expect("window 1 published");
-        assert!(
-            owner
-                .cover
-                .resident()
-                .zip(stream_cover.cover.resident())
-                .is_some_and(|(held, stream)| Arc::ptr_eq(held, stream)),
-            "the static seed overwrote the stream's cover"
-        );
-        state.check_invariants().expect("state is consistent");
-
-        let Response::ValueBatch {
-            generation, values, ..
-        } = reply
-        else {
-            panic!("expected a value batch, got {reply:?}");
-        };
-        let got: Vec<Option<u64>> = values.iter().map(|v| v.map(f64::to_bits)).collect();
-        let want = match (generation, published) {
-            (2, _) => &both,
-            (1, 1) => &published_first,
-            (1, 2) => &seeded_first,
-            _ => panic!("stamped generation {generation} was never published"),
-        };
-        assert_eq!(
-            &got, want,
-            "reply stamped generation {generation} was answered by other covers"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    });
-    println!("{report}");
-    assert!(report.schedules > 1);
-}
-
 /// The cover of window `id` built from `tuples` exactly as maintenance
 /// builds it.
 fn window_cover(id: u64, tuples: &[RawTuple]) -> enviro_meter::ModelCover {

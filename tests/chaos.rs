@@ -58,11 +58,6 @@ fn verbose() -> bool {
 }
 
 fn build_server<C: WireCodec>(codec: C) -> EnviroServer<C> {
-    build_server_windowed(codec, 2 * 3_600)
-}
-
-/// [`build_server`]'s platform, windowed by `window_secs`.
-fn build_server_windowed<C: WireCodec>(codec: C, window_secs: i64) -> EnviroServer<C> {
     let sim = LausanneSim::lausanne(SimConfig {
         duration_secs: 6 * 3_600,
         seed: 4242,
@@ -70,7 +65,7 @@ fn build_server_windowed<C: WireCodec>(codec: C, window_secs: i64) -> EnviroServ
     });
     let platform = EnviroMeter::new(
         sim.generate(),
-        WindowSpec::ByDuration(window_secs),
+        WindowSpec::ByDuration(2 * 3_600),
         AdKmnConfig::default(),
         1_000.0,
     );
@@ -609,6 +604,17 @@ fn tuple_key(t: &RawTuple) -> (i64, u64, u64, u64) {
 
 const INGEST_WINDOW_SECS: i64 = 3_600;
 
+/// A server with no static history, answering from `state`'s store alone.
+fn ingest_server(state: &Arc<IngestState>) -> EnviroServer<BinaryCodec> {
+    let platform = EnviroMeter::new(
+        Dataset::new(Pollutant::Co2),
+        WindowSpec::ByDuration(INGEST_WINDOW_SECS),
+        AdKmnConfig::default(),
+        1_000.0,
+    );
+    EnviroServer::new(platform, BinaryCodec, QueryMethod::ModelCover).with_ingest(Arc::clone(state))
+}
+
 /// A registry's covers: each window's routing key and exact binary form.
 type RegistryBits = Vec<(u64, Timestamp, Vec<u8>)>;
 
@@ -646,9 +652,7 @@ fn run_ingest_chaos(
         )
         .unwrap(),
     );
-    let server = Arc::new(
-        build_server_windowed(BinaryCodec, INGEST_WINDOW_SECS).with_ingest(Arc::clone(&state)),
-    );
+    let server = Arc::new(ingest_server(&state));
     let transport = ConcurrentTransport::spawn_shared(Arc::clone(&server), 2).unwrap();
     let clock = VirtualClock::new();
     let mut wire =
@@ -746,8 +750,7 @@ fn acceptance_10k_ingested_tuples_under_faults_lose_nothing() {
     // its first pass rebuilds the open windows, the recovered registry
     // equals the one before shutdown, bit for bit.
     let state = Arc::new(IngestState::open(&dir, wal_config, IngestConfig::default()).unwrap());
-    let _server =
-        build_server_windowed(BinaryCodec, INGEST_WINDOW_SECS).with_ingest(Arc::clone(&state));
+    let _server = ingest_server(&state);
     state.rebuild_dirty_now().unwrap();
     state.check_invariants().unwrap();
     assert_eq!(
@@ -797,24 +800,13 @@ fn queries_under_ingest_match_the_batch_platform_bit_for_bit() {
         )
         .unwrap(),
     );
-    // An ingest-only endpoint: its static platform is empty, so every
-    // answer comes from the stream's published covers.
-    let ingest_server = EnviroServer::new(
-        EnviroMeter::new(
-            Dataset::new(Pollutant::Co2),
-            WindowSpec::ByDuration(2 * 3_600),
-            AdKmnConfig::default(),
-            1_000.0,
-        ),
-        BinaryCodec,
-        QueryMethod::ModelCover,
-    )
-    .with_ingest(Arc::clone(&state));
+    // Every answer comes from the stream's published covers.
+    let stream_server = ingest_server(&state);
 
     // Stream in dataset order (the windows see the same tuple sequence the
     // batch engine does), then publish.
     let mut link = SimulatedLink::new(LinkProfile::IDEAL);
-    let mut wire = LoopbackWire::new(&ingest_server, &mut link);
+    let mut wire = LoopbackWire::new(&stream_server, &mut link);
     let mut client = EnviroClient::new(BinaryCodec, Pollutant::Co2).with_batch(64);
     let report = client.ingest_resilient(&mut wire, 7, &tuples);
     assert_eq!(report.acked_tuples, tuples.len() as u64, "seed {seed}");
@@ -823,7 +815,7 @@ fn queries_under_ingest_match_the_batch_platform_bit_for_bit() {
 
     let traj = trajectory(2_000, 8, 9);
     let want = oracle_values(&batch_server, BinaryCodec, &traj, 64);
-    let got = oracle_values(&ingest_server, BinaryCodec, &traj, 64);
+    let got = oracle_values(&stream_server, BinaryCodec, &traj, 64);
     let mut wrong = 0usize;
     for (a, b) in got.iter().zip(&want) {
         let same = match (a, b) {
@@ -865,17 +857,7 @@ fn queries_keep_serving_while_a_rebuild_is_pending() {
         )
         .unwrap(),
     );
-    let server = EnviroServer::new(
-        EnviroMeter::new(
-            Dataset::new(Pollutant::Co2),
-            WindowSpec::ByDuration(INGEST_WINDOW_SECS),
-            AdKmnConfig::default(),
-            1_000.0,
-        ),
-        BinaryCodec,
-        QueryMethod::ModelCover,
-    )
-    .with_ingest(Arc::clone(&state));
+    let server = ingest_server(&state);
 
     // Window 0 ingested and published synchronously.
     let w0 = ingest_tuples(200, 0);
