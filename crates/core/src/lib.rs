@@ -86,6 +86,7 @@ mod routing;
 
 pub use cluster::{AdKmn, AdKmnConfig, ClusterMembers, KMeans, SplitStrategy};
 pub use cover::{CoverBuilder, CoverRegion, ModelCover};
+pub use enviro_data::default_parallelism;
 pub use eval::{nrmse_percent, AccuracyReport};
 pub use heatmap::{Heatmap, HeatmapBuilder};
 pub use model::{ApproximationError, LinearModel, RegionModel};
@@ -94,5 +95,5 @@ pub use publish::{
     CoverCacheStats, CoverLoader, CoverReadError, CoverRegistry, CoverSet, PublishedCover,
     StoredCover, COVER_CACHE_CAPACITY,
 };
-pub use query::{default_parallelism, QueryEngine, QueryMethod, QueryOutcome};
+pub use query::{QueryEngine, QueryMethod, QueryOutcome};
 pub use route::{Route, RouteSummary};

@@ -8,7 +8,9 @@ use crate::query::indexed::{entries, indexed_mean};
 use crate::query::naive::naive_mean;
 use crate::query::QueryMethod;
 use crate::routing;
-use enviro_data::{Dataset, QueryTuple, RawTuple, Timestamp, WindowSpec, Windows};
+use enviro_data::{
+    default_parallelism, Dataset, QueryTuple, RawTuple, Timestamp, WindowSpec, Windows,
+};
 use enviro_index::{GridIndex, KdTree, RTree, SpatialIndex, VpTree};
 use enviro_schedule::sync::{Arc, OnceLock};
 
@@ -329,15 +331,6 @@ impl QueryEngine {
         self.query_batch_into(trajectory, method, &mut out);
         out
     }
-}
-
-/// The default worker-thread count for parallel preparation and concurrent
-/// serving: the machine's available hardware parallelism, or 1 when the OS
-/// cannot report it.
-pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ mod indexed;
 mod naive;
 mod outcome;
 
-pub use engine::{default_parallelism, QueryEngine};
+pub use engine::QueryEngine;
 pub use outcome::QueryOutcome;
 
 /// The query-processing methods evaluated in the paper (plus the grid-index

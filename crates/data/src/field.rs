@@ -115,11 +115,12 @@ impl SyntheticField {
             plumes: Vec::new(),
         }
     }
-}
 
-impl PollutionField for SyntheticField {
-    fn value(&self, t: Timestamp, p: &Point) -> f64 {
-        let diurnal = self.cycle.factor(t);
+    /// The field value at `p` at a time whose diurnal factor
+    /// (`self.cycle.factor(t)`) is `diurnal`: [`PollutionField::value`]
+    /// with the factor computed once, for callers that sample many
+    /// positions at one time.
+    pub fn value_with_factor(&self, diurnal: f64, p: &Point) -> f64 {
         let mut v = self.background
             + self.gradient.0 * p.x
             + self.gradient.1 * p.y
@@ -129,6 +130,12 @@ impl PollutionField for SyntheticField {
             v += if plume.diurnal { c * diurnal } else { c };
         }
         v
+    }
+}
+
+impl PollutionField for SyntheticField {
+    fn value(&self, t: Timestamp, p: &Point) -> f64 {
+        self.value_with_factor(self.cycle.factor(t), p)
     }
 }
 

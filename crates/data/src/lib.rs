@@ -15,10 +15,11 @@
 //! * [`field`] — ground-truth pollution fields (background + diurnal cycle +
 //!   plume sources), giving the NRMSE evaluation an exact reference.
 //! * [`sim`] — the `lausanne-sim` generator: two buses driving fixed routes
-//!   through a Lausanne-like street network, sampling the field every 60 s
-//!   with sensor noise. This substitutes for the proprietary OpenSense
-//!   `lausanne-data` trace (176 K tuples over one month) while reproducing
-//!   its defining property: geo-temporal skew along bus corridors.
+//!   through a Lausanne-like street network, sampling the field at a fixed
+//!   interval (60 s by default, 30 s at paper scale) with sensor noise.
+//!   This substitutes for the proprietary OpenSense `lausanne-data` trace
+//!   (176 K tuples over one month) while reproducing its defining
+//!   property: geo-temporal skew along bus corridors.
 
 #![forbid(unsafe_code)]
 // Panic-prone sites in this crate are legacy debt tracked by the xtask
@@ -44,3 +45,12 @@ pub use pollutant::{Pollutant, SafetyLevel};
 pub use sim::{BusLine, LausanneSim, SimConfig};
 pub use tuple::{QueryTuple, RawTuple, Timestamp};
 pub use window::{Window, WindowSpec, Windows};
+
+/// The default worker-thread count for every parallel stage: simulation,
+/// cover preparation and concurrent serving. It is the machine's available
+/// hardware parallelism, or 1 when the OS cannot report it.
+pub fn default_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
