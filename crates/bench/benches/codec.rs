@@ -6,8 +6,11 @@
 //! its `ValueBatch`-64 reply, and an `IngestBatch`-256. They encode into a
 //! reused buffer and hand decoded batches back to the per-thread pools, as
 //! the server and client do, so they time the codec rather than the
-//! allocator. `crc32/query_batch64/<n>B` hashes the `n` bytes one
-//! `QueryBatch`-64 frame's CRC covers, `n` taken from the encoded frame.
+//! allocator. The `crc32` group hashes the bytes one CRC covers, `<n>B`
+//! naming how many: `query_batch64` and `value_batch64` a `QueryBatch`-64
+//! frame and its `ValueBatch`-64 reply (`n` taken from the encoded frame),
+//! `window_tuples256` the tuple frame of a sealed window file holding 256
+//! tuples, 8 KiB of 32-byte records.
 
 // Harness code, exempt from the library panic policy: an unwrap here
 // fails the run loudly, which is the desired behavior.
@@ -19,6 +22,7 @@ use enviro_geo::Point;
 use enviro_meter::{CoverRegion, LinearModel, ModelCover, RegionModel};
 use enviro_net::{buffers, BinaryCodec, Request, Response, TextCodec, WireCodec};
 use enviro_storage::crc::crc32;
+use enviro_storage::record::encode_records;
 use std::hint::black_box;
 
 fn sample_cover(regions: usize) -> ModelCover {
@@ -64,19 +68,23 @@ fn value_batch(n: usize) -> Response {
     }
 }
 
+fn raw_tuples(n: usize) -> Vec<RawTuple> {
+    (0..n)
+        .map(|i| {
+            RawTuple::new(
+                Timestamp::from_secs(i as i64 * 30),
+                Point::new(i as f64 * 2.5, -(i as f64) * 0.125),
+                400.0 + i as f64,
+            )
+        })
+        .collect()
+}
+
 fn ingest_batch(n: usize) -> Request {
     Request::IngestBatch {
         source: 42,
         seq: 11,
-        tuples: (0..n)
-            .map(|i| {
-                RawTuple::new(
-                    Timestamp::from_secs(i as i64 * 30),
-                    Point::new(i as f64 * 2.5, -(i as f64) * 0.125),
-                    400.0 + i as f64,
-                )
-            })
-            .collect(),
+        tuples: raw_tuples(n),
     }
 }
 
@@ -174,12 +182,21 @@ fn bench_codecs(c: &mut Criterion) {
 }
 
 fn bench_crc(c: &mut Criterion) {
-    // The bytes a `QueryBatch`-64 frame's CRC covers: all but its trailer.
-    let frame = BinaryCodec.encode_request(&query_batch(64));
-    let covered = &frame[..frame.len() - 4];
+    // The bytes a batch frame's CRC covers: all but its trailer.
+    let query = BinaryCodec.encode_request(&query_batch(64));
+    let reply = BinaryCodec.encode_response(&value_batch(64));
+    let mut tuples = Vec::new();
+    encode_records(&raw_tuples(256), &mut tuples);
+    let cases = [
+        ("query_batch64", &query[..query.len() - 4]),
+        ("value_batch64", &reply[..reply.len() - 4]),
+        ("window_tuples256", &tuples[..]),
+    ];
     let mut group = c.benchmark_group("crc32");
-    let case = BenchmarkId::new("query_batch64", format!("{}B", covered.len()));
-    group.bench_function(case, |b| b.iter(|| black_box(crc32(black_box(covered)))));
+    for (name, covered) in cases {
+        let case = BenchmarkId::new(name, format!("{}B", covered.len()));
+        group.bench_function(case, |b| b.iter(|| black_box(crc32(black_box(covered)))));
+    }
     group.finish();
 }
 
