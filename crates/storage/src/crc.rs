@@ -192,11 +192,11 @@ mod tests {
 
     #[test]
     fn matches_bitwise_reference_at_every_length_and_offset() {
-        // Two whole blocks, then a 16-byte step, then the longest byte
-        // tail: every length up to that covers each split of a slice into
-        // blocks, steps and a tail (none, one or two blocks, each step
-        // count, each tail length), from every start offset 0..16 whatever
-        // its alignment in memory.
+        // Two whole blocks, then a 16-byte step, then the longest tail:
+        // every length up to that covers each split of a slice into blocks,
+        // steps and a tail (none, one or two blocks, each step count, each
+        // tail length), from every start offset 0..16 whatever its
+        // alignment in memory.
         let max = 2 * LANES * LANE + SLICE + (SLICE - 1);
         let buf = seeded_bytes(max + SLICE, 0x00C2_C32E_EDB8_8320);
         for start in 0..SLICE {
