@@ -1,8 +1,8 @@
-//! Concurrent-serving throughput: end-to-end batches through the sharded
-//! thread pool, plus the isolated per-frame serving cost.
+//! Concurrent-serving throughput: end-to-end batches through the
+//! transport, plus the isolated per-frame serving cost.
 //!
 //! Criterion-grade timings for the pieces: one batch frame served
-//! end-to-end at each worker count (1, 2, 4), and the raw
+//! end-to-end at each permit count (1, 2, 4), and the raw
 //! `handle_bytes_into` hot path at batch sizes 1, 16 and 64.
 //!
 //! Under load, `enviro serve FILE --workers W --batch B --clients K
@@ -57,7 +57,7 @@ fn bench_throughput(c: &mut Criterion) {
         });
     }
 
-    // End-to-end through the thread pool: one session, batch 64.
+    // End-to-end through the transport: one session, batch 64.
     for workers in [1usize, 2, 4] {
         let transport = ConcurrentTransport::spawn_shared(Arc::clone(&server), workers).unwrap();
         let frame = batch_frame(&sim, 64);

@@ -79,11 +79,12 @@ static COMMANDS: [Command; 11] = [
     },
     Command {
         table: "serve FILE: run the concurrent server and drive it with in-process clients
-                [--workers N]  worker threads
+                [--workers N]  requests served at once, each on its client's thread
                 [--batch B]  queries per frame
                 [--clients K]  query clients
                 [--requests M]  queries per client
-                [--max-queue Q]  each worker's queue bound; overload is shed with Busy replies
+                [--max-queue Q]  clients that may wait their turn; overload is shed with Busy \
+                replies
                 [--deadline-ms MS]  each client's per-request deadline
                 [--retries R]  each client's retry budget
                 [--ingest DIR]  also stream FILE into the store at DIR and answer from its \
@@ -637,7 +638,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let transport =
         ConcurrentTransport::spawn_shared_with(server, TransportConfig { workers, max_queue })
-            .map_err(|e| CliError::runtime(format!("cannot spawn workers: {e}")))?;
+            .map_err(|e| CliError::runtime(format!("cannot start the transport: {e}")))?;
 
     // Each client walks its own diagonal of the dataset's extent over its
     // full time span: deterministic, allocation-cheap, and distinct per

@@ -2,10 +2,10 @@
 //!
 //! Batch frames carry `Vec`s of query tuples and values, and the protocol
 //! types own those `Vec`s — a natural design that would cost two heap
-//! allocations per frame. Server workers and clients instead *take* a
-//! warmed buffer from their thread's pool before decoding and *recycle* it
-//! after encoding, so a steady-state worker thread reuses the same two
-//! buffers for every frame it serves.
+//! allocations per frame. The server and clients instead *take* a warmed
+//! buffer from their thread's pool before decoding and *recycle* it after
+//! encoding, so a steady-state session thread reuses the same two buffers
+//! for every frame it serves.
 //!
 //! Recycling is strictly an optimization: a buffer that is never recycled
 //! (error path, early return) is simply dropped, and the next take falls

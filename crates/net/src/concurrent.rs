@@ -1,45 +1,44 @@
-//! The concurrent serving layer: N worker threads over one shared server.
+//! The concurrent serving layer: one shared server, served on the callers'
+//! threads under a count of permits.
 //!
 //! [`ConcurrentTransport`] is the one in-process transport, from the
 //! single-worker shape of the Figure 7 bandwidth demos to a deployment that
-//! absorbs "heavy traffic from millions of users": it spawns `workers`
-//! threads over one `Arc<EnviroServer>`, shards requests across per-worker
-//! queues, and gives each connection a [`Session`] that carries one request
-//! at a time, as every client of the protocol waits for each reply before
-//! it sends the next request.
+//! absorbs "heavy traffic from millions of users": it holds one
+//! `Arc<EnviroServer>` and `workers` permits, and gives each connection a
+//! [`Session`] that carries one request at a time, as every client of the
+//! protocol waits for each reply before it sends the next request. A
+//! session serves its own request: it takes a permit, runs the server on
+//! its own thread and returns the permit, so a frame crosses no thread.
 //!
 //! Sharing one server across threads is sound because the entire query
 //! path is `&self`: the engine's per-window structures live behind
 //! `OnceLock`s (first builder wins, everyone else reads), and the codec,
-//! platform and window metadata are immutable after construction. Workers
-//! therefore need no locks on the hot path.
+//! platform and window metadata are immutable after construction. The
+//! query path itself therefore needs no locks.
 //!
-//! The hand-off is two purpose-built structures, each one mutex plus one
-//! condvar. A `Shard` is one worker's request queue; a `Mailbox` is one
-//! session's one-slot reply box. Each side records under its lock whether
-//! its owner is parked, and the peer notifies only a parked owner, so a
-//! frame served to a busy peer costs no wake-up syscall. Every queued
-//! request carries a `ReplyTo` guard that answers "lost" if it is dropped
-//! unanswered; a worker that exits, by shutdown or by panic, closes its
-//! shard and drops what is still queued, so no session waits on a worker
-//! that is gone.
+//! Admission is one mutex and one condvar. A session that finds no free
+//! permit takes a ticket and waits, in a wait list bounded at `max_queue`;
+//! a returned permit passes straight to the oldest ticket, and only a
+//! return that finds a waiter notifies. A session that finds the wait list
+//! full is shed: it gets a `Busy` frame at once.
 //!
-//! Buffers circulate instead of being allocated: a session encodes into
-//! the buffer its last reply came back in, and a worker swaps each request
-//! buffer into service as its next reply buffer. Queue capacity is reserved
-//! up front, so in steady state a session ↔ worker pair trades the same two
-//! `Vec`s forever and the hand-off allocates nothing.
+//! A panic while serving is caught on the session's thread. That call
+//! answers [`TransportError::Disconnected`], its permit goes back, and the
+//! transport closes, because the server's state is unknown after a panic:
+//! every waiter and every later call gets `Disconnected`, so no waiter
+//! hangs.
+//!
+//! A session keeps its request and reply buffers from call to call, so in
+//! steady state a call allocates nothing.
 
 use crate::codec::WireCodec;
 use crate::protocol::Response;
 use crate::server::EnviroServer;
-use enviro_schedule::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use enviro_schedule::sync::atomic::{AtomicU64, Ordering};
 use enviro_schedule::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use enviro_schedule::thread::JoinHandle;
-use std::collections::VecDeque;
 
-/// Default per-worker request queue depth.
-const SHARD_QUEUE: usize = 256;
+/// Default bound on the sessions waiting for a permit.
+const WAIT_LIST: usize = 256;
 
 /// The backoff hint carried by shed [`Response::Busy`] frames, ms.
 const RETRY_AFTER_MS: u32 = 25;
@@ -48,7 +47,7 @@ const RETRY_AFTER_MS: u32 = 25;
 /// comes back as `Ok` bytes encoding a [`Response::Error`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// The worker threads are gone (shut down or panicked).
+    /// The transport is closed: serving a request panicked.
     Disconnected,
     /// The exchange did not complete within the caller's deadline. Raised
     /// by fault-injecting wires ([`crate::fault::ChaosWire`]) when a frame
@@ -60,7 +59,7 @@ pub enum TransportError {
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TransportError::Disconnected => f.write_str("server thread terminated"),
+            TransportError::Disconnected => f.write_str("server closed after a panic"),
             TransportError::TimedOut => f.write_str("exchange timed out"),
         }
     }
@@ -71,12 +70,12 @@ impl std::error::Error for TransportError {}
 /// Sizing for [`ConcurrentTransport::spawn_shared_with`].
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
-    /// Worker threads (clamped to at least 1).
+    /// Permits: frames served at once (clamped to at least 1).
     pub workers: usize,
-    /// Per-worker request queue depth (clamped to at least 1). A request
-    /// arriving at a full queue is **shed**: the sender gets an immediate
-    /// [`Response::Busy`] frame instead of blocking, so server memory stays
-    /// bounded no matter how hard the fleet pushes.
+    /// Sessions that may wait for a permit (clamped to at least 1). A
+    /// request arriving at a full wait list is **shed**: the sender gets an
+    /// immediate [`Response::Busy`] frame instead of blocking, so server
+    /// memory stays bounded no matter how hard the fleet pushes.
     pub max_queue: usize,
 }
 
@@ -84,229 +83,51 @@ impl Default for TransportConfig {
     fn default() -> Self {
         Self {
             workers: 1,
-            max_queue: SHARD_QUEUE,
+            max_queue: WAIT_LIST,
         }
     }
 }
 
-/// One worker's request queue. Producers are the sessions routed to it;
-/// the consumer is its worker alone.
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Signalled, only while `parked`, when the worker has cause to look
-    /// again: a request arrived, or the shard was closed.
-    wake: Condvar,
-}
+/// Serves one request frame into a reply buffer.
+type Serve = dyn Fn(&[u8], &mut Vec<u8>) + Send + Sync;
 
-struct ShardState {
-    queue: VecDeque<Envelope>,
-    cap: usize,
-    /// No more envelopes are accepted; the worker exits once the queue is
-    /// empty.
+/// The permits and the wait list, under the transport's one lock.
+struct Admission {
+    /// Permits no session holds.
+    free: usize,
+    /// Tickets handed to waiters so far.
+    issued: u64,
+    /// Tickets given a permit so far: ticket `t` holds one once
+    /// `t < admitted`, and `issued - admitted` sessions are waiting.
+    admitted: u64,
+    /// Serving panicked: nothing more is answered.
     closed: bool,
-    /// The worker is waiting on `wake`.
-    parked: bool,
 }
 
-/// Why [`Shard::push`] refused a request.
-enum Rejected {
-    /// The queue is at capacity; the request buffer comes back for reuse.
-    Full(Vec<u8>),
-    /// The worker is gone.
-    Closed,
-}
-
-impl Shard {
-    fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(ShardState {
-                queue: VecDeque::with_capacity(cap),
-                cap,
-                closed: false,
-                parked: false,
-            }),
-            wake: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardState> {
-        // Every update under this lock is a single field write or queue
-        // push/pop, and no other code runs while it is held, so the state
-        // is valid even if a holder panicked.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Applies `change` under the lock, then wakes the worker if it is
-    /// parked. Clearing `parked` here makes a burst of changes cost one
-    /// notify.
-    fn update<R>(&self, change: impl FnOnce(&mut ShardState) -> R) -> R {
-        let mut st = self.lock();
-        let out = change(&mut st);
-        let wake = std::mem::take(&mut st.parked);
-        drop(st);
-        if wake {
-            self.wake.notify_one();
-        }
-        out
-    }
-
-    /// Queues `request` for the worker, to be answered into `mailbox`.
-    fn push(&self, request: Vec<u8>, mailbox: &Arc<Mailbox>) -> Result<(), Rejected> {
-        self.update(|st| {
-            if st.closed {
-                return Err(Rejected::Closed);
-            }
-            if st.queue.len() >= st.cap {
-                return Err(Rejected::Full(request));
-            }
-            st.queue.push_back(Envelope {
-                request,
-                reply_to: ReplyTo(Some(Arc::clone(mailbox))),
-            });
-            Ok(())
-        })
-    }
-
-    /// The worker's next envelope, parking while the queue is empty; `None`
-    /// once the shard is closed and empty.
-    fn next(&self) -> Option<Envelope> {
-        let mut st = self.lock();
-        loop {
-            if let Some(envelope) = st.queue.pop_front() {
-                return Some(envelope);
-            }
-            if st.closed {
-                return None;
-            }
-            st.parked = true;
-            st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
-            st.parked = false;
-        }
-    }
-}
-
-/// Retires its shard when the worker exits, however it exits: closes it
-/// for good and drops every envelope still queued, so each one's mailbox
-/// is told its request was lost.
-struct RetireOnExit<'a>(&'a Shard);
-
-impl Drop for RetireOnExit<'_> {
-    fn drop(&mut self) {
-        let orphans = {
-            let mut st = self.0.lock();
-            st.closed = true;
-            std::mem::take(&mut st.queue)
-        };
-        // Dropped outside the shard lock: each drop posts to a mailbox,
-        // and the two locks are never nested.
-        drop(orphans);
-    }
-}
-
-/// One session's reply slot.
-struct Mailbox {
-    state: Mutex<MailboxState>,
-    /// Signalled, only while `parked`, when a reply is posted.
-    posted: Condvar,
-}
-
-struct MailboxState {
-    /// The posted reply: `Some(buffer)` for an answer, `None` for a request
-    /// lost with its worker.
-    reply: Option<Option<Vec<u8>>>,
-    /// The owning session is waiting on `posted`.
-    parked: bool,
-}
-
-impl Mailbox {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(MailboxState {
-                reply: None,
-                parked: false,
-            }),
-            posted: Condvar::new(),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, MailboxState> {
-        // As with the shard lock: single-step updates, no foreign code
-        // under the lock.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn post(&self, reply: Option<Vec<u8>>) {
-        let mut st = self.lock();
-        st.reply = Some(reply);
-        let wake = std::mem::take(&mut st.parked);
-        drop(st);
-        if wake {
-            self.posted.notify_one();
-        }
-    }
-
-    /// The reply, parking until it is posted.
-    fn take(&self) -> Option<Vec<u8>> {
-        let mut st = self.lock();
-        loop {
-            if let Some(reply) = st.reply.take() {
-                return reply;
-            }
-            st.parked = true;
-            st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
-            st.parked = false;
-        }
-    }
-}
-
-/// A worker's duty to answer one request. [`ReplyTo::deliver`] posts the
-/// reply; dropped undelivered (its worker panicked, or exited with the
-/// envelope still queued) it posts "lost", so the waiter never hangs.
-struct ReplyTo(Option<Arc<Mailbox>>);
-
-impl ReplyTo {
-    fn deliver(mut self, reply: Vec<u8>) {
-        if let Some(mailbox) = self.0.take() {
-            mailbox.post(Some(reply));
-        }
-    }
-}
-
-impl Drop for ReplyTo {
-    fn drop(&mut self) {
-        if let Some(mailbox) = self.0.take() {
-            mailbox.post(None);
-        }
-    }
-}
-
-/// A request envelope: opaque bytes plus the duty to answer them.
-struct Envelope {
-    request: Vec<u8>,
-    reply_to: ReplyTo,
-}
-
-/// A pool of worker threads serving one shared [`EnviroServer`].
+/// One shared [`EnviroServer`] behind `workers` permits.
 ///
-/// Each worker owns one shard; sessions are assigned to shards
-/// round-robin. Dropping the transport closes every shard and joins the
-/// workers.
+/// Sessions serve their own requests, at most `workers` at once; dropping
+/// the transport has no thread to stop.
 pub struct ConcurrentTransport {
-    shards: Vec<Arc<Shard>>,
-    workers: Vec<JoinHandle<()>>,
-    next_shard: AtomicUsize,
+    /// The server's `handle_bytes_into`, with its codec type erased.
+    serve: Box<Serve>,
+    workers: usize,
+    max_queue: u64,
+    admission: Mutex<Admission>,
+    /// Signalled when a permit passes to a waiter or the transport closes.
+    wake: Condvar,
     /// The pre-encoded [`Response::Busy`] frame shed requests answer with
-    /// (encoded once at spawn, in the server's codec).
+    /// (encoded once, in the server's codec).
     busy_frame: Vec<u8>,
     /// Requests shed across all sessions.
     shed: AtomicU64,
 }
 
 impl ConcurrentTransport {
-    /// Spawns `workers` threads (at least 1) serving `server`, a server the
-    /// caller may keep a handle to (e.g. for direct in-process queries
-    /// alongside the served traffic). `Err` means the OS refused to create
-    /// a thread.
+    /// Serves `server`, which the caller may keep a handle to (e.g. for
+    /// direct in-process queries alongside the served traffic), under
+    /// `workers` permits (at least 1). It starts no thread and never
+    /// fails; the `io::Result` is kept for its callers.
     pub fn spawn_shared<C>(server: Arc<EnviroServer<C>>, workers: usize) -> std::io::Result<Self>
     where
         C: WireCodec + Send + Sync + 'static,
@@ -320,7 +141,7 @@ impl ConcurrentTransport {
         )
     }
 
-    /// Spawns with an explicit queue depth.
+    /// [`Self::spawn_shared`] with an explicit wait-list bound.
     pub fn spawn_shared_with<C>(
         server: Arc<EnviroServer<C>>,
         config: TransportConfig,
@@ -329,44 +150,27 @@ impl ConcurrentTransport {
         C: WireCodec + Send + Sync + 'static,
     {
         let workers = config.workers.max(1);
-        let max_queue = config.max_queue.max(1);
-        let mut transport = Self {
-            shards: Vec::with_capacity(workers),
-            workers: Vec::with_capacity(workers),
-            next_shard: AtomicUsize::new(0),
+        Ok(Self {
             busy_frame: server.codec().encode_response(&Response::Busy {
                 retry_after_ms: RETRY_AFTER_MS,
             }),
+            serve: Box::new(move |request, reply| server.handle_bytes_into(request, reply)),
+            workers,
+            max_queue: config.max_queue.max(1) as u64,
+            admission: Mutex::new(Admission {
+                free: workers,
+                issued: 0,
+                admitted: 0,
+                closed: false,
+            }),
+            wake: Condvar::new(),
             shed: AtomicU64::new(0),
-        };
-        for i in 0..workers {
-            let shard = Arc::new(Shard::new(max_queue));
-            let server = Arc::clone(&server);
-            let worker_shard = Arc::clone(&shard);
-            // On `Err` the partial transport drops, closing and joining
-            // the workers already started.
-            let handle = enviro_schedule::thread::Builder::new()
-                .name(format!("enviro-worker-{i}"))
-                .spawn(move || {
-                    // A panic while serving ends this worker only. By the
-                    // time the unwind gets here `RetireOnExit` has closed
-                    // the shard and answered every envelope "lost", and
-                    // the panic hook has reported it; catching it makes
-                    // the exit as orderly as a shutdown, for `join` and
-                    // for the schedule checker alike.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(&server, &worker_shard);
-                    }));
-                })?;
-            transport.shards.push(shard);
-            transport.workers.push(handle);
-        }
-        Ok(transport)
+        })
     }
 
-    /// Number of worker threads.
+    /// Number of permits.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
     /// Total requests shed (answered [`Response::Busy`]) since spawn.
@@ -378,94 +182,140 @@ impl ConcurrentTransport {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Opens a connection-like [`Session`] pinned to one worker shard.
+    /// Opens a connection-like [`Session`].
     pub fn session(&self) -> Session<'_> {
-        // ordering: Relaxed — a round-robin distribution counter. Fairness
-        // is best-effort by design; correctness never depends on which
-        // shard a session lands on, so no ordering is required.
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         Session {
             transport: self,
-            shard: &self.shards[shard],
-            mailbox: Mailbox::new(),
-            buf: Vec::new(),
+            request: Vec::new(),
+            reply: Vec::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Admission> {
+        // Every update under this lock is a few field writes, and no other
+        // code runs while it is held, so the state is valid even if a
+        // holder panicked.
+        self.admission
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A permit, after waiting for one if none is free; `None` if the wait
+    /// list is full.
+    fn admit(&self) -> Result<Option<Permit<'_>>, TransportError> {
+        let mut st = self.lock();
+        if st.closed {
+            return Err(TransportError::Disconnected);
+        }
+        // A free permit means an empty wait list: a returned permit goes to
+        // the oldest waiter first.
+        if st.free > 0 {
+            st.free -= 1;
+            return Ok(Some(Permit(self)));
+        }
+        if st.issued - st.admitted >= self.max_queue {
+            return Ok(None);
+        }
+        let ticket = st.issued;
+        st.issued += 1;
+        while st.admitted <= ticket {
+            if st.closed {
+                return Err(TransportError::Disconnected);
+            }
+            st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.closed {
+            // Admitted just before the close: hand the permit back.
+            st.free += 1;
+            return Err(TransportError::Disconnected);
+        }
+        Ok(Some(Permit(self)))
+    }
+
+    /// Stops answering: every waiter leaves the wait list with
+    /// `Disconnected`, and permits returned from now on stay free.
+    fn close(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        st.issued = st.admitted;
+        drop(st);
+        self.wake.notify_all();
     }
 }
 
 impl Drop for ConcurrentTransport {
     fn drop(&mut self) {
-        // Sessions borrow the transport and wait out every request they
-        // queue, so no request is still queued here: closing a shard lets
-        // its parked worker exit, and the join cannot hang.
-        for shard in &self.shards {
-            shard.update(|st| st.closed = true);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // Sessions borrow the transport and return their permit before
+        // each call returns, so nothing is held or waiting here.
+        let st = self
+            .admission
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !std::thread::panicking() {
+            debug_assert_eq!(st.free, self.workers, "a permit was never returned");
+            debug_assert_eq!(st.issued, st.admitted, "a waiter outlived its transport");
         }
     }
 }
 
-/// One worker: serve envelopes until the shard closes, reusing one reply
-/// buffer by swapping it with each served request's buffer.
-fn worker_loop<C: WireCodec>(server: &EnviroServer<C>, shard: &Shard) {
-    let _retire = RetireOnExit(shard);
-    let mut reply = Vec::new();
-    while let Some(Envelope {
-        mut request,
-        reply_to,
-    }) = shard.next()
-    {
-        server.handle_bytes_into(&request, &mut reply);
-        // Ship the reply in the request's allocation-slot and keep the
-        // other buffer as the next reply scratch (`handle_bytes_into`
-        // clears it before use).
-        std::mem::swap(&mut request, &mut reply);
-        reply_to.deliver(request);
+/// One held permit, returned on drop, also when serving panicked.
+struct Permit<'t>(&'t ConcurrentTransport);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        if st.issued > st.admitted {
+            // Pass it to the oldest waiter. The condvar wakes every waiter
+            // and only that ticket proceeds.
+            st.admitted += 1;
+            drop(st);
+            self.0.wake.notify_all();
+        } else {
+            st.free += 1;
+        }
     }
 }
 
-/// A per-connection handle: one request at a time goes to one pinned
-/// worker shard, and its reply comes back through a private one-slot
-/// mailbox.
+/// A per-connection handle: one request at a time, served on the calling
+/// thread.
 pub struct Session<'t> {
     transport: &'t ConcurrentTransport,
-    shard: &'t Shard,
-    mailbox: Arc<Mailbox>,
-    /// The buffer the last reply came back in, reused for the next request.
-    buf: Vec<u8>,
+    request: Vec<u8>,
+    reply: Vec<u8>,
 }
 
 impl Session<'_> {
-    /// One full exchange: encodes a request with `encode`, hands it to the
-    /// worker and waits for the reply. The returned slice is valid until
-    /// the next call on this session.
+    /// One full exchange: encodes a request with `encode`, waits for a
+    /// permit and serves it. The returned slice is valid until the next
+    /// call on this session.
     ///
-    /// If the worker queue is full the request is shed: the reply is a
-    /// [`Response::Busy`] frame, returned at once. A request whose worker
-    /// is gone, or died before answering it, yields
-    /// [`TransportError::Disconnected`].
+    /// If the wait list is full the request is shed: the reply is a
+    /// [`Response::Busy`] frame, returned at once. A request whose serving
+    /// panicked, or that reaches a transport closed by such a panic,
+    /// yields [`TransportError::Disconnected`].
     pub fn call_with(
         &mut self,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<&[u8], TransportError> {
-        let mut request = std::mem::take(&mut self.buf);
-        request.clear();
-        encode(&mut request);
-        match self.shard.push(request, &self.mailbox) {
-            Ok(()) => {
-                self.buf = self.mailbox.take().ok_or(TransportError::Disconnected)?;
-                Ok(&self.buf)
-            }
-            Err(Rejected::Full(request)) => {
-                self.buf = request;
-                // ordering: Relaxed — statistics only; see `shed_total`.
-                self.transport.shed.fetch_add(1, Ordering::Relaxed);
-                Ok(&self.transport.busy_frame)
-            }
-            Err(Rejected::Closed) => Err(TransportError::Disconnected),
+        let transport = self.transport;
+        self.request.clear();
+        encode(&mut self.request);
+        let Some(permit) = transport.admit()? else {
+            // ordering: Relaxed — statistics only; see `shed_total`.
+            transport.shed.fetch_add(1, Ordering::Relaxed);
+            return Ok(&transport.busy_frame);
+        };
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (transport.serve)(&self.request, &mut self.reply);
+        }));
+        if served.is_err() {
+            // Closed before the permit goes back, so no waiter is admitted
+            // to a server whose state is unknown.
+            transport.close();
         }
+        drop(permit);
+        served.map_err(|_| TransportError::Disconnected)?;
+        Ok(&self.reply)
     }
 }
 
@@ -528,14 +378,15 @@ mod tests {
         }
     }
 
-    /// Requests queued on a transport's first shard.
+    /// Sessions in a transport's wait list.
     fn queued(t: &ConcurrentTransport) -> usize {
-        t.shards[0].lock().queue.len()
+        let st = t.lock();
+        (st.issued - st.admitted) as usize
     }
 
     /// Holds every request decoded under a [`GatedCodec`] until the test
-    /// opens it, so a test can keep a worker busy and fill its queue to an
-    /// exact depth.
+    /// opens it, so a test can keep a permit held and fill the wait list to
+    /// an exact depth.
     struct Gate {
         /// Requests that reached the gate, and whether it is open.
         state: Mutex<(usize, bool)>,
@@ -580,7 +431,7 @@ mod tests {
 
     /// The binary codec, except that every decode first waits at the gate,
     /// and a [`POISON`] frame then panics — a stand-in for any bug that
-    /// kills a worker mid-request.
+    /// panics mid-request.
     struct GatedCodec(Arc<Gate>);
 
     impl WireCodec for GatedCodec {
@@ -607,7 +458,7 @@ mod tests {
         }
     }
 
-    /// One worker with a `max_queue`-deep queue over a [`GatedCodec`]
+    /// One permit with a `max_queue`-deep wait list over a [`GatedCodec`]
     /// server, and its gate, shut.
     fn gated_transport(max_queue: usize) -> (ConcurrentTransport, Arc<Gate>) {
         let gate = Arc::new(Gate {
@@ -675,13 +526,13 @@ mod tests {
         assert!(matches!(decode(reply), Response::Value { .. }));
     }
 
-    /// A worker that panics mid-request takes its shard down with it, but
-    /// no waiter hangs: the request it was serving, a request queued behind
-    /// it, and anything sent to the shard afterwards all fail with
+    /// A panic mid-request closes the transport, but no waiter hangs: the
+    /// request being served, a request waiting behind it, and anything
+    /// sent afterwards all fail with
     /// `Disconnected`. Each waiter runs on its own thread, and the whole
     /// exchange behind a watchdog, so a hang fails the test.
     #[test]
-    fn worker_death_disconnects_every_waiter() {
+    fn serve_panic_disconnects_every_waiter() {
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let (t, gate) = gated_transport(4);
@@ -698,7 +549,7 @@ mod tests {
                 });
                 gate.wait_entered(1);
                 let queued_behind = scope.spawn(|| call(&t, &query_bytes(1)));
-                wait_until("the second request to queue", || queued(&t) == 1);
+                wait_until("the second request to wait", || queued(&t) == 1);
                 gate.open();
                 let (first, again) = poisoned.join().unwrap();
                 (first, queued_behind.join().unwrap(), again)
@@ -708,12 +559,12 @@ mod tests {
         });
         let ((first, second, again), after) = finished
             .recv_timeout(Duration::from_secs(30))
-            .expect("a waiter hung on a dead worker");
+            .expect("a waiter hung on a closed transport");
         for (waiter, outcome) in [
             ("the poisoned request", first),
-            ("a request queued behind it", second),
+            ("a request waiting behind it", second),
             ("the next call on the poisoned session", again),
-            ("a call after the death", after),
+            ("a call after the panic", after),
         ] {
             assert_eq!(outcome, Err(TransportError::Disconnected), "{waiter}");
         }
@@ -724,9 +575,9 @@ mod tests {
         drop(spawn(4));
     }
 
-    /// One worker held in decode, queue depth 2: the next two requests
-    /// queue and the one after that is shed with an immediate `Busy`; once
-    /// the worker is released every queued request is answered.
+    /// One permit held in decode, wait list 2: the next two requests wait
+    /// and the one after that is shed with an immediate `Busy`; once the
+    /// permit is released every waiting request is answered.
     #[test]
     fn full_queue_sheds_with_busy_replies_in_order() {
         let (t, gate) = gated_transport(2);
@@ -743,9 +594,9 @@ mod tests {
                     waiter
                 })
                 .collect();
-            wait_until("two requests to queue", || queued(&t) == 2);
+            wait_until("two requests to wait", || queued(&t) == 2);
             // The caller is answered at once, on its own thread, while the
-            // worker is still held.
+            // permit is still held.
             let mut session = t.session();
             for _ in 0..2 {
                 let reply = session
@@ -766,7 +617,7 @@ mod tests {
                     Response::Value { .. }
                 ));
             }
-            // Once the queue drains, the same session is served again.
+            // Once the wait list drains, the same session is served again.
             let reply = session
                 .call_with(|out| out.extend_from_slice(&query_bytes(9)))
                 .unwrap();
@@ -782,7 +633,7 @@ mod tests {
             let held = scope.spawn(|| call(&t, &query_bytes(0)));
             gate.wait_entered(1);
             let queued_behind = scope.spawn(|| call(&t, &query_bytes(1)));
-            wait_until("the second request to queue", || queued(&t) == 1);
+            wait_until("the second request to wait", || queued(&t) == 1);
             let reply = call(&t, &query_bytes(2)).unwrap();
             assert_eq!(
                 decode(&reply),
@@ -801,9 +652,9 @@ mod tests {
         });
     }
 
-    /// A flood far past a tiny queue, with the worker held: exactly the
-    /// queue's depth waits and every other caller is shed at once instead
-    /// of blocking, so the queue never grows past its cap. After release,
+    /// A flood far past a tiny wait list, with the permit held: exactly the
+    /// list's bound waits and every other caller is shed at once instead
+    /// of blocking, so the list never grows past its cap. After release,
     /// each reply is a real answer or `Busy`, and the Busy count is the
     /// transport's shed count.
     #[test]
@@ -818,7 +669,7 @@ mod tests {
                 waiters.push(scope.spawn(move || call(t, &query_bytes(i))));
             }
             wait_until("the flood to shed", || t.shed_total() == CALLERS as u64 - 4);
-            assert_eq!(queued(&t), 4, "the queue stays at its cap");
+            assert_eq!(queued(&t), 4, "the wait list stays at its cap");
             gate.open();
             let (mut busy, mut answered) = (0u64, 0u64);
             for waiter in waiters {
@@ -831,7 +682,7 @@ mod tests {
             (busy, answered)
         });
         assert_eq!(busy, t.shed_total());
-        assert_eq!(answered, 5, "the held request and the four queued");
+        assert_eq!(answered, 5, "the held request and the four waiting");
     }
 
     #[test]
@@ -861,11 +712,11 @@ mod tests {
         });
     }
 
-    // The single-worker transport is the serial baseline (one server thread
-    // behind a queue); these pin its request/response contract.
+    // The one-permit transport is the serial baseline (one frame served at
+    // a time); these pin its request/response contract.
 
     #[test]
-    fn query_across_thread_boundary() {
+    fn query_round_trips_on_one_permit() {
         let t = spawn(1);
         let req = BinaryCodec.encode_request(&Request::Query {
             time: Timestamp::from_secs(100),
@@ -898,7 +749,7 @@ mod tests {
     fn garbage_request_returns_error_reply_not_panic() {
         let t = spawn(1);
         // The transport succeeds; the *protocol* reports the error, so the
-        // worker stays usable for the next request.
+        // transport stays usable for the next request.
         let reply = call(&t, &[0xDE, 0xAD]).unwrap();
         assert!(matches!(decode(&reply), Response::Error(_)));
         assert!(call(&t, &query_bytes(1)).is_ok());
@@ -921,7 +772,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.shed_total(), 0, "four callers never fill one queue");
+        assert_eq!(t.shed_total(), 0, "four callers never fill the wait list");
     }
 
     #[test]

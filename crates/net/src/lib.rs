@@ -22,9 +22,10 @@
 //!   (virtual) time; plus [`client::EnviroClient`], the production client
 //!   speaking batched `QueryBatch` frames over any [`client::Wire`].
 //! * [`concurrent`] — the in-process transport:
-//!   [`concurrent::ConcurrentTransport`] runs N workers (one for the
-//!   demos) over one shared server, with per-connection
-//!   [`concurrent::Session`]s that carry one request at a time.
+//!   [`concurrent::ConcurrentTransport`] serves one shared server under
+//!   `workers` permits (one for the demos), with per-connection
+//!   [`concurrent::Session`]s that carry one request at a time and serve
+//!   it on their own thread.
 //! * [`buffers`] — per-thread buffer pools backing the allocation-free
 //!   steady-state serving path.
 //! * [`clock`] — injectable time ([`clock::SystemClock`] /

@@ -27,6 +27,7 @@ use enviro_data::{
 };
 use enviro_geo::Point;
 use enviro_meter::{AdKmnConfig, EnviroMeter, ModelCover, QueryMethod};
+use enviro_net::buffers;
 use enviro_net::codec::CodecError;
 use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, IngestConfig, IngestState,
@@ -338,10 +339,10 @@ fn client_query_batch_is_allocation_free() {
     assert_eq!(values.len(), trajectory.len());
 }
 
-/// The thread hand-off: a warmed `Session::call_with` round trip through a
-/// `ConcurrentTransport` allocates nothing on the session thread. The
-/// session encodes into the buffer its last reply came back in, the shard
-/// queue has its capacity reserved, and the reply mailbox is one slot.
+/// The transport: a warmed `Session::call_with` round trip through a
+/// `ConcurrentTransport` allocates nothing on the session thread, which
+/// runs the server's work too. The session keeps its request and reply
+/// buffers, and taking and returning a permit is a few field writes.
 #[test]
 fn session_round_trip_is_allocation_free() {
     let transport =
@@ -358,17 +359,21 @@ fn session_round_trip_is_allocation_free() {
             queries: (0..64).map(tuple).collect(),
         }),
     ];
-    // Warm-up: grow the circulating buffers, and check the replies are
-    // answers (decoding allocates, so it stays out of the measurement).
+    // Warm-up: grow the session's buffers and the thread's pools, and
+    // check the replies are answers (decoding allocates, so it stays out
+    // of the measurement). Like a client, hand each decoded value batch
+    // back to the thread's pool: the server, serving on this thread, takes
+    // its reply's values from the same pool.
     for _ in 0..32 {
         for frame in &frames {
             let reply = session
                 .call_with(|out| out.extend_from_slice(frame))
                 .unwrap();
-            assert!(!matches!(
-                BinaryCodec.decode_response(reply).unwrap(),
-                Response::Error(_) | Response::Busy { .. }
-            ));
+            match BinaryCodec.decode_response(reply).unwrap() {
+                Response::ValueBatch { values, .. } => buffers::recycle_values(values),
+                Response::Error(_) | Response::Busy { .. } => panic!("not an answer"),
+                _ => {}
+            }
         }
     }
     let (allocs, ()) = allocations(|| {

@@ -430,6 +430,37 @@ fn batches_cost_fewer_bytes_than_single_frames_from_five_tuples() {
     );
 }
 
+/// A `QueryBatch` of 64 tuples a minute apart: each codec's frame is well
+/// past 287 B, so its CRC runs through the kernel's four-lane blocks, not
+/// only the single-chain tail the small goldens above reach.
+fn query_batch_64() -> Request {
+    Request::QueryBatch {
+        seq: 1,
+        queries: trajectory(64),
+    }
+}
+
+/// The binary `QueryBatch`-64 frame: its length and its trailing CRC.
+#[test]
+fn binary_query_batch_of_64_crc_bytes() {
+    let req = query_batch_64();
+    let frame = BinaryCodec.encode_request(&req);
+    assert_eq!(frame.len(), 1_102);
+    assert_eq!(hex(&frame[frame.len() - 4..]), "2dcb677e", "crc32");
+    assert_eq!(BinaryCodec.decode_request(&frame).unwrap(), req);
+}
+
+/// The text `QueryBatch`-64 frame: its length and its trailing CRC line.
+#[test]
+fn text_query_batch_of_64_crc_bytes() {
+    let req = query_batch_64();
+    let frame = TextCodec.encode_request(&req);
+    let text = std::str::from_utf8(&frame).unwrap();
+    assert_eq!(frame.len(), 2_258);
+    assert!(text.ends_with("\ncrc=56F3244E\n"), "crc line: {text}");
+    assert_eq!(TextCodec.decode_request(&frame).unwrap(), req);
+}
+
 // ------------------------------------------------ every other (kind, codec)
 //
 // The frames above are the batch frames and the cover; these pin the rest,

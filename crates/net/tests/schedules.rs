@@ -20,7 +20,9 @@ use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroServer, IngestConfig, IngestState, ModelMaintenance,
     Request, Response, TransportConfig, TransportError, WireCodec,
 };
+use enviro_schedule::sync::atomic::AtomicUsize;
 use enviro_schedule::sync::Arc;
+use enviro_schedule::thread::JoinHandle;
 use enviro_storage::WalConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -112,17 +114,16 @@ fn query_server<C: WireCodec>(codec: C) -> EnviroServer<C> {
     EnviroServer::new(platform, codec, QueryMethod::ModelCover)
 }
 
-fn one_worker<C>(server: &Arc<EnviroServer<C>>) -> std::io::Result<ConcurrentTransport>
+fn transport<C>(
+    server: &Arc<EnviroServer<C>>,
+    workers: usize,
+    max_queue: usize,
+) -> Arc<ConcurrentTransport>
 where
     C: WireCodec + Send + Sync + 'static,
 {
-    ConcurrentTransport::spawn_shared_with(
-        Arc::clone(server),
-        TransportConfig {
-            workers: 1,
-            max_queue: 4,
-        },
-    )
+    let config = TransportConfig { workers, max_queue };
+    Arc::new(ConcurrentTransport::spawn_shared_with(Arc::clone(server), config).expect("built"))
 }
 
 /// One exchange on a fresh session, with the reply copied out.
@@ -131,6 +132,21 @@ fn call(transport: &ConcurrentTransport, request: &[u8]) -> Result<Vec<u8>, Tran
         .session()
         .call_with(|out| out.extend_from_slice(request))
         .map(<[u8]>::to_vec)
+}
+
+/// [`call`] with `query(i)`, on a model thread of its own.
+fn spawn_call(
+    transport: &Arc<ConcurrentTransport>,
+    i: i64,
+) -> JoinHandle<Result<Vec<u8>, TransportError>> {
+    let transport = Arc::clone(transport);
+    enviro_schedule::thread::spawn(move || call(&transport, &query(i)))
+}
+
+/// Drops the last handle to `transport`: its `Drop` checks that every
+/// permit was returned and the wait list is empty.
+fn drop_last(transport: Arc<ConcurrentTransport>) {
+    drop(Arc::into_inner(transport).expect("the callers are joined"));
 }
 
 /// `query(i)` as the server answers it.
@@ -147,17 +163,35 @@ fn query(i: i64) -> Vec<u8> {
     })
 }
 
-/// Transport shutdown: dropping a [`ConcurrentTransport`] with a request in
-/// flight must always join its workers — no schedule may leave a worker
-/// parked on its shard (the model checker reports that as a deadlock).
+/// Transport drop: three sessions on one permit with a one-deep wait list,
+/// so a session may find the list full and be shed. Each call gets its own
+/// answer or `Busy`, the shed count matches the `Busy` replies, and the
+/// transport's `Drop` then finds every permit returned and the wait list
+/// empty on every schedule.
 #[test]
-fn transport_drop_joins_workers_on_every_schedule() {
+fn transport_drop_finds_every_permit_returned() {
     let server = Arc::new(query_server(BinaryCodec));
+    let expected: Vec<Vec<u8>> = (1..=3).map(|i| answer(&server, i)).collect();
     let report = enviro_schedule::explore("transport-drop-join", move || {
-        let transport = one_worker(&server).expect("spawn");
-        let reply = call(&transport, &query(1)).expect("served");
-        assert!(!reply.is_empty());
-        drop(transport); // must join, never hang, on every interleaving
+        let transport = transport(&server, 1, 1);
+        let others = [2, 3].map(|i| spawn_call(&transport, i));
+        let mut replies = vec![call(&transport, &query(1))];
+        replies.extend(others.map(|other| other.join().expect("caller returns")));
+        let mut busy = 0;
+        for (reply, expected) in replies.into_iter().zip(&expected) {
+            let reply = reply.expect("answered");
+            if let Ok(Response::Busy { .. }) = BinaryCodec.decode_response(&reply) {
+                busy += 1;
+            } else {
+                assert_eq!(&reply, expected);
+            }
+        }
+        assert!(
+            busy <= 1,
+            "one permit and one waiter leave one caller to shed"
+        );
+        assert_eq!(transport.shed_total(), busy);
+        drop_last(transport);
     });
     println!("{report}");
     assert!(report.schedules > 1);
@@ -166,8 +200,8 @@ fn transport_drop_joins_workers_on_every_schedule() {
 /// A frame whose decoding panics under [`ProbeCodec`].
 const POISON: &[u8] = b"poison";
 
-/// The binary codec, except that it panics on [`POISON`], killing the
-/// worker that serves it.
+/// The binary codec, except that it panics on [`POISON`], in the middle
+/// of serving it.
 struct ProbeCodec;
 
 impl WireCodec for ProbeCodec {
@@ -195,8 +229,8 @@ impl WireCodec for ProbeCodec {
 
 /// A probe server, built once: the platform is the expensive part.
 fn probe_server() -> Arc<EnviroServer<ProbeCodec>> {
-    // Each schedule of the worker-exit harness panics a worker on purpose;
-    // keep those expected panics out of the log.
+    // Each schedule of the worker-exit harness panics on purpose; keep
+    // those expected panics out of the log.
     static QUIET: std::sync::Once = std::sync::Once::new();
     QUIET.call_once(|| {
         let report = std::panic::take_hook();
@@ -213,44 +247,40 @@ fn probe_server() -> Arc<EnviroServer<ProbeCodec>> {
     Arc::new(query_server(ProbeCodec))
 }
 
-/// The hand-off's wake protocol: two sessions on two threads call one
-/// worker. Any of the three may park at any point; each must be woken when
-/// its peer posts, so no schedule loses a wakeup (the model checker
-/// reports that as a deadlock), and each session gets its own answer.
+/// The admission wake protocol: two sessions on two threads share one
+/// permit. The one that finds it taken waits, and either may park at any
+/// point; the permit's return must wake the waiter, so no schedule loses a
+/// wakeup (the model checker reports that as a deadlock), and each session
+/// gets its own answer.
 #[test]
 fn two_sessions_never_lose_a_wakeup() {
     let server = Arc::new(query_server(BinaryCodec));
     let expected: Vec<Vec<u8>> = (1..=2).map(|i| answer(&server, i)).collect();
     let report = enviro_schedule::explore("transport-wakeup", move || {
-        let transport = Arc::new(one_worker(&server).expect("spawn"));
-        let other = {
-            let transport = Arc::clone(&transport);
-            enviro_schedule::thread::spawn(move || call(&transport, &query(2)))
-        };
+        let transport = transport(&server, 1, 4);
+        let other = spawn_call(&transport, 2);
         assert_eq!(call(&transport, &query(1)).expect("answered"), expected[0]);
         let reply = other.join().expect("second caller returns");
         assert_eq!(reply.expect("answered"), expected[1]);
-        drop(transport);
+        drop_last(transport);
     });
     println!("{report}");
     assert!(report.schedules > 1);
 }
 
-/// A worker exits (here: it panics on a poison frame) while another
-/// session's request may be queued behind the one it was serving. No
-/// waiter hangs: the poisoned request gets `Disconnected`, and the other
-/// gets its correct reply (served first) or `Disconnected` (queued behind
-/// the poison, or sent after the worker died).
+/// A panic while serving (here: on a poison frame) closes the transport,
+/// and no waiter hangs. The poisoned call gets `Disconnected`. The other
+/// session's call gets its correct reply (served before the poison) or
+/// `Disconnected` (it waited behind the poison, or came after it). A call
+/// after the panic gets `Disconnected`, and the panicked call's permit is
+/// back by the time the transport drops.
 #[test]
-fn worker_exit_disconnects_every_waiter() {
+fn serve_panic_disconnects_every_waiter() {
     let server = probe_server();
     let expected = answer(&server, 1);
     let report = enviro_schedule::explore("transport-worker-exit", move || {
-        let transport = Arc::new(one_worker(&server).expect("spawn"));
-        let other = {
-            let transport = Arc::clone(&transport);
-            enviro_schedule::thread::spawn(move || call(&transport, &query(1)))
-        };
+        let transport = transport(&server, 1, 4);
+        let other = spawn_call(&transport, 1);
         assert_eq!(
             call(&transport, POISON),
             Err(TransportError::Disconnected),
@@ -260,7 +290,71 @@ fn worker_exit_disconnects_every_waiter() {
             Ok(reply) => assert_eq!(reply, expected, "served before the poison"),
             Err(e) => assert_eq!(e, TransportError::Disconnected),
         }
-        drop(transport);
+        assert_eq!(
+            call(&transport, &query(2)),
+            Err(TransportError::Disconnected),
+            "a call after the panic"
+        );
+        drop_last(transport);
+    });
+    println!("{report}");
+    assert!(report.schedules > 1);
+}
+
+/// The binary codec, counting the frames between the start of their
+/// decode and the end of their reply's encode, that is, inside
+/// `handle_bytes_into`; a decode that would make them more than two
+/// panics.
+#[derive(Default)]
+struct CountingCodec {
+    in_handle: AtomicUsize,
+}
+
+impl WireCodec for CountingCodec {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn encode_request_into(&self, req: &Request, out: &mut Vec<u8>) {
+        BinaryCodec.encode_request_into(req, out);
+    }
+
+    fn decode_request(&self, bytes: &[u8]) -> Result<Request, CodecError> {
+        let inside = self.in_handle.fetch_add(1, Ordering::SeqCst) + 1;
+        assert!(inside <= 2, "{inside} frames in handle under 2 permits");
+        BinaryCodec.decode_request(bytes)
+    }
+
+    fn encode_response_into(&self, resp: &Response, out: &mut Vec<u8>) {
+        BinaryCodec.encode_response_into(resp, out);
+        // The server never answers `Busy`; the transport encodes its shed
+        // reply once, outside any handle.
+        if !matches!(resp, Response::Busy { .. }) {
+            self.in_handle.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    fn decode_response(&self, bytes: &[u8]) -> Result<Response, CodecError> {
+        BinaryCodec.decode_response(bytes)
+    }
+}
+
+/// The permit count: three sessions share two permits. On every schedule
+/// at most two frames are in `handle` at once ([`CountingCodec`] checks
+/// each entry), and no waiter is lost: each session gets its own answer.
+#[test]
+fn permits_bound_the_frames_in_handle() {
+    let server = Arc::new(query_server(CountingCodec::default()));
+    let expected: Vec<Vec<u8>> = (1..=3).map(|i| answer(&server, i)).collect();
+    let report = enviro_schedule::explore("transport-permit-bound", move || {
+        let transport = transport(&server, 2, 4);
+        let others = [2, 3].map(|i| spawn_call(&transport, i));
+        assert_eq!(call(&transport, &query(1)).expect("answered"), expected[0]);
+        for (other, expected) in others.into_iter().zip(&expected[1..]) {
+            let reply = other.join().expect("caller returns");
+            assert_eq!(&reply.expect("answered"), expected);
+        }
+        drop_last(transport);
     });
     println!("{report}");
     assert!(report.schedules > 1);

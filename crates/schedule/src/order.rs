@@ -8,8 +8,8 @@
 //! acquisition order fails loudly instead of deadlocking flakily under the
 //! right interleaving.
 //!
-//! Edges between two locks of the *same* class (e.g. the mailbox mutexes
-//! of two transport sessions, constructed by one line) are not recorded:
+//! Edges between two locks of the *same* class (e.g. the admission
+//! mutexes of two transports, constructed by one line) are not recorded:
 //! instance ordering within a class is invisible to a site-keyed graph,
 //! and in this workspace no protocol nests two locks of one class. The
 //! declared workspace-wide order lives in `crates/xtask/lock-order.toml`;

@@ -1,7 +1,7 @@
 //! `std::thread` facade: spawn/join that the deterministic scheduler can
 //! see. Outside a model run everything delegates to `std::thread`; inside
 //! one, spawned threads become model threads and `join` is a modeled
-//! blocking operation (so shutdown protocols — e.g. `ConcurrentTransport`'s
+//! blocking operation (so shutdown protocols — e.g. `ModelMaintenance`'s
 //! Drop-join — are explored like any other interleaving).
 
 use crate::model;

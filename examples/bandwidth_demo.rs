@@ -59,11 +59,10 @@ fn main() {
         );
     }
 
-    // The same protocol across a real thread boundary: the server runs on
-    // its own thread; the phone talks to it in raw bytes.
-    println!("--- concurrent transport (one worker thread) ---");
-    let transport =
-        ConcurrentTransport::spawn_shared(Arc::new(server), 1).expect("spawn server thread");
+    // The same protocol through the concurrent transport: the phone talks
+    // to the server in raw bytes, one permit serving one frame at a time.
+    println!("--- concurrent transport (one permit) ---");
+    let transport = ConcurrentTransport::spawn_shared(Arc::new(server), 1).expect("transport");
     let req = Request::Query {
         time: Timestamp::from_hours(8),
         pos: Point::new(0.0, -200.0),
@@ -71,13 +70,13 @@ fn main() {
     let mut session = transport.session();
     let resp_bytes = session
         .call_with(|out| BinaryCodec.encode_request_into(&req, out))
-        .expect("server thread alive");
+        .expect("server answers");
     match BinaryCodec
         .decode_response(resp_bytes)
         .expect("well-formed")
     {
         Response::Value { value } => {
-            println!("  CO2 at the interchange via thread-server: {value:.1} ppm")
+            println!("  CO2 at the interchange via the transport: {value:.1} ppm")
         }
         other => println!("  unexpected response: {other:?}"),
     }

@@ -2,8 +2,8 @@
 //! must produce answers bit-identical to sequential in-process calls.
 //!
 //! This is the correctness half of the throughput story: the concurrent
-//! transport shares one `EnviroServer` across worker threads with no locks
-//! on the query path, so any data race or cross-session reply mixup would
+//! transport shares one `EnviroServer` across the sessions' threads with no
+//! locks on the query path, so any data race or cross-session reply mixup would
 //! show up here as a value mismatch.
 
 // Harness code, exempt from the library panic policy: an unwrap here
@@ -13,7 +13,8 @@
 use enviro_data::{LausanneSim, Pollutant, QueryTuple, SimConfig, WindowSpec};
 use enviro_meter::{AdKmnConfig, EnviroMeter, QueryMethod};
 use enviro_net::{
-    BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, Request, Response, WireCodec,
+    BinaryCodec, ConcurrentTransport, EnviroClient, EnviroServer, Request, Response,
+    TransportConfig, WireCodec,
 };
 use std::sync::Arc;
 
@@ -89,16 +90,31 @@ fn concurrent_sessions_match_sequential_bit_for_bit() {
         .map(|k| sequential_answers(&server, &trajectory(k)))
         .collect();
 
-    let transport = ConcurrentTransport::spawn_shared(Arc::clone(&server), 4).unwrap();
+    // Four permits serve every session at once; one permit makes three of
+    // the four sessions wait, in a wait list deep enough to shed nothing.
+    for workers in [4, 1] {
+        let config = TransportConfig {
+            workers,
+            max_queue: CLIENTS,
+        };
+        let transport =
+            ConcurrentTransport::spawn_shared_with(Arc::clone(&server), config).unwrap();
+        sessions_match(&transport, &expected, workers);
+        assert_eq!(transport.shed_total(), 0, "{workers} workers");
+    }
+}
+
+/// Runs the `CLIENTS` sessions on `transport` concurrently and checks each
+/// one's answers against `expected`, bit for bit.
+fn sessions_match(transport: &ConcurrentTransport, expected: &[Vec<Option<f64>>], workers: usize) {
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for k in 0..CLIENTS {
-            let transport = &transport;
             handles.push(scope.spawn(move || {
                 let traj = trajectory(k);
                 let mut session = transport.session();
                 // Odd clients batch, even clients send per-tuple frames, so
-                // both frame kinds interleave on the same worker queues.
+                // both frame kinds interleave on the same permits.
                 if k % 2 == 1 {
                     let mut client =
                         EnviroClient::new(BinaryCodec, Pollutant::Co2).with_batch(16 + k);
@@ -133,7 +149,8 @@ fn concurrent_sessions_match_sequential_bit_for_bit() {
         }
         for (k, handle) in handles.into_iter().enumerate() {
             let got: Vec<Option<f64>> = handle.join().unwrap();
-            assert_bit_identical(&expected[k], &got, &format!("client {k}"));
+            let who = format!("client {k}, {workers} workers");
+            assert_bit_identical(&expected[k], &got, &who);
         }
     });
 }
@@ -182,7 +199,7 @@ fn garbage_frames_mid_stream_do_not_poison_other_sessions() {
 }
 
 /// A stream of batch frames on one session, one at a time over a
-/// four-worker pool: reply N answers request N (its `seq`), bit-identical
+/// four-permit transport: reply N answers request N (its `seq`), bit-identical
 /// to sequential `handle()` calls.
 #[test]
 fn pipelined_batches_round_trip_under_contention() {
@@ -291,5 +308,5 @@ fn transport_shutdown_is_clean_after_heavy_traffic() {
             });
         }
     });
-    drop(transport); // must join all workers without hanging
+    drop(transport); // must find every permit returned, without hanging
 }
