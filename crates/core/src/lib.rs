@@ -92,8 +92,8 @@ pub use heatmap::{Heatmap, HeatmapBuilder};
 pub use model::{ApproximationError, LinearModel, RegionModel};
 pub use platform::EnviroMeter;
 pub use publish::{
-    CoverCacheStats, CoverLoader, CoverReadError, CoverRegistry, CoverSet, PublishedCover,
-    StoredCover, COVER_CACHE_CAPACITY,
+    CoverCacheStats, CoverLoader, CoverReadError, CoverReader, CoverRegistry, CoverSet,
+    PublishedCover, StoredCover, COVER_CACHE_CAPACITY,
 };
 pub use query::{QueryEngine, QueryMethod, QueryOutcome};
 pub use route::{Route, RouteSummary};

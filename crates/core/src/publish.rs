@@ -7,11 +7,11 @@
 //! either sees the complete old set or the complete new one — never a
 //! half-updated mixture, and never a lock held across a model rebuild.
 //!
-//! A server owns one registry and answers every cover query from it, and
-//! each window in it has one owner. A static server publishes its
-//! platform's covers once, as generation 1. An ingesting server's
-//! registry is its store's: restart publishes the sealed windows, and
-//! maintenance publishes each window the stream writes into.
+//! A registry's one writer, the [`CoverRegistry`], is held by the owner of
+//! its windows; servers read through a [`CoverReader`]. A static server
+//! publishes its platform's covers as generation 1 and keeps the reader.
+//! An ingesting server reads its store's: restart publishes the sealed
+//! windows, and maintenance each window the stream writes into.
 //!
 //! Each publication bumps a monotone **generation** number, stored in the
 //! set it labels. The server answers a request from one snapshot and
@@ -247,12 +247,6 @@ impl CoverCache {
     }
 }
 
-impl Default for CoverCache {
-    fn default() -> Self {
-        Self::new(Box::new(NoLoader))
-    }
-}
-
 impl DeepSize for CoverCache {
     fn heap_size(&self) -> usize {
         // The loader is configuration (a store path), not counted.
@@ -268,7 +262,7 @@ impl DeepSize for CoverCache {
 
 /// An immutable, atomically-published set of covers, sorted by window id,
 /// labelled with the generation that published it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CoverSet {
     entries: Vec<PublishedCover>,
     generation: u64,
@@ -278,11 +272,6 @@ pub struct CoverSet {
 }
 
 impl CoverSet {
-    /// An empty set (what a registry holds before the first publication).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of published windows.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -384,6 +373,9 @@ impl CoverSet {
     /// Verifies the set's ordering invariants, and the labels of its
     /// resident covers (a paged one is checked where it is read from).
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.generation == 0 && !self.is_empty() {
+            return Err("covers present at generation 0".into());
+        }
         for pair in self.entries.windows(2) {
             if pair[0].window_id >= pair[1].window_id {
                 return Err(format!(
@@ -438,16 +430,44 @@ impl DeepSize for CoverSet {
     }
 }
 
-/// The registry queries read from and the maintenance worker publishes to.
-///
-/// Readers call [`CoverRegistry::snapshot`] (one `RwLock` read + `Arc`
-/// clone, never blocked by a rebuild) and keep using the snapshot, and its
-/// generation, for the whole request; writers assemble the next
-/// [`CoverSet`] and swap it in with [`CoverRegistry::publish`].
+/// A read handle on a registry's covers: it can snapshot them, never
+/// publish. A snapshot is one `RwLock` read and one `Arc` clone, never
+/// blocked by a rebuild; a reader keeps it, and its generation, for the
+/// whole request.
+#[derive(Debug, Clone)]
+pub struct CoverReader {
+    current: Arc<RwLock<Arc<CoverSet>>>,
+}
+
+impl CoverReader {
+    /// The current set: valid and consistent however many publications follow.
+    pub fn snapshot(&self) -> Arc<CoverSet> {
+        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// The generation of the latest publication (0 = none yet). Monotone.
+    pub fn generation(&self) -> u64 {
+        self.snapshot().generation
+    }
+
+    /// The counters of the registry's cover cache.
+    pub fn cache_stats(&self) -> CoverCacheStats {
+        self.snapshot().cache.stats()
+    }
+}
+
+impl DeepSize for CoverReader {
+    fn heap_size(&self) -> usize {
+        let snap = self.snapshot();
+        snap.deep_size_of() + snap.cache.deep_size_of()
+    }
+}
+
+/// The one writer of a cover set, held by the owner of its windows; every
+/// other party reads through its [`CoverReader`]. Not `Clone`.
 #[derive(Debug)]
 pub struct CoverRegistry {
-    current: RwLock<Arc<CoverSet>>,
-    cache: Arc<CoverCache>,
+    reader: CoverReader,
 }
 
 impl Default for CoverRegistry {
@@ -461,41 +481,31 @@ impl CoverRegistry {
     /// "nothing ever published"), with no loader: it is for resident covers
     /// only, and a read of a paged entry published into it errs.
     pub fn new() -> Self {
-        Self::with_cache(CoverCache::default())
+        Self::with_loader(NoLoader)
     }
 
     /// An empty registry whose paged entries are read through `loader`.
     pub fn with_loader(loader: impl CoverLoader + 'static) -> Self {
-        Self::with_cache(CoverCache::new(Box::new(loader)))
-    }
-
-    fn with_cache(cache: CoverCache) -> Self {
-        let cache = Arc::new(cache);
         let empty = CoverSet {
             entries: Vec::new(),
             generation: 0,
-            cache: Arc::clone(&cache),
+            cache: Arc::new(CoverCache::new(Box::new(loader))),
         };
         Self {
-            current: RwLock::new(Arc::new(empty)),
-            cache,
+            reader: CoverReader {
+                current: Arc::new(RwLock::new(Arc::new(empty))),
+            },
         }
     }
 
-    /// The current cover set. Cheap; the returned `Arc` stays valid (and
-    /// internally consistent) however many publications happen after.
+    /// The read handle on this registry's covers.
+    pub fn reader(&self) -> &CoverReader {
+        &self.reader
+    }
+
+    /// The current cover set: [`CoverReader::snapshot`].
     pub fn snapshot(&self) -> Arc<CoverSet> {
-        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// The generation of the latest publication (0 = none yet). Monotone.
-    pub fn generation(&self) -> u64 {
-        self.snapshot().generation
-    }
-
-    /// The cover cache's counters.
-    pub fn cache_stats(&self) -> CoverCacheStats {
-        self.cache.stats()
+        self.reader.snapshot()
     }
 
     /// Publishes `updates`: each entry replaces the current cover for its
@@ -503,7 +513,8 @@ impl CoverRegistry {
     /// Returns the new generation. Entries with an empty cover are
     /// published too — an all-outlier window legitimately models nothing.
     pub fn publish(&self, updates: Vec<PublishedCover>) -> u64 {
-        let mut guard = self.current.write().unwrap_or_else(|e| e.into_inner());
+        let current = &self.reader.current;
+        let mut guard = current.write().unwrap_or_else(PoisonError::into_inner);
         let mut entries = guard.entries.clone();
         for update in updates {
             match entries.binary_search_by_key(&update.window_id, |e| e.window_id) {
@@ -517,7 +528,7 @@ impl CoverRegistry {
         *guard = Arc::new(CoverSet {
             entries,
             generation,
-            cache: Arc::clone(&self.cache),
+            cache: Arc::clone(&guard.cache),
         });
         generation
     }
@@ -530,7 +541,8 @@ impl CoverRegistry {
     /// window's file holds its cover: a read of a paged entry goes to the
     /// loader on a miss.
     pub fn page_out(&self, sealed: Vec<(u64, Arc<ModelCover>)>) {
-        let mut guard = self.current.write().unwrap_or_else(|e| e.into_inner());
+        let current = &self.reader.current;
+        let mut guard = current.write().unwrap_or_else(PoisonError::into_inner);
         let mut entries = guard.entries.clone();
         let mut paged = false;
         for (id, cover) in sealed {
@@ -552,24 +564,14 @@ impl CoverRegistry {
             *guard = Arc::new(CoverSet {
                 entries,
                 generation: guard.generation,
-                cache: Arc::clone(&self.cache),
+                cache: Arc::clone(&guard.cache),
             });
         }
     }
 
-    /// Verifies the registry and its current set.
+    /// Verifies the current set.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let snap = self.snapshot();
-        if snap.generation == 0 && !snap.is_empty() {
-            return Err("covers present at generation 0".into());
-        }
-        snap.check_invariants()
-    }
-}
-
-impl DeepSize for CoverRegistry {
-    fn heap_size(&self) -> usize {
-        self.snapshot().deep_size_of() + self.cache.deep_size_of()
+        self.snapshot().check_invariants()
     }
 }
 #[cfg(test)]
@@ -695,7 +697,7 @@ mod tests {
         }
         // The page-out left the cache empty: the first reads load each
         // paged cover once, and the warm reads after them load nothing.
-        assert_eq!(reg.cache_stats(), CoverCacheStats::default());
+        assert_eq!(reg.reader().cache_stats(), CoverCacheStats::default());
         assert_eq!(answer_bits(&snap, &queries).unwrap(), before);
         assert_eq!(loads.load(std::sync::atomic::Ordering::Relaxed), 3);
         assert_eq!(answer_bits(&snap, &queries).unwrap(), before);
@@ -704,12 +706,12 @@ mod tests {
             misses: 3,
             read_errors: 0,
         };
-        assert_eq!(reg.cache_stats(), warm);
+        assert_eq!(reg.reader().cache_stats(), warm);
         // Paging out again, or a cover the entry no longer holds, is a no-op.
         reg.page_out(covers[..3].to_vec());
         reg.page_out(vec![(3, built_cover(3, 310))]);
         assert!(Arc::ptr_eq(&snap, &reg.snapshot()));
-        assert_eq!(reg.generation(), 1);
+        assert_eq!(reg.reader().generation(), 1);
         assert_eq!(reg.check_invariants(), Ok(()));
     }
 
@@ -747,12 +749,15 @@ mod tests {
             "one miss, then a hit"
         );
         assert_eq!(answer_bits(&snap, &queries).unwrap(), want);
-        assert_eq!(cold.cache_stats().misses, n);
-        assert_eq!(cold.cache.lock().covers.len(), COVER_CACHE_CAPACITY);
+        assert_eq!(cold.reader().cache_stats().misses, n);
+        assert_eq!(
+            cold.snapshot().cache.lock().covers.len(),
+            COVER_CACHE_CAPACITY
+        );
         // Window 0 was evicted long ago; reading it again loads it again.
         assert_eq!(answer_bits(&snap, one).unwrap(), want[..1]);
-        assert_eq!(cold.cache_stats().misses, n + 1);
-        assert_eq!(cold.cache_stats().read_errors, 0);
+        assert_eq!(cold.reader().cache_stats().misses, n + 1);
+        assert_eq!(cold.reader().cache_stats().read_errors, 0);
     }
 
     #[test]
@@ -775,9 +780,10 @@ mod tests {
         assert!(snap.query(&in_window(1)).is_err());
         assert!(snap.query(&in_window(0)).unwrap().is_some());
         assert!(snap.query(&in_window(2)).unwrap().is_some());
-        assert_eq!(cold.cache_stats().read_errors, 2);
-        // A set outside a registry cannot read a paged entry either.
-        assert!(CoverSet::new()
+        assert_eq!(cold.reader().cache_stats().read_errors, 2);
+        // Nor can the set of a registry with no loader.
+        assert!(CoverRegistry::new()
+            .snapshot()
             .with_cover(&snap.entries()[0], |_| ())
             .is_err());
     }
@@ -792,16 +798,16 @@ mod tests {
             .iter()
             .map(|(_, c)| ModelCover::clone(c).deep_size_of())
             .sum();
-        let all_resident = reg.deep_size_of();
+        let all_resident = reg.reader().deep_size_of();
         // Paged out, then read back: the covers moved from the set to the
         // cache.
         reg.page_out(covers.clone());
         answer_bits(&reg.snapshot(), &probes(5)).unwrap();
-        assert_eq!(reg.cache.lock().covers.len(), covers.len());
-        let cached = reg.deep_size_of();
+        assert_eq!(reg.snapshot().cache.lock().covers.len(), covers.len());
+        let cached = reg.reader().deep_size_of();
         let cold = CoverRegistry::new();
         cold.publish(reg.snapshot().entries().to_vec());
-        let empty_cache = cold.deep_size_of();
+        let empty_cache = cold.reader().deep_size_of();
         assert!(
             cached >= empty_cache + held,
             "{cached} B with {} cached covers vs {empty_cache} B",
@@ -813,7 +819,7 @@ mod tests {
     #[test]
     fn empty_registry_answers_nothing_at_generation_zero() {
         let reg = CoverRegistry::new();
-        assert_eq!(reg.generation(), 0);
+        assert_eq!(reg.reader().generation(), 0);
         assert!(reg.snapshot().cover_for_time(Timestamp::ZERO).is_none());
         assert_eq!(reg.check_invariants(), Ok(()));
     }
@@ -822,7 +828,7 @@ mod tests {
     fn publish_bumps_generation_and_replaces_windows() {
         let reg = CoverRegistry::new();
         assert_eq!(reg.publish(vec![entry(0, 10), entry(1, 3_700)]), 1);
-        assert_eq!(reg.generation(), 1);
+        assert_eq!(reg.reader().generation(), 1);
         let before = reg.snapshot();
         assert_eq!(before.len(), 2);
         // Re-publishing window 1 replaces it without touching window 0.
@@ -875,27 +881,25 @@ mod tests {
     #[test]
     fn deep_size_counts_published_covers() {
         let reg = CoverRegistry::new();
-        let empty = reg.deep_size_of();
+        let empty = reg.reader().deep_size_of();
         reg.publish(vec![entry(0, 10)]);
-        assert!(reg.deep_size_of() > empty);
+        assert!(reg.reader().deep_size_of() > empty);
     }
 
     #[test]
     fn snapshots_stay_consistent_under_concurrent_publication() {
-        let reg = Arc::new(CoverRegistry::new());
-        let writer = {
-            let reg = Arc::clone(&reg);
-            std::thread::spawn(move || {
-                for round in 0..50u64 {
-                    reg.publish(vec![entry(round % 4, (round % 4) as i64 * 3_600 + 10)]);
-                }
-            })
-        };
+        let reg = CoverRegistry::new();
+        let reader = reg.reader().clone();
+        let writer = std::thread::spawn(move || {
+            for round in 0..50u64 {
+                reg.publish(vec![entry(round % 4, (round % 4) as i64 * 3_600 + 10)]);
+            }
+        });
         for _ in 0..200 {
-            let snap = reg.snapshot();
+            let snap = reader.snapshot();
             assert_eq!(snap.check_invariants(), Ok(()), "torn snapshot");
         }
         writer.join().expect("writer panicked");
-        assert_eq!(reg.generation(), 50);
+        assert_eq!(reader.generation(), 50);
     }
 }

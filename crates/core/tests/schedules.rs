@@ -41,9 +41,9 @@ fn built_cover(window_id: u64) -> Arc<ModelCover> {
 fn generation_never_leads_cover_contents() {
     let cover = built_cover(0);
     let report = enviro_schedule::explore("cover-registry-publish", move || {
-        let registry = Arc::new(CoverRegistry::new());
+        let registry = CoverRegistry::new();
+        let reader = registry.reader().clone();
         let writer = {
-            let registry = Arc::clone(&registry);
             let cover = Arc::clone(&cover);
             enviro_schedule::thread::spawn(move || {
                 registry.publish(vec![PublishedCover {
@@ -55,8 +55,8 @@ fn generation_never_leads_cover_contents() {
         };
         // The racing reader: generation first, snapshot second. Any
         // schedule where the bump lands before the swap is visible fails.
-        let gen = registry.generation();
-        let snap = registry.snapshot();
+        let gen = reader.generation();
+        let snap = reader.snapshot();
         assert!(
             gen as usize <= snap.len(),
             "generation {gen} observed but snapshot holds {} covers",
@@ -65,8 +65,8 @@ fn generation_never_leads_cover_contents() {
         snap.check_invariants().expect("snapshot is never torn");
         let published_gen = writer.join().expect("writer ran");
         assert_eq!(published_gen, 1);
-        assert_eq!(registry.generation(), 1);
-        assert_eq!(registry.snapshot().len(), 1);
+        assert_eq!(reader.generation(), 1);
+        assert_eq!(reader.snapshot().len(), 1);
     });
     println!("{report}");
     assert!(report.schedules > 1, "the race must actually be explored");

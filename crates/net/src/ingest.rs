@@ -103,12 +103,6 @@ pub struct IngestStats {
     /// worker keeps running and retries the seal on its next pass, which
     /// only new data triggers.
     pub maintenance_errors: u64,
-    /// Reads of a paged-out cover that the cover cache did not hold, each
-    /// read from its window's file.
-    pub cover_cache_misses: u64,
-    /// Of those, reads that failed (the file gone or its cover frame
-    /// corrupt): the query was answered with an error.
-    pub cover_read_errors: u64,
 }
 
 /// What one [`IngestState::ingest`] call produced.
@@ -146,8 +140,8 @@ pub struct IngestState {
     inner: Mutex<Inner>,
     /// Signalled when the dirty set grows or shutdown is requested.
     work: Condvar,
-    /// Shared with the server that attaches this state.
-    registry: Arc<CoverRegistry>,
+    /// The covers' one writer; a server reads them through its reader.
+    registry: CoverRegistry,
     config: IngestConfig,
     builder: CoverBuilder,
     /// [`IngestConfig::cover_fingerprint`] of `config`.
@@ -219,7 +213,7 @@ impl IngestState {
                 shutdown: false,
             }),
             work: Condvar::new(),
-            registry: Arc::new(registry),
+            registry,
             config,
             builder,
             fingerprint,
@@ -238,31 +232,34 @@ impl IngestState {
         &self.config
     }
 
-    /// The published-cover registry queries read from.
-    pub fn registry(&self) -> &CoverRegistry {
-        &self.registry
-    }
-
-    /// The registry itself, for a server to read from.
-    pub(crate) fn shared_registry(&self) -> Arc<CoverRegistry> {
-        Arc::clone(&self.registry)
+    /// A read handle on the published covers and their cache's counters.
+    /// The state is their one writer: a holder can read, not publish.
+    ///
+    /// ```compile_fail
+    /// fn publish(state: &enviro_net::IngestState) { state.registry().publish(vec![]); }
+    /// ```
+    /// ```compile_fail
+    /// fn page_out(state: &enviro_net::IngestState) { state.registry().page_out(vec![]); }
+    /// ```
+    /// ```no_run
+    /// fn snapshot(state: &enviro_net::IngestState) { state.registry().snapshot(); }
+    /// ```
+    pub fn registry(&self) -> &enviro_meter::CoverReader {
+        self.registry.reader()
     }
 
     /// The current cover generation (0 until the first publication).
     pub fn generation(&self) -> u64 {
-        self.registry.generation()
+        self.registry.reader().generation()
     }
 
     /// Current counters.
     pub fn stats(&self) -> IngestStats {
-        let cache = self.registry.cache_stats();
         let inner = self.lock();
         let wal_stats = inner.wal.stats();
         IngestStats {
             durable_tuples: wal_stats.durable_tuples,
             late_tuples: wal_stats.late_tuples,
-            cover_cache_misses: cache.misses,
-            cover_read_errors: cache.read_errors,
             ..inner.stats
         }
     }
@@ -420,8 +417,8 @@ impl IngestState {
 
     /// Answers one query from the published covers, or `None` when nothing
     /// has been published yet, or when the cover that would answer is paged
-    /// out and cannot be read (counted in
-    /// [`IngestStats::cover_read_errors`]; a server replies with an error).
+    /// out and cannot be read (counted in the registry's `cache_stats()`;
+    /// a server replies with an error).
     pub fn query(&self, q: &QueryTuple) -> Option<Option<f64>> {
         self.registry.snapshot().query(q).ok().flatten()
     }
@@ -529,7 +526,7 @@ impl DeepSize for IngestState {
                     * (std::mem::size_of::<u64>() + std::mem::size_of::<(u32, u64)>())
                 + inner.dirty.len() * std::mem::size_of::<u64>()
         };
-        own + self.registry.heap_size()
+        own + self.registry.reader().heap_size()
     }
 }
 
@@ -728,8 +725,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The store owns every window: a cover published into the registry
-    /// for a window the store never held breaks the invariants.
+    /// The store owns every window: a cover the state's own writer
+    /// publishes for a window the store never held breaks the invariants.
+    /// (Only the state holds that writer; this test reaches it through the
+    /// private field.)
     #[test]
     fn a_published_window_the_store_does_not_hold_fails_the_check() {
         let dir = temp_dir("foreign");
@@ -739,7 +738,7 @@ mod tests {
         assert_eq!(state.check_invariants(), Ok(()));
         let tuples = window_tuples(5, 10);
         let (first_time, cover) = build_cover(&state.builder, &state.config, 5, 100, &tuples);
-        state.registry().publish(vec![PublishedCover {
+        state.registry.publish(vec![PublishedCover {
             window_id: 5,
             first_time,
             cover: Arc::new(cover).into(),
@@ -921,7 +920,7 @@ mod tests {
             .collect();
         assert_eq!(paged, [0, 1], "the committed windows left memory");
         assert_eq!(answers(&state), before);
-        assert_eq!(state.stats().cover_read_errors, 0);
+        assert_eq!(state.registry().cache_stats().read_errors, 0);
         assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,7 +5,7 @@ use crate::codec::WireCodec;
 use crate::ingest::IngestState;
 use crate::protocol::{ErrorCode, ProtocolError, Request, Response};
 use enviro_data::QueryTuple;
-use enviro_meter::{CoverReadError, CoverRegistry, EnviroMeter, ModelCover, QueryMethod};
+use enviro_meter::{CoverReadError, CoverReader, EnviroMeter, ModelCover, QueryMethod};
 use enviro_schedule::sync::Arc;
 
 /// The server side of Figure 3: decodes a request, consults the platform,
@@ -16,11 +16,11 @@ use enviro_schedule::sync::Arc;
 /// paper), but the evaluation can plug any method to isolate network
 /// effects from processing effects.
 ///
-/// Covers are read from one [`CoverRegistry`], the paper's `model_cover`
-/// table: one cover per window id. The server publishes its platform's
-/// covers there as the first generation, and every request that reads a
-/// cover reads one snapshot of the registry, so a reply never mixes two
-/// publications and each `ValueBatch` carries the generation that
+/// Covers are read through a [`CoverReader`] on the paper's `model_cover`
+/// table (one cover per window id), which cannot publish: `new` publishes
+/// the platform's covers as generation 1 and keeps only the reader. Every
+/// request that reads a cover reads one snapshot, so a reply never mixes
+/// two publications and each `ValueBatch` carries the generation that
 /// answered it. A query at time `t` is answered by the window holding `t`;
 /// before the first window by the oldest one, after the last by the
 /// newest (the routing rule of [`enviro_meter::CoverSet::cover_for_time`]).
@@ -30,13 +30,13 @@ use enviro_schedule::sync::Arc;
 ///
 /// A server built [`EnviroServer::with_ingest`] additionally accepts
 /// `IngestBatch` frames on the durable write path and answers from its
-/// store alone: its registry is the ingest state's, which owns every
-/// window, and its platform is empty.
+/// store alone: it reads the ingest state's registry, whose one writer is
+/// the state, the owner of every window; its platform is empty.
 pub struct EnviroServer<C: WireCodec> {
     platform: EnviroMeter,
     codec: C,
     method: QueryMethod,
-    registry: Arc<CoverRegistry>,
+    registry: CoverReader,
     ingest: Option<Arc<IngestState>>,
 }
 
@@ -47,7 +47,7 @@ impl<C: WireCodec> EnviroServer<C> {
     pub fn new(platform: EnviroMeter, codec: C, method: QueryMethod) -> Self {
         let engine = platform.engine();
         engine.prepare_parallel_auto(QueryMethod::ModelCover);
-        let registry = CoverRegistry::new();
+        let registry = enviro_meter::CoverRegistry::new();
         if engine.window_count() > 0 {
             registry.publish(engine.published_covers());
         }
@@ -55,7 +55,7 @@ impl<C: WireCodec> EnviroServer<C> {
             platform,
             codec,
             method,
-            registry: Arc::new(registry),
+            registry: registry.reader().clone(),
             ingest: None,
         }
     }
@@ -77,7 +77,7 @@ impl<C: WireCodec> EnviroServer<C> {
             self.platform.engine().dataset().is_empty(),
             "an ingesting server answers from its store alone, not from a platform holding data"
         );
-        self.registry = ingest.shared_registry();
+        self.registry = ingest.registry().clone();
         self.ingest = Some(ingest);
         self
     }

@@ -299,10 +299,10 @@ fn paged_cover_cache_hit_is_allocation_free() {
         "answered from the paged covers: {reply:?}"
     );
     // That first frame warmed the cache: one miss per paged window.
-    assert_eq!(state.stats().cover_cache_misses, 2);
+    assert_eq!(state.registry().cache_stats().misses, 2);
     let allocs = steady_state_allocs_on(&server);
     assert_eq!(
-        state.stats().cover_cache_misses,
+        state.registry().cache_stats().misses,
         2,
         "every later read hit the cache"
     );

@@ -226,9 +226,9 @@ proptest! {
         prop_assert_eq!(paged_windows(&state), sealed.clone());
         let generation = state.generation();
         check_answers(&state, &server, &probes, &want, "cold after the seal")?;
-        prop_assert_eq!(state.stats().cover_cache_misses, n as u64 - 2);
+        prop_assert_eq!(state.registry().cache_stats().misses, n as u64 - 2);
         check_answers(&state, &server, &probes, &want, "warm after the seal")?;
-        prop_assert_eq!(state.stats().cover_cache_misses, n as u64 - 2);
+        prop_assert_eq!(state.registry().cache_stats().misses, n as u64 - 2);
         prop_assert_eq!(state.generation(), generation, "reads publish nothing");
         drop(server);
         drop(state);
@@ -240,11 +240,11 @@ proptest! {
         prop_assert_eq!(paged_windows(&state), sealed);
         let server = serve(&state);
         check_answers(&state, &server, &probes, &want, "cold after a restart")?;
-        let misses = state.stats().cover_cache_misses;
+        let misses = state.registry().cache_stats().misses;
         prop_assert_eq!(misses, n as u64 - 2, "one miss per paged window");
         check_answers(&state, &server, &probes, &want, "warm after a restart")?;
-        prop_assert_eq!(state.stats().cover_cache_misses, misses);
-        prop_assert_eq!(state.stats().cover_read_errors, 0);
+        prop_assert_eq!(state.registry().cache_stats().misses, misses);
+        prop_assert_eq!(state.registry().cache_stats().read_errors, 0);
         prop_assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -298,7 +298,7 @@ fn an_unreadable_cover_fails_its_window_only() {
         }));
         assert_eq!(code, ErrorCode::Internal);
         assert!(message.contains(&format!("window {id}")), "{message}");
-        assert_eq!(state.stats().cover_read_errors, errors);
+        assert_eq!(state.registry().cache_stats().read_errors, errors);
     }
     let (code, message) = error(server.handle(&Request::Query {
         time: at(1).time,
@@ -314,7 +314,7 @@ fn an_unreadable_cover_fails_its_window_only() {
         (ErrorCode::Internal, true)
     );
     assert_eq!(state.query(&at(1)), None);
-    assert_eq!(state.stats().cover_read_errors, 5);
+    assert_eq!(state.registry().cache_stats().read_errors, 5);
 
     // Every other window still answers, as the batch engine does.
     for id in [0, 3, 4] {

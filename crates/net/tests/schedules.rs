@@ -14,7 +14,7 @@ use enviro_data::{
     Dataset, LausanneSim, Pollutant, QueryTuple, RawTuple, SimConfig, Timestamp, Window, WindowSpec,
 };
 use enviro_geo::Point;
-use enviro_meter::{AdKmnConfig, CoverBuilder, EnviroMeter, PublishedCover, QueryMethod};
+use enviro_meter::{AdKmnConfig, CoverBuilder, EnviroMeter, QueryMethod};
 use enviro_net::codec::CodecError;
 use enviro_net::{
     BinaryCodec, ConcurrentTransport, EnviroServer, IngestConfig, IngestState, ModelMaintenance,
@@ -382,59 +382,25 @@ fn maintenance_always_shuts_down() {
     assert!(report.schedules > 1);
 }
 
-/// Window 0's cover learned from readings all at `level`.
-fn level_cover(level: f64) -> PublishedCover {
-    let tuples: Vec<RawTuple> = (0..12)
-        .map(|i| {
-            RawTuple::new(
-                Timestamp::from_secs(i * 5),
-                Point::new(i as f64 * 40.0, -(i as f64) * 15.0),
-                level,
-            )
-        })
-        .collect();
-    let window = Window {
-        id: 0,
-        tuples: &tuples,
-        valid_until: Timestamp::from_secs(100),
-    };
-    PublishedCover {
-        window_id: 0,
-        first_time: Timestamp::ZERO,
-        cover: Arc::new(CoverBuilder::new(AdKmnConfig::default()).build(&window, Pollutant::Co2))
-            .into(),
-    }
-}
-
-/// One reply, one publication: a `QueryBatch` answered while the
-/// maintenance side republishes its window must be answered entirely from
-/// one cover set and stamped with *that* set's generation — never a mix of
-/// two publications, never the number of a set that did not answer. Like
-/// a read pinned to one sequence number in an LSM tree, the request reads
-/// one registry snapshot from first tuple to generation stamp.
+/// One reply, one publication: a `QueryBatch` answered while maintenance
+/// republishes its window must be answered entirely from one cover set and
+/// stamped with *that* set's generation — never a mix of two publications,
+/// never the number of a set that did not answer. Like a read pinned to one
+/// sequence number in an LSM tree, the request reads one registry snapshot
+/// from first tuple to generation stamp. Both generations reach the
+/// registry through its one writer, the ingest path, so the store holds
+/// every published window and the state's invariants hold on every
+/// schedule.
 #[test]
 fn reply_generation_names_the_covers_that_answered() {
-    let (old, new) = (level_cover(100.0), level_cover(900.0));
     let queries: Vec<QueryTuple> = [(10, 0.0), (20, 200.0)]
         .into_iter()
         .map(|(t, x)| QueryTuple::new(Timestamp::from_secs(t), Point::new(x, -50.0)))
         .collect();
-    let answers = |cover: &PublishedCover| -> Vec<Option<u64>> {
-        queries
-            .iter()
-            .map(|q| {
-                let resident = cover.cover.resident().expect("built resident");
-                resident.interpolate(q.time, &q.pos).map(f64::to_bits)
-            })
-            .collect()
-    };
-    let by_generation = [answers(&old), answers(&new)];
-    assert_ne!(by_generation[0], by_generation[1], "covers must differ");
     let round = AtomicU64::new(0);
     let report = enviro_schedule::explore("reply-generation", move || {
         let dir = fresh_dir("reply-gen", round.fetch_add(1, Ordering::Relaxed));
         let state = Arc::new(open_state(&dir));
-        assert_eq!(state.registry().publish(vec![old.clone()]), 1);
         let server = EnviroServer::new(
             EnviroMeter::new(
                 Dataset::new(Pollutant::Co2),
@@ -446,32 +412,51 @@ fn reply_generation_names_the_covers_that_answered() {
             QueryMethod::ModelCover,
         )
         .with_ingest(Arc::clone(&state));
-        let writer = {
+        // One reply's generation stamp and answers.
+        let ask = || {
+            let reply = server.handle(&Request::QueryBatch {
+                seq: 1,
+                queries: queries.clone(),
+            });
+            let Response::ValueBatch {
+                generation, values, ..
+            } = reply
+            else {
+                panic!("expected a value batch, got {reply:?}");
+            };
+            let bits: Vec<Option<u64>> = values.iter().map(|v| v.map(f64::to_bits)).collect();
+            (generation, bits)
+        };
+        state
+            .ingest(1, 1, &level_tuples(0, 100.0))
+            .expect("ingest succeeds");
+        assert_eq!(state.rebuild_dirty_now().expect("pass succeeds"), 1);
+        let (first, old) = ask();
+        assert_eq!(first, 1);
+        state
+            .ingest(1, 2, &level_tuples(0, 900.0))
+            .expect("ingest succeeds");
+        let pass = {
             let state = Arc::clone(&state);
-            let new = new.clone();
-            enviro_schedule::thread::spawn(move || state.registry().publish(vec![new]))
+            enviro_schedule::thread::spawn(move || {
+                state.rebuild_dirty_now().expect("pass succeeds")
+            })
         };
-        let reply = server.handle(&Request::QueryBatch {
-            seq: 1,
-            queries: queries.clone(),
-        });
-        assert_eq!(writer.join().expect("publisher ran"), 2);
-        let Response::ValueBatch {
-            generation, values, ..
-        } = reply
-        else {
-            panic!("expected a value batch, got {reply:?}");
-        };
-        let got: Vec<Option<u64>> = values.iter().map(|v| v.map(f64::to_bits)).collect();
+        let (generation, got) = ask();
+        assert_eq!(pass.join().expect("pass ran"), 1);
+        let (second, new) = ask();
+        assert_eq!(second, 2);
+        assert_ne!(old, new, "covers must differ");
         assert!(
             (1..=2).contains(&generation),
             "stamped generation {generation} was never published"
         );
         assert_eq!(
             got,
-            by_generation[generation as usize - 1],
+            [old, new][generation as usize - 1],
             "reply stamped generation {generation} was answered by other covers"
         );
+        assert_eq!(state.check_invariants(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     });
     println!("{report}");
